@@ -1,0 +1,13 @@
+"""Make the benchmark modules and the package under test importable.
+
+Run from the root of a checkout: ``python3 -m pytest perfbench/tests -q``.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
