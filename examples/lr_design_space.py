@@ -7,13 +7,17 @@ only in how the tool schedules the non-functional (reset) events.
 Run:  python examples/lr_design_space.py
 """
 
-from repro import full_reduction, generate_sg, implement, implement_stg
+from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
+from repro.pipeline import table_row
 from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded, q_module_stg
 
+#: Implement a state graph as given: no further reduction.
+AS_IS = FlowConfig(strategy="none")
 
-def show(report) -> None:
-    name, area, csc, cycle, inputs = report.row()
-    flag = "" if report.csc_resolved else "  (CSC unresolved, area estimated)"
+
+def show(result) -> None:
+    name, area, csc, cycle, inputs = table_row(result)
+    flag = "" if result.csc_resolved() else "  (CSC unresolved, area estimated)"
     print(f"{name:18s} area={area:<6} #CSC={csc} cycle={cycle:<5} "
           f"inputs={inputs}{flag}")
 
@@ -22,23 +26,24 @@ def main() -> None:
     print("=== Table 1: LR-process area/performance trade-off ===\n")
 
     # The hand design: right handshake nested inside the left one.
-    show(implement_stg(q_module_stg(), name="Q-module (hand)"))
+    show(run_pipeline(AS_IS, stg=q_module_stg(), name="Q-module (hand)"))
 
     sg = generate_sg(lr_expanded())
 
     # Everything sequential: collapses to two wires (lo = ri, ro = li).
-    full = implement(full_reduction(sg), name="Full reduction")
+    full = run_pipeline(AS_IS, initial_sg=full_reduction(sg),
+                        name="Full reduction")
     show(full)
-    for equation in full.circuit.equations.values():
+    for equation in full.circuit().equations.values():
         print(f"{'':18s}   {equation}")
 
     # No reduction at all: pay for the concurrency with 2 state signals.
-    show(implement(sg, name="Max. concurrency"))
+    show(run_pipeline(AS_IS, initial_sg=sg, name="Max. concurrency"))
 
     # Keep exactly one pair of reset events concurrent.
     for name, keep in TABLE1_KEEP_CONC.items():
         reduced = full_reduction(sg, keep_conc=keep)
-        show(implement(reduced, name=name))
+        show(run_pipeline(AS_IS, initial_sg=reduced, name=name))
 
     print("\nEvery row is a *valid reduction* of the same 16-state expansion;"
           "\nthe spread is the optimization space the paper's Fig. 9 explores.")

@@ -10,27 +10,31 @@ manual design, exactly as the paper reports.
 Run:  python examples/par_component.py
 """
 
-from repro import generate_sg, implement, implement_stg, reduce_concurrency
-from repro.circuit.synthesize import synthesize_circuit
+from repro import FlowConfig, generate_sg, reduce_concurrency, run_pipeline
 from repro.specs.par import PAR_KEEP_CONC, par_expanded, par_manual_stg
 from repro.timing.critical_cycle import critical_cycle
 from repro.timing.delays import gate_level_delays
 
 
-def gate_cycle(report) -> float:
+#: Implement a state graph as given: the search below needs ``patience``,
+#: which FlowConfig does not carry, so it runs first.
+AS_IS = FlowConfig(strategy="none")
+
+
+def gate_cycle(result) -> float:
     """Cycle time under the paper's gate-level model (comb=1, seq=1.5, in=3)."""
-    sequential = {signal for signal, impl in report.circuit.signals.items()
+    sequential = {signal for signal, impl in result.circuit().signals.items()
                   if impl.netlist.sequential_gates()}
-    model = gate_level_delays(report.resolved_sg, sequential)
-    return critical_cycle(report.resolved_sg, model).cycle_time
+    model = gate_level_delays(result.resolved_sg(), sequential)
+    return critical_cycle(result.resolved_sg(), model).cycle_time
 
 
 def main() -> None:
     print("=== PAR component (Fig. 10) ===\n")
 
-    manual = implement_stg(par_manual_stg(), name="manual (Tangram)")
-    print(f"manual design   : area={manual.area}, equations:")
-    for equation in sorted(manual.circuit.equations.values()):
+    manual = run_pipeline(AS_IS, stg=par_manual_stg(), name="manual (Tangram)")
+    print(f"manual design   : area={manual.circuit().area}, equations:")
+    for equation in sorted(manual.circuit().equations.values()):
         print(f"    {equation}")
 
     sg = generate_sg(par_expanded())
@@ -39,14 +43,14 @@ def main() -> None:
 
     search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
                                 max_explored=4000, patience=10**9)
-    auto = implement(search.best, name="automatic")
+    auto = run_pipeline(AS_IS, initial_sg=search.best, name="automatic")
     print(f"exploration     : {search.explored_count} SGs seen, "
           f"best cost {search.best_cost:.1f}")
-    print(f"automatic design: area={auto.area}, equations:")
-    for equation in sorted(auto.circuit.equations.values()):
+    print(f"automatic design: area={auto.circuit().area}, equations:")
+    for equation in sorted(auto.circuit().equations.values()):
         print(f"    {equation}")
 
-    ratio = auto.area / manual.area
+    ratio = auto.circuit().area / manual.circuit().area
     print(f"\narea ratio auto/manual = {ratio:.2f} "
           f"(paper: ~0.88, i.e. 12% smaller)")
     print(f"gate-level cycle: manual={gate_cycle(manual)}, "

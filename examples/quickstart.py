@@ -10,7 +10,8 @@ encoding, and maps the result onto a 2-input gate library.
 Run:  python examples/quickstart.py
 """
 
-from repro import ChannelRole, PartialSpec, run_flow
+from repro import ChannelRole, FlowConfig, PartialSpec, run_pipeline
+from repro.pipeline import table_row
 
 
 def main() -> None:
@@ -21,25 +22,29 @@ def main() -> None:
     spec.cycle("l?", "r!", "r?", "l!")
     spec.mark("<l!,l?>")
 
-    result = run_flow(spec, name="lr-auto")
-    report = result.report
+    # The default config: 4-phase expansion, best-first reduction, CSC
+    # resolution, mapping and timing.
+    result = run_pipeline(FlowConfig(), spec=spec, name="lr-auto")
+    row = table_row(result)
+    circuit = result.circuit()
 
     print("=== LR-process, automatic synthesis ===")
-    print(f"expanded STG : {result.expanded}")
-    print(f"initial SG   : {len(result.initial_sg)} states "
+    print(f"expanded STG : {result.expanded_stg()}")
+    print(f"initial SG   : {len(result.initial_sg())} states "
           f"(maximal reset concurrency)")
-    print(f"reduced SG   : {len(report.sg)} states after concurrency reduction")
-    print(f"CSC signals  : {report.csc_signal_count} inserted")
-    print(f"mapped area  : {report.area} units")
-    print(f"crit. cycle  : {report.cycle_time} (inputs=2, outputs=1)")
-    print(f"input events : {report.input_event_count} on the cycle")
+    print(f"reduced SG   : {len(result.reduced_sg())} states after "
+          "concurrency reduction")
+    print(f"CSC signals  : {row.csc_signals} inserted")
+    print(f"mapped area  : {row.area} units")
+    print(f"crit. cycle  : {row.cycle_time} (inputs=2, outputs=1)")
+    print(f"input events : {row.input_events} on the cycle")
     print()
     print("Equations:")
-    for signal, equation in sorted(report.circuit.equations.items()):
+    for signal, equation in sorted(circuit.equations.items()):
         print(f"  {equation}")
     print()
     print("Netlist:")
-    print(report.circuit.netlist.to_verilog_like())
+    print(circuit.netlist.to_verilog_like())
 
 
 if __name__ == "__main__":

@@ -9,15 +9,15 @@ Public API tour
 
 Specify behaviour partially (channels, partial signals)::
 
-    from repro import PartialSpec, ChannelRole, run_flow
+    from repro import ChannelRole, FlowConfig, PartialSpec, run_pipeline
 
     spec = PartialSpec("lr")
     spec.declare_channel("l", ChannelRole.PASSIVE)
     spec.declare_channel("r", ChannelRole.ACTIVE)
     spec.cycle("l?", "r!", "r?", "l!")
     spec.mark("<l!,l?>")
-    result = run_flow(spec)          # expand, reduce, encode, map, time
-    print(result.report.area, result.report.cycle_time)
+    result = run_pipeline(FlowConfig(), spec=spec)  # expand ... time
+    print(result.circuit().area, result.cycle().cycle_time)
 
 Or drive the stages individually: :func:`repro.hse.expansion.expand`,
 :func:`repro.sg.generator.generate_sg`,
@@ -45,8 +45,6 @@ from .circuit.netlist import Netlist
 from .circuit.synthesize import synthesize_circuit
 from .timing.delays import TABLE1_DELAYS, DelayModel
 from .timing.critical_cycle import critical_cycle
-from .flow import (FlowResult, ImplementationReport, implement, implement_stg,
-                   reduce_sg, run_flow, run_flow_stg)
 from .pipeline import ArtifactStore, FlowConfig, run_pipeline
 
 __version__ = "0.1.0"
@@ -64,8 +62,6 @@ __all__ = [
     "resolve_csc",
     "DEFAULT_LIBRARY", "Cell", "Library", "Netlist", "synthesize_circuit",
     "TABLE1_DELAYS", "DelayModel", "critical_cycle",
-    "FlowResult", "ImplementationReport", "implement", "implement_stg",
-    "reduce_sg", "run_flow", "run_flow_stg",
     "ArtifactStore", "FlowConfig", "run_pipeline",
     "__version__",
 ]

@@ -1,7 +1,6 @@
 """The unified benchmark harness behind ``repro bench``.
 
-The 14 ad-hoc benchmark scripts that used to live as free-standing
-pytest files are now thin shims over this package:
+The package has four parts:
 
 * :mod:`repro.bench.registry` -- the declarative case registry
   (:class:`BenchCase`, :class:`Metric`, :class:`Check`).
@@ -10,16 +9,13 @@ pytest files are now thin shims over this package:
 * :mod:`repro.bench.compare` -- baseline comparison with per-metric
   tolerances and a machine-readable verdict.
 * :mod:`repro.bench.cases` -- the registered cases, one module per
-  legacy benchmark family.
+  benchmark family.
 
-``python -m repro bench`` is the command-line entry point; the legacy
-``benchmarks/bench_*.py`` files call :func:`pytest_case` so the whole
-suite still runs under plain pytest (and pytest-benchmark, when asked).
+``python -m repro bench`` is the command-line entry point
+(``--cases NAME`` runs one case).
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Optional
 
 from .compare import DEFAULT_TOLERANCE, Comparison, MetricDelta, compare
 from .harness import (BENCH_SCHEMA, RunContext, canonical_payload,
@@ -38,36 +34,5 @@ __all__ = [
     "run_case", "run_cases", "failed_checks", "skipped_checks",
     "canonical_payload", "to_json_bytes", "print_table", "report_row",
     "DEFAULT_TOLERANCE", "Comparison", "MetricDelta", "compare",
-    "pytest_case",
 ]
 
-
-def pytest_case(name: str, benchmark: Optional[Any] = None,
-                quick: bool = False) -> Dict[str, Any]:
-    """Run one registered case under pytest; raise on any failed check.
-
-    This is the whole body of the legacy ``benchmarks/bench_*.py``
-    scripts: run the case through the harness (tables print with
-    ``pytest -s``), surface failed checks as one assertion, and -- when
-    the pytest-benchmark fixture is passed -- feed the case's wall time
-    into its stats via ``pedantic`` so ``--benchmark-only`` reports
-    stay meaningful without re-running multi-minute workloads.
-    """
-    case = get_case(name)
-    entry = run_case(case, RunContext(quick=quick))
-    failures = [f"{check}: {outcome}"
-                for check, outcome in sorted(entry["checks"].items())
-                if outcome.startswith("failed")]
-    if failures:
-        raise AssertionError(
-            f"benchmark case {name!r} checks failed:\n  "
-            + "\n  ".join(failures))
-    for skip in entry["skipped_checks"]:
-        print(f"[{name}] check skipped -- {skip}")
-    if benchmark is not None:
-        # One pedantic round that just replays the measured wall time:
-        # the case already timed itself (min-of-N inside the harness).
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        benchmark.extra_info["bench_case"] = name
-        benchmark.extra_info["seconds"] = entry["seconds"]
-    return entry

@@ -1,24 +1,22 @@
-"""The registered benchmark cases, one module per legacy bench family.
+"""The registered benchmark cases, one module per bench family.
 
 Importing this package registers every case with
 :mod:`repro.bench.registry` (import order is fixed, so registry order --
-and therefore run order and report layout -- is deterministic).  Each
-module holds the workload that used to live in the matching ad-hoc
-``benchmarks/bench_*.py`` script; those scripts are now thin pytest
-shims over the registry.
+and therefore run order and report layout -- is deterministic).  Run one
+with ``python -m repro bench --cases NAME``.
 
-| module | cases | legacy scripts |
-| --- | --- | --- |
-| ``figures``  | fig1/fig2/fig3/fig6/fig8/fig10 | ``bench_fig*_*.py`` |
-| ``tables``   | table1_lr, table2_mmu, ablation_search | ``bench_table*_*.py``, ``bench_ablation_search.py`` |
-| ``engine``   | engine_scaling | ``bench_engine_scaling.py`` |
-| ``frontier`` | frontier_scaling | (new: shared exploration core) |
-| ``symbolic`` | symbolic_scaling | (new: BDD crossover) |
-| ``fuzzing``  | fuzz_throughput | (new: differential fuzz oracle) |
-| ``sweeps``   | sweep_throughput | ``bench_sweep.py`` |
-| ``pipelines``| pipeline_resume | ``bench_pipeline.py`` |
-| ``serving``  | serve_throughput | ``bench_serve.py`` |
-| ``verifying``| verify_throughput | ``bench_verify.py`` |
+| module | cases |
+| --- | --- |
+| ``figures``  | fig1/fig2/fig3/fig6/fig8/fig10 |
+| ``tables``   | table1_lr, table2_mmu, ablation_search |
+| ``engine``   | engine_scaling |
+| ``frontier`` | frontier_scaling (shared exploration core) |
+| ``symbolic`` | symbolic_scaling (BDD crossover) |
+| ``fuzzing``  | fuzz_throughput (differential fuzz oracle) |
+| ``sweeps``   | sweep_throughput |
+| ``pipelines``| pipeline_resume |
+| ``serving``  | serve_throughput |
+| ``verifying``| verify_throughput |
 """
 
 from . import (figures, tables, engine, frontier, symbolic,  # noqa: F401

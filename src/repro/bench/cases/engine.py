@@ -56,17 +56,24 @@ def _ablation_sweep():
     return results
 
 
-def _report_fingerprint(name, report) -> str:
+def _report_fingerprint(name, sg) -> str:
+    """Implement ``sg`` as-is and dump every synthesis output."""
+    from repro import FlowConfig, run_pipeline
+
+    result = run_pipeline(FlowConfig(strategy="none"), initial_sg=sg,
+                          name=name)
+    insertions = result.insertions()
+    circuit = result.circuit()
     lines = [f"design {name}",
-             f"csc_resolved {report.csc_resolved}",
-             f"csc_signals {report.csc_signal_count}"]
-    for choice in report.insertions:
+             f"csc_resolved {result.csc_resolved()}",
+             f"csc_signals {len(insertions)}"]
+    for choice in insertions:
         lines.append(f"insertion {choice.signal} {choice.style} "
                      f"rise_after={choice.rise_trigger} "
                      f"fall_after={choice.fall_trigger} "
                      f"init={choice.initial_value}")
-    if report.circuit is not None:
-        for signal, impl in report.circuit.signals.items():
+    if circuit is not None:
+        for signal, impl in circuit.signals.items():
             covers = " ".join(
                 f"{kind}=[{cover}]"
                 for kind, cover in (("cover", impl.cover),
@@ -75,32 +82,28 @@ def _report_fingerprint(name, report) -> str:
                 if cover is not None)
             lines.append(f"signal {signal} style={impl.style} "
                          f"eq={impl.equation} {covers}")
-        lines.append(report.circuit.netlist.to_verilog_like())
+        lines.append(circuit.netlist.to_verilog_like())
     return "\n".join(lines)
 
 
 def _synthesis_fingerprint() -> str:
     """Canonical dump of the synthesis outputs over the three suites."""
-    from repro import (full_reduction, generate_sg, implement,
-                      reduce_concurrency)
+    from repro import full_reduction, generate_sg, reduce_concurrency
     from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded
     from repro.specs.mmu import mmu_expanded
     from repro.specs.par import par_expanded
 
     parts = []
     lr_sg = generate_sg(lr_expanded())
-    parts.append(_report_fingerprint(
-        "lr/full", implement(full_reduction(lr_sg), name="lr/full")))
-    parts.append(_report_fingerprint(
-        "lr/max", implement(lr_sg, name="lr/max")))
+    parts.append(_report_fingerprint("lr/full", full_reduction(lr_sg)))
+    parts.append(_report_fingerprint("lr/max", lr_sg))
     for pair_name, keep in TABLE1_KEEP_CONC.items():
         reduced = full_reduction(lr_sg, keep_conc=keep)
-        parts.append(_report_fingerprint(
-            f"lr/{pair_name}", implement(reduced, name=pair_name)))
+        parts.append(_report_fingerprint(f"lr/{pair_name}", reduced))
     for name, spec in (("mmu", mmu_expanded), ("par", par_expanded)):
         sg = generate_sg(spec())
-        best = reduce_concurrency(sg).best
-        parts.append(_report_fingerprint(name, implement(best, name=name)))
+        parts.append(_report_fingerprint(name,
+                                         reduce_concurrency(sg).best))
     return "\n".join(parts)
 
 

@@ -162,36 +162,39 @@ register(BenchCase(
 # Fig. 3: the LR-process implementations as circuits.
 
 def run_fig3(context) -> dict:
-    from repro import full_reduction, generate_sg, implement, implement_stg
+    from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
     from repro.specs.lr import lr_expanded, q_module_stg
+
+    as_is = FlowConfig(strategy="none")
 
     def build():
         sg = generate_sg(lr_expanded())
         return {
-            "full": implement(full_reduction(sg), name="full"),
-            "max": implement(sg, name="max"),
-            "q": implement_stg(q_module_stg(), name="q"),
+            "full": run_pipeline(as_is, initial_sg=full_reduction(sg),
+                                 name="full"),
+            "max": run_pipeline(as_is, initial_sg=sg, name="max"),
+            "q": run_pipeline(as_is, stg=q_module_stg(), name="q"),
         }
 
-    seconds, circuits = context.best_of(build)
-    max_conc = circuits["max"]
-    mentioned = " ".join(max_conc.circuit.equations.values())
+    seconds, results = context.best_of(build)
+    circuits = {name: result.circuit() for name, result in results.items()}
+    mentioned = " ".join(circuits["max"].equations.values())
     return {
-        "full_area": circuits["full"].circuit.area,
-        "max_area": max_conc.circuit.area,
-        "q_area": circuits["q"].circuit.area,
-        "max_csc_signals": max_conc.csc_signal_count,
-        "q_csc_signals": circuits["q"].csc_signal_count,
+        "full_area": circuits["full"].area,
+        "max_area": circuits["max"].area,
+        "q_area": circuits["q"].area,
+        "max_csc_signals": len(results["max"].insertions()),
+        "q_csc_signals": len(results["q"].insertions()),
         "synthesis_seconds": seconds,
-        "full_equations": dict(circuits["full"].circuit.equations),
+        "full_equations": dict(circuits["full"].equations),
         "state_signal_in_support": any(signal in mentioned
                                        for signal in ("csc0", "csc1")),
-        "q_sequential": bool(circuits["q"].circuit.netlist.sequential_gates()
-                             or circuits["q"].circuit.area > 0),
-        "equations": [(name, report.circuit.style_of(signal), equation)
-                      for name, report in circuits.items()
+        "q_sequential": bool(circuits["q"].netlist.sequential_gates()
+                             or circuits["q"].area > 0),
+        "equations": [(name, circuit.style_of(signal), equation)
+                      for name, circuit in circuits.items()
                       for signal, equation
-                      in sorted(report.circuit.equations.items())],
+                      in sorted(circuit.equations.items())],
     }
 
 
@@ -365,42 +368,48 @@ register(BenchCase(
 # Fig. 10: the PAR component case study.
 
 def run_fig10(context) -> dict:
-    from repro import (generate_sg, implement, implement_stg,
-                       reduce_concurrency)
+    from repro import (FlowConfig, generate_sg, reduce_concurrency,
+                       run_pipeline)
     from repro.sg.regions import are_concurrent
     from repro.specs.par import PAR_KEEP_CONC, par_expanded, par_manual_stg
     from repro.timing.critical_cycle import critical_cycle
     from repro.timing.delays import gate_level_delays
 
-    def gate_cycle(report):
+    # The search needs ``patience``, which FlowConfig lacks: reduce here
+    # and hand the chosen SG to the pipeline as-is.
+    as_is = FlowConfig(strategy="none")
+
+    def gate_cycle(result):
         sequential = {signal
-                      for signal, impl in report.circuit.signals.items()
+                      for signal, impl in result.circuit().signals.items()
                       if impl.netlist.sequential_gates()}
-        model = gate_level_delays(report.resolved_sg, sequential)
-        return critical_cycle(report.resolved_sg, model).cycle_time
+        model = gate_level_delays(result.resolved_sg(), sequential)
+        return critical_cycle(result.resolved_sg(), model).cycle_time
 
     def build():
-        manual = implement_stg(par_manual_stg(), name="manual (Tangram)")
+        manual = run_pipeline(as_is, stg=par_manual_stg(),
+                              name="manual (Tangram)")
         sg = generate_sg(par_expanded())
         search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
                                     max_explored=4000, patience=10**9)
-        auto = implement(search.best, name="automatic")
+        auto = run_pipeline(as_is, initial_sg=search.best, name="automatic")
         return sg, search, manual, auto
 
     seconds, (sg, search, manual, auto) = context.best_of(build)
     manual_cycle, auto_cycle = gate_cycle(manual), gate_cycle(auto)
+    auto_area, manual_area = auto.circuit().area, manual.circuit().area
     return {
         "expansion_states": len(sg),
         "explored": search.explored_count,
-        "auto_area": auto.area,
-        "manual_area": manual.area,
-        "auto_csc_signals": auto.csc_signal_count,
-        "area_ratio": auto.area / manual.area,
+        "auto_area": auto_area,
+        "manual_area": manual_area,
+        "auto_csc_signals": len(auto.insertions()),
+        "area_ratio": auto_area / manual_area,
         "cycle_ratio": auto_cycle / manual_cycle,
         "build_seconds": seconds,
-        "resolved": manual.csc_resolved and auto.csc_resolved,
-        "constraint_kept": are_concurrent(auto.resolved_sg, "bi+", "ci+"),
-        "auto_equations": sorted(auto.circuit.equations.values()),
+        "resolved": manual.csc_resolved() and auto.csc_resolved(),
+        "constraint_kept": are_concurrent(auto.resolved_sg(), "bi+", "ci+"),
+        "auto_equations": sorted(auto.circuit().equations.values()),
     }
 
 

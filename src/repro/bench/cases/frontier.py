@@ -115,16 +115,17 @@ def _relabel_stage_text(cell_text, i):
 
 def _synthesize_cell():
     """One flow run on the stage cell; returns (resolved STG text, netlist)."""
-    from repro.flow import run_flow_stg
     from repro.petri.parser import parse_stg, write_stg
+    from repro.pipeline import FlowConfig, run_pipeline
     from repro.sg.generator import generate_sg
 
     sg = generate_sg(parse_stg(DECOUPLED_CELL))
-    report = run_flow_stg(None, strategy="none", initial_sg=sg,
-                          name="dec_fifo", resynthesise=True).report
-    if report.circuit is None or report.stg is None:
+    result = run_pipeline(FlowConfig(strategy="none", resynthesise=True),
+                          initial_sg=sg, name="dec_fifo")
+    circuit, stg = result.circuit(), result.resynthesised_stg()
+    if circuit is None or stg is None:
         raise CheckFailed("the decoupled FIFO cell must synthesize")
-    return write_stg(report.stg), report.circuit.netlist
+    return write_stg(stg), circuit.netlist
 
 
 def _chain_spec(cell_text, stages):

@@ -35,7 +35,7 @@ def _require(condition: bool, message: str) -> None:
 
 def run_pipeline_resume(context) -> dict:
     from repro import engine
-    from repro.sweep import (ResultStore, render, run_sweep, spec_registry,
+    from repro.sweep import (ArtifactStore, render, run_sweep, spec_registry,
                              tables_grid)
 
     def timed(grid, jobs, store):
@@ -52,8 +52,8 @@ def run_pipeline_resume(context) -> dict:
     points = len(grid.points)
 
     with tempfile.TemporaryDirectory() as tempdir:
-        serial_store = ResultStore(Path(tempdir) / "serial")
-        jobs_store = ResultStore(Path(tempdir) / "jobs")
+        serial_store = ArtifactStore(Path(tempdir) / "serial")
+        jobs_store = ArtifactStore(Path(tempdir) / "jobs")
 
         cold_seconds, cold = timed(grid, 1, serial_store)
         warm_seconds, warm = timed(grid, 1, serial_store)

@@ -37,7 +37,7 @@ def _require(condition: bool, message: str) -> None:
 
 def run_sweep_throughput(context) -> dict:
     from repro import engine
-    from repro.sweep import ResultStore, render, run_sweep, tables_grid
+    from repro.sweep import ArtifactStore, render, run_sweep, tables_grid
 
     def timed(grid, jobs, store):
         engine.clear_caches()
@@ -50,8 +50,8 @@ def run_sweep_throughput(context) -> dict:
     points = len(grid.points)
 
     with tempfile.TemporaryDirectory() as tempdir:
-        parallel_store = ResultStore(Path(tempdir) / "parallel")
-        serial_store = ResultStore(Path(tempdir) / "serial")
+        parallel_store = ArtifactStore(Path(tempdir) / "parallel")
+        serial_store = ArtifactStore(Path(tempdir) / "serial")
 
         # Parallel first: its workers must not inherit memo tables
         # warmed by the serial phase (the pool forks from this process).

@@ -9,6 +9,7 @@ cycle time trips the baseline comparison.
 
 from __future__ import annotations
 
+from ...pipeline.jobs import table_row
 from ..harness import report_row
 from ..registry import BenchCase, Check, CheckFailed, Metric, register
 
@@ -49,34 +50,40 @@ def _paper_table(result: dict, paper: dict):
 # Table 1: the LR-process area/performance trade-off.
 
 def run_table1(context) -> dict:
-    from repro import full_reduction, generate_sg, implement, implement_stg
+    from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
     from repro.sg.regions import are_concurrent
     from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded, q_module_stg
 
+    as_is = FlowConfig(strategy="none")
+
     def build():
         sg = generate_sg(lr_expanded())
-        reports = {
-            "Q-module (hand)": implement_stg(q_module_stg(),
-                                             name="Q-module (hand)"),
-            "Full reduction": implement(full_reduction(sg),
-                                        name="Full reduction"),
-            "Max. concurrency": implement(sg, name="Max. concurrency"),
+        results = {
+            "Q-module (hand)": run_pipeline(as_is, stg=q_module_stg(),
+                                            name="Q-module (hand)"),
+            "Full reduction": run_pipeline(as_is,
+                                           initial_sg=full_reduction(sg),
+                                           name="Full reduction"),
+            "Max. concurrency": run_pipeline(as_is, initial_sg=sg,
+                                             name="Max. concurrency"),
         }
         pairs_kept = True
         for name, keep in TABLE1_KEEP_CONC.items():
             reduced = full_reduction(sg, keep_conc=keep)
-            reports[name] = implement(reduced, name=name)
+            results[name] = run_pipeline(as_is, initial_sg=reduced,
+                                         name=name)
             label_a, label_b = keep[0]
             pairs_kept &= are_concurrent(reduced, label_a, label_b)
-        return reports, pairs_kept
+        return results, pairs_kept
 
-    seconds, (reports, pairs_kept) = context.best_of(build)
-    area = {name: report.area for name, report in reports.items()}
-    csc = {name: report.csc_signal_count for name, report in reports.items()}
-    pair_names = [n for n in reports if n not in
+    seconds, (results, pairs_kept) = context.best_of(build)
+    rows = {name: table_row(result) for name, result in results.items()}
+    area = {name: row.area for name, row in rows.items()}
+    csc = {name: row.csc_signals for name, row in rows.items()}
+    pair_names = [n for n in results if n not in
                   ("Q-module (hand)", "Full reduction", "Max. concurrency")]
     return {
-        "rows": [report_row(report) for report in reports.values()],
+        "rows": [report_row(result) for result in results.values()],
         "area": area,
         "csc": csc,
         "pair_names": pair_names,
@@ -88,11 +95,11 @@ def run_table1(context) -> dict:
         "lo_ro_area": area["lo || ro"],
         "total_area": sum(area.values()),
         "max_csc_signals": csc["Max. concurrency"],
-        "all_resolved": all(r.csc_resolved for r in reports.values()),
-        "input_events": sorted({r.input_event_count
-                                for r in reports.values()}),
-        "max_cycle": reports["Max. concurrency"].cycle_time,
-        "q_cycle": reports["Q-module (hand)"].cycle_time,
+        "all_resolved": all(result.csc_resolved()
+                            for result in results.values()),
+        "input_events": sorted({row.input_events for row in rows.values()}),
+        "max_cycle": rows["Max. concurrency"].cycle_time,
+        "q_cycle": rows["Q-module (hand)"].cycle_time,
     }
 
 
@@ -146,50 +153,58 @@ register(BenchCase(
 # Table 2: the MMU controller case study.
 
 def run_table2(context) -> dict:
-    from repro import (full_reduction, generate_sg, implement,
-                       reduce_concurrency)
+    from repro import (FlowConfig, full_reduction, generate_sg,
+                       reduce_concurrency, run_pipeline)
     from repro.reduction.cost import CostFunction
     from repro.specs.mmu import (TABLE2_KEEP_CONC, keep_conc_for,
                                  mmu_expanded)
 
+    # The searched rows use knobs FlowConfig lacks (patience, csc_scale):
+    # they reduce here and hand the chosen SG to the pipeline as-is.
+    as_is = FlowConfig(strategy="none")
+
     def build():
         sg = generate_sg(mmu_expanded())
-        reports = {"original": implement(sg, name="original",
-                                         max_csc_signals=3)}
+        results = {"original": run_pipeline(
+            as_is.replace(max_csc_signals=3), initial_sg=sg,
+            name="original")}
         balanced = reduce_concurrency(sg, max_explored=400, patience=200)
-        reports["original reduced"] = implement(balanced.best,
-                                                name="original reduced")
+        results["original reduced"] = run_pipeline(
+            as_is, initial_sg=balanced.best, name="original reduced")
         csc_first = reduce_concurrency(
             sg, cost_function=CostFunction(weight=0.05, csc_scale=100.0),
             max_explored=1200, patience=10**9)
-        reports["csc reduced"] = implement(csc_first.best,
-                                           name="csc reduced")
+        results["csc reduced"] = run_pipeline(
+            as_is, initial_sg=csc_first.best, name="csc reduced")
         for name, channels in TABLE2_KEEP_CONC.items():
             reduced = full_reduction(sg, keep_conc=keep_conc_for(channels),
                                      size_frontier=3)
-            reports[name] = implement(reduced, name=name)
-        return sg, reports
+            results[name] = run_pipeline(as_is, initial_sg=reduced,
+                                         name=name)
+        return sg, results
 
     # One round only: the unreduced-MMU CSC search is a 40+ second
     # workload by itself; min-of-N would triple a number that the
     # trajectory tracks but never gates on.
-    seconds, (sg, reports) = context.best_of(build, rounds=1)
-    reduced_rows = {n: r for n, r in reports.items() if n != "original"}
-    best_area = min(r.area for r in reduced_rows.values())
+    seconds, (sg, results) = context.best_of(build, rounds=1)
+    original = table_row(results["original"])
+    reduced = {name: table_row(result) for name, result in results.items()
+               if name != "original"}
+    best_area = min(row.area for row in reduced.values())
     return {
-        "rows": [report_row(report) for report in reports.values()],
+        "rows": [report_row(result) for result in results.values()],
         "sg_states": len(sg),
-        "original_area": reports["original"].area,
+        "original_area": original.area,
         "best_reduced_area": best_area,
-        "csc_reduced_area": reports["csc reduced"].area,
-        "csc_reduced_signals": reports["csc reduced"].csc_signal_count,
-        "area_ratio_best_vs_original": best_area / reports["original"].area,
+        "csc_reduced_area": reduced["csc reduced"].area,
+        "csc_reduced_signals": reduced["csc reduced"].csc_signals,
+        "area_ratio_best_vs_original": best_area / original.area,
         "table_seconds": seconds,
-        "all_reduced_resolved": all(r.csc_resolved
-                                    for r in reduced_rows.values()),
+        "all_reduced_resolved": all(results[name].csc_resolved()
+                                    for name in reduced),
         "some_row_no_slower": any(
-            r.cycle_time <= reports["original"].cycle_time * 1.3
-            for r in reduced_rows.values()),
+            row.cycle_time <= original.cycle_time * 1.3
+            for row in reduced.values()),
     }
 
 

@@ -32,7 +32,7 @@ def _spec_sources():
 
 def _verify_everything(model="atomic"):
     """One full verification pass; returns (certificates, wall seconds)."""
-    from repro.flow import STRATEGIES, run_flow_stg
+    from repro.pipeline import STRATEGIES, FlowConfig, run_pipeline
     from repro.sg.generator import generate_sg
     from repro.verify import check_conformance, skipped_report
 
@@ -42,16 +42,16 @@ def _verify_everything(model="atomic"):
         initial_sg = generate_sg(stg)
         for strategy in STRATEGIES:
             label = f"{name}/{strategy}"
-            flow = run_flow_stg(None, strategy=strategy,
-                                initial_sg=initial_sg, name=label)
-            implementation = flow.report
-            if implementation.circuit is None:
+            result = run_pipeline(FlowConfig(strategy=strategy),
+                                  initial_sg=initial_sg, name=label)
+            circuit = result.circuit()
+            if circuit is None:
                 certificates[label] = skipped_report(
                     label, "no synthesized circuit", model=model)
                 continue
             certificates[label] = check_conformance(
-                implementation.circuit.netlist,
-                implementation.resolved_sg, model=model, name=label)
+                circuit.netlist, result.resolved_sg(), model=model,
+                name=label)
     return certificates, time.perf_counter() - started
 
 
@@ -63,7 +63,7 @@ def _structural_probes():
     decomposition is not SI-preserving and the verifier proves it with a
     trace.
     """
-    from repro.flow import run_flow_stg
+    from repro.pipeline import FlowConfig, run_pipeline
     from repro.sg.generator import generate_sg
     from repro.specs import suite
     from repro.verify import check_conformance
@@ -71,10 +71,10 @@ def _structural_probes():
     results = {}
     for name, expect_ok in (("vme_read", True), ("half", False)):
         initial_sg = generate_sg(suite.load(name))
-        flow = run_flow_stg(None, strategy="full", initial_sg=initial_sg,
-                            name=f"{name}/full")
-        cert = check_conformance(flow.report.circuit.netlist,
-                                 flow.report.resolved_sg,
+        result = run_pipeline(FlowConfig(strategy="full"),
+                              initial_sg=initial_sg, name=f"{name}/full")
+        cert = check_conformance(result.circuit().netlist,
+                                 result.resolved_sg(),
                                  model="structural", name=f"{name}/full")
         results[name] = {"verdict": cert.verdict,
                          "expected_ok": expect_ok,
@@ -96,21 +96,19 @@ def _reduced_walk_probe():
     optimism: it hides the racing interleaving, so its pass certifies
     nothing.  If either leg shifts, the pruning's semantics changed.
     """
-    from repro.flow import run_flow_stg
+    from repro.pipeline import FlowConfig, run_pipeline
     from repro.sg.generator import generate_sg
     from repro.specs import suite
     from repro.verify import check_conformance
 
     def pair(name):
         initial_sg = generate_sg(suite.load(name))
-        flow = run_flow_stg(None, strategy="full", initial_sg=initial_sg,
-                            name=f"{name}/full")
-        full = check_conformance(flow.report.circuit.netlist,
-                                 flow.report.resolved_sg,
-                                 model="structural", name=f"{name}/full")
-        reduced = check_conformance(flow.report.circuit.netlist,
-                                    flow.report.resolved_sg,
-                                    model="structural",
+        result = run_pipeline(FlowConfig(strategy="full"),
+                              initial_sg=initial_sg, name=f"{name}/full")
+        netlist, resolved = result.circuit().netlist, result.resolved_sg()
+        full = check_conformance(netlist, resolved, model="structural",
+                                 name=f"{name}/full")
+        reduced = check_conformance(netlist, resolved, model="structural",
                                     name=f"{name}/full", reduced=True)
         return full, reduced
 

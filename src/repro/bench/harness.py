@@ -11,9 +11,8 @@ payload* (:func:`canonical_payload`) strips everything non-deterministic
 identical across repeated runs and hash seeds, which is what
 ``tests/test_bench.py`` pins.
 
-The table-printing helpers the 14 ad-hoc benchmark scripts used to copy
-out of ``benchmarks/conftest.py`` (``print_table``, ``report_row``) live
-here now; the conftest keeps only a pytest fixture shim.
+The cases print paper-style tables through :func:`print_table`;
+:func:`report_row` renders one pipeline result as a Table 1/2 row.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.trace import TraceRecorder, recording, summarize
+from ..pipeline.jobs import table_row
 from .registry import BenchCase, CheckFailed, CheckSkipped
 
 __all__ = [
@@ -56,10 +56,14 @@ def print_table(title: str, header: Sequence[str],
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
-def report_row(report) -> tuple:
-    """(name, area, #CSC, cycle, inputs) with an estimate marker."""
-    name, area, csc, cycle, inputs = report.row()
-    area_text = f"{area}" if report.csc_resolved else f"~{area}"
+def report_row(result) -> tuple:
+    """(name, area, #CSC, cycle, inputs) of a pipeline result.
+
+    The columns are :func:`repro.pipeline.jobs.table_row`'s; an area
+    that is only the estimate (CSC unresolved) is marked with ``~``.
+    """
+    name, area, csc, cycle, inputs = table_row(result)
+    area_text = f"{area}" if result.csc_resolved() else f"~{area}"
     return (name, area_text, csc, cycle, inputs)
 
 

@@ -65,10 +65,11 @@ import sys
 from typing import List, Optional
 
 from .encoding.csc import irresolvable_conflicts
-from .flow import STRATEGIES, run_flow_stg
 from .petri.parser import read_stg, write_stg
+from .pipeline.config import STRATEGIES, FlowConfig
+from .pipeline.jobs import table_row
+from .pipeline.stages import run_pipeline, run_reduction
 from .pipeline.store import ArtifactStore
-from .reduction.explore import full_reduction, reduce_concurrency
 from .sg.generator import generate_sg
 from .sg.properties import check_implementability
 from .sg.resynthesis import ResynthesisError, resynthesise_stg
@@ -222,65 +223,61 @@ def cmd_sg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reduced_sg(args: argparse.Namespace):
-    sg = generate_sg(_read_spec(args.spec))
-    keep = _parse_keep(getattr(args, "keep", None))
-    if getattr(args, "no_reduce", False):
-        return sg, sg
-    if getattr(args, "full", False):
-        return sg, full_reduction(sg, keep_conc=keep)
-    result = reduce_concurrency(sg, keep_conc=keep, weight=args.weight)
-    return sg, result.best
+def _strategy(args: argparse.Namespace) -> str:
+    """The reduction strategy ``--no-reduce``/``--full`` select."""
+    if args.no_reduce:
+        return "none"
+    if args.full:
+        return "full"
+    return "best-first"
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .sg.generator import GenerationBudgetError
+    from .sg.properties import check_coding
+
     # Inserted CSC signals are *internal*: they get their own delay, which
     # defaults to the output delay (the Table 1 convention) but can differ.
     internal = (args.output_delay if args.internal_delay is None
                 else args.internal_delay)
     delays = DelayModel.by_kind(args.input_delay, args.output_delay, internal)
-    if args.no_reduce:
-        strategy = "none"
-    elif args.full:
-        strategy = "full"
-    else:
-        strategy = "best-first"
     store = ArtifactStore(args.store) if args.store else None
     # --engine symbolic = symbolic coding pre-flight, explicit synthesis
     # (the netlist needs the materialized state graph); packed/tuples
     # select the marking-exploration core of the generation stage.
     sg_engine = args.engine if args.engine in ("packed", "tuples") else "auto"
     check_engine = "symbolic" if args.engine == "symbolic" else "auto"
-    from .sg.generator import GenerationBudgetError
+    config = FlowConfig.create(
+        strategy=_strategy(args), keep_conc=_parse_keep(args.keep),
+        weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
+        sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs,
+        sg_engine=sg_engine, check_engine=check_engine)
+    stg = _read_spec(args.spec)
+    coding = (check_coding(stg, engine="symbolic")
+              if check_engine == "symbolic" else None)
     try:
-        flow = run_flow_stg(_read_spec(args.spec), strategy=strategy,
-                            keep_conc=_parse_keep(getattr(args, "keep", None)),
-                            weight=args.weight, delays=delays,
-                            max_csc_signals=args.max_csc,
-                            sg_max_states=args.sg_max_states,
-                            sg_max_arcs=args.sg_max_arcs,
-                            sg_engine=sg_engine, check_engine=check_engine,
-                            store=store)
+        result = run_pipeline(config, stg=stg, name=stg.name, store=store)
     except GenerationBudgetError as exc:
         raise SystemExit(f"{exc.exceedance.diagnose('state graph')} "
                          "(raise --sg-max-states/--sg-max-arcs)")
-    if flow.coding is not None:
-        _print_coding(flow.coding)
-    report = flow.report
-    print(f"states: {len(flow.initial_sg)} -> {len(flow.reduced_sg)} "
-          "after reduction")
-    print(f"CSC signals inserted: {report.csc_signal_count} "
-          f"(resolved: {report.csc_resolved})")
-    if report.circuit is not None:
-        print(f"area: {report.area}")
-        for equation in sorted(report.circuit.equations.values()):
+    if coding is not None:
+        _print_coding(coding)
+    row = table_row(result)
+    print(f"states: {len(result.initial_sg())} -> "
+          f"{len(result.reduced_sg())} after reduction")
+    print(f"CSC signals inserted: {row.csc_signals} "
+          f"(resolved: {result.csc_resolved()})")
+    circuit = result.circuit()
+    if circuit is not None:
+        print(f"area: {row.area}")
+        for equation in sorted(circuit.equations.values()):
             print(f"  {equation}")
     else:
-        print(f"area (lower-bound estimate, CSC unresolved): {report.area}")
-    if report.cycle is not None:
-        print(f"critical cycle: {report.cycle_time} "
-              f"({report.input_event_count} input events)")
-    return 0 if report.csc_resolved else 1
+        print(f"area (lower-bound estimate, CSC unresolved): {row.area}")
+    if row.cycle_time is not None:
+        print(f"critical cycle: {row.cycle_time} "
+              f"({row.input_events} input events)")
+    return 0 if result.csc_resolved() else 1
 
 
 def _parse_csv(text: Optional[str]) -> Optional[List[str]]:
@@ -290,7 +287,7 @@ def _parse_csv(text: Optional[str]) -> Optional[List[str]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import ResultStore, render, run_sweep, tables_grid
+    from .sweep import render, run_sweep, tables_grid
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
@@ -317,7 +314,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                            verify_max_states=args.verify_max_states)
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc))
-    store = ResultStore(args.store) if args.store else None
+    store = ArtifactStore(args.store) if args.store else None
     outcome = run_sweep(grid, jobs=args.jobs, store=store)
     text = render(outcome.rows, args.format)
     if args.output:
@@ -344,9 +341,6 @@ def _load_spec_sg(spec: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import verify_netlist
-    from .verify.certificate import skipped_report
-
     strategies = _parse_csv(args.strategies) or list(STRATEGIES)
     unknown = sorted(set(strategies) - set(STRATEGIES))
     if unknown:
@@ -360,23 +354,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         name, initial_sg = _load_spec_sg(spec)
         for strategy in strategies:
             label = f"{name}/{strategy}"
-            # Through the staged pipeline so --store reuses the reduction,
+            # The pipeline's verify stage, so --store reuses the reduction,
             # CSC and synthesis artifacts across runs, not just the final
             # certificate.
-            implementation = run_flow_stg(
-                None, strategy=strategy, keep_conc=keep, weight=args.weight,
-                max_csc_signals=args.max_csc, initial_sg=initial_sg,
-                name=label, store=store).report
-            if implementation.circuit is None:
-                report = skipped_report(
-                    label, "no synthesized circuit (unresolved CSC or "
-                    "toggle specification)", model=args.model)
-                cached = False
-            else:
-                report, cached = verify_netlist(
-                    implementation.circuit.netlist,
-                    implementation.resolved_sg, model=args.model,
-                    max_states=args.max_states, name=label, store=store)
+            config = FlowConfig.create(
+                strategy=strategy, keep_conc=keep, weight=args.weight,
+                max_csc_signals=args.max_csc, verify=True,
+                verify_model=args.model, verify_max_states=args.max_states)
+            result = run_pipeline(config, initial_sg=initial_sg, name=label,
+                                  store=store)
+            report = result.verification()
+            cached = result.results["verify"].cached
             reports.append(report)
             if report.skipped:
                 skips += 1
@@ -534,7 +522,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    initial, reduced = _reduced_sg(args)
+    initial = generate_sg(_read_spec(args.spec))
+    config = FlowConfig.create(strategy=_strategy(args),
+                               keep_conc=_parse_keep(args.keep),
+                               weight=args.weight)
+    reduced, _, _ = run_reduction(config, initial)
     print(f"states: {len(initial)} -> {len(reduced)}", file=sys.stderr)
     try:
         stg = resynthesise_stg(reduced)

@@ -11,10 +11,9 @@ This package is the spine the whole system runs on:
   :class:`ArtifactStore` shared by pipeline stages, sweep rows and
   verification certificates;
 * :mod:`.stages` -- :func:`run_pipeline`, the staged evaluation with
-  stage-granular warm-store resume.
-
-``repro.flow`` keeps the familiar ``run_flow``/``run_flow_stg``/
-``implement`` entry points as thin wrappers over :func:`run_pipeline`.
+  stage-granular warm-store resume.  This is the one entry point: the
+  CLI, the sweep, the service and the benchmarks all build a
+  :class:`FlowConfig` and call :func:`run_pipeline`.
 """
 
 from .config import (DEFAULT_VERIFY_MAX_STATES, STAGE_ORDER,
@@ -23,8 +22,8 @@ from .config import (DEFAULT_VERIFY_MAX_STATES, STAGE_ORDER,
                      register_library, resolve_library)
 from .hashing import (canonical, digest_payload, graph_digest,
                       netlist_digest, netlist_payload, text_digest)
-from .jobs import (run_synth_job, run_synth_job_with_status, summary_row,
-                   synth_job_payload)
+from .jobs import (TableRow, run_synth_job, run_synth_job_with_status,
+                   summary_row, synth_job_payload, table_row)
 from .stages import (PipelineError, PipelineResult, ReductionSummary,
                      StageResult, cached_graph_digest, run_pipeline,
                      run_reduction)
@@ -36,8 +35,8 @@ __all__ = [
     "library_name", "register_library", "resolve_library",
     "canonical", "digest_payload", "graph_digest", "netlist_digest",
     "netlist_payload", "text_digest",
-    "run_synth_job", "run_synth_job_with_status", "summary_row",
-    "synth_job_payload",
+    "TableRow", "run_synth_job", "run_synth_job_with_status", "summary_row",
+    "synth_job_payload", "table_row",
     "PipelineError", "PipelineResult", "ReductionSummary", "StageResult",
     "cached_graph_digest", "run_pipeline", "run_reduction",
     "STORE_SCHEMA", "ArtifactStore",

@@ -3,13 +3,12 @@
 :class:`FlowConfig` is a frozen dataclass naming one point of the design
 space the Fig. 4 flow can evaluate: reduction strategy and search budget,
 CSC insertion budget, delay model, library, synthesis options and the
-verification configuration.  ``run_flow``/``run_flow_stg``/``implement``,
-the sweep grid and the CLI all construct one of these instead of
-re-declaring the same keyword sprawl, so the knobs cannot drift apart.
+verification configuration.  The CLI, the sweep grid, the service and
+the benchmarks all construct one of these instead of re-declaring the
+same keyword sprawl, so the knobs cannot drift apart.
 
-The per-strategy exploration defaults that used to be duplicated between
-``flow.reduce_sg`` and ``sweep.grid.make_point`` live here too
-(:data:`STRATEGY_DEFAULTS`); both call sites now resolve them through
+The per-strategy exploration defaults live here too
+(:data:`STRATEGY_DEFAULTS`); every caller resolves them through
 :meth:`FlowConfig.effective_frontier` / :meth:`effective_max_explored`.
 
 A config serializes to deterministic JSON (:meth:`to_json` /
@@ -260,7 +259,7 @@ class FlowConfig:
         return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------
-    # per-strategy defaults (the single home; flow and sweep both use it)
+    # per-strategy defaults (the single home)
     # ------------------------------------------------------------------
     def effective_frontier(self) -> Optional[int]:
         """The beam width actually used by this strategy."""

@@ -8,10 +8,6 @@ contain frozensets whose iteration order depends on ``PYTHONHASHSEED``, so
 hashing.  The same digest therefore names the same content across
 processes, runs and seeds, which is what makes warm stores safe to share
 between workers and byte-identical to cold runs.
-
-Before the pipeline existed these helpers were duplicated between
-``repro.sweep.store`` and ``repro.verify.certificate``; both modules now
-re-export from here.
 """
 
 from __future__ import annotations

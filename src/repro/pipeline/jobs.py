@@ -1,18 +1,22 @@
 """Job-oriented pipeline entry point: digests out, not objects.
 
-The classic entry points (:mod:`repro.flow`) return live in-memory reports
--- state graphs, circuits, exploration traces.  A long-running service
-cannot hand those across process boundaries, and it does not need to: with
-an :class:`~repro.pipeline.store.ArtifactStore` every stage payload is
-already persisted under a content digest.  :func:`run_synth_job` evaluates
-one design point and returns a **pure-JSON job payload**: the per-stage
-artifact digests (resolvable through ``GET /artifacts/<digest>`` or
+:func:`~repro.pipeline.stages.run_pipeline` returns live in-memory
+artifacts -- state graphs, circuits, exploration traces.  A long-running
+service cannot hand those across process boundaries, and it does not need
+to: with an :class:`~repro.pipeline.store.ArtifactStore` every stage
+payload is already persisted under a content digest.
+:func:`run_synth_job` evaluates one design point and returns a
+**pure-JSON job payload**: the per-stage artifact digests (resolvable
+through ``GET /artifacts/<digest>`` or
 :meth:`ArtifactStore.entry_by_digest`), a flat summary row of the
 reproducible quantities Tables 1-2 report, and the config identity.
 
-:func:`summary_row` is the single home for deriving that row from a
-:class:`~repro.pipeline.stages.PipelineResult`; the sweep runner builds its
-report rows from the same function, so the service, the CLI sweep and the
+:func:`table_row` is the single home of the paper's Tables 1-2 row
+``(name, area, #CSC, cycle, inputs)`` of a
+:class:`~repro.pipeline.stages.PipelineResult`, including the fall-back
+to the area estimate when CSC stays unresolved; :func:`summary_row`
+builds on it, and the sweep runner builds its report rows from
+:func:`summary_row`, so the service, the CLI, the sweep and the
 benchmarks can never drift on what a "row" means.
 
 Everything returned here is deterministic: no timings, no cache
@@ -23,14 +27,44 @@ provenance, containers in fixed order -- two evaluations of the same job
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .config import STAGE_ORDER, FlowConfig
 from .stages import PipelineResult, run_pipeline
 from .store import ArtifactStore
 
-__all__ = ["run_synth_job", "run_synth_job_with_status", "summary_row",
-           "synth_job_payload"]
+__all__ = ["TableRow", "run_synth_job", "run_synth_job_with_status",
+           "summary_row", "synth_job_payload", "table_row"]
+
+
+class TableRow(NamedTuple):
+    """One design point as the paper's Tables 1-2 list it."""
+
+    name: str
+    #: Mapped area, or the optimistic estimate when CSC stayed unresolved.
+    area: Optional[float]
+    csc_signals: int
+    cycle_time: Optional[float]
+    input_events: Optional[int]
+
+
+def table_row(result: PipelineResult) -> TableRow:
+    """The ``(name, area, #CSC, cycle, inputs)`` row of one evaluation.
+
+    Read from the stage payloads, so the area keeps the type the circuit
+    reported it in.
+    """
+    synth_payload = result.results["synthesize"].payload
+    circuit = synth_payload["circuit"]
+    cycle = result.results["timing"].payload["cycle"]
+    return TableRow(
+        name=result.name,
+        area=(circuit["area"] if circuit is not None
+              else synth_payload["area_estimate"]),
+        csc_signals=len(result.results["resolve"].payload["insertions"]),
+        cycle_time=(None if cycle is None
+                    else float(Fraction(cycle["period"]))),
+        input_events=None if cycle is None else len(cycle["input_events"]))
 
 
 def summary_row(result: PipelineResult) -> Dict[str, object]:
@@ -43,25 +77,18 @@ def summary_row(result: PipelineResult) -> Dict[str, object]:
     warm runs and between serial and parallel execution.
     """
     reduce_payload = result.results["reduce"].payload
-    resolve_payload = result.results["resolve"].payload
-    synth_payload = result.results["synthesize"].payload
-    cycle = result.results["timing"].payload["cycle"]
     verify_result = result.results.get("verify")
     verification = None if verify_result is None else verify_result.payload
     stats = reduce_payload["stats"]
-    circuit = synth_payload["circuit"]
-    area = (circuit["area"] if circuit is not None
-            else synth_payload["area_estimate"])
+    row = table_row(result)
     return {
         "states_max": result.results["generate"].payload["states"],
         "states": reduce_payload["sg"]["states"],
-        "csc_signals": len(resolve_payload["insertions"]),
-        "csc_resolved": resolve_payload["resolved"],
-        "area": None if area is None else float(area),
-        "cycle_time": (None if cycle is None
-                       else float(Fraction(cycle["period"]))),
-        "input_events": (None if cycle is None
-                         else len(cycle["input_events"])),
+        "csc_signals": row.csc_signals,
+        "csc_resolved": result.results["resolve"].payload["resolved"],
+        "area": None if row.area is None else float(row.area),
+        "cycle_time": row.cycle_time,
+        "input_events": row.input_events,
         "explored": None if stats is None else stats["explored"],
         "expanded": None if stats is None else stats["expanded"],
         "levels": None if stats is None else stats["levels"],

@@ -150,9 +150,9 @@ def run_reduction(config: FlowConfig, sg: StateGraph
                              Optional[ExplorationStats]]:
     """Apply the configured reduction strategy to a live state graph.
 
-    The single implementation behind both :func:`repro.flow.reduce_sg` and
-    the pipeline's reduce stage; per-strategy frontier/budget defaults come
-    from :data:`repro.pipeline.config.STRATEGY_DEFAULTS`.
+    The single implementation behind the pipeline's reduce stage and
+    ``repro reduce``; per-strategy frontier/budget defaults come from
+    :data:`repro.pipeline.config.STRATEGY_DEFAULTS`.
     """
     if config.strategy == "none":
         return sg, None, None
@@ -373,8 +373,8 @@ def run_pipeline(config: FlowConfig,
     Exactly one entry point must be given: a :class:`PartialSpec`
     (runs handshake expansion first), an :class:`STG`/``.g`` text (starts
     at SG generation) or a pre-generated ``initial_sg`` (the sweep's entry;
-    also how :func:`repro.flow.implement` evaluates an already-reduced
-    graph under ``strategy="none"``).
+    also how an already-reduced graph is implemented as-is under
+    ``strategy="none"``).
     """
     with obs_span("pipeline", strategy=config.strategy) as record:
         result = _run_stages(config, spec=spec, stg=stg, stg_text=stg_text,

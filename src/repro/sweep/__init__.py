@@ -4,10 +4,10 @@ One call evaluates a whole grid of design points -- specs x strategy x
 weight x frontier x Keep_Conc -- across a process pool, with an on-disk
 result store so re-runs and overlapping grids skip completed points::
 
-    from repro.sweep import ResultStore, run_sweep, tables_grid, render
+    from repro.sweep import ArtifactStore, run_sweep, tables_grid, render
 
     grid = tables_grid(specs=["lr", "mmu"])
-    outcome = run_sweep(grid, jobs=4, store=ResultStore(".repro_sweep"))
+    outcome = run_sweep(grid, jobs=4, store=ArtifactStore(".repro_sweep"))
     print(render(outcome.rows, "md"))
 
 Parallel results are byte-identical to serial ones, rows included and in
@@ -18,14 +18,13 @@ from .grid import (SweepGrid, SweepPoint, canonical_delays, keep_variants,
                    make_point, spec_registry, tables_grid)
 from .report import COLUMNS, FORMATS, render, to_csv, to_json, to_markdown
 from .runner import (SweepOutcome, evaluate_point, evaluate_with_status,
-                     make_chunks, run_sweep)
-from .store import ArtifactStore, ResultStore, graph_digest
+                     make_chunks, point_key, run_sweep)
+from ..pipeline.store import ArtifactStore
 
 __all__ = [
     "SweepGrid", "SweepPoint", "canonical_delays", "keep_variants",
     "make_point", "spec_registry", "tables_grid",
     "COLUMNS", "FORMATS", "render", "to_csv", "to_json", "to_markdown",
     "SweepOutcome", "evaluate_point", "evaluate_with_status", "make_chunks",
-    "run_sweep",
-    "ArtifactStore", "ResultStore", "graph_digest",
+    "point_key", "run_sweep", "ArtifactStore",
 ]

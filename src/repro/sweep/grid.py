@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..flow import STRATEGIES
 from ..petri.stg import STG
-from ..pipeline.config import STRATEGY_DEFAULTS, FlowConfig, canonical_keep
+from ..pipeline.config import (STRATEGIES, STRATEGY_DEFAULTS, FlowConfig,
+                               canonical_keep)
 from ..pipeline.hashing import fraction_text
 from ..specs import suite
 from ..specs.fig1 import fig1_stg

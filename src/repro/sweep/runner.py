@@ -9,7 +9,9 @@ shares work the way a serial run does.  Each point is evaluated through
 the staged pipeline (:func:`repro.pipeline.run_pipeline`); with a store,
 workers share the same artifact directory, so stages whose content-derived
 keys coincide (across points, strategies and even concurrent runs) are
-computed once and served from disk everywhere else.  Results come back
+computed once and served from disk everywhere else.  Completed rows live
+in that same :class:`~repro.pipeline.store.ArtifactStore` as
+``sweep-point`` entries keyed by :func:`point_key`.  Results come back
 tagged with their grid index and are merged in grid order, which makes
 parallel output byte-identical to serial output regardless of scheduling;
 all wall-clock numbers and cache accounting live on the
@@ -26,15 +28,25 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import engine
 from ..pipeline.config import STAGE_ORDER
+from ..pipeline.hashing import digest_payload
 from ..pipeline.jobs import summary_row
 from ..pipeline.stages import cached_graph_digest, run_pipeline
+from ..pipeline.store import ArtifactStore
 from ..sg.generator import generate_sg
 from ..sg.graph import StateGraph
 from .grid import SweepGrid, SweepPoint, spec_registry
-from .store import ArtifactStore, ResultStore
 
 __all__ = ["SweepOutcome", "evaluate_point", "evaluate_with_status",
-           "make_chunks", "run_sweep"]
+           "make_chunks", "point_key", "run_sweep"]
+
+#: Bump when the row layout or key derivation changes; old entries are
+#: simply never looked up again.  Version 3: rows ride the staged pipeline
+#: (FlowConfig-backed points with delay-model and verify_max_states axes)
+#: and live in the unified artifact store.
+STORE_VERSION = 3
+
+#: Store stage name of a completed sweep row.
+_ROW_STAGE = "sweep-point"
 
 #: Worker-side cache: spec name -> generated state graph.  Module-global so
 #: it survives across chunks dispatched to the same worker process (and is
@@ -65,6 +77,28 @@ def _spec_sg(spec: str) -> StateGraph:
         sg = generate_sg(factory())
         _SG_CACHE[spec] = sg
     return sg
+
+
+def point_key(config: Dict[str, object], graph: str) -> str:
+    """Store key of a point configuration evaluated on graph ``graph``.
+
+    Binding the graph digest means a changed spec (another state graph)
+    can never serve a stale row.
+    """
+    return digest_payload({"version": STORE_VERSION, "config": config,
+                           "graph": graph})
+
+
+def _stored_row(store: ArtifactStore,
+                key: str) -> Optional[Dict[str, object]]:
+    """The row stored under ``key``, or ``None`` when absent or unreadable."""
+    entry = store.get_entry(key, stage=_ROW_STAGE)
+    if entry is None:
+        return None
+    payload = entry["payload"]
+    if not isinstance(payload, dict) or "row" not in payload:
+        return None
+    return payload["row"]
 
 
 def _worker_store() -> Optional[ArtifactStore]:
@@ -204,7 +238,7 @@ class SweepOutcome:
 
 def run_sweep(grid: SweepGrid,
               jobs: int = 1,
-              store: Optional[ResultStore] = None,
+              store: Optional[ArtifactStore] = None,
               chunk_size: Optional[int] = None) -> SweepOutcome:
     """Evaluate every point of ``grid``; returns rows in grid order.
 
@@ -235,13 +269,13 @@ def run_sweep(grid: SweepGrid,
             if digest is None:
                 digest = cached_graph_digest(_spec_sg(point.spec))
                 digests[point.spec] = digest
-            keys[index] = store.key(point.config(), digest)
-            entry = store.get(keys[index])
-            if entry is not None:
+            keys[index] = point_key(point.config(), digest)
+            stored = _stored_row(store, keys[index])
+            if stored is not None:
                 # The display name is not part of the key: re-label the
                 # stored row so overlapping grids that spell the same
                 # config with another variant name stay byte-identical.
-                row = dict(entry["row"])
+                row = dict(stored)
                 row["variant"] = point.variant
                 rows[index] = row
                 cached += 1
@@ -260,7 +294,7 @@ def run_sweep(grid: SweepGrid,
                           else stage_computed)
                 counts[stage] = counts.get(stage, 0) + 1
             if store is not None:
-                store.put(keys[index], {
+                store.put_entry(keys[index], _ROW_STAGE, {
                     "config": points[index].config(),
                     "variant": points[index].variant,
                     "row": row,

@@ -169,6 +169,26 @@ class TestVerify:
         assert cold.out == warm.out
         assert "0 verified" in warm.err
 
+    def test_verify_certificates_keyed_like_verify_netlist(self, tmp_path,
+                                                          capsys):
+        # The command's default cap keys certificates exactly like a
+        # direct verify_netlist call without one, so stores written by
+        # either path serve the other.
+        from repro.pipeline import ArtifactStore, FlowConfig, run_pipeline
+        from repro.specs.suite import load
+        from repro.verify import verify_netlist
+
+        store = tmp_path / "store"
+        assert main(["verify", "half", "--strategies", "full",
+                     "--store", str(store)]) == 0
+        capsys.readouterr()
+        result = run_pipeline(FlowConfig(strategy="full"),
+                              initial_sg=generate_sg(load("half")))
+        _, cached = verify_netlist(result.circuit().netlist,
+                                   result.resolved_sg(),
+                                   store=ArtifactStore(store))
+        assert cached
+
     def test_verify_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "certs.json"
         assert main(["verify", "half", "--strategies", "full",

@@ -10,23 +10,26 @@ import subprocess
 import sys
 
 _SCRIPT = """\
-from repro import full_reduction, generate_sg, implement
+from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
 from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded
 
+as_is = FlowConfig(strategy="none")
 sg = generate_sg(lr_expanded())
-reports = {"full": implement(full_reduction(sg), name="full"),
-           "max": implement(sg, name="max")}
+graphs = {"full": full_reduction(sg), "max": sg}
 for name, keep in TABLE1_KEEP_CONC.items():
-    reports[name] = implement(full_reduction(sg, keep_conc=keep), name=name)
-for name, report in reports.items():
-    print("design", name, report.csc_resolved, report.csc_signal_count)
-    for choice in report.insertions:
+    graphs[name] = full_reduction(sg, keep_conc=keep)
+for name, graph in graphs.items():
+    result = run_pipeline(as_is, initial_sg=graph, name=name)
+    insertions = result.insertions()
+    print("design", name, result.csc_resolved(), len(insertions))
+    for choice in insertions:
         print("insertion", choice.signal, choice.style, choice.rise_trigger,
               choice.fall_trigger, choice.initial_value)
-    if report.circuit is not None:
-        for signal, impl in report.circuit.signals.items():
+    circuit = result.circuit()
+    if circuit is not None:
+        for signal, impl in circuit.signals.items():
             print("signal", signal, impl.style, impl.equation)
-        print(report.circuit.netlist.to_verilog_like())
+        print(circuit.netlist.to_verilog_like())
 """
 
 

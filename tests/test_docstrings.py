@@ -16,11 +16,10 @@ import inspect
 
 import pytest
 
-#: The documented public surface: flow, the pipeline core, sweeps,
+#: The documented public surface: the pipeline core, sweeps,
 #: verification and the serving layer.
 PUBLIC_MODULES = (
     "repro",
-    "repro.flow",
     "repro.pipeline",
     "repro.pipeline.config",
     "repro.pipeline.jobs",

@@ -63,15 +63,15 @@ def _spec_sources():
 
 
 def _certificate_digest(label):
-    from repro.flow import run_flow_stg
+    from repro.pipeline import FlowConfig, run_pipeline
     from repro.verify import verify_netlist
 
     name, strategy = label.split("/")
     sg = generate_sg(_spec_source(name))
-    impl = run_flow_stg(None, strategy=strategy, initial_sg=sg,
-                        name=label).report
-    report, _ = verify_netlist(impl.circuit.netlist, impl.resolved_sg,
-                               name=label)
+    result = run_pipeline(FlowConfig(strategy=strategy), initial_sg=sg,
+                          name=label)
+    report, _ = verify_netlist(result.circuit().netlist,
+                               result.resolved_sg(), name=label)
     payload = report.to_dict()
     payload.pop("seconds", None)
     return digest_payload(payload)
@@ -174,17 +174,17 @@ from repro.pipeline.artifacts import sg_to_payload
 from repro.pipeline.hashing import digest_payload
 from repro.sg.generator import generate_sg
 from repro.specs import suite
-from repro.flow import run_flow_stg
+from repro.pipeline import FlowConfig, run_pipeline
 from repro.verify import verify_netlist
 
 out = {"sg": {}}
 for name in ("vme_read", "fifo_cell"):
     out["sg"][name] = digest_payload(
         sg_to_payload(generate_sg(suite.load(name))))
-impl = run_flow_stg(None, strategy="full",
-                    initial_sg=generate_sg(suite.load("half")),
-                    name="half/full").report
-report, _ = verify_netlist(impl.circuit.netlist, impl.resolved_sg,
+result = run_pipeline(FlowConfig(strategy="full"),
+                      initial_sg=generate_sg(suite.load("half")),
+                      name="half/full")
+report, _ = verify_netlist(result.circuit().netlist, result.resolved_sg(),
                            name="half/full")
 payload = report.to_dict()
 payload.pop("seconds", None)

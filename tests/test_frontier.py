@@ -152,14 +152,14 @@ class TestGenerationBudget:
 
 class TestConformanceBudget:
     def test_state_limit_verdict(self):
-        from repro.flow import run_flow_stg
+        from repro.pipeline import FlowConfig, run_pipeline
         from repro.verify import check_conformance
 
         sg = generate_sg(suite.load("vme_read"))
-        flow = run_flow_stg(None, strategy="full", initial_sg=sg,
-                            name="vme_read/full")
-        report = check_conformance(flow.report.circuit.netlist,
-                                   flow.report.resolved_sg, max_states=3,
+        result = run_pipeline(FlowConfig(strategy="full"), initial_sg=sg,
+                              name="vme_read/full")
+        report = check_conformance(result.circuit().netlist,
+                                   result.resolved_sg(), max_states=3,
                                    name="vme_read/full")
         assert report.verdict == "state-limit"
         assert report.reason == "product exceeded 3 states"

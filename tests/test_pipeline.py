@@ -8,13 +8,19 @@ import sys
 import pytest
 
 from repro.pipeline import (ArtifactStore, FlowConfig, digest_payload,
-                            run_pipeline)
+                            run_pipeline, summary_row, table_row)
 from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.pipeline.config import STRATEGY_DEFAULTS
 from repro.sg.generator import generate_sg
+from repro.sg.regions import are_concurrent
+from repro.specs.fig1 import fig1_stg
+from repro.specs.lr import TABLE1_KEEP_CONC, lr_spec, q_module_stg
 from repro.specs.suite import load, suite_names
 from repro.sweep import make_point, tables_grid
 from repro.timing.delays import DelayModel
+
+#: Implement the given graph or STG as-is: stages 4-8 only.
+AS_IS = FlowConfig(strategy="none")
 
 
 def _report_payloads(result):
@@ -237,30 +243,106 @@ class TestResume:
         assert len(set(outputs)) == 1
 
 
+class TestImplement:
+    """A given graph or STG through resolve, synthesize and timing."""
+
+    def test_q_module_report(self):
+        result = run_pipeline(AS_IS, stg=q_module_stg(),
+                              name="Q-module (hand)")
+        assert result.csc_resolved()
+        row = table_row(result)
+        assert row.name == "Q-module (hand)"
+        assert row.csc_signals == len(result.insertions()) == 1
+        assert row.area == result.circuit().area > 0
+        assert row.cycle_time == result.cycle().cycle_time > 0
+        assert row.input_events == result.cycle().input_event_count == 4
+
+    def test_unresolved_falls_back_to_estimate(self):
+        result = run_pipeline(AS_IS, initial_sg=generate_sg(fig1_stg()))
+        assert not result.csc_resolved()
+        assert result.circuit() is None
+        area = table_row(result).area
+        assert area is not None
+        assert area == result.area_estimate()
+        assert summary_row(result)["area"] == area
+
+    def test_resynthesise_flag(self):
+        result = run_pipeline(AS_IS.replace(resynthesise=True),
+                              stg=q_module_stg())
+        stg = result.resynthesised_stg()
+        assert stg is not None
+        assert set(stg.signals) >= {"li", "lo", "ri", "ro"}
+
+    def test_custom_delays(self):
+        fast = run_pipeline(AS_IS.replace(delays=DelayModel.by_kind(1, 1, 1)),
+                            stg=q_module_stg())
+        slow = run_pipeline(AS_IS.replace(delays=DelayModel.by_kind(4, 1, 1)),
+                            stg=q_module_stg())
+        assert fast.cycle().cycle_time < slow.cycle().cycle_time
+
+
+class TestSpecFlow:
+    """The whole Fig. 4 flow from a partial specification."""
+
+    def test_max_concurrency(self):
+        result = run_pipeline(AS_IS, spec=lr_spec(), name="max")
+        assert len(result.initial_sg()) == 16
+        assert result.exploration() is None
+        assert len(result.insertions()) == 2
+        assert result.csc_resolved()
+
+    def test_full_reduction_flow(self):
+        result = run_pipeline(FlowConfig(strategy="full"), spec=lr_spec(),
+                              name="full")
+        assert result.circuit().area == 0
+        assert result.insertions() == []
+        assert result.circuit().equations["lo"] == "lo = ri"
+
+    def test_beam_flow_improves(self):
+        result = run_pipeline(FlowConfig(), spec=lr_spec(), name="auto")
+        exploration = result.exploration()
+        assert exploration is not None
+        assert exploration.best_cost <= exploration.initial_cost
+        assert result.csc_resolved()
+
+    def test_keep_conc_flow(self):
+        config = FlowConfig.create(strategy="full",
+                                   keep_conc=TABLE1_KEEP_CONC["li || ri"])
+        result = run_pipeline(config, spec=lr_spec())
+        assert are_concurrent(result.reduced_sg(), "li-", "ri-")
+
+    def test_two_phase_flow_skips_logic(self):
+        # 2-phase refinements have toggle events: the SG generates, the
+        # timing works, but logic extraction is a 4-phase concept.
+        config = FlowConfig(strategy="none", phases=2, max_csc_signals=0)
+        result = run_pipeline(config, spec=lr_spec())
+        assert len(result.initial_sg()) == 8
+        assert result.circuit() is None
+        assert result.cycle() is not None
+
+
 class TestResultIsolation:
     def test_caller_mutation_cannot_poison_later_runs(self):
-        # Graphs handed out by flow results belong to the caller; mutating
-        # them must not leak into the pipeline's decode memo.
-        from repro.flow import implement
-        sg = generate_sg(load("half"))
-        first = implement(sg)
-        victim = first.resolved_sg
+        # Graphs handed out by pipeline results belong to the caller;
+        # mutating them must not leak into the pipeline's decode memo.
+        first = run_pipeline(AS_IS, initial_sg=generate_sg(load("half")))
+        victim = first.resolved_sg()
         victim.remove_state(next(s for s in victim.states
                                  if s != victim.initial))
-        second = implement(generate_sg(load("half")))
-        assert len(second.resolved_sg) == second.resolved_sg.arc_count() == 8
-        assert len(second.resolved_sg) != len(victim)
+        second = run_pipeline(AS_IS, initial_sg=generate_sg(load("half")))
+        resolved = second.resolved_sg()
+        assert len(resolved) == resolved.arc_count() == 8
+        assert len(resolved) != len(victim)
 
 
 class TestVerifyMaxStates:
     def test_flow_plumbs_the_cap(self):
-        from repro.flow import implement, run_flow_stg
-        flow = run_flow_stg(load("half"), strategy="full", verify=True,
-                            verify_max_states=3)
-        assert flow.report.verification.verdict == "state-limit"
-        report = implement(generate_sg(load("half")), verify=True,
-                           verify_max_states=3)
-        assert report.verification.verdict == "state-limit"
+        capped = FlowConfig(strategy="full", verify=True, verify_max_states=3)
+        result = run_pipeline(capped, stg=load("half"))
+        assert result.verification().verdict == "state-limit"
+        result = run_pipeline(capped.replace(strategy="none"),
+                              initial_sg=generate_sg(load("half")))
+        assert result.verification().verdict == "state-limit"
 
     def test_sweep_axis_and_normalization(self):
         point = make_point("half", "full", verify=True, verify_max_states=7)
@@ -332,8 +414,8 @@ class TestCacheCli:
 
 class TestSweepStageAccounting:
     def test_delays_only_sweep_reuses_upstream_stages(self, tmp_path):
-        from repro.sweep import ResultStore, render, run_sweep
-        store = ResultStore(tmp_path / "store")
+        from repro.sweep import render, run_sweep
+        store = ArtifactStore(tmp_path / "store")
         cold = run_sweep(tables_grid(specs=["fifo_cell"],
                                      strategies=("none", "full")),
                          store=store)

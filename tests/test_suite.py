@@ -9,8 +9,8 @@ always finds a steady cycle on a live controller.
 
 import pytest
 
-from repro.flow import implement
 from repro.petri.analysis import is_deadlock_free, is_safe
+from repro.pipeline import FlowConfig, run_pipeline, table_row
 from repro.reduction.explore import full_reduction, reduce_concurrency
 from repro.sg.generator import generate_sg
 from repro.sg.properties import check_implementability, csc_conflicts
@@ -46,15 +46,17 @@ class TestSuiteSpecs:
 class TestSuiteFlow:
     @pytest.mark.parametrize("name", ALL)
     def test_implement_each(self, name):
-        report = implement(generate_sg(load(name)))
-        assert report.cycle_time is not None
-        assert report.cycle_time > 0
-        if report.csc_resolved:
-            assert report.area is not None
-            assert report.area == report.circuit.netlist.area
-            per_signal = sum(impl.area
-                             for impl in report.circuit.signals.values())
-            assert per_signal == report.area
+        result = run_pipeline(FlowConfig(strategy="none"),
+                              initial_sg=generate_sg(load(name)))
+        row = table_row(result)
+        assert row.cycle_time is not None
+        assert row.cycle_time > 0
+        if result.csc_resolved():
+            circuit = result.circuit()
+            assert row.area is not None
+            assert row.area == circuit.netlist.area
+            per_signal = sum(impl.area for impl in circuit.signals.values())
+            assert per_signal == row.area
 
     @pytest.mark.parametrize("name", ALL)
     def test_reduction_invariants(self, name):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.sweep import (ResultStore, SweepGrid, keep_variants, make_point,
-                         render, run_sweep, spec_registry, tables_grid)
+from repro.sweep import (ArtifactStore, SweepGrid, keep_variants,
+                         make_point, point_key, render, run_sweep,
+                         spec_registry, tables_grid)
 from repro.sweep.report import COLUMNS
 
 
@@ -100,7 +101,7 @@ class TestRunner:
 
 class TestStore:
     def test_warm_rerun_recomputes_nothing(self, small_grid, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         cold = run_sweep(small_grid, jobs=2, store=store)
         assert cold.computed == len(small_grid)
         assert cold.cached == 0
@@ -110,18 +111,18 @@ class TestStore:
         assert render(cold.rows, "json") == render(warm.rows, "json")
 
     def test_overlapping_grid_skips_completed_points(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         first = run_sweep(tables_grid(specs=["lr"]), store=store)
         both = run_sweep(tables_grid(specs=["lr", "fifo_cell"]), store=store)
         assert both.cached == len(first.points)
         assert both.computed == len(both.points) - len(first.points)
 
     def test_corrupt_entry_recomputed(self, small_grid, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         run_sweep(small_grid, store=store)
         # The store holds stage artifacts next to the rows; corrupt a row.
         victim = next(key for key in store.keys()
-                      if store.get(key) is not None)
+                      if store.get_entry(key, stage="sweep-point"))
         (store.root / f"{victim}.json").write_text("{not json")
         again = run_sweep(small_grid, store=store)
         assert again.computed == 1
@@ -131,7 +132,7 @@ class TestStore:
         # The display name is not part of the store key; a hit must carry
         # the *current* grid's variant, not the label of whoever computed it.
         pairs = [("li-", "ri-")]
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         named = SweepGrid([make_point("lr", "full", keep=pairs,
                                       variant="li || ri")])
         plain = SweepGrid([make_point("lr", "full", keep=pairs)])
@@ -141,10 +142,16 @@ class TestStore:
         assert warm.cached == 1
         assert render(cold.rows, "json") == render(warm.rows, "json")
 
-    def test_key_depends_on_graph_digest(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_key_depends_on_graph_digest(self):
         config = make_point("lr", "full").config()
-        assert store.key(config, "a" * 64) != store.key(config, "b" * 64)
+        assert point_key(config, "a" * 64) != point_key(config, "b" * 64)
+
+    def test_key_formula_serves_existing_stores(self):
+        # Row keys written by earlier revisions must keep hitting: the
+        # digest of a fixed point on a fixed graph never moves.
+        config = make_point("lr", "full").config()
+        assert point_key(config, "a" * 64) == (
+            "96eb3ea057839a797687c69a06dde983fe64d49bd9d357c7d50fc03930d72dc5")
 
     def test_graph_digest_stable_across_hash_seeds(self):
         import pathlib
@@ -154,7 +161,7 @@ class TestStore:
         program = (
             "from repro.sg.generator import generate_sg\n"
             "from repro.specs.lr import lr_expanded\n"
-            "from repro.sweep import graph_digest\n"
+            "from repro.pipeline import graph_digest\n"
             "print(graph_digest(generate_sg(lr_expanded())))\n")
         digests = set()
         for seed in ("0", "1", "12345"):

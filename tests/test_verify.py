@@ -9,14 +9,14 @@ import pytest
 
 from repro.circuit.library import DEFAULT_LIBRARY, Cell, Library
 from repro.circuit.netlist import Netlist
-from repro.flow import STRATEGIES, implement, run_flow_stg
 from repro.petri.stg import SignalKind
+from repro.pipeline import STRATEGIES, ArtifactStore, FlowConfig, run_pipeline
 from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph
 from repro.specs import suite
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import q_module_stg
-from repro.sweep import ResultStore, run_sweep, render, tables_grid
+from repro.sweep import run_sweep, render, tables_grid
 from repro.verify import (SimulationError, VerificationReport, cell_table,
                           check_conformance, compile_circuit, skipped_report,
                           verification_key, verify_netlist)
@@ -218,12 +218,12 @@ class TestSuiteConformance:
     def test_suite_implementations_conform(self, name):
         initial_sg = generate_sg(suite.load(name))
         for strategy in STRATEGIES:
-            flow = run_flow_stg(None, strategy=strategy,
-                                initial_sg=initial_sg,
-                                name=f"{name}/{strategy}", verify=True)
-            verification = flow.report.verification
+            result = run_pipeline(
+                FlowConfig(strategy=strategy, verify=True),
+                initial_sg=initial_sg, name=f"{name}/{strategy}")
+            verification = result.verification()
             assert verification is not None
-            if flow.report.circuit is None:
+            if result.circuit() is None:
                 # Only the unreduced micropipeline cannot resolve CSC.
                 assert (name, strategy) == ("micropipeline", "none")
                 assert verification.verdict == "skipped"
@@ -236,9 +236,9 @@ class TestSuiteConformance:
 
     def test_corrupted_netlist_yields_trace(self):
         initial_sg = generate_sg(suite.load("half"))
-        flow = run_flow_stg(None, strategy="full", initial_sg=initial_sg,
-                            name="half")
-        netlist = flow.report.circuit.netlist
+        result = run_pipeline(FlowConfig(strategy="full"),
+                              initial_sg=initial_sg, name="half")
+        netlist = result.circuit().netlist
         # Corrupt one gate: swap an AND2 for an OR2 (same nets, wrong
         # function) and re-verify against the same spec.
         corrupted = Netlist(netlist.name, netlist.library)
@@ -256,7 +256,7 @@ class TestSuiteConformance:
         for alias in netlist.aliases:
             corrupted.add_alias(alias.source, alias.target)
         assert swapped
-        report = check_conformance(corrupted, flow.report.resolved_sg,
+        report = check_conformance(corrupted, result.resolved_sg(),
                                    name="half-corrupted")
         assert not report.ok
         assert report.verdict in ("non-conforming", "hazard")
@@ -288,10 +288,11 @@ class TestFig1CrossCheck:
         assert report.trace
 
     def test_fig1_flow_verification_is_skipped(self):
-        report = implement(generate_sg(fig1_stg()), verify=True)
-        assert report.circuit is None
-        assert report.verification.verdict == "skipped"
-        assert report.verified is False
+        result = run_pipeline(FlowConfig(strategy="none", verify=True),
+                              initial_sg=generate_sg(fig1_stg()))
+        assert result.circuit() is None
+        assert result.verification().verdict == "skipped"
+        assert result.verification().ok is False
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +320,7 @@ class TestCertificate:
         assert report.skipped and not report.ok
 
     def test_store_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         netlist, spec = _buffer_netlist(), _buffer_spec()
         cold, cached_cold = verify_netlist(netlist, spec, store=store)
         warm, cached_warm = verify_netlist(netlist, spec, store=store)
@@ -329,7 +330,7 @@ class TestCertificate:
     def test_cache_hit_relabels_report(self, tmp_path):
         # The display name is not part of the store key; a hit must carry
         # the asking point's name, not the label of whoever computed it.
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         netlist, spec = _buffer_netlist(), _buffer_spec()
         verify_netlist(netlist, spec, name="buf/none", store=store)
         cached, hit = verify_netlist(netlist, spec, name="buf/full",
@@ -348,7 +349,7 @@ class TestCertificate:
         assert verification_key(netlist, spec, "structural", 100) != key
 
     def test_corrupt_store_entry_recomputed(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         netlist, spec = _buffer_netlist(), _buffer_spec()
         verify_netlist(netlist, spec, store=store)
         victim = store.keys()[0]
@@ -363,25 +364,26 @@ class TestCertificate:
 # ----------------------------------------------------------------------
 class TestFlowIntegration:
     def test_q_module_verifies(self):
-        report = implement(generate_sg(q_module_stg()), verify=True)
-        assert report.verification is not None
-        assert report.verification.ok
-        assert report.verified is True
+        result = run_pipeline(FlowConfig(strategy="none", verify=True),
+                              initial_sg=generate_sg(q_module_stg()))
+        assert result.verification() is not None
+        assert result.verification().ok is True
 
     def test_verification_off_by_default(self):
-        report = implement(generate_sg(q_module_stg()))
-        assert report.verification is None
-        assert report.verified is None
+        result = run_pipeline(FlowConfig(strategy="none"),
+                              initial_sg=generate_sg(q_module_stg()))
+        assert result.verification() is None
+        assert "verify" not in result.results
 
     def test_structural_model_exposes_decomposition_hazards(self):
         # The plain 2-input decomposition is not SI-preserving (the
         # mapping module says so): under per-gate delays the half
         # controller glitches, and the verifier proves it with a trace.
         initial_sg = generate_sg(suite.load("half"))
-        flow = run_flow_stg(None, strategy="full", initial_sg=initial_sg,
-                            name="half", verify=True,
+        config = FlowConfig(strategy="full", verify=True,
                             verify_model="structural")
-        verification = flow.report.verification
+        result = run_pipeline(config, initial_sg=initial_sg, name="half")
+        verification = result.verification()
         assert verification.model == "structural"
         assert not verification.ok
         assert verification.trace
@@ -413,7 +415,7 @@ class TestSweepIntegration:
     def test_warm_store_skips_reverification(self, tmp_path):
         grid = tables_grid(specs=["half"], strategies=("none", "full"),
                            verify=True)
-        store = ResultStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         cold = run_sweep(grid, store=store)
         warm = run_sweep(grid, store=store)
         assert warm.computed == 0
@@ -425,13 +427,13 @@ class TestDeterminism:
     def test_certificate_stable_across_hash_seeds(self):
         root = pathlib.Path(__file__).resolve().parents[1]
         program = (
-            "from repro.flow import run_flow_stg\n"
+            "from repro.pipeline import FlowConfig, run_pipeline\n"
             "from repro.sg.generator import generate_sg\n"
             "from repro.specs import suite\n"
             "sg = generate_sg(suite.load('fifo_cell'))\n"
-            "flow = run_flow_stg(None, strategy='full', initial_sg=sg,\n"
-            "                    name='fifo_cell', verify=True)\n"
-            "print(flow.report.verification.to_json())\n")
+            "result = run_pipeline(FlowConfig(strategy='full', verify=True),\n"
+            "                      initial_sg=sg, name='fifo_cell')\n"
+            "print(result.verification().to_json())\n")
         payloads = set()
         for seed in ("0", "1", "12345"):
             completed = subprocess.run(
