@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..petri.stg import Direction, SignalEvent, SignalKind
 from ..sg.graph import State, StateGraph
-from ..sg.properties import csc_conflicts, persistency_violations
+from ..sg.properties import persistency_violations
 from .csc import conflict_count
 
 
@@ -59,7 +59,10 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
     """Thread ``signal`` through the cycle ``x ; s+ ; y ; s- ; x``.
 
     Returns None when the candidate is infeasible: a trigger is an input
-    event, the threading deadlocks, or some event disappears.
+    event, the threading deadlocks, or some event disappears.  The product
+    has at most ``4 * len(sg)`` states: ``(value, pending)`` only ever takes
+    the four combinations ``(0, None)``, ``(1, None)``, ``(0, "+")`` and
+    ``(1, "-")``.
     """
     if rise_trigger == fall_trigger:
         return None
@@ -74,14 +77,13 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
     rise_label, fall_label = f"{signal}+", f"{signal}-"
 
     # Extended states: (original state, csc value, pending csc transition).
-    codes = sg.codes
+    codes = sg._codes
     succ = sg._succ
     initial = (sg.initial, initial_value, None)
     new.add_state(initial, codes[sg.initial] + (initial_value,))
     new.initial = initial
     queue = deque([initial])
     seen: Set[Tuple] = {initial}
-    limit = 8 * max(len(sg), 1)
 
     while queue:
         state = queue.popleft()
@@ -112,8 +114,6 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
                 push((target, 1, "-"), label)
             else:
                 push((target, value, pending), label)
-        if len(seen) > limit:
-            return None
 
     if not _feasible(sg, new, rise_label, fall_label):
         return None
@@ -131,6 +131,8 @@ def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
     infeasible when a trigger overtakes the pending transition (the signal
     would turn inconsistent).  This style changes the encoding sharply at
     the trigger, which resolves conflicts the threading style smears over.
+    The product is bounded by ``4 * len(sg)`` states, as in
+    :func:`insert_state_signal`.
     """
     if rise_after == fall_after:
         return None
@@ -141,7 +143,7 @@ def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
 
     new = _prepare_extended(sg, signal)
     rise_label, fall_label = f"{signal}+", f"{signal}-"
-    codes = sg.codes
+    codes = sg._codes
     succ = sg._succ
     is_input = {label: sg.is_input_label(label) for label in sg.events}
     initial = (sg.initial, initial_value, None)
@@ -149,7 +151,6 @@ def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
     new.initial = initial
     queue = deque([initial])
     seen: Set[Tuple] = {initial}
-    limit = 8 * max(len(sg), 1)
 
     while queue:
         state = queue.popleft()
@@ -185,8 +186,6 @@ def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
                 push((target, 1, "-"), label)
             else:
                 push((target, value, pending), label)
-        if len(seen) > limit:
-            return None
 
     if not _feasible(sg, new, rise_label, fall_label):
         return None
@@ -215,8 +214,7 @@ def _feasible(sg: StateGraph, new: StateGraph, rise_label: str,
         if not out and original_succ[state[0]]:
             return False
         reached_labels.update(out)
-    original_labels = {label for out in original_succ.values() for label in out}
-    if not original_labels <= reached_labels:
+    if not sg.live_labels() <= reached_labels:
         return False
     return rise_label in reached_labels and fall_label in reached_labels
 
@@ -233,7 +231,7 @@ def enumerate_insertions(sg: StateGraph, signal: str,
     baseline_conflicts = conflict_count(sg)
     if baseline_conflicts == 0:
         return []
-    live_labels = {label for out in sg._succ.values() for label in out}
+    live_labels = sg.live_labels()
     live = [label for label in sorted(sg.events) if label in live_labels]
     non_input = [label for label in live if not sg.is_input_label(label)]
     baseline_violations = {(v.disabled, v.by) for v in persistency_violations(sg)}
@@ -279,10 +277,6 @@ def find_insertion(sg: StateGraph, signal: str,
     """Best single-signal insertion, or None if nothing helps."""
     candidates = enumerate_insertions(sg, signal)
     return candidates[0] if candidates else None
-
-
-def excitation_nonempty(sg: StateGraph, label: str) -> bool:
-    return any(label in out for out in sg._succ.values())
 
 
 @dataclass

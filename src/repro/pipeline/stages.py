@@ -61,22 +61,26 @@ __all__ = ["PipelineError", "PipelineResult", "ReductionSummary",
 
 #: Worker-side decode memo: payload digest -> decoded state graph.  Sweep
 #: points of one spec decode the same initial-SG payload thousands of
-#: times; stages never mutate their inputs, so sharing the decoded object
-#: is safe.  Registered with the engine so benchmarks can clear it, and
-#: bounded (whole-table reset on overflow, like the minimizer memo) so
-#: long-lived processes cannot accumulate graphs without end.
+#: times.  Decoded graphs are frozen before they are shared, so neither a
+#: stage nor a caller holding a :class:`PipelineResult` graph can change
+#: what a later evaluation with the same digest sees.  Registered with the
+#: engine so benchmarks can clear it, and bounded (whole-table reset on
+#: overflow, like the minimizer memo) so long-lived processes cannot
+#: accumulate graphs without end.
 _DECODED_SG: Dict[str, StateGraph] = engine.register_cache(
     {}, name="pipeline-decoded-sg")
 _DECODED_SG_LIMIT = 512
 
 #: Encode memo for pre-generated state graphs handed to the pipeline
-#: (sweep workers cache one SG per spec): graph -> (version, payload).
-_SG_PAYLOAD_MEMO: "weakref.WeakKeyDictionary[StateGraph, Tuple[int, Dict]]" \
+#: (sweep workers cache one SG per spec): graph -> payload.  The graph is
+#: frozen on entry, so the payload can never go stale.
+_SG_PAYLOAD_MEMO: "weakref.WeakKeyDictionary[StateGraph, Dict]" \
     = engine.register_cache(weakref.WeakKeyDictionary(),
                             name="pipeline-sg-payload")
 
-#: Digest memo for pre-generated state graphs: graph -> (version, digest).
-_GRAPH_DIGEST_MEMO: "weakref.WeakKeyDictionary[StateGraph, Tuple[int, str]]" \
+#: Digest memo for pre-generated state graphs: graph -> digest (the digest
+#: reads :meth:`StateGraph.signature`, which freezes the graph).
+_GRAPH_DIGEST_MEMO: "weakref.WeakKeyDictionary[StateGraph, str]" \
     = engine.register_cache(weakref.WeakKeyDictionary(),
                             name="pipeline-graph-digest")
 
@@ -86,28 +90,26 @@ class PipelineError(Exception):
 
 
 def _cached_sg_payload(sg: StateGraph) -> Dict[str, object]:
-    entry = _SG_PAYLOAD_MEMO.get(sg)
-    if entry is not None and entry[0] == sg._version:
-        return entry[1]
-    payload = sg_to_payload(sg)
-    _SG_PAYLOAD_MEMO[sg] = (sg._version, payload)
+    payload = _SG_PAYLOAD_MEMO.get(sg)
+    if payload is None:
+        payload = sg_to_payload(sg.freeze())
+        _SG_PAYLOAD_MEMO[sg] = payload
     return payload
 
 
 def cached_graph_digest(sg: StateGraph) -> str:
-    """:func:`~repro.pipeline.hashing.graph_digest`, memoized per version."""
-    entry = _GRAPH_DIGEST_MEMO.get(sg)
-    if entry is not None and entry[0] == sg._version:
-        return entry[1]
-    digest = graph_digest(sg)
-    _GRAPH_DIGEST_MEMO[sg] = (sg._version, digest)
+    """:func:`~repro.pipeline.hashing.graph_digest`, memoized per graph."""
+    digest = _GRAPH_DIGEST_MEMO.get(sg)
+    if digest is None:
+        digest = graph_digest(sg)
+        _GRAPH_DIGEST_MEMO[sg] = digest
     return digest
 
 
 def _decode_sg(payload: Dict[str, object], digest: str) -> StateGraph:
     sg = _DECODED_SG.get(digest)
     if sg is None:
-        sg = sg_from_payload(payload)
+        sg = sg_from_payload(payload).freeze()
         if len(_DECODED_SG) >= _DECODED_SG_LIMIT:
             _DECODED_SG.clear()
         _DECODED_SG[digest] = sg
@@ -255,19 +257,12 @@ class PipelineResult:
                 for stage in STAGE_ORDER if stage in self.results}
 
     # ------------------------------------------------------------------
-    # decoded artifact accessors (memoized per result)
+    # decoded artifact accessors (graphs shared, circuits per result)
     # ------------------------------------------------------------------
     def _sg(self, stage: str, payload: Dict[str, object]) -> StateGraph:
-        """A per-result decode of a graph payload.
-
-        Deliberately *not* served from the process-global ``_DECODED_SG``
-        memo: graphs handed to callers are theirs to mutate, and a shared
-        object would poison every later evaluation with the same digest.
-        """
-        key = "sg:" + self.sg_digests[stage]
-        if key not in self._decoded:
-            self._decoded[key] = sg_from_payload(payload)
-        return self._decoded[key]
+        """A decoded graph payload, shared through the ``_DECODED_SG`` memo
+        (the graph is frozen, so callers cannot poison it)."""
+        return _decode_sg(payload, self.sg_digests[stage])
 
     def stg_text(self) -> Optional[str]:
         """The expanded STG text, when expansion was part of this run."""

@@ -38,9 +38,10 @@ class CostBreakdown:
         return logic_term + csc_term + 1e-3 * self.state_count
 
 
-#: Weight-independent cost terms keyed by (arc signature, exact_covers):
+#: Weight-independent cost terms keyed by (graph signature, exact_covers):
 #: (literal estimate, CSC conflict pairs, state count).  Shared globally so
-#: sweeps over ``W`` or the frontier width re-measure nothing.
+#: sweeps over ``W`` or the frontier width re-measure nothing; a signature
+#: read freezes its graph, so a key always describes the graph it came from.
 _TERM_MEMO: Dict[Tuple[FrozenSet, bool], Tuple[int, int, int]] = (
     engine.register_cache({}, name="reduction-cost"))
 
@@ -60,10 +61,10 @@ def _measured_terms(sg: StateGraph, signature: FrozenSet,
 
 
 class CostFunction:
-    """Callable cost with memoisation keyed by the SG's arc signature.
+    """Callable cost with memoisation keyed by the SG's signature.
 
-    The signature comes from :meth:`StateGraph.signature`, which is itself
-    cached on the graph, so repeated evaluations of the same configuration
+    The signature comes from :meth:`StateGraph.signature`, computed once
+    per (frozen) graph, so repeated evaluations of the same configuration
     (beam survivors, heap re-pops) cost one dict lookup.
     """
 

@@ -16,15 +16,12 @@ from ``b`` to ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set, Tuple
-
-from typing import Dict
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .. import engine
-from ..petri.stg import SignalKind
-from ..sg.graph import State, StateGraph, StateGraphError
+from ..sg.graph import StateGraph
 from ..sg.regions import excitation_region
-from .validity import ValidityReport, validate_removal
+from .validity import validate_removal
 
 
 class ReductionError(Exception):
@@ -45,11 +42,12 @@ class ReductionResult:
         return self.valid
 
 
-#: (result, candidate-graph version) keyed by (parent signature, delayed,
-#: before).  The sweep re-explores the same configurations under different
-#: knobs, and the result of a reduction is a pure function of the parent
-#: graph.  The stored version detects callers mutating a shared candidate.
-_REDUCTION_MEMO: Dict[tuple, Tuple["ReductionResult", int]] = (
+#: Results keyed by (parent signature, delayed, before).  The sweep
+#: re-explores the same configurations under different knobs, and the
+#: result of a reduction is a pure function of the parent graph.  Sharing a
+#: candidate graph between callers is safe because it is frozen from the
+#: start (:meth:`~repro.sg.graph.StateGraph.copy_without_arcs`).
+_REDUCTION_MEMO: Dict[tuple, "ReductionResult"] = (
     engine.register_cache({}, name="reduction-results"))
 
 
@@ -64,21 +62,14 @@ def forward_reduction(sg: StateGraph, delayed: str, before: str,
     """
     if validate and engine.packed_memo_enabled():
         key = (sg.signature(), delayed, before)
-        cached = _REDUCTION_MEMO.get(key)
-        if cached is not None:
-            result, version = cached
-            # A caller may have mutated the shared candidate graph after
-            # receiving it; its version counter exposes that, in which case
-            # the entry is stale and the reduction is rebuilt fresh.
-            if result.sg is None or result.sg._version == version:
-                return result
-        result = _forward_reduction_uncached(sg, delayed, before, True)
-        # Valid entries keep their candidate SG alive, so the cap is much
-        # tighter than the pure-integer memos.
-        if len(_REDUCTION_MEMO) > 20_000:
-            _REDUCTION_MEMO.clear()
-        _REDUCTION_MEMO[key] = (result,
-                                result.sg._version if result.sg else -1)
+        result = _REDUCTION_MEMO.get(key)
+        if result is None:
+            result = _forward_reduction_uncached(sg, delayed, before, True)
+            # Valid entries keep their candidate SG alive, so the cap is
+            # much tighter than the pure-integer memos.
+            if len(_REDUCTION_MEMO) > 20_000:
+                _REDUCTION_MEMO.clear()
+            _REDUCTION_MEMO[key] = result
         return result
     return _forward_reduction_uncached(sg, delayed, before, validate)
 

@@ -10,8 +10,10 @@ A reduced SG is valid when:
 4. no new deadlock states appear.
 
 The exploration loop validates every candidate against the same parent, so
-the per-graph aggregates (live label set, persistency signature) are
-memoized per graph version in weak-keyed caches.
+the parent's aggregates are computed once: the live label set is the
+graph's own :meth:`~repro.sg.graph.StateGraph.live_labels`, and the
+persistency signature is memoized per graph in a weak-keyed cache.  Both
+reads freeze the graph, so neither can go stale.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..sg.graph import State, StateGraph
 from ..sg.properties import persistency_violations
-from ..petri.stg import SignalKind
 
 
 @dataclass(frozen=True)
@@ -36,30 +37,17 @@ class ValidityReport:
         return self.valid
 
 
-_PERSISTENCY_MEMO: "weakref.WeakKeyDictionary[StateGraph, Tuple[int, FrozenSet]]" = (
-    weakref.WeakKeyDictionary())
-_LIVE_LABEL_MEMO: "weakref.WeakKeyDictionary[StateGraph, Tuple[int, FrozenSet[str]]]" = (
+_PERSISTENCY_MEMO: "weakref.WeakKeyDictionary[StateGraph, FrozenSet]" = (
     weakref.WeakKeyDictionary())
 
 
 def _persistency_signature(sg: StateGraph) -> FrozenSet[Tuple[State, str, str]]:
-    cached = _PERSISTENCY_MEMO.get(sg)
-    if cached is not None and cached[0] == sg._version:
-        return cached[1]
-    signature = frozenset((v.state, v.disabled, v.by)
-                          for v in persistency_violations(sg))
-    _PERSISTENCY_MEMO[sg] = (sg._version, signature)
+    signature = _PERSISTENCY_MEMO.get(sg)
+    if signature is None:
+        signature = frozenset((v.state, v.disabled, v.by)
+                              for v in persistency_violations(sg))
+        _PERSISTENCY_MEMO[sg] = signature
     return signature
-
-
-def _live_labels(sg: StateGraph) -> FrozenSet[str]:
-    """Labels appearing on at least one arc, memoized per graph version."""
-    cached = _LIVE_LABEL_MEMO.get(sg)
-    if cached is not None and cached[0] == sg._version:
-        return cached[1]
-    live = frozenset(label for out in sg._succ.values() for label in out)
-    _LIVE_LABEL_MEMO[sg] = (sg._version, live)
-    return live
 
 
 def validate_removal(original: StateGraph, delayed: str,
@@ -116,7 +104,7 @@ def validate_removal(original: StateGraph, delayed: str,
                         reachable.add(target)
                         stack.append(target)
 
-    lost = _live_labels(original) - live
+    lost = original.live_labels() - live
     if lost:
         reasons.append(f"events disappeared: {sorted(lost)}")
     if deadlock is not None:
@@ -152,7 +140,7 @@ def check_validity(original: StateGraph, reduced: StateGraph) -> ValidityReport:
     reasons: List[str] = []
 
     # (3) no events disappear
-    lost = _live_labels(original) - _live_labels(reduced)
+    lost = original.live_labels() - reduced.live_labels()
     if lost:
         reasons.append(f"events disappeared: {sorted(lost)}")
 

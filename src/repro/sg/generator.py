@@ -310,15 +310,14 @@ def _assign_codes(stg: STG, sg: StateGraph) -> None:
                 else:
                     value = stg.initial_values.get(signal, 0) ^ parity
             codes[state].append(value)
-    for state, code in codes.items():
-        sg.codes[state] = tuple(code)
 
     # Honour explicitly declared initial values when they are consistent.
+    initial_code = codes[sg.initial]
     for signal, declared in stg.initial_values.items():
         if signal not in sg.kinds:
             continue
         index = sg.signal_index(signal)
-        actual = sg.codes[sg.initial][index]
+        actual = initial_code[index]
         if actual != declared:
             rep, _ = union_find.find((sg.initial, signal))
             if rep in merged:
@@ -330,6 +329,6 @@ def _assign_codes(stg: STG, sg: StateGraph) -> None:
             for state in sg.states:
                 state_rep, parity = union_find.find((state, signal))
                 if state_rep == rep:
-                    code = list(sg.codes[state])
-                    code[index] ^= 1
-                    sg.codes[state] = tuple(code)
+                    codes[state][index] ^= 1
+    for state, code in codes.items():
+        sg.add_state(state, code)

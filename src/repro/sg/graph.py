@@ -3,27 +3,41 @@
 A State Graph (SG) is the reachability graph of an STG: nodes are markings
 labelled with a vector of binary signal values, arcs are labelled with the
 fired transition.  The SG is the model on which the paper performs
-concurrency reduction (Sections 5-6), so this class supports arc and state
-removal in addition to the usual queries.
+concurrency reduction (Sections 5-6).  Like the paper's FwdRed and
+state-signal insertion, every transformation derives a *new* graph from
+its parent (:meth:`StateGraph.copy_without_arcs`,
+:mod:`repro.encoding.insertion`); no graph is edited after construction.
 
 States are opaque hashable objects (marking tuples when generated from an
 STG, strings when built by hand in tests).  Arc labels are transition names;
 ``events`` maps each label to its :class:`~repro.petri.stg.SignalEvent`
 (dummy labels are not allowed in an SG used for synthesis).
 
-Binary codes live in two synchronized representations: the tuple API
-(:meth:`code_of`) and packed integers where bit ``i`` is the value of
-signal ``i`` (:meth:`code_int`), the same convention the logic minimizer
-uses for minterms.  The analysis passes (:mod:`repro.sg.properties`,
+Freeze rule: a graph grows through :meth:`~StateGraph.declare_signal`,
+:meth:`~StateGraph.declare_event`, :meth:`~StateGraph.add_state`,
+:meth:`~StateGraph.add_arc` and ``initial`` until the first derived view
+is read -- :meth:`~StateGraph.compiled`, :meth:`~StateGraph.signature`,
+:meth:`~StateGraph.code_int`, :meth:`~StateGraph.live_labels` or the
+predecessor map -- or :meth:`~StateGraph.freeze` is called.  From then on
+every builder call raises :class:`StateGraphError`, so each derived view
+is computed at most once and never goes stale.  Graphs from
+:meth:`~StateGraph.copy_without_arcs` are frozen from the start.
+
+Binary codes are tuples (:meth:`code_of`, the read-only ``codes`` mapping)
+and packed integers where bit ``i`` is the value of signal ``i``
+(:meth:`code_int`), the same convention the logic minimizer uses for
+minterms.  The analysis passes (:mod:`repro.sg.properties`,
 :mod:`repro.sg.regions`, function extraction) run on a compiled flat-array
-snapshot (:meth:`compiled`) that is invalidated automatically on mutation.
+snapshot (:meth:`compiled`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
+                    Optional, Set, Tuple)
 
 from ..petri.stg import Direction, SignalEvent, SignalKind
 
@@ -33,53 +47,6 @@ Code = Tuple[int, ...]
 
 class StateGraphError(Exception):
     """Raised for invalid state-graph operations."""
-
-
-class _CodeMap(dict):
-    """Code store that keeps the owning SG's caches honest on mutation.
-
-    ``sg.codes[state] = code`` is part of the public construction API, so
-    the cache invalidation has to live in the mapping itself: every write
-    bumps the graph version (compiled snapshots embed codes) and evicts the
-    state's packed-integer code, which is cached per state rather than per
-    version so that graph copies can inherit it wholesale.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "StateGraph", *args) -> None:
-        super().__init__(*args)
-        self._owner = owner
-
-    def __setitem__(self, key, value):
-        self._owner._version += 1
-        self._owner._code_int_cache.pop(key, None)
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key):
-        self._owner._version += 1
-        self._owner._code_int_cache.pop(key, None)
-        super().__delitem__(key)
-
-    def pop(self, key, *default):
-        self._owner._version += 1
-        self._owner._code_int_cache.pop(key, None)
-        return super().pop(key, *default)
-
-    def update(self, *args, **kwargs):
-        self._owner._version += 1
-        self._owner._code_int_cache.clear()
-        super().update(*args, **kwargs)
-
-    def clear(self):
-        self._owner._version += 1
-        self._owner._code_int_cache.clear()
-        super().clear()
-
-    def setdefault(self, key, default=None):
-        self._owner._version += 1
-        self._owner._code_int_cache.pop(key, None)
-        return super().setdefault(key, default)
 
 
 @dataclass
@@ -104,57 +71,69 @@ class CompiledSG:
 
 
 class StateGraph:
-    """A finite, deterministic-by-construction labelled transition system."""
+    """A finite, deterministic-by-construction labelled transition system.
+
+    Built incrementally, then frozen by the first derived read (see the
+    module docstring).
+    """
 
     def __init__(self, name: str = "sg") -> None:
         self.name = name
         self.signals: List[str] = []
         self.kinds: Dict[str, SignalKind] = {}
         self.events: Dict[str, SignalEvent] = {}
-        self.initial: Optional[State] = None
+        self._initial: Optional[State] = None
         self._succ: Dict[State, Dict[str, State]] = {}
-        self._pred_store: Optional[Dict[State, Set[Tuple[str, State]]]] = {}
-        self._version = 0
+        self._pred_store: Optional[Dict[State, Set[Tuple[str, State]]]] = None
+        self._codes: Dict[State, Code] = {}
         self._code_int_cache: Dict[State, int] = {}
-        self.codes: Dict[State, Code] = _CodeMap(self)
         self._signal_pos: Dict[str, int] = {}
         self._signature: Optional[Tuple] = None
-        self._signature_version = -1
         self._compiled: Optional[CompiledSG] = None
-        self._compiled_version = -1
+        self._live_labels: Optional[FrozenSet[str]] = None
+        self._frozen = False
+
+    # ------------------------------------------------------------------
+    # construction (until frozen)
+    # ------------------------------------------------------------------
+    def freeze(self) -> "StateGraph":
+        """Close the graph to builder calls; returns ``self``.
+
+        The first derived read freezes implicitly; memo tables keyed on the
+        graph object call this so a caller cannot change a graph after its
+        payload or digest was cached.
+        """
+        self._frozen = True
+        return self
+
+    def _check_open(self) -> None:
+        if self._frozen:
+            raise StateGraphError(
+                f"state graph {self.name!r} is frozen: derive a new graph "
+                f"instead of editing this one")
 
     @property
-    def _pred(self) -> Dict[State, Set[Tuple[str, State]]]:
-        """Predecessor map, rebuilt lazily from ``_succ`` after bulk edits.
+    def initial(self) -> Optional[State]:
+        """The initial state (defaults to the first state added)."""
+        return self._initial
 
-        Reduction candidates are built by the thousands and most are
-        discarded before anything ever walks backwards, so
-        :meth:`copy_without_arcs` leaves this unset and the first backward
-        query pays for the rebuild.
-        """
-        pred = self._pred_store
-        if pred is None:
-            pred = {state: set() for state in self._succ}
-            for state, out in self._succ.items():
-                for label, target in out.items():
-                    pred[target].add((label, state))
-            self._pred_store = pred
-        return pred
+    @initial.setter
+    def initial(self, state: Optional[State]) -> None:
+        self._check_open()
+        self._initial = state
 
-    @_pred.setter
-    def _pred(self, value: Optional[Dict[State, Set[Tuple[str, State]]]]) -> None:
-        self._pred_store = value
+    @property
+    def codes(self) -> Mapping[State, Code]:
+        """Read-only ``{state: code}``; codes are written by :meth:`add_state`."""
+        return MappingProxyType(self._codes)
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
     def declare_signal(self, name: str, kind: SignalKind) -> None:
         """Register a signal; order defines the code bit positions."""
+        self._check_open()
         if name in self.kinds:
             if self.kinds[name] != kind:
                 raise StateGraphError(f"signal {name!r} redeclared with different kind")
             return
-        self._version += 1
         self._signal_pos[name] = len(self.signals)
         self.signals.append(name)
         self.kinds[name] = kind
@@ -164,6 +143,7 @@ class StateGraph:
 
         When ``event`` is omitted, the label itself is parsed as an event.
         """
+        self._check_open()
         if event is None:
             event = SignalEvent.parse(label)
         if event.signal not in self.kinds:
@@ -171,25 +151,25 @@ class StateGraph:
         existing = self.events.get(label)
         if existing is not None and existing != event:
             raise StateGraphError(f"label {label!r} redeclared with different event")
-        self._version += 1
         self.events[label] = event
 
     def add_state(self, state: State, code: Optional[Code] = None) -> None:
-        """Add a state (idempotent), optionally with its binary code."""
+        """Add a state (idempotent), optionally with (or rewriting) its code."""
+        if self._frozen:  # inlined guard: generation calls this per state
+            self._check_open()
         if state not in self._succ:
-            self._version += 1
             self._succ[state] = {}
-            if self._pred_store is not None:
-                self._pred_store[state] = set()
         if code is not None:
             if len(code) != len(self.signals):
                 raise StateGraphError("code length does not match signal count")
-            self.codes[state] = tuple(code)
-        if self.initial is None:
-            self.initial = state
+            self._codes[state] = tuple(code)
+        if self._initial is None:
+            self._initial = state
 
     def add_arc(self, source: State, label: str, target: State) -> None:
         """Add ``source --label--> target``; labels must be declared events."""
+        if self._frozen:
+            self._check_open()
         if label not in self.events:
             raise StateGraphError(f"undeclared event label {label!r}")
         self.add_state(source)
@@ -198,35 +178,7 @@ class StateGraph:
         if existing is not None and existing != target:
             raise StateGraphError(
                 f"nondeterminism: {source!r} --{label}--> both {existing!r} and {target!r}")
-        self._version += 1
         self._succ[source][label] = target
-        if self._pred_store is not None:
-            self._pred_store[target].add((label, source))
-
-    def remove_arc(self, source: State, label: str) -> None:
-        """Remove the unique arc labelled ``label`` leaving ``source``."""
-        target = self._succ.get(source, {}).pop(label, None)
-        if target is None:
-            raise StateGraphError(f"no arc {source!r} --{label}-->")
-        self._version += 1
-        if self._pred_store is not None:
-            self._pred_store[target].discard((label, source))
-
-    def remove_state(self, state: State) -> None:
-        """Remove a state and all arcs incident to it."""
-        if state not in self._succ:
-            raise StateGraphError(f"unknown state {state!r}")
-        self._version += 1
-        pred = self._pred  # force the rebuild before edits
-        for label, target in list(self._succ[state].items()):
-            pred[target].discard((label, state))
-        for label, source in list(pred[state]):
-            self._succ[source].pop(label, None)
-        del self._succ[state]
-        del pred[state]
-        self.codes.pop(state, None)
-        if self.initial == state:
-            self.initial = None
 
     # ------------------------------------------------------------------
     # queries
@@ -249,10 +201,11 @@ class StateGraph:
         return dict(self._succ[state])
 
     def predecessors(self, state: State) -> Set[Tuple[str, State]]:
-        """Incoming arcs of a state as ``{(label, source)}``."""
-        if state not in self._pred:
+        """Incoming arcs of a state as ``{(label, source)}`` (freezes)."""
+        pred = self._pred
+        if state not in pred:
             raise StateGraphError(f"unknown state {state!r}")
-        return set(self._pred[state])
+        return set(pred[state])
 
     def arcs(self) -> Iterator[Tuple[State, str, State]]:
         """Iterate over all arcs as (source, label, target)."""
@@ -287,25 +240,9 @@ class StateGraph:
     def code_of(self, state: State) -> Code:
         """The binary code tuple of ``state``."""
         try:
-            return self.codes[state]
+            return self._codes[state]
         except KeyError:
             raise StateGraphError(f"state {state!r} has no binary code") from None
-
-    def code_int(self, state: State) -> int:
-        """The state's binary code packed into one integer (bit i = signal i).
-
-        Cached per state; :class:`_CodeMap` evicts an entry whenever the
-        state's code is rewritten, and :meth:`copy` hands the cache down.
-        """
-        cached = self._code_int_cache.get(state)
-        if cached is None:
-            code = self.code_of(state)
-            cached = 0
-            for i, value in enumerate(code):
-                if value:
-                    cached |= 1 << i
-            self._code_int_cache[state] = cached
-        return cached
 
     def value_of(self, state: State, signal: str) -> int:
         """The value of ``signal`` in ``state``."""
@@ -318,30 +255,77 @@ class StateGraph:
         except KeyError:
             raise StateGraphError(f"undeclared signal {signal!r}") from None
 
+    # ------------------------------------------------------------------
+    # derived views: each freezes the graph and is computed at most once
+    # ------------------------------------------------------------------
+    @property
+    def _pred(self) -> Dict[State, Set[Tuple[str, State]]]:
+        """Predecessor map, built on the first backward query.
+
+        Reduction candidates are built by the thousands and most are
+        discarded before anything ever walks backwards, so no graph pays
+        for this up front.
+        """
+        pred = self._pred_store
+        if pred is None:
+            self._frozen = True
+            pred = {state: set() for state in self._succ}
+            for state, out in self._succ.items():
+                for label, target in out.items():
+                    pred[target].add((label, state))
+            self._pred_store = pred
+        return pred
+
+    def live_labels(self) -> FrozenSet[str]:
+        """Labels appearing on at least one arc (events with a non-empty ER)."""
+        live = self._live_labels
+        if live is None:
+            self._frozen = True
+            live = frozenset(label for out in self._succ.values()
+                             for label in out)
+            self._live_labels = live
+        return live
+
+    def code_int(self, state: State) -> int:
+        """The state's binary code packed into one integer (bit i = signal i).
+
+        Cached per state; :meth:`copy_without_arcs` hands the cache down.
+        """
+        cached = self._code_int_cache.get(state)
+        if cached is None:
+            self._frozen = True
+            code = self.code_of(state)
+            cached = 0
+            for i, value in enumerate(code):
+                if value:
+                    cached |= 1 << i
+            self._code_int_cache[state] = cached
+        return cached
+
     def signature(self) -> Tuple:
-        """Hashable identity of the graph, cached until mutation.
+        """Hashable identity of the graph.
 
         Covers everything the analyses depend on -- the arc set, the
         initial state, signal declarations and the binary codes -- so two
         graphs with equal signatures are interchangeable for cost
         evaluation and reduction.  Exploration and the process-global memo
-        tables key on this; computing it once per version saves a full
-        sweep per lookup.
+        tables key on this; computing it once saves a full sweep per lookup.
         """
-        if self._signature_version != self._version or self._signature is None:
+        if self._signature is None:
+            self._frozen = True
             self._signature = (
                 frozenset(self.arcs()),
-                self.initial,
+                self._initial,
                 tuple((signal, self.kinds[signal]) for signal in self.signals),
-                frozenset(self.codes.items()),
+                frozenset(self._codes.items()),
             )
-            self._signature_version = self._version
         return self._signature
 
     def compiled(self) -> CompiledSG:
-        """The flat index-based snapshot, rebuilt lazily after mutations."""
-        if self._compiled_version == self._version and self._compiled is not None:
+        """The flat index-based snapshot the analysis passes run on."""
+        if self._compiled is not None:
             return self._compiled
+        self._frozen = True
         states = list(self._succ)
         index = {state: i for i, state in enumerate(states)}
         labels = list(self.events)
@@ -351,7 +335,7 @@ class StateGraph:
             out = self._succ[state]
             succ.append({label_index[label]: index[target]
                          for label, target in out.items()})
-        codes = self.codes
+        codes = self._codes
         code_ints = [self.code_int(s) if s in codes else -1 for s in states]
         is_input = [self.is_input_label(label) for label in labels]
         event_signal = [self._signal_pos[self.events[label].signal] for label in labels]
@@ -360,7 +344,6 @@ class StateGraph:
             states=states, index=index, labels=labels, label_index=label_index,
             succ=succ, code_ints=code_ints, is_input=is_input,
             event_signal=event_signal, event_direction=event_direction)
-        self._compiled_version = self._version
         return self._compiled
 
     # ------------------------------------------------------------------
@@ -407,34 +390,16 @@ class StateGraph:
                 queue.append(source)
         return result
 
-    def restrict_to_reachable(self) -> int:
-        """Drop states unreachable from the initial state; returns the count removed."""
-        reachable = self.reachable_from()
-        removed = len(self._succ) - len(reachable)
-        if not removed:
-            return 0
-        # Rebuild wholesale: per-state removal pays for each incident arc,
-        # which dominates when a reduction strands a large region.
-        self._version += 1
-        self._succ = {s: out for s, out in self._succ.items() if s in reachable}
-        self._pred_store = None
-        for state in [s for s in self.codes if s not in reachable]:
-            self.codes.pop(state)
-        if self.initial is not None and self.initial not in reachable:
-            self.initial = None
-        return removed
-
     def copy_without_arcs(self, removed_arcs: Iterable[Tuple[State, str]],
                           name: Optional[str] = None,
                           reachable: Optional[Set[State]] = None) -> "StateGraph":
-        """Copy of the reachable part of the graph minus the given arcs.
+        """Frozen copy of the reachable part of the graph minus the given arcs.
 
-        Equivalent to ``copy()`` + ``remove_arc`` per pair +
-        ``restrict_to_reachable()`` but built in one forward pass, which is
-        what the reduction engine does for every candidate it generates.
-        ``reachable`` may supply the post-removal reachable set when the
-        caller has already computed it (states keep their declaration
-        order); otherwise it is discovered by BFS from the initial state.
+        Built in one forward pass, which is what the reduction engine does
+        for every candidate it generates.  ``reachable`` may supply the
+        post-removal reachable set when the caller has already computed it
+        (states keep their declaration order); otherwise it is discovered by
+        BFS from the initial state.
         """
         dropped: Dict[State, Set[str]] = {}
         for state, label in removed_arcs:
@@ -444,11 +409,13 @@ class StateGraph:
         clone.kinds = dict(self.kinds)
         clone.events = dict(self.events)
         clone._signal_pos = dict(self._signal_pos)
-        if self.initial is None:
+        clone._frozen = True
+        initial = self._initial
+        if initial is None:
             return clone
         succ = self._succ
-        codes = self.codes
-        new_succ: Dict[State, Dict[str, State]] = {}
+        codes = self._codes
+        new_succ = clone._succ
         if reachable is not None:
             for state in succ:
                 if state not in reachable:
@@ -458,8 +425,8 @@ class StateGraph:
                     label: target for label, target in succ[state].items()
                     if bad is None or label not in bad}
         else:
-            queue = deque([self.initial])
-            new_succ[self.initial] = {}
+            queue = deque([initial])
+            new_succ[initial] = {}
             while queue:
                 state = queue.popleft()
                 bad = dropped.get(state)
@@ -470,40 +437,22 @@ class StateGraph:
                     if target not in new_succ:
                         new_succ[target] = {}
                         queue.append(target)
-        clone._succ = new_succ
-        clone._pred_store = None
-        clone.initial = self.initial
-        code_map = clone.codes
+        clone._initial = initial
+        code_map = clone._codes
         cache = clone._code_int_cache
         own_cache = self._code_int_cache
         for state in new_succ:
             code = codes.get(state)
             if code is not None:
-                dict.__setitem__(code_map, state, code)
+                code_map[state] = code
                 packed = own_cache.get(state)
                 if packed is not None:
                     cache[state] = packed
-        clone._version += 1
         return clone
 
     # ------------------------------------------------------------------
     # utilities
     # ------------------------------------------------------------------
-    def copy(self, name: Optional[str] = None) -> "StateGraph":
-        """A deep copy, optionally renamed."""
-        clone = StateGraph(name or self.name)
-        clone.signals = list(self.signals)
-        clone.kinds = dict(self.kinds)
-        clone.events = dict(self.events)
-        clone.initial = self.initial
-        clone._succ = {s: dict(out) for s, out in self._succ.items()}
-        clone._pred_store = (None if self._pred_store is None else
-                             {s: set(inc) for s, inc in self._pred_store.items()})
-        clone.codes.update(self.codes)
-        clone._code_int_cache = dict(self._code_int_cache)
-        clone._signal_pos = dict(self._signal_pos)
-        return clone
-
     def code_string(self, state: State) -> str:
         """Human-readable code with ``*`` marking excited signals (as in Fig. 1d)."""
         code = self.code_of(state)

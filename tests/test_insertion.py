@@ -125,6 +125,25 @@ class TestInsertion:
                 if q_module.is_input_label(label):
                     assert candidate.target(state, label) is not None
 
+    @pytest.mark.parametrize("insert", [insert_state_signal,
+                                        insert_state_signal_sequencing])
+    def test_product_bounded_by_four_phases(self, insert):
+        # (value, pending) takes only four combinations, so no candidate
+        # outgrows 4x its parent and the search needs no state cap.
+        sg = generate_sg(lr_expanded())
+        phases = {(0, None), (1, None), (0, "+"), (1, "-")}
+        built = 0
+        for rise in sg.labels():
+            for fall in sg.labels():
+                for value in (0, 1):
+                    candidate = insert(sg, rise, fall, "csc0", value)
+                    if candidate is None:
+                        continue
+                    built += 1
+                    assert len(candidate) <= 4 * len(sg)
+                    assert {state[1:] for state in candidate.states} <= phases
+        assert built
+
     def test_enumerate_orders_by_quality(self, q_module):
         candidates = enumerate_insertions(q_module, "x")
         assert candidates

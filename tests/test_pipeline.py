@@ -12,6 +12,7 @@ from repro.pipeline import (ArtifactStore, FlowConfig, digest_payload,
 from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.pipeline.config import STRATEGY_DEFAULTS
 from repro.sg.generator import generate_sg
+from repro.sg.graph import StateGraphError
 from repro.sg.regions import are_concurrent
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import TABLE1_KEEP_CONC, lr_spec, q_module_stg
@@ -323,16 +324,29 @@ class TestSpecFlow:
 
 class TestResultIsolation:
     def test_caller_mutation_cannot_poison_later_runs(self):
-        # Graphs handed out by pipeline results belong to the caller;
-        # mutating them must not leak into the pipeline's decode memo.
+        # Graphs handed out by pipeline results are shared with the
+        # pipeline's decode memo, so they are frozen: a mutation attempt
+        # raises and leaves later evaluations untouched.
         first = run_pipeline(AS_IS, initial_sg=generate_sg(load("half")))
         victim = first.resolved_sg()
-        victim.remove_state(next(s for s in victim.states
-                                 if s != victim.initial))
+        before = len(victim)
+        with pytest.raises(StateGraphError):
+            victim.add_state("intruder")
+        with pytest.raises(StateGraphError):
+            victim.initial = next(s for s in victim.states
+                                  if s != victim.initial)
         second = run_pipeline(AS_IS, initial_sg=generate_sg(load("half")))
         resolved = second.resolved_sg()
-        assert len(resolved) == resolved.arc_count() == 8
-        assert len(resolved) != len(victim)
+        assert len(resolved) == resolved.arc_count() == 8 == before
+        assert "intruder" not in resolved
+
+    def test_given_initial_sg_is_frozen(self):
+        # The pipeline memoizes the payload of a pre-generated graph by
+        # object identity; freezing it keeps that payload honest.
+        sg = generate_sg(load("half"))
+        run_pipeline(AS_IS, initial_sg=sg)
+        with pytest.raises(StateGraphError):
+            sg.add_state("intruder")
 
 
 class TestVerifyMaxStates:

@@ -131,8 +131,8 @@ class TestEncoding:
                       arcs,
                       codes={"s0": (0, 0), "s1": (1, 0), "s2": (1, 1),
                              "s3": (0, 1)})
-        # craft: give s3 the same code as s0
-        sg.codes["s3"] = (0, 0)
+        # craft: give s3 the same code as s0 (add_state rewrites it)
+        sg.add_state("s3", (0, 0))
         assert not has_usc(sg)
         assert has_csc(sg)  # only inputs are enabled anywhere
 

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.encoding.insertion import insert_state_signal
 from repro.petri.stg import Direction, SignalEvent, SignalKind
+from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
+from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph, StateGraphError
+from repro.sg.properties import is_output_persistent
+from repro.specs.fig1 import fig1_stg
 
 
 @pytest.fixture
@@ -124,44 +129,132 @@ class TestReachability:
     def test_backward_reachable_target_outside_within(self, diamond):
         assert diamond.backward_reachable(["s3"], within={"s0"}) == set()
 
-    def test_restrict_to_reachable(self, diamond):
+
+class TestDerivation:
+    """``copy_without_arcs`` derives a new graph; the parent never changes."""
+
+    def test_dropped_arc(self, diamond):
+        derived = diamond.copy_without_arcs([("s1", "b+")])
+        assert derived.target("s1", "b+") is None
+        assert derived.predecessors("s3") == {("a+", "s2")}
+
+    def test_cut_off_state_is_pruned(self, diamond):
+        derived = diamond.copy_without_arcs([("s0", "a+")])
+        assert "s1" not in derived
+        assert ("b+", "s1") not in derived.predecessors("s3")
+
+    def test_unreachable_states_pruned(self, diamond):
         diamond.add_state("orphan", (0, 0))
-        removed = diamond.restrict_to_reachable()
-        assert removed == 1
-        assert "orphan" not in diamond
+        derived = diamond.copy_without_arcs(())
+        assert "orphan" not in derived
+        assert len(derived) == 4
 
-
-class TestMutation:
-    def test_remove_arc(self, diamond):
-        diamond.remove_arc("s0", "a+")
-        assert diamond.target("s0", "a+") is None
-        assert ("a+", "s0") not in diamond.predecessors("s1")
-
-    def test_remove_missing_arc(self, diamond):
-        with pytest.raises(StateGraphError):
-            diamond.remove_arc("s3", "a+")
-
-    def test_remove_state(self, diamond):
-        diamond.remove_state("s1")
-        assert "s1" not in diamond
-        assert diamond.target("s0", "a+") is None
-        assert ("b+", "s1") not in diamond.predecessors("s3")
-
-    def test_remove_initial_state_clears_initial(self, diamond):
-        diamond.remove_state("s0")
-        assert diamond.initial is None
-
-    def test_copy_is_independent(self, diamond):
-        clone = diamond.copy()
-        clone.remove_arc("s0", "a+")
+    def test_parent_untouched(self, diamond):
+        diamond.copy_without_arcs([("s0", "a+")])
         assert diamond.target("s0", "a+") == "s1"
+        assert len(diamond) == 4
 
     def test_copy_preserves_everything(self, diamond):
-        clone = diamond.copy("c")
+        clone = diamond.copy_without_arcs((), name="c")
         assert clone.name == "c"
         assert clone.codes == diamond.codes
         assert set(clone.arcs()) == set(diamond.arcs())
         assert clone.initial == diamond.initial
+        assert clone.signature() == diamond.signature()
+
+
+#: Every builder call, applied to the diamond; each is valid while open.
+BUILDERS = {
+    "declare_signal": lambda sg: sg.declare_signal("c", SignalKind.OUTPUT),
+    "redeclare_signal": lambda sg: sg.declare_signal("a", SignalKind.OUTPUT),
+    "declare_event": lambda sg: sg.declare_event("a-"),
+    "add_state": lambda sg: sg.add_state("s4"),
+    "add_state_code": lambda sg: sg.add_state("s3", (0, 0)),
+    "add_arc": lambda sg: sg.add_arc("s3", "a+", "s4"),
+    "set_initial": lambda sg: setattr(sg, "initial", "s1"),
+}
+
+#: Every derived read that closes the graph.
+DERIVED_READS = {
+    "compiled": lambda sg: sg.compiled(),
+    "signature": lambda sg: sg.signature(),
+    "code_int": lambda sg: sg.code_int("s0"),
+    "live_labels": lambda sg: sg.live_labels(),
+    "predecessors": lambda sg: sg.predecessors("s3"),
+    "backward_reachable": lambda sg: sg.backward_reachable(["s3"]),
+    "freeze": lambda sg: sg.freeze(),
+}
+
+
+def _threaded():
+    sg = generate_sg(fig1_stg())
+    candidates = [insert_state_signal(sg, rise, fall, "csc0")
+                  for rise in sg.labels() for fall in sg.labels()]
+    return next(c for c in candidates if c is not None)
+
+
+#: Every producer of graphs outside this module's builder API.
+PRODUCERS = {
+    "copy_without_arcs": lambda: generate_sg(fig1_stg()).copy_without_arcs(()),
+    "generate_sg": lambda: generate_sg(fig1_stg()),
+    "sg_from_payload": lambda: sg_from_payload(
+        sg_to_payload(generate_sg(fig1_stg()))),
+    "insert_state_signal": _threaded,
+}
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_builder_succeeds_while_open(self, diamond, builder):
+        BUILDERS[builder](diamond)
+        diamond.add_state("s5")  # a builder call leaves the graph open
+
+    @pytest.mark.parametrize("read", sorted(DERIVED_READS))
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_builder_raises_after_derived_read(self, diamond, builder, read):
+        before = (diamond.signals[:], dict(diamond.events), diamond.initial,
+                  dict(diamond.codes), set(diamond.arcs()))
+        DERIVED_READS[read](diamond)
+        with pytest.raises(StateGraphError, match="frozen"):
+            BUILDERS[builder](diamond)
+        assert before == (diamond.signals, diamond.events, diamond.initial,
+                          diamond.codes, set(diamond.arcs()))
+
+    def test_plain_queries_keep_graph_open(self, diamond):
+        diamond.successors("s0")
+        diamond.code_of("s0")
+        diamond.reachable_from()
+        list(diamond.arcs())
+        diamond.add_arc("s3", "a+", "s4")
+        assert diamond.target("s3", "a+") == "s4"
+
+    def test_codes_are_read_only(self, diamond):
+        with pytest.raises(TypeError):
+            diamond.codes["s0"] = (1, 1)
+
+    def test_add_state_rewrites_code_while_open(self, diamond):
+        diamond.add_state("s3", (0, 0))
+        assert diamond.code_of("s3") == (0, 0)
+        assert diamond.code_int("s3") == 0
+
+    def test_derived_copy_is_frozen_from_the_start(self, diamond):
+        derived = diamond.copy_without_arcs([("s0", "a+")])
+        with pytest.raises(StateGraphError):
+            derived.add_state("s9")
+        diamond.add_state("s9")
+
+    @pytest.mark.parametrize("producer", sorted(PRODUCERS))
+    def test_outputs_frozen_after_first_analysis(self, producer):
+        sg = PRODUCERS[producer]()
+        is_output_persistent(sg)
+        with pytest.raises(StateGraphError):
+            sg.add_arc(sg.initial, sg.labels()[0], sg.initial)
+
+    def test_derived_views_computed_once(self, diamond):
+        assert diamond.compiled() is diamond.compiled()
+        assert diamond.signature() is diamond.signature()
+        assert diamond.live_labels() is diamond.live_labels()
+        assert diamond.live_labels() == {"a+", "b+"}
 
 
 class TestDot:
