@@ -370,6 +370,7 @@ register(BenchCase(
 def run_fig10(context) -> dict:
     from repro import (FlowConfig, generate_sg, reduce_concurrency,
                        run_pipeline)
+    from repro.reduction.fwdred import reduction_work
     from repro.sg.regions import are_concurrent
     from repro.specs.par import PAR_KEEP_CONC, par_expanded, par_manual_stg
     from repro.timing.critical_cycle import critical_cycle
@@ -390,17 +391,21 @@ def run_fig10(context) -> dict:
         manual = run_pipeline(as_is, stg=par_manual_stg(),
                               name="manual (Tangram)")
         sg = generate_sg(par_expanded())
+        before = reduction_work()["materialized"]
         search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
                                     max_explored=4000, patience=10**9)
+        materialized = reduction_work()["materialized"] - before
         auto = run_pipeline(as_is, initial_sg=search.best, name="automatic")
-        return sg, search, manual, auto
+        return sg, search, materialized, manual, auto
 
-    seconds, (sg, search, manual, auto) = context.best_of(build)
+    # Every round starts cold, so ``materialized`` is the same in each.
+    seconds, (sg, search, materialized, manual, auto) = context.best_of(build)
     manual_cycle, auto_cycle = gate_cycle(manual), gate_cycle(auto)
     auto_area, manual_area = auto.circuit().area, manual.circuit().area
     return {
         "expansion_states": len(sg),
         "explored": search.explored_count,
+        "materialized": materialized,
         "auto_area": auto_area,
         "manual_area": manual_area,
         "auto_csc_signals": len(auto.insertions()),
@@ -421,6 +426,7 @@ register(BenchCase(
     metrics=(
         Metric("expansion_states", "states"),
         Metric("explored", "configs"),
+        Metric("materialized", "graphs", direction="lower"),
         Metric("auto_area", "literals", direction="lower"),
         Metric("manual_area", "literals"),
         Metric("auto_csc_signals", "signals"),

@@ -250,7 +250,8 @@ register(BenchCase(
 # Fig. 9 ablation: the exploration knobs (frontier width, weight W).
 
 def run_ablation(context) -> dict:
-    from repro import generate_sg, reduce_concurrency
+    from repro import engine, generate_sg, reduce_concurrency
+    from repro.reduction.fwdred import reduction_work
     from repro.sg.properties import csc_conflicts
     from repro.specs.lr import lr_expanded
 
@@ -266,8 +267,17 @@ def run_ablation(context) -> dict:
         return results
 
     seconds, results = context.best_of(sweep)
+    # The work counters come from one more cold sweep, so they never
+    # depend on how many timing rounds ran.
+    engine.clear_caches()
+    before = reduction_work()
+    sweep()
+    work = {key: value - before[key]
+            for key, value in reduction_work().items()}
     beams = [results[f"beam w={w}"].best_cost for w in (1, 2, 4, 8)]
     return {
+        "fwdred_steps": work["steps"],
+        "materialized": work["materialized"],
         "rows": [(name, f"{r.best_cost:.2f}", r.explored_count,
                   len(csc_conflicts(r.best)))
                  for name, r in results.items()],
@@ -294,6 +304,8 @@ register(BenchCase(
         Metric("best_cost_best_first", "cost", direction="lower"),
         Metric("explored_best_first", "configs"),
         Metric("conflicts_w0", "conflicts", direction="lower"),
+        Metric("fwdred_steps", "steps", direction="lower"),
+        Metric("materialized", "graphs", direction="lower"),
         Metric("sweep_seconds", "s", direction="lower", measured=True),
     ),
     checks=(

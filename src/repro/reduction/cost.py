@@ -10,10 +10,9 @@ step would dominate the run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from .. import engine
 from ..logic.complexity import estimate_logic_complexity
 from ..sg.graph import StateGraph
 from ..sg.properties import csc_conflicts
@@ -38,34 +37,25 @@ class CostBreakdown:
         return logic_term + csc_term + 1e-3 * self.state_count
 
 
-#: Weight-independent cost terms keyed by (graph signature, exact_covers):
-#: (literal estimate, CSC conflict pairs, state count).  Shared globally so
-#: sweeps over ``W`` or the frontier width re-measure nothing; a signature
-#: read freezes its graph, so a key always describes the graph it came from.
-_TERM_MEMO: Dict[Tuple[FrozenSet, bool], Tuple[int, int, int]] = (
-    engine.register_cache({}, name="reduction-cost"))
+def measure_terms(sg: StateGraph, exact_covers: bool) -> Tuple[int, int, int]:
+    """The weight-independent cost terms of ``sg``.
 
-
-def _measured_terms(sg: StateGraph, signature: FrozenSet,
-                    exact_covers: bool) -> Tuple[int, int, int]:
-    key = (signature, exact_covers)
-    cached = _TERM_MEMO.get(key) if engine.packed_memo_enabled() else None
-    if cached is None:
-        estimate = estimate_logic_complexity(sg, exact=exact_covers)
-        cached = (estimate.literals, len(csc_conflicts(sg)), len(sg))
-        if engine.packed_memo_enabled():
-            if len(_TERM_MEMO) > 100_000:
-                _TERM_MEMO.clear()
-            _TERM_MEMO[key] = cached
-    return cached
+    ``(literal estimate, CSC conflict pairs, state count)``; the reduction
+    search keeps them per configuration in its
+    :class:`~repro.reduction.fwdred.ReductionSpace`, so sweeps over ``W``
+    or the frontier width re-measure nothing.
+    """
+    estimate = estimate_logic_complexity(sg, exact=exact_covers)
+    return estimate.literals, len(csc_conflicts(sg)), len(sg)
 
 
 class CostFunction:
     """Callable cost with memoisation keyed by the SG's signature.
 
-    The signature comes from :meth:`StateGraph.signature`, computed once
-    per (frozen) graph, so repeated evaluations of the same configuration
-    (beam survivors, heap re-pops) cost one dict lookup.
+    The reduction search never calls it on a graph: it measures each
+    configuration once (:func:`measure_terms`) and combines the terms with
+    :meth:`from_terms`.  Calls on graphs are memoised per instance by
+    :meth:`StateGraph.signature`.
     """
 
     def __init__(self, weight: float = 0.5, csc_scale: float = 20.0,
@@ -77,22 +67,24 @@ class CostFunction:
         self.exact_covers = exact_covers
         self._cache: Dict[frozenset, CostBreakdown] = {}
 
-    def breakdown(self, sg: StateGraph) -> CostBreakdown:
-        signature = sg.signature()
-        cached = self._cache.get(signature)
-        if cached is not None:
-            return cached
-        literals, conflict_pairs, states = _measured_terms(
-            sg, signature, self.exact_covers)
-        result = CostBreakdown(
+    def from_terms(self, terms: Tuple[int, int, int]) -> CostBreakdown:
+        """Combine :func:`measure_terms` output under this weight."""
+        literals, conflict_pairs, states = terms
+        return CostBreakdown(
             logic_literals=literals,
             csc_conflict_pairs=conflict_pairs,
             weight=self.weight,
             csc_scale=self.csc_scale,
             state_count=states,
         )
-        self._cache[signature] = result
-        return result
+
+    def breakdown(self, sg: StateGraph) -> CostBreakdown:
+        signature = sg.signature()
+        cached = self._cache.get(signature)
+        if cached is None:
+            cached = self.from_terms(measure_terms(sg, self.exact_covers))
+            self._cache[signature] = cached
+        return cached
 
     def __call__(self, sg: StateGraph) -> float:
         return self.breakdown(sg).value

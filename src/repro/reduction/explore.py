@@ -16,35 +16,27 @@ state cap shared with the other frontier engines; it caps ``explored``
 via the meter's non-raising pre-check (the search must flip ``capped``
 *before* generating a candidate past the budget, never drop one
 silently), so a single wide level cannot blow past it.
+
+All three strategies run on one :class:`~repro.reduction.fwdred.ReductionSpace`
+over the input SG and share one children generator (sorted reducible
+pairs, the FwdRed step, the Keep_Conc diamond check).  ``seen``,
+``expanded``, the beam's candidates and the heap hold configurations
+keyed by their arc masks, so duplicates are recognised before any graph
+is built.  Each search folds its step outcomes and the graphs it built
+into the ``repro_reduction_*`` counters.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..explore import BudgetMeter, ExplorationBudget
+from ..explore import ExplorationBudget
 from ..hse.constraints import normalise_keep_conc
 from ..sg.graph import StateGraph
-from ..sg.regions import are_concurrent
-from .cost import CostFunction
-from .fwdred import forward_reduction, reducible_pairs
-
-
-def _keeps_concurrency(sg: StateGraph,
-                       preserved: FrozenSet[FrozenSet[str]]) -> bool:
-    """True when every Keep_Conc pair is still concurrent in ``sg``.
-
-    The paper's Fig. 9 only avoids reducing the pairs directly, but a
-    reduction of *another* pair can serialize a protected one as a side
-    effect; checking after the fact keeps the guarantee the designer asked
-    for ("crucial for overall system performance").
-    """
-    for pair in preserved:
-        label_a, label_b = sorted(pair)
-        if not are_concurrent(sg, label_a, label_b):
-            return False
-    return True
+from .cost import CostFunction, measure_terms
+from .fwdred import Config, record_work, reduction_space
 
 
 @dataclass
@@ -96,13 +88,90 @@ class ExplorationResult:
         return self.best_cost < self.initial_cost
 
 
-def _signature(sg: StateGraph) -> tuple:
-    return sg.signature()
+class _Search:
+    """State shared by the strategies: one root space, masks, the budget.
 
+    ``seen`` holds the arc masks of every configuration generated so far
+    (the input included) and ``expanded`` those whose children were
+    generated; a mask identifies a configuration exactly (see
+    :mod:`repro.reduction.fwdred`).  A :class:`StateGraph` is built only
+    for a configuration's first cost measurement and for the returned one.
+    """
 
-def _explored_meter(max_explored: Optional[int]) -> BudgetMeter:
-    """The shared budget meter capping distinct cost evaluations."""
-    return ExplorationBudget(max_states=max_explored).meter()
+    def __init__(self, sg: StateGraph, keep_conc: Iterable[Tuple[str, str]],
+                 cost: CostFunction, max_explored: Optional[int]) -> None:
+        self.sg = sg
+        self.space = reduction_space(sg)
+        self.preserved: FrozenSet[FrozenSet[str]] = frozenset(
+            normalise_keep_conc(sg, keep_conc))
+        self.cost = cost
+        self.meter = ExplorationBudget(max_states=max_explored).meter()
+        self.root = self.space.root
+        self.seen: Set[int] = {self.root.mask}
+        self.expanded: Set[int] = set()
+        self.capped = False
+        self._values: Dict[int, float] = {}
+        self._work = {"valid": 0, "invalid": 0, "duplicate": 0,
+                      "materialized": 0}
+
+    def expand(self, config: Config) -> bool:
+        """Mark ``config`` expanded; False when it already was."""
+        if config.mask in self.expanded:
+            return False
+        self.expanded.add(config.mask)
+        return True
+
+    def children(self, config: Config) -> Iterator[Tuple[str, str, Config]]:
+        """``(before, delayed, child)`` for every valid FwdRed of ``config``.
+
+        Pairs come in sorted order; the budget is checked before each
+        step, and a child that serializes a Keep_Conc pair as a side
+        effect is dropped (the paper's Fig. 9 only avoids reducing the
+        pairs directly, but the designer asked for them to stay
+        concurrent).  Every yielded child is in ``seen``.
+        """
+        space, work = self.space, self._work
+        view = space.view(config)
+        for before, delayed in sorted(space.reducible(view, self.preserved)):
+            if self.meter.states_exhausted(len(self.seen)):
+                self.capped = True
+                return
+            child = space.child(view, delayed, before)
+            if child is None or not all(space.concurrent(child.mask, *pair)
+                                        for pair in self.preserved):
+                work["invalid"] += 1
+                continue
+            if child.mask in self.seen:
+                work["duplicate"] += 1
+            else:
+                work["valid"] += 1
+                self.seen.add(child.mask)
+            yield before, delayed, child
+
+    def value(self, config: Config) -> float:
+        """The heuristic cost of ``config``, measured once per space."""
+        value = self._values.get(config.mask)
+        if value is None:
+            key = (config.mask, self.cost.exact_covers)
+            terms = self.space.terms.get(key)
+            if terms is None:
+                terms = self.space.terms[key] = measure_terms(
+                    self.graph(config), self.cost.exact_covers)
+            value = self._values[config.mask] = self.cost.from_terms(terms).value
+        return value
+
+    def graph(self, config: Config) -> StateGraph:
+        if config.mask == self.root.mask:
+            return self.sg
+        self._work["materialized"] += 1
+        return self.space.materialize(self.sg, config)
+
+    def stats(self, strategy: str, levels: int) -> ExplorationStats:
+        """The run's accounting; also folds its work into the metrics."""
+        record_work(**self._work)
+        return ExplorationStats(strategy=strategy, explored=len(self.seen),
+                                expanded=len(self.expanded), levels=levels,
+                                capped=self.capped)
 
 
 def reduce_concurrency(sg: StateGraph,
@@ -130,54 +199,51 @@ def reduce_concurrency(sg: StateGraph,
     cannot.  ``patience`` bounds the number of consecutive non-improving
     expansions in best-first mode.
     """
-    if strategy == "best-first":
-        return _best_first(sg, keep_conc, weight, cost_function,
-                           max_explored, patience)
-    if strategy != "beam":
+    if strategy not in ("best-first", "beam"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if size_frontier < 1:
+    if strategy == "beam" and size_frontier < 1:
         raise ValueError("size_frontier must be at least 1")
-    cost = cost_function or CostFunction(weight=weight)
-    preserved: FrozenSet[FrozenSet[str]] = frozenset(normalise_keep_conc(sg, keep_conc))
+    search = _Search(sg, keep_conc, cost_function or CostFunction(weight=weight),
+                     max_explored)
+    if strategy == "best-first":
+        best, best_cost, history, levels = _best_first(search, patience)
+    else:
+        best, best_cost, history, levels = _beam(search, size_frontier,
+                                                 max_levels)
+    best_sg = search.graph(best)
+    stats = search.stats(strategy, levels)
+    return ExplorationResult(best=best_sg, best_cost=best_cost,
+                             initial_cost=search.value(search.root),
+                             explored_count=stats.explored, levels=levels,
+                             history=history, stats=stats)
 
-    initial_cost = cost(sg)
-    # Only *expanded* configurations are closed; a candidate pruned from one
-    # level's frontier may be regenerated along a better path later.  The
-    # ``seen`` set exists purely for accounting: ``max_explored`` budgets
-    # distinct cost evaluations, not generation events.
-    seen: Set[tuple] = {_signature(sg)}
-    meter = _explored_meter(max_explored)
-    expanded: Set[tuple] = set()
-    capped = False
-    best, best_cost = sg, initial_cost
-    frontier: List[StateGraph] = [sg]
+
+def _beam(search: _Search, size_frontier: int, max_levels: Optional[int]
+          ) -> Tuple[Config, float, List[ExplorationStep], int]:
+    """The paper's level-by-level loop: the best ``size_frontier`` survive.
+
+    Only *expanded* configurations are closed; a candidate pruned from one
+    level's frontier may be regenerated along a better path later.
+    """
+    best = search.root
+    best_cost = search.value(best)
+    frontier: List[Config] = [best]
     history: List[ExplorationStep] = []
     level = 0
 
-    while frontier and not capped and (max_levels is None or level < max_levels):
+    while frontier and not search.capped and (max_levels is None
+                                              or level < max_levels):
         level += 1
-        candidates: Dict[tuple, Tuple[float, StateGraph, str, str]] = {}
+        candidates: Dict[int, Tuple[float, Config, str, str]] = {}
         for current in frontier:
-            signature = _signature(current)
-            if signature in expanded:
+            if not search.expand(current):
                 continue
-            expanded.add(signature)
-            for before, delayed in sorted(reducible_pairs(current, preserved)):
-                if meter.states_exhausted(len(seen)):
-                    capped = True
-                    break
-                result = forward_reduction(current, delayed, before)
-                if not result.valid:
+            for before, delayed, child in search.children(current):
+                if child.mask in search.expanded or child.mask in candidates:
                     continue
-                if preserved and not _keeps_concurrency(result.sg, preserved):
-                    continue
-                child_signature = _signature(result.sg)
-                seen.add(child_signature)
-                if child_signature in expanded or child_signature in candidates:
-                    continue
-                candidates[child_signature] = (cost(result.sg), result.sg,
-                                               before, delayed)
-            if capped:
+                candidates[child.mask] = (search.value(child), child,
+                                          before, delayed)
+            if search.capped:
                 break
         if not candidates:
             break
@@ -187,78 +253,40 @@ def reduce_concurrency(sg: StateGraph,
             if value < best_cost:
                 best, best_cost = candidate, value
                 history.append(ExplorationStep(level, before, delayed, value,
-                                               len(candidate)))
+                                               candidate.states))
         frontier = [candidate for _, candidate, _, _ in survivors]
-
-    stats = ExplorationStats(strategy="beam", explored=len(seen),
-                             expanded=len(expanded), levels=level,
-                             capped=capped)
-    return ExplorationResult(best=best, best_cost=best_cost,
-                             initial_cost=initial_cost,
-                             explored_count=stats.explored,
-                             levels=level, history=history, stats=stats)
+    return best, best_cost, history, level
 
 
-def _best_first(sg: StateGraph,
-                keep_conc: Iterable[Tuple[str, str]],
-                weight: float,
-                cost_function: Optional[CostFunction],
-                max_explored: int,
-                patience: int) -> ExplorationResult:
+def _best_first(search: _Search, patience: int
+                ) -> Tuple[Config, float, List[ExplorationStep], int]:
     """Priority-queue exploration: always expand the cheapest known SG."""
-    import heapq
-
-    cost = cost_function or CostFunction(weight=weight)
-    preserved: FrozenSet[FrozenSet[str]] = frozenset(normalise_keep_conc(sg, keep_conc))
-    initial_cost = cost(sg)
-    best, best_cost = sg, initial_cost
+    best = search.root
+    best_cost = search.value(best)
     counter = 0
-    heap: List[Tuple[float, int, StateGraph]] = [(initial_cost, counter, sg)]
-    seen: Set[tuple] = {_signature(sg)}
-    meter = _explored_meter(max_explored)
-    expanded: Set[tuple] = set()
-    capped = False
+    heap: List[Tuple[float, int, Config]] = [(best_cost, counter, best)]
     history: List[ExplorationStep] = []
     stale = 0
 
-    while heap and not capped and stale < patience:
-        value, _, current = heapq.heappop(heap)
-        signature = _signature(current)
-        if signature in expanded:
+    while heap and not search.capped and stale < patience:
+        _, _, current = heapq.heappop(heap)
+        if not search.expand(current):
             continue
-        expanded.add(signature)
         improved = False
-        for before, delayed in sorted(reducible_pairs(current, preserved)):
-            if meter.states_exhausted(len(seen)):
-                capped = True
-                break
-            result = forward_reduction(current, delayed, before)
-            if not result.valid:
+        for before, delayed, child in search.children(current):
+            if child.mask in search.expanded:
                 continue
-            if preserved and not _keeps_concurrency(result.sg, preserved):
-                continue
-            child_signature = _signature(result.sg)
-            if child_signature in expanded:
-                continue
-            seen.add(child_signature)
-            child_cost = cost(result.sg)
+            child_cost = search.value(child)
             counter += 1
-            heapq.heappush(heap, (child_cost, counter, result.sg))
+            heapq.heappush(heap, (child_cost, counter, child))
             if child_cost < best_cost:
-                best, best_cost = result.sg, child_cost
+                best, best_cost = child, child_cost
                 improved = True
-                history.append(ExplorationStep(len(expanded), before, delayed,
-                                               child_cost, len(result.sg)))
+                history.append(ExplorationStep(len(search.expanded), before,
+                                               delayed, child_cost,
+                                               child.states))
         stale = 0 if improved else stale + 1
-
-    stats = ExplorationStats(strategy="best-first", explored=len(seen),
-                             expanded=len(expanded), levels=len(expanded),
-                             capped=capped)
-    return ExplorationResult(best=best, best_cost=best_cost,
-                             initial_cost=initial_cost,
-                             explored_count=stats.explored,
-                             levels=len(expanded), history=history,
-                             stats=stats)
+    return best, best_cost, history, len(search.expanded)
 
 
 def full_reduction_with_stats(sg: StateGraph,
@@ -269,54 +297,36 @@ def full_reduction_with_stats(sg: StateGraph,
                               max_explored: int = 20_000,
                               ) -> Tuple[StateGraph, ExplorationStats]:
     """:func:`full_reduction` plus the unified exploration accounting."""
-    cost = cost_function or CostFunction(weight=weight)
-    preserved = frozenset(normalise_keep_conc(sg, keep_conc))
-    seen: Set[tuple] = {_signature(sg)}
-    meter = _explored_meter(max_explored)
-    expanded: Set[tuple] = set()
-    capped = False
-    frontier: List[StateGraph] = [sg]
-    best_terminal: Optional[StateGraph] = None
+    search = _Search(sg, keep_conc, cost_function or CostFunction(weight=weight),
+                     max_explored)
+    frontier: List[Config] = [search.root]
+    best_terminal: Optional[Config] = None
     best_terminal_cost = float("inf")
     levels = 0
 
-    while frontier and not capped:
+    while frontier and not search.capped:
         levels += 1
-        candidates: Dict[tuple, Tuple[float, StateGraph]] = {}
+        candidates: Dict[int, Tuple[float, Config]] = {}
         for current in frontier:
-            signature = _signature(current)
-            if signature in expanded:
+            if not search.expand(current):
                 continue
-            expanded.add(signature)
             children = 0
-            for before, delayed in sorted(reducible_pairs(current, preserved)):
-                if meter.states_exhausted(len(seen)):
-                    capped = True
-                    break
-                result = forward_reduction(current, delayed, before)
-                if not result.valid:
-                    continue
-                if preserved and not _keeps_concurrency(result.sg, preserved):
-                    continue
+            for _, _, child in search.children(current):
                 children += 1
-                child_signature = _signature(result.sg)
-                seen.add(child_signature)
-                if child_signature in expanded or child_signature in candidates:
+                if child.mask in search.expanded or child.mask in candidates:
                     continue
-                candidates[child_signature] = (cost(result.sg), result.sg)
-            if capped:
+                candidates[child.mask] = (search.value(child), child)
+            if search.capped:
                 break
             if children == 0:
-                value = cost(current)
+                value = search.value(current)
                 if value < best_terminal_cost:
                     best_terminal, best_terminal_cost = current, value
         survivors = sorted(candidates.values(), key=lambda item: item[0])
         frontier = [candidate for _, candidate in survivors[:size_frontier]]
 
-    stats = ExplorationStats(strategy="full", explored=len(seen),
-                             expanded=len(expanded), levels=levels,
-                             capped=capped)
-    return (best_terminal if best_terminal is not None else sg), stats
+    best = search.graph(best_terminal or search.root)
+    return best, search.stats("full", levels)
 
 
 def full_reduction(sg: StateGraph,

@@ -11,17 +11,39 @@ mean ``a`` has fired).  Arcs labelled ``a`` leaving the truncated states are
 removed, unreachable states are pruned, and the result is validated per
 Definition 5.1.  At the STG level this corresponds to adding a causal place
 from ``b`` to ``a``.
+
+FwdRed only ever removes arcs, so every configuration a reduction search
+reaches is a subgraph of the root SG.  A :class:`ReductionSpace` indexes
+the root once (dense state and arc ids in root order, per-state out- and
+in-arcs, one arc mask per label), and a configuration is a
+:class:`Config`: the int mask of its arcs plus the int mask of its
+reachable states.  For one root, equal arc masks mean equal
+:meth:`~repro.sg.graph.StateGraph.signature`\\ s, so searches deduplicate
+on the mask and a :class:`~repro.sg.graph.StateGraph` is built only where
+a caller needs one (:meth:`ReductionSpace.materialize`).
+
+Definition 5.1 is checked on the masks.  Surviving states keep every arc
+except the removed ones, so no input event can be delayed (``delayed`` is
+non-input) and new deadlocks can only appear at truncated survivors; what
+remains is lost events, those deadlocks and the initial state.  Output
+persistency needs no check: a witness ``s --b--> t`` with ``t`` truncated
+and ``delayed`` enabled at ``s`` puts ``s`` in ER(delayed), and ``s``
+reaches ``t`` inside it, so ``s`` is truncated too and loses ``delayed``.
+
+The process-global ``reduction-space`` cache keeps one space per root
+signature together with its transition table ``(mask, delayed, before)
+-> child | None`` and the weight-independent cost terms per mask, so a
+sweep re-running the search on the same root re-measures nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import engine
+from ..obs.metrics import registry as obs_registry
 from ..sg.graph import StateGraph
-from ..sg.regions import excitation_region
-from .validity import validate_removal
 
 
 class ReductionError(Exception):
@@ -42,17 +64,315 @@ class ReductionResult:
         return self.valid
 
 
-#: Results keyed by (parent signature, delayed, before).  The sweep
-#: re-explores the same configurations under different knobs, and the
-#: result of a reduction is a pure function of the parent graph.  Sharing a
-#: candidate graph between callers is safe because it is frozen from the
-#: start (:meth:`~repro.sg.graph.StateGraph.copy_without_arcs`).
-_REDUCTION_MEMO: Dict[tuple, "ReductionResult"] = (
-    engine.register_cache({}, name="reduction-results"))
+class Config:
+    """One configuration of a reduction search: arc and state masks.
+
+    Bit ``i`` of ``mask`` is arc ``i`` of the root (arcs whose source is
+    reachable, minus the removed ones); bit ``i`` of ``reach`` is root
+    state ``i``.  The arc mask alone identifies the configuration.
+    """
+
+    __slots__ = ("mask", "reach")
+
+    def __init__(self, mask: int, reach: int) -> None:
+        self.mask = mask
+        self.reach = reach
+
+    @property
+    def states(self) -> int:
+        """The number of reachable states."""
+        return self.reach.bit_count()
 
 
-def forward_reduction(sg: StateGraph, delayed: str, before: str,
-                      validate: bool = True) -> ReductionResult:
+def _ids(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first."""
+    return [i for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"]
+
+
+class _View:
+    """A configuration decoded for expansion: adjacency and ERs by label."""
+
+    __slots__ = ("config", "reachable", "adj", "er")
+
+    def __init__(self, space: "ReductionSpace", config: Config) -> None:
+        self.config = config
+        self.reachable = _ids(config.reach)
+        bits = f"{config.mask:b}"[::-1]
+        top = len(bits)
+        adj: List[Optional[Dict[int, int]]] = [None] * len(space.states)
+        er: Dict[int, List[int]] = {}
+        out = space.out
+        for state in self.reachable:
+            row: Dict[int, int] = {}
+            for label, (arc, target) in out[state].items():
+                if arc < top and bits[arc] == "1":
+                    row[label] = target
+                    er.setdefault(label, []).append(state)
+            adj[state] = row
+        #: ``adj[s]`` is ``{label id: target id}`` for reachable ``s``.
+        self.adj = adj
+        #: Excitation regions of the live labels, states in root order.
+        self.er = er
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One FwdRed step on masks; ``child`` is None when it is invalid."""
+
+    child: Optional[Config]
+    reason: str = ""
+    truncated: int = 0
+    lost_states: int = 0
+
+
+class ReductionSpace:
+    """The arc-mask index of one root SG that FwdRed steps work on.
+
+    Masks index the root, so building a space freezes it.
+    """
+
+    #: Transition-table entries kept per space before it starts over.
+    MAX_TRANSITIONS = 200_000
+
+    def __init__(self, root: StateGraph) -> None:
+        succ = root.freeze()._succ
+        self.states = list(succ)
+        index = {state: i for i, state in enumerate(self.states)}
+        self.labels = list(root.events)
+        self.label_index = {label: i for i, label in enumerate(self.labels)}
+        self.is_input = [root.is_input_label(label) for label in self.labels]
+        #: ``out[s]`` is ``{label id: (arc id, target id)}`` in root order.
+        self.out: List[Dict[int, Tuple[int, int]]] = []
+        #: ``inn[t]`` lists the ``(label id, source id)`` arcs entering ``t``.
+        self.inn: List[List[Tuple[int, int]]] = [[] for _ in self.states]
+        self.label_arcs = [0] * len(self.labels)
+        arc = 0
+        for source, state in enumerate(self.states):
+            row: Dict[int, Tuple[int, int]] = {}
+            for label, target in succ[state].items():
+                label_id, target_id = self.label_index[label], index[target]
+                row[label_id] = (arc, target_id)
+                self.inn[target_id].append((label_id, source))
+                self.label_arcs[label_id] |= 1 << arc
+                arc += 1
+            self.out.append(row)
+        self.initial = index.get(root.initial)
+        self.root = Config((1 << arc) - 1, (1 << len(self.states)) - 1)
+        self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
+        #: ``(mask, exact_covers) -> (literals, CSC pairs, states)``.
+        self.terms: Dict[Tuple[int, bool], Tuple[int, int, int]] = {}
+
+    def view(self, config: Config) -> _View:
+        return _View(self, config)
+
+    def reducible(self, view: _View,
+                  keep_conc: FrozenSet[FrozenSet[str]] = frozenset()
+                  ) -> Set[Tuple[str, str]]:
+        """:func:`reducible_pairs` of the configuration ``view`` decodes."""
+        labels, adj = self.labels, view.adj
+        concurrent: Set[Tuple[int, int]] = set()
+        for state in view.reachable:
+            row = adj[state]
+            if len(row) < 2:
+                continue
+            enabled = list(row)
+            for i, label_a in enumerate(enabled):
+                via_a = adj[row[label_a]]
+                for label_b in enabled[i + 1:]:
+                    key = (label_a, label_b) if label_a < label_b else (label_b, label_a)
+                    if key in concurrent:
+                        continue
+                    end = via_a.get(label_b)
+                    if end is not None and adj[row[label_b]].get(label_a) == end:
+                        concurrent.add(key)
+        pairs: Set[Tuple[str, str]] = set()
+        for label_a, label_b in concurrent:
+            names = (labels[label_a], labels[label_b])
+            if frozenset(names) in keep_conc:
+                continue
+            for before, delayed in ((label_a, label_b), (label_b, label_a)):
+                if not self.is_input[delayed]:
+                    pairs.add((labels[before], labels[delayed]))
+        return pairs
+
+    def step(self, view: _View, delayed: int, before: int) -> _Step:
+        """``FwdRed(delayed, before)`` on ``view``'s configuration."""
+        names = self.labels
+        adj = view.adj
+        region = view.er.get(delayed, ())
+        intersection = [state for state in region if before in adj[state]]
+        if not intersection:
+            return _Step(None, f"{names[delayed]} and {names[before]} "
+                               f"are not concurrent")
+
+        members = set(region)
+        truncated = set(intersection)
+        stack = list(intersection)
+        inn = self.inn
+        while stack:
+            state = stack.pop()
+            for label, source in inn[state]:
+                if (source in members and source not in truncated
+                        and adj[source].get(label) == state):
+                    truncated.add(source)
+                    stack.append(source)
+        if len(truncated) == len(members):
+            return _Step(None, f"reduction would remove every occurrence of "
+                               f"{names[delayed]}")
+
+        initial = self.initial
+        reached: Set[int] = set()
+        deadlock: Optional[int] = None
+        if initial is not None:
+            reached.add(initial)
+            stack = [initial]
+            while stack:
+                state = stack.pop()
+                row = adj[state]
+                if state in truncated:
+                    kept = False
+                    for label, target in row.items():
+                        if label == delayed:
+                            continue
+                        kept = True
+                        if target not in reached:
+                            reached.add(target)
+                            stack.append(target)
+                    if not kept:
+                        deadlock = state
+                else:
+                    for target in row.values():
+                        if target not in reached:
+                            reached.add(target)
+                            stack.append(target)
+
+        out = self.out
+        drop = 0
+        for state in truncated:
+            drop |= 1 << out[state][delayed][0]
+        reach = view.config.reach
+        lost_states = 0
+        for state in view.reachable:
+            if state not in reached:
+                lost_states += 1
+                reach ^= 1 << state
+                row = out[state]
+                for label in adj[state]:
+                    drop |= 1 << row[label][0]
+        mask = view.config.mask & ~drop
+
+        reasons = []
+        lost = sorted(names[label] for label in view.er
+                      if not mask & self.label_arcs[label])
+        if lost:
+            reasons.append(f"events disappeared: {lost}")
+        if deadlock is not None:
+            reasons.append(f"new deadlock at state {self.states[deadlock]!r}")
+        if initial is None or initial not in reached:
+            reasons.append("initial state changed")
+        if reasons:
+            return _Step(None, "; ".join(reasons), len(truncated), lost_states)
+        return _Step(Config(mask, reach), "", len(truncated), lost_states)
+
+    def child(self, view: _View, delayed: str, before: str) -> Optional[Config]:
+        """The valid ``FwdRed(delayed, before)`` child of ``view``, memoized."""
+        key = (view.config.mask, delayed, before)
+        transitions = self.transitions
+        if key in transitions:
+            return transitions[key]
+        child = self.step(view, self.label_index[delayed],
+                          self.label_index[before]).child
+        if len(transitions) >= self.MAX_TRANSITIONS:
+            transitions.clear()
+        transitions[key] = child
+        return child
+
+    def concurrent(self, mask: int, label_a: str, label_b: str) -> bool:
+        """:func:`~repro.sg.regions.are_concurrent` on the arc set ``mask``."""
+        a, b = self.label_index[label_a], self.label_index[label_b]
+        out = self.out
+        for row in out:
+            via_a, via_b = row.get(a), row.get(b)
+            if (via_a is None or via_b is None
+                    or not mask >> via_a[0] & 1 or not mask >> via_b[0] & 1):
+                continue
+            end_a, end_b = out[via_a[1]].get(b), out[via_b[1]].get(a)
+            if (end_a is not None and end_b is not None
+                    and end_a[1] == end_b[1]
+                    and mask >> end_a[0] & 1 and mask >> end_b[0] & 1):
+                return True
+        return False
+
+    def materialize(self, root: StateGraph, config: Config) -> StateGraph:
+        """The configuration as a frozen graph derived from ``root``.
+
+        ``root`` is this space's root or a graph with the same signature;
+        states and arcs keep its order, exactly as a chain of FwdRed
+        copies would.
+        """
+        states, labels, out = self.states, self.labels, self.out
+        mask = config.mask
+        removed = []
+        reachable = set()
+        for state in _ids(config.reach):
+            node = states[state]
+            reachable.add(node)
+            for label, (arc, _) in out[state].items():
+                if not mask >> arc & 1:
+                    removed.append((node, labels[label]))
+        return root.copy_without_arcs(removed, reachable=reachable)
+
+
+#: One :class:`ReductionSpace` per root signature; each carries its
+#: transition table and cost terms, which are pure functions of the root.
+_SPACES: Dict[tuple, ReductionSpace] = (
+    engine.register_cache({}, name="reduction-space"))
+
+
+def reduction_space(sg: StateGraph) -> ReductionSpace:
+    """The space rooted at ``sg`` (shared while the engine memo is on)."""
+    if not engine.packed_memo_enabled():
+        return ReductionSpace(sg)
+    key = sg.signature()
+    space = _SPACES.get(key)
+    if space is None:
+        if len(_SPACES) >= 64:
+            _SPACES.clear()
+        space = _SPACES[key] = ReductionSpace(sg)
+    return space
+
+
+_OUTCOMES = ("valid", "invalid", "duplicate")
+
+
+def record_work(valid: int = 0, invalid: int = 0, duplicate: int = 0,
+                materialized: int = 0) -> None:
+    """Fold FwdRed step outcomes and graphs built into the default registry.
+
+    ``valid`` steps reached a new configuration, ``duplicate`` ones a
+    configuration the search had already generated.
+    """
+    reg = obs_registry()
+    for outcome, count in zip(_OUTCOMES, (valid, invalid, duplicate)):
+        reg.counter("repro_reduction_steps_total",
+                    "FwdRed steps taken by reductions, by outcome.",
+                    outcome=outcome).inc(count)
+    reg.counter("repro_reduction_materialized_total",
+                "Reduction configurations built as state graphs.").inc(
+                    materialized)
+
+
+def reduction_work() -> Dict[str, int]:
+    """The reduction counters of the default registry: steps, graphs built."""
+    reg = obs_registry()
+    steps = sum(reg.value("repro_reduction_steps_total", outcome=outcome) or 0
+                for outcome in _OUTCOMES)
+    built = reg.value("repro_reduction_materialized_total") or 0
+    return {"steps": int(steps), "materialized": int(built)}
+
+
+def forward_reduction(sg: StateGraph, delayed: str,
+                      before: str) -> ReductionResult:
     """Apply ``FwdRed(delayed, before)``: make ``delayed`` wait for ``before``.
 
     ``delayed`` must be a non-input event (inputs cannot be delayed by the
@@ -60,22 +380,6 @@ def forward_reduction(sg: StateGraph, delayed: str, before: str,
     never raises -- when the events are not concurrent or the reduction
     violates validity, so the exploration loop can just skip it.
     """
-    if validate and engine.packed_memo_enabled():
-        key = (sg.signature(), delayed, before)
-        result = _REDUCTION_MEMO.get(key)
-        if result is None:
-            result = _forward_reduction_uncached(sg, delayed, before, True)
-            # Valid entries keep their candidate SG alive, so the cap is
-            # much tighter than the pure-integer memos.
-            if len(_REDUCTION_MEMO) > 20_000:
-                _REDUCTION_MEMO.clear()
-            _REDUCTION_MEMO[key] = result
-        return result
-    return _forward_reduction_uncached(sg, delayed, before, validate)
-
-
-def _forward_reduction_uncached(sg: StateGraph, delayed: str, before: str,
-                                validate: bool) -> ReductionResult:
     if delayed not in sg.events or before not in sg.events:
         raise ReductionError(f"unknown event: {delayed!r} or {before!r}")
     if delayed == before:
@@ -83,34 +387,18 @@ def _forward_reduction_uncached(sg: StateGraph, delayed: str, before: str,
     if sg.is_input_label(delayed):
         return ReductionResult(None, False,
                                f"{delayed} is an input event and cannot be delayed")
-
-    er_delayed = excitation_region(sg, delayed)
-    er_before = excitation_region(sg, before)
-    intersection = er_delayed & er_before
-    if not intersection:
-        return ReductionResult(None, False,
-                               f"{delayed} and {before} are not concurrent")
-
-    truncated = sg.backward_reachable(intersection, within=er_delayed)
-    truncated |= intersection
-    if truncated >= er_delayed:
-        return ReductionResult(None, False,
-                               f"reduction would remove every occurrence of {delayed}")
-
-    if validate:
-        report, reachable = validate_removal(sg, delayed, truncated)
-        if not report.valid:
-            return ReductionResult(None, False, "; ".join(report.reasons),
-                                   removed_arcs=len(truncated),
-                                   removed_states=len(sg) - len(reachable))
-    else:
-        reachable = None
-
-    reduced = sg.copy_without_arcs(((state, delayed) for state in truncated),
-                                   name=sg.name, reachable=reachable)
-    return ReductionResult(reduced, True, "",
-                           removed_arcs=len(truncated),
-                           removed_states=len(sg) - len(reduced))
+    space = reduction_space(sg)
+    step = space.step(space.view(space.root), space.label_index[delayed],
+                      space.label_index[before])
+    if step.child is None:
+        record_work(invalid=1)
+        return ReductionResult(None, False, step.reason,
+                               removed_arcs=step.truncated,
+                               removed_states=step.lost_states)
+    record_work(valid=1, materialized=1)
+    return ReductionResult(space.materialize(sg, step.child), True, "",
+                           removed_arcs=step.truncated,
+                           removed_states=step.lost_states)
 
 
 def reducible_pairs(sg: StateGraph,
@@ -121,13 +409,5 @@ def reducible_pairs(sg: StateGraph,
     pairs whose unordered form appears in ``keep_conc`` are excluded (they
     are the designer's performance-critical concurrency, Fig. 9).
     """
-    from ..sg.regions import concurrent_pairs
-
-    pairs: Set[Tuple[str, str]] = set()
-    for label_a, label_b in concurrent_pairs(sg):
-        if frozenset((label_a, label_b)) in keep_conc:
-            continue
-        for before, delayed in ((label_a, label_b), (label_b, label_a)):
-            if not sg.is_input_label(delayed):
-                pairs.add((before, delayed))
-    return pairs
+    space = ReductionSpace(sg)
+    return space.reducible(space.view(space.root), keep_conc)

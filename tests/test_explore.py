@@ -167,3 +167,69 @@ class TestFullReduction:
         sg = generate_sg(q_module_stg())
         reduced = full_reduction(sg)
         assert set(reduced.arcs()) == set(sg.arcs())
+
+
+def _projection(result):
+    """Everything an ExplorationResult says, with the best graph's layout."""
+    best = result.best
+    return (best.name, best.states, list(best.arcs()), best.signature(),
+            result.best_cost, result.initial_cost, result.explored_count,
+            result.levels, result.history, result.stats)
+
+
+def _steps():
+    from repro.obs.metrics import registry
+    return {outcome: registry().value("repro_reduction_steps_total",
+                                      outcome=outcome) or 0
+            for outcome in ("valid", "invalid", "duplicate")}
+
+
+class TestWorkCounters:
+    """The search's work counters are exact and never change an output."""
+
+    @pytest.mark.parametrize("strategy", ["best-first", "beam"])
+    def test_counts_match_stats(self, lr_max, strategy):
+        from repro import engine
+        from repro.reduction.fwdred import reduction_work
+        engine.clear_caches()
+        before, built = _steps(), reduction_work()["materialized"]
+        cold = reduce_concurrency(lr_max, strategy=strategy)
+        after = _steps()
+        # Every new configuration is costed once, from a graph built for
+        # it, and the best one is built once more to be returned.
+        assert after["valid"] - before["valid"] == cold.explored_count - 1
+        assert after["duplicate"] > before["duplicate"]
+        assert (reduction_work()["materialized"] - built
+                == cold.explored_count)
+
+        built = reduction_work()["materialized"]
+        warm = reduce_concurrency(lr_max, strategy=strategy)
+        assert _projection(warm) == _projection(cold)
+        assert reduction_work()["materialized"] - built == 1
+
+    def test_full_reduction_counts(self, lr_max):
+        before = _steps()
+        _, stats = full_reduction_with_stats(lr_max)
+        assert _steps()["valid"] - before["valid"] == stats.explored - 1
+
+    def test_tracing_changes_nothing(self, lr_max):
+        from repro import engine
+        from repro.obs.trace import TraceRecorder, recording
+        for strategy in ("best-first", "beam"):
+            engine.clear_caches()
+            plain = reduce_concurrency(lr_max, strategy=strategy)
+            engine.clear_caches()
+            with recording(TraceRecorder()):
+                traced = reduce_concurrency(lr_max, strategy=strategy)
+            assert _projection(traced) == _projection(plain)
+
+    def test_memo_off_changes_nothing(self, lr_max):
+        from repro import engine
+        engine.clear_caches()
+        cached = reduce_concurrency(lr_max, keep_conc=[("li-", "ri-")])
+        engine.set_packed_memo(False)
+        try:
+            plain = reduce_concurrency(lr_max, keep_conc=[("li-", "ri-")])
+        finally:
+            engine.set_packed_memo(True)
+        assert _projection(plain) == _projection(cached)

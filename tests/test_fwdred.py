@@ -1,17 +1,27 @@
 """Unit tests for forward reduction and validity (repro.reduction)."""
 
+import collections
+import heapq
+import itertools
+import random
+
 import pytest
 
+from repro.reduction.cost import CostFunction
 from repro.reduction.fwdred import (ReductionError, ReductionResult,
-                                    forward_reduction, reducible_pairs)
+                                    ReductionSpace, forward_reduction,
+                                    reducible_pairs)
 from repro.reduction.validity import check_validity
 from repro.sg.generator import generate_sg
+from repro.petri.stg import SignalKind
 from repro.sg.graph import StateGraph
 from repro.sg.properties import (is_commutative, is_consistent,
                                  is_output_persistent)
 from repro.sg.regions import are_concurrent, concurrent_pairs, excitation_region
+from repro.specs import mmu, par, suite
 from repro.specs.fig1 import fig1_stg
 from repro.specs.fragments import fig8_sg
+from repro.specs.generate import generate_spec, spec_seed
 from repro.specs.lr import lr_expanded
 
 
@@ -198,3 +208,167 @@ class TestCheckValidity:
         report = check_validity(sg, _rebuild(sg, [(state, "Req+")]))
         assert not report.valid
         assert any("delayed" in reason for reason in report.reasons)
+
+
+def _oracle_walk(root, expansions, cost=None):
+    """Best-first over FwdRed children, checking every step on the way.
+
+    For each expanded configuration and each reducible pair, the mask
+    step is compared against the graph-level definitions: the truncated
+    set from :func:`excitation_region` and
+    :meth:`StateGraph.backward_reachable`, the unvalidated child from
+    ``copy_without_arcs``, and its verdict from :func:`check_validity`.
+    ``cost`` orders the search (default: the heuristic
+    :class:`CostFunction`).  Returns the verdicts seen: ``valid`` or the
+    first word of each reason.
+    """
+    cost = cost or CostFunction()
+    space = ReductionSpace(root)
+    heap = [(cost(root), 0, space.root)]
+    expanded = set()
+    verdicts = collections.Counter()
+    counter = 0
+    while heap and len(expanded) < expansions:
+        _, _, config = heapq.heappop(heap)
+        if config.mask in expanded:
+            continue
+        expanded.add(config.mask)
+        parent = (root if config.mask == space.root.mask
+                  else space.materialize(root, config))
+        view = space.view(config)
+        pairs = space.reducible(view)
+        assert pairs == reducible_pairs(parent)
+        for before, delayed in sorted(pairs):
+            region = excitation_region(parent, delayed)
+            both = region & excitation_region(parent, before)
+            truncated = parent.backward_reachable(both, within=region) | both
+            removed = [(state, delayed) for state in truncated]
+            unvalidated = parent.copy_without_arcs(removed)
+            report = check_validity(parent, unvalidated)
+            assert not any("persistency" in reason
+                           for reason in report.reasons), report
+            step = space.step(view, space.label_index[delayed],
+                              space.label_index[before])
+            assert (step.child is not None) == report.valid, (
+                root.name, before, delayed, report, step.reason)
+            if step.child is None:
+                verdicts.update(reason.split()[0] for reason in report.reasons)
+                continue
+            verdicts["valid"] += 1
+            expected = parent.copy_without_arcs(
+                removed, reachable=set(unvalidated.states))
+            child = space.materialize(root, step.child)
+            assert child.signature() == expected.signature()
+            assert child.states == expected.states
+            assert list(child.arcs()) == list(expected.arcs())
+            if step.child.mask not in expanded:
+                counter += 1
+                heapq.heappush(heap, (cost(child), counter, step.child))
+    return verdicts
+
+
+def _random_graph(seed, states=10):
+    """A seeded deterministic LTS over signal events, rich in diamonds.
+
+    Real specs almost never offer an invalid FwdRed, so these graphs are
+    what exercise the lost-event and new-deadlock verdicts.
+    """
+    rng = random.Random(seed)
+    sg = StateGraph(f"random{seed}")
+    for signal in "abcd":
+        sg.declare_signal(signal, SignalKind.OUTPUT)
+    sg.declare_signal("x", SignalKind.INPUT)
+    labels = [f"{signal}{sign}" for signal in "abcdx" for sign in "+-"]
+    for label in labels:
+        sg.declare_event(label)
+    arcs = {}
+    for _ in range(3):  # diamonds, the shape FwdRed needs
+        first, second = rng.sample(labels, 2)
+        s, u, v, w = (rng.randrange(states) for _ in range(4))
+        for source, label, target in ((s, first, u), (s, second, v),
+                                      (u, second, w), (v, first, w)):
+            arcs.setdefault((source, label), target)
+    for _ in range(2 * states):
+        arcs.setdefault((rng.randrange(states), rng.choice(labels)),
+                        rng.randrange(states))
+    for state in range(states):
+        sg.add_state(state)
+    for (source, label), target in sorted(arcs.items()):
+        sg.add_arc(source, label, target)
+    return sg
+
+
+def _deadlock_sg():
+    """FwdRed(a+, b+) leaves ``p`` with no arc and loses no event.
+
+    ``p --a+--> s0`` puts ``p`` in the backward sweep from ER(a+) /\
+    ER(b+) = {s0}, and ``a+`` is all ``p`` enables.
+    """
+    sg = StateGraph("deadlock")
+    for signal in "abc":
+        sg.declare_signal(signal, SignalKind.OUTPUT)
+    for label in ("a+", "b+", "c+"):
+        sg.declare_event(label)
+    for source, label, target in (("s0", "a+", "s1"), ("s0", "b+", "s2"),
+                                  ("s1", "b+", "s3"), ("s2", "a+", "s3"),
+                                  ("s3", "c+", "p"), ("p", "a+", "s0")):
+        sg.add_arc(source, label, target)
+    return sg
+
+
+_ORACLE_ROOTS = {
+    "lr": lambda: generate_sg(lr_expanded()),
+    "fig1": lambda: generate_sg(fig1_stg()),
+    **{name: (lambda name=name: generate_sg(suite.load(name)))
+       for name in suite.suite_names()},
+}
+
+
+class TestMaskOracle:
+    """The mask-based FwdRed step against the paper's definitions."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_ROOTS))
+    def test_small_specs(self, name):
+        _oracle_walk(_ORACLE_ROOTS[name](), expansions=50)
+
+    def test_par(self):
+        assert _oracle_walk(generate_sg(par.par_expanded()), expansions=50)
+
+    def test_mmu(self):
+        assert _oracle_walk(generate_sg(mmu.mmu_expanded()), expansions=50)
+
+    def test_generated_specs(self):
+        # The walk costs a check_validity per step, so it keeps to the
+        # first 20 seeded specs under 200 states and 20 expansions each.
+        roots = (generate_sg(generate_spec(spec_seed(7, index)).build())
+                 for index in range(100))
+        small = list(itertools.islice(
+            (root for root in roots if len(root) < 200), 20))
+        assert len(small) == 20
+        assert sum(sum(_oracle_walk(root, expansions=20).values())
+                   for root in small)
+
+    def test_random_graphs(self):
+        verdicts = collections.Counter()
+        for seed in range(60):
+            verdicts += _oracle_walk(_random_graph(seed), expansions=10,
+                                     cost=len)
+        for verdict in ("valid", "events", "new"):
+            assert verdicts[verdict] > 0, verdicts
+
+    def test_new_deadlock_alone_rejects(self):
+        sg = _deadlock_sg()
+        result = forward_reduction(sg, "a+", "b+")
+        assert not result.valid
+        assert result.reason == "new deadlock at state 'p'"
+        # FwdRed(b+, a+) is the other pair, and valid.
+        assert _oracle_walk(sg, expansions=1, cost=len) == {"new": 1,
+                                                            "valid": 1}
+
+    def test_fig8_persistency_witness_is_truncated(self):
+        # The dropped persistency scan: a predecessor s --b--> t of a
+        # truncated t that enables ``a`` lies in ER(a) and reaches t
+        # inside it, so it is truncated too.
+        sg = fig8_sg()
+        reduced = forward_reduction(sg, "a", "b").sg
+        assert check_validity(sg, reduced).valid
