@@ -3,70 +3,21 @@
 Complete State Coding is the paper's second implementability condition: two
 states with equal binary codes must enable the same non-input events.
 Beyond the raw conflict list (:func:`repro.sg.properties.csc_conflicts`)
-this module provides the aggregates used by cost functions, reports and the
-insertion search: conflict cores, per-signal attribution, and the partition
-of states an inserted signal must distinguish.
+this module provides the conflict count the insertion search minimises and
+the conflicts no inserted signal can separate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List
 
 from ..sg.graph import State, StateGraph
 from ..sg.properties import CSCConflict, csc_conflicts
 
 
-@dataclass(frozen=True)
-class ConflictCore:
-    """A set of same-code states whose excitations disagree pairwise."""
-
-    code: Tuple[int, ...]
-    states: FrozenSet[State]
-
-
-def conflict_cores(sg: StateGraph) -> List[ConflictCore]:
-    """Group CSC conflicts by shared binary code."""
-    by_code: Dict[Tuple[int, ...], Set[State]] = {}
-    for conflict in csc_conflicts(sg):
-        by_code.setdefault(conflict.code, set()).update(
-            (conflict.state_a, conflict.state_b))
-    return [ConflictCore(code, frozenset(states))
-            for code, states in sorted(by_code.items())]
-
-
 def conflict_count(sg: StateGraph) -> int:
     """Number of CSC conflict pairs (the quantity the cost function tracks)."""
     return len(csc_conflicts(sg))
-
-
-def signals_needing_resolution(sg: StateGraph) -> Set[str]:
-    """Non-input signals whose next-state function is ill-defined."""
-    from ..logic.functions import extract_all_functions
-
-    return {signal for signal, function in extract_all_functions(sg).items()
-            if function.has_csc_conflict}
-
-
-def estimate_csc_signals_needed(sg: StateGraph) -> int:
-    """Lower bound on the number of state signals needed.
-
-    Each inserted signal can binary-partition every conflict core, so a core
-    with ``k`` mutually conflicting states needs at least ``ceil(log2 k)``
-    signals; the bound over all cores is their maximum.
-    """
-    worst = 0
-    for core in conflict_cores(sg):
-        size = len(core.states)
-        bits = (size - 1).bit_length()
-        worst = max(worst, bits)
-    return worst
-
-
-def conflicting_state_pairs(sg: StateGraph) -> List[Tuple[State, State]]:
-    """The raw conflict pairs, ordered deterministically for search code."""
-    pairs = [(c.state_a, c.state_b) for c in csc_conflicts(sg)]
-    return sorted(pairs, key=lambda p: (str(p[0]), str(p[1])))
 
 
 def _input_reachable(sg: StateGraph, source: State, target: State) -> bool:

@@ -1,44 +1,55 @@
 """State-signal insertion for CSC resolution.
 
-When concurrency reduction leaves CSC conflicts, an internal state signal is
-inserted by *threading* it through the behaviour: for a chosen pair of
-non-input trigger events ``x`` and ``y`` the executions are constrained to
-the cyclic order::
+When concurrency reduction leaves CSC conflicts, an internal state signal
+``csc`` is inserted for a chosen pair of trigger events ``x`` and ``y``:
+``csc+`` fires after ``x`` and ``csc-`` after ``y``.  The new SG is one walk
+over the product ``(state, csc value, pending csc transition)``; the
+insertion *style* only decides which events may fire in each of the four
+phases of that product:
 
-    x ; csc+ ; y ; csc- ; x ; ...
+* **threading** constrains executions to the cyclic order
+  ``x ; csc+ ; y ; csc- ; x ; ...``: ``csc+`` fires concurrently with
+  everything else, ``y`` waits for ``csc+`` and the next ``x`` waits for
+  ``csc-``.  Only the two triggers are ever delayed, so they must be
+  non-input events;
+* **sequencing** fires the csc transition right after its trigger and makes
+  every *non-input* event wait for it.  Inputs never wait (they may race
+  ahead of the pending transition), so the triggers may be inputs, but a
+  trigger that fires out of turn makes the signal inconsistent.  This style
+  changes the encoding sharply at the trigger, which resolves conflicts the
+  threading style smears over.
 
-``csc+`` fires after ``x`` (concurrently with everything else), ``y`` waits
-for ``csc+``, and the next ``x`` waits for ``csc-``.  This is the SG-level
-analogue of threading an interface constraint through the STG and has the
-properties Definition 5.1 demands by construction:
-
-* only ``x`` and ``y`` are ever delayed, and both are non-input events, so
-  the I/O interface is untouched;
-* output persistency is preserved: a delayed event is simply not enabled in
-  the new SG until its csc phase is reached -- it is never enabled and then
-  disabled (assuming the input SG is persistent and the triggers alternate);
-* consistency holds by construction (the csc value is part of the state).
-
-Candidates that deadlock (the triggers do not alternate compatibly with the
-rest of the behaviour) or lose events are rejected; among the feasible ones
-the search keeps the candidate with the fewest remaining conflicts, then the
-fewest states.
+Either way the result has the properties Definition 5.1 demands: the I/O
+interface is untouched (inputs are never delayed), output persistency is
+preserved (a delayed event is simply not enabled until its csc phase is
+reached -- it is never enabled and then disabled, assuming the input SG is
+persistent), and consistency holds by construction (the csc value is part
+of the state).  The walk rejects a candidate as soon as it deadlocks a
+state that could move in the original; a finished walk must still fire
+every original event and both csc transitions.  Among the feasible
+candidates the search keeps the one with the fewest remaining conflicts,
+then the fewest states.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from itertools import count, product
+from typing import Dict, List, Optional, Tuple
 
 from ..petri.stg import Direction, SignalEvent, SignalKind
-from ..sg.graph import State, StateGraph
+from ..sg.graph import StateGraph
 from ..sg.properties import persistency_violations
 from .csc import conflict_count
 
+#: The insertion styles, in the order :func:`enumerate_insertions` tries them.
+STYLES = ("threading", "sequencing")
 
-class InsertionError(Exception):
-    """Raised when no insertion candidate resolves the conflicts."""
+#: Gate entries besides a next phase: the event waits for the csc handshake,
+#: or firing it makes the candidate infeasible.
+_WAIT = None
+_CLASH = False
 
 
 @dataclass(frozen=True)
@@ -55,145 +66,112 @@ class InsertionChoice:
 
 
 def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
-                        signal: str, initial_value: int = 0) -> Optional[StateGraph]:
-    """Thread ``signal`` through the cycle ``x ; s+ ; y ; s- ; x``.
+                        signal: str, initial_value: int = 0,
+                        style: str = "threading") -> Optional[StateGraph]:
+    """Insert ``signal`` with ``+`` after ``rise_trigger``, ``-`` after
+    ``fall_trigger``, in the given :data:`STYLES` entry.
 
-    Returns None when the candidate is infeasible: a trigger is an input
-    event, the threading deadlocks, or some event disappears.  The product
-    has at most ``4 * len(sg)`` states: ``(value, pending)`` only ever takes
-    the four combinations ``(0, None)``, ``(1, None)``, ``(0, "+")`` and
-    ``(1, "-")``.
+    Returns None when the candidate is infeasible: the triggers are equal
+    or unknown, a threading trigger is an input event, a sequencing trigger
+    fires out of turn, the walk deadlocks, or some event disappears.  Raises
+    ``ValueError`` for an unknown style, an ``initial_value`` other than 0
+    or 1, or a ``signal`` the graph already declares.  The product has at
+    most ``4 * len(sg)`` states: ``(value, pending)`` only ever takes the
+    four phases ``(0, None)``, ``(1, None)``, ``(0, "+")`` and ``(1, "-")``.
     """
+    if style not in STYLES:
+        raise ValueError(f"unknown insertion style {style!r}")
     if rise_trigger == fall_trigger:
         return None
     if rise_trigger not in sg.events or fall_trigger not in sg.events:
         return None
-    if sg.is_input_label(rise_trigger) or sg.is_input_label(fall_trigger):
+    if style == "threading" and (sg.is_input_label(rise_trigger)
+                                 or sg.is_input_label(fall_trigger)):
         return None
     if initial_value not in (0, 1):
         raise ValueError("initial_value must be 0 or 1")
 
     new = _prepare_extended(sg, signal)
-    rise_label, fall_label = f"{signal}+", f"{signal}-"
+    settle = {"+": f"{signal}+", "-": f"{signal}-"}
+    gates = _gates(sg, rise_trigger, fall_trigger, style, settle)
 
-    # Extended states: (original state, csc value, pending csc transition).
+    # Product states: (original state, csc value, pending csc transition).
     codes = sg._codes
     succ = sg._succ
     initial = (sg.initial, initial_value, None)
     new.add_state(initial, codes[sg.initial] + (initial_value,))
     new.initial = initial
     queue = deque([initial])
-    seen: Set[Tuple] = {initial}
+    seen = {initial}
+    reached = set()
 
     while queue:
-        state = queue.popleft()
-        orig, value, pending = state
-
-        def push(target: Tuple, label: str) -> None:
-            if target not in seen:
-                seen.add(target)
-                new.add_state(target, codes[target[0]] + (target[1],))
-                queue.append(target)
-            new.add_arc(state, label, target)
-
-        if pending == "+":
-            push((orig, 1, None), rise_label)
-        elif pending == "-":
-            push((orig, 0, None), fall_label)
-
-        for label, target in succ[orig].items():
-            if label == rise_trigger:
-                # x waits for the previous csc handshake to complete.
-                if value != 0 or pending is not None:
-                    continue
-                push((target, 0, "+"), label)
-            elif label == fall_trigger:
-                # y waits for csc+.
-                if value != 1 or pending is not None:
-                    continue
-                push((target, 1, "-"), label)
-            else:
-                push((target, value, pending), label)
-
-    if not _feasible(sg, new, rise_label, fall_label):
-        return None
-    return new
-
-
-def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
-                                   fall_after: str, signal: str,
-                                   initial_value: int = 0) -> Optional[StateGraph]:
-    """Serial insertion: the csc transition fires right after its trigger and
-    every *non-input* event waits for it.
-
-    Inputs are never delayed (they may race ahead of the pending csc
-    transition), so the I/O interface is preserved; the candidate is
-    infeasible when a trigger overtakes the pending transition (the signal
-    would turn inconsistent).  This style changes the encoding sharply at
-    the trigger, which resolves conflicts the threading style smears over.
-    The product is bounded by ``4 * len(sg)`` states, as in
-    :func:`insert_state_signal`.
-    """
-    if rise_after == fall_after:
-        return None
-    if rise_after not in sg.events or fall_after not in sg.events:
-        return None
-    if initial_value not in (0, 1):
-        raise ValueError("initial_value must be 0 or 1")
-
-    new = _prepare_extended(sg, signal)
-    rise_label, fall_label = f"{signal}+", f"{signal}-"
-    codes = sg._codes
-    succ = sg._succ
-    is_input = {label: sg.is_input_label(label) for label in sg.events}
-    initial = (sg.initial, initial_value, None)
-    new.add_state(initial, codes[sg.initial] + (initial_value,))
-    new.initial = initial
-    queue = deque([initial])
-    seen: Set[Tuple] = {initial}
-
-    while queue:
-        state = queue.popleft()
-        orig, value, pending = state
-
-        def push(target: Tuple, label: str) -> None:
-            if target not in seen:
-                seen.add(target)
-                new.add_state(target, codes[target[0]] + (target[1],))
-                queue.append(target)
-            new.add_arc(state, label, target)
-
-        if pending == "+":
-            push((orig, 1, None), rise_label)
-        elif pending == "-":
-            push((orig, 0, None), fall_label)
-
-        for label, target in succ[orig].items():
-            if pending is not None:
-                if not is_input[label]:
-                    continue  # non-inputs wait for the csc transition
-                if label in (rise_after, fall_after):
-                    return None  # an input trigger overtook the csc event
-                push((target, value, pending), label)
-                continue
-            if label == rise_after:
-                if value != 0:
-                    return None  # triggers do not alternate: inconsistent
-                push((target, 0, "+"), label)
-            elif label == fall_after:
-                if value != 1:
+        source = queue.popleft()
+        orig, value, pending = source
+        gate = gates[value, pending]
+        arcs = succ[orig]
+        if pending is not None:
+            arcs = {settle[pending]: orig, **arcs}
+        moved = False
+        for label, target in arcs.items():
+            phase = gate[label]
+            if not phase:
+                if phase is _CLASH:
                     return None
-                push((target, 1, "-"), label)
-            else:
-                push((target, value, pending), label)
+                continue
+            state = (target,) + phase
+            if state not in seen:
+                seen.add(state)
+                new.add_state(state, codes[target] + (phase[0],))
+                queue.append(state)
+            new.add_arc(source, label, state)
+            reached.add(label)
+            moved = True
+        if not moved and arcs:
+            return None  # a new deadlock
 
-    if not _feasible(sg, new, rise_label, fall_label):
-        return None
+    if not reached >= sg.live_labels().union(settle.values()):
+        return None  # an event, or a csc transition, never fires
     return new
+
+
+def _gates(sg: StateGraph, rise: str, fall: str, style: str,
+           settle: Dict[str, str]) -> Dict[Tuple, Dict[str, object]]:
+    """Per phase ``(value, pending)``: the phase each event leads to.
+
+    An entry is the next phase, ``_WAIT`` when the event is not enabled in
+    this phase, or ``_CLASH`` when firing it makes the candidate infeasible.
+    ``settle`` names the csc transition that completes each pending phase.
+    """
+    idle0, idle1, rising, falling = (0, None), (1, None), (0, "+"), (1, "-")
+    gates = {phase: dict.fromkeys(sg.events, phase)
+             for phase in (idle0, idle1, rising, falling)}
+    if style == "threading":
+        # x waits for the previous handshake to finish, y waits for csc+.
+        for gate in gates.values():
+            gate[rise] = gate[fall] = _WAIT
+        gates[idle0][rise] = rising
+        gates[idle1][fall] = falling
+    else:
+        gates[idle0].update({rise: rising, fall: _CLASH})
+        gates[idle1].update({rise: _CLASH, fall: falling})
+        waiting = dict.fromkeys((label for label in sg.events
+                                 if not sg.is_input_label(label)), _WAIT)
+        for phase in (rising, falling):
+            gate = gates[phase]
+            gate.update(waiting)  # non-inputs wait for the csc transition
+            for trigger in (rise, fall):
+                if gate[trigger] is not _WAIT:
+                    gate[trigger] = _CLASH  # an input trigger overtook it
+    gates[rising][settle["+"]] = idle1
+    gates[falling][settle["-"]] = idle0
+    return gates
 
 
 def _prepare_extended(sg: StateGraph, signal: str) -> StateGraph:
     """Fresh SG sharing the original's signals plus the new internal one."""
+    if signal in sg.kinds:
+        raise ValueError(f"signal {signal!r} is already declared")
     new = StateGraph(f"{sg.name}+{signal}")
     for name in sg.signals:
         new.declare_signal(name, sg.kinds[name])
@@ -203,20 +181,6 @@ def _prepare_extended(sg: StateGraph, signal: str) -> StateGraph:
     new.declare_event(f"{signal}+", SignalEvent(signal, Direction.RISE))
     new.declare_event(f"{signal}-", SignalEvent(signal, Direction.FALL))
     return new
-
-
-def _feasible(sg: StateGraph, new: StateGraph, rise_label: str,
-              fall_label: str) -> bool:
-    """No new deadlocks, no lost events, both csc transitions fire."""
-    original_succ = sg._succ
-    reached_labels: Set[str] = set()
-    for state, out in new._succ.items():
-        if not out and original_succ[state[0]]:
-            return False
-        reached_labels.update(out)
-    if not sg.live_labels() <= reached_labels:
-        return False
-    return rise_label in reached_labels and fall_label in reached_labels
 
 
 def enumerate_insertions(sg: StateGraph, signal: str,
@@ -233,50 +197,25 @@ def enumerate_insertions(sg: StateGraph, signal: str,
         return []
     live_labels = sg.live_labels()
     live = [label for label in sorted(sg.events) if label in live_labels]
-    non_input = [label for label in live if not sg.is_input_label(label)]
     baseline_violations = {(v.disabled, v.by) for v in persistency_violations(sg)}
     found: List[Tuple[Tuple, InsertionChoice, StateGraph]] = []
-
-    def consider(style: str, rise: str, fall: str, value: int,
-                 candidate: Optional[StateGraph]) -> None:
+    for style, rise, fall, value in product(STYLES, live, live, (0, 1)):
+        candidate = insert_state_signal(sg, rise, fall, signal, value, style)
         if candidate is None:
-            return
+            continue
         new_violations = {(v.disabled, v.by)
                           for v in persistency_violations(candidate)}
         if new_violations - baseline_violations:
-            return
+            continue
         conflicts = conflict_count(candidate)
         if require_improvement and conflicts >= baseline_conflicts:
-            return
+            continue
         key = (conflicts, len(candidate), style, rise, fall, value)
         found.append((key, InsertionChoice(signal, rise, fall, value,
                                            conflicts, len(candidate), style),
                       candidate))
-
-    for rise in non_input:
-        for fall in non_input:
-            if rise == fall:
-                continue
-            for value in (0, 1):
-                consider("threading", rise, fall, value,
-                         insert_state_signal(sg, rise, fall, signal, value))
-    for rise in live:
-        for fall in live:
-            if rise == fall:
-                continue
-            for value in (0, 1):
-                consider("sequencing", rise, fall, value,
-                         insert_state_signal_sequencing(sg, rise, fall,
-                                                        signal, value))
     found.sort(key=lambda item: item[0])
     return [(choice, candidate) for _, choice, candidate in found]
-
-
-def find_insertion(sg: StateGraph, signal: str,
-                   ) -> Optional[Tuple[InsertionChoice, StateGraph]]:
-    """Best single-signal insertion, or None if nothing helps."""
-    candidates = enumerate_insertions(sg, signal)
-    return candidates[0] if candidates else None
 
 
 @dataclass
@@ -301,20 +240,25 @@ def resolve_csc(sg: StateGraph, max_signals: int = 4, prefix: str = "csc",
     beam of the most promising partial solutions is kept per level.  The
     first fully resolved solution with the fewest signals wins; if none
     resolves within ``max_signals``, the best partial result is returned.
+    The new signals are the first ``prefix<n>`` names ``sg`` does not
+    declare yet.
     """
-    if conflict_count(sg) == 0:
+    conflicts = conflict_count(sg)
+    if conflicts == 0:
         return ResolutionResult(sg=sg, insertions=[], resolved=True)
 
+    names = (f"{prefix}{n}" for n in count() if f"{prefix}{n}" not in sg.kinds)
     Partial = Tuple[StateGraph, List[InsertionChoice]]
     frontier: List[Partial] = [(sg, [])]
     best_partial: Tuple[int, int, StateGraph, List[InsertionChoice]] = (
-        conflict_count(sg), 0, sg, [])
+        conflicts, 0, sg, [])
 
-    for index in range(max_signals):
+    for _ in range(max_signals):
+        signal = next(names)
         candidates: List[Tuple[Tuple, StateGraph, List[InsertionChoice]]] = []
         for current, insertions in frontier:
             for choice, candidate in enumerate_insertions(
-                    current, f"{prefix}{index}")[: 2 * beam_width]:
+                    current, signal)[: 2 * beam_width]:
                 trail = insertions + [choice]
                 if choice.conflicts_after == 0:
                     return ResolutionResult(sg=candidate, insertions=trail,
@@ -330,6 +274,8 @@ def resolve_csc(sg: StateGraph, max_signals: int = 4, prefix: str = "csc",
         if (head[0][0], len(head[2])) < (best_partial[0], best_partial[1]):
             best_partial = (head[0][0], len(head[2]), head[1], head[2])
 
+    # A candidate without conflicts returns as soon as it is found, so the
+    # best partial result still has some.
     _, __, partial_sg, partial_trail = best_partial
     return ResolutionResult(sg=partial_sg, insertions=partial_trail,
-                            resolved=conflict_count(partial_sg) == 0)
+                            resolved=False)

@@ -11,7 +11,7 @@ step would dominate the run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..logic.complexity import estimate_logic_complexity
 from ..sg.graph import StateGraph
@@ -50,12 +50,12 @@ def measure_terms(sg: StateGraph, exact_covers: bool) -> Tuple[int, int, int]:
 
 
 class CostFunction:
-    """Callable cost with memoisation keyed by the SG's signature.
+    """The weighted cost of Section 7 for one weight ``W``.
 
     The reduction search never calls it on a graph: it measures each
     configuration once (:func:`measure_terms`) and combines the terms with
-    :meth:`from_terms`.  Calls on graphs are memoised per instance by
-    :meth:`StateGraph.signature`.
+    :meth:`from_terms`.  :meth:`breakdown` and calls on a graph measure it
+    afresh each time.
     """
 
     def __init__(self, weight: float = 0.5, csc_scale: float = 20.0,
@@ -65,7 +65,6 @@ class CostFunction:
         self.weight = weight
         self.csc_scale = csc_scale
         self.exact_covers = exact_covers
-        self._cache: Dict[frozenset, CostBreakdown] = {}
 
     def from_terms(self, terms: Tuple[int, int, int]) -> CostBreakdown:
         """Combine :func:`measure_terms` output under this weight."""
@@ -79,12 +78,7 @@ class CostFunction:
         )
 
     def breakdown(self, sg: StateGraph) -> CostBreakdown:
-        signature = sg.signature()
-        cached = self._cache.get(signature)
-        if cached is None:
-            cached = self.from_terms(measure_terms(sg, self.exact_covers))
-            self._cache[signature] = cached
-        return cached
+        return self.from_terms(measure_terms(sg, self.exact_covers))
 
     def __call__(self, sg: StateGraph) -> float:
         return self.breakdown(sg).value

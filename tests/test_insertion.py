@@ -2,19 +2,13 @@
 
 import pytest
 
-from repro.encoding.csc import (conflict_cores, conflict_count,
-                                conflicting_state_pairs,
-                                estimate_csc_signals_needed,
-                                irresolvable_conflicts,
-                                signals_needing_resolution)
-from repro.encoding.insertion import (enumerate_insertions, find_insertion,
-                                      insert_state_signal,
-                                      insert_state_signal_sequencing,
-                                      resolve_csc)
+from repro.encoding.csc import conflict_count, irresolvable_conflicts
+from repro.encoding.insertion import (STYLES, enumerate_insertions,
+                                      insert_state_signal, resolve_csc)
 from repro.petri.stg import SignalKind
+from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.sg.generator import generate_sg
-from repro.sg.properties import (csc_conflicts, is_consistent,
-                                 is_output_persistent)
+from repro.sg.properties import is_consistent, is_output_persistent
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
 
@@ -30,21 +24,8 @@ def q_module():
 
 
 class TestConflictAnalysis:
-    def test_fig1_core(self, fig1):
-        cores = conflict_cores(fig1)
-        assert len(cores) == 1
-        assert cores[0].code == (1, 1)
-        assert len(cores[0].states) == 2
-
     def test_counts(self, fig1):
         assert conflict_count(fig1) == 1
-        assert len(conflicting_state_pairs(fig1)) == 1
-
-    def test_signals_needing_resolution(self, fig1):
-        assert signals_needing_resolution(fig1) == {"Ack"}
-
-    def test_estimate_signals_needed(self, fig1):
-        assert estimate_csc_signals_needed(fig1) == 1
 
     def test_fig1_conflict_is_irresolvable(self, fig1):
         # Only input events (Req-; Req+) separate the two 11 states: no
@@ -104,6 +85,14 @@ class TestInsertion:
         with pytest.raises(ValueError):
             insert_state_signal(q_module, "lo+", "ro+", "x", initial_value=2)
 
+    def test_unknown_style_rejected(self, q_module):
+        with pytest.raises(ValueError, match="style"):
+            insert_state_signal(q_module, "ro+", "lo+", "x", style="serial")
+
+    def test_declared_signal_rejected(self, q_module):
+        with pytest.raises(ValueError, match="already declared"):
+            insert_state_signal(q_module, "ro+", "lo+", "ri")
+
     def test_threading_extends_codes(self, q_module):
         candidate = insert_state_signal(q_module, "ro+", "lo+", "x")
         assert candidate is not None
@@ -111,12 +100,14 @@ class TestInsertion:
         assert is_consistent(candidate)
 
     def test_sequencing_allows_input_triggers(self, q_module):
-        candidate = insert_state_signal_sequencing(q_module, "ri+", "li-", "x")
+        candidate = insert_state_signal(q_module, "ri+", "li-", "x",
+                                        style="sequencing")
         assert candidate is not None
         assert is_consistent(candidate)
 
     def test_sequencing_never_delays_inputs(self, q_module):
-        candidate = insert_state_signal_sequencing(q_module, "ri+", "li-", "x")
+        candidate = insert_state_signal(q_module, "ri+", "li-", "x",
+                                        style="sequencing")
         # Every state that enabled an input in the original enables it in
         # the extension (pending or not).
         for state in candidate.states:
@@ -125,9 +116,8 @@ class TestInsertion:
                 if q_module.is_input_label(label):
                     assert candidate.target(state, label) is not None
 
-    @pytest.mark.parametrize("insert", [insert_state_signal,
-                                        insert_state_signal_sequencing])
-    def test_product_bounded_by_four_phases(self, insert):
+    @pytest.mark.parametrize("style", STYLES)
+    def test_product_bounded_by_four_phases(self, style):
         # (value, pending) takes only four combinations, so no candidate
         # outgrows 4x its parent and the search needs no state cap.
         sg = generate_sg(lr_expanded())
@@ -136,7 +126,8 @@ class TestInsertion:
         for rise in sg.labels():
             for fall in sg.labels():
                 for value in (0, 1):
-                    candidate = insert(sg, rise, fall, "csc0", value)
+                    candidate = insert_state_signal(sg, rise, fall, "csc0",
+                                                    value, style)
                     if candidate is None:
                         continue
                     built += 1
@@ -150,9 +141,15 @@ class TestInsertion:
         conflicts = [choice.conflicts_after for choice, _ in candidates]
         assert conflicts == sorted(conflicts)
 
-    def test_find_insertion_none_when_clean(self, q_module):
-        clean = resolve_csc(q_module).sg
-        assert find_insertion(clean, "x") is None
+    def test_choice_rebuilds_its_candidate(self, q_module):
+        candidates = enumerate_insertions(q_module, "x",
+                                          require_improvement=False)
+        assert {choice.style for choice, _ in candidates} == set(STYLES)
+        for choice, candidate in candidates:
+            rebuilt = insert_state_signal(
+                q_module, choice.rise_trigger, choice.fall_trigger,
+                choice.signal, choice.initial_value, choice.style)
+            assert sg_to_payload(rebuilt) == sg_to_payload(candidate)
 
     def test_inserted_signal_participates_in_logic(self, q_module):
         from repro.logic.functions import extract_all_functions
@@ -160,3 +157,34 @@ class TestInsertion:
         functions = extract_all_functions(result.sg)
         assert "csc0" in functions
         assert all(not f.has_csc_conflict for f in functions.values())
+
+    def test_resolve_again_names_a_fresh_signal(self):
+        # A graph that already has csc0 gets csc1, not a second csc0 bit.
+        sg = generate_sg(lr_expanded())
+        first = resolve_csc(sg, max_signals=1)
+        assert [c.signal for c in first.insertions] == ["csc0"]
+        again = resolve_csc(first.sg, max_signals=1)
+        assert [c.signal for c in again.insertions] == ["csc1"]
+        assert again.sg.signals == first.sg.signals + ["csc1"]
+        assert (again.insertions[0].conflicts_after
+                < first.insertions[0].conflicts_after)
+
+    def test_resolve_skips_a_spec_signal_named_like_csc(self, q_module):
+        # The spec's own input "csc0" keeps its kind; the new signal is csc1.
+        payload = sg_to_payload(q_module)
+        labels = {label: label.replace("ri", "csc0", 1)
+                  for label, signal, _, __ in payload["events"]
+                  if signal == "ri"}
+        payload["signals"] = [["csc0" if name == "ri" else name, kind]
+                              for name, kind in payload["signals"]]
+        payload["events"] = [[labels.get(label, label),
+                              "csc0" if signal == "ri" else signal, *rest]
+                             for label, signal, *rest in payload["events"]]
+        payload["arcs"] = [[source, labels.get(label, label), target]
+                           for source, label, target in payload["arcs"]]
+        renamed = sg_from_payload(payload)
+        assert renamed.kinds["csc0"] == SignalKind.INPUT
+        result = resolve_csc(renamed)
+        assert result.resolved
+        assert [c.signal for c in result.insertions] == ["csc1"]
+        assert result.sg.kinds["csc0"] == SignalKind.INPUT
