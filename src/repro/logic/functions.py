@@ -8,24 +8,29 @@ States whose code appears in both the ON and OFF sets witness a CSC conflict
 for that signal; the extractor reports them instead of silently producing an
 unimplementable cover.  Unreachable codes form the don't-care set exploited
 by minimization (this is exactly how concurrency reduction helps logic:
-fewer reachable states, larger DC set).
+fewer reachable states, larger DC set).  The DC set is never built on the
+way to a cover: both minimizers take the packed ON and OFF sets, whose
+sizes are bounded by the reachable states, and treat every other code as a
+don't care.  ``dc_ints`` enumerates the ``2^n`` code space only when read.
 
 Extraction runs on packed integer codes (bit i = signal i, shared with
-:meth:`repro.sg.graph.StateGraph.code_int` and the fast minimizer); the
+:meth:`repro.sg.graph.StateGraph.code_int` and the minimizers); the
 tuple-minterm views ``on``/``off``/``dc``/``conflicts`` are materialized
-lazily for the synthesis layer and the tests.
+lazily for the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..petri.stg import Direction, SignalKind
-from ..sg.graph import State, StateGraph
+from ..sg.graph import StateGraph
 from .cube import Cover
-from .minimize import (minimize, minimize_fast_ints, _unpack_cube,
-                       unpack_minterm)
+# The exact core keeps this module's historic ``minimize`` name: perfbench's
+# ``logic.minimize`` layer times the calls made through it.
+from .minimize import minimize_ints as minimize
+from .minimize import minimize_fast_ints, _unpack_cube, unpack_minterm
 
 Minterm = Tuple[int, ...]
 
@@ -33,23 +38,33 @@ Minterm = Tuple[int, ...]
 class NextStateFunction:
     """ON/OFF/DC characterisation of one signal's next-state function.
 
-    The authoritative representation is packed integers (``on_ints`` and
-    friends); the tuple-set views are computed on first access.
+    The authoritative representation is packed integers (``on_ints``,
+    ``off_ints`` and ``conflict_ints``); the DC set and the tuple-set views
+    are computed on first access.
     """
 
-    __slots__ = ("signal", "variables", "on_ints", "off_ints", "dc_ints",
-                 "conflict_ints", "_tuple_views")
+    __slots__ = ("signal", "variables", "on_ints", "off_ints",
+                 "conflict_ints", "_dc_ints", "_tuple_views")
 
     def __init__(self, signal: str, variables: List[str],
                  on_ints: FrozenSet[int], off_ints: FrozenSet[int],
-                 dc_ints: FrozenSet[int], conflict_ints: FrozenSet[int]) -> None:
+                 conflict_ints: FrozenSet[int]) -> None:
         self.signal = signal
         self.variables = variables
         self.on_ints = on_ints
         self.off_ints = off_ints
-        self.dc_ints = dc_ints
         self.conflict_ints = conflict_ints
+        self._dc_ints: Optional[FrozenSet[int]] = None
         self._tuple_views: Dict[str, Set[Minterm]] = {}
+
+    @property
+    def dc_ints(self) -> FrozenSet[int]:
+        """Every code outside ON, OFF and the conflicts (``2^n`` work)."""
+        if self._dc_ints is None:
+            care = self.on_ints | self.off_ints | self.conflict_ints
+            self._dc_ints = frozenset(m for m in range(1 << self.num_vars)
+                                      if m not in care)
+        return self._dc_ints
 
     def _view(self, name: str, ints: FrozenSet[int]) -> Set[Minterm]:
         view = self._tuple_views.get(name)
@@ -83,15 +98,18 @@ class NextStateFunction:
     def num_vars(self) -> int:
         return len(self.variables)
 
-    def resolved_ints(self, conflict_policy: str = "on"
-                      ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        """(ON, DC) with conflicting codes folded in per the policy."""
+    def resolved_on(self, conflict_policy: str = "on") -> FrozenSet[int]:
+        """ON with conflicting codes folded in per the policy.
+
+        ``"on"`` adds them to ON, ``"dc"`` leaves them don't care; OFF is
+        the same either way.
+        """
         if not self.conflict_ints:
-            return self.on_ints, self.dc_ints
+            return self.on_ints
         if conflict_policy == "on":
-            return self.on_ints | self.conflict_ints, self.dc_ints
+            return self.on_ints | self.conflict_ints
         if conflict_policy == "dc":
-            return self.on_ints, self.dc_ints | self.conflict_ints
+            return self.on_ints
         raise ValueError(f"unknown conflict policy {conflict_policy!r}")
 
     def minimized(self, exact: bool = False, conflict_policy: str = "on",
@@ -104,32 +122,23 @@ class NextStateFunction:
         ``fast=True`` uses the expand-and-cover heuristic minimizer (for the
         exploration cost function).
         """
-        on_ints, dc_ints = self.resolved_ints(conflict_policy)
+        on_ints = self.resolved_on(conflict_policy)
         n = self.num_vars
         if fast:
             if not on_ints:
                 return Cover.zero(n)
-            if len(on_ints | dc_ints) == 1 << n:
+            if not self.off_ints:
                 return Cover.one(n)
-            chosen = minimize_fast_ints(n, on_ints, dc_ints - on_ints)
+            chosen = minimize_fast_ints(n, on_ints, self.off_ints)
             return Cover(n, [_unpack_cube(p, n) for p in chosen])
-        on = {unpack_minterm(m, n) for m in on_ints}
-        dc = {unpack_minterm(m, n) for m in dc_ints}
-        return minimize(n, on, dc, exact=exact)
+        return minimize(n, on_ints, self.off_ints, exact=exact)
 
 
-def _rising_falling_labels(sg: StateGraph, signal: str) -> Tuple[List[str], List[str]]:
-    rising, falling = [], []
+def _reject_toggles(sg: StateGraph, signal: str) -> None:
     for label in sg.labels_of_signal(signal):
-        event = sg.events[label]
-        if event.direction == Direction.RISE:
-            rising.append(label)
-        elif event.direction == Direction.FALL:
-            falling.append(label)
-        else:
+        if sg.events[label].direction not in (Direction.RISE, Direction.FALL):
             raise ValueError(
                 f"toggle event {label!r}: derive logic from a 4-phase refinement")
-    return rising, falling
 
 
 def _excitation_masks(sg: StateGraph) -> List[Tuple[int, int, int]]:
@@ -145,7 +154,7 @@ def _excitation_masks(sg: StateGraph) -> List[Tuple[int, int, int]]:
         direction = compiled.event_direction[lid]
         bit = 1 << compiled.event_signal[lid]
         # Toggle labels contribute to neither mask; extraction rejects the
-        # toggled signal itself up front (_rising_falling_labels), and a
+        # toggled signal itself up front (_reject_toggles), and a
         # toggle on an *input* signal never blocks extracting the others.
         label_bits_rise.append(bit if direction == Direction.RISE else 0)
         label_bits_fall.append(bit if direction == Direction.FALL else 0)
@@ -173,13 +182,9 @@ def _extract_from_masks(sg: StateGraph, signal: str,
         else:
             off.add(code)
     conflicts = on & off
-    on -= conflicts
-    off -= conflicts
-    num_vars = len(sg.signals)
-    dc = set(range(1 << num_vars)) - on - off - conflicts
     return NextStateFunction(signal=signal, variables=list(sg.signals),
-                             on_ints=frozenset(on), off_ints=frozenset(off),
-                             dc_ints=frozenset(dc),
+                             on_ints=frozenset(on - conflicts),
+                             off_ints=frozenset(off - conflicts),
                              conflict_ints=frozenset(conflicts))
 
 
@@ -187,7 +192,7 @@ def extract_function(sg: StateGraph, signal: str) -> NextStateFunction:
     """Build the next-state function of one non-input signal."""
     if sg.kinds[signal] == SignalKind.INPUT:
         raise ValueError(f"signal {signal!r} is an input; nothing to implement")
-    _rising_falling_labels(sg, signal)  # reject toggle events for this signal
+    _reject_toggles(sg, signal)
     return _extract_from_masks(sg, signal, _excitation_masks(sg))
 
 
@@ -198,7 +203,7 @@ def extract_all_functions(sg: StateGraph) -> Dict[str, NextStateFunction]:
     if not targets:
         return {}
     for signal in targets:
-        _rising_falling_labels(sg, signal)  # reject toggles on implemented signals
+        _reject_toggles(sg, signal)
     rows = _excitation_masks(sg)
     return {signal: _extract_from_masks(sg, signal, rows) for signal in targets}
 
@@ -222,31 +227,28 @@ def extract_set_reset(sg: StateGraph, signal: str,
     function = extract_function(sg, signal)
     if function.has_csc_conflict:
         raise ValueError(f"signal {signal!r} has CSC conflicts; resolve first")
-    rising, falling = _rising_falling_labels(sg, signal)
-    index = sg.signal_index(signal)
-    set_on: Set[Minterm] = set()
-    reset_on: Set[Minterm] = set()
-    stable_high: Set[Minterm] = set()
-    stable_low: Set[Minterm] = set()
-    for state in sg.states:
-        code = sg.code_of(state)
-        if any(sg.target(state, label) is not None for label in rising):
+    bit = 1 << sg.signal_index(signal)
+    set_on: Set[int] = set()
+    reset_on: Set[int] = set()
+    stable_high: Set[int] = set()
+    stable_low: Set[int] = set()
+    for code, rise, fall in _excitation_masks(sg):
+        if rise & bit:
             set_on.add(code)
-        elif any(sg.target(state, label) is not None for label in falling):
+        elif fall & bit:
             reset_on.add(code)
-        elif code[index] == 1:
+        elif code & bit:
             stable_high.add(code)
         else:
             stable_low.add(code)
-    reachable = set_on | reset_on | stable_high | stable_low
-    unreachable = {unpack_minterm(m, len(sg.signals))
-                   for m in range(1 << len(sg.signals))} - reachable
     # The set network may stay high while the signal is high (the C element
     # holds), but must be low in the reset region and at stable 0; dually for
-    # the reset network.  Unreachable codes are free for both.
-    set_cover = minimize(len(sg.signals), set_on,
-                         stable_high | unreachable, exact=exact)
-    reset_cover = minimize(len(sg.signals), reset_on,
-                           stable_low | unreachable, exact=exact)
+    # the reset network.  Unreachable codes are free for both.  Without a
+    # CSC conflict on the signal no code falls in two of the four classes.
+    num_vars = len(sg.signals)
+    set_cover = minimize(num_vars, frozenset(set_on),
+                         frozenset(reset_on | stable_low), exact=exact)
+    reset_cover = minimize(num_vars, frozenset(reset_on),
+                           frozenset(set_on | stable_high), exact=exact)
     return SetResetFunctions(signal=signal, variables=list(sg.signals),
                              set_cover=set_cover, reset_cover=reset_cover)

@@ -2,9 +2,18 @@
 
 Two engines behind one API:
 
-* :func:`minimize` -- Quine-McCluskey prime generation (on packed integer
-  cubes) followed by essential-prime extraction and greedy or exact
-  covering.  Used for final synthesis where cover quality matters.
+* :func:`minimize_ints` (tuple wrapper :func:`minimize`) -- the exact core.
+  It generates the primes that cover an ON minterm straight from the OFF
+  set, then extracts essential primes and covers the rest greedily or by
+  branch and bound.  Used for final synthesis where cover quality matters.
+  A cube through ON minterm ``m`` with literal mask ``M`` misses the OFF
+  set exactly when ``M`` hits every difference ``m ^ o`` (``o`` in OFF),
+  so the primes through ``m`` are the minimal hitting sets of those
+  differences -- the blocking-matrix view of Espresso's expand (Brayton,
+  Hachtel, McMullen and Sangiovanni-Vincentelli, *Logic Minimization
+  Algorithms for VLSI Synthesis*, 1984).  The work is per ON minterm,
+  against the OFF set, and never touches the don't-care space, which for a
+  state graph is every unreachable code.
 * :func:`minimize_fast` -- an espresso-flavoured expand-and-cover heuristic
   (greedily raise literals of each ON minterm against the OFF set, then
   greedy set cover).  Linear-ish in |ON| x |OFF| and used by the cost
@@ -13,10 +22,13 @@ Two engines behind one API:
 Cubes are packed as ``(mask, value)`` integer pairs internally -- bit i of
 ``mask`` set means variable i is a literal, whose polarity is bit i of
 ``value`` -- and converted to :class:`~repro.logic.cube.Cube` at the API
-boundary.  The fast engine also accepts minterms packed as single integers
-(bit i = variable i, the same convention the state-graph layer uses for
-state codes) via :func:`minimize_fast_ints`, and memoizes covers keyed on
-the packed ON/DC sets so beam-search siblings sharing subproblems do not
+boundary.  Minterms are packed as single integers (bit i = variable i, the
+same convention the state-graph layer uses for state codes).  Both engines
+take packed ON and OFF sets (:func:`minimize_ints`,
+:func:`minimize_fast_ints`); the tuple APIs :func:`minimize` and
+:func:`minimize_fast` take ON and DC and derive OFF by enumerating the code
+space, which only they do.  The fast engine memoizes covers keyed on the
+packed ON/OFF sets so beam-search siblings sharing subproblems do not
 recompute them.
 """
 
@@ -25,6 +37,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import engine
+from ..obs.metrics import registry as obs_registry
 from .cube import DC, Cube, Cover
 
 Minterm = Tuple[int, ...]
@@ -70,60 +83,117 @@ def _unpack_cube(packed: PackedCube, num_vars: int) -> Cube:
     return Cube(tuple(positions))
 
 
-def _pack_cube(cube: Cube) -> PackedCube:
-    mask = value = 0
-    for i, v in enumerate(cube.values):
-        if v != DC:
-            mask |= 1 << i
-            if v == 1:
-                value |= 1 << i
-    return mask, value
-
-
 def _contains(packed: PackedCube, minterm_int: int) -> bool:
     mask, value = packed
     return (minterm_int ^ value) & mask == 0
 
 
+def _packed_sets(num_vars: int, on: Iterable[Sequence[int]],
+                 dc: Iterable[Sequence[int]]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """Packed (ON, OFF) of a tuple-minterm function; OFF is everything else."""
+    on_ints = frozenset(_pack(m) for m in _normalise(num_vars, on))
+    care = on_ints | {_pack(m) for m in _normalise(num_vars, dc)}
+    return on_ints, frozenset(m for m in range(1 << num_vars) if m not in care)
+
+
+def _minimal_blocks(minterm: int, off_ints: Iterable[int]) -> List[int]:
+    """The inclusion-minimal differences ``minterm ^ o`` over OFF.
+
+    A literal mask hits every difference iff it hits every minimal one, so
+    these are the rows of the blocking matrix that matter.
+    """
+    kept: List[int] = []
+    for diff in sorted({minterm ^ o for o in off_ints}, key=int.bit_count):
+        if all(block & diff != block for block in kept):
+            kept.append(diff)
+    return kept
+
+
+def _minimal_hitting_sets(blocks: List[int]) -> List[int]:
+    """Every minimal bitmask that intersects each block.
+
+    Branches on the smallest block not yet hit.  A branch bans the bits its
+    earlier siblings took, so each set is reached once, and it is cut as
+    soon as a chosen bit no longer hits some block on its own (adding bits
+    never makes it necessary again).
+    """
+    found: List[int] = []
+
+    def minimal(chosen: int) -> bool:
+        bits = chosen
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            if not any(block & chosen == bit for block in blocks):
+                return False
+        return True
+
+    def grow(chosen: int, banned: int, open_blocks: List[int]) -> None:
+        if not open_blocks:
+            found.append(chosen)
+            return
+        free = min(open_blocks, key=int.bit_count) & ~banned
+        while free:
+            bit = free & -free
+            free ^= bit
+            if minimal(chosen | bit):
+                grow(chosen | bit, banned,
+                     [block for block in open_blocks if not block & bit])
+            banned |= bit
+
+    grow(0, 0, blocks)
+    return found
+
+
+def _prime_order(prime: PackedCube, num_vars: int) -> Tuple[int, str]:
+    """``(literal_count, to_string)`` of the cube, without building it."""
+    mask, value = prime
+    text = "".join("-" if not mask >> i & 1 else "1" if value >> i & 1 else "0"
+                   for i in range(num_vars))
+    return mask.bit_count(), text
+
+
+def _primes_through(num_vars: int, on_ints: Iterable[int],
+                    off_ints: FrozenSet[int]) -> List[PackedCube]:
+    """The primes of NOT OFF that contain an ON minterm, in prime order.
+
+    Prime order is ``(literal_count, to_string)``, the order the covering
+    steps break ties in.  Primes that would cover only don't cares are never
+    generated: no covering step could pick them.
+    """
+    primes: Set[PackedCube] = set()
+    for minterm in on_ints:
+        for mask in _minimal_hitting_sets(_minimal_blocks(minterm, off_ints)):
+            primes.add((mask, minterm & mask))
+    obs_registry().counter(
+        "repro_logic_primes_total",
+        "Primes generated by the exact two-level minimizer.").inc(len(primes))
+    return sorted(primes, key=lambda p: _prime_order(p, num_vars))
+
+
+def logic_work() -> Dict[str, int]:
+    """The logic counters of the default registry: primes generated."""
+    return {"primes": int(obs_registry().value("repro_logic_primes_total") or 0)}
+
+
 def prime_implicants(num_vars: int, on: Iterable[Sequence[int]],
                      dc: Iterable[Sequence[int]] = ()) -> List[Cube]:
-    """All prime implicants of ON + DC (Quine-McCluskey on packed cubes)."""
-    on_set = _normalise(num_vars, on)
-    dc_set = _normalise(num_vars, dc)
-    current: Set[PackedCube] = {((1 << num_vars) - 1, _pack(m))
-                                for m in on_set | dc_set}
-    primes: Set[PackedCube] = set()
-    while current:
-        merged: Set[PackedCube] = set()
-        used: Set[PackedCube] = set()
-        # Cubes merge when they share a mask and differ in one value bit, so
-        # a per-mask value set turns the pairing into O(cubes x variables)
-        # membership tests instead of scanning group x neighbour-group.
-        by_mask: Dict[int, Set[int]] = {}
-        for mask, value in current:
-            by_mask.setdefault(mask, set()).add(value)
-        for mask, values in by_mask.items():
-            for value in values:
-                bits = mask & ~value
-                while bits:
-                    bit = bits & -bits
-                    bits ^= bit
-                    if value | bit in values:
-                        merged.add((mask & ~bit, value))
-                        used.add((mask, value))
-                        used.add((mask, value | bit))
-        primes.update(current - used)
-        current = merged
-    cubes = [_unpack_cube(p, num_vars) for p in primes]
-    return sorted(cubes, key=lambda c: (c.literal_count, c.to_string()))
+    """The primes of ON + DC that cover an ON minterm, in prime order.
+
+    Primes of ON + DC lying wholly inside DC are left out; no cover of ON
+    uses them.
+    """
+    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    return [_unpack_cube(p, num_vars)
+            for p in _primes_through(num_vars, on_ints, off_ints)]
 
 
 def _essential_and_greedy(primes: List[PackedCube], on_ints: Set[int],
                           num_vars: int) -> List[PackedCube]:
     """Essential primes first, then greedy largest-coverage selection.
 
-    ``primes`` must arrive in the deterministic sorted-prime order produced
-    by :func:`prime_implicants`; minterms are processed in sorted order and
+    ``primes`` must arrive in the deterministic prime order produced by
+    :func:`_primes_through`; minterms are processed in sorted order and
     ``max`` ties resolve to the earliest prime in that order, so the chosen
     cover is identical across runs.
     """
@@ -191,21 +261,21 @@ def _exact_cover(primes: List[PackedCube], on_ints: Set[int],
     return [primes[i] for i in best] if best is not None else None
 
 
-def minimize(num_vars: int, on: Iterable[Sequence[int]],
-             dc: Iterable[Sequence[int]] = (), exact: bool = False) -> Cover:
-    """Minimal (or near-minimal) SOP cover of ON with DC flexibility.
+def minimize_ints(num_vars: int, on_ints: FrozenSet[int],
+                  off_ints: FrozenSet[int], exact: bool = False) -> Cover:
+    """Minimal (or near-minimal) SOP cover of packed ON against packed OFF.
 
-    ``exact=True`` attempts branch-and-bound minimum-literal covering over
-    the full prime set and falls back to the greedy heuristic on blow-up.
+    Every code in neither set is a don't care.  ``exact=True`` attempts
+    branch-and-bound minimum-literal covering over the primes and falls
+    back to the greedy heuristic on blow-up.
     """
-    on_set = _normalise(num_vars, on)
-    dc_set = _normalise(num_vars, dc) - on_set
-    if not on_set:
+    if not on_ints:
         return Cover.zero(num_vars)
-    if len(on_set | dc_set) == 1 << num_vars:
+    if not off_ints:
         return Cover.one(num_vars)
-    on_ints = {_pack(m) for m in on_set}
-    primes = [_pack_cube(c) for c in prime_implicants(num_vars, on_set, dc_set)]
+    if not on_ints.isdisjoint(off_ints):
+        raise MinimizationError("ON and OFF sets overlap")
+    primes = _primes_through(num_vars, on_ints, off_ints)
     chosen: Optional[List[PackedCube]] = None
     if exact:
         chosen = _exact_cover(primes, on_ints)
@@ -215,10 +285,21 @@ def minimize(num_vars: int, on: Iterable[Sequence[int]],
     return Cover(num_vars, cubes).remove_redundant()
 
 
-#: Memo for the fast engine: (num_vars, frozenset(ON), frozenset(DC)) -> cover
-#: as a tuple of packed cubes.  Shared across the whole process because the
-#: exploration loop evaluates thousands of sibling SGs whose signals mostly
-#: keep their (ON, DC) sets.
+def minimize(num_vars: int, on: Iterable[Sequence[int]],
+             dc: Iterable[Sequence[int]] = (), exact: bool = False) -> Cover:
+    """Minimal (or near-minimal) SOP cover of ON with DC flexibility.
+
+    Tuple-minterm front end of :func:`minimize_ints`; a minterm in both ON
+    and DC counts as ON.
+    """
+    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    return minimize_ints(num_vars, on_ints, off_ints, exact=exact)
+
+
+#: Memo for the fast engine: (num_vars, frozenset(ON), frozenset(OFF)) ->
+#: cover as a tuple of packed cubes.  Shared across the whole process
+#: because the exploration loop evaluates thousands of sibling SGs whose
+#: signals mostly keep their (ON, OFF) sets.
 _FAST_MEMO: Dict[Tuple[int, FrozenSet[int], FrozenSet[int]],
                  Tuple[PackedCube, ...]] = engine.register_cache({}, name="logic-minimize")
 
@@ -226,19 +307,19 @@ _FAST_MEMO_LIMIT = 200_000
 
 
 def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
-                       dc_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
+                       off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
     """Fast cover over integer-packed minterms; memoized on the input sets.
 
     This is the engine behind :func:`minimize_fast`, exposed so callers that
     already hold packed state codes (the SG layer) skip tuple conversion
     entirely.  Returns the chosen cover as packed ``(mask, value)`` cubes.
     """
-    key = (num_vars, on_ints, dc_ints)
+    key = (num_vars, on_ints, off_ints)
     if engine.packed_memo_enabled():
         cached = _FAST_MEMO.get(key)
         if cached is not None:
             return cached
-    result = _expand_and_cover(num_vars, on_ints, dc_ints)
+    result = _expand_and_cover(num_vars, on_ints, off_ints)
     if engine.packed_memo_enabled():
         if len(_FAST_MEMO) > _FAST_MEMO_LIMIT:
             _FAST_MEMO.clear()
@@ -247,10 +328,8 @@ def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
 
 
 def _expand_and_cover(num_vars: int, on_ints: FrozenSet[int],
-                      dc_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
+                      off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
     """Greedy expand of each ON minterm against OFF, then greedy set cover."""
-    care = on_ints | dc_ints
-    off = [m for m in range(1 << num_vars) if m not in care]
     full_mask = (1 << num_vars) - 1
     on_sorted = sorted(on_ints)
     # Literal-sharing ranks: ones[i] = ON minterms with variable i high, so a
@@ -280,7 +359,7 @@ def _expand_and_cover(num_vars: int, on_ints: FrozenSet[int],
             bit = 1 << i
             trial_mask = mask & ~bit
             trial_value = value & ~bit
-            if not any((m ^ trial_value) & trial_mask == 0 for m in off):
+            if not any((m ^ trial_value) & trial_mask == 0 for m in off_ints):
                 mask, value = trial_mask, trial_value
         cube = (mask, value)
         if cube not in seen:
@@ -301,16 +380,14 @@ def _expand_and_cover(num_vars: int, on_ints: FrozenSet[int],
 
 
 def fast_literal_count(num_vars: int, on_ints: FrozenSet[int],
-                       dc_ints: FrozenSet[int]) -> int:
+                       off_ints: FrozenSet[int]) -> int:
     """Literal count of the fast cover, without building Cube objects.
 
     The constant-0 and constant-1 short cuts mirror :func:`minimize_fast`.
     """
-    if not on_ints:
+    if not on_ints or not off_ints:
         return 0
-    if len(on_ints | dc_ints) == 1 << num_vars:
-        return 0
-    cover = minimize_fast_ints(num_vars, on_ints, dc_ints)
+    cover = minimize_fast_ints(num_vars, on_ints, off_ints)
     return sum(bin(mask).count("1") for mask, _ in cover)
 
 
@@ -322,17 +399,14 @@ def minimize_fast(num_vars: int, on: Iterable[Sequence[int]],
     first) while staying disjoint from the OFF set; the expanded cubes then
     greedily cover the ON set.  Roughly |ON| x |OFF| x n work; the result is
     a valid (irredundant-ish) cover, typically within a literal or two of
-    the QM result on controller-sized functions.
+    the exact core's on controller-sized functions.
     """
-    on_set = _normalise(num_vars, on)
-    dc_set = _normalise(num_vars, dc) - on_set
-    if not on_set:
+    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    if not on_ints:
         return Cover.zero(num_vars)
-    if len(on_set | dc_set) == 1 << num_vars:
+    if not off_ints:
         return Cover.one(num_vars)
-    chosen = minimize_fast_ints(num_vars,
-                                frozenset(_pack(m) for m in on_set),
-                                frozenset(_pack(m) for m in dc_set))
+    chosen = minimize_fast_ints(num_vars, on_ints, off_ints)
     cubes = [_unpack_cube(p, num_vars) for p in chosen]
     return Cover(num_vars, cubes)
 

@@ -1,13 +1,19 @@
 """Unit tests for next-state function extraction (repro.logic.functions)."""
 
+from itertools import product
+
 import pytest
 
+from qm_oracle import qm_minimize
+from repro import FlowConfig, run_pipeline
 from repro.logic.functions import (extract_all_functions, extract_function,
                                    extract_set_reset)
+from repro.petri.stg import SignalKind
 from repro.reduction.explore import full_reduction
 from repro.sg.generator import generate_sg
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
+from repro.specs.mmu import TABLE2_KEEP_CONC, keep_conc_for, mmu_expanded
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +128,45 @@ class TestSetReset:
                 assert not result.set_cover.contains(code)
             if stable and value == 1:
                 assert not result.reset_cover.contains(code)
+
+
+class TestSetResetOracle:
+    """Set/reset covers of a Table 2 row against the QM path on tuples."""
+
+    @pytest.fixture(scope="class")
+    def mmu_bmr(self):
+        sg = full_reduction(generate_sg(mmu_expanded()), size_frontier=3,
+                            keep_conc=keep_conc_for(TABLE2_KEEP_CONC["|| (b, m, r)"]))
+        return run_pipeline(FlowConfig(strategy="none"), initial_sg=sg,
+                            name="|| (b, m, r)").resolved_sg()
+
+    def test_covers_match_the_qm_path(self, mmu_bmr):
+        sg = mmu_bmr
+        num_vars = len(sg.signals)
+        reachable = {sg.code_of(state) for state in sg.states}
+        unreachable = set(product((0, 1), repeat=num_vars)) - reachable
+        signals = [s for s in sg.signals if sg.kinds[s] != SignalKind.INPUT]
+        assert len(sg) == 48 and len(signals) == 5
+        for signal in signals:
+            index = sg.signal_index(signal)
+            regions = {"set": set(), "reset": set(), "high": set(), "low": set()}
+            for state in sg.states:
+                code = sg.code_of(state)
+                if sg.target(state, f"{signal}+") is not None:
+                    regions["set"].add(code)
+                elif sg.target(state, f"{signal}-") is not None:
+                    regions["reset"].add(code)
+                else:
+                    regions["high" if code[index] else "low"].add(code)
+            for exact in (False, True):
+                result = extract_set_reset(sg, signal, exact=exact)
+                expected_set = qm_minimize(num_vars, regions["set"],
+                                           regions["high"] | unreachable, exact)
+                expected_reset = qm_minimize(num_vars, regions["reset"],
+                                             regions["low"] | unreachable, exact)
+                assert str_cubes(result.set_cover) == str_cubes(expected_set)
+                assert str_cubes(result.reset_cover) == str_cubes(expected_reset)
+
+
+def str_cubes(cover):
+    return [str(cube) for cube in cover.cubes]

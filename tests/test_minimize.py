@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qm_oracle import qm_minimize, qm_primes
 from repro.logic.cube import Cube, Cover
-from repro.logic.minimize import (MinimizationError, complement_minterms,
-                                  minimize, minimize_fast, prime_implicants,
-                                  verify_cover)
+from repro.logic.minimize import (MinimizationError, _pack, _primes_through,
+                                  complement_minterms, logic_work, minimize,
+                                  minimize_fast, minimize_ints,
+                                  prime_implicants, verify_cover)
 
 
 def all_minterms(n):
@@ -49,6 +51,16 @@ class TestPrimeImplicants:
     def test_bad_minterm_rejected(self):
         with pytest.raises(MinimizationError):
             prime_implicants(2, [(0, 2)])
+
+    def test_dc_only_primes_left_out(self):
+        # QM over ON + DC also finds "00", which covers no ON minterm.
+        primes = prime_implicants(2, [(1, 1)], dc=[(0, 0)])
+        assert primes == [Cube.parse("11")]
+
+    def test_work_counter_counts_generated_primes(self):
+        before = logic_work()["primes"]
+        primes = prime_implicants(2, [(0, 1), (1, 0)])
+        assert logic_work()["primes"] - before == len(primes) == 2
 
 
 class TestMinimize:
@@ -91,6 +103,16 @@ class TestMinimize:
     def test_on_overlapping_dc_wins(self):
         cover = minimize(1, [(1,)], dc=[(1,)])
         assert cover.contains((1,))
+
+    def test_packed_core_matches_tuple_front_end(self):
+        # Variable i is bit i of a packed minterm.
+        cover = minimize_ints(2, frozenset({0b01}), frozenset({0b10}))
+        assert cover.literal_count == 1
+        assert cover.contains((1, 0)) and not cover.contains((0, 1))
+
+    def test_packed_core_rejects_overlap(self):
+        with pytest.raises(MinimizationError):
+            minimize_ints(2, frozenset({1}), frozenset({1, 2}))
 
 
 class TestMinimizeFast:
@@ -157,6 +179,45 @@ class TestProperties:
         on, dc, off = sets
         for prime in prime_implicants(4, on, dc):
             assert not any(prime.contains(m) for m in off)
+
+
+@st.composite
+def split_functions(draw):
+    """A random ON/DC/OFF split of 1-8 variables, skewed per draw."""
+    num_vars = draw(st.integers(min_value=1, max_value=8))
+    universe = all_minterms(num_vars)
+    weights = draw(st.sampled_from(
+        [("on", "dc", "off"), ("on", "off", "off"), ("on", "dc", "dc"),
+         ("on", "on", "dc", "off")]))
+    labels = draw(st.lists(st.sampled_from(weights),
+                           min_size=len(universe), max_size=len(universe)))
+    on = [m for m, label in zip(universe, labels) if label == "on"]
+    dc = [m for m, label in zip(universe, labels) if label == "dc"]
+    return num_vars, on, dc
+
+
+class TestQuineMcCluskeyOracle:
+    """The OFF-set prime generator against the classic QM merge."""
+
+    @given(split_functions())
+    @settings(max_examples=120, deadline=None)
+    def test_primes_are_qm_primes_through_on(self, function):
+        num_vars, on, dc = function
+        on_ints = {_pack(m) for m in on}
+        care = on_ints | {_pack(m) for m in dc}
+        off_ints = frozenset(set(range(1 << num_vars)) - care)
+        expected = {(mask, value) for mask, value in qm_primes(num_vars, care)
+                    if any((m ^ value) & mask == 0 for m in on_ints)}
+        assert set(_primes_through(num_vars, on_ints, off_ints)) == expected
+
+    @given(split_functions())
+    @settings(max_examples=30, deadline=None)
+    def test_covers_match_the_qm_path(self, function):
+        num_vars, on, dc = function
+        for exact in (False, True):
+            ours = minimize(num_vars, on, dc, exact=exact)
+            oracle = qm_minimize(num_vars, on, dc, exact=exact)
+            assert [str(c) for c in ours.cubes] == [str(c) for c in oracle.cubes]
 
 
 class TestComplement:
