@@ -30,8 +30,8 @@ def main() -> None:
     sg = generate_sg(mmu_expanded())
     print(f"original (max concurrency): {len(sg)} states\n")
 
-    show(run_pipeline(AS_IS.replace(max_csc_signals=3), initial_sg=sg,
-                      name="original"))
+    show(run_pipeline(FlowConfig(strategy="none", max_csc_signals=3),
+                      initial_sg=sg, name="original"))
 
     search = reduce_concurrency(sg, max_explored=400, patience=200)
     show(run_pipeline(AS_IS, initial_sg=search.best, name="original reduced"))

@@ -173,7 +173,7 @@ def run_table2(context) -> dict:
         before = logic_work()["primes"]
         sg = generate_sg(mmu_expanded())
         results = {"original": run_pipeline(
-            as_is.replace(max_csc_signals=3), initial_sg=sg,
+            FlowConfig(strategy="none", max_csc_signals=3), initial_sg=sg,
             name="original")}
         balanced = reduce_concurrency(sg, max_explored=400, patience=200)
         results["original reduced"] = run_pipeline(

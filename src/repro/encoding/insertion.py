@@ -25,18 +25,17 @@ The walk rejects a candidate as soon as it deadlocks a state that could
 move in the original; a finished walk must still fire every original event
 and both csc transitions.
 
-Output persistency (Definition 5.1) is *not* preserved by construction.
-Threading keeps it on a persistent input SG: a trigger waits in every
-phase but the one it leaves, and only that trigger leaves it, so no event
-is ever enabled and then disabled by the handshake.  Sequencing breaks it
-whenever a trigger fires while a non-input event is enabled: the trigger
-makes the csc transition pending, and that event, enabled a moment ago,
-must now wait for it.  :func:`enumerate_insertions` therefore runs a
-persistency check on every candidate, and the check is load-bearing: on
-the LR process it rejects 32 of the 48 feasible candidates, on the
-unreduced MMU 96 of 180, all of them sequencing candidates.  Among the
-candidates that pass, the search keeps the one with the fewest remaining
-conflicts, then the fewest states.
+The walk also decides output persistency (Definition 5.1), with one local
+rule: when an arc moves the product into a new phase, every other event
+enabled at its source that must wait in the new phase has been disabled by
+that arc, and the candidate is rejected unless the input graph already has
+that ``(disabled, by)`` pair.  The rule is exact because inputs never wait
+in either style: any other disabling in the product is a disabling of the
+input graph, replayed at the same original state.  Threading never trips
+it on a persistent input (a trigger waits in every phase but the one it
+leaves); sequencing does whenever a trigger fires while a non-input event
+is enabled.  Among the candidates that survive, the search keeps the one
+with the fewest remaining conflicts, then the fewest states.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..petri.stg import Direction, SignalEvent, SignalKind
 from ..sg.graph import StateGraph
@@ -58,6 +57,11 @@ STYLES = ("threading", "sequencing")
 #: or firing it makes the candidate infeasible.
 _WAIT = None
 _CLASH = False
+
+#: Name stem of the signals :func:`resolve_csc` inserts, and the number of
+#: partial solutions it keeps per level.
+_PREFIX = "csc"
+_BEAM_WIDTH = 5
 
 
 @dataclass(frozen=True)
@@ -79,16 +83,34 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
     """Insert ``signal`` with ``+`` after ``rise_trigger``, ``-`` after
     ``fall_trigger``, in the given :data:`STYLES` entry.
 
-    Returns None when the candidate is infeasible: the triggers are equal
-    or unknown, a threading trigger is an input event, a sequencing trigger
-    fires out of turn, the walk deadlocks, or some event disappears.  Raises
-    ``ValueError`` for an unknown style, an ``initial_value`` other than 0
-    or 1, or a ``signal`` the graph already declares.  The product has at
-    most ``4 * len(sg)`` states: ``(value, pending)`` only ever takes the
-    four phases ``(0, None)``, ``(1, None)``, ``(0, "+")`` and ``(1, "-")``.
+    Raises ``ValueError`` for an unknown style, an ``initial_value`` other
+    than 0 or 1, or a ``signal`` the graph already declares, before any
+    feasibility test.  Returns None when the candidate is infeasible: the
+    triggers are equal or unknown, a threading trigger is an input event, a
+    sequencing trigger fires out of turn, the walk deadlocks or breaks
+    output persistency, or some event disappears.  The product has at most
+    ``4 * len(sg)`` states: ``(value, pending)`` only ever takes the four
+    phases ``(0, None)``, ``(1, None)``, ``(0, "+")`` and ``(1, "-")``.
     """
     if style not in STYLES:
         raise ValueError(f"unknown insertion style {style!r}")
+    if initial_value not in (0, 1):
+        raise ValueError("initial_value must be 0 or 1")
+    return _insert(sg, rise_trigger, fall_trigger, signal, initial_value,
+                   style, _disabling_pairs(sg))
+
+
+def _disabling_pairs(sg: StateGraph) -> FrozenSet[Tuple[str, str]]:
+    """The ``(disabled, by)`` pairs of the input's persistency violations."""
+    return frozenset((v.disabled, v.by) for v in persistency_violations(sg))
+
+
+def _insert(sg: StateGraph, rise_trigger: str, fall_trigger: str,
+            signal: str, initial_value: int, style: str,
+            allowed: FrozenSet[Tuple[str, str]]) -> Optional[StateGraph]:
+    """The product walk of :func:`insert_state_signal` for a valid style and
+    value; ``allowed`` holds the input's own :func:`_disabling_pairs`."""
+    new = _prepare_extended(sg, signal)  # raises for a declared signal
     if rise_trigger == fall_trigger:
         return None
     if rise_trigger not in sg.events or fall_trigger not in sg.events:
@@ -96,10 +118,7 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
     if style == "threading" and (sg.is_input_label(rise_trigger)
                                  or sg.is_input_label(fall_trigger)):
         return None
-    if initial_value not in (0, 1):
-        raise ValueError("initial_value must be 0 or 1")
 
-    new = _prepare_extended(sg, signal)
     settle = {"+": f"{signal}+", "-": f"{signal}-"}
     gates = _gates(sg, rise_trigger, fall_trigger, style, settle)
 
@@ -116,7 +135,8 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
     while queue:
         source = queue.popleft()
         orig, value, pending = source
-        gate = gates[value, pending]
+        here = (value, pending)
+        gate = gates[here]
         arcs = succ[orig]
         if pending is not None:
             arcs = {settle[pending]: orig, **arcs}
@@ -127,6 +147,14 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
                 if phase is _CLASH:
                     return None
                 continue
+            if phase != here:
+                # Events that fire here but wait in the new phase are
+                # disabled by label; the input must already disable them.
+                after = gates[phase]
+                if any(other != label and gate[other]
+                       and after[other] is _WAIT
+                       and (other, label) not in allowed for other in arcs):
+                    return None  # a new persistency violation
             state = (target,) + phase
             if state not in seen:
                 seen.add(state)
@@ -191,35 +219,31 @@ def _prepare_extended(sg: StateGraph, signal: str) -> StateGraph:
     return new
 
 
-def enumerate_insertions(sg: StateGraph, signal: str,
-                         require_improvement: bool = True,
+def enumerate_insertions(sg: StateGraph, signal: str
                          ) -> List[Tuple[InsertionChoice, StateGraph]]:
-    """All feasible single-signal insertions over both styles, best first.
+    """All feasible single-signal insertions over both styles that strictly
+    reduce the CSC conflict count, best first.
 
-    Candidates must not introduce persistency violations.  The check is
-    load-bearing, not a safety net: a sequencing trigger that fires while
-    a non-input event is enabled makes that event wait for the pending csc
-    transition, which disables it (see the module docstring).  With
-    ``require_improvement`` candidates must also strictly reduce the CSC
-    conflict count.
+    The walk alone decides feasibility, output persistency included: a
+    phase change that makes an enabled event wait rejects the candidate
+    unless the input already has that ``(disabled, by)`` pair.  That is
+    exact because inputs never wait (see the module docstring).  The
+    input's violations are computed once per call, and no candidate is
+    checked after it is built.
     """
     baseline_conflicts = conflict_count(sg)
     if baseline_conflicts == 0:
         return []
     live_labels = sg.live_labels()
     live = [label for label in sorted(sg.events) if label in live_labels]
-    baseline_violations = {(v.disabled, v.by) for v in persistency_violations(sg)}
+    allowed = _disabling_pairs(sg)
     found: List[Tuple[Tuple, InsertionChoice, StateGraph]] = []
     for style, rise, fall, value in product(STYLES, live, live, (0, 1)):
-        candidate = insert_state_signal(sg, rise, fall, signal, value, style)
+        candidate = _insert(sg, rise, fall, signal, value, style, allowed)
         if candidate is None:
             continue
-        new_violations = {(v.disabled, v.by)
-                          for v in persistency_violations(candidate)}
-        if new_violations - baseline_violations:
-            continue
         conflicts = conflict_count(candidate)
-        if require_improvement and conflicts >= baseline_conflicts:
+        if conflicts >= baseline_conflicts:
             continue
         key = (conflicts, len(candidate), style, rise, fall, value)
         found.append((key, InsertionChoice(signal, rise, fall, value,
@@ -242,8 +266,7 @@ class ResolutionResult:
         return len(self.insertions)
 
 
-def resolve_csc(sg: StateGraph, max_signals: int = 4, prefix: str = "csc",
-                beam_width: int = 5) -> ResolutionResult:
+def resolve_csc(sg: StateGraph, max_signals: int = 4) -> ResolutionResult:
     """Insert state signals until CSC holds, by bounded best-first search.
 
     Greedy insertion can paint itself into a corner (the locally best first
@@ -251,14 +274,15 @@ def resolve_csc(sg: StateGraph, max_signals: int = 4, prefix: str = "csc",
     beam of the most promising partial solutions is kept per level.  The
     first fully resolved solution with the fewest signals wins; if none
     resolves within ``max_signals``, the best partial result is returned.
-    The new signals are the first ``prefix<n>`` names ``sg`` does not
-    declare yet.
+    The new signals are the first ``csc<n>`` names ``sg`` does not declare
+    yet.
     """
     conflicts = conflict_count(sg)
     if conflicts == 0:
         return ResolutionResult(sg=sg, insertions=[], resolved=True)
 
-    names = (f"{prefix}{n}" for n in count() if f"{prefix}{n}" not in sg.kinds)
+    names = (f"{_PREFIX}{n}" for n in count()
+             if f"{_PREFIX}{n}" not in sg.kinds)
     Partial = Tuple[StateGraph, List[InsertionChoice]]
     frontier: List[Partial] = [(sg, [])]
     best_partial: Tuple[int, int, StateGraph, List[InsertionChoice]] = (
@@ -269,7 +293,7 @@ def resolve_csc(sg: StateGraph, max_signals: int = 4, prefix: str = "csc",
         candidates: List[Tuple[Tuple, StateGraph, List[InsertionChoice]]] = []
         for current, insertions in frontier:
             for choice, candidate in enumerate_insertions(
-                    current, signal)[: 2 * beam_width]:
+                    current, signal)[: 2 * _BEAM_WIDTH]:
                 trail = insertions + [choice]
                 if choice.conflicts_after == 0:
                     return ResolutionResult(sg=candidate, insertions=trail,
@@ -280,7 +304,7 @@ def resolve_csc(sg: StateGraph, max_signals: int = 4, prefix: str = "csc",
             break
         candidates.sort(key=lambda item: item[0])
         frontier = [(candidate, trail)
-                    for _, candidate, trail in candidates[:beam_width]]
+                    for _, candidate, trail in candidates[:_BEAM_WIDTH]]
         head = candidates[0]
         if (head[0][0], len(head[2])) < (best_partial[0], best_partial[1]):
             best_partial = (head[0][0], len(head[2]), head[1], head[2])

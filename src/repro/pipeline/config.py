@@ -21,7 +21,6 @@ synthesis ones.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,7 +157,15 @@ def delays_from_payload(payload: Dict[str, object]) -> DelayModel:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """One design point of the Fig. 4 flow, as a frozen value object."""
+    """One design point of the Fig. 4 flow, as a frozen value object.
+
+    Construction normalizes, so every spelling of one design point digests
+    identically: ``keep_conc`` pair order is canonicalized, ``weight``
+    becomes a float, a :class:`Library` object becomes its registered name
+    (an unknown name raises ``KeyError``), ``verify_max_states=None`` means
+    the default and the budgets become ints.  ``dataclasses.replace``
+    normalizes the same way.
+    """
 
     strategy: str = "best-first"
     weight: float = 0.5
@@ -173,7 +180,7 @@ class FlowConfig:
     phases: int = 4
     verify: bool = False
     verify_model: str = "atomic"
-    verify_max_states: int = DEFAULT_VERIFY_MAX_STATES
+    verify_max_states: Optional[int] = DEFAULT_VERIFY_MAX_STATES
     #: Optional state-graph generation budget (states / traversed arcs);
     #: ``None`` keeps the generator's historical default state cap.
     sg_max_states: Optional[int] = None
@@ -198,65 +205,33 @@ class FlowConfig:
         if self.check_engine not in CHECK_ENGINES:
             raise ValueError(f"unknown check engine {self.check_engine!r}; "
                              f"expected one of {CHECK_ENGINES}")
-
-    @staticmethod
-    def create(strategy: str = "best-first",
-               weight: float = 0.5,
-               size_frontier: Optional[int] = None,
-               keep_conc: Iterable[Tuple[str, str]] = (),
-               max_explored: Optional[int] = None,
-               max_csc_signals: int = 4,
-               delays: DelayModel = TABLE1_DELAYS,
-               library=DEFAULT_LIBRARY,
-               exact_covers: bool = True,
-               resynthesise: bool = False,
-               phases: int = 4,
-               verify: bool = False,
-               verify_model: str = "atomic",
-               verify_max_states: Optional[int] = None,
-               sg_max_states: Optional[int] = None,
-               sg_max_arcs: Optional[int] = None,
-               sg_engine: str = "auto",
-               check_engine: str = "auto") -> "FlowConfig":
-        """Build a config from flow-style arguments, normalizing as it goes.
-
-        Accepts a :class:`Library` object or name for ``library`` and
-        canonicalizes ``keep_conc`` pair order so that two spellings of the
-        same design point digest identically.
-        """
+        library = self.library
         if isinstance(library, Library):
             library = library_name(library)
         else:
             resolve_library(library)  # fail fast on unknown names
-        return FlowConfig(
-            strategy=strategy,
-            weight=float(weight),
-            size_frontier=size_frontier,
-            keep_conc=canonical_keep(keep_conc),
-            max_explored=max_explored,
-            max_csc_signals=max_csc_signals,
-            delays=delays,
-            library=library,
-            exact_covers=bool(exact_covers),
-            resynthesise=bool(resynthesise),
-            phases=phases,
-            verify=bool(verify),
-            verify_model=verify_model,
-            verify_max_states=(DEFAULT_VERIFY_MAX_STATES
-                               if verify_max_states is None
-                               else int(verify_max_states)),
-            sg_max_states=(None if sg_max_states is None
-                           else int(sg_max_states)),
-            sg_max_arcs=(None if sg_max_arcs is None
-                         else int(sg_max_arcs)),
-            sg_engine=sg_engine,
-            check_engine=check_engine)
+        normal = {
+            "weight": float(self.weight),
+            "keep_conc": canonical_keep(self.keep_conc),
+            "library": library,
+            "exact_covers": bool(self.exact_covers),
+            "resynthesise": bool(self.resynthesise),
+            "verify": bool(self.verify),
+            "verify_max_states": (DEFAULT_VERIFY_MAX_STATES
+                                  if self.verify_max_states is None
+                                  else int(self.verify_max_states)),
+            "sg_max_states": (None if self.sg_max_states is None
+                              else int(self.sg_max_states)),
+            "sg_max_arcs": (None if self.sg_max_arcs is None
+                            else int(self.sg_max_arcs)),
+        }
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
 
-    def replace(self, **changes) -> "FlowConfig":
-        """A copy with the given fields changed (keep_conc canonicalized)."""
-        if "keep_conc" in changes:
-            changes["keep_conc"] = canonical_keep(changes["keep_conc"])
-        return dataclasses.replace(self, **changes)
+    @staticmethod
+    def create(**knobs) -> "FlowConfig":
+        """The constructor under its flow-style name."""
+        return FlowConfig(**knobs)
 
     # ------------------------------------------------------------------
     # per-strategy defaults (the single home)
@@ -306,9 +281,9 @@ class FlowConfig:
         """Rebuild a config from :meth:`to_payload` output."""
         return FlowConfig(
             strategy=payload["strategy"],
-            weight=float(payload["weight"]),
+            weight=payload["weight"],
             size_frontier=payload["size_frontier"],
-            keep_conc=tuple(tuple(pair) for pair in payload["keep_conc"]),
+            keep_conc=payload["keep_conc"],
             max_explored=payload["max_explored"],
             max_csc_signals=payload["max_csc_signals"],
             delays=delays_from_payload(payload["delays"]),

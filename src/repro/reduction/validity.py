@@ -13,18 +13,15 @@ A reduced SG is valid when:
 materialized graphs and makes no assumption about how one was derived
 from the other.  The reduction search does not call it; FwdRed checks the
 conditions that can fail for an arc-removal on masks
-(:mod:`repro.reduction.fwdred`).  The persistency signature is memoized
-per graph in a weak-keyed cache; the read freezes the graph, so it cannot
-go stale.
+(:mod:`repro.reduction.fwdred`).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import List, Tuple
 
-from ..sg.graph import State, StateGraph
+from ..sg.graph import StateGraph
 from ..sg.properties import persistency_violations
 
 
@@ -37,19 +34,6 @@ class ValidityReport:
 
     def __bool__(self) -> bool:
         return self.valid
-
-
-_PERSISTENCY_MEMO: "weakref.WeakKeyDictionary[StateGraph, FrozenSet]" = (
-    weakref.WeakKeyDictionary())
-
-
-def _persistency_signature(sg: StateGraph) -> FrozenSet[Tuple[State, str, str]]:
-    signature = _PERSISTENCY_MEMO.get(sg)
-    if signature is None:
-        signature = frozenset((v.state, v.disabled, v.by)
-                              for v in persistency_violations(sg))
-        _PERSISTENCY_MEMO[sg] = signature
-    return signature
 
 
 def check_validity(original: StateGraph, reduced: StateGraph) -> ValidityReport:
@@ -91,10 +75,12 @@ def check_validity(original: StateGraph, reduced: StateGraph) -> ValidityReport:
             break
 
     # (1) output persistency preserved: no *new* violations.
-    new_violations = _persistency_signature(reduced) - _persistency_signature(original)
+    known = set(persistency_violations(original))
+    new_violations = [v for v in persistency_violations(reduced)
+                      if v not in known]
     if new_violations:
-        state, disabled, by = next(iter(new_violations))
-        reasons.append(
-            f"persistency violated: {disabled} disabled by {by} at {state!r}")
+        v = new_violations[0]
+        reasons.append(f"persistency violated: {v.disabled} disabled by "
+                       f"{v.by} at {v.state!r}")
 
     return ValidityReport(valid=not reasons, reasons=tuple(reasons))

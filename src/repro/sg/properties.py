@@ -143,14 +143,12 @@ class PersistencyViolation:
     by: str
 
 
-def persistency_violations(sg: StateGraph,
-                           check_inputs: bool = True) -> List[PersistencyViolation]:
+def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     """Output-persistency violations (Section 2).
 
     A non-input event must stay enabled until it fires; an input event may
     be disabled, but only by another input (the environment changing its
-    mind), never by an output or internal event -- unless ``check_inputs``
-    is False, in which case input disabling is ignored entirely.
+    mind), never by an output or internal event.
     """
     violations = []
     compiled = sg.compiled()
@@ -168,10 +166,7 @@ def persistency_violations(sg: StateGraph,
                     continue
                 if lid in succ[out[other]]:
                     continue
-                if not is_input[lid]:
-                    violations.append(PersistencyViolation(
-                        states[sid], labels[lid], labels[other]))
-                elif check_inputs and not is_input[other]:
+                if not (is_input[lid] and is_input[other]):
                     violations.append(PersistencyViolation(
                         states[sid], labels[lid], labels[other]))
     return violations

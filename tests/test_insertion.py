@@ -23,6 +23,15 @@ def q_module():
     return generate_sg(q_module_stg())
 
 
+@pytest.fixture(scope="module")
+def mmu_bl():
+    # Its improving candidates cover both insertion styles.
+    from repro.reduction.explore import full_reduction
+    from repro.specs.mmu import keep_conc_for, mmu_expanded
+    return full_reduction(generate_sg(mmu_expanded()),
+                          keep_conc=keep_conc_for(("b", "l")), size_frontier=3)
+
+
 class TestConflictAnalysis:
     def test_counts(self, fig1):
         assert conflict_count(fig1) == 1
@@ -85,6 +94,20 @@ class TestInsertion:
         with pytest.raises(ValueError):
             insert_state_signal(q_module, "lo+", "ro+", "x", initial_value=2)
 
+    @pytest.mark.parametrize("rise, fall", [("lo+", "lo+"), ("zz", "lo+"),
+                                            ("ri+", "lo+")],
+                             ids=["equal", "unknown", "input"])
+    def test_arguments_checked_before_feasibility(self, q_module, rise, fall):
+        # Each trigger pair alone is infeasible for threading; bad arguments
+        # must still raise rather than return None.
+        assert insert_state_signal(q_module, rise, fall, "x") is None
+        with pytest.raises(ValueError, match="style"):
+            insert_state_signal(q_module, rise, fall, "x", style="serial")
+        with pytest.raises(ValueError, match="initial_value"):
+            insert_state_signal(q_module, rise, fall, "x", initial_value=2)
+        with pytest.raises(ValueError, match="already declared"):
+            insert_state_signal(q_module, rise, fall, "ri")
+
     def test_unknown_style_rejected(self, q_module):
         with pytest.raises(ValueError, match="style"):
             insert_state_signal(q_module, "ro+", "lo+", "x", style="serial")
@@ -117,23 +140,43 @@ class TestInsertion:
                     assert candidate.target(state, label) is not None
 
     @pytest.mark.parametrize("style", STYLES)
-    def test_product_bounded_by_four_phases(self, style):
+    def test_product_bounded_by_four_phases(self, style, q_module):
         # (value, pending) takes only four combinations, so no candidate
-        # outgrows 4x its parent and the search needs no state cap.
-        sg = generate_sg(lr_expanded())
+        # outgrows 4x its parent and the search needs no state cap.  LR
+        # builds no sequencing candidate (each one breaks persistency), so
+        # the Q module is walked as well.
         phases = {(0, None), (1, None), (0, "+"), (1, "-")}
         built = 0
-        for rise in sg.labels():
-            for fall in sg.labels():
-                for value in (0, 1):
-                    candidate = insert_state_signal(sg, rise, fall, "csc0",
-                                                    value, style)
-                    if candidate is None:
-                        continue
-                    built += 1
-                    assert len(candidate) <= 4 * len(sg)
-                    assert {state[1:] for state in candidate.states} <= phases
+        for sg in (generate_sg(lr_expanded()), q_module):
+            for rise in sg.labels():
+                for fall in sg.labels():
+                    for value in (0, 1):
+                        candidate = insert_state_signal(sg, rise, fall, "csc0",
+                                                        value, style)
+                        if candidate is None:
+                            continue
+                        built += 1
+                        assert len(candidate) <= 4 * len(sg)
+                        assert ({state[1:] for state in candidate.states}
+                                <= phases)
         assert built
+
+    def test_sequencing_rejects_a_trigger_that_disables(self):
+        # li+ fires while the output ro- is enabled; sequencing makes ro-
+        # wait for the pending csc+, so li+ disables it (Definition 5.1).
+        sg = generate_sg(lr_expanded())
+        assert insert_state_signal(sg, "li+", "li-", "x", 0,
+                                   "sequencing") is None
+
+    def test_enumerate_checks_persistency_on_its_input_only(self, q_module,
+                                                            monkeypatch):
+        import repro.encoding.insertion as insertion
+        checked = []
+        real = insertion.persistency_violations
+        monkeypatch.setattr(insertion, "persistency_violations",
+                            lambda sg: checked.append(sg) or real(sg))
+        assert enumerate_insertions(q_module, "x")
+        assert checked == [q_module]
 
     def test_enumerate_orders_by_quality(self, q_module):
         candidates = enumerate_insertions(q_module, "x")
@@ -141,13 +184,12 @@ class TestInsertion:
         conflicts = [choice.conflicts_after for choice, _ in candidates]
         assert conflicts == sorted(conflicts)
 
-    def test_choice_rebuilds_its_candidate(self, q_module):
-        candidates = enumerate_insertions(q_module, "x",
-                                          require_improvement=False)
+    def test_choice_rebuilds_its_candidate(self, mmu_bl):
+        candidates = enumerate_insertions(mmu_bl, "x")
         assert {choice.style for choice, _ in candidates} == set(STYLES)
         for choice, candidate in candidates:
             rebuilt = insert_state_signal(
-                q_module, choice.rise_trigger, choice.fall_trigger,
+                mmu_bl, choice.rise_trigger, choice.fall_trigger,
                 choice.signal, choice.initial_value, choice.style)
             assert sg_to_payload(rebuilt) == sg_to_payload(candidate)
 

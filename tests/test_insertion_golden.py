@@ -17,13 +17,16 @@ goldens never reach.
 import dataclasses
 import functools
 import json
+from itertools import product
 from pathlib import Path
 
 from repro.encoding.csc import conflict_count
-from repro.encoding.insertion import enumerate_insertions, resolve_csc
+from repro.encoding.insertion import (STYLES, enumerate_insertions,
+                                      insert_state_signal, resolve_csc)
 from repro.pipeline.artifacts import sg_to_payload
 from repro.pipeline.hashing import digest_payload
 from repro.sg.generator import generate_sg
+from repro.sg.properties import persistency_violations
 from repro.specs import suite
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_insertion.json"
@@ -112,3 +115,25 @@ def test_insertion_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert insertion_digests() == golden
 
+
+def _disabling_pairs(sg):
+    return {(v.disabled, v.by) for v in persistency_violations(sg)}
+
+
+def test_insertions_keep_output_persistency():
+    # Soundness oracle for the walk's Definition 5.1 rule: no graph that
+    # insert_state_signal returns has a (disabled, by) persistency pair its
+    # input lacks.
+    built = 0
+    for sg, _, __ in insertion_inputs().values():
+        allowed = _disabling_pairs(sg)
+        events = sorted(sg.events)
+        for style, rise, fall, value in product(STYLES, events, events,
+                                                (0, 1)):
+            candidate = insert_state_signal(sg, rise, fall, "csc_new",
+                                            value, style)
+            if candidate is not None:
+                built += 1
+                assert _disabling_pairs(candidate) <= allowed, (
+                    style, rise, fall, value)
+    assert built

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +71,20 @@ class TestFlowConfig:
         with pytest.raises(KeyError):
             FlowConfig.create(library="no-such-library")
 
+    def test_one_design_point_one_digest(self):
+        # The constructor, create() and dataclasses.replace all normalize.
+        direct = FlowConfig(strategy="full", keep_conc=(("ri-", "li-"),),
+                            weight=1)
+        created = FlowConfig.create(strategy="full",
+                                    keep_conc=[("ri-", "li-")], weight=1)
+        replaced = replace(FlowConfig(strategy="full",
+                                      keep_conc=(("li-", "ri-"),)), weight=1)
+        assert direct == created == replaced
+        assert direct.digest() == created.digest() == replaced.digest()
+        assert direct.slice_for("reduce") == replaced.slice_for("reduce")
+        with pytest.raises(KeyError):
+            FlowConfig(library="nope")
+
     def test_keep_conc_canonicalized(self):
         one = FlowConfig.create(strategy="full", keep_conc=[("ri-", "li-")])
         two = FlowConfig.create(strategy="full", keep_conc=[("li-", "ri-")])
@@ -101,7 +116,7 @@ class TestFlowConfig:
         # setting one invalidates generate and nothing else.
         base = FlowConfig.create(strategy="full")
         assert base.slice_for("generate") == {}
-        capped = base.replace(sg_max_states=10_000)
+        capped = replace(base, sg_max_states=10_000)
         assert capped.slice_for("generate") == {"max_states": 10_000,
                                                 "max_arcs": None}
         for stage in ("expand", "reduce", "resolve", "synthesize",
@@ -110,7 +125,7 @@ class TestFlowConfig:
 
     def test_delay_slice_isolated(self):
         base = FlowConfig.create(strategy="full")
-        slow = base.replace(delays=DelayModel.by_kind(4, 1, 1))
+        slow = replace(base, delays=DelayModel.by_kind(4, 1, 1))
         assert base.digest() != slow.digest()
         for stage in ("reduce", "resolve", "synthesize", "verify"):
             assert base.slice_for(stage) == slow.slice_for(stage)
@@ -148,7 +163,7 @@ class TestResume:
     def test_delays_only_change_recomputes_only_timing(self, store):
         config = FlowConfig.create(strategy="best-first")
         run_pipeline(config, stg=load("vme_read"), store=store)
-        slowed = config.replace(delays=DelayModel.by_kind(5, 2, 1))
+        slowed = replace(config, delays=DelayModel.by_kind(5, 2, 1))
         warm = run_pipeline(slowed, stg=load("vme_read"), store=store)
         status = warm.stage_status()
         assert status["timing"] == "computed"
@@ -159,7 +174,7 @@ class TestResume:
     def test_search_knob_change_keeps_generation(self, store):
         config = FlowConfig.create(strategy="best-first", weight=0.5)
         run_pipeline(config, stg=load("half"), store=store)
-        reweighted = config.replace(weight=0.0)
+        reweighted = replace(config, weight=0.0)
         warm = run_pipeline(reweighted, stg=load("half"), store=store)
         status = warm.stage_status()
         assert status["generate"] == "cached"
@@ -268,16 +283,16 @@ class TestImplement:
         assert summary_row(result)["area"] == area
 
     def test_resynthesise_flag(self):
-        result = run_pipeline(AS_IS.replace(resynthesise=True),
+        result = run_pipeline(replace(AS_IS, resynthesise=True),
                               stg=q_module_stg())
         stg = result.resynthesised_stg()
         assert stg is not None
         assert set(stg.signals) >= {"li", "lo", "ri", "ro"}
 
     def test_custom_delays(self):
-        fast = run_pipeline(AS_IS.replace(delays=DelayModel.by_kind(1, 1, 1)),
+        fast = run_pipeline(replace(AS_IS, delays=DelayModel.by_kind(1, 1, 1)),
                             stg=q_module_stg())
-        slow = run_pipeline(AS_IS.replace(delays=DelayModel.by_kind(4, 1, 1)),
+        slow = run_pipeline(replace(AS_IS, delays=DelayModel.by_kind(4, 1, 1)),
                             stg=q_module_stg())
         assert fast.cycle().cycle_time < slow.cycle().cycle_time
 
@@ -354,7 +369,7 @@ class TestVerifyMaxStates:
         capped = FlowConfig(strategy="full", verify=True, verify_max_states=3)
         result = run_pipeline(capped, stg=load("half"))
         assert result.verification().verdict == "state-limit"
-        result = run_pipeline(capped.replace(strategy="none"),
+        result = run_pipeline(replace(capped, strategy="none"),
                               initial_sg=generate_sg(load("half")))
         assert result.verification().verdict == "state-limit"
 

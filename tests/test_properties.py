@@ -95,15 +95,8 @@ class TestSpeedIndependence:
         sg = build_sg({"a": SignalKind.INPUT, "b": SignalKind.OUTPUT}, arcs)
         violations = persistency_violations(sg)
         assert any(v.disabled == "a+" and v.by == "b+" for v in violations)
-
-    def test_check_inputs_false_ignores_input_disabling(self):
-        arcs = [("s0", "a+", "s1"), ("s0", "b+", "s2")]
-        sg = build_sg({"a": SignalKind.INPUT, "b": SignalKind.OUTPUT}, arcs)
-        relaxed = persistency_violations(sg, check_inputs=False)
-        # The output b+ being disabled by a+ is still flagged, but the input
-        # a+ being disabled by the output b+ no longer is.
-        assert not any(v.disabled == "a+" for v in relaxed)
-        assert any(v.disabled == "b+" for v in relaxed)
+        # ...and so is the output b+ disabled by the input a+.
+        assert any(v.disabled == "b+" and v.by == "a+" for v in violations)
 
 
 class TestEncoding:
