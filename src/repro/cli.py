@@ -975,6 +975,19 @@ def _setup_observability(args: argparse.Namespace) -> None:
         progress.clear_heartbeat()
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run the chosen command; an inconsistent spec exits 1 with its witness."""
+    from .sg.generator import ConsistencyError
+
+    try:
+        return args.func(args)
+    except ConsistencyError as exc:
+        print(f"inconsistent specification: {exc}", file=sys.stderr)
+        if exc.witness is not None:
+            print(f"witness: {' '.join(exc.witness)}", file=sys.stderr)
+        return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -985,14 +998,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     _setup_observability(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
-        return args.func(args)
+        return _run(args)
     from .obs.trace import TraceRecorder, recording, write_trace
 
     recorder = TraceRecorder(meta={"command": args.command,
                                    "argv": list(argv)})
     try:
         with recording(recorder):
-            return args.func(args)
+            return _run(args)
     finally:
         # Written even when the command exits early (budget exceedance,
         # SystemExit): a partial trace is exactly what you want then.

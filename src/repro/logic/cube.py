@@ -103,12 +103,6 @@ class Cube:
         values[var] = DC
         return Cube(tuple(values))
 
-    def expand_var(self, var: int) -> "Cube":
-        """Raise (remove the literal of) one variable."""
-        values = list(self.values)
-        values[var] = DC
-        return Cube(tuple(values))
-
     def minterms(self) -> Iterator[Tuple[int, ...]]:
         """Enumerate all minterms inside the cube."""
         choices = [(0, 1) if v == DC else (v,) for v in self.values]

@@ -309,12 +309,6 @@ class PetriNet:
         """The label attached to ``transition``."""
         return self.transition(transition).label
 
-    def relabel_transition(self, name: str, label: object) -> None:
-        """Replace the label of an existing transition."""
-        if name not in self._transitions:
-            raise PetriNetError(f"unknown transition {name!r}")
-        self._transitions[name] = Transition(name, label)
-
     def rename_transition(self, old: str, new: str, label: object = None) -> None:
         """Rename a transition, preserving connectivity.
 

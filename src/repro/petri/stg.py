@@ -25,11 +25,6 @@ class SignalKind(Enum):
     INTERNAL = "internal"
     DUMMY = "dummy"
 
-    @property
-    def is_observable(self) -> bool:
-        """Inputs and outputs are observable; internal signals are not."""
-        return self in (SignalKind.INPUT, SignalKind.OUTPUT)
-
 
 class Direction(Enum):
     """Direction of a signal event."""

@@ -1,12 +1,15 @@
 """State-graph generation from an STG.
 
-Plays the token game over the STG's underlying Petri net, then assigns a
-binary code to every reachable marking by constraint propagation: firing
-``a+`` requires ``a`` to be 0 before and 1 after, firing ``a~`` flips the
-value, and every other signal keeps its value across the arc.  Constraints
-are solved with a parity union-find, so toggle (2-phase) specifications are
-handled uniformly with 4-phase ones; genuine inconsistencies are reported
-with a witness.
+Plays the token game over the STG's underlying Petri net, then gives every
+reachable marking a binary code in one BFS from the initial marking: a
+code is the initial code XOR the signal flips along any path to the
+marking, and each signal's initial value is inferred from its first
+rise/fall arc (``a+`` fires from ``a=0``) unless declared.  Two paths
+that reach a marking with different flips, or a rise/fall arc that
+disagrees with the inferred value, make the specification inconsistent;
+the :class:`ConsistencyError` carries the shortest firing sequence that
+ends with the offending firing.  Toggle (2-phase) specifications unfold
+instead: their states pair a marking with explicit signal values.
 
 Reachability itself runs on the shared exploration core
 (:mod:`repro.explore`): the packed level-vectorized engine when the net
@@ -20,7 +23,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..explore import (BudgetExceeded, ExplorationBudget,
                        FrontierExploration, explore_packed, explore_tuples,
-                       stubborn_reducer)
+                       minimal_trace, stubborn_reducer)
 from ..petri.net import PackedOverflowError
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
 from .graph import StateGraph, StateGraphError
@@ -31,9 +34,9 @@ DEFAULT_MAX_STATES = 200_000
 class ConsistencyError(StateGraphError):
     """The STG admits no consistent binary encoding.
 
-    When the inconsistency is witnessed during 2-phase unfolding,
-    ``witness`` holds the minimal firing sequence (transition names)
-    from the initial marking to the offending firing.
+    ``witness`` holds the shortest firing sequence (transition names)
+    from the initial marking that ends with the offending firing, or
+    ``None`` when the error was raised without one.
     """
 
     def __init__(self, message: str,
@@ -56,62 +59,23 @@ class GenerationBudgetError(StateGraphError, BudgetExceeded):
                                 exceedance.describe("state graph"))
 
 
-class _ParityUnionFind:
-    """Union-find over variables related by equality or inequality (XOR).
-
-    Each variable carries a parity relative to its class representative;
-    uniting two variables with parity 1 states they must differ.
-    """
-
-    def __init__(self) -> None:
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._parity: Dict[Hashable, int] = {}
-
-    def find(self, item: Hashable) -> Tuple[Hashable, int]:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._parity[item] = 0
-            return item, 0
-        path = []
-        node = item
-        while self._parent[node] != node:
-            path.append(node)
-            node = self._parent[node]
-        parity = 0
-        for step in reversed(path):
-            parity ^= self._parity[step]
-            self._parent[step] = node
-            self._parity[step] = parity
-        return node, self._parity[item]
-
-    def union(self, a: Hashable, b: Hashable, parity: int) -> bool:
-        """Assert ``value(a) == value(b) XOR parity``; False on contradiction."""
-        root_a, parity_a = self.find(a)
-        root_b, parity_b = self.find(b)
-        if root_a == root_b:
-            return (parity_a ^ parity_b) == parity
-        self._parent[root_a] = root_b
-        self._parity[root_a] = parity_a ^ parity_b ^ parity
-        return True
-
-
-def generate_sg(stg: STG, limit: int = DEFAULT_MAX_STATES,
-                name: Optional[str] = None, *,
+def generate_sg(stg: STG, *, name: Optional[str] = None,
                 budget: Optional[ExplorationBudget] = None,
                 stubborn: bool = False,
                 engine: str = "auto") -> StateGraph:
     """Build the state graph of an STG.
 
     For purely rise/fall STGs the states are the reachable markings and the
-    binary codes are solved by constraint propagation (initial values are
-    inferred).  STGs containing toggle events (2-phase refinements) are
-    *unfolded*: a state is a (marking, signal values) pair, since a marking
-    revisited after an odd number of toggles is a different binary state.
+    binary codes follow the signal flips from the initial state (initial
+    values are inferred).  STGs containing toggle events (2-phase
+    refinements) are *unfolded*: a state is a (marking, signal values)
+    pair, since a marking revisited after an odd number of toggles is a
+    different binary state.
 
     ``budget`` caps the exploration (states / arcs / wall-clock); when
-    omitted, ``limit`` keeps its historical meaning as a plain state cap.
-    Running out of budget raises :class:`GenerationBudgetError` -- never a
-    silently truncated graph.  With ``stubborn=True``, reachability uses
+    omitted, the cap is :data:`DEFAULT_MAX_STATES` states.  Running out
+    of budget raises :class:`GenerationBudgetError` -- never a silently
+    truncated graph.  With ``stubborn=True``, reachability uses
     the stubborn-set reduction hook (packed nets only; a reduced graph is
     *not* the full state graph and is meant for reachability/deadlock
     questions, not synthesis).
@@ -134,7 +98,7 @@ def generate_sg(stg: STG, limit: int = DEFAULT_MAX_STATES,
             f"unknown SG engine {engine!r}; expected 'auto', 'packed' or "
             "'tuples'")
     if budget is None:
-        budget = ExplorationBudget(max_states=limit)
+        budget = ExplorationBudget(max_states=DEFAULT_MAX_STATES)
     has_toggle = False
     for transition in stg.net.transitions:
         if transition.label is None:
@@ -249,86 +213,67 @@ def _generate_unfolded(stg: STG, budget: ExplorationBudget,
 
 
 def _assign_codes(stg: STG, sg: StateGraph) -> None:
-    """Solve the encoding constraints and write codes into ``sg``."""
-    union_find = _ParityUnionFind()
-    fixed: Dict[Hashable, Tuple[int, str]] = {}  # representative -> (value, why)
+    """Write every state's code into ``sg`` by one BFS from ``sg.initial``.
 
-    def fix(var: Hashable, value: int, why: str) -> None:
-        root, parity = union_find.find(var)
-        want = value ^ parity
-        if root in fixed and fixed[root][0] != want:
-            raise ConsistencyError(
-                f"inconsistent encoding: {why} conflicts with {fixed[root][1]}")
-        fixed.setdefault(root, (want, why))
-
-    for source, label, target in sg.arcs():
-        event = sg.events[label]
-        for signal in sg.signals:
-            src_var = (source, signal)
-            dst_var = (target, signal)
-            if signal == event.signal:
-                if event.direction == Direction.RISE:
-                    fix(src_var, 0, f"{label} fired from state with {signal}=1")
-                    fix(dst_var, 1, f"{label} fired into state with {signal}=0")
-                elif event.direction == Direction.FALL:
-                    fix(src_var, 1, f"{label} fired from state with {signal}=0")
-                    fix(dst_var, 0, f"{label} fired into state with {signal}=1")
-                else:  # toggle
-                    if not union_find.union(src_var, dst_var, 1):
+    Every state must be reachable from ``sg.initial`` (generation
+    guarantees it), so a state's code is the initial code XOR the flips
+    along any path to it.  The BFS carries those flips as an int per
+    state.  A signal's initial value is inferred from its first rise/fall
+    arc (``a+`` fires from ``a=0``) and must agree with a declared one;
+    a signal that never rises or falls takes its declared value, or 0.
+    Each arc is checked as the BFS passes it, and a failing arc raises
+    :class:`ConsistencyError` with the shortest firing sequence that ends
+    with it.
+    """
+    position = {signal: i for i, signal in enumerate(sg.signals)}
+    declared = {position[signal]: value
+                for signal, value in stg.initial_values.items()
+                if signal in position}
+    inferred: Dict[int, int] = {}
+    flips = {sg.initial: 0}
+    parents: Dict[Hashable, Optional[Tuple[Hashable, str]]] = {
+        sg.initial: None}
+    order = [sg.initial]
+    for state in order:
+        here = flips[state]
+        for label, target in sg.successors(state).items():
+            event = sg.events[label]
+            signal = event.signal
+            i = position[signal]
+            if event.direction != Direction.TOGGLE:
+                before = 0 if event.direction == Direction.RISE else 1
+                initial = before ^ (here >> i & 1)
+                if i not in inferred:
+                    inferred[i] = initial
+                    if declared.get(i, initial) != initial:
                         raise ConsistencyError(
-                            f"toggle {label} requires {signal} to flip, but the "
-                            f"states are already constrained equal")
-            else:
-                if not union_find.union(src_var, dst_var, 0):
+                            f"declared initial value {signal}={declared[i]} "
+                            f"contradicts {label}, which forces "
+                            f"{signal}={initial} at the initial state",
+                            witness=minimal_trace(parents, state, label))
+                elif inferred[i] != initial:
                     raise ConsistencyError(
-                        f"firing {label} must preserve {signal}, but the states "
-                        f"are constrained to differ")
-
-    # Re-check fixed values against merged classes (unions after fixes).
-    merged: Dict[Hashable, Tuple[int, str]] = {}
-    for root, (value, why) in list(fixed.items()):
-        rep, parity = union_find.find(root)
-        want = value ^ parity
-        if rep in merged and merged[rep][0] != want:
-            raise ConsistencyError(
-                f"inconsistent encoding: {why} conflicts with {merged[rep][1]}")
-        merged.setdefault(rep, (want, why))
-
-    codes: Dict[Hashable, List[int]] = {state: [] for state in sg.states}
-    for state in sg.states:
-        for signal in sg.signals:
-            rep, parity = union_find.find((state, signal))
-            if rep in merged:
-                value = merged[rep][0] ^ parity
-            else:
-                # Unconstrained class: seed from the declared initial value of
-                # the signal at the initial state, defaulting to 0.
-                init_rep, init_parity = union_find.find((sg.initial, signal))
-                if init_rep == rep:
-                    seed = stg.initial_values.get(signal, 0)
-                    value = seed ^ init_parity ^ parity
-                else:
-                    value = stg.initial_values.get(signal, 0) ^ parity
-            codes[state].append(value)
-
-    # Honour explicitly declared initial values when they are consistent.
-    initial_code = codes[sg.initial]
-    for signal, declared in stg.initial_values.items():
-        if signal not in sg.kinds:
-            continue
-        index = sg.signal_index(signal)
-        actual = initial_code[index]
-        if actual != declared:
-            rep, _ = union_find.find((sg.initial, signal))
-            if rep in merged:
+                        f"{label} fires with {signal} already "
+                        f"{'high' if before == 0 else 'low'}",
+                        witness=minimal_trace(parents, state, label))
+            reached = here ^ (1 << i)
+            seen = flips.get(target)
+            if seen is None:
+                flips[target] = reached
+                parents[target] = (state, label)
+                order.append(target)
+            elif seen != reached:
+                differ = ", ".join(
+                    name for j, name in enumerate(sg.signals)
+                    if (seen ^ reached) >> j & 1)
                 raise ConsistencyError(
-                    f"declared initial value {signal}={declared} contradicts the "
-                    f"encoding forced by the STG ({signal}={actual} at the initial "
-                    f"state)")
-            # Free signal: flip the whole (connected) class.
-            for state in sg.states:
-                state_rep, parity = union_find.find((state, signal))
-                if state_rep == rep:
-                    codes[state][index] ^= 1
-    for state, code in codes.items():
-        sg.add_state(state, code)
+                    f"{label} reaches a state that another firing sequence "
+                    f"reaches with different flips of {differ}",
+                    witness=minimal_trace(parents, state, label))
+
+    start = [inferred.get(i, declared.get(i, 0))
+             for i in range(len(sg.signals))]
+    for state in sg.states:
+        flipped = flips[state]
+        sg.add_state(state, [value ^ (flipped >> i & 1)
+                             for i, value in enumerate(start)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..petri.stg import Direction, SignalKind
+from ..petri.stg import Direction
 from .graph import State, StateGraph, StateGraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -86,11 +86,6 @@ def consistency_violations(sg: StateGraph) -> List[ConsistencyViolation]:
 
 def is_consistent(sg: StateGraph) -> bool:
     return not consistency_violations(sg)
-
-
-def is_deterministic(sg: StateGraph) -> bool:
-    """Always true for :class:`StateGraph` (enforced at construction)."""
-    return True
 
 
 @dataclass(frozen=True)
@@ -190,16 +185,6 @@ class CSCConflict:
     code: Tuple[int, ...]
     excited_a: frozenset = frozenset()
     excited_b: frozenset = frozenset()
-
-
-def _excited_signals(sg: StateGraph, state: State, non_input_only: bool) -> frozenset:
-    signals = set()
-    for label in sg.enabled(state):
-        event = sg.events[label]
-        if non_input_only and sg.kinds[event.signal] == SignalKind.INPUT:
-            continue
-        signals.add((event.signal, event.direction.value))
-    return frozenset(signals)
 
 
 def _group_by_code_int(sg: StateGraph) -> Dict[int, List[int]]:

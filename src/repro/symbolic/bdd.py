@@ -283,13 +283,6 @@ class BDD:
         memo[key] = result
         return result
 
-    def conjoin(self, terms: Sequence[int]) -> int:
-        """AND over a term sequence (left fold; TRUE for empty)."""
-        result = TRUE
-        for term in terms:
-            result = self.apply_and(result, term)
-        return result
-
     def disjoin(self, terms: Sequence[int]) -> int:
         """OR over a term sequence (left fold; FALSE for empty)."""
         result = FALSE

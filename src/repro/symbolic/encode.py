@@ -27,12 +27,15 @@ the codes equal.
 A state is an assignment to (places, signals): the marking bits come
 from the token game, the signal bits are propagated forward from the
 STG's declared initial values (``.initial_state``; absent signals
-default to 0, the same seed the explicit code assignment uses).  For
-consistent specifications this forward propagation reproduces exactly
-the codes the explicit parity-union-find solver assigns, which is what
-the cross-engine parity suite pins; toggle (2-phase) events are handled
-uniformly because the signal bit is genuinely part of the state, exactly
-like the explicit engine's unfolded ``(marking, values)`` states.
+default to 0).  When every initial value is declared, this forward
+propagation reproduces the codes the explicit engine assigns, which is
+what the cross-engine parity suite pins.  The explicit engine instead
+*infers* an undeclared initial value from the signal's first rise/fall
+arc, so a spec that leaves out a signal that starts high (its first
+event is a fall) is consistent there and inconsistent here; toggle
+(2-phase) events are handled uniformly because the signal bit is
+genuinely part of the state, exactly like the explicit engine's
+unfolded ``(marking, values)`` states.
 
 Transitions are *not* folded into one monolithic relation.  Each
 transition keeps its structural pieces -- an enabling cube over the

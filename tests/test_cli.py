@@ -23,6 +23,22 @@ def fig1_file(tmp_path):
     return str(path)
 
 
+DOUBLE_RISE = (".outputs a\n.graph\na+ a+/1\na+/1 a+\n"
+               ".marking { <a+/1,a+> }\n.end\n")
+
+
+class TestInconsistentSpec:
+    @pytest.mark.parametrize("command", ["check", "sg", "synth", "verify",
+                                         "reduce"])
+    def test_exits_one_with_witness(self, command, tmp_path, capsys):
+        path = tmp_path / "double_rise.g"
+        path.write_text(DOUBLE_RISE)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "a+/1 fires with a already high" in err
+        assert "witness: a+ a+/1" in err
+
+
 class TestCheck:
     def test_clean_spec_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "q.g"

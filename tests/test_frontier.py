@@ -145,10 +145,6 @@ class TestGenerationBudget:
                 max_arcs=full.arc_count() - 1))
         assert excinfo.value.exceedance.resource == "arcs"
 
-    def test_legacy_limit_still_caps(self):
-        with pytest.raises(GenerationBudgetError):
-            generate_sg(suite.load("micropipeline"), limit=3)
-
 
 class TestConformanceBudget:
     def test_state_limit_verdict(self):

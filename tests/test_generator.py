@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.explore import ExplorationBudget
+from repro.petri.parser import parse_stg
 from repro.petri.stg import STG, SignalKind
 from repro.sg.generator import ConsistencyError, generate_sg
 from repro.sg.graph import StateGraphError
@@ -69,6 +71,28 @@ class TestGeneration:
         with pytest.raises(ConsistencyError):
             generate_sg(stg)
 
+    @pytest.mark.parametrize("text, witness", [
+        # a+ fires twice with no a- between.
+        (".outputs a\n.graph\na+ a+/1\na+/1 a+\n"
+         ".marking { <a+/1,a+> }\n.end\n", ["a+", "a+/1"]),
+        # a+ and b+ merge into one marking with different codes.
+        (".outputs a b c\n.graph\np0 a+ b+\na+ p1\nb+ p1\np1 c+\n"
+         "c+ c-\nc- p0\n.marking { p0 }\n.end\n", ["b+"]),
+        # a- fires first, so a=1 initially; the declared 0 conflicts.
+        (".outputs a b\n.graph\na- b+\nb+ a+\na+ b-\nb- a-\n"
+         ".marking { <b-,a-> }\n.initial_state !a\n.end\n", ["a-"]),
+    ])
+    def test_inconsistency_witness_replays_to_offending_firing(self, text,
+                                                               witness):
+        stg = parse_stg(text)
+        with pytest.raises(ConsistencyError) as excinfo:
+            generate_sg(stg)
+        assert excinfo.value.witness == witness
+        marking = stg.net.initial_marking()
+        for transition in witness:
+            assert transition in stg.net.enabled_transitions(marking)
+            marking = stg.net.fire(transition, marking)
+
     def test_toggle_self_loop_unfolds(self):
         # 2-phase semantics: one marking, but two binary states (a=0, a=1).
         stg = STG("toggle2")
@@ -120,7 +144,7 @@ class TestGeneration:
     def test_state_limit(self):
         stg = simple_cycle(["a+", "b+", "a-", "b-"], "<b-,a+>")
         with pytest.raises(StateGraphError):
-            generate_sg(stg, limit=2)
+            generate_sg(stg, budget=ExplorationBudget(max_states=2))
 
     def test_unused_signal_gets_declared_value(self):
         stg = simple_cycle(["a+", "b+", "a-", "b-"], "<b-,a+>")

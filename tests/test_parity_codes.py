@@ -1,10 +1,9 @@
-"""Unit tests for the parity union-find and constraint-based code assignment.
+"""Unit tests for code assignment from the initial state.
 
-The solver in :mod:`repro.sg.generator` carries equality/inequality (XOR)
-constraints between (state, signal) variables; these tests exercise it both
-directly (:class:`_ParityUnionFind`) and through :func:`_assign_codes` on
-hand-built toggle (2-phase) state graphs, including the inconsistency
-witnesses and the declared-initial-value flip of an unconstrained class.
+:func:`repro.sg.generator._assign_codes` gives each state the initial
+code XOR the flips along a path to it; these tests drive it on hand-built
+toggle (2-phase) state graphs, including the inconsistency witnesses and
+the declared initial value of a signal that never rises or falls.
 """
 
 import subprocess
@@ -13,69 +12,8 @@ import sys
 import pytest
 
 from repro.petri.stg import Direction, SignalEvent, SignalKind, STG
-from repro.sg.generator import (ConsistencyError, _ParityUnionFind,
-                                _assign_codes, generate_sg)
+from repro.sg.generator import ConsistencyError, _assign_codes
 from repro.sg.graph import StateGraph
-
-
-class TestParityUnionFind:
-    def test_fresh_item_is_its_own_even_root(self):
-        uf = _ParityUnionFind()
-        root, parity = uf.find("x")
-        assert root == "x" and parity == 0
-
-    def test_equal_union_keeps_parity_zero(self):
-        uf = _ParityUnionFind()
-        assert uf.union("a", "b", 0)
-        root_a, parity_a = uf.find("a")
-        root_b, parity_b = uf.find("b")
-        assert root_a == root_b
-        assert parity_a == parity_b
-
-    def test_unequal_union_gives_odd_relative_parity(self):
-        uf = _ParityUnionFind()
-        assert uf.union("a", "b", 1)
-        root_a, parity_a = uf.find("a")
-        root_b, parity_b = uf.find("b")
-        assert root_a == root_b
-        assert parity_a ^ parity_b == 1
-
-    def test_parity_composes_over_chains(self):
-        # a != b, b != c  =>  a == c;  c != d  =>  a != d.
-        uf = _ParityUnionFind()
-        uf.union("a", "b", 1)
-        uf.union("b", "c", 1)
-        uf.union("c", "d", 1)
-        _, pa = uf.find("a")
-        _, pc = uf.find("c")
-        _, pd = uf.find("d")
-        assert pa == pc
-        assert pa ^ pd == 1
-
-    def test_contradiction_detected(self):
-        uf = _ParityUnionFind()
-        assert uf.union("a", "b", 0)
-        assert uf.union("b", "c", 1)
-        assert not uf.union("a", "c", 0)  # a==b, b!=c forces a!=c
-        assert uf.union("a", "c", 1)      # restating the truth is fine
-
-    def test_redundant_union_is_consistent(self):
-        uf = _ParityUnionFind()
-        assert uf.union("a", "b", 1)
-        assert uf.union("a", "b", 1)
-        assert not uf.union("a", "b", 0)
-
-    def test_path_compression_preserves_parities(self):
-        uf = _ParityUnionFind()
-        items = [f"v{i}" for i in range(20)]
-        for first, second in zip(items, items[1:]):
-            uf.union(first, second, 1)
-        # Alternating chain: v0 and v_k agree iff k is even.
-        _, p0 = uf.find(items[0])
-        for k, item in enumerate(items):
-            root, parity = uf.find(item)
-            assert root == uf.find(items[0])[0]
-            assert (parity ^ p0) == (k % 2)
 
 
 def _toggle_stg(*signals):

@@ -185,3 +185,36 @@ class TestCodingReports:
         assert report.truncated
         assert report.usc_pairs == [] and report.conflicts == []
         assert report.usc_pair_count > 3
+
+
+DOUBLE_RISE = (".outputs a\n.graph\na+ a+/1\na+/1 a+\n"
+               ".marking { <a+/1,a+> }\n.end\n")
+MERGE = (".outputs a b c\n.graph\np0 a+ b+\na+ p1\nb+ p1\np1 c+\nc+ c-\n"
+         "c- p0\n.marking { p0 }\n.end\n")
+UNDECLARED_FALL_FIRST = (".outputs a b\n.graph\na- b+\nb+ a+\na+ b-\n"
+                         "b- a-\n.marking { <b-,a-> }\n.end\n")
+
+
+class TestInconsistencyParity:
+    @pytest.mark.parametrize("text", [DOUBLE_RISE, MERGE],
+                             ids=["double_rise", "merge"])
+    def test_both_engines_reject(self, text):
+        from repro.sg.generator import ConsistencyError
+        from repro.sg.properties import check_coding
+
+        stg = parse_stg(text)
+        with pytest.raises(ConsistencyError):
+            generate_sg(stg)
+        assert not check_coding(stg, engine="symbolic").consistent
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the symbolic encoder seeds an undeclared initial value with 0, "
+        "while the explicit engine infers a=1 from a- firing first"))
+    def test_undeclared_initial_value_inferred_by_both(self):
+        from repro.sg.properties import check_coding
+
+        stg = parse_stg(UNDECLARED_FALL_FIRST)
+        explicit = check_coding(stg)
+        assert explicit.consistent and explicit.states == 4
+        assert check_coding(stg, engine="symbolic").to_payload() \
+            == explicit.to_payload()
