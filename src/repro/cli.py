@@ -8,7 +8,7 @@ Usage (also via ``python -m repro``)::
     python -m repro synth  spec.g [--full] [--no-reduce] [--keep li-,ri-]
                                    [-W 0.5] [--max-csc 4] [--store DIR]
                                    [--sg-max-states N] [--sg-max-arcs N]
-                                   [--engine ...]
+                                   [--engine auto|symbolic]
     python -m repro reduce spec.g [-o out.g]   # reduce + re-derive an STG
     python -m repro verify spec.g [--strategies none,full] [--store DIR]
                                    [--model atomic|structural]
@@ -35,11 +35,12 @@ checks the synthesized circuit of every requested reduction strategy
 against its specification; ``sg`` and ``synth`` take exploration-budget
 knobs (``--max-states``/``--max-arcs``, ``--sg-max-states``/
 ``--sg-max-arcs``) that bound state-graph generation through one
-:class:`repro.explore.ExplorationBudget`; ``check``/``sg``/``synth``
-take ``--engine`` to pick the exploration core -- including the symbolic
+:class:`repro.explore.ExplorationBudget`; ``check``/``sg`` take
+``--engine`` to pick the exploration core -- including the symbolic
 BDD engine (:mod:`repro.symbolic`), which computes reachable sets and
 coding verdicts without enumerating states and is budgeted in allocated
-BDD nodes (``--max-nodes``); ``sweep``
+BDD nodes (``--max-nodes``) -- and ``synth --engine symbolic`` runs that
+engine's coding check before the explicit flow; ``sweep``
 runs the built-in benchmark registry through the whole Tables 1-2
 design-space grid in parallel; ``serve`` exposes the same flow as a
 long-running HTTP service with request deduplication and micro-batching
@@ -164,7 +165,7 @@ def _symbolic_sg(args: argparse.Namespace) -> int:
     """``repro sg --engine symbolic``: reach + coding, no enumeration."""
     from .explore import ExplorationBudget
     from .explore.budget import BudgetExceeded
-    from .symbolic import SymbolicEncodingError, encode_stg, symbolic_reach
+    from .symbolic import encode_stg, symbolic_reach
     from .symbolic.csc import check_coding_symbolic
 
     stg = _read_spec(args.spec)
@@ -178,8 +179,6 @@ def _symbolic_sg(args: argparse.Namespace) -> int:
     except BudgetExceeded as exc:
         raise SystemExit(f"{exc.exceedance.diagnose('symbolic reachability')} "
                          "(raise --max-nodes)")
-    except SymbolicEncodingError as exc:
-        raise SystemExit(str(exc))
     mode = "chained passes" if run.chaining else "BFS levels"
     print(f"symbolic reachability of {stg.name}: {run.state_count} states "
           f"in {run.levels} {mode}")
@@ -242,19 +241,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 else args.internal_delay)
     delays = DelayModel.by_kind(args.input_delay, args.output_delay, internal)
     store = ArtifactStore(args.store) if args.store else None
-    # --engine symbolic = symbolic coding pre-flight, explicit synthesis
-    # (the netlist needs the materialized state graph); packed/tuples
-    # select the marking-exploration core of the generation stage.
-    sg_engine = args.engine if args.engine in ("packed", "tuples") else "auto"
-    check_engine = "symbolic" if args.engine == "symbolic" else "auto"
     config = FlowConfig.create(
         strategy=_strategy(args), keep_conc=_parse_keep(args.keep),
         weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
-        sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs,
-        sg_engine=sg_engine, check_engine=check_engine)
+        sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs)
     stg = _read_spec(args.spec)
+    # --engine symbolic = symbolic coding pre-flight, explicit synthesis
+    # (the netlist needs the materialized state graph).
     coding = (check_coding(stg, engine="symbolic")
-              if check_engine == "symbolic" else None)
+              if args.engine == "symbolic" else None)
     try:
         result = run_pipeline(config, stg=stg, name=stg.name, store=store)
     except GenerationBudgetError as exc:
@@ -668,11 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--sg-max-arcs", type=int, default=None,
                        help="arc budget for SG generation "
                        "(default: unbounded)")
-    synth.add_argument("--engine",
-                       choices=("auto", "packed", "tuples", "symbolic"),
+    synth.add_argument("--engine", choices=("auto", "symbolic"),
                        default="auto",
-                       help="packed/tuples select the SG generation core; "
-                            "symbolic runs a BDD coding pre-flight (prints "
+                       help="symbolic runs a BDD coding pre-flight (prints "
                             "the verdicts) before the explicit flow")
     synth.add_argument("--store", metavar="DIR",
                        help="artifact store; warm runs reuse every pipeline "
@@ -976,8 +969,14 @@ def _setup_observability(args: argparse.Namespace) -> None:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the chosen command; an inconsistent spec exits 1 with its witness."""
+    """Run the chosen command; a spec the flow cannot handle exits 1.
+
+    An inconsistent spec prints its witness; any other state-graph or
+    symbolic-encoding refusal (a dummy transition, a multi-token place)
+    prints its message.
+    """
     from .sg.generator import ConsistencyError
+    from .sg.graph import StateGraphError
 
     try:
         return args.func(args)
@@ -985,6 +984,14 @@ def _run(args: argparse.Namespace) -> int:
         print(f"inconsistent specification: {exc}", file=sys.stderr)
         if exc.witness is not None:
             print(f"witness: {' '.join(exc.witness)}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # Imported on the error path only, so commands that never build a
+        # BDD (``serve`` among them) do not pay for loading the engine.
+        from .symbolic import SymbolicEncodingError
+        if not isinstance(exc, (StateGraphError, SymbolicEncodingError)):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,8 +10,9 @@ paper's observations:
 * ordering one signal after another may *grow* the support of its function.
 
 The estimate is the total SOP literal count over all non-input signals, with
-conflicting codes treated optimistically plus a fixed per-conflict penalty
-that stands in for the state signals that will have to be inserted.
+conflicting codes treated optimistically (as ON-set minterms).  The CSC
+conflicts are weighed separately, by the reduction's cost function
+(:mod:`repro.reduction.cost`).
 
 The fast path never leaves the packed-integer representation: extraction
 yields int minterm sets, and the literal count comes from the memoized fast
@@ -28,9 +29,6 @@ from ..sg.graph import StateGraph
 from .functions import extract_all_functions
 from .minimize import fast_literal_count
 
-#: Literal-equivalent penalty for each state code involved in a CSC conflict.
-CSC_CODE_PENALTY = 4
-
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
@@ -39,10 +37,6 @@ class ComplexityEstimate:
     literals: int
     csc_conflict_codes: int
     per_signal_literals: Dict[str, int]
-
-    @property
-    def total(self) -> int:
-        return self.literals + CSC_CODE_PENALTY * self.csc_conflict_codes
 
 
 def estimate_logic_complexity(sg: StateGraph, exact: bool = False,

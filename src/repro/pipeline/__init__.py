@@ -18,8 +18,7 @@ This package is the spine the whole system runs on:
 
 from .config import (DEFAULT_VERIFY_MAX_STATES, STAGE_ORDER,
                      STRATEGY_DEFAULTS, STRATEGIES, FlowConfig,
-                     delays_from_payload, delays_payload, library_name,
-                     register_library, resolve_library)
+                     delays_from_payload, delays_payload)
 from .hashing import (canonical, digest_payload, graph_digest,
                       netlist_digest, netlist_payload, text_digest)
 from .jobs import (TableRow, run_synth_job, run_synth_job_with_status,
@@ -32,7 +31,6 @@ from .store import STORE_SCHEMA, ArtifactStore
 __all__ = [
     "DEFAULT_VERIFY_MAX_STATES", "STAGE_ORDER", "STRATEGY_DEFAULTS",
     "STRATEGIES", "FlowConfig", "delays_from_payload", "delays_payload",
-    "library_name", "register_library", "resolve_library",
     "canonical", "digest_payload", "graph_digest", "netlist_digest",
     "netlist_payload", "text_digest",
     "TableRow", "run_synth_job", "run_synth_job_with_status", "summary_row",

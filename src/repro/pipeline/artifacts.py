@@ -29,7 +29,6 @@ from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from ..circuit.library import Library
 from ..circuit.netlist import Netlist
 from ..circuit.synthesize import CircuitImplementation, SignalImplementation
 from ..encoding.insertion import InsertionChoice
@@ -119,14 +118,13 @@ def sg_from_payload(payload: Dict[str, object]) -> StateGraph:
 # ----------------------------------------------------------------------
 # netlists and circuits
 # ----------------------------------------------------------------------
-def netlist_from_payload(payload: Dict[str, object],
-                         library: Library) -> Netlist:
+def netlist_from_payload(payload: Dict[str, object]) -> Netlist:
     """Rebuild a netlist from :func:`repro.pipeline.hashing.netlist_payload`.
 
     Gate names, orders and cell bindings are preserved exactly, so the
     rebuilt netlist simulates and renders byte-identically to the original.
     """
-    netlist = Netlist(payload["name"], library)
+    netlist = Netlist(payload["name"])
     for net in payload["inputs"]:
         netlist.add_input(net)
     for net in payload["outputs"]:
@@ -157,18 +155,18 @@ def circuit_payload(circuit: CircuitImplementation) -> Dict[str, object]:
     }
 
 
-def circuit_from_payload(payload: Dict[str, object],
-                         library: Library) -> CircuitImplementation:
+def circuit_from_payload(payload: Dict[str, object]
+                         ) -> CircuitImplementation:
     signals = {
         signal: SignalImplementation(
             signal=signal, style=style, cover=None, set_cover=None,
             reset_cover=None,
-            netlist=netlist_from_payload(net_payload, library),
+            netlist=netlist_from_payload(net_payload),
             equation=equation)
         for signal, style, equation, net_payload in payload["signals"]}
     return CircuitImplementation(
         name=payload["name"], signals=signals,
-        netlist=netlist_from_payload(payload["netlist"], library))
+        netlist=netlist_from_payload(payload["netlist"]))
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 :class:`FlowConfig` is a frozen dataclass naming one point of the design
 space the Fig. 4 flow can evaluate: reduction strategy and search budget,
-CSC insertion budget, delay model, library, synthesis options and the
-verification configuration.  The CLI, the sweep grid, the service and
-the benchmarks all construct one of these instead of re-declaring the
-same keyword sprawl, so the knobs cannot drift apart.
+CSC insertion budget, delay model, synthesis options, the state-graph
+generation budget and the verification configuration.  Synthesis always
+maps exact covers onto :data:`~repro.circuit.library.DEFAULT_LIBRARY`, and
+generation always runs the ``auto`` exploration core.  The CLI, the sweep
+grid, the service and the benchmarks all construct one of these instead
+of re-declaring the same keyword sprawl, so the knobs cannot drift apart.
 
 The per-strategy exploration defaults live here too
 (:data:`STRATEGY_DEFAULTS`); every caller resolves them through
@@ -26,15 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..circuit.library import DEFAULT_LIBRARY, Library
 from ..timing.delays import TABLE1_DELAYS, DelayModel
 from .hashing import digest_payload, fraction_text
 
 __all__ = [
-    "CHECK_ENGINES", "DEFAULT_VERIFY_MAX_STATES", "SG_ENGINES",
-    "STAGE_ORDER", "STRATEGIES", "STRATEGY_DEFAULTS", "VERIFY_MODELS",
-    "FlowConfig", "canonical_keep", "delays_from_payload", "delays_payload",
-    "library_name", "register_library", "resolve_library",
+    "DEFAULT_VERIFY_MAX_STATES", "STAGE_ORDER", "STRATEGIES",
+    "STRATEGY_DEFAULTS", "VERIFY_MODELS", "FlowConfig", "canonical_keep",
+    "delays_from_payload", "delays_payload",
 ]
 
 KeepPairs = Tuple[Tuple[str, str], ...]
@@ -60,74 +60,9 @@ DEFAULT_VERIFY_MAX_STATES = 1_000_000
 
 VERIFY_MODELS = ("atomic", "structural")
 
-#: Marking-exploration cores for SG generation: ``auto`` tries the packed
-#: engine and falls back to tuples, the others force one core.  The
-#: symbolic engine never materializes a state graph, so it is not an SG
-#: engine; see :data:`CHECK_ENGINES`.
-SG_ENGINES = ("auto", "packed", "tuples")
-
-#: Engines for coding (consistency/USC/CSC) checks.  ``symbolic`` runs
-#: the BDD path (:mod:`repro.symbolic`), which never enumerates states.
-CHECK_ENGINES = ("auto", "packed", "tuples", "symbolic")
-
-#: Named libraries a config can reference.  Library objects are not
-#: serializable, so configs carry the *name*; custom libraries register
-#: here (:func:`register_library`) before appearing in a config.
-_LIBRARIES: Dict[str, Library] = {"default": DEFAULT_LIBRARY}
-
 #: The stages of the Fig. 4 pipeline, in execution order.
 STAGE_ORDER = ("expand", "generate", "reduce", "resolve", "synthesize",
                "timing", "verify")
-
-
-def _library_payload(library: Library) -> list:
-    return sorted([cell.name, cell.fanin, cell.area, cell.delay,
-                   cell.sequential] for cell in library.cells.values())
-
-
-def register_library(library: Library, name: Optional[str] = None) -> str:
-    """Register a library under ``name`` (default: its own name).
-
-    Config digests (and therefore artifact-store keys) carry the library by
-    *name*, so one name must always mean one cell set: re-registering a
-    name with different cells raises instead of silently rebinding (which
-    would let a warm store serve circuits synthesized for another library).
-    """
-    key = name or library.name
-    existing = _LIBRARIES.get(key)
-    if existing is not None and existing is not library \
-            and _library_payload(existing) != _library_payload(library):
-        raise ValueError(
-            f"library name {key!r} is already registered with different "
-            "cells; pick another name so store keys stay unambiguous")
-    _LIBRARIES[key] = library
-    return key
-
-
-def resolve_library(name: str) -> Library:
-    """The registered library for ``name``; raises ``KeyError`` if unknown."""
-    try:
-        return _LIBRARIES[name]
-    except KeyError:
-        raise KeyError(f"no registered library {name!r}; "
-                       f"available: {sorted(_LIBRARIES)}") from None
-
-
-def library_name(library: Library) -> str:
-    """Name a library object for a config, registering it if needed.
-
-    An unregistered library whose name collides with a different
-    registered cell set gets a content-digest suffix, so distinct
-    libraries can never alias one store key.
-    """
-    for name, registered in _LIBRARIES.items():
-        if registered is library:
-            return name
-    try:
-        return register_library(library)
-    except ValueError:
-        suffix = digest_payload(_library_payload(library))[:12]
-        return register_library(library, f"{library.name}-{suffix}")
 
 
 def canonical_keep(keep: Iterable[Tuple[str, str]]) -> KeepPairs:
@@ -161,10 +96,8 @@ class FlowConfig:
 
     Construction normalizes, so every spelling of one design point digests
     identically: ``keep_conc`` pair order is canonicalized, ``weight``
-    becomes a float, a :class:`Library` object becomes its registered name
-    (an unknown name raises ``KeyError``), ``verify_max_states=None`` means
-    the default and the budgets become ints.  ``dataclasses.replace``
-    normalizes the same way.
+    becomes a float, ``verify_max_states=None`` means the default and the
+    budgets become ints.  ``dataclasses.replace`` normalizes the same way.
     """
 
     strategy: str = "best-first"
@@ -174,8 +107,6 @@ class FlowConfig:
     max_explored: Optional[int] = None
     max_csc_signals: int = 4
     delays: DelayModel = TABLE1_DELAYS
-    library: str = "default"
-    exact_covers: bool = True
     resynthesise: bool = False
     phases: int = 4
     verify: bool = False
@@ -185,12 +116,6 @@ class FlowConfig:
     #: ``None`` keeps the generator's historical default state cap.
     sg_max_states: Optional[int] = None
     sg_max_arcs: Optional[int] = None
-    #: Marking-exploration core for SG generation (:data:`SG_ENGINES`)
-    #: and engine for coding checks run on this config's behalf
-    #: (:data:`CHECK_ENGINES`).  The defaults reproduce the historical
-    #: behaviour byte for byte.
-    sg_engine: str = "auto"
-    check_engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -199,22 +124,9 @@ class FlowConfig:
         if self.verify_model not in VERIFY_MODELS:
             raise ValueError(f"unknown verify model {self.verify_model!r}; "
                              f"expected one of {VERIFY_MODELS}")
-        if self.sg_engine not in SG_ENGINES:
-            raise ValueError(f"unknown SG engine {self.sg_engine!r}; "
-                             f"expected one of {SG_ENGINES}")
-        if self.check_engine not in CHECK_ENGINES:
-            raise ValueError(f"unknown check engine {self.check_engine!r}; "
-                             f"expected one of {CHECK_ENGINES}")
-        library = self.library
-        if isinstance(library, Library):
-            library = library_name(library)
-        else:
-            resolve_library(library)  # fail fast on unknown names
         normal = {
             "weight": float(self.weight),
             "keep_conc": canonical_keep(self.keep_conc),
-            "library": library,
-            "exact_covers": bool(self.exact_covers),
             "resynthesise": bool(self.resynthesise),
             "verify": bool(self.verify),
             "verify_max_states": (DEFAULT_VERIFY_MAX_STATES
@@ -246,10 +158,6 @@ class FlowConfig:
         default = STRATEGY_DEFAULTS[self.strategy][1]
         return default if self.max_explored is None else self.max_explored
 
-    def resolved_library(self) -> Library:
-        """The registered :class:`Library` object this config names."""
-        return resolve_library(self.library)
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -263,8 +171,6 @@ class FlowConfig:
             "max_explored": self.max_explored,
             "max_csc_signals": self.max_csc_signals,
             "delays": delays_payload(self.delays),
-            "library": self.library,
-            "exact_covers": self.exact_covers,
             "resynthesise": self.resynthesise,
             "phases": self.phases,
             "verify": self.verify,
@@ -272,13 +178,16 @@ class FlowConfig:
             "verify_max_states": self.verify_max_states,
             "sg_max_states": self.sg_max_states,
             "sg_max_arcs": self.sg_max_arcs,
-            "sg_engine": self.sg_engine,
-            "check_engine": self.check_engine,
         }
 
     @staticmethod
     def from_payload(payload: Dict[str, object]) -> "FlowConfig":
-        """Rebuild a config from :meth:`to_payload` output."""
+        """Rebuild a config from :meth:`to_payload` output.
+
+        Keys of fields that no longer exist (``library``,
+        ``exact_covers``, ``sg_engine``, ``check_engine``) are ignored, so
+        payloads written before their removal still decode.
+        """
         return FlowConfig(
             strategy=payload["strategy"],
             weight=payload["weight"],
@@ -287,8 +196,6 @@ class FlowConfig:
             max_explored=payload["max_explored"],
             max_csc_signals=payload["max_csc_signals"],
             delays=delays_from_payload(payload["delays"]),
-            library=payload["library"],
-            exact_covers=payload["exact_covers"],
             resynthesise=payload["resynthesise"],
             phases=payload["phases"],
             verify=payload["verify"],
@@ -297,11 +204,7 @@ class FlowConfig:
             # Absent in payloads serialized before the exploration-core
             # budgets existed; missing means "generator default".
             sg_max_states=payload.get("sg_max_states"),
-            sg_max_arcs=payload.get("sg_max_arcs"),
-            # Absent before the engine knobs existed; missing means the
-            # historical auto behaviour.
-            sg_engine=payload.get("sg_engine", "auto"),
-            check_engine=payload.get("check_engine", "auto"))
+            sg_max_arcs=payload.get("sg_max_arcs"))
 
     def to_json(self) -> str:
         """The payload as deterministic, sorted JSON text."""
@@ -334,16 +237,12 @@ class FlowConfig:
         if stage == "expand":
             return {"phases": self.phases}
         if stage == "generate":
-            # Default budgets and engine key exactly like the pre-budget
-            # era, so a warm store keeps serving every artifact it
-            # already holds.
-            slice_: Dict[str, object] = {}
-            if self.sg_max_states is not None or self.sg_max_arcs is not None:
-                slice_ = {"max_states": self.sg_max_states,
-                          "max_arcs": self.sg_max_arcs}
-            if self.sg_engine != "auto":
-                slice_["engine"] = self.sg_engine
-            return slice_
+            # Default budgets key exactly like the pre-budget era, so a
+            # warm store keeps serving every artifact it already holds.
+            if self.sg_max_states is None and self.sg_max_arcs is None:
+                return {}
+            return {"max_states": self.sg_max_states,
+                    "max_arcs": self.sg_max_arcs}
         if stage == "reduce":
             if self.strategy == "none":
                 return {"strategy": "none"}
@@ -359,9 +258,7 @@ class FlowConfig:
         if stage == "resolve":
             return {"max_csc_signals": self.max_csc_signals}
         if stage == "synthesize":
-            return {"library": self.library,
-                    "exact_covers": self.exact_covers,
-                    "resynthesise": self.resynthesise}
+            return {"resynthesise": self.resynthesise}
         if stage == "timing":
             return {"delays": delays_payload(self.delays)}
         if stage == "verify":

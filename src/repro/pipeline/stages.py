@@ -327,8 +327,7 @@ class PipelineResult:
             return None
         key = "circuit:" + result.digest
         if key not in self._decoded:
-            self._decoded[key] = circuit_from_payload(
-                payload, self.config.resolved_library())
+            self._decoded[key] = circuit_from_payload(payload)
         return self._decoded[key]
 
     def area_estimate(self) -> Optional[float]:
@@ -429,10 +428,8 @@ def _run_stages(config: FlowConfig,
                             if config.sg_max_states is None
                             else config.sg_max_states),
                 max_arcs=config.sg_max_arcs)
-            return (sg_to_payload(generate_sg(parse_stg(text),
-                                              budget=budget,
-                                              engine=config.sg_engine)),
-                    None)
+            return sg_to_payload(generate_sg(parse_stg(text),
+                                             budget=budget)), None
 
         results["generate"] = _execute(
             store, "generate", generate_slice,
@@ -487,19 +484,16 @@ def _run_stages(config: FlowConfig,
     # -------------------------------------------------------- synthesize
     def compute_synthesize():
         decoded = _decode_sg(resolved_payload, resolved_digest)
-        library = config.resolved_library()
         circuit: Optional[CircuitImplementation] = None
         area_estimate: Optional[float] = None
         if resolved_ok:
             try:
-                circuit = synthesize_circuit(decoded,
-                                             exact=config.exact_covers,
-                                             library=library)
+                circuit = synthesize_circuit(decoded)
             except ValueError:
                 circuit = None  # 2-phase (toggle) SGs have no SOP logic
         else:
             try:
-                area_estimate = estimate_circuit_area(decoded, library)
+                area_estimate = estimate_circuit_area(decoded)
             except ValueError:
                 area_estimate = None
         resynthesised: Optional[str] = None
@@ -545,8 +539,7 @@ def _run_stages(config: FlowConfig,
                     "toggle specification)", model=config.verify_model)
                 cached = False
             else:
-                netlist = netlist_from_payload(circuit_section["netlist"],
-                                               config.resolved_library())
+                netlist = netlist_from_payload(circuit_section["netlist"])
                 decoded = _decode_sg(resolved_payload, resolved_digest)
                 report, cached = verify_netlist(
                     netlist, decoded, model=config.verify_model,

@@ -37,7 +37,7 @@ class CostBreakdown:
         return logic_term + csc_term + 1e-3 * self.state_count
 
 
-def measure_terms(sg: StateGraph, exact_covers: bool) -> Tuple[int, int, int]:
+def measure_terms(sg: StateGraph) -> Tuple[int, int, int]:
     """The weight-independent cost terms of ``sg``.
 
     ``(literal estimate, CSC conflict pairs, state count)``; the reduction
@@ -45,7 +45,7 @@ def measure_terms(sg: StateGraph, exact_covers: bool) -> Tuple[int, int, int]:
     :class:`~repro.reduction.fwdred.ReductionSpace`, so sweeps over ``W``
     or the frontier width re-measure nothing.
     """
-    estimate = estimate_logic_complexity(sg, exact=exact_covers)
+    estimate = estimate_logic_complexity(sg)
     return estimate.literals, len(csc_conflicts(sg)), len(sg)
 
 
@@ -58,13 +58,11 @@ class CostFunction:
     afresh each time.
     """
 
-    def __init__(self, weight: float = 0.5, csc_scale: float = 20.0,
-                 exact_covers: bool = False) -> None:
+    def __init__(self, weight: float = 0.5, csc_scale: float = 20.0) -> None:
         if not 0.0 <= weight <= 1.0:
             raise ValueError("weight W must lie in [0, 1]")
         self.weight = weight
         self.csc_scale = csc_scale
-        self.exact_covers = exact_covers
 
     def from_terms(self, terms: Tuple[int, int, int]) -> CostBreakdown:
         """Combine :func:`measure_terms` output under this weight."""
@@ -78,7 +76,7 @@ class CostFunction:
         )
 
     def breakdown(self, sg: StateGraph) -> CostBreakdown:
-        return self.from_terms(measure_terms(sg, self.exact_covers))
+        return self.from_terms(measure_terms(sg))
 
     def __call__(self, sg: StateGraph) -> float:
         return self.breakdown(sg).value

@@ -152,11 +152,10 @@ class _Search:
         """The heuristic cost of ``config``, measured once per space."""
         value = self._values.get(config.mask)
         if value is None:
-            key = (config.mask, self.cost.exact_covers)
-            terms = self.space.terms.get(key)
+            terms = self.space.terms.get(config.mask)
             if terms is None:
-                terms = self.space.terms[key] = measure_terms(
-                    self.graph(config), self.cost.exact_covers)
+                terms = self.space.terms[config.mask] = measure_terms(
+                    self.graph(config))
             value = self._values[config.mask] = self.cost.from_terms(terms).value
         return value
 
@@ -179,7 +178,6 @@ def reduce_concurrency(sg: StateGraph,
                        size_frontier: int = 4,
                        weight: float = 0.5,
                        cost_function: Optional[CostFunction] = None,
-                       max_levels: Optional[int] = None,
                        max_explored: int = 10_000,
                        strategy: str = "best-first",
                        patience: int = 150) -> ExplorationResult:
@@ -208,8 +206,7 @@ def reduce_concurrency(sg: StateGraph,
     if strategy == "best-first":
         best, best_cost, history, levels = _best_first(search, patience)
     else:
-        best, best_cost, history, levels = _beam(search, size_frontier,
-                                                 max_levels)
+        best, best_cost, history, levels = _beam(search, size_frontier)
     best_sg = search.graph(best)
     stats = search.stats(strategy, levels)
     return ExplorationResult(best=best_sg, best_cost=best_cost,
@@ -218,7 +215,7 @@ def reduce_concurrency(sg: StateGraph,
                              history=history, stats=stats)
 
 
-def _beam(search: _Search, size_frontier: int, max_levels: Optional[int]
+def _beam(search: _Search, size_frontier: int
           ) -> Tuple[Config, float, List[ExplorationStep], int]:
     """The paper's level-by-level loop: the best ``size_frontier`` survive.
 
@@ -231,8 +228,7 @@ def _beam(search: _Search, size_frontier: int, max_levels: Optional[int]
     history: List[ExplorationStep] = []
     level = 0
 
-    while frontier and not search.capped and (max_levels is None
-                                              or level < max_levels):
+    while frontier and not search.capped:
         level += 1
         candidates: Dict[int, Tuple[float, Config, str, str]] = {}
         for current in frontier:

@@ -159,8 +159,8 @@ class ReductionSpace:
         self.initial = index.get(root.initial)
         self.root = Config((1 << arc) - 1, (1 << len(self.states)) - 1)
         self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
-        #: ``(mask, exact_covers) -> (literals, CSC pairs, states)``.
-        self.terms: Dict[Tuple[int, bool], Tuple[int, int, int]] = {}
+        #: ``mask -> (literals, CSC pairs, states)``.
+        self.terms: Dict[int, Tuple[int, int, int]] = {}
 
     def view(self, config: Config) -> _View:
         return _View(self, config)

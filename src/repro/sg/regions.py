@@ -10,9 +10,8 @@ ER-based one is used as a fast check and in tests as a cross-validation).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
-from ..petri.stg import Direction, SignalKind
 from .graph import State, StateGraph
 
 
@@ -122,9 +121,8 @@ def er_intersection_concurrent(sg: StateGraph, label_a: str, label_b: str) -> bo
 def trigger_events(sg: StateGraph, label: str) -> Set[str]:
     """Events whose firing enters the ER of ``label`` from outside.
 
-    These are the causal predecessors ("triggers") of the event, used by the
-    logic-complexity estimator: the support of a signal's function grows
-    with its triggers.
+    These are the causal predecessors ("triggers") of the event: the
+    support of a signal's function grows with its triggers.
     """
     er = excitation_region(sg, label)
     triggers: Set[str] = set()
@@ -133,22 +131,3 @@ def trigger_events(sg: StateGraph, label: str) -> Set[str]:
             if source not in er:
                 triggers.add(incoming_label)
     return triggers
-
-
-def enabled_outputs(sg: StateGraph, state: State) -> List[str]:
-    """Non-input labels enabled at a state."""
-    return [label for label in sg.enabled(state) if not sg.is_input_label(label)]
-
-
-def concurrency_matrix(sg: StateGraph) -> Dict[Tuple[str, str], bool]:
-    """Dense concurrency relation over all label pairs (symmetric)."""
-    labels = sg.labels()
-    pairs = concurrent_pairs(sg)
-    matrix: Dict[Tuple[str, str], bool] = {}
-    for i, label_a in enumerate(labels):
-        for label_b in labels[i + 1:]:
-            key = tuple(sorted((label_a, label_b)))
-            value = key in pairs
-            matrix[(label_a, label_b)] = value
-            matrix[(label_b, label_a)] = value
-    return matrix

@@ -39,6 +39,36 @@ class TestInconsistentSpec:
         assert "witness: a+ a+/1" in err
 
 
+#: Specs the flow refuses: ``(text, expected message fragment)``.
+UNSUPPORTED = {
+    "dummy": (".outputs a\n.dummy t\n.graph\na+ t\nt a-\na- a+\n"
+              ".marking { <a-,a+> }\n.end\n", "dummy transition 't'"),
+    "two_tokens": (".outputs a\n.graph\np0 a+\na+ p1\np1 a-\na- p0\n"
+                   ".marking { p0 p0 }\n.end\n", "multi-token places"),
+}
+
+
+class TestUnsupportedSpec:
+    """A spec the flow refuses exits 1 with its message, no traceback."""
+
+    @pytest.mark.parametrize("command, spec", [
+        ("check", "dummy"), ("sg", "dummy"), ("synth", "dummy"),
+        ("verify", "dummy"), ("reduce", "dummy"),
+        ("check --engine symbolic", "dummy"),
+        ("synth --engine symbolic", "dummy"),
+        ("check --engine symbolic", "two_tokens"),
+        ("synth --engine symbolic", "two_tokens"),
+    ])
+    def test_exits_one_with_message(self, command, spec, tmp_path, capsys):
+        text, message = UNSUPPORTED[spec]
+        path = tmp_path / f"{spec}.g"
+        path.write_text(text)
+        assert main(command.split() + [str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestCheck:
     def test_clean_spec_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "q.g"

@@ -4,7 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -68,8 +68,6 @@ class TestFlowConfig:
             FlowConfig.create(strategy="dfs")
         with pytest.raises(ValueError):
             FlowConfig.create(verify_model="magic")
-        with pytest.raises(KeyError):
-            FlowConfig.create(library="no-such-library")
 
     def test_one_design_point_one_digest(self):
         # The constructor, create() and dataclasses.replace all normalize.
@@ -82,8 +80,6 @@ class TestFlowConfig:
         assert direct == created == replaced
         assert direct.digest() == created.digest() == replaced.digest()
         assert direct.slice_for("reduce") == replaced.slice_for("reduce")
-        with pytest.raises(KeyError):
-            FlowConfig(library="nope")
 
     def test_keep_conc_canonicalized(self):
         one = FlowConfig.create(strategy="full", keep_conc=[("ri-", "li-")])
@@ -109,6 +105,52 @@ class TestFlowConfig:
         assert revived == config
         assert revived.sg_max_states is None
         assert revived.sg_max_arcs is None
+
+    def test_payload_with_removed_fields_still_decodes(self):
+        # A payload as written when FlowConfig still had library,
+        # exact_covers, sg_engine and check_engine (18 keys): the four
+        # removed keys are ignored and the rest decode unchanged.
+        old = json.loads(
+            '{"check_engine": "auto", "delays": {"input": "2", "internal": '
+            '"1", "output": "1", "overrides": []}, "exact_covers": true, '
+            '"keep_conc": [["li-", "ri-"]], "library": "default", '
+            '"max_csc_signals": 2, "max_explored": null, "phases": 4, '
+            '"resynthesise": false, "sg_engine": "auto", "sg_max_arcs": '
+            'null, "sg_max_states": 5000, "size_frontier": 3, "strategy": '
+            '"beam", "verify": true, "verify_max_states": 1000000, '
+            '"verify_model": "atomic", "weight": 0.25}')
+        assert len(old) == 18
+        expected = FlowConfig(strategy="beam", weight=0.25, size_frontier=3,
+                              keep_conc=(("ri-", "li-"),),
+                              max_csc_signals=2, sg_max_states=5000,
+                              verify=True)
+        assert FlowConfig.from_payload(old) == expected
+        removed = {"library", "exact_covers", "sg_engine", "check_engine"}
+        assert expected.to_payload() == {key: value
+                                         for key, value in old.items()
+                                         if key not in removed}
+
+    def test_every_field_changes_some_stage_slice(self):
+        # A field no stage slice reads is a dead knob.  ``verify`` is the
+        # one exemption: it decides whether the verify stage runs at all.
+        base = FlowConfig(strategy="beam")
+        moved = {
+            "strategy": "full", "weight": 0.25, "size_frontier": 7,
+            "keep_conc": (("a+", "b+"),), "max_explored": 123,
+            "max_csc_signals": 2, "delays": DelayModel.by_kind(3, 1, 1),
+            "resynthesise": True, "phases": 2,
+            "verify_model": "structural", "verify_max_states": 10,
+            "sg_max_states": 100, "sg_max_arcs": 100,
+        }
+        names = {field.name for field in fields(FlowConfig)}
+        assert names == set(moved) | {"verify"}
+        stages = ("expand", "generate", "reduce", "resolve", "synthesize",
+                  "timing", "verify")
+        for name, value in moved.items():
+            changed = replace(base, **{name: value})
+            assert changed != base, name
+            assert any(changed.slice_for(stage) != base.slice_for(stage)
+                       for stage in stages), name
 
     def test_sg_budget_slice_keys_generate_only(self):
         # Default budgets key exactly like the pre-budget era (empty

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.sg.generator import generate_sg
-from repro.sg.regions import (are_concurrent, concurrency_matrix,
-                              concurrent_pairs, enabled_outputs,
+from repro.sg.regions import (are_concurrent, concurrent_pairs,
                               er_intersection_concurrent, excitation_region,
                               excitation_region_components, minimal_states,
                               quiescent_region, trigger_events)
@@ -102,20 +101,9 @@ class TestConcurrency:
         assert not are_concurrent(sg, "g", "d")
         assert are_concurrent(sg, "a", "d")
 
-    def test_concurrency_matrix_consistent(self, fig1):
-        matrix = concurrency_matrix(fig1)
-        assert matrix[("Req+", "Ack-")] is True
-        assert matrix[("Ack-", "Req+")] is True
-        assert matrix[("Req+", "Ack+")] is False
-
 
 class TestTriggers:
     def test_fig1_triggers(self, fig1):
         # Ack+ is triggered by Req+ (and initially enabled); Req- by Ack+.
         assert trigger_events(fig1, "Req-") == {"Ack+"}
         assert "Req+" in trigger_events(fig1, "Ack+")
-
-    def test_enabled_outputs(self, fig1):
-        for state in fig1.states:
-            outputs = enabled_outputs(fig1, state)
-            assert all(not fig1.is_input_label(label) for label in outputs)

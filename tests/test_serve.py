@@ -247,6 +247,18 @@ class TestDispatch:
                                          "/synth", b"{nope")
         assert status == 400 and "invalid JSON" in payload["error"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("library", "default"), ("exact_covers", True),
+        ("sg_engine", "auto"), ("check_engine", "auto")])
+    def test_removed_config_field_is_400(self, field, value):
+        body = json.dumps({"spec": "half",
+                           "config": {field: value}}).encode()
+        status, payload = self._dispatch(ServeApp(workers=0), "POST",
+                                         "/synth", body)
+        assert status == 400
+        assert "unknown config field" in payload["error"]
+        assert repr(field) in payload["error"]
+
     def test_artifacts_without_store_404(self):
         assert self._dispatch(ServeApp(workers=0), "GET",
                               "/artifacts/abc")[0] == 404
