@@ -193,11 +193,20 @@ def _symbolic_sg(args: argparse.Namespace) -> int:
 def cmd_sg(args: argparse.Namespace) -> int:
     from .sg.generator import GenerationBudgetError
 
+    # A flag the chosen engine would ignore is refused, never dropped.
     if args.engine == "symbolic":
-        if args.dot or args.stubborn:
-            raise SystemExit("--engine symbolic computes the state set as a "
-                             "BDD; it cannot print states (--dot) or apply "
-                             "stubborn-set reduction")
+        foreign = {"--dot": args.dot, "--stubborn": args.stubborn,
+                   "--max-states": args.max_states is not None,
+                   "--max-arcs": args.max_arcs is not None}
+        reason = "computes the state set as a BDD (bounded by --max-nodes)"
+    else:
+        foreign = {"--max-nodes": args.max_nodes is not None}
+        reason = "enumerates states (bounded by --max-states/--max-arcs)"
+    for flag, given in foreign.items():
+        if given:
+            raise SystemExit(f"{flag} does not apply to --engine "
+                             f"{args.engine}, which {reason}")
+    if args.engine == "symbolic":
         return _symbolic_sg(args)
     try:
         sg = generate_sg(_read_spec(args.spec),
@@ -622,11 +631,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "reachable set as a BDD and prints a summary plus "
                          "coding verdicts instead of the state listing")
     sg.add_argument("--max-states", type=int, default=None,
-                    help="cap on admitted states (default: the generator's "
-                    "200000-state budget); exceeding it is a structured "
-                    "error, never a truncated graph")
+                    help="cap on admitted states (explicit engines only; "
+                    "default: the generator's 200000-state budget); "
+                    "exceeding it is a structured error, never a "
+                    "truncated graph")
     sg.add_argument("--max-arcs", type=int, default=None,
-                    help="cap on traversed arcs (default: unbounded)")
+                    help="cap on traversed arcs (explicit engines only; "
+                    "default: unbounded)")
     sg.add_argument("--max-nodes", type=int, default=None,
                     help="cap on allocated BDD nodes (--engine symbolic "
                     "only; exceeding it is the same structured budget "

@@ -144,30 +144,26 @@ def _reject_toggles(sg: StateGraph, signal: str) -> None:
 def _excitation_masks(sg: StateGraph) -> List[Tuple[int, int, int]]:
     """Per state: (code, rising-signal bitmask, falling-signal bitmask).
 
-    One pass over the compiled adjacency serves the extraction of every
+    One pass over the graph's adjacency serves the extraction of every
     signal at once.
     """
-    compiled = sg.compiled()
-    label_bits_rise = []
-    label_bits_fall = []
-    for lid in range(len(compiled.labels)):
-        direction = compiled.event_direction[lid]
-        bit = 1 << compiled.event_signal[lid]
-        # Toggle labels contribute to neither mask; extraction rejects the
-        # toggled signal itself up front (_reject_toggles), and a
-        # toggle on an *input* signal never blocks extracting the others.
-        label_bits_rise.append(bit if direction == Direction.RISE else 0)
-        label_bits_fall.append(bit if direction == Direction.FALL else 0)
+    # Toggle labels contribute to neither mask; extraction rejects the
+    # toggled signal itself up front (_reject_toggles), and a toggle on an
+    # *input* signal never blocks extracting the others.
+    rise_bit: Dict[str, int] = {}
+    fall_bit: Dict[str, int] = {}
+    for label, event in sg.events.items():
+        bit = 1 << sg.signal_index(event.signal)
+        rise_bit[label] = bit if event.direction == Direction.RISE else 0
+        fall_bit[label] = bit if event.direction == Direction.FALL else 0
+    code_int = sg.code_int  # raises StateGraphError on a state without a code
     rows = []
-    for sid, out in enumerate(compiled.succ):
-        code = compiled.code_ints[sid]
-        if code < 0:
-            sg.code_of(compiled.states[sid])  # raises StateGraphError
+    for state, out in sg.freeze()._succ.items():
         rise = fall = 0
-        for lid in out:
-            rise |= label_bits_rise[lid]
-            fall |= label_bits_fall[lid]
-        rows.append((code, rise, fall))
+        for label in out:
+            rise |= rise_bit[label]
+            fall |= fall_bit[label]
+        rows.append((code_int(state), rise, fall))
     return rows
 
 

@@ -24,8 +24,7 @@ from .hashing import (canonical, digest_payload, graph_digest,
 from .jobs import (TableRow, run_synth_job, run_synth_job_with_status,
                    summary_row, synth_job_payload, table_row)
 from .stages import (PipelineError, PipelineResult, ReductionSummary,
-                     StageResult, cached_graph_digest, run_pipeline,
-                     run_reduction)
+                     StageResult, run_pipeline, run_reduction)
 from .store import STORE_SCHEMA, ArtifactStore
 
 __all__ = [
@@ -36,6 +35,6 @@ __all__ = [
     "TableRow", "run_synth_job", "run_synth_job_with_status", "summary_row",
     "synth_job_payload", "table_row",
     "PipelineError", "PipelineResult", "ReductionSummary", "StageResult",
-    "cached_graph_digest", "run_pipeline", "run_reduction",
+    "run_pipeline", "run_reduction",
     "STORE_SCHEMA", "ArtifactStore",
 ]

@@ -2,8 +2,9 @@
 
 Every cache key in the system -- sweep rows, verification certificates and
 the per-stage pipeline artifacts -- is the SHA-256 of a canonical JSON
-rendering produced here.  Canonicalization matters: state-graph signatures
-contain frozensets whose iteration order depends on ``PYTHONHASHSEED``, so
+rendering produced here; a state graph is named by the digest of its
+canonical payload (:func:`graph_digest`).  Canonicalization matters: sets
+iterate in an order that depends on ``PYTHONHASHSEED``, so
 :func:`canonical` renders every container in sorted canonical form before
 hashing.  The same digest therefore names the same content across
 processes, runs and seeds, which is what makes warm stores safe to share
@@ -20,6 +21,7 @@ from typing import Dict
 
 from ..circuit.netlist import Netlist
 from ..sg.graph import StateGraph
+from .artifacts import sg_to_payload
 
 
 def canonical(obj) -> object:
@@ -68,14 +70,13 @@ def digest_payload(obj) -> str:
 
 
 def graph_digest(sg: StateGraph) -> str:
-    """Content digest of an SG: arcs, initial state, signals, codes."""
-    arcs, initial, signals, codes = sg.signature()
-    return digest_payload({
-        "arcs": arcs,
-        "initial": initial,
-        "signals": signals,
-        "codes": codes,
-    })
+    """Content digest of an SG: the digest of its canonical payload.
+
+    This is the digest the pipeline puts on every graph stage, so a graph
+    handed in, generated, or decoded from the store has one name however
+    its states are spelled.
+    """
+    return digest_payload(sg_to_payload(sg))
 
 
 def netlist_payload(netlist: Netlist) -> Dict[str, object]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -56,8 +55,7 @@ from .hashing import digest_payload, graph_digest, text_digest
 from .store import ArtifactStore
 
 __all__ = ["PipelineError", "PipelineResult", "ReductionSummary",
-           "StageResult", "cached_graph_digest", "run_pipeline",
-           "run_reduction"]
+           "StageResult", "run_pipeline", "run_reduction"]
 
 #: Worker-side decode memo: payload digest -> decoded state graph.  Sweep
 #: points of one spec decode the same initial-SG payload thousands of
@@ -71,39 +69,9 @@ _DECODED_SG: Dict[str, StateGraph] = engine.register_cache(
     {}, name="pipeline-decoded-sg")
 _DECODED_SG_LIMIT = 512
 
-#: Encode memo for pre-generated state graphs handed to the pipeline
-#: (sweep workers cache one SG per spec): graph -> payload.  The graph is
-#: frozen on entry, so the payload can never go stale.
-_SG_PAYLOAD_MEMO: "weakref.WeakKeyDictionary[StateGraph, Dict]" \
-    = engine.register_cache(weakref.WeakKeyDictionary(),
-                            name="pipeline-sg-payload")
-
-#: Digest memo for pre-generated state graphs: graph -> digest (the digest
-#: reads :meth:`StateGraph.signature`, which freezes the graph).
-_GRAPH_DIGEST_MEMO: "weakref.WeakKeyDictionary[StateGraph, str]" \
-    = engine.register_cache(weakref.WeakKeyDictionary(),
-                            name="pipeline-graph-digest")
-
 
 class PipelineError(Exception):
     """Raised when the pipeline cannot be driven from the given inputs."""
-
-
-def _cached_sg_payload(sg: StateGraph) -> Dict[str, object]:
-    payload = _SG_PAYLOAD_MEMO.get(sg)
-    if payload is None:
-        payload = sg_to_payload(sg.freeze())
-        _SG_PAYLOAD_MEMO[sg] = payload
-    return payload
-
-
-def cached_graph_digest(sg: StateGraph) -> str:
-    """:func:`~repro.pipeline.hashing.graph_digest`, memoized per graph."""
-    digest = _GRAPH_DIGEST_MEMO.get(sg)
-    if digest is None:
-        digest = graph_digest(sg)
-        _GRAPH_DIGEST_MEMO[sg] = digest
-    return digest
 
 
 def _decode_sg(payload: Dict[str, object], digest: str) -> StateGraph:
@@ -414,11 +382,13 @@ def _run_stages(config: FlowConfig,
     # ---------------------------------------------------------- generate
     generate_slice = config.slice_for("generate")
     if initial_sg is not None:
-        sg_given = initial_sg
+        # Encoded once: the payload's digest is both the graph's content
+        # identity in the store key and the stage result's digest.  The
+        # graph is frozen, so the caller keeps the graph that was run.
+        given = sg_to_payload(initial_sg.freeze())
         results["generate"] = _execute(
             store, "generate", generate_slice,
-            lambda: [cached_graph_digest(sg_given)],
-            lambda: (_cached_sg_payload(sg_given), None))
+            lambda: [digest_payload(given)], lambda: (given, None))
     elif stg_text is not None:
         text = stg_text
 

@@ -16,30 +16,30 @@ STG, strings when built by hand in tests).  Arc labels are transition names;
 Freeze rule: a graph grows through :meth:`~StateGraph.declare_signal`,
 :meth:`~StateGraph.declare_event`, :meth:`~StateGraph.add_state`,
 :meth:`~StateGraph.add_arc` and ``initial`` until the first derived view
-is read -- :meth:`~StateGraph.compiled`, :meth:`~StateGraph.signature`,
-:meth:`~StateGraph.code_int`, :meth:`~StateGraph.live_labels` or the
-predecessor map -- or :meth:`~StateGraph.freeze` is called.  From then on
-every builder call raises :class:`StateGraphError`, so each derived view
-is computed at most once and never goes stale.  Graphs from
+is read -- :meth:`~StateGraph.signature`, :meth:`~StateGraph.code_int`,
+:meth:`~StateGraph.live_labels` or the predecessor map -- or
+:meth:`~StateGraph.freeze` is called.  From then on every builder call
+raises :class:`StateGraphError`, so each derived view is computed at most
+once and never goes stale.  Graphs from
 :meth:`~StateGraph.copy_without_arcs` are frozen from the start.
 
 Binary codes are tuples (:meth:`code_of`, the read-only ``codes`` mapping)
 and packed integers where bit ``i`` is the value of signal ``i``
 (:meth:`code_int`), the same convention the logic minimizer uses for
-minterms.  The analysis passes (:mod:`repro.sg.properties`,
-:mod:`repro.sg.regions`, function extraction) run on a compiled flat-array
-snapshot (:meth:`compiled`).
+minterms.  The analysis passes (:mod:`repro.sg.properties`, function
+extraction, the conformance product) read the graph's own
+``{state: {label: target}}`` map through ``sg.freeze()._succ``, so a graph
+is closed to builder calls once anything has analysed it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
                     Optional, Set, Tuple)
 
-from ..petri.stg import Direction, SignalEvent, SignalKind
+from ..petri.stg import SignalEvent, SignalKind
 
 State = Hashable
 Code = Tuple[int, ...]
@@ -47,27 +47,6 @@ Code = Tuple[int, ...]
 
 class StateGraphError(Exception):
     """Raised for invalid state-graph operations."""
-
-
-@dataclass
-class CompiledSG:
-    """Flat index-based snapshot of an SG for the analysis hot loops.
-
-    Everything is addressed by dense integer ids: ``states[i]`` is the state
-    with id ``i`` and ``succ[i]`` maps label ids to target state ids.
-    ``code_ints`` holds the packed binary codes (bit ``k`` = value of signal
-    ``k``); states without a code pack to -1.
-    """
-
-    states: List[State]
-    index: Dict[State, int]
-    labels: List[str]
-    label_index: Dict[str, int]
-    succ: List[Dict[int, int]]
-    code_ints: List[int]
-    is_input: List[bool]
-    event_signal: List[int]
-    event_direction: List[Direction]
 
 
 class StateGraph:
@@ -89,7 +68,6 @@ class StateGraph:
         self._code_int_cache: Dict[State, int] = {}
         self._signal_pos: Dict[str, int] = {}
         self._signature: Optional[Tuple] = None
-        self._compiled: Optional[CompiledSG] = None
         self._live_labels: Optional[FrozenSet[str]] = None
         self._frozen = False
 
@@ -308,8 +286,9 @@ class StateGraph:
         Covers everything the analyses depend on -- the arc set, the
         initial state, signal declarations and the binary codes -- so two
         graphs with equal signatures are interchangeable for cost
-        evaluation and reduction.  Exploration and the process-global memo
-        tables key on this; computing it once saves a full sweep per lookup.
+        evaluation and reduction.  It keys the in-process reduction-space
+        memo exactly, state spelling included; the content name that
+        crosses processes is :func:`repro.pipeline.hashing.graph_digest`.
         """
         if self._signature is None:
             self._frozen = True
@@ -320,31 +299,6 @@ class StateGraph:
                 frozenset(self._codes.items()),
             )
         return self._signature
-
-    def compiled(self) -> CompiledSG:
-        """The flat index-based snapshot the analysis passes run on."""
-        if self._compiled is not None:
-            return self._compiled
-        self._frozen = True
-        states = list(self._succ)
-        index = {state: i for i, state in enumerate(states)}
-        labels = list(self.events)
-        label_index = {label: i for i, label in enumerate(labels)}
-        succ: List[Dict[int, int]] = []
-        for state in states:
-            out = self._succ[state]
-            succ.append({label_index[label]: index[target]
-                         for label, target in out.items()})
-        codes = self._codes
-        code_ints = [self.code_int(s) if s in codes else -1 for s in states]
-        is_input = [self.is_input_label(label) for label in labels]
-        event_signal = [self._signal_pos[self.events[label].signal] for label in labels]
-        event_direction = [self.events[label].direction for label in labels]
-        self._compiled = CompiledSG(
-            states=states, index=index, labels=labels, label_index=label_index,
-            succ=succ, code_ints=code_ints, is_input=is_input,
-            event_signal=event_signal, event_direction=event_direction)
-        return self._compiled
 
     # ------------------------------------------------------------------
     # reachability

@@ -42,21 +42,18 @@ def consistency_violations(sg: StateGraph) -> List[ConsistencyViolation]:
     state codes instead of a per-signal sweep.
     """
     violations = []
-    compiled = sg.compiled()
-    codes = compiled.code_ints
-    for sid, out in enumerate(compiled.succ):
-        if out and codes[sid] < 0:
-            sg.code_of(compiled.states[sid])  # raises StateGraphError
-        source = compiled.states[sid]
-        for lid, tid in out.items():
-            if codes[tid] < 0:
-                sg.code_of(compiled.states[tid])  # raises StateGraphError
-            src, dst = codes[sid], codes[tid]
-            index = compiled.event_signal[lid]
+    succ = sg.freeze()._succ
+    code_int = sg.code_int  # raises StateGraphError on a state without a code
+    effect = {label: (sg.signal_index(event.signal), event.direction)
+              for label, event in sg.events.items()}
+    for source, out in succ.items():
+        if not out:
+            continue
+        src = code_int(source)
+        for label, target in out.items():
+            dst = code_int(target)
+            index, direction = effect[label]
             bit = 1 << index
-            direction = compiled.event_direction[lid]
-            label = compiled.labels[lid]
-            target = compiled.states[tid]
             if direction == Direction.RISE:
                 ok = not src & bit and dst & bit
             elif direction == Direction.FALL:
@@ -102,26 +99,22 @@ class CommutativityViolation:
 def commutativity_violations(sg: StateGraph) -> List[CommutativityViolation]:
     """States where two events fire in both orders to different states."""
     violations = []
-    compiled = sg.compiled()
-    succ = compiled.succ
-    states = compiled.states
-    labels = compiled.labels
-    for sid, out in enumerate(succ):
+    succ = sg.freeze()._succ
+    for state, out in succ.items():
         if len(out) < 2:
             continue
         enabled = list(out)
-        for i, lid_a in enumerate(enabled):
-            via_a = out[lid_a]
-            for lid_b in enabled[i + 1:]:
-                via_b = out[lid_b]
-                end_ab = succ[via_a].get(lid_b)
+        after = [succ[out[label]] for label in enabled]
+        for i, label_a in enumerate(enabled):
+            for j in range(i + 1, len(enabled)):
+                label_b = enabled[j]
+                end_ab = after[i].get(label_b)
                 if end_ab is None:
                     continue
-                end_ba = succ[via_b].get(lid_a)
+                end_ba = after[j].get(label_a)
                 if end_ba is not None and end_ab != end_ba:
                     violations.append(CommutativityViolation(
-                        states[sid], labels[lid_a], labels[lid_b],
-                        states[via_a], states[via_b]))
+                        state, label_a, label_b, out[label_a], out[label_b]))
     return violations
 
 
@@ -146,24 +139,19 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     mind), never by an output or internal event.
     """
     violations = []
-    compiled = sg.compiled()
-    succ = compiled.succ
-    is_input = compiled.is_input
-    states = compiled.states
-    labels = compiled.labels
-    for sid, out in enumerate(succ):
+    succ = sg.freeze()._succ
+    is_input = {label: sg.is_input_label(label) for label in sg.events}
+    for state, out in succ.items():
         if len(out) < 2:
             continue
-        enabled = list(out)
-        for lid in enabled:
-            for other in enabled:
-                if other == lid:
+        after = {other: succ[target] for other, target in out.items()}
+        for label in out:
+            for other in out:
+                if other == label or label in after[other]:
                     continue
-                if lid in succ[out[other]]:
-                    continue
-                if not (is_input[lid] and is_input[other]):
+                if not (is_input[label] and is_input[other]):
                     violations.append(PersistencyViolation(
-                        states[sid], labels[lid], labels[other]))
+                        state, label, other))
     return violations
 
 
@@ -187,14 +175,12 @@ class CSCConflict:
     excited_b: frozenset = frozenset()
 
 
-def _group_by_code_int(sg: StateGraph) -> Dict[int, List[int]]:
-    """State ids grouped by packed code; raises on a state without a code."""
-    compiled = sg.compiled()
-    by_code: Dict[int, List[int]] = {}
-    for sid, code in enumerate(compiled.code_ints):
-        if code < 0:
-            sg.code_of(compiled.states[sid])  # raises StateGraphError
-        by_code.setdefault(code, []).append(sid)
+def _group_by_code_int(sg: StateGraph) -> Dict[int, List[State]]:
+    """States grouped by packed code; raises on a state without a code."""
+    code_int = sg.code_int
+    by_code: Dict[int, List[State]] = {}
+    for state in sg.freeze()._succ:
+        by_code.setdefault(code_int(state), []).append(state)
     return by_code
 
 
@@ -205,39 +191,34 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     non-input excitation is computed once per bucket member, so the usual
     no-conflict case costs one pass over the states.
     """
-    compiled = sg.compiled()
-    signals = sg.signals
+    succ = sg.freeze()._succ
+    excitation = {label: (event.signal, event.direction.value)
+                  for label, event in sg.events.items()
+                  if not sg.is_input_label(label)}
     conflicts = []
-    for code, sids in _group_by_code_int(sg).items():
-        if len(sids) < 2:
+    for states in _group_by_code_int(sg).values():
+        if len(states) < 2:
             continue
-        excited = []
-        for sid in sids:
-            members = set()
-            for lid in compiled.succ[sid]:
-                if compiled.is_input[lid]:
-                    continue
-                members.add((signals[compiled.event_signal[lid]],
-                             compiled.event_direction[lid].value))
-            excited.append(frozenset(members))
-        code_tuple = sg.code_of(compiled.states[sids[0]])
-        for i, sid_a in enumerate(sids):
-            for j in range(i + 1, len(sids)):
+        excited = [frozenset(excitation[label] for label in succ[state]
+                             if label in excitation)
+                   for state in states]
+        code_tuple = sg.code_of(states[0])
+        for i, state_a in enumerate(states):
+            for j in range(i + 1, len(states)):
                 if excited[i] != excited[j]:
                     conflicts.append(CSCConflict(
-                        compiled.states[sid_a], compiled.states[sids[j]],
-                        code_tuple, excited[i], excited[j]))
+                        state_a, states[j], code_tuple,
+                        excited[i], excited[j]))
     return conflicts
 
 
 def usc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
     """Pairs of distinct states sharing a binary code (Unique State Coding)."""
-    compiled = sg.compiled()
     pairs = []
-    for sids in _group_by_code_int(sg).values():
-        for i, sid_a in enumerate(sids):
-            for sid_b in sids[i + 1:]:
-                pairs.append((compiled.states[sid_a], compiled.states[sid_b]))
+    for states in _group_by_code_int(sg).values():
+        for i, state_a in enumerate(states):
+            for state_b in states[i + 1:]:
+                pairs.append((state_a, state_b))
     return pairs
 
 

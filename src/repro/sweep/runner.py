@@ -30,7 +30,7 @@ from .. import engine
 from ..pipeline.config import STAGE_ORDER
 from ..pipeline.hashing import digest_payload
 from ..pipeline.jobs import summary_row
-from ..pipeline.stages import cached_graph_digest, run_pipeline
+from ..pipeline.stages import graph_digest, run_pipeline
 from ..pipeline.store import ArtifactStore
 from ..sg.generator import generate_sg
 from ..sg.graph import StateGraph
@@ -267,7 +267,7 @@ def run_sweep(grid: SweepGrid,
         for index, point in enumerate(points):
             digest = digests.get(point.spec)
             if digest is None:
-                digest = cached_graph_digest(_spec_sg(point.spec))
+                digest = graph_digest(_spec_sg(point.spec))
                 digests[point.spec] = digest
             keys[index] = point_key(point.config(), digest)
             stored = _stored_row(store, keys[index])

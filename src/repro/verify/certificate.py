@@ -140,7 +140,12 @@ def skipped_report(name: str, reason: str,
 
 def verification_key(netlist: Netlist, spec: StateGraph, model: str,
                      max_states: int) -> str:
-    """Store key binding a certificate to (netlist, spec, configuration)."""
+    """Store key binding a certificate to (netlist, spec, configuration).
+
+    The spec is named by :func:`~repro.pipeline.hashing.graph_digest`, the
+    digest of its canonical payload, so a graph and its decoded copy share
+    one certificate.
+    """
     return digest_payload({
         "kind": "verification",
         "version": CERTIFICATE_VERSION,

@@ -91,9 +91,9 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     """
     started = time.perf_counter()
     report_name = name or netlist.name
-    compiled = spec.compiled()
-    spec_states = len(compiled.states)
-    spec_arcs = sum(len(out) for out in compiled.succ)
+    spec_succ = spec.freeze()._succ
+    spec_states = len(spec_succ)
+    spec_arcs = sum(len(out) for out in spec_succ.values())
 
     def failed(verdict: str, reason: str,
                trace: List[Dict[str, object]],
@@ -125,10 +125,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     if spec.initial is None:
         return failed("non-conforming", "specification has no initial state",
                       [], {}, sim=sim)
-    initial_sid = compiled.index[spec.initial]
-    initial_code = compiled.code_ints[initial_sid]
-    if initial_code < 0:
-        spec.code_of(spec.initial)  # raises StateGraphError
+    initial_code = spec.code_int(spec.initial)
     pinned = {signal: (initial_code >> i) & 1
               for i, signal in enumerate(signals)}
     try:
@@ -138,12 +135,19 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
 
     net_of_signal = [sim.net_index[s] for s in signals]
     signal_index = {s: i for i, s in enumerate(signals)}
-    labels = compiled.labels
-    succ = compiled.succ
-    is_input = compiled.is_input
-    event_signal = compiled.event_signal
-    event_direction = compiled.event_direction
-    code_ints = compiled.code_ints
+    # Product states carry dense spec state ids; enabled labels are visited
+    # in event-declaration order, which fixes the first failure found.
+    states = list(spec_succ)
+    sid_of = {state: i for i, state in enumerate(states)}
+    initial_sid = sid_of[spec.initial]
+    succ = [{label: sid_of[target] for label, target in out.items()}
+            for out in spec_succ.values()]
+    rank = {label: i for i, label in enumerate(spec.events)}
+    ordered = [sorted(out, key=rank.__getitem__) for out in succ]
+    is_input = {label: spec.is_input_label(label) for label in rank}
+    event_signal = {label: signal_index[event.signal]
+                    for label, event in spec.events.items()}
+    code_int = spec.code_int
 
     if budget is None:
         budget = ExplorationBudget(max_states=max_states)
@@ -164,22 +168,23 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
             values, sid = state
             excited = sim.excited(values)
             spec_out = succ[sid]
-            enabled_inputs = tuple(lid for lid in spec_out if is_input[lid])
+            enabled_inputs = tuple(label for label in spec_out
+                                   if is_input[label])
 
             # (step, new values, new spec state, fired node, fired label)
             moves: List[Tuple[Dict[str, object], int, int,
-                              Optional[int], Optional[int]]] = []
-            for lid in sorted(spec_out):
-                if not is_input[lid]:
+                              Optional[int], Optional[str]]] = []
+            for label in ordered[sid]:
+                if not is_input[label]:
                     continue
-                tid = spec_out[lid]
-                sigidx = event_signal[lid]
-                new_bit = (code_ints[tid] >> sigidx) & 1
+                tid = spec_out[label]
+                sigidx = event_signal[label]
+                new_bit = (code_int(states[tid]) >> sigidx) & 1
                 new_values = sim.set_net(values, net_of_signal[sigidx],
                                          new_bit)
-                step = {"kind": "input", "label": labels[lid],
+                step = {"kind": "input", "label": label,
                         "net": signals[sigidx], "value": new_bit}
-                moves.append((step, new_values, tid, None, lid))
+                moves.append((step, new_values, tid, None, label))
             for nid in excited:
                 node = sim.nodes[nid]
                 new_values = sim.fire(values, nid)
@@ -197,15 +202,15 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                         if spec.kinds[node.signal] == SignalKind.OUTPUT
                         else "internal")
                 matching = []
-                for lid in sorted(spec_out):
-                    if is_input[lid] or event_signal[lid] != sigidx:
+                for label in ordered[sid]:
+                    if is_input[label] or event_signal[label] != sigidx:
                         continue
-                    direction = event_direction[lid]
+                    direction = spec.events[label].direction
                     if direction == Direction.RISE and new_bit != 1:
                         continue
                     if direction == Direction.FALL and new_bit != 0:
                         continue
-                    matching.append(lid)
+                    matching.append(label)
                 event_text = f"{node.signal}{'+' if new_bit else '-'}"
                 if not matching:
                     step = {"kind": kind, "label": event_text,
@@ -214,10 +219,11 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                         "non-conforming",
                         f"circuit fires {event_text}, which the "
                         "specification does not enable here", state, step)
-                for lid in matching:
-                    step = {"kind": kind, "label": labels[lid],
+                for label in matching:
+                    step = {"kind": kind, "label": label,
                             "net": node.signal, "value": new_bit}
-                    moves.append((step, new_values, spec_out[lid], nid, lid))
+                    moves.append((step, new_values, spec_out[label], nid,
+                                  label))
 
             if not moves:
                 raise _Failure(
@@ -228,7 +234,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                 moves = ample_internal_moves(
                     moves, lambda move: move[0]["kind"] == "net")
 
-            for step, new_values, tid, nid, fired_lid in moves:
+            for step, new_values, tid, nid, fired in moves:
                 try:
                     meter.charge_arc()
                 except BudgetExceeded as exceeded:
@@ -254,12 +260,12 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                             f"internal net {sim.nets[other_node.out]} is "
                             f"excited, then disabled by {step['label']}")
                 if tid != sid and semi_modular:
-                    lost = [lid for lid in enabled_inputs
-                            if lid != fired_lid and lid not in succ[tid]]
+                    lost = [label for label in enabled_inputs
+                            if label != fired and label not in succ[tid]]
                     if lost:
                         semi_modular = False
                         semi_reason = (
-                            f"input {labels[lost[0]]} is withdrawn by "
+                            f"input {lost[0]} is withdrawn by "
                             f"{step['label']} (environment choice)")
                 successor = (new_values, tid)
                 try:

@@ -297,6 +297,20 @@ class TestExplorationFlags:
         assert main(["sg", "fifo_chain_2", "--max-states", "28"]) == 0
         assert "28 states" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        "--engine symbolic --max-states 3", "--engine symbolic --max-arcs 3",
+        "--engine symbolic --dot", "--engine symbolic --stubborn",
+        "--max-nodes 10", "--engine packed --max-nodes 10",
+        "--engine tuples --max-nodes 10"])
+    def test_sg_refuses_flag_of_other_engine(self, flags):
+        refused = [flag for flag in flags.split()
+                   if flag.startswith("--") and flag != "--engine"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sg", "fifo_chain_4"] + flags.split())
+        message = str(excinfo.value)
+        assert message.startswith(refused[0] + " does not apply")
+        assert "\n" not in message
+
     def test_sg_stubborn_banner(self, capsys):
         assert main(["sg", "micropipeline", "--stubborn"]) == 0
         out = capsys.readouterr().out

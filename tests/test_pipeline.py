@@ -398,8 +398,8 @@ class TestResultIsolation:
         assert "intruder" not in resolved
 
     def test_given_initial_sg_is_frozen(self):
-        # The pipeline memoizes the payload of a pre-generated graph by
-        # object identity; freezing it keeps that payload honest.
+        # The pipeline freezes a pre-generated graph as it encodes it, so
+        # the graph the caller holds stays the graph that was run.
         sg = generate_sg(load("half"))
         run_pipeline(AS_IS, initial_sg=sg)
         with pytest.raises(StateGraphError):

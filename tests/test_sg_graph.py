@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.circuit.netlist import Netlist
 from repro.encoding.insertion import insert_state_signal
+from repro.logic.functions import extract_all_functions
 from repro.petri.stg import Direction, SignalEvent, SignalKind
 from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph, StateGraphError
-from repro.sg.properties import is_output_persistent
+from repro.sg.properties import (commutativity_violations,
+                                 consistency_violations, csc_conflicts,
+                                 persistency_violations, usc_conflicts)
 from repro.specs.fig1 import fig1_stg
+from repro.verify.conformance import check_conformance
 
 
 @pytest.fixture
@@ -176,7 +181,6 @@ BUILDERS = {
 
 #: Every derived read that closes the graph.
 DERIVED_READS = {
-    "compiled": lambda sg: sg.compiled(),
     "signature": lambda sg: sg.signature(),
     "code_int": lambda sg: sg.code_int("s0"),
     "live_labels": lambda sg: sg.live_labels(),
@@ -200,6 +204,18 @@ PRODUCERS = {
     "sg_from_payload": lambda: sg_from_payload(
         sg_to_payload(generate_sg(fig1_stg()))),
     "insert_state_signal": _threaded,
+}
+
+#: Every analysis that reads the graph's adjacency directly; each must
+#: freeze its input first.
+ANALYSES = {
+    "consistency": consistency_violations,
+    "commutativity": commutativity_violations,
+    "persistency": persistency_violations,
+    "csc": csc_conflicts,
+    "usc": usc_conflicts,
+    "extract_all_functions": extract_all_functions,
+    "check_conformance": lambda sg: check_conformance(Netlist("empty"), sg),
 }
 
 
@@ -245,13 +261,14 @@ class TestFreeze:
 
     @pytest.mark.parametrize("producer", sorted(PRODUCERS))
     def test_outputs_frozen_after_first_analysis(self, producer):
-        sg = PRODUCERS[producer]()
-        is_output_persistent(sg)
-        with pytest.raises(StateGraphError):
-            sg.add_arc(sg.initial, sg.labels()[0], sg.initial)
+        for name, analysis in ANALYSES.items():
+            sg = PRODUCERS[producer]()
+            analysis(sg)
+            with pytest.raises(StateGraphError, match="frozen"):
+                sg.add_arc(sg.initial, sg.labels()[0], sg.initial)
+                pytest.fail(f"{name} left the graph open")
 
     def test_derived_views_computed_once(self, diamond):
-        assert diamond.compiled() is diamond.compiled()
         assert diamond.signature() is diamond.signature()
         assert diamond.live_labels() is diamond.live_labels()
         assert diamond.live_labels() == {"a+", "b+"}

@@ -21,6 +21,13 @@ def serial_outcome(small_grid):
     return run_sweep(small_grid, jobs=1)
 
 
+@pytest.fixture(scope="module")
+def lr_sg():
+    from repro.sg.generator import generate_sg
+    from repro.specs.lr import lr_expanded
+    return generate_sg(lr_expanded())
+
+
 class TestGrid:
     def test_registry_covers_paper_and_suite(self):
         registry = spec_registry()
@@ -172,6 +179,23 @@ class TestStore:
                 capture_output=True, text=True, check=True)
             digests.add(completed.stdout.strip())
         assert len(digests) == 1
+
+    def test_graph_digest_is_the_payload_digest(self, lr_sg):
+        from repro.pipeline import digest_payload, graph_digest
+        from repro.pipeline.artifacts import sg_to_payload
+        assert graph_digest(lr_sg) == digest_payload(sg_to_payload(lr_sg))
+
+    def test_graph_digest_ignores_state_spelling(self, lr_sg):
+        # Decoded graphs have integer states instead of markings.
+        from repro.pipeline import graph_digest
+        from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
+        decoded = sg_from_payload(sg_to_payload(lr_sg))
+        assert graph_digest(decoded) == graph_digest(lr_sg)
+
+    def test_graph_digest_names_the_generate_stage(self, lr_sg):
+        from repro.pipeline import FlowConfig, graph_digest, run_pipeline
+        result = run_pipeline(FlowConfig(strategy="none"), initial_sg=lr_sg)
+        assert result.sg_digests["generate"] == graph_digest(lr_sg)
 
     def test_reports_deterministic(self, serial_outcome):
         text = render(serial_outcome.rows, "json")
