@@ -240,6 +240,14 @@ def _strategy(args: argparse.Namespace) -> str:
     return "best-first"
 
 
+def _checked_config(**knobs) -> FlowConfig:
+    """The :class:`FlowConfig` of the given flags; a bad value exits 1."""
+    try:
+        return FlowConfig(**knobs)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     from .sg.generator import GenerationBudgetError
     from .sg.properties import check_coding
@@ -250,7 +258,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 else args.internal_delay)
     delays = DelayModel.by_kind(args.input_delay, args.output_delay, internal)
     store = ArtifactStore(args.store) if args.store else None
-    config = FlowConfig.create(
+    config = _checked_config(
         strategy=_strategy(args), keep_conc=_parse_keep(args.keep),
         weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
         sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs)
@@ -295,14 +303,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
-    from .sweep.grid import TABLE1_DELAY_AXIS
+    from .timing.delays import TABLE1_DELAYS
 
     delays = None
     flags = (args.input_delay, args.output_delay, args.internal_delay)
     if any(flag is not None for flag in flags):
-        # Unset components fall back to the canonical Table 1 axis.
+        # Unset components fall back to the Table 1 model.
+        table1 = (TABLE1_DELAYS.input_delay, TABLE1_DELAYS.output_delay,
+                  TABLE1_DELAYS.internal_delay)
         delays = tuple(default if flag is None else flag
-                       for flag, default in zip(flags, TABLE1_DELAY_AXIS))
+                       for flag, default in zip(flags, table1))
     try:
         weights = [float(w) for w in (_parse_csv(args.weights)
                                       or ["0.0", "0.5", "1.0"])]
@@ -361,7 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # The pipeline's verify stage, so --store reuses the reduction,
             # CSC and synthesis artifacts across runs, not just the final
             # certificate.
-            config = FlowConfig.create(
+            config = _checked_config(
                 strategy=strategy, keep_conc=keep, weight=args.weight,
                 max_csc_signals=args.max_csc, verify=True,
                 verify_model=args.model, verify_max_states=args.max_states)
@@ -527,9 +537,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     initial = generate_sg(_read_spec(args.spec))
-    config = FlowConfig.create(strategy=_strategy(args),
-                               keep_conc=_parse_keep(args.keep),
-                               weight=args.weight)
+    config = _checked_config(strategy=_strategy(args),
+                             keep_conc=_parse_keep(args.keep),
+                             weight=args.weight)
     reduced, _, _ = run_reduction(config, initial)
     print(f"states: {len(initial)} -> {len(reduced)}", file=sys.stderr)
     try:

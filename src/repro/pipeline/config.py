@@ -24,7 +24,7 @@ synthesis ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -65,9 +65,38 @@ STAGE_ORDER = ("expand", "generate", "reduce", "resolve", "synthesize",
                "timing", "verify")
 
 
+#: The search knobs each strategy never reads (see :class:`FlowConfig`).
+_IGNORED_BY: Dict[str, Tuple[str, ...]] = {
+    "none": ("weight", "size_frontier", "keep_conc", "max_explored"),
+    "best-first": ("size_frontier",),
+}
+
+
 def canonical_keep(keep: Iterable[Tuple[str, str]]) -> KeepPairs:
-    """Order-independent normal form of Keep_Conc pairs."""
-    return tuple(sorted(tuple(sorted(pair)) for pair in keep))
+    """Order-independent normal form of Keep_Conc pairs of event names."""
+    pairs = tuple(keep)
+    if not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+               and all(isinstance(event, str) for event in pair)
+               for pair in pairs):
+        raise ValueError(f"keep_conc must be pairs of event names, "
+                         f"e.g. [['li-', 'ri-']]; got {keep!r}")
+    return tuple(sorted(tuple(sorted(pair)) for pair in pairs))
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` if it is an int (not a bool) of at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, "
+                         f"got {value!r}")
+    return value
+
+
+def _budget(name: str, value, minimum: int,
+            default: Optional[int]) -> Optional[int]:
+    """An optional search budget; the strategy's own default reads ``None``."""
+    if value is None or _count(name, value, minimum) == default:
+        return None
+    return value
 
 
 def delays_payload(delays: DelayModel) -> Dict[str, object]:
@@ -94,10 +123,25 @@ def delays_from_payload(payload: Dict[str, object]) -> DelayModel:
 class FlowConfig:
     """One design point of the Fig. 4 flow, as a frozen value object.
 
-    Construction normalizes, so every spelling of one design point digests
-    identically: ``keep_conc`` pair order is canonicalized, ``weight``
-    becomes a float, ``verify_max_states=None`` means the default and the
-    budgets become ints.  ``dataclasses.replace`` normalizes the same way.
+    Construction validates and normalizes, so every spelling of one design
+    point digests identically.  A field the strategy never reads takes its
+    field default:
+
+    * ``none`` reads no search knob: ``weight``, ``size_frontier``,
+      ``keep_conc`` and ``max_explored`` are reset;
+    * ``best-first`` reads ``weight``, ``keep_conc`` and ``max_explored``
+      but has no beam, so ``size_frontier`` is reset;
+    * ``beam`` and ``full`` read all four;
+    * with ``verify`` off, ``verify_model`` and ``verify_max_states`` are
+      reset.
+
+    A search budget equal to the strategy's default
+    (:data:`STRATEGY_DEFAULTS`) becomes ``None``, ``verify_max_states=None``
+    means the default cap, ``keep_conc`` pair order is canonicalized and
+    ``weight`` becomes a float.  Counts must be ints (``size_frontier`` at
+    least 1, the others at least 0), ``phases`` is 2 or 4 and each
+    ``keep_conc`` entry is a pair of event names; anything else raises
+    ``ValueError``.  ``dataclasses.replace`` normalizes the same way.
     """
 
     strategy: str = "best-first"
@@ -124,19 +168,36 @@ class FlowConfig:
         if self.verify_model not in VERIFY_MODELS:
             raise ValueError(f"unknown verify model {self.verify_model!r}; "
                              f"expected one of {VERIFY_MODELS}")
+        if type(self.phases) is not int or self.phases not in (2, 4):
+            raise ValueError(f"phases must be 2 or 4, got {self.phases!r}")
+        frontier, explored = STRATEGY_DEFAULTS[self.strategy]
         normal = {
             "weight": float(self.weight),
+            "size_frontier": _budget("size_frontier", self.size_frontier,
+                                     1, frontier),
             "keep_conc": canonical_keep(self.keep_conc),
+            "max_explored": _budget("max_explored", self.max_explored,
+                                    0, explored),
+            "max_csc_signals": _count("max_csc_signals",
+                                      self.max_csc_signals, 0),
             "resynthesise": bool(self.resynthesise),
             "verify": bool(self.verify),
             "verify_max_states": (DEFAULT_VERIFY_MAX_STATES
                                   if self.verify_max_states is None
-                                  else int(self.verify_max_states)),
+                                  else _count("verify_max_states",
+                                              self.verify_max_states, 0)),
             "sg_max_states": (None if self.sg_max_states is None
-                              else int(self.sg_max_states)),
+                              else _count("sg_max_states",
+                                          self.sg_max_states, 0)),
             "sg_max_arcs": (None if self.sg_max_arcs is None
-                            else int(self.sg_max_arcs)),
+                            else _count("sg_max_arcs", self.sg_max_arcs, 0)),
         }
+        ignored = _IGNORED_BY.get(self.strategy, ())
+        if not normal["verify"]:
+            ignored += ("verify_model", "verify_max_states")
+        for field in fields(self):
+            if field.name in ignored:
+                normal[field.name] = field.default
         for name, value in normal.items():
             object.__setattr__(self, name, value)
 

@@ -4,17 +4,18 @@ Every request the service accepts is normalized here into a **task**: a
 canonical, pure-JSON payload whose SHA-256 digest is the job id.  Identity
 is therefore content-based -- two clients posting the same specification
 and configuration (however spelled: registry name vs. inline ``.g`` text,
-reordered ``keep_conc`` pairs, ``0.5`` vs ``1/2`` delays) produce the same
-job id, which is what lets the job manager deduplicate concurrent
-identical requests into one computation and serve repeats from history.
+reordered ``keep_conc`` pairs, ``0.5`` vs ``1/2`` delays, a field the
+strategy ignores) produce the same job id, which is what lets the job
+manager deduplicate concurrent identical requests into one computation and
+serve repeats from history.
 
 Task kinds:
 
 * ``synth`` -- one design point over raw ``.g`` text and a full
   :class:`~repro.pipeline.FlowConfig` payload;
-* ``point`` -- one sweep grid point (a serialized
-  :class:`~repro.sweep.SweepPoint`), evaluated through the very same
-  function the CLI sweep uses;
+* ``point`` -- one sweep grid point: its spec name, its
+  :class:`~repro.pipeline.FlowConfig` payload and its display variant,
+  evaluated through the very same function the CLI sweep uses;
 * ``sweep`` -- a parent task naming its child point-task job ids in grid
   order; it owns no computation of its own, only the merge.
 
@@ -25,12 +26,14 @@ validation failures into 4xx responses without string matching.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from ..pipeline.config import FlowConfig, canonical_keep
+from ..pipeline.config import FlowConfig, delays_payload
 from ..pipeline.hashing import digest_payload
 from ..specs import suite
 from ..sweep.grid import SweepGrid, SweepPoint, spec_registry, tables_grid
+from ..timing.delays import DelayModel
 
 __all__ = [
     "SERVE_SCHEMA", "ProtocolError", "job_id", "parse_sweep_request",
@@ -111,43 +114,30 @@ def _config_from_overrides(overrides,
                            max_verify_states: Optional[int]) -> FlowConfig:
     """A full :class:`FlowConfig` from partial payload overrides.
 
-    Starts from the config defaults, overlays the request's fields, and
-    normalizes the two spellings requests commonly use: ``delays`` as a
-    3-list ``[input, output, internal]`` and ``keep_conc`` as a pair list
-    in any order.  ``verify_max_states`` is clamped to the server budget.
+    Starts from the config defaults and overlays the request's fields;
+    ``delays`` may also be spelled as a 3-list ``[input, output,
+    internal]``.  :class:`FlowConfig` validates and normalizes the rest.
+    ``verify_max_states`` is clamped to the server budget.
     """
-    overrides = dict(_require_dict(overrides if overrides is not None else {},
-                                   "'config'"))
+    overrides = _require_dict(overrides if overrides is not None else {},
+                              "'config'")
     payload = FlowConfig().to_payload()
     unknown = sorted(set(overrides) - set(payload))
     if unknown:
         raise ProtocolError(f"unknown config field(s) {unknown}; "
                             f"expected a subset of {sorted(payload)}")
-    delays = overrides.get("delays")
-    if isinstance(delays, (list, tuple)) and len(delays) == 3:
-        from ..pipeline.config import delays_payload
-        from ..timing.delays import DelayModel
-        overrides["delays"] = delays_payload(DelayModel.by_kind(*delays))
     payload.update(overrides)
-    if payload["keep_conc"]:
-        try:
-            payload["keep_conc"] = [
-                list(pair) for pair in canonical_keep(
-                    tuple(pair) for pair in payload["keep_conc"])]
-        except TypeError:
-            raise ProtocolError("'keep_conc' must be a list of event pairs, "
-                                "e.g. [[\"li-\", \"ri-\"]]") from None
-    if max_verify_states is not None and payload["verify"]:
-        try:
-            payload["verify_max_states"] = min(
-                int(payload["verify_max_states"]), max_verify_states)
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                "'verify_max_states' must be an integer") from None
     try:
-        return FlowConfig.from_payload(payload)
+        delays = payload["delays"]
+        if isinstance(delays, (list, tuple)) and len(delays) == 3:
+            payload["delays"] = delays_payload(DelayModel.by_kind(*delays))
+        config = FlowConfig.from_payload(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid config: {exc}") from None
+    if (max_verify_states is not None and config.verify
+            and config.verify_max_states > max_verify_states):
+        config = replace(config, verify_max_states=max_verify_states)
+    return config
 
 
 def parse_synth_request(payload,
@@ -171,25 +161,14 @@ def parse_synth_request(payload,
 
 def point_task(point: SweepPoint) -> Dict[str, object]:
     """The canonical ``point`` task of one sweep grid point."""
-    task = {"kind": "point", "spec": point.spec, "point": point.config()}
-    task["point"]["variant"] = point.variant
-    return task
+    return {"kind": "point", "spec": point.spec,
+            "config": point.config.to_payload(), "variant": point.variant}
 
 
 def point_from_task(task: Dict[str, object]) -> SweepPoint:
     """Rebuild the :class:`SweepPoint` a ``point`` task names."""
-    fields = task["point"]
-    return SweepPoint(
-        spec=fields["spec"],
-        strategy=fields["strategy"],
-        weight=fields["weight"],
-        frontier=fields["frontier"],
-        keep=tuple(tuple(pair) for pair in fields["keep"]),
-        max_explored=fields["max_explored"],
-        delays=tuple(fields["delays"]),
-        verify=fields["verify"],
-        verify_max_states=fields["verify_max_states"],
-        variant=fields.get("variant", ""))
+    return SweepPoint(task["spec"], FlowConfig.from_payload(task["config"]),
+                      task["variant"])
 
 
 def parse_sweep_request(payload,

@@ -1,44 +1,35 @@
 """Declarative design-space grids (the Tables 1-2 rows, for every spec).
 
-A :class:`SweepPoint` names one design point -- ``(spec, strategy, W,
-frontier, keep_conc, delays, verify)`` -- in normalized form, so that two
-spellings of the same point (e.g. ``none`` at different weights, or
-Keep_Conc pairs listed in a different order) collapse to one grid entry.
-Every point compiles to a frozen :class:`~repro.pipeline.FlowConfig`
-(:meth:`SweepPoint.flow_config`), the single source of truth the staged
-pipeline evaluates; per-strategy frontier/budget defaults therefore come
-from :data:`repro.pipeline.STRATEGY_DEFAULTS` and cannot drift from the
-flow.  :func:`tables_grid` builds the full grid the paper's Tables 1 and 2
-sample: maximal concurrency, the searched reductions at several weights
-``W``, full reduction, and the named ``x || y`` Keep_Conc variants.
+A :class:`SweepPoint` names one design point: a spec, the
+:class:`~repro.pipeline.FlowConfig` the staged pipeline evaluates on it,
+and a display name.  ``FlowConfig`` normalizes every field its strategy
+ignores, so two spellings of one point (``none`` at different weights,
+Keep_Conc pairs listed in another order, a frontier at its strategy
+default) collapse to one grid entry, and the per-strategy frontier and
+budget defaults cannot drift from the flow.  :func:`tables_grid` builds
+the full grid the paper's Tables 1 and 2 sample: maximal concurrency, the
+searched reductions at several weights ``W``, full reduction, and the
+named ``x || y`` Keep_Conc variants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..petri.stg import STG
-from ..pipeline.config import (STRATEGIES, STRATEGY_DEFAULTS, FlowConfig,
-                               canonical_keep)
-from ..pipeline.hashing import fraction_text
+from ..pipeline.config import STRATEGIES, FlowConfig
 from ..specs import suite
 from ..specs.fig1 import fig1_stg
 from ..specs.lr import TABLE1_KEEP_CONC, lr_expanded
 from ..specs.mmu import TABLE2_KEEP_CONC, keep_conc_for, mmu_expanded
 from ..specs.par import par_expanded
-from ..timing.delays import DelayModel
+from ..timing.delays import TABLE1_DELAYS, DelayModel
 
 __all__ = [
-    "TABLE1_DELAY_AXIS", "SweepGrid", "SweepPoint", "canonical_delays",
-    "keep_variants", "make_point", "spec_registry", "tables_grid",
+    "SweepGrid", "SweepPoint", "keep_variants", "make_point",
+    "spec_registry", "tables_grid",
 ]
-
-KeepPairs = Tuple[Tuple[str, str], ...]
-
-#: The Table 1 per-kind delays (input, output, internal) in canonical text.
-TABLE1_DELAY_AXIS = ("2", "1", "1")
 
 
 def spec_registry() -> Dict[str, Callable[[], STG]]:
@@ -63,97 +54,27 @@ def keep_variants(spec: str) -> Dict[str, List[Tuple[str, str]]]:
     return {}
 
 
-def canonical_delays(delays) -> Tuple[str, str, str]:
-    """Normalize a delay axis to canonical (input, output, internal) text.
-
-    Accepts ``None`` (the Table 1 model), a 3-sequence of numbers/strings,
-    or a :class:`DelayModel` without overrides (per-signal overrides are a
-    flow-level feature, not a sweep axis).  ``fraction_text`` normalizes
-    every spelling the way :meth:`DelayModel.by_kind` does, so ``0.1`` and
-    ``Fraction(1, 10)`` name the same axis.
-    """
-    if delays is None:
-        return TABLE1_DELAY_AXIS
-    if isinstance(delays, DelayModel):
-        if delays.overrides:
-            raise ValueError("sweep delay axes cannot carry per-signal "
-                             "overrides; use the flow API instead")
-        delays = (delays.input_delay, delays.output_delay,
-                  delays.internal_delay)
-    input_delay, output_delay, internal_delay = delays
-    return (fraction_text(input_delay), fraction_text(output_delay),
-            fraction_text(internal_delay))
-
-
 @dataclass(frozen=True)
 class SweepPoint:
-    """One normalized design point of the grid.
+    """One design point of the grid: ``config`` evaluated on ``spec``.
 
-    ``weight`` and ``frontier`` are ``None`` when the strategy ignores them
-    (``none`` ignores both, ``best-first`` has no frontier), so equal points
-    compare equal no matter how they were spelled.  ``delays`` is the
-    canonical (input, output, internal) delay text; ``verify`` runs the
-    gate-level verification subsystem on the synthesized implementation
-    (:mod:`repro.verify`) with an optional ``verify_max_states`` product
-    state cap and adds its verdict to the row.  ``variant`` is a display
-    name for Keep_Conc rows ("li || ri"); it is not part of the identity.
+    ``variant`` is a display name for Keep_Conc rows ("li || ri"); it is
+    not part of the identity.
     """
 
     spec: str
-    strategy: str
-    weight: Optional[float] = 0.5
-    frontier: Optional[int] = None
-    keep: KeepPairs = ()
-    max_explored: Optional[int] = None
-    delays: Tuple[str, str, str] = TABLE1_DELAY_AXIS
-    verify: bool = False
-    verify_max_states: Optional[int] = None
+    config: FlowConfig
     variant: str = ""
 
     def key(self) -> tuple:
         """Hashable identity (everything but the display name)."""
-        return (self.spec, self.strategy, self.weight, self.frontier,
-                self.keep, self.max_explored, self.delays, self.verify,
-                self.verify_max_states)
-
-    def config(self) -> Dict[str, object]:
-        """JSON-ready configuration for store keys and reports."""
-        return {
-            "spec": self.spec,
-            "strategy": self.strategy,
-            "weight": self.weight,
-            "frontier": self.frontier,
-            "keep": [list(pair) for pair in self.keep],
-            "max_explored": self.max_explored,
-            "delays": list(self.delays),
-            "verify": self.verify,
-            "verify_max_states": self.verify_max_states,
-        }
-
-    def delay_model(self) -> DelayModel:
-        """The :class:`DelayModel` of this point's delay axis."""
-        input_delay, output_delay, internal_delay = self.delays
-        return DelayModel.by_kind(Fraction(input_delay),
-                                  Fraction(output_delay),
-                                  Fraction(internal_delay))
-
-    def flow_config(self) -> FlowConfig:
-        """The :class:`FlowConfig` the pipeline evaluates for this point."""
-        return FlowConfig.create(
-            strategy=self.strategy,
-            weight=0.5 if self.weight is None else self.weight,
-            size_frontier=self.frontier,
-            keep_conc=self.keep,
-            max_explored=self.max_explored,
-            delays=self.delay_model(),
-            verify=self.verify,
-            verify_max_states=self.verify_max_states)
+        return (self.spec, self.config)
 
     def label(self) -> str:
         """Human-readable point name, e.g. ``lr/best-first/W=0.5``."""
-        parts = [self.spec, self.variant or self.strategy]
-        if self.weight is not None and not self.variant:
-            parts.append(f"W={self.weight:g}")
+        parts = [self.spec, self.variant or self.config.strategy]
+        if self.config.strategy != "none" and not self.variant:
+            parts.append(f"W={self.config.weight:g}")
         return "/".join(parts)
 
 
@@ -167,31 +88,22 @@ def make_point(spec: str,
                verify: bool = False,
                verify_max_states: Optional[int] = None,
                variant: str = "") -> SweepPoint:
-    """Build a normalized :class:`SweepPoint`; validates the strategy."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"expected one of {STRATEGIES}")
-    norm_weight: Optional[float] = float(weight)
-    norm_frontier = frontier
-    norm_keep = canonical_keep(keep)
-    if strategy == "none":
-        norm_weight = None
-        norm_frontier = None
-        norm_keep = ()          # nothing is reduced, nothing to preserve
-        max_explored = None
-        variant = ""
-    elif strategy == "best-first":
-        norm_frontier = None    # no beam, no frontier width
-    else:                       # beam / full: default width per strategy
-        default_frontier = STRATEGY_DEFAULTS[strategy][0]
-        norm_frontier = default_frontier if frontier is None else int(frontier)
-    if not verify:
-        verify_max_states = None  # cap is meaningless without verification
-    return SweepPoint(spec=spec, strategy=strategy, weight=norm_weight,
-                      frontier=norm_frontier, keep=norm_keep,
-                      max_explored=max_explored,
-                      delays=canonical_delays(delays), verify=bool(verify),
-                      verify_max_states=verify_max_states, variant=variant)
+    """Build a :class:`SweepPoint`; ``FlowConfig`` validates and normalizes.
+
+    ``delays`` is ``None`` (the Table 1 model), a :class:`DelayModel` or an
+    ``(input, output, internal)`` triple.  A ``none`` point reduces nothing,
+    so it drops the Keep_Conc display name.
+    """
+    if delays is None:
+        delays = TABLE1_DELAYS
+    elif not isinstance(delays, DelayModel):
+        input_delay, output_delay, internal_delay = delays
+        delays = DelayModel.by_kind(input_delay, output_delay, internal_delay)
+    config = FlowConfig(strategy=strategy, weight=weight,
+                        size_frontier=frontier, keep_conc=keep,
+                        max_explored=max_explored, delays=delays,
+                        verify=verify, verify_max_states=verify_max_states)
+    return SweepPoint(spec, config, "" if strategy == "none" else variant)
 
 
 class SweepGrid:

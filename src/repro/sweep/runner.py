@@ -11,7 +11,10 @@ workers share the same artifact directory, so stages whose content-derived
 keys coincide (across points, strategies and even concurrent runs) are
 computed once and served from disk everywhere else.  Completed rows live
 in that same :class:`~repro.pipeline.store.ArtifactStore` as
-``sweep-point`` entries keyed by :func:`point_key`.  Results come back
+``sweep-point`` entries keyed by :func:`point_key`, the digest of the
+point's spec, its :class:`~repro.pipeline.FlowConfig` payload and the
+generated graph.  A row's identity columns (strategy, weight, frontier,
+keep, verify cap) are read off that config.  Results come back
 tagged with their grid index and are merged in grid order, which makes
 parallel output byte-identical to serial output regardless of scheduling;
 all wall-clock numbers and cache accounting live on the
@@ -40,10 +43,9 @@ __all__ = ["SweepOutcome", "evaluate_point", "evaluate_with_status",
            "make_chunks", "point_key", "run_sweep"]
 
 #: Bump when the row layout or key derivation changes; old entries are
-#: simply never looked up again.  Version 3: rows ride the staged pipeline
-#: (FlowConfig-backed points with delay-model and verify_max_states axes)
-#: and live in the unified artifact store.
-STORE_VERSION = 3
+#: simply never looked up again.  Version 4: the key binds the spec and the
+#: point's whole ``FlowConfig`` payload.
+STORE_VERSION = 4
 
 #: Store stage name of a completed sweep row.
 _ROW_STAGE = "sweep-point"
@@ -79,13 +81,14 @@ def _spec_sg(spec: str) -> StateGraph:
     return sg
 
 
-def point_key(config: Dict[str, object], graph: str) -> str:
-    """Store key of a point configuration evaluated on graph ``graph``.
+def point_key(point: SweepPoint, graph: str) -> str:
+    """Store key of ``point`` evaluated on graph ``graph``.
 
     Binding the graph digest means a changed spec (another state graph)
     can never serve a stale row.
     """
-    return digest_payload({"version": STORE_VERSION, "config": config,
+    return digest_payload({"version": STORE_VERSION, "spec": point.spec,
+                           "config": point.config.to_payload(),
                            "graph": graph})
 
 
@@ -123,19 +126,22 @@ def evaluate_with_status(point: SweepPoint,
     accounting only.  The serving layer evaluates sweep-point tasks through
     this same function, so service rows can never drift from CLI rows.
     """
-    initial_sg = _spec_sg(point.spec)
-    result = run_pipeline(point.flow_config(), initial_sg=initial_sg,
+    config = point.config
+    result = run_pipeline(config, initial_sg=_spec_sg(point.spec),
                           name=point.label(), store=store)
+    # The reduce slice holds exactly the search knobs the strategy reads.
+    searched = config.slice_for("reduce")
     row = {
         "spec": point.spec,
         "variant": point.variant,
-        "strategy": point.strategy,
-        "weight": point.weight,
-        "frontier": point.frontier,
-        "keep": ";".join(",".join(pair) for pair in point.keep),
+        "strategy": config.strategy,
+        "weight": searched.get("weight"),
+        "frontier": searched.get("size_frontier"),
+        "keep": ";".join(",".join(pair) for pair in config.keep_conc),
     }
     row.update(summary_row(result))
-    row["verify_max_states"] = point.verify_max_states
+    row["verify_max_states"] = (config.verify_max_states if config.verify
+                                else None)
     return row, result.stage_status()
 
 
@@ -269,7 +275,7 @@ def run_sweep(grid: SweepGrid,
             if digest is None:
                 digest = graph_digest(_spec_sg(point.spec))
                 digests[point.spec] = digest
-            keys[index] = point_key(point.config(), digest)
+            keys[index] = point_key(point, digest)
             stored = _stored_row(store, keys[index])
             if stored is not None:
                 # The display name is not part of the key: re-label the
@@ -294,9 +300,11 @@ def run_sweep(grid: SweepGrid,
                           else stage_computed)
                 counts[stage] = counts.get(stage, 0) + 1
             if store is not None:
+                point = points[index]
                 store.put_entry(keys[index], _ROW_STAGE, {
-                    "config": points[index].config(),
-                    "variant": points[index].variant,
+                    "spec": point.spec,
+                    "config": point.config.to_payload(),
+                    "variant": point.variant,
                     "row": row,
                 })
 

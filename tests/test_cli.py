@@ -137,6 +137,26 @@ class TestSynth:
         assert "CSC signals inserted: 2" in slow
 
 
+class TestBadConfigValue:
+    """A flag value ``FlowConfig`` rejects exits 1 with one line."""
+
+    @pytest.mark.parametrize("argv, field", [
+        ("synth half --max-csc -1", "max_csc_signals"),
+        ("verify half --max-csc -1", "max_csc_signals"),
+        ("verify half --max-states -1", "verify_max_states"),
+        ("sweep --specs half --strategies beam --frontier 0",
+         "size_frontier"),
+        ("sweep --specs half --strategies beam --max-explored -1",
+         "max_explored"),
+    ])
+    def test_exits_one_with_field_name(self, argv, field):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv.split())
+        message = str(excinfo.value)
+        assert field in message
+        assert "\n" not in message
+
+
 class TestKeepRoundtrip:
     def test_keep_preserved_through_reduce_output(self, lr_file, tmp_path,
                                                   capsys):

@@ -40,7 +40,7 @@ class TestFlowConfig:
                            verify_max_states=4096, delays=(3, 1, "3/2"))
         assert len(grid) > 10
         for point in grid:
-            config = point.flow_config()
+            config = point.config
             round_tripped = FlowConfig.from_json(config.to_json())
             assert round_tripped == config
             assert round_tripped.digest() == config.digest()
@@ -60,14 +60,23 @@ class TestFlowConfig:
 
     def test_grid_frontier_defaults_match_flow(self):
         # The sweep grid and the flow resolve the same frontier numbers.
-        assert make_point("lr", "beam").frontier == 4
-        assert make_point("lr", "full").frontier == 6
+        assert make_point("lr", "beam").config.effective_frontier() == 4
+        assert make_point("lr", "full").config.effective_frontier() == 6
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            FlowConfig.create(strategy="dfs")
-        with pytest.raises(ValueError):
-            FlowConfig.create(verify_model="magic")
+        for knobs in (
+                {"strategy": "dfs"}, {"verify_model": "magic"},
+                {"max_csc_signals": -1}, {"max_csc_signals": "3"},
+                {"max_csc_signals": True}, {"max_explored": -1},
+                {"max_explored": 2.5},
+                {"strategy": "beam", "size_frontier": 0},
+                {"strategy": "beam", "size_frontier": "x"},
+                {"phases": 3}, {"phases": 4.0},
+                {"keep_conc": [("a+",)]}, {"keep_conc": "ab"},
+                {"keep_conc": ["ab"]}, {"keep_conc": [("a+", 1)]},
+                {"verify_max_states": "5"}, {"sg_max_states": -1}):
+            with pytest.raises(ValueError):
+                FlowConfig.create(**knobs)
 
     def test_one_design_point_one_digest(self):
         # The constructor, create() and dataclasses.replace all normalize.
@@ -80,6 +89,24 @@ class TestFlowConfig:
         assert direct == created == replaced
         assert direct.digest() == created.digest() == replaced.digest()
         assert direct.slice_for("reduce") == replaced.slice_for("reduce")
+        # A field the strategy (or verify=False) never reads, or a budget
+        # spelled as the strategy default, cannot split one design point.
+        spellings = [
+            ({"strategy": "none", "weight": 0},
+             {"strategy": "none", "weight": 1}),
+            ({"strategy": "none", "keep_conc": [("a+", "b+")],
+              "max_explored": 5}, {"strategy": "none"}),
+            ({"strategy": "best-first", "size_frontier": 9},
+             {"strategy": "best-first"}),
+            ({"strategy": "beam", "size_frontier": 4},
+             {"strategy": "beam", "size_frontier": None}),
+            ({"strategy": "full", "max_explored": 20_000},
+             {"strategy": "full"}),
+            ({"verify_max_states": 7, "verify_model": "structural"}, {}),
+        ]
+        for one, other in spellings:
+            assert FlowConfig(**one) == FlowConfig(**other), one
+            assert FlowConfig(**one).digest() == FlowConfig(**other).digest()
 
     def test_keep_conc_canonicalized(self):
         one = FlowConfig.create(strategy="full", keep_conc=[("ri-", "li-")])
@@ -133,7 +160,8 @@ class TestFlowConfig:
     def test_every_field_changes_some_stage_slice(self):
         # A field no stage slice reads is a dead knob.  ``verify`` is the
         # one exemption: it decides whether the verify stage runs at all.
-        base = FlowConfig(strategy="beam")
+        # The verify knobs are live only with verification on.
+        base = FlowConfig(strategy="beam", verify=True)
         moved = {
             "strategy": "full", "weight": 0.25, "size_frontier": 7,
             "keep_conc": (("a+", "b+"),), "max_explored": 123,
@@ -417,11 +445,10 @@ class TestVerifyMaxStates:
 
     def test_sweep_axis_and_normalization(self):
         point = make_point("half", "full", verify=True, verify_max_states=7)
-        assert point.config()["verify_max_states"] == 7
-        assert point.flow_config().verify_max_states == 7
+        assert point.config.verify_max_states == 7
         # Without verification the cap is meaningless and normalizes away.
         plain = make_point("half", "full", verify=False, verify_max_states=7)
-        assert plain.verify_max_states is None
+        assert plain.config == make_point("half", "full").config
         assert plain.key() == make_point("half", "full").key()
 
     def test_cli_round_trip(self, capsys):

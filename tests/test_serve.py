@@ -74,9 +74,16 @@ class TestProtocol:
         assert task["config"]["verify_max_states"] == 5000
 
     def test_point_task_round_trip(self):
-        grid = tables_grid(specs=["lr"], strategies=("none", "full"))
-        for point in grid.points:
-            assert point_from_task(point_task(point)) == point
+        # Every point of the whole Tables 1-2 grid, with every axis at its
+        # default and then moved, survives the JSON task layout.
+        for axes in ({}, {"verify": True, "verify_max_states": 4096,
+                          "delays": (3, 1, "3/2"), "frontier": 3,
+                          "max_explored": 50}):
+            grid = tables_grid(**axes)
+            assert len(grid) > 50
+            for point in grid.points:
+                task = json.loads(json.dumps(point_task(point)))
+                assert point_from_task(task) == point
 
     def test_task_groups(self):
         synth = parse_synth_request({"spec": "half"})
@@ -258,6 +265,44 @@ class TestDispatch:
         assert status == 400
         assert "unknown config field" in payload["error"]
         assert repr(field) in payload["error"]
+
+    @pytest.mark.parametrize("config", [
+        {"keep_conc": [["a"]]}, {"keep_conc": "ab"},
+        {"strategy": "beam", "size_frontier": "x"},
+        {"max_csc_signals": "3"}, {"max_explored": -1}, {"phases": 3},
+        {"delays": ["x", 1, 1]}, {"delays": [1, 1, None]}])
+    def test_invalid_config_value_is_400(self, config):
+        body = json.dumps({"spec": "half", "config": config}).encode()
+        status, payload = self._dispatch(ServeApp(workers=0), "POST",
+                                         "/synth", body)
+        assert status == 400
+        assert "invalid config" in payload["error"]
+
+    def test_ignored_field_shares_one_job(self):
+        # Two bodies that differ only in a field the strategy never reads
+        # name one design point, so they are one job.
+        async def call():
+            app = ServeApp(workers=0)
+            await app.startup()
+            try:
+                views = []
+                for config in ({"strategy": "none"},
+                               {"strategy": "none", "weight": 1,
+                                "keep_conc": [["li-", "ri-"]]},
+                               {"strategy": "best-first",
+                                "size_frontier": 9},
+                               {"strategy": "best-first"}):
+                    body = json.dumps({"spec": "half",
+                                       "config": config}).encode()
+                    views.append(await app.dispatch("POST", "/synth", body))
+                return views
+            finally:
+                await app.shutdown()
+
+        (s1, none), (s2, weighted), (s3, wide), (s4, plain) = _run(call())
+        assert {s1, s2, s3, s4} <= {200, 202}
+        assert none["job"] == weighted["job"]
+        assert wide["job"] == plain["job"] != none["job"]
 
     def test_artifacts_without_store_404(self):
         assert self._dispatch(ServeApp(workers=0), "GET",

