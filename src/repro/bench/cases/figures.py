@@ -397,21 +397,23 @@ def run_fig10(context) -> dict:
         manual = run_pipeline(as_is, stg=par_manual_stg(),
                               name="manual (Tangram)")
         sg = generate_sg(par_expanded())
-        before = reduction_work()["materialized"]
+        before = reduction_work()
         search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
                                     max_explored=4000, patience=10**9)
-        materialized = reduction_work()["materialized"] - before
+        work = {key: value - before[key]
+                for key, value in reduction_work().items()}
         auto = run_pipeline(as_is, initial_sg=search.best, name="automatic")
-        return sg, search, materialized, manual, auto
+        return sg, search, work, manual, auto
 
-    # Every round starts cold, so ``materialized`` is the same in each.
-    seconds, (sg, search, materialized, manual, auto) = context.best_of(build)
+    # Every round starts cold, so the work counts are the same in each.
+    seconds, (sg, search, work, manual, auto) = context.best_of(build)
     manual_cycle, auto_cycle = gate_cycle(manual), gate_cycle(auto)
     auto_area, manual_area = auto.circuit().area, manual.circuit().area
     return {
         "expansion_states": len(sg),
         "explored": search.explored_count,
-        "materialized": materialized,
+        "materialized": work["materialized"],
+        "scored": work["scored"],
         "auto_area": auto_area,
         "manual_area": manual_area,
         "auto_csc_signals": len(auto.insertions()),
@@ -433,6 +435,7 @@ register(BenchCase(
         Metric("expansion_states", "states"),
         Metric("explored", "configs"),
         Metric("materialized", "graphs", direction="lower"),
+        Metric("scored", "configs"),
         Metric("auto_area", "literals", direction="lower"),
         Metric("manual_area", "literals"),
         Metric("auto_csc_signals", "signals"),

@@ -287,6 +287,7 @@ def run_ablation(context) -> dict:
     return {
         "fwdred_steps": work["steps"],
         "materialized": work["materialized"],
+        "scored": work["scored"],
         "rows": [(name, f"{r.best_cost:.2f}", r.explored_count,
                   len(csc_conflicts(r.best)))
                  for name, r in results.items()],
@@ -315,6 +316,7 @@ register(BenchCase(
         Metric("conflicts_w0", "conflicts", direction="lower"),
         Metric("fwdred_steps", "steps", direction="lower"),
         Metric("materialized", "graphs", direction="lower"),
+        Metric("scored", "configs"),
         Metric("sweep_seconds", "s", direction="lower", measured=True),
     ),
     checks=(

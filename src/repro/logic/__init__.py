@@ -1,1 +1,1 @@
-"""Two-level logic: cubes, next-state functions, exact and heuristic minimization, complexity."""
+"""Two-level logic: cubes, next-state functions, exact and heuristic minimization."""

@@ -141,35 +141,52 @@ def _reject_toggles(sg: StateGraph, signal: str) -> None:
                 f"toggle event {label!r}: derive logic from a 4-phase refinement")
 
 
+def _label_masks(sg: StateGraph) -> Dict[str, Tuple[int, int]]:
+    """Per label: its (rising-signal bit, falling-signal bit), one of them 0.
+
+    Toggle labels contribute to neither; extraction rejects the toggled
+    signal itself up front (:func:`_targets`), and a toggle on an *input*
+    signal never blocks extracting the others.
+    """
+    masks = {}
+    for label, event in sg.events.items():
+        bit = 1 << sg.signal_index(event.signal)
+        masks[label] = (bit if event.direction == Direction.RISE else 0,
+                        bit if event.direction == Direction.FALL else 0)
+    return masks
+
+
+def _targets(sg: StateGraph) -> List[str]:
+    """The output and internal signals in code order; toggles rejected."""
+    targets = [signal for signal in sg.signals
+               if sg.kinds[signal] in (SignalKind.OUTPUT, SignalKind.INTERNAL)]
+    for signal in targets:
+        _reject_toggles(sg, signal)
+    return targets
+
+
 def _excitation_masks(sg: StateGraph) -> List[Tuple[int, int, int]]:
     """Per state: (code, rising-signal bitmask, falling-signal bitmask).
 
     One pass over the graph's adjacency serves the extraction of every
     signal at once.
     """
-    # Toggle labels contribute to neither mask; extraction rejects the
-    # toggled signal itself up front (_reject_toggles), and a toggle on an
-    # *input* signal never blocks extracting the others.
-    rise_bit: Dict[str, int] = {}
-    fall_bit: Dict[str, int] = {}
-    for label, event in sg.events.items():
-        bit = 1 << sg.signal_index(event.signal)
-        rise_bit[label] = bit if event.direction == Direction.RISE else 0
-        fall_bit[label] = bit if event.direction == Direction.FALL else 0
+    masks = _label_masks(sg)
     code_int = sg.code_int  # raises StateGraphError on a state without a code
     rows = []
     for state, out in sg.freeze()._succ.items():
         rise = fall = 0
         for label in out:
-            rise |= rise_bit[label]
-            fall |= fall_bit[label]
+            label_rise, label_fall = masks[label]
+            rise |= label_rise
+            fall |= label_fall
         rows.append((code_int(state), rise, fall))
     return rows
 
 
-def _extract_from_masks(sg: StateGraph, signal: str,
+def _extract_from_masks(signal: str, bit: int, variables: List[str],
                         rows: List[Tuple[int, int, int]]) -> NextStateFunction:
-    bit = 1 << sg.signal_index(signal)
+    """Split ``rows`` into the ON/OFF/conflict codes of the signal at ``bit``."""
     on: Set[int] = set()
     off: Set[int] = set()
     for code, rise, fall in rows:
@@ -178,7 +195,7 @@ def _extract_from_masks(sg: StateGraph, signal: str,
         else:
             off.add(code)
     conflicts = on & off
-    return NextStateFunction(signal=signal, variables=list(sg.signals),
+    return NextStateFunction(signal=signal, variables=variables,
                              on_ints=frozenset(on - conflicts),
                              off_ints=frozenset(off - conflicts),
                              conflict_ints=frozenset(conflicts))
@@ -189,19 +206,19 @@ def extract_function(sg: StateGraph, signal: str) -> NextStateFunction:
     if sg.kinds[signal] == SignalKind.INPUT:
         raise ValueError(f"signal {signal!r} is an input; nothing to implement")
     _reject_toggles(sg, signal)
-    return _extract_from_masks(sg, signal, _excitation_masks(sg))
+    return _extract_from_masks(signal, 1 << sg.signal_index(signal),
+                               list(sg.signals), _excitation_masks(sg))
 
 
 def extract_all_functions(sg: StateGraph) -> Dict[str, NextStateFunction]:
     """Next-state functions for every output and internal signal."""
-    targets = [signal for signal in sg.signals
-               if sg.kinds[signal] in (SignalKind.OUTPUT, SignalKind.INTERNAL)]
+    targets = _targets(sg)
     if not targets:
         return {}
-    for signal in targets:
-        _reject_toggles(sg, signal)
     rows = _excitation_masks(sg)
-    return {signal: _extract_from_masks(sg, signal, rows) for signal in targets}
+    return {signal: _extract_from_masks(signal, 1 << sg.signal_index(signal),
+                                        list(sg.signals), rows)
+            for signal in targets}
 
 
 @dataclass

@@ -5,17 +5,24 @@ complexity through a designer-chosen weight ``W`` in [0, 1]: ``W -> 0``
 biases the search towards removing CSC conflicts, ``W -> 1`` towards
 reducing the estimated logic.  Both terms are cheap on purpose -- exact
 evaluation (state-signal insertion, decomposition, mapping) at every search
-step would dominate the run time.
+step would dominate the run time.  The estimate mirrors the paper's
+observations: fewer reachable states leave a larger don't-care set and so
+smaller covers, and ordering one signal after another may grow the support
+of its function.
+
+The logic term is the total SOP literal count of the fast covers
+(:func:`repro.logic.minimize.fast_literal_count`) of every output and
+internal signal, with conflicting codes treated optimistically (as ON-set
+minterms); the CSC term counts conflicting state pairs.  The search
+measures both, with the state count, on the arc masks of a configuration
+(:meth:`repro.reduction.fwdred.ReductionSpace.measure`) and never builds a
+graph to score one; this module only weighs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
-
-from ..logic.complexity import estimate_logic_complexity
-from ..sg.graph import StateGraph
-from ..sg.properties import csc_conflicts
 
 
 @dataclass(frozen=True)
@@ -37,25 +44,13 @@ class CostBreakdown:
         return logic_term + csc_term + 1e-3 * self.state_count
 
 
-def measure_terms(sg: StateGraph) -> Tuple[int, int, int]:
-    """The weight-independent cost terms of ``sg``.
-
-    ``(literal estimate, CSC conflict pairs, state count)``; the reduction
-    search keeps them per configuration in its
-    :class:`~repro.reduction.fwdred.ReductionSpace`, so sweeps over ``W``
-    or the frontier width re-measure nothing.
-    """
-    estimate = estimate_logic_complexity(sg)
-    return estimate.literals, len(csc_conflicts(sg)), len(sg)
-
-
 class CostFunction:
     """The weighted cost of Section 7 for one weight ``W``.
 
-    The reduction search never calls it on a graph: it measures each
-    configuration once (:func:`measure_terms`) and combines the terms with
-    :meth:`from_terms`.  :meth:`breakdown` and calls on a graph measure it
-    afresh each time.
+    The reduction search measures each configuration once per space
+    (:meth:`~repro.reduction.fwdred.ReductionSpace.measure`) and combines
+    the terms with :meth:`from_terms`, so sweeps over ``W`` or the
+    frontier width re-measure nothing.
     """
 
     def __init__(self, weight: float = 0.5, csc_scale: float = 20.0) -> None:
@@ -65,7 +60,7 @@ class CostFunction:
         self.csc_scale = csc_scale
 
     def from_terms(self, terms: Tuple[int, int, int]) -> CostBreakdown:
-        """Combine :func:`measure_terms` output under this weight."""
+        """Combine ``(literals, CSC conflict pairs, states)`` under this weight."""
         literals, conflict_pairs, states = terms
         return CostBreakdown(
             logic_literals=literals,
@@ -74,9 +69,3 @@ class CostFunction:
             csc_scale=self.csc_scale,
             state_count=states,
         )
-
-    def breakdown(self, sg: StateGraph) -> CostBreakdown:
-        return self.from_terms(measure_terms(sg))
-
-    def __call__(self, sg: StateGraph) -> float:
-        return self.breakdown(sg).value

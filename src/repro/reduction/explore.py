@@ -21,9 +21,12 @@ All three strategies run on one :class:`~repro.reduction.fwdred.ReductionSpace`
 over the input SG and share one children generator (sorted reducible
 pairs, the FwdRed step, the Keep_Conc diamond check).  ``seen``,
 ``expanded``, the beam's candidates and the heap hold configurations
-keyed by their arc masks, so duplicates are recognised before any graph
-is built.  Each search folds its step outcomes and the graphs it built
-into the ``repro_reduction_*`` counters.
+keyed by their arc masks, so duplicates are recognised on the masks, and
+every configuration is scored on them too
+(:meth:`~repro.reduction.fwdred.ReductionSpace.measure`): a search builds
+one :class:`StateGraph`, for the configuration it returns.  Each search
+folds its step outcomes, the configurations it scored and the graphs it
+built into the ``repro_reduction_*`` counters.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tup
 from ..explore import ExplorationBudget
 from ..hse.constraints import normalise_keep_conc
 from ..sg.graph import StateGraph
-from .cost import CostFunction, measure_terms
+from .cost import CostFunction
 from .fwdred import Config, record_work, reduction_space
 
 
@@ -94,8 +97,9 @@ class _Search:
     ``seen`` holds the arc masks of every configuration generated so far
     (the input included) and ``expanded`` those whose children were
     generated; a mask identifies a configuration exactly (see
-    :mod:`repro.reduction.fwdred`).  A :class:`StateGraph` is built only
-    for a configuration's first cost measurement and for the returned one.
+    :mod:`repro.reduction.fwdred`).  Costs are measured on the masks, once
+    per space and configuration; a :class:`StateGraph` is built only for
+    the returned configuration (:meth:`graph`).
     """
 
     def __init__(self, sg: StateGraph, keep_conc: Iterable[Tuple[str, str]],
@@ -110,9 +114,8 @@ class _Search:
         self.seen: Set[int] = {self.root.mask}
         self.expanded: Set[int] = set()
         self.capped = False
-        self._values: Dict[int, float] = {}
         self._work = {"valid": 0, "invalid": 0, "duplicate": 0,
-                      "materialized": 0}
+                      "materialized": 0, "scored": 0}
 
     def expand(self, config: Config) -> bool:
         """Mark ``config`` expanded; False when it already was."""
@@ -137,7 +140,7 @@ class _Search:
                 self.capped = True
                 return
             child = space.child(view, delayed, before)
-            if child is None or not all(space.concurrent(child.mask, *pair)
+            if child is None or not all(space.concurrent(child, *pair)
                                         for pair in self.preserved):
                 work["invalid"] += 1
                 continue
@@ -150,16 +153,15 @@ class _Search:
 
     def value(self, config: Config) -> float:
         """The heuristic cost of ``config``, measured once per space."""
-        value = self._values.get(config.mask)
-        if value is None:
-            terms = self.space.terms.get(config.mask)
-            if terms is None:
-                terms = self.space.terms[config.mask] = measure_terms(
-                    self.graph(config))
-            value = self._values[config.mask] = self.cost.from_terms(terms).value
-        return value
+        terms = self.space.terms.get(config.mask)
+        if terms is None:
+            terms = self.space.terms[config.mask] = self.space.measure(
+                self.sg, config)
+            self._work["scored"] += 1
+        return self.cost.from_terms(terms).value
 
     def graph(self, config: Config) -> StateGraph:
+        """``config`` as a graph; the search's input is returned as is."""
         if config.mask == self.root.mask:
             return self.sg
         self._work["materialized"] += 1

@@ -22,6 +22,17 @@ reachable states.  For one root, equal arc masks mean equal
 on the mask and a :class:`~repro.sg.graph.StateGraph` is built only where
 a caller needs one (:meth:`ReductionSpace.materialize`).
 
+The Section 7 cost terms are measured on the masks too
+(:meth:`ReductionSpace.measure`).  On its first measurement the space
+indexes the root's codes: the packed code of every root state, the rise,
+fall and non-input excitation bits of every label, and the code bit of
+every output and internal signal.  One pass over a configuration's
+reachable states and live arcs then yields the ``(code, rise, fall)`` rows
+that the next-state extraction splits into ON/OFF sets, and its codes
+bucketed with their excitation count the CSC conflict pairs.  So a search
+scores every configuration without building a graph, and spaces built for
+:func:`forward_reduction` or :func:`reducible_pairs` never read a code.
+
 Definition 5.1 is checked on the masks.  Surviving states keep every arc
 except the removed ones, so no input event can be delayed (``delayed`` is
 non-input) and new deadlocks can only appear at truncated survivors; what
@@ -32,16 +43,20 @@ reaches ``t`` inside it, so ``s`` is truncated too and loses ``delayed``.
 
 The process-global ``reduction-space`` cache keeps one space per root
 signature together with its transition table ``(mask, delayed, before)
--> child | None`` and the weight-independent cost terms per mask, so a
-sweep re-running the search on the same root re-measures nothing.
+-> child | None``, its code tables and the weight-independent cost terms
+per mask, so a sweep re-running the search on the same root re-measures
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import engine
+from ..logic.functions import _extract_from_masks, _label_masks, _targets
+from ..logic.minimize import fast_literal_count
 from ..obs.metrics import registry as obs_registry
 from ..sg.graph import StateGraph
 
@@ -128,7 +143,8 @@ class _Step:
 class ReductionSpace:
     """The arc-mask index of one root SG that FwdRed steps work on.
 
-    Masks index the root, so building a space freezes it.
+    Masks index the root, so building a space freezes it.  The code tables
+    that :meth:`measure` reads are built on its first call.
     """
 
     #: Transition-table entries kept per space before it starts over.
@@ -161,6 +177,7 @@ class ReductionSpace:
         self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
         #: ``mask -> (literals, CSC pairs, states)``.
         self.terms: Dict[int, Tuple[int, int, int]] = {}
+        self._scoring: Optional[tuple] = None
 
     def view(self, config: Config) -> _View:
         return _View(self, config)
@@ -287,11 +304,16 @@ class ReductionSpace:
         transitions[key] = child
         return child
 
-    def concurrent(self, mask: int, label_a: str, label_b: str) -> bool:
-        """:func:`~repro.sg.regions.are_concurrent` on the arc set ``mask``."""
+    def concurrent(self, config: Config, label_a: str, label_b: str) -> bool:
+        """:func:`~repro.sg.regions.are_concurrent` on ``config``.
+
+        Only reachable states are scanned: a lost state's arcs are out of
+        the mask already.
+        """
         a, b = self.label_index[label_a], self.label_index[label_b]
-        out = self.out
-        for row in out:
+        out, mask = self.out, config.mask
+        for state in _ids(config.reach):
+            row = out[state]
             via_a, via_b = row.get(a), row.get(b)
             if (via_a is None or via_b is None
                     or not mask >> via_a[0] & 1 or not mask >> via_b[0] & 1):
@@ -302,6 +324,67 @@ class ReductionSpace:
                     and mask >> end_a[0] & 1 and mask >> end_b[0] & 1):
                 return True
         return False
+
+    def measure(self, root: StateGraph, config: Config) -> Tuple[int, int, int]:
+        """The weight-independent cost terms of ``config``, on the masks.
+
+        ``(literal estimate, CSC conflict pairs, state count)``, equal to
+        what the literal estimate and :func:`~repro.sg.properties.csc_conflicts`
+        give on :meth:`materialize`'s graph.  ``root`` is this space's root
+        or a graph with the same signature; the first call indexes its
+        codes (:meth:`_code_tables`).
+        """
+        if self._scoring is None:
+            self._scoring = self._code_tables(root)
+        codes, label_bits, targets, variables = self._scoring
+        bits = f"{config.mask:b}"[::-1]
+        top = len(bits)
+        rows: List[Tuple[int, int, int]] = []
+        by_code: Dict[int, List[int]] = {}
+        for state in _ids(config.reach):
+            rise = fall = excited = 0
+            for label, (arc, _) in self.out[state].items():
+                if arc < top and bits[arc] == "1":
+                    label_rise, label_fall, label_excited = label_bits[label]
+                    rise |= label_rise
+                    fall |= label_fall
+                    excited |= label_excited
+            rows.append((codes[state], rise, fall))
+            by_code.setdefault(codes[state], []).append(excited)
+        literals = 0
+        for signal, bit in targets:
+            function = _extract_from_masks(signal, bit, variables, rows)
+            literals += fast_literal_count(len(variables),
+                                           function.resolved_on("on"),
+                                           function.off_ints)
+        pairs = sum(a != b for excitations in by_code.values()
+                    for a, b in combinations(excitations, 2))
+        return literals, pairs, config.states
+
+    def _code_tables(self, root: StateGraph) -> tuple:
+        """What :meth:`measure` reads of ``root``, indexed like the space.
+
+        The packed code of every state; the rise, fall and excitation bits
+        of every label, where the excitation bit names the label's
+        ``(signal, direction)`` unless the signal is an input; the code bit
+        of every output and internal signal; the code's variables.  Raises
+        ``ValueError`` on a toggled output and
+        :class:`~repro.sg.graph.StateGraphError` on a state without a code.
+        """
+        targets = [(signal, 1 << root.signal_index(signal))
+                   for signal in _targets(root)]
+        masks = _label_masks(root)
+        excitation: Dict[Tuple[str, str], int] = {}
+        label_bits = []
+        for label, is_input in zip(self.labels, self.is_input):
+            event = root.events[label]
+            key = (event.signal, event.direction.value)
+            excited = (0 if is_input else
+                       excitation.setdefault(key, 1 << len(excitation)))
+            label_bits.append(masks[label] + (excited,))
+        code_int = root.code_int
+        return ([code_int(state) for state in self.states], label_bits,
+                targets, list(root.signals))
 
     def materialize(self, root: StateGraph, config: Config) -> StateGraph:
         """The configuration as a frozen graph derived from ``root``.
@@ -346,11 +429,12 @@ _OUTCOMES = ("valid", "invalid", "duplicate")
 
 
 def record_work(valid: int = 0, invalid: int = 0, duplicate: int = 0,
-                materialized: int = 0) -> None:
-    """Fold FwdRed step outcomes and graphs built into the default registry.
+                materialized: int = 0, scored: int = 0) -> None:
+    """Fold FwdRed step outcomes, graphs built and scorings into the registry.
 
     ``valid`` steps reached a new configuration, ``duplicate`` ones a
-    configuration the search had already generated.
+    configuration the search had already generated; ``scored`` counts the
+    configurations measured on masks (:meth:`ReductionSpace.measure`).
     """
     reg = obs_registry()
     for outcome, count in zip(_OUTCOMES, (valid, invalid, duplicate)):
@@ -360,15 +444,23 @@ def record_work(valid: int = 0, invalid: int = 0, duplicate: int = 0,
     reg.counter("repro_reduction_materialized_total",
                 "Reduction configurations built as state graphs.").inc(
                     materialized)
+    reg.counter("repro_reduction_scored_total",
+                "Reduction configurations scored on masks.").inc(scored)
 
 
 def reduction_work() -> Dict[str, int]:
-    """The reduction counters of the default registry: steps, graphs built."""
+    """The reduction counters of the default registry.
+
+    ``steps`` taken, graphs built (``materialized``) and configurations
+    ``scored``.
+    """
     reg = obs_registry()
     steps = sum(reg.value("repro_reduction_steps_total", outcome=outcome) or 0
                 for outcome in _OUTCOMES)
     built = reg.value("repro_reduction_materialized_total") or 0
-    return {"steps": int(steps), "materialized": int(built)}
+    scored = reg.value("repro_reduction_scored_total") or 0
+    return {"steps": int(steps), "materialized": int(built),
+            "scored": int(scored)}
 
 
 def forward_reduction(sg: StateGraph, delayed: str,

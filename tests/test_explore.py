@@ -2,6 +2,7 @@
 
 import pytest
 
+import cost_oracle
 from repro.reduction.cost import CostBreakdown, CostFunction
 from repro.reduction.explore import (ExplorationResult, ExplorationStats,
                                      full_reduction,
@@ -25,25 +26,26 @@ class TestCostFunction:
             CostFunction(weight=1.5)
 
     def test_breakdown_fields(self, lr_max):
-        breakdown = CostFunction(weight=0.5).breakdown(lr_max)
+        breakdown = cost_oracle.breakdown(CostFunction(weight=0.5), lr_max)
         assert breakdown.csc_conflict_pairs == 3
         assert breakdown.logic_literals > 0
         assert breakdown.state_count == 16
         assert breakdown.value > 0
 
     def test_weight_zero_ignores_logic(self, lr_max):
-        breakdown = CostFunction(weight=0.0).breakdown(lr_max)
+        breakdown = cost_oracle.breakdown(CostFunction(weight=0.0), lr_max)
         assert breakdown.value == pytest.approx(
             20.0 * 3 + 1e-3 * 16)
 
     def test_weight_one_ignores_csc(self, lr_max):
-        breakdown = CostFunction(weight=1.0).breakdown(lr_max)
+        breakdown = cost_oracle.breakdown(CostFunction(weight=1.0), lr_max)
         assert breakdown.value == pytest.approx(
             breakdown.logic_literals + 1e-3 * 16)
 
     def test_memoised(self, lr_max):
         cost = CostFunction()
-        assert cost(lr_max) == cost(lr_max.copy_without_arcs(()))
+        assert (cost_oracle.breakdown(cost, lr_max)
+                == cost_oracle.breakdown(cost, lr_max.copy_without_arcs(())))
 
 
 class TestReduceConcurrency:
@@ -192,20 +194,22 @@ class TestWorkCounters:
         from repro import engine
         from repro.reduction.fwdred import reduction_work
         engine.clear_caches()
-        before, built = _steps(), reduction_work()["materialized"]
+        before, work = _steps(), reduction_work()
         cold = reduce_concurrency(lr_max, strategy=strategy)
         after = _steps()
-        # Every new configuration is costed once, from a graph built for
-        # it, and the best one is built once more to be returned.
+        # Every configuration, the input included, is scored once on its
+        # masks; only the returned best is built as a graph.
         assert after["valid"] - before["valid"] == cold.explored_count - 1
         assert after["duplicate"] > before["duplicate"]
-        assert (reduction_work()["materialized"] - built
-                == cold.explored_count)
+        done = reduction_work()
+        assert done["materialized"] - work["materialized"] == 1
+        assert done["scored"] - work["scored"] == cold.explored_count
 
-        built = reduction_work()["materialized"]
         warm = reduce_concurrency(lr_max, strategy=strategy)
         assert _projection(warm) == _projection(cold)
-        assert reduction_work()["materialized"] - built == 1
+        # The space kept every configuration's terms: nothing is rescored.
+        assert reduction_work()["materialized"] - done["materialized"] == 1
+        assert reduction_work()["scored"] == done["scored"]
 
     def test_full_reduction_counts(self, lr_max):
         before = _steps()
@@ -233,3 +237,109 @@ class TestWorkCounters:
         finally:
             engine.set_packed_memo(True)
         assert _projection(plain) == _projection(cached)
+
+
+def _coded_random_graph(seed, states=10):
+    """A seeded LTS whose states draw random 3-bit codes.
+
+    Codes collide often, and colliding states may differ only in the
+    input ``x`` they enable, which no generated spec shows.
+    """
+    import random
+    from repro.petri.stg import SignalKind
+    from repro.sg.graph import StateGraph
+    rng = random.Random(seed)
+    sg = StateGraph(f"coded{seed}")
+    sg.declare_signal("x", SignalKind.INPUT)
+    for signal in "ab":
+        sg.declare_signal(signal, SignalKind.OUTPUT)
+    labels = [f"{signal}{sign}" for signal in "xab" for sign in "+-"]
+    for label in labels:
+        sg.declare_event(label)
+    for state in range(states):
+        sg.add_state(state, tuple(rng.randrange(2) for _ in range(3)))
+    arcs = {}
+    for _ in range(4):  # diamonds, the shape FwdRed needs
+        first, second = rng.sample(labels, 2)
+        s, u, v, w = (rng.randrange(states) for _ in range(4))
+        for source, label, target in ((s, first, u), (s, second, v),
+                                      (u, second, w), (v, first, w)):
+            arcs.setdefault((source, label), target)
+    for _ in range(2 * states):
+        arcs.setdefault((rng.randrange(states), rng.choice(labels)),
+                        rng.randrange(states))
+    for (source, label), target in sorted(arcs.items()):
+        sg.add_arc(source, label, target)
+    sg.initial = 0
+    return sg
+
+
+def _mask_roots():
+    from repro.specs import suite
+    from repro.specs.par import PAR_KEEP_CONC, par_expanded
+    roots = {
+        "lr": (lambda: generate_sg(lr_expanded()), []),
+        "par": (lambda: generate_sg(par_expanded()), PAR_KEEP_CONC),
+        # Seven CSC conflict pairs at the root.
+        "micropipeline": (lambda: generate_sg(suite.load("micropipeline")),
+                          []),
+    }
+    for seed in range(1, 7):
+        roots[f"coded{seed}"] = (lambda seed=seed: _coded_random_graph(seed),
+                                 [])
+    return roots
+
+
+class TestMaskScoring:
+    """Scoring on masks equals the graph-based measurement it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(_mask_roots()))
+    def test_every_reached_configuration(self, name):
+        from repro import engine
+        from repro.reduction.fwdred import reduction_space
+        build, keep = _mask_roots()[name]
+        sg = build()
+        engine.clear_caches()
+        reduce_concurrency(sg, keep_conc=keep, max_explored=400)
+        reduce_concurrency(sg, keep_conc=keep, strategy="beam",
+                           max_explored=400)
+        full_reduction_with_stats(sg, keep_conc=keep, max_explored=400)
+        space = reduction_space(sg)
+        # Every configuration a search scored is the root or a FwdRed
+        # child in the space's transition table.
+        configs = {space.root.mask: space.root}
+        configs.update((child.mask, child)
+                       for child in space.transitions.values() if child)
+        assert len(space.terms) > 1
+        assert set(space.terms) <= set(configs)
+        for mask, config in configs.items():
+            graph = space.materialize(sg, config)
+            expected = cost_oracle.measure_terms(graph)
+            assert space.measure(sg, config) == expected, (name, len(graph))
+            assert space.terms.get(mask, expected) == expected
+
+    def test_codeless_root_fails_when_first_scored(self):
+        from repro.reduction.fwdred import (ReductionSpace, forward_reduction,
+                                            reducible_pairs)
+        from repro.petri.stg import SignalKind
+        from repro.sg.graph import StateGraph, StateGraphError
+        sg = StateGraph("codeless")
+        for signal in "ab":
+            sg.declare_signal(signal, SignalKind.OUTPUT)
+        for label in ("a+", "b+"):
+            sg.declare_event(label)
+        for source, label, target in (("s0", "a+", "s1"), ("s0", "b+", "s2"),
+                                      ("s1", "b+", "s3"), ("s2", "a+", "s3")):
+            sg.add_arc(source, label, target)
+        sg.initial = "s0"
+        # Building spaces, FwdRed and its pairs read no code.
+        space = ReductionSpace(sg)
+        assert reducible_pairs(sg) == {("a+", "b+"), ("b+", "a+")}
+        assert forward_reduction(sg, "a+", "b+").valid
+        with pytest.raises(StateGraphError) as oracle:
+            cost_oracle.measure_terms(sg)
+        with pytest.raises(StateGraphError) as scored:
+            space.measure(sg, space.root)
+        assert str(scored.value) == str(oracle.value)
+        with pytest.raises(StateGraphError, match="has no binary code"):
+            reduce_concurrency(sg)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cost_oracle import breakdown
 from repro.reduction.cost import CostFunction
 from repro.reduction.fwdred import (ReductionError, ReductionResult,
                                     ReductionSpace, forward_reduction,
@@ -219,10 +220,10 @@ def _oracle_walk(root, expansions, cost=None):
     :meth:`StateGraph.backward_reachable`, the unvalidated child from
     ``copy_without_arcs``, and its verdict from :func:`check_validity`.
     ``cost`` orders the search (default: the heuristic
-    :class:`CostFunction`).  Returns the verdicts seen: ``valid`` or the
+    :class:`CostFunction`, measured on the graph).  Returns the verdicts seen: ``valid`` or the
     first word of each reason.
     """
-    cost = cost or CostFunction()
+    cost = cost or (lambda sg: breakdown(CostFunction(), sg).value)
     space = ReductionSpace(root)
     heap = [(cost(root), 0, space.root)]
     expanded = set()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.logic.complexity import estimate_logic_complexity
+from cost_oracle import estimate_logic_complexity
 from repro.reduction.fwdred import forward_reduction, reducible_pairs
 from repro.sg.generator import generate_sg
 from repro.sg.properties import (csc_conflicts, is_commutative, is_consistent,
