@@ -1,7 +1,7 @@
 """Sweep throughput: design points per second, serial vs sharded.
 
 Runs the Tables 1-2 *search* grid (the ``none`` strategy is excluded --
-implementing the unreduced MMU is one 40+ second CSC search that would
+implementing the unreduced MMU is a multi-level CSC search that would
 benchmark state-signal insertion, not sweep breadth) three ways:
 parallel cold, serial cold, parallel warm against the first store.
 

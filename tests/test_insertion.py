@@ -1,13 +1,21 @@
 """Unit tests for CSC state-signal insertion (repro.encoding)."""
 
+import dataclasses
+from itertools import product
+
 import pytest
 
+from insertion_oracle import reference_insert
 from repro.encoding.csc import conflict_count, irresolvable_conflicts
-from repro.encoding.insertion import (STYLES, enumerate_insertions,
-                                      insert_state_signal, resolve_csc)
+from repro.encoding.insertion import (REJECTIONS, STYLES, _Index, _walk,
+                                      enumerate_insertions, insert_state_signal,
+                                      insertion_work, resolve_csc)
+from repro.obs.metrics import registry as obs_registry
+from repro.obs.trace import TraceRecorder, recording
 from repro.petri.stg import SignalKind
 from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.sg.generator import generate_sg
+from repro.sg.graph import StateGraph
 from repro.sg.properties import is_consistent, is_output_persistent
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
@@ -26,10 +34,7 @@ def q_module():
 @pytest.fixture(scope="module")
 def mmu_bl():
     # Its improving candidates cover both insertion styles.
-    from repro.reduction.explore import full_reduction
-    from repro.specs.mmu import keep_conc_for, mmu_expanded
-    return full_reduction(generate_sg(mmu_expanded()),
-                          keep_conc=keep_conc_for(("b", "l")), size_frontier=3)
+    return _mmu_bl()
 
 
 class TestConflictAnalysis:
@@ -181,17 +186,20 @@ class TestInsertion:
     def test_enumerate_orders_by_quality(self, q_module):
         candidates = enumerate_insertions(q_module, "x")
         assert candidates
-        conflicts = [choice.conflicts_after for choice, _ in candidates]
+        conflicts = [choice.conflicts_after for choice in candidates]
         assert conflicts == sorted(conflicts)
 
     def test_choice_rebuilds_its_candidate(self, mmu_bl):
+        # A choice carries no graph; insert_state_signal builds the one it
+        # names, and that graph has the choice's score.
         candidates = enumerate_insertions(mmu_bl, "x")
-        assert {choice.style for choice, _ in candidates} == set(STYLES)
-        for choice, candidate in candidates:
+        assert {choice.style for choice in candidates} == set(STYLES)
+        for choice in candidates:
             rebuilt = insert_state_signal(
                 mmu_bl, choice.rise_trigger, choice.fall_trigger,
                 choice.signal, choice.initial_value, choice.style)
-            assert sg_to_payload(rebuilt) == sg_to_payload(candidate)
+            assert (conflict_count(rebuilt), len(rebuilt)) == (
+                choice.conflicts_after, choice.states_after)
 
     def test_inserted_signal_participates_in_logic(self, q_module):
         from repro.logic.functions import extract_all_functions
@@ -230,3 +238,131 @@ class TestInsertion:
         assert result.resolved
         assert [c.signal for c in result.insertions] == ["csc1"]
         assert result.sg.kinds["csc0"] == SignalKind.INPUT
+
+
+def _mmu_bl():
+    from repro.reduction.explore import full_reduction
+    from repro.specs.mmu import keep_conc_for, mmu_expanded
+    return full_reduction(generate_sg(mmu_expanded()),
+                          keep_conc=keep_conc_for(("b", "l")), size_frontier=3)
+
+
+def _arbiter():
+    # r+ lets the outputs a+ and b+ race and the one that fires disables the
+    # other, so the input itself breaks output persistency; s1 and s4 share
+    # the code 100 but only s1 excites outputs.
+    sg = StateGraph("arbiter")
+    for name, kind in (("r", SignalKind.INPUT), ("a", SignalKind.OUTPUT),
+                       ("b", SignalKind.OUTPUT)):
+        sg.declare_signal(name, kind)
+    for label in ("r+", "r-", "a+", "a-", "b+", "b-"):
+        sg.declare_event(label)
+    for state, code in (("s0", (0, 0, 0)), ("s1", (1, 0, 0)),
+                        ("s2", (1, 1, 0)), ("s3", (1, 0, 1)),
+                        ("s4", (1, 0, 0))):
+        sg.add_state(state, code)
+    for arc in (("s0", "r+", "s1"), ("s1", "a+", "s2"), ("s1", "b+", "s3"),
+                ("s2", "a-", "s4"), ("s3", "b-", "s4"), ("s4", "r-", "s0")):
+        sg.add_arc(*arc)
+    return sg
+
+
+def _random_coded(seed):
+    from repro.specs.generate.random import generate_spec
+    return lambda: generate_sg(generate_spec(seed).build())
+
+
+#: Oracle inputs: the paper's small cases and seeded generator specs with
+#: CSC conflicts and at most ~100 states.
+ORACLE_INPUTS = {
+    "fig1": lambda: generate_sg(fig1_stg()),
+    "q_module": lambda: generate_sg(q_module_stg()),
+    "lr": lambda: generate_sg(lr_expanded()),
+    "mmu_bl": _mmu_bl,
+    "arbiter": _arbiter,
+    **{f"random/{seed}": _random_coded(seed)
+       for seed in (2, 3, 6, 10, 11, 12)},
+}
+
+
+class TestScoringOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_scores_match_built_graphs(self, name):
+        # Every candidate, dead triggers included: the score-only walk
+        # rejects exactly what insert_state_signal and the graph-building
+        # reference reject, and otherwise scores the conflicts and states of
+        # the graph both of them build.
+        sg = ORACLE_INPUTS[name]()
+        index = _Index(sg)
+        events = sorted(sg.events)
+        feasible = 0
+        for style, rise, fall, value in product(STYLES, events, events,
+                                                (0, 1)):
+            scored = _walk(index, style, rise, fall, value)
+            built = insert_state_signal(sg, rise, fall, "csc_new", value,
+                                        style)
+            expected = reference_insert(sg, rise, fall, "csc_new", value,
+                                        style)
+            candidate = (style, rise, fall, value)
+            assert (built is None) == (expected is None), candidate
+            if built is None:
+                assert scored in REJECTIONS, candidate
+                continue
+            feasible += 1
+            assert sg_to_payload(built) == sg_to_payload(expected), candidate
+            assert scored == (conflict_count(built), len(built)), candidate
+        assert feasible
+
+
+def _rejected():
+    reg = obs_registry()
+    return {reason: reg.value("repro_insertion_rejected_total",
+                              reason=reason) or 0 for reason in REJECTIONS}
+
+
+class TestWork:
+    def test_walks_are_feasible_or_rejected(self, q_module, mmu_bl):
+        for sg in (q_module, mmu_bl):
+            work, rejected = insertion_work(), _rejected()
+            enumerate_insertions(sg, "x")
+            done, now = insertion_work(), _rejected()
+            walks = done["walks"] - work["walks"]
+            feasible = done["feasible"] - work["feasible"]
+            by_reason = {reason: now[reason] - rejected[reason]
+                         for reason in REJECTIONS}
+            assert walks == feasible + sum(by_reason.values())
+            assert walks and feasible and by_reason["trigger"]
+            assert done["built"] == work["built"]  # scoring builds nothing
+
+    def test_resolve_builds_only_the_beam(self):
+        # Each level builds at most the beam it extends, and one graph is
+        # built for the result.
+        from repro.encoding.insertion import _BEAM_WIDTH
+        sg = generate_sg(lr_expanded())
+        before = insertion_work()
+        result = resolve_csc(sg)
+        work = {key: value - before[key]
+                for key, value in insertion_work().items()}
+        assert result.resolved and work["levels"] == 2
+        assert 1 <= work["built"] <= _BEAM_WIDTH * (work["levels"] - 1) + 1
+
+    def test_tracing_never_changes_resolve(self):
+        def resolve_bytes(sg):
+            result = resolve_csc(sg, max_signals=2)
+            return repr((sg_to_payload(result.sg),
+                         [dataclasses.asdict(c) for c in result.insertions],
+                         result.resolved))
+
+        sg = generate_sg(lr_expanded())
+        untraced = resolve_bytes(sg)
+        recorder = TraceRecorder()
+        with recording(recorder):
+            traced = resolve_bytes(sg)
+        assert traced == untraced
+        levels = [span for span in recorder.roots
+                  if span.name == "resolve:level"]
+        assert [span.attrs["level"] for span in levels] == [0, 1]
+        for span in levels:
+            assert {"walks", "feasible", "improving", "built"} <= set(
+                span.attrs)
+            assert span.attrs["walks"] >= span.attrs["feasible"]

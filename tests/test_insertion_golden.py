@@ -5,13 +5,16 @@ code that still had one product builder per insertion style.  For every
 input the suite pins:
 
 * ``enumerate``: every candidate of ``enumerate_insertions(sg, "csc0")`` in
-  order -- the choice's fields and the canonical payload of its graph;
+  order -- the choice's fields and the canonical payload of the graph
+  ``insert_state_signal`` builds for it;
 * ``resolve``: the outcome of ``resolve_csc`` -- the resolved graph's
   payload, the committed choices and the ``resolved`` flag.
 
-Unreduced MMU is pinned with ``max_signals=1`` only: one signal does not
-resolve it, so it covers the best-partial path that the certificate
-goldens never reach.
+Unreduced MMU is pinned with ``max_signals=1`` and ``max_signals=3``
+(Table 2's original row): neither resolves it, so both cover the
+best-partial path that the certificate goldens never reach, and the
+second covers three beam levels.  The ``max_signals=3`` digest was
+captured from the code that still built a graph for every candidate.
 """
 
 import dataclasses
@@ -75,7 +78,8 @@ def insertion_inputs():
               "q_module": (_q_module(), {}, True),
               "lr": (_lr(), {}, True),
               "mmu/|| (b, l, r)": (_mmu_blr(), {}, True),
-              "mmu/max_signals=1": (_mmu(), {"max_signals": 1}, False)}
+              "mmu/max_signals=1": (_mmu(), {"max_signals": 1}, False),
+              "mmu/max_signals=3": (_mmu(), {"max_signals": 3}, False)}
     for name, sg in _suite_inputs().items():
         inputs[name] = (sg, {}, True)
     return inputs
@@ -85,10 +89,16 @@ def _sg_digest(sg):
     return digest_payload(sg_to_payload(sg))
 
 
+def _rebuilt(sg, choice):
+    return insert_state_signal(sg, choice.rise_trigger, choice.fall_trigger,
+                               choice.signal, choice.initial_value,
+                               choice.style)
+
+
 def enumerate_digest(sg):
-    return digest_payload([[dataclasses.asdict(choice), _sg_digest(candidate)]
-                           for choice, candidate
-                           in enumerate_insertions(sg, "csc0")])
+    return digest_payload([[dataclasses.asdict(choice),
+                            _sg_digest(_rebuilt(sg, choice))]
+                           for choice in enumerate_insertions(sg, "csc0")])
 
 
 def resolve_digest(sg, **kwargs):
