@@ -273,8 +273,8 @@ register(BenchCase(
 
 def run_ablation(context) -> dict:
     from repro import engine, generate_sg, reduce_concurrency
+    from repro.encoding.csc import conflict_count
     from repro.reduction.fwdred import reduction_work
-    from repro.sg.properties import csc_conflicts
     from repro.specs.lr import lr_expanded
 
     def sweep():
@@ -302,11 +302,11 @@ def run_ablation(context) -> dict:
         "materialized": work["materialized"],
         "scored": work["scored"],
         "rows": [(name, f"{r.best_cost:.2f}", r.explored_count,
-                  len(csc_conflicts(r.best)))
+                  conflict_count(r.best))
                  for name, r in results.items()],
         "best_cost_best_first": results["best-first"].best_cost,
         "explored_best_first": results["best-first"].explored_count,
-        "conflicts_w0": len(csc_conflicts(results["W=0.0"].best)),
+        "conflicts_w0": conflict_count(results["W=0.0"].best),
         "sweep_seconds": seconds,
         "beam_costs": beams,
         "beam_monotonic": all(a >= b - 1e-9

@@ -620,7 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "'repro trace summarize') or Chrome "
                                   "trace_event (chrome://tracing, Perfetto)")
 
-    check = sub.add_parser("check", help="implementability report")
+    check = sub.add_parser(
+        "check", help="implementability report: USC/CSC conflicts are "
+                      "counted per code bucket, and only the pairs that "
+                      "input events alone separate are listed")
     check.add_argument("spec", help=".g specification file")
     check.add_argument("--engine",
                        choices=("auto", "packed", "tuples", "symbolic"),

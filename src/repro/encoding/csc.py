@@ -11,28 +11,14 @@ from __future__ import annotations
 
 from typing import List
 
-from ..sg.graph import State, StateGraph
-from ..sg.properties import CSCConflict, csc_conflicts
+from ..sg.graph import StateGraph
+from ..sg.properties import CSCConflict, _shared_codes, coding_counts
 
 
 def conflict_count(sg: StateGraph) -> int:
-    """Number of CSC conflict pairs (the quantity the cost function tracks)."""
-    return len(csc_conflicts(sg))
-
-
-def _input_reachable(sg: StateGraph, source: State, target: State) -> bool:
-    """True when ``target`` is reachable from ``source`` via input events only."""
-    frontier = [source]
-    seen = {source}
-    while frontier:
-        state = frontier.pop()
-        if state == target:
-            return True
-        for label, nxt in sg.successors(state).items():
-            if sg.is_input_label(label) and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
+    """Number of CSC conflict pairs (the quantity the cost function tracks),
+    counted per code bucket without listing a pair."""
+    return coding_counts(sg)[1]
 
 
 def irresolvable_conflicts(sg: StateGraph) -> List[CSCConflict]:
@@ -44,10 +30,29 @@ def irresolvable_conflicts(sg: StateGraph) -> List[CSCConflict]:
     insertion cannot distinguish the two states -- only an interface change
     or a concurrency reduction that removes one of them can.  Fig. 1 of the
     paper is exactly such a case (``Req-; Req+`` between the two 11 states).
+
+    One input-only search per state of a shared code finds the states of
+    its bucket it reaches; only those pairs are tested and listed, in
+    :func:`~repro.sg.properties.csc_conflicts` order.
     """
+    succ = sg.freeze()._succ
+    inputs = {label for label in sg.events if sg.is_input_label(label)}
     hopeless = []
-    for conflict in csc_conflicts(sg):
-        if (_input_reachable(sg, conflict.state_a, conflict.state_b)
-                or _input_reachable(sg, conflict.state_b, conflict.state_a)):
-            hopeless.append(conflict)
+    for _, states, excited in _shared_codes(sg):
+        position = {state: i for i, state in enumerate(states)}
+        linked = set()
+        for i, source in enumerate(states):
+            frontier, seen = [source], {source}
+            while frontier:
+                for label, nxt in succ[frontier.pop()].items():
+                    if label in inputs and nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            linked.update((min(i, j), max(i, j))
+                          for j in map(position.get, seen)
+                          if j is not None and j != i)
+        code = sg.code_of(states[0])
+        hopeless += [CSCConflict(states[i], states[j], code, excited[i],
+                                 excited[j])
+                     for i, j in sorted(linked) if excited[i] != excited[j]]
     return hopeless

@@ -51,7 +51,6 @@ beam survivors it extends and for the graph it returns.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import count, product
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
@@ -60,7 +59,7 @@ from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
 from ..petri.stg import Direction, SignalEvent, SignalKind
 from ..sg.graph import StateGraph
-from ..sg.properties import persistency_violations
+from ..sg.properties import conflict_pairs, persistency_violations
 from .csc import conflict_count
 
 #: The insertion styles, in the order :func:`enumerate_insertions` tries them.
@@ -277,14 +276,8 @@ def _walk(index: _Index, style: str, rise_trigger: str, fall_trigger: str,
                 for state in order]
     for mask in set(fired_at).difference(known):
         known[mask] = index.excitation_of(mask)
-    excited = map(known.__getitem__, fired_at)
-    conflicts = _pairs(Counter(keys)) - _pairs(Counter(zip(keys, excited)))
+    _, conflicts = conflict_pairs(keys, map(known.__getitem__, fired_at))
     return conflicts, len(order)
-
-
-def _pairs(counts: Counter) -> int:
-    """Unordered pairs within each class of ``counts``."""
-    return sum(n * (n - 1) // 2 for n in counts.values())
 
 
 def _replay(index: _Index, gates: List[List[int]], order: List[int],

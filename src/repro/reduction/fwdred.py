@@ -29,8 +29,10 @@ fall and non-input excitation bits of every label, and the code bit of
 every output and internal signal.  One pass over a configuration's
 reachable states and live arcs then yields the ``(code, rise, fall)`` rows
 that the next-state extraction splits into ON/OFF sets, and its codes
-bucketed with their excitation count the CSC conflict pairs.  So a search
-scores every configuration without building a graph, and spaces built for
+with their excitation masks count the CSC conflict pairs through
+:func:`~repro.sg.properties.conflict_pairs`, the counter the property
+checks and the insertion walk share.  So a search scores every
+configuration without building a graph, and spaces built for
 :func:`forward_reduction` or :func:`reducible_pairs` never read a code.
 
 Definition 5.1 is checked on the masks.  Surviving states keep every arc
@@ -51,7 +53,6 @@ nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import engine
@@ -59,6 +60,7 @@ from ..logic.functions import _extract_from_masks, _label_masks, _targets
 from ..logic.minimize import fast_literal_count
 from ..obs.metrics import registry as obs_registry
 from ..sg.graph import StateGraph
+from ..sg.properties import conflict_pairs
 
 
 class ReductionError(Exception):
@@ -340,7 +342,7 @@ class ReductionSpace:
         bits = f"{config.mask:b}"[::-1]
         top = len(bits)
         rows: List[Tuple[int, int, int]] = []
-        by_code: Dict[int, List[int]] = {}
+        excitations: List[int] = []
         for state in _ids(config.reach):
             rise = fall = excited = 0
             for label, (arc, _) in self.out[state].items():
@@ -350,15 +352,14 @@ class ReductionSpace:
                     fall |= label_fall
                     excited |= label_excited
             rows.append((codes[state], rise, fall))
-            by_code.setdefault(codes[state], []).append(excited)
+            excitations.append(excited)
         literals = 0
         for signal, bit in targets:
             function = _extract_from_masks(signal, bit, variables, rows)
             literals += fast_literal_count(len(variables),
                                            function.resolved_on("on"),
                                            function.off_ints)
-        pairs = sum(a != b for excitations in by_code.values()
-                    for a, b in combinations(excitations, 2))
+        _, pairs = conflict_pairs([row[0] for row in rows], excitations)
         return literals, pairs, config.states
 
     def _code_tables(self, root: StateGraph) -> tuple:

@@ -7,13 +7,18 @@ Section 2 of the paper requires, beyond consistency:
   enabled *non-input* events.
 
 Each predicate has a companion ``*_violations`` function that returns
-witnesses, which the validity checker and the test suite both use.
+witnesses, which the validity checker and the test suite both use.  The
+coding verdicts are counted, not listed: :func:`coding_counts` takes one
+pass over the code buckets, and the witness lists (:func:`csc_conflicts`,
+:func:`usc_conflicts`), quadratic in bucket size, are built only on demand.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..petri.stg import Direction
 from .graph import State, StateGraph, StateGraphError
@@ -175,33 +180,71 @@ class CSCConflict:
     excited_b: frozenset = frozenset()
 
 
-def _group_by_code_int(sg: StateGraph) -> Dict[int, List[State]]:
-    """States grouped by packed code; raises on a state without a code."""
+def _shared_codes(sg: StateGraph) -> Iterator[Tuple[int, List[State],
+                                                    List[frozenset]]]:
+    """Each packed code shared by two or more states: the code, its states
+    and their non-input excitation sets of ``(signal, direction)``.
+
+    Excitation is computed only for these states, so a graph with unique
+    codes costs one pass over its states.  Raises on a state without a
+    code.
+    """
+    succ = sg.freeze()._succ
     code_int = sg.code_int
     by_code: Dict[int, List[State]] = {}
-    for state in sg.freeze()._succ:
+    for state in succ:
         by_code.setdefault(code_int(state), []).append(state)
-    return by_code
+    excitation = {label: (event.signal, event.direction.value)
+                  for label, event in sg.events.items()
+                  if not sg.is_input_label(label)}
+    for code, states in by_code.items():
+        if len(states) > 1:
+            yield code, states, [
+                frozenset(excitation[label] for label in succ[state]
+                          if label in excitation)
+                for state in states]
+
+
+def conflict_pairs(keys: Sequence, excited: Iterable) -> Tuple[int, int]:
+    """Pairs of items sharing a key, and those of them whose excitations
+    differ: ``C(n, 2)`` per key class of size ``n``, less ``C(k, 2)`` per
+    excitation class of size ``k`` inside it."""
+    shared = _pairs(Counter(keys))
+    if not shared:
+        return 0, 0
+    return shared, shared - _pairs(Counter(zip(keys, excited)))
+
+
+def _pairs(counts: Counter) -> int:
+    """Unordered pairs within each class of ``counts``."""
+    return sum(n * (n - 1) for n in counts.values()) // 2
+
+
+def coding_counts(sg: StateGraph) -> Tuple[int, int]:
+    """``(USC pairs, CSC conflicts)`` without listing a pair.
+
+    One pass over the code buckets: a bucket of ``n`` states holds
+    ``C(n, 2)`` USC pairs, of which the pairs with different non-input
+    excitation are CSC conflicts.  Equal to
+    ``(len(usc_conflicts(sg)), len(csc_conflicts(sg)))``.
+    """
+    keys: List[int] = []
+    excited: List[frozenset] = []
+    for code, states, sets in _shared_codes(sg):
+        keys += [code] * len(states)
+        excited += sets
+    return conflict_pairs(keys, excited)
 
 
 def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     """All CSC conflict pairs (unordered, each pair reported once).
 
-    States are bucketed by their packed integer codes and each state's
-    non-input excitation is computed once per bucket member, so the usual
-    no-conflict case costs one pass over the states.
+    A witness list for callers that print or inspect pairs: it grows with
+    the square of the bucket size (251,832 pairs on ``counter_6``).  A
+    verdict or a count needs only :func:`coding_counts`.
     """
-    succ = sg.freeze()._succ
-    excitation = {label: (event.signal, event.direction.value)
-                  for label, event in sg.events.items()
-                  if not sg.is_input_label(label)}
     conflicts = []
-    for states in _group_by_code_int(sg).values():
-        if len(states) < 2:
-            continue
-        excited = [frozenset(excitation[label] for label in succ[state]
-                             if label in excitation)
-                   for state in states]
+    for _, states, excited in _shared_codes(sg):
         code_tuple = sg.code_of(states[0])
         for i, state_a in enumerate(states):
             for j in range(i + 1, len(states)):
@@ -213,28 +256,30 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
 
 
 def usc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
-    """Pairs of distinct states sharing a binary code (Unique State Coding)."""
-    pairs = []
-    for states in _group_by_code_int(sg).values():
-        for i, state_a in enumerate(states):
-            for state_b in states[i + 1:]:
-                pairs.append((state_a, state_b))
-    return pairs
+    """Pairs of distinct states sharing a binary code (Unique State Coding).
+
+    Like :func:`csc_conflicts`, a witness list quadratic in bucket size.
+    """
+    return [(state_a, state_b) for _, states, _ in _shared_codes(sg)
+            for i, state_a in enumerate(states) for state_b in states[i + 1:]]
 
 
 def has_csc(sg: StateGraph) -> bool:
-    return not csc_conflicts(sg)
+    return not coding_counts(sg)[1]
 
 
 def has_usc(sg: StateGraph) -> bool:
-    return not usc_conflicts(sg)
+    return not coding_counts(sg)[0]
 
 
 def csc_conflicting_signals(sg: StateGraph) -> Set[str]:
-    """Signals whose excitation differs in at least one CSC conflict pair."""
+    """Signals whose excitation differs in at least one CSC conflict pair:
+    per shared code, those excited in some of its states but not in all,
+    so no pair is listed."""
     signals: Set[str] = set()
-    for conflict in csc_conflicts(sg):
-        for signal, _ in conflict.excited_a.symmetric_difference(conflict.excited_b):
+    for _, _, excited in _shared_codes(sg):
+        common = frozenset.intersection(*excited)
+        for signal, _ in frozenset.union(*excited) - common:
             signals.add(signal)
     return signals
 
@@ -267,17 +312,22 @@ class ImplementabilityReport:
 
 
 def check_implementability(sg: StateGraph) -> ImplementabilityReport:
-    """Run every check and return a report."""
-    conflicts = csc_conflicts(sg)
+    """Run every check and return a report.
+
+    The checks are linear in arcs, and the coding verdicts take one pass
+    over the code buckets (:func:`coding_counts`); no conflict pair is
+    listed.
+    """
+    usc_pairs, conflicts = coding_counts(sg)
     return ImplementabilityReport(
         consistent=is_consistent(sg),
         deterministic=True,
         commutative=is_commutative(sg),
         output_persistent=is_output_persistent(sg),
         csc=not conflicts,
-        usc=has_usc(sg),
+        usc=not usc_pairs,
         deadlock_free=not deadlock_states(sg),
-        csc_conflict_count=len(conflicts),
+        csc_conflict_count=conflicts,
     )
 
 
@@ -309,26 +359,29 @@ def coding_report(sg: StateGraph, witness_limit: Optional[int] = None,
     under one canonical order, and witness lists above ``witness_limit``
     are dropped by the shared truncation rule.  The cross-engine parity
     suite pins this equality.
+
+    The counts take one bucket pass (:func:`coding_counts`); the witness
+    lists, quadratic in bucket size, are built only when both counts are
+    within ``witness_limit``.
     """
     from ..symbolic.csc import (DEFAULT_WITNESS_LIMIT, CodingReport,
                                 canonical_conflict, canonical_pair,
                                 sort_conflicts, sort_pairs)
     limit = DEFAULT_WITNESS_LIMIT if witness_limit is None else witness_limit
-    pairs = usc_conflicts(sg)
-    conflicts = csc_conflicts(sg)
-    truncated = len(pairs) > limit or len(conflicts) > limit
+    pairs, conflicts = coding_counts(sg)
+    truncated = pairs > limit or conflicts > limit
     pair_payloads: List[dict] = []
     conflict_payloads: List[dict] = []
     if not truncated:
         pair_payloads = sort_pairs([
             canonical_pair(sg.code_of(a), _marking_tuple(a),
                            _marking_tuple(b))
-            for a, b in pairs])
+            for a, b in usc_conflicts(sg)])
         conflict_payloads = sort_conflicts([
             canonical_conflict(c.code,
                                _marking_tuple(c.state_a), c.excited_a,
                                _marking_tuple(c.state_b), c.excited_b)
-            for c in conflicts])
+            for c in csc_conflicts(sg)])
     return CodingReport(
         name=sg.name,
         engine=engine,
@@ -336,8 +389,8 @@ def coding_report(sg: StateGraph, witness_limit: Optional[int] = None,
         consistent=is_consistent(sg),
         usc=not pairs,
         csc=not conflicts,
-        usc_pair_count=len(pairs),
-        csc_conflict_count=len(conflicts),
+        usc_pair_count=pairs,
+        csc_conflict_count=conflicts,
         conflicts=conflict_payloads,
         usc_pairs=pair_payloads,
         truncated=truncated)

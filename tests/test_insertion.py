@@ -16,7 +16,9 @@ from repro.petri.stg import SignalKind
 from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph
-from repro.sg.properties import is_consistent, is_output_persistent
+from repro.sg.properties import (csc_conflicts, is_consistent,
+                                 is_output_persistent)
+from repro.specs import families
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
 
@@ -48,6 +50,31 @@ class TestConflictAnalysis:
 
     def test_resolvable_conflicts_not_flagged(self, q_module):
         assert irresolvable_conflicts(q_module) == []
+
+    @pytest.mark.parametrize("name", ["fig1", "q_module", "counter_4"])
+    def test_matches_per_pair_search(self, name, request):
+        sg = (generate_sg(families.counter(4), engine="packed")
+              if name == "counter_4" else request.getfixturevalue(name))
+        assert irresolvable_conflicts(sg) == _per_pair_irresolvable(sg)
+
+
+def _per_pair_irresolvable(sg):
+    """Reference: two input-only searches per conflict pair, in list order."""
+    def input_reachable(source, target):
+        frontier, seen = [source], {source}
+        while frontier:
+            state = frontier.pop()
+            if state == target:
+                return True
+            for label, nxt in sg.successors(state).items():
+                if sg.is_input_label(label) and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return False
+
+    return [c for c in csc_conflicts(sg)
+            if input_reachable(c.state_a, c.state_b)
+            or input_reachable(c.state_b, c.state_a)]
 
 
 class TestInsertion:

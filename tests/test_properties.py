@@ -1,18 +1,28 @@
 """Unit tests for implementability checks (repro.sg.properties)."""
 
+import json
+
 import pytest
 
+import repro.sg.properties as properties
+from repro.encoding.csc import conflict_count
 from repro.petri.stg import Direction, SignalEvent, SignalKind
 from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph
-from repro.sg.properties import (check_implementability, commutativity_violations,
+from repro.sg.properties import (_marking_tuple, check_implementability,
+                                 coding_counts, coding_report,
+                                 commutativity_violations,
                                  consistency_violations, csc_conflicting_signals,
                                  csc_conflicts, deadlock_states, has_csc, has_usc,
                                  is_commutative, is_consistent,
                                  is_output_persistent, is_speed_independent,
                                  persistency_violations, usc_conflicts)
+from repro.specs import families
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
+from repro.sweep.grid import spec_registry
+from repro.symbolic.csc import (CodingReport, canonical_conflict,
+                                canonical_pair, sort_conflicts, sort_pairs)
 
 
 def build_sg(signals, arcs, codes=None, initial=None):
@@ -148,3 +158,105 @@ class TestReport:
         arcs = [("s0", "a+", "s1")]
         sg = build_sg({"a": SignalKind.OUTPUT}, arcs)
         assert deadlock_states(sg) == ["s1"]
+
+
+def _seeded_members():
+    """Seeded members of the three chain families, small enough to list."""
+    shapes = ([(families.counter, n) for n in (2, 3, 4)]
+              + [(families.fifo_chain, n) for n in (2, 3, 4)]
+              + [(families.micropipeline_chain, n) for n in (1, 2)])
+    return [(f"{build.__name__}_{n}_s{seed}", build, n, seed)
+            for build, n in shapes for seed in (1, 2, 3)]
+
+
+def _listed_report(sg, limit):
+    """The coding report by listing every pair, then truncating."""
+    pairs, conflicts = usc_conflicts(sg), csc_conflicts(sg)
+    truncated = len(pairs) > limit or len(conflicts) > limit
+    return CodingReport(
+        name=sg.name, engine="explicit", states=len(sg),
+        consistent=is_consistent(sg), usc=not pairs, csc=not conflicts,
+        usc_pair_count=len(pairs), csc_conflict_count=len(conflicts),
+        conflicts=[] if truncated else sort_conflicts([
+            canonical_conflict(c.code, _marking_tuple(c.state_a), c.excited_a,
+                               _marking_tuple(c.state_b), c.excited_b)
+            for c in conflicts]),
+        usc_pairs=[] if truncated else sort_pairs([
+            canonical_pair(sg.code_of(a), _marking_tuple(a), _marking_tuple(b))
+            for a, b in pairs]),
+        truncated=truncated)
+
+
+def _listed_signals(sg):
+    """Signals whose excitation differs in a listed conflict pair."""
+    return {signal for c in csc_conflicts(sg)
+            for signal, _ in c.excited_a ^ c.excited_b}
+
+
+def _assert_counts_match_lists(sg):
+    assert coding_counts(sg) == (len(usc_conflicts(sg)),
+                                 len(csc_conflicts(sg)))
+    assert csc_conflicting_signals(sg) == _listed_signals(sg)
+
+
+def _payload_bytes(report):
+    return json.dumps(report.to_payload(), sort_keys=True).encode()
+
+
+class TestCodingCounts:
+    """Counting per code bucket equals listing every pair (the registry's
+    ``mmu`` is the unreduced MMU, 264 states)."""
+
+    @pytest.mark.parametrize("name", sorted(spec_registry()))
+    def test_registry_specs(self, name):
+        _assert_counts_match_lists(generate_sg(spec_registry()[name]()))
+
+    @pytest.mark.parametrize("name,build,stages,seed", _seeded_members(),
+                             ids=[member[0] for member in _seeded_members()])
+    def test_seeded_family_members(self, name, build, stages, seed):
+        _assert_counts_match_lists(
+            generate_sg(build(stages, seed=seed, name=name), engine="packed"))
+
+    def test_hand_built_usc_without_csc(self):
+        arcs = [("s0", "a+", "s1"), ("s1", "b+", "s2"), ("s2", "a-", "s3")]
+        sg = build_sg({"a": SignalKind.INPUT, "b": SignalKind.INPUT}, arcs,
+                      codes={"s0": (0, 0), "s1": (1, 0), "s2": (1, 1),
+                             "s3": (0, 0)})
+        assert coding_counts(sg) == (1, 0)
+
+
+class TestNoListing:
+    """Verdicts and counts never build a witness list."""
+
+    @pytest.fixture
+    def no_lists(self, monkeypatch):
+        def refuse(sg):
+            raise AssertionError("a witness list was built")
+        monkeypatch.setattr(properties, "csc_conflicts", refuse)
+        monkeypatch.setattr(properties, "usc_conflicts", refuse)
+
+    def test_counter_verdicts(self, no_lists):
+        sg = generate_sg(families.counter(5), engine="packed")
+        report = check_implementability(sg)
+        assert (report.usc, report.csc, report.csc_conflict_count) == (
+            False, False, 30600)
+        assert conflict_count(sg) == 30600
+        assert not has_csc(sg) and not has_usc(sg)
+
+    def test_truncated_report_lists_nothing(self, no_lists):
+        sg = generate_sg(families.counter(3), engine="packed")
+        usc_pairs, conflicts = coding_counts(sg)
+        report = coding_report(sg, witness_limit=usc_pairs - 1)
+        assert report.truncated and report.conflicts == []
+        assert (report.usc_pair_count, report.csc_conflict_count) == (
+            usc_pairs, conflicts)
+
+    @pytest.mark.parametrize("name", ["micropipeline", "lr", "fig1"])
+    def test_truncation_boundary(self, name):
+        # micropipeline has 16 USC pairs but 7 CSC conflicts, so the two
+        # counts cross their limits at different points.
+        sg = generate_sg(spec_registry()[name]())
+        for count in coding_counts(sg):
+            for limit in (count - 1, count, count + 1):
+                assert (_payload_bytes(coding_report(sg, witness_limit=limit))
+                        == _payload_bytes(_listed_report(sg, limit))), limit
