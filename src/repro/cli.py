@@ -657,7 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "error)")
     sg.add_argument("--stubborn", action="store_true",
                     help="explore with the deadlock-preserving stubborn-set "
-                    "reduction (a subset of the full state graph)")
+                    "reduction (a subset of the full state graph); packed "
+                    "engine only, refused for --engine tuples, 2-phase "
+                    "specs and nets outside the 1-safe regime")
     add_trace_options(sg)
     sg.set_defaults(func=cmd_sg)
 

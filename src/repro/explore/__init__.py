@@ -1,16 +1,17 @@
 """The shared exploration core.
 
-One budgeted, level-synchronized frontier engine under the three
-explicit-state searches of the flow -- state-graph generation
-(`repro.sg.generator`), the reduction searches (`repro.reduction`) and
-the conformance product (`repro.verify.conformance`).  See
-`docs/architecture.md` ("The exploration core") for the design.
+One budgeted level loop, `explore_levels`, under every state-graph
+generation (`repro.sg.generator`), fed by three expansions: packed
+(`explore_packed`), tuples (`explore_tuples`) and the 2-phase unfolding.
+`FrontierExploration` drives the conformance product
+(`repro.verify.conformance`).  See `docs/architecture.md` ("The
+exploration core") for the design.
 """
 
 from .budget import (BudgetExceedance, BudgetExceeded, BudgetMeter,
                      ExplorationBudget)
-from .frontier import (ExplorationRun, FrontierExploration, explore_packed,
-                       explore_tuples)
+from .frontier import (ExplorationRun, FrontierExploration, explore_levels,
+                       explore_packed, explore_tuples)
 from .reduce import ample_internal_moves, stubborn_reducer
 from .trace import minimal_trace
 
@@ -22,6 +23,7 @@ __all__ = [
     "ExplorationRun",
     "FrontierExploration",
     "ample_internal_moves",
+    "explore_levels",
     "explore_packed",
     "explore_tuples",
     "minimal_trace",

@@ -1,35 +1,41 @@
 """Level-synchronized frontier engines.
 
-Two engines share one discipline -- breadth-first over levels, one
-:class:`~repro.explore.budget.BudgetMeter` charging admissions, one
-parent map for trace reconstruction:
+One level loop, :func:`explore_levels`, generates every state graph:
+breadth-first over levels, one :class:`~repro.explore.budget.BudgetMeter`
+charging every arc and admitted state, one clock check, span and
+heartbeat per level.  What differs between generation paths is only how
+a level is expanded -- an expansion function yields the level's
+``(source, transition, successor)`` arcs and the loop does the rest:
 
-* :class:`FrontierExploration` drives searches whose successor relation
-  lives in the caller (the conformance product walks circuit moves and
-  spec arcs, not a net).  Draining order is exactly FIFO, so rebasing a
-  hand-rolled ``deque`` loop onto it preserves which counterexample is
-  found first, byte for byte.
-* :func:`explore_packed` / :func:`explore_tuples` own the Petri-net
-  token game for state-graph generation and raw reachability.  The
-  packed engine expands a whole level per transition with int-wide
-  bitwise ops (:meth:`repro.petri.net.PackedNet.enabled_columns`); the
-  tuple engine is the per-state fallback for nets outside the 1-safe
-  packed regime, and the baseline the bench compares against.
+* :func:`explore_packed` expands a whole level per transition with
+  int-wide bitwise ops (:meth:`repro.petri.net.PackedNet.enabled_columns`),
+  or state by state through a reducer such as the stubborn-set selector;
+* :func:`explore_tuples` is the per-state fallback for nets outside the
+  1-safe packed regime, and the baseline the bench compares against;
+* the 2-phase unfolding of :mod:`repro.sg.generator` expands ``(marking,
+  signal values)`` states.
 
-Both net engines emit the same :class:`ExplorationRun` -- states in
-admission order plus ``(source, transition, target)`` index arcs -- and
-explore the same state *set*; only the admission order differs (the
-packed engine discovers per level transition-major, the tuple engine
-state-major).  Everything downstream consumes canonicalized payloads,
-so the two orders are interchangeable.
+All emit the same :class:`ExplorationRun` -- states in admission order
+plus ``(source, transition, target)`` index arcs.  The two net
+expansions explore the same state *set*; only the admission order
+differs (the packed engine discovers per level transition-major, the
+tuple engine state-major).  Everything downstream consumes canonicalized
+payloads, so the two orders are interchangeable.
+
+:class:`FrontierExploration` is the caller-driven variant for the
+conformance product, whose successor relation lives in the caller
+(circuit moves and spec arcs, not a net) and which fails in the middle
+of an arc.  Draining order is exactly FIFO, so rebasing a hand-rolled
+``deque`` loop onto it preserves which counterexample is found first,
+byte for byte.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
-                    Tuple)
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from ..obs import progress as obs_progress
 from ..obs.logs import structured as obs_log
@@ -39,8 +45,8 @@ from ..petri.net import PackedNet, PackedOverflowError, PetriNet
 from .budget import BudgetMeter, ExplorationBudget
 from .trace import minimal_trace
 
-__all__ = ["ExplorationRun", "FrontierExploration", "explore_packed",
-           "explore_tuples"]
+__all__ = ["ExplorationRun", "FrontierExploration", "explore_levels",
+           "explore_packed", "explore_tuples"]
 
 _UNBOUNDED = ExplorationBudget()
 
@@ -80,7 +86,8 @@ def _record_run(engine: str, states: int, arcs: int, levels: int) -> None:
 
 
 class FrontierExploration:
-    """Budgeted BFS driver over opaque hashable states.
+    """Budgeted BFS driver over opaque hashable states (the conformance
+    product's; state-graph generation runs on :func:`explore_levels`).
 
     The caller pulls states from :meth:`drain` and feeds successors back
     through :meth:`admit`; the driver owns the visited set, the FIFO
@@ -146,13 +153,14 @@ class FrontierExploration:
 
 @dataclass(frozen=True)
 class ExplorationRun:
-    """Result of one net reachability run.
+    """Result of one level-loop run (:func:`explore_levels`).
 
-    ``states`` lists markings in admission order (index 0 = initial);
+    ``states`` lists states in admission order (index 0 = initial);
     ``arcs`` are ``(source_index, transition_index, target_index)``
     triples in traversal order; ``levels`` is the number of BFS levels
     expanded.  The packed engine's states are packed ints, the tuple
-    engine's are tuple markings.
+    engine's tuple markings, and the 2-phase unfolding's ``(marking,
+    signal values)`` pairs.
     """
 
     states: List[object]
@@ -160,7 +168,58 @@ class ExplorationRun:
     levels: int
 
 
+#: ``expand(level, states)`` yields one level's ``(source_index,
+#: transition_index, successor)`` arcs; ``level`` holds the indices into
+#: ``states`` of the frontier being expanded.
+Expansion = Callable[[List[int], List[Hashable]],
+                     Iterable[Tuple[int, int, Hashable]]]
 Reducer = Callable[[int, int], int]
+
+
+def explore_levels(engine: str, initial: Hashable, expand: Expansion,
+                   budget: Optional[ExplorationBudget] = None
+                   ) -> ExplorationRun:
+    """Breadth-first reachability from ``initial``, one level at a time.
+
+    The only loop that admits states for state-graph generation: it
+    charges every arc ``expand`` yields and then admits its successor if
+    new, checks the clock once per level, opens one ``frontier:level``
+    span per level, sends the per-level heartbeat and records the
+    ``repro_explore_*`` counters under ``engine``.  Running out of
+    budget raises :class:`~repro.explore.budget.BudgetExceeded`.
+    """
+    meter = (budget or _UNBOUNDED).meter()
+    index: Dict[Hashable, int] = {initial: 0}
+    states: List[Hashable] = [initial]
+    meter.admit_state()
+    arcs: List[Tuple[int, int, int]] = []
+    level: List[int] = [0]
+    levels = 0
+    while level:
+        meter.level = levels
+        with obs_span("frontier:level", engine=engine, level=levels,
+                      frontier=len(level)) as level_span:
+            next_level: List[int] = []
+            for source, transition, successor in expand(level, states):
+                meter.charge_arc()
+                target = index.get(successor)
+                if target is None:
+                    meter.admit_state()
+                    target = len(states)
+                    index[successor] = target
+                    states.append(successor)
+                    next_level.append(target)
+                arcs.append((source, transition, target))
+            meter.check_clock()
+            if level_span is not None:
+                level_span.set(admitted=len(next_level),
+                               states=len(states), arcs=len(arcs))
+        _frontier_heartbeat(engine, meter, levels, len(level),
+                            len(states), len(arcs), force=not next_level)
+        levels += 1
+        level = next_level
+    _record_run(engine, len(states), len(arcs), levels)
+    return ExplorationRun(states=states, arcs=arcs, levels=levels)
 
 
 def explore_packed(packed: PackedNet,
@@ -180,84 +239,49 @@ def explore_packed(packed: PackedNet,
     leaves the 1-safe regime mid-run; callers fall back to
     :func:`explore_tuples`.
     """
-    meter = (budget or _UNBOUNDED).meter()
-    if reducer is not None:
-        # The per-state path gives up the level-vectorized expansion; that
-        # degradation used to be silent, which made "why is stubborn-set
-        # exploration slower per state?" a recurring surprise.
-        obs_registry().counter(
-            "repro_frontier_fallback_per_state_total",
-            "Packed explorations that dropped to the per-state path "
-            "because a reducer was installed.").inc()
-        obs_log("frontier.fallback_per_state", engine="packed",
-                reason="reducer", transitions=len(packed.transition_names))
     pre_masks = packed.pre_masks
     post_masks = packed.post_masks
-    index: Dict[int, int] = {packed.initial: 0}
-    states: List[int] = [packed.initial]
-    meter.admit_state()
-    arcs: List[Tuple[int, int, int]] = []
-    level: List[int] = [0]
-    levels = 0
-    while level:
-        depth = levels
-        levels += 1
-        meter.level = depth
-        with obs_span("frontier:level", engine="packed", level=depth,
-                      frontier=len(level)) as level_span:
-            level_rows = [states[i] for i in level]
-            next_level: List[int] = []
-            if reducer is None:
-                for t, mask in enumerate(packed.enabled_columns(level_rows)):
-                    clear = ~pre_masks[t]
-                    post = post_masks[t]
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        slot = low.bit_length() - 1
-                        cleared = level_rows[slot] & clear
-                        if cleared & post:
-                            raise PackedOverflowError(
-                                f"firing "
-                                f"{packed.transition_names[t]!r} leaves "
-                                f"the 1-safe regime")
-                        successor = cleared | post
-                        meter.charge_arc()
-                        target = index.get(successor)
-                        if target is None:
-                            meter.admit_state()
-                            target = len(states)
-                            index[successor] = target
-                            states.append(successor)
-                            next_level.append(target)
-                        arcs.append((level[slot], t, target))
-            else:
-                for slot, source in enumerate(level):
-                    row = level_rows[slot]
-                    chosen = reducer(row, packed.enabled_bits(row))
-                    while chosen:
-                        low = chosen & -chosen
-                        chosen ^= low
-                        t = low.bit_length() - 1
-                        successor = packed.fire_bits(t, row)
-                        meter.charge_arc()
-                        target = index.get(successor)
-                        if target is None:
-                            meter.admit_state()
-                            target = len(states)
-                            index[successor] = target
-                            states.append(successor)
-                            next_level.append(target)
-                        arcs.append((source, t, target))
-            meter.check_clock()
-            if level_span is not None:
-                level_span.set(admitted=len(next_level),
-                               states=len(states), arcs=len(arcs))
-        _frontier_heartbeat("packed", meter, depth, len(level),
-                            len(states), len(arcs), force=not next_level)
-        level = next_level
-    _record_run("packed", len(states), len(arcs), levels)
-    return ExplorationRun(states=states, arcs=arcs, levels=levels)
+
+    def vectorized(level: List[int], states: List[int]
+                   ) -> Iterator[Tuple[int, int, int]]:
+        rows = [states[i] for i in level]
+        for t, mask in enumerate(packed.enabled_columns(rows)):
+            clear = ~pre_masks[t]
+            post = post_masks[t]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                slot = low.bit_length() - 1
+                cleared = rows[slot] & clear
+                if cleared & post:
+                    raise PackedOverflowError(
+                        f"firing {packed.transition_names[t]!r} leaves "
+                        f"the 1-safe regime")
+                yield level[slot], t, cleared | post
+
+    def reduced(level: List[int], states: List[int]
+                ) -> Iterator[Tuple[int, int, int]]:
+        for source in level:
+            row = states[source]
+            chosen = reducer(row, packed.enabled_bits(row))
+            while chosen:
+                low = chosen & -chosen
+                chosen ^= low
+                t = low.bit_length() - 1
+                yield source, t, packed.fire_bits(t, row)
+
+    if reducer is None:
+        return explore_levels("packed", packed.initial, vectorized, budget)
+    # The per-state path gives up the level-vectorized expansion; that
+    # degradation used to be silent, which made "why is stubborn-set
+    # exploration slower per state?" a recurring surprise.
+    obs_registry().counter(
+        "repro_frontier_fallback_per_state_total",
+        "Packed explorations that dropped to the per-state path "
+        "because a reducer was installed.").inc()
+    obs_log("frontier.fallback_per_state", engine="packed",
+            reason="reducer", transitions=len(packed.transition_names))
+    return explore_levels("packed", packed.initial, reduced, budget)
 
 
 def explore_tuples(net: PetriNet,
@@ -271,46 +295,19 @@ def explore_tuples(net: PetriNet,
     only rechecks the transitions whose enabling it can change.
     Successors of one state are expanded in net declaration order.
     """
-    meter = (budget or _UNBOUNDED).meter()
     order = {t: i for i, t in enumerate(net.transition_names)}
     initial = net.initial_marking()
-    index: Dict[tuple, int] = {initial: 0}
-    states: List[tuple] = [initial]
-    meter.admit_state()
-    arcs: List[Tuple[int, int, int]] = []
-    enabled_of: List[frozenset] = [
-        frozenset(net.enabled_transitions(initial))]
-    level: List[int] = [0]
-    levels = 0
-    while level:
-        depth = levels
-        levels += 1
-        meter.level = depth
-        with obs_span("frontier:level", engine="tuples", level=depth,
-                      frontier=len(level)) as level_span:
-            next_level: List[int] = []
-            for source in level:
-                marking = states[source]
-                enabled = enabled_of[source]
-                for name in sorted(enabled, key=order.__getitem__):
-                    successor, succ_enabled = net.fire_incremental(
-                        name, marking, enabled)
-                    meter.charge_arc()
-                    target = index.get(successor)
-                    if target is None:
-                        meter.admit_state()
-                        target = len(states)
-                        index[successor] = target
-                        states.append(successor)
-                        enabled_of.append(succ_enabled)
-                        next_level.append(target)
-                    arcs.append((source, order[name], target))
-            meter.check_clock()
-            if level_span is not None:
-                level_span.set(admitted=len(next_level),
-                               states=len(states), arcs=len(arcs))
-        _frontier_heartbeat("tuples", meter, depth, len(level),
-                            len(states), len(arcs), force=not next_level)
-        level = next_level
-    _record_run("tuples", len(states), len(arcs), levels)
-    return ExplorationRun(states=states, arcs=arcs, levels=levels)
+    enabled_of = {initial: frozenset(net.enabled_transitions(initial))}
+
+    def expand(level: List[int], states: List[tuple]
+               ) -> Iterator[Tuple[int, int, tuple]]:
+        for source in level:
+            marking = states[source]
+            enabled = enabled_of[marking]
+            for name in sorted(enabled, key=order.__getitem__):
+                successor, successor_enabled = net.fire_incremental(
+                    name, marking, enabled)
+                enabled_of[successor] = successor_enabled
+                yield source, order[name], successor
+
+    return explore_levels("tuples", initial, expand, budget)

@@ -217,15 +217,18 @@ def reduce_concurrency(sg: StateGraph,
                              history=history, stats=stats)
 
 
-def _beam(search: _Search, size_frontier: int
+def _beam(search: _Search, size_frontier: int, terminal: bool = False
           ) -> Tuple[Config, float, List[ExplorationStep], int]:
     """The paper's level-by-level loop: the best ``size_frontier`` survive.
 
     Only *expanded* configurations are closed; a candidate pruned from one
-    level's frontier may be regenerated along a better path later.
+    level's frontier may be regenerated along a better path later.  With
+    ``terminal`` the result is the cheapest expanded configuration with no
+    child at all (duplicates count; one the budget cut off is not
+    judged), or the input when there is none.
     """
     best = search.root
-    best_cost = search.value(best)
+    best_cost = float("inf") if terminal else search.value(best)
     frontier: List[Config] = [best]
     history: List[ExplorationStep] = []
     level = 0
@@ -236,19 +239,25 @@ def _beam(search: _Search, size_frontier: int
         for current in frontier:
             if not search.expand(current):
                 continue
+            children = 0
             for before, delayed, child in search.children(current):
+                children += 1
                 if child.mask in search.expanded or child.mask in candidates:
                     continue
                 candidates[child.mask] = (search.value(child), child,
                                           before, delayed)
             if search.capped:
                 break
+            if terminal and not children:
+                value = search.value(current)
+                if value < best_cost:
+                    best, best_cost = current, value
         if not candidates:
             break
         survivors = sorted(candidates.values(), key=lambda item: item[0])
         survivors = survivors[:size_frontier]
         for value, candidate, before, delayed in survivors:
-            if value < best_cost:
+            if not terminal and value < best_cost:
                 best, best_cost = candidate, value
                 history.append(ExplorationStep(level, before, delayed, value,
                                                candidate.states))
@@ -297,34 +306,8 @@ def full_reduction_with_stats(sg: StateGraph,
     """:func:`full_reduction` plus the unified exploration accounting."""
     search = _Search(sg, keep_conc, cost_function or CostFunction(weight=weight),
                      max_explored)
-    frontier: List[Config] = [search.root]
-    best_terminal: Optional[Config] = None
-    best_terminal_cost = float("inf")
-    levels = 0
-
-    while frontier and not search.capped:
-        levels += 1
-        candidates: Dict[int, Tuple[float, Config]] = {}
-        for current in frontier:
-            if not search.expand(current):
-                continue
-            children = 0
-            for _, _, child in search.children(current):
-                children += 1
-                if child.mask in search.expanded or child.mask in candidates:
-                    continue
-                candidates[child.mask] = (search.value(child), child)
-            if search.capped:
-                break
-            if children == 0:
-                value = search.value(current)
-                if value < best_terminal_cost:
-                    best_terminal, best_terminal_cost = current, value
-        survivors = sorted(candidates.values(), key=lambda item: item[0])
-        frontier = [candidate for _, candidate in survivors[:size_frontier]]
-
-    best = search.graph(best_terminal or search.root)
-    return best, search.stats("full", levels)
+    best, _, _, levels = _beam(search, size_frontier, terminal=True)
+    return search.graph(best), search.stats("full", levels)
 
 
 def full_reduction(sg: StateGraph,

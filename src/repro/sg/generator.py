@@ -11,19 +11,22 @@ the :class:`ConsistencyError` carries the shortest firing sequence that
 ends with the offending firing.  Toggle (2-phase) specifications unfold
 instead: their states pair a marking with explicit signal values.
 
-Reachability itself runs on the shared exploration core
-(:mod:`repro.explore`): the packed level-vectorized engine when the net
-fits single-bit markings, the incremental tuple engine otherwise, both
-metered by one :class:`~repro.explore.ExplorationBudget`.
+Reachability runs on the shared level loop
+(:func:`repro.explore.explore_levels`) with one of three expansions:
+the packed level-vectorized engine when the net fits single-bit
+markings, the incremental tuple engine otherwise, and the unfolding
+for toggle specifications -- all metered by one
+:class:`~repro.explore.ExplorationBudget`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-from ..explore import (BudgetExceeded, ExplorationBudget,
-                       FrontierExploration, explore_packed, explore_tuples,
+from ..explore import (BudgetExceeded, ExplorationBudget, ExplorationRun,
+                       explore_levels, explore_packed, explore_tuples,
                        minimal_trace, stubborn_reducer)
+from ..explore.frontier import Expansion
 from ..petri.net import PackedOverflowError
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
 from .graph import StateGraph, StateGraphError
@@ -70,15 +73,17 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
     values are inferred).  STGs containing toggle events (2-phase
     refinements) are *unfolded*: a state is a (marking, signal values)
     pair, since a marking revisited after an odd number of toggles is a
-    different binary state.
+    different binary state.  Every path builds the graph from one
+    :class:`~repro.explore.ExplorationRun` of the level loop.
 
-    ``budget`` caps the exploration (states / arcs / wall-clock); when
-    omitted, the cap is :data:`DEFAULT_MAX_STATES` states.  Running out
-    of budget raises :class:`GenerationBudgetError` -- never a silently
-    truncated graph.  With ``stubborn=True``, reachability uses
-    the stubborn-set reduction hook (packed nets only; a reduced graph is
-    *not* the full state graph and is meant for reachability/deadlock
-    questions, not synthesis).
+    ``budget`` caps the exploration (states / arcs / wall-clock), the
+    unfolding included; when omitted, the cap is
+    :data:`DEFAULT_MAX_STATES` states.  Running out of budget raises
+    :class:`GenerationBudgetError` -- never a silently truncated graph.
+    With ``stubborn=True``, reachability uses the stubborn-set reduction
+    hook, packed runs only: ``engine="tuples"``, a toggle STG or a net
+    outside the 1-safe regime raises :class:`StateGraphError`.  A reduced
+    graph is meant for reachability/deadlock questions, not synthesis.
 
     ``engine`` selects the marking-exploration core for rise/fall specs:
     ``"auto"`` tries the packed level-vectorized engine and falls back to
@@ -108,108 +113,111 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
         if (isinstance(transition.label, SignalEvent)
                 and transition.label.direction == Direction.TOGGLE):
             has_toggle = True
-    if has_toggle:
-        return _generate_unfolded(stg, budget, name)
 
     sg = StateGraph(name or stg.name)
     for signal, kind in stg.signals.items():
-        if kind == SignalKind.DUMMY:
-            continue
-        sg.declare_signal(signal, kind)
-    for transition in stg.net.transition_names:
+        if kind != SignalKind.DUMMY:
+            sg.declare_signal(signal, kind)
+    names = stg.net.transition_names
+    for transition in names:
         sg.declare_event(transition, stg.event_of(transition))
-
-    net = stg.net
-    names = net.transition_names
-    run = None
     try:
-        packed = net.compile_packed() if engine != "tuples" else None
-        if packed is None and engine == "packed":
-            raise StateGraphError(
-                f"STG {stg.name!r} is outside the packed regime (weighted "
-                "arcs or multi-token places); use engine='auto' or "
-                "'tuples'")
-        if packed is not None:
-            reducer = stubborn_reducer(packed) if stubborn else None
-            try:
-                run = explore_packed(packed, budget=budget, reducer=reducer)
-                markings = [packed.unpack(row) for row in run.states]
-            except PackedOverflowError:
-                if engine == "packed":
-                    raise
-                run = None
-        if run is None:
-            run = explore_tuples(net, budget=budget)
-            markings = run.states
+        if not has_toggle:
+            run = _explore_markings(stg, budget, stubborn, engine)
+        elif stubborn:
+            raise StateGraphError(_NOT_PACKED.format(
+                stg.name, "has toggle events and unfolds"))
+        else:
+            run = explore_levels("unfolded", *_unfolding(stg, sg.signals),
+                                 budget=budget)
     except BudgetExceeded as exceeded:
         raise GenerationBudgetError(exceeded.exceedance) from None
 
-    sg.add_state(markings[0])
-    sg.initial = markings[0]
+    states = run.states
+    sg.add_state(states[0])
+    sg.initial = states[0]
     for source, transition, target in run.arcs:
-        sg.add_arc(markings[source], names[transition], markings[target])
-
-    _assign_codes(stg, sg)
+        sg.add_arc(states[source], names[transition], states[target])
+    if has_toggle:
+        for state in states:
+            sg.add_state(state, state[1])
+    else:
+        _assign_codes(stg, sg)
     return sg
 
 
-def _generate_unfolded(stg: STG, budget: ExplorationBudget,
-                       name: Optional[str]) -> StateGraph:
-    """SG generation with explicit signal values in the state (2-phase).
+_NOT_PACKED = ("--stubborn (stubborn=True) needs the packed engine, but STG "
+               "{!r} {}")
 
-    The initial values come from ``stg.initial_values`` (default 0); firing
-    a rising transition from a high state (or falling from low) witnesses an
-    inconsistent specification -- the :class:`ConsistencyError` carries the
-    minimal firing sequence reaching it, reconstructed from the engine's
-    parent map.
+
+def _explore_markings(stg: STG, budget: ExplorationBudget, stubborn: bool,
+                      engine: str) -> ExplorationRun:
+    """The marking run of a rise/fall STG, its states tuple markings."""
+    packed = stg.net.compile_packed() if engine != "tuples" else None
+    if packed is not None:
+        reducer = stubborn_reducer(packed) if stubborn else None
+        try:
+            run = explore_packed(packed, budget=budget, reducer=reducer)
+            return ExplorationRun([packed.unpack(row) for row in run.states],
+                                  run.arcs, run.levels)
+        except PackedOverflowError as overflow:
+            why = f"is not 1-safe ({overflow})"
+    elif engine == "tuples":
+        why = "runs on engine='tuples'"
+    else:
+        why = ("is outside the packed regime (weighted arcs or multi-token "
+               "places)")
+    if stubborn:
+        raise StateGraphError(_NOT_PACKED.format(stg.name, why))
+    if engine == "packed":
+        raise StateGraphError(f"STG {stg.name!r} {why}; use engine='auto' "
+                              "or 'tuples'")
+    return explore_tuples(stg.net, budget=budget)
+
+
+def _unfolding(stg: STG, signals: List[str]) -> Tuple[Hashable, Expansion]:
+    """The 2-phase unfolding's initial state and level expansion.
+
+    A state is a ``(marking, signal values)`` pair; the initial values
+    come from ``stg.initial_values`` (default 0).  Firing a rising
+    transition from a high state (or falling from low) raises
+    :class:`ConsistencyError` with the minimal firing sequence reaching
+    it, read off a first-seen parent map.
     """
-    sg = StateGraph(name or stg.name)
-    for signal, kind in stg.signals.items():
-        if kind == SignalKind.DUMMY:
-            continue
-        sg.declare_signal(signal, kind)
-    for transition in stg.net.transition_names:
-        sg.declare_event(transition, stg.event_of(transition))
-    index = {signal: i for i, signal in enumerate(sg.signals)}
-
     net = stg.net
     order = {t: i for i, t in enumerate(net.transition_names)}
-    initial_values = tuple(stg.initial_values.get(s, 0) for s in sg.signals)
-    initial_marking = net.initial_marking()
-    initial = (initial_marking, initial_values)
-    sg.add_state(initial, initial_values)
-    sg.initial = initial
-    try:
-        engine = FrontierExploration(initial, budget)
-        enabled_of = {initial: frozenset(
-            net.enabled_transitions(initial_marking))}
-        for state in engine.drain():
-            enabled = enabled_of.pop(state)
+    position = {signal: i for i, signal in enumerate(signals)}
+    marking = net.initial_marking()
+    initial = (marking, tuple(stg.initial_values.get(s, 0) for s in signals))
+    enabled_of = {marking: frozenset(net.enabled_transitions(marking))}
+    parents: Dict[Hashable, Optional[Tuple[Hashable, str]]] = {initial: None}
+
+    def expand(level: List[int], states: List[Hashable]
+               ) -> Iterator[Tuple[int, int, Hashable]]:
+        for source in level:
+            state = states[source]
             marking, values = state
+            enabled = enabled_of[marking]
             for transition in sorted(enabled, key=order.__getitem__):
                 event = stg.event_of(transition)
-                position = index[event.signal]
-                current = values[position]
-                if event.direction == Direction.RISE and current != 0:
+                i = position[event.signal]
+                current = values[i]
+                # A rise needs the signal low, a fall needs it high.
+                if (event.direction != Direction.TOGGLE
+                        and current != (event.direction == Direction.FALL)):
                     raise ConsistencyError(
                         f"{transition} fires with {event.signal} already "
-                        f"high", witness=engine.trace_to(state, transition))
-                if event.direction == Direction.FALL and current != 1:
-                    raise ConsistencyError(
-                        f"{transition} fires with {event.signal} already "
-                        f"low", witness=engine.trace_to(state, transition))
-                new_values = list(values)
-                new_values[position] = 1 - current
-                nxt_marking, nxt_enabled = net.fire_incremental(
+                        f"{'high' if current else 'low'}",
+                        witness=minimal_trace(parents, state, transition))
+                successor, successor_enabled = net.fire_incremental(
                     transition, marking, enabled)
-                target = (nxt_marking, tuple(new_values))
-                if engine.admit(target, state, transition):
-                    sg.add_state(target, target[1])
-                    enabled_of[target] = nxt_enabled
-                sg.add_arc(state, transition, target)
-    except BudgetExceeded as exceeded:
-        raise GenerationBudgetError(exceeded.exceedance) from None
-    return sg
+                enabled_of[successor] = successor_enabled
+                target = (successor,
+                          values[:i] + (1 - current,) + values[i + 1:])
+                parents.setdefault(target, (state, transition))
+                yield source, order[transition], target
+
+    return initial, expand
 
 
 def _assign_codes(stg: STG, sg: StateGraph) -> None:

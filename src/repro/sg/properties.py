@@ -48,15 +48,16 @@ def consistency_violations(sg: StateGraph) -> List[ConsistencyViolation]:
     """
     violations = []
     succ = sg.freeze()._succ
-    code_int = sg.code_int  # raises StateGraphError on a state without a code
+    # One read per state; raises StateGraphError on a state without a code.
+    codes = {state: sg.code_int(state) for state in succ}
     effect = {label: (sg.signal_index(event.signal), event.direction)
               for label, event in sg.events.items()}
     for source, out in succ.items():
         if not out:
             continue
-        src = code_int(source)
+        src = codes[source]
         for label, target in out.items():
-            dst = code_int(target)
+            dst = codes[target]
             index, direction = effect[label]
             bit = 1 << index
             if direction == Direction.RISE:

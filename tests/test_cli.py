@@ -337,6 +337,23 @@ class TestExplorationFlags:
         assert "stubborn-set reduction on" in out
         assert "deadlock-preserving subset" in out
 
+    @pytest.mark.parametrize("spec, flags", [
+        ("fifo_chain_4", ["--engine", "tuples"]), ("counter_2", [])])
+    def test_sg_stubborn_refused_where_not_packed(self, spec, flags, capsys):
+        assert main(["sg", spec, "--stubborn"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--stubborn" in captured.err
+
+    def test_sg_arc_budget_bounds_unfolding(self, tmp_path):
+        ring = tmp_path / "ring.g"
+        ring.write_text(".model ring\n.outputs a b\n.graph\na~ b~\nb~ a~\n"
+                        ".marking { <b~,a~> }\n.end\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sg", str(ring), "--max-arcs", "3"])
+        assert "exceeded 3 arcs" in str(excinfo.value)
+
     def test_unknown_spec_names_all_sources(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["sg", "no_such_spec"])

@@ -1,17 +1,28 @@
 """Unit tests for the shared exploration core (repro.explore)."""
 
+import json
+from collections import deque
+from pathlib import Path
+
 import pytest
 
 from repro.explore import (BudgetExceedance, BudgetExceeded, BudgetMeter,
-                           ExplorationBudget, ample_internal_moves,
-                           explore_packed, explore_tuples, minimal_trace,
-                           stubborn_reducer)
+                           ExplorationBudget, ExplorationRun,
+                           ample_internal_moves, explore_packed,
+                           explore_tuples, minimal_trace, stubborn_reducer)
+from repro.hse.expansion import expand
 from repro.petri.net import PetriNet
+from repro.petri.stg import STG, Direction, SignalKind
+from repro.pipeline.hashing import digest_payload
 from repro.sg.generator import GenerationBudgetError, StateGraphError, \
     generate_sg
 from repro.specs import suite
-from repro.specs.families import fifo_chain, micropipeline_chain
-from repro.specs.lr import lr_expanded
+from repro.specs.families import (fifo_chain, load_family,
+                                  micropipeline_chain)
+from repro.specs.lr import lr_expanded, lr_spec
+from repro.sweep.grid import spec_registry
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_frontier.json"
 
 
 def _nets():
@@ -145,6 +156,20 @@ class TestGenerationBudget:
                 max_arcs=full.arc_count() - 1))
         assert excinfo.value.exceedance.resource == "arcs"
 
+    @pytest.mark.parametrize("two_phase", [
+        lambda: expand(lr_spec(), phases=2), lambda: toggle_ring()])
+    def test_arc_budget_bounds_unfolding(self, two_phase):
+        stg = two_phase()
+        full = generate_sg(stg)
+        assert len(generate_sg(stg, budget=ExplorationBudget(
+            max_arcs=full.arc_count()))) == len(full)
+        with pytest.raises(GenerationBudgetError) as excinfo:
+            generate_sg(stg, budget=ExplorationBudget(
+                max_arcs=full.arc_count() - 1))
+        exceedance = excinfo.value.exceedance
+        assert exceedance.resource == "arcs"
+        assert exceedance.arcs == full.arc_count() - 1
+
 
 class TestConformanceBudget:
     def test_state_limit_verdict(self):
@@ -238,3 +263,104 @@ class TestMinimalTrace:
     def test_final_step_appended(self):
         parents = {"s0": None, "s1": ("s0", "a+")}
         assert minimal_trace(parents, "s1", final_step="x-") == ["a+", "x-"]
+
+
+def toggle_ring():
+    """Two toggle signals in a ring: 2 markings x 2 phases = 4 states."""
+    stg = STG("toggle_ring")
+    stg.declare_signal("a", SignalKind.OUTPUT)
+    stg.declare_signal("b", SignalKind.OUTPUT)
+    stg.add_event("a~")
+    stg.add_event("b~")
+    stg.cycle("a~", "b~")
+    stg.mark("<b~,a~>")
+    return stg
+
+
+def golden_inputs():
+    """``{name: STG}``: registry specs, seeded family members, 2-phase."""
+    stgs = {f"registry/{name}": factory()
+            for name, factory in spec_registry().items()}
+    for member in ("fifo_chain_3_s1", "fifo_chain_4_s2",
+                   "micropipeline_chain_2_s1", "micropipeline_chain_3_s2",
+                   "counter_3_s1", "counter_4_s2"):
+        stgs[f"family/{member}"] = load_family(member)
+    stgs["2-phase/lr"] = expand(lr_spec(), phases=2)
+    stgs["2-phase/toggle_ring"] = toggle_ring()
+    return stgs
+
+
+def _net_runs(net):
+    """``{mode: run(budget)}`` for the net reachability modes."""
+    packed = net.compile_packed()
+    return {
+        "packed": lambda budget: explore_packed(packed, budget=budget),
+        "stubborn": lambda budget: explore_packed(
+            packed, budget=budget, reducer=stubborn_reducer(packed)),
+        "tuples": lambda budget: explore_tuples(net, budget=budget),
+    }
+
+
+def _unfolded_run(stg, budget):
+    """The 2-phase unfolding's run, read off the generated graph.
+
+    The graph keeps states in admission order and each state's arcs in
+    traversal order, which for a state-major expansion is the global
+    traversal order too; a state carries its code, and ``levels`` is the
+    BFS depth plus one, as the level loop counts it.
+    """
+    sg = generate_sg(stg, budget=budget)
+    index = {state: i for i, state in enumerate(sg.states)}
+    names = stg.net.transition_names
+    arcs = [(index[s], names.index(label), index[d])
+            for s, label, d in sg.arcs()]
+    depth = {sg.initial: 0}
+    queue = deque([sg.initial])
+    while queue:
+        state = queue.popleft()
+        for target in sg.successors(state).values():
+            if target not in depth:
+                depth[target] = depth[state] + 1
+                queue.append(target)
+    states = [[state, sg.code_of(state)] for state in sg.states]
+    return ExplorationRun(states, arcs, max(depth.values()) + 1)
+
+
+def _mode_entry(explore):
+    """Digest of one mode's full run plus its exceedance at half size."""
+    run = explore(None)
+    with pytest.raises(BudgetExceeded) as excinfo:
+        explore(ExplorationBudget(max_states=len(run.states) // 2))
+    exceeded = excinfo.value.exceedance
+    return {"digest": digest_payload([run.states, run.arcs, run.levels]),
+            "states": len(run.states), "arcs": len(run.arcs),
+            "levels": run.levels,
+            "exceedance": [exceeded.resource, exceeded.limit,
+                           exceeded.states, exceeded.arcs, exceeded.level]}
+
+
+def frontier_digests():
+    """The golden file's content, recomputed from the current code."""
+    golden = {}
+    for name, stg in sorted(golden_inputs().items()):
+        entry = {mode: _mode_entry(explore)
+                 for mode, explore in _net_runs(stg.net).items()}
+        if any(event.direction == Direction.TOGGLE
+               for event in map(stg.event_of, stg.net.transition_names)):
+            entry["unfolded"] = _mode_entry(
+                lambda budget: _unfolded_run(stg, budget))
+        golden[name] = entry
+    return golden
+
+
+class TestGoldenFrontier:
+    """Byte pins on every generation mode of the shared level loop.
+
+    ``tests/data/golden_frontier.json`` was recorded from the code that
+    still had one level loop per mode.  The one deliberate change since:
+    the unfolding's exceedance ``arcs``, 0 there, is the charged count.
+    """
+
+    def test_matches_golden(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert frontier_digests() == golden

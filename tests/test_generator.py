@@ -169,3 +169,42 @@ class TestGeneration:
         stg.mark("<a-,a+>", "<b-,b+>")
         sg = generate_sg(stg)
         assert len(sg) == 4
+
+
+class TestPackedRefusals:
+    """``stubborn=True`` and ``engine="packed"`` run packed or raise."""
+
+    @staticmethod
+    def _handshake(extra_place_tokens):
+        # a+ / a- with one more place q that a+ fills and a- drains:
+        # after a+ it holds one token more than it starts with.
+        stg = simple_cycle(["a+", "a-"], "<a-,a+>", name="q")
+        stg.net.add_place("q", tokens=extra_place_tokens)
+        stg.net.add_arc("a+", "q")
+        stg.net.add_arc("q", "a-")
+        return stg
+
+    @pytest.mark.parametrize("stg, engine, reason", [
+        (simple_cycle(["a+", "a-"], "<a-,a+>"), "tuples", "engine='tuples'"),
+        (simple_cycle(["a~", "b~"], "<b~,a~>"), "auto", "toggle events"),
+        (simple_cycle(["a~", "b~"], "<b~,a~>"), "packed", "toggle events"),
+    ])
+    def test_refused_where_not_packed(self, stg, engine, reason):
+        with pytest.raises(StateGraphError) as excinfo:
+            generate_sg(stg, stubborn=True, engine=engine)
+        assert "stubborn" in str(excinfo.value)
+        assert reason in str(excinfo.value)
+        generate_sg(stg, engine=engine)
+
+    @pytest.mark.parametrize("tokens, reason", [
+        (2, "outside the packed regime"), (1, "not 1-safe")])
+    def test_refused_on_auto_fallback(self, tokens, reason):
+        stg = self._handshake(tokens)
+        assert len(generate_sg(stg)) == 2  # the tuple fallback runs
+        with pytest.raises(StateGraphError) as excinfo:
+            generate_sg(stg, stubborn=True)
+        assert reason in str(excinfo.value)
+
+    def test_packed_engine_overflow_is_a_state_graph_error(self):
+        with pytest.raises(StateGraphError, match="not 1-safe"):
+            generate_sg(self._handshake(1), engine="packed")

@@ -296,6 +296,27 @@ class TestHeartbeat:
         assert {"level", "frontier", "states", "arcs",
                 "states_per_s"} <= set(frontier[0])
 
+    def test_unfolding_runs_on_the_level_loop(self):
+        # 2-phase generation is metered, traced and counted like the net
+        # engines, under engine="unfolded".
+        from repro.hse.expansion import expand
+        from repro.obs.metrics import registry
+        from repro.sg.generator import generate_sg
+        from repro.specs.lr import lr_spec
+
+        def count(name):
+            return registry().value(name, engine="unfolded") or 0
+
+        before = count("repro_explore_arcs_total")
+        events = []
+        set_heartbeat(lambda kind, fields: events.append((kind, fields)),
+                      min_interval=0.0)
+        sg = generate_sg(expand(lr_spec(), phases=2))
+        frontier = [fields for kind, fields in events if kind == "frontier"]
+        assert frontier and {f["engine"] for f in frontier} == {"unfolded"}
+        assert frontier[-1]["states"] == len(sg)
+        assert count("repro_explore_arcs_total") - before == sg.arc_count()
+
 
 # ----------------------------------------------------------------------
 # budget diagnostics
