@@ -114,6 +114,12 @@ def _generation_budget(args: argparse.Namespace):
         max_arcs=max_arcs)
 
 
+_KEEP_HELP = ("event pairs whose concurrency to preserve; a pair may name "
+              "labels, base events or signals, its label pairs that are not "
+              "concurrent in the spec are dropped, and a pair with none "
+              "concurrent is an error (exit 1)")
+
+
 def _parse_keep(text: Optional[str]) -> List[tuple]:
     if not text:
         return []
@@ -670,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--no-reduce", action="store_true",
                              help="keep maximal concurrency")
         command.add_argument("--keep", metavar="EV1,EV2[,...]",
-                             help="event pairs whose concurrency to preserve")
+                             help=_KEEP_HELP)
         command.add_argument("-W", "--weight", type=float, default=0.5,
                              help="cost weight: 0 biases CSC, 1 logic size")
 
@@ -713,8 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--strategies", metavar="S[,S...]",
                         help="subset of none,beam,best-first,full "
                              "(default: all)")
-    verify.add_argument("--keep", metavar="EV1,EV2[,...]",
-                        help="event pairs whose concurrency to preserve")
+    verify.add_argument("--keep", metavar="EV1,EV2[,...]", help=_KEEP_HELP)
     verify.add_argument("-W", "--weight", type=float, default=0.5,
                         help="cost weight for the searched strategies")
     verify.add_argument("--max-csc", type=int, default=4,
@@ -999,8 +1004,9 @@ def _run(args: argparse.Namespace) -> int:
 
     An inconsistent spec prints its witness; any other state-graph or
     symbolic-encoding refusal (a dummy transition, a multi-token place)
-    prints its message.
+    and a ``--keep`` pair the spec cannot honour print their message.
     """
+    from .hse.constraints import KeepConcError
     from .sg.generator import ConsistencyError
     from .sg.graph import StateGraphError
 
@@ -1015,7 +1021,8 @@ def _run(args: argparse.Namespace) -> int:
         # Imported on the error path only, so commands that never build a
         # BDD (``serve`` among them) do not pay for loading the engine.
         from .symbolic import SymbolicEncodingError
-        if not isinstance(exc, (StateGraphError, SymbolicEncodingError)):
+        if not isinstance(exc, (KeepConcError, StateGraphError,
+                                SymbolicEncodingError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,13 +71,19 @@ def apply_interface_constraint(stg: STG, constraint: InterfaceConstraint) -> Non
 NormalisedPair = FrozenSet[str]
 
 
+class KeepConcError(ValueError):
+    """A ``Keep_Conc`` pair the SG cannot honour: it names no event, or no
+    expansion of it is concurrent."""
+
+
 def normalise_keep_conc(sg: StateGraph,
                         pairs: Iterable[Tuple[str, str]]) -> Set[NormalisedPair]:
     """Expand ``Keep_Conc`` pairs into label pairs of the SG.
 
     Each element of a pair may be a full label (``li-``), a base event
     (expands to all instances) or a bare signal name (expands to all labels
-    of that signal).  The result is a set of unordered label pairs.
+    of that signal).  The result is a set of unordered label pairs.  An
+    item that matches no event raises :class:`KeepConcError`.
     """
     def expand(item: str) -> List[str]:
         if item in sg.events:
@@ -89,7 +95,7 @@ def normalise_keep_conc(sg: StateGraph,
         by_signal = sg.labels_of_signal(item)
         if by_signal:
             return by_signal
-        raise ValueError(f"Keep_Conc item {item!r} matches no event of {sg.name!r}")
+        raise KeepConcError(f"Keep_Conc item {item!r} matches no event of {sg.name!r}")
 
     result: Set[NormalisedPair] = set()
     for first, second in pairs:

@@ -16,8 +16,13 @@ Two engines behind one API:
   state graph is every unreachable code.
 * :func:`minimize_fast` -- an espresso-flavoured expand-and-cover heuristic
   (greedily raise literals of each ON minterm against the OFF set, then
-  greedy set cover).  Linear-ish in |ON| x |OFF| and used by the cost
-  function inside the exploration loop, where it runs thousands of times.
+  greedy set cover).  Used by the cost function inside the exploration
+  loop, where it runs thousands of times.  It works on position bitmaps:
+  one column per variable holds the OFF positions with that bit high, so a
+  literal trial is one OR test over precomputed columns rather than a scan
+  of OFF, and coverage and the greedy cover count ON-position bitmaps with
+  ``bit_count``.  ``tests/fast_cover_oracle.py`` keeps the scanning
+  derivation that the bitmap version reproduces cube for cube.
 
 Cubes are packed as ``(mask, value)`` integer pairs internally -- bit i of
 ``mask`` set means variable i is a literal, whose polarity is bit i of
@@ -327,55 +332,89 @@ def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
     return result
 
 
+def _columns(num_vars: int, minterms: Sequence[int]) -> List[int]:
+    """``columns[i]``: the positions in ``minterms`` with variable ``i`` high.
+
+    A transpose of the minterms' binary strings, laid end to end as
+    ``0b1`` plus ``num_vars`` digits each: variable ``i`` is every
+    ``width``-th character from ``width - 1 - i``, and the last minterm
+    comes first, so position ``p`` is bit ``p``.
+    """
+    if not minterms:
+        return [0] * num_vars
+    width = num_vars + 3
+    rows = "".join(map(bin, map((1 << num_vars).__or__, reversed(minterms))))
+    return [int(rows[width - 1 - i::width], 2) for i in range(num_vars)]
+
+
 def _expand_and_cover(num_vars: int, on_ints: FrozenSet[int],
                       off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
-    """Greedy expand of each ON minterm against OFF, then greedy set cover."""
-    full_mask = (1 << num_vars) - 1
+    """Greedy expand of each ON minterm against OFF, then greedy set cover.
+
+    Both run on position bitmaps.  For a start minterm, ``differ[i]`` holds
+    the OFF positions that differ from it in variable ``i``; a cube through
+    the start keeps literal set ``L`` clear of OFF exactly when the OR of
+    ``differ`` over ``L`` is every OFF position.  Literals are raised in a
+    fixed ``order``, so raising ``order[k]`` leaves the literals kept so
+    far (``rejected``) plus ``order[k+1:]`` (``suffix[k + 1]``): one test
+    per trial.  A cube's coverage is an ON-position bitmap, and the greedy
+    cover counts gains with ``bit_count``.
+    """
     on_sorted = sorted(on_ints)
+    all_on = (1 << len(on_sorted)) - 1
+    all_off = (1 << len(off_ints)) - 1
+    on_columns = _columns(num_vars, on_sorted)
+    off_columns = _columns(num_vars, list(off_ints))
     # Literal-sharing ranks: ones[i] = ON minterms with variable i high, so a
     # minterm with bit i set shares that literal with ones[i] - 1 others.
-    ones = [0] * num_vars
-    for m in on_sorted:
-        for i in range(num_vars):
-            if m & (1 << i):
-                ones[i] += 1
+    ones = [column.bit_count() for column in on_columns]
     total = len(on_sorted)
+    # Raise most-shared literals first: variables whose literal appears in
+    # many other ON minterms are cheap to give up (few minterms lie on the
+    # other side), so trying them first keeps the expansion free to absorb
+    # the rarely-shared directions later.  Ties go to the lower variable:
+    # a literal's rank is ``(total - shared) * num_vars + i``.
+    rank_high = [(total - ones[i]) * num_vars + i for i in range(num_vars)]
+    rank_low = [ones[i] * num_vars + i for i in range(num_vars)]
     expanded: List[PackedCube] = []
-    seen: Set[PackedCube] = set()
-    for start in on_sorted:
+    covers: List[int] = []
+    covered = 0
+    for position, start in enumerate(on_sorted):
         # Minterms swallowed by an earlier expansion would mostly re-derive
         # the same cube; skipping them is the standard espresso shortcut.
-        if any((start ^ v) & m == 0 for m, v in expanded):
+        # A start outside every earlier cube expands to a new cube, since
+        # the cube contains the start.
+        if covered >> position & 1:
             continue
-        mask, value = full_mask, start
-        # Raise most-shared literals first: variables whose literal appears
-        # in many other ON minterms are cheap to give up (few minterms lie
-        # on the other side), so trying them first keeps the expansion free
-        # to absorb the rarely-shared directions later.
-        order = sorted(
-            range(num_vars),
-            key=lambda i: (-((ones[i] if start & (1 << i) else total - ones[i]) - 1), i))
-        for i in order:
-            bit = 1 << i
-            trial_mask = mask & ~bit
-            trial_value = value & ~bit
-            if not any((m ^ trial_value) & trial_mask == 0 for m in off_ints):
-                mask, value = trial_mask, trial_value
-        cube = (mask, value)
-        if cube not in seen:
-            seen.add(cube)
-            expanded.append(cube)
-    uncovered = set(on_ints)
+        order = [rank % num_vars for rank in sorted(
+            [rank_high[i] if start >> i & 1 else rank_low[i]
+             for i in range(num_vars)])]
+        differ = [all_off ^ off_columns[i] if start >> i & 1
+                  else off_columns[i] for i in order]
+        suffix = [0] * (num_vars + 1)
+        for k in range(num_vars - 1, -1, -1):
+            suffix[k] = suffix[k + 1] | differ[k]
+        mask = rejected = outside = 0
+        for k, i in enumerate(order):
+            if rejected | suffix[k + 1] != all_off:
+                mask |= 1 << i
+                rejected |= differ[k]
+                outside |= (all_on ^ on_columns[i] if start >> i & 1
+                            else on_columns[i])
+        expanded.append((mask, start & mask))
+        covers.append(all_on ^ outside)
+        covered |= all_on ^ outside
+    uncovered = all_on
     chosen: List[PackedCube] = []
     while uncovered:
-        best = max(expanded,
-                   key=lambda c: (sum(1 for m in uncovered if _contains(c, m)),
-                                  -bin(c[0]).count("1")))
-        gained = {m for m in uncovered if _contains(best, m)}
+        best = max(range(len(expanded)),
+                   key=lambda c: ((covers[c] & uncovered).bit_count(),
+                                  -expanded[c][0].bit_count()))
+        gained = covers[best] & uncovered
         if not gained:
             raise MinimizationError("fast covering stalled")
-        chosen.append(best)
-        uncovered -= gained
+        chosen.append(expanded[best])
+        uncovered ^= gained
     return tuple(chosen)
 
 
@@ -397,7 +436,8 @@ def minimize_fast(num_vars: int, on: Iterable[Sequence[int]],
 
     Each ON minterm is expanded by raising literals (most-shared variables
     first) while staying disjoint from the OFF set; the expanded cubes then
-    greedily cover the ON set.  Roughly |ON| x |OFF| x n work; the result is
+    greedily cover the ON set.  Roughly |ON| x n operations on |OFF|-bit
+    columns (:func:`_expand_and_cover`); the result is
     a valid (irredundant-ish) cover, typically within a literal or two of
     the exact core's on controller-sized functions.
     """

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..explore import ExplorationBudget
-from ..hse.constraints import normalise_keep_conc
+from ..hse.constraints import KeepConcError, normalise_keep_conc
 from ..sg.graph import StateGraph
 from .cost import CostFunction
-from .fwdred import Config, record_work, reduction_space
+from .fwdred import Config, ReductionSpace, record_work, reduction_space
 
 
 @dataclass
@@ -91,6 +91,28 @@ class ExplorationResult:
         return self.best_cost < self.initial_cost
 
 
+def _preserved(space: ReductionSpace, sg: StateGraph,
+               keep_conc: Iterable[Tuple[str, str]]
+               ) -> FrozenSet[FrozenSet[str]]:
+    """The Keep_Conc label pairs a search must keep concurrent.
+
+    FwdRed only removes arcs, so a label pair that is not concurrent in
+    ``sg`` stays so in every configuration: it is preserved trivially and
+    left out.  A requested pair none of whose expansions is concurrent
+    raises :class:`~repro.hse.constraints.KeepConcError`; kept, it would
+    reject every child.
+    """
+    preserved: Set[FrozenSet[str]] = set()
+    for first, second in keep_conc:
+        live = {labels for labels in normalise_keep_conc(sg, [(first, second)])
+                if space.concurrent(space.root, *labels)}
+        if not live:
+            raise KeepConcError(f"Keep_Conc pair ({first}, {second}) is not "
+                                f"concurrent in {sg.name!r}")
+        preserved |= live
+    return frozenset(preserved)
+
+
 class _Search:
     """State shared by the strategies: one root space, masks, the budget.
 
@@ -106,8 +128,7 @@ class _Search:
                  cost: CostFunction, max_explored: Optional[int]) -> None:
         self.sg = sg
         self.space = reduction_space(sg)
-        self.preserved: FrozenSet[FrozenSet[str]] = frozenset(
-            normalise_keep_conc(sg, keep_conc))
+        self.preserved = _preserved(self.space, sg, keep_conc)
         self.cost = cost
         self.meter = ExplorationBudget(max_states=max_explored).meter()
         self.root = self.space.root
@@ -135,7 +156,7 @@ class _Search:
         """
         space, work = self.space, self._work
         view = space.view(config)
-        for before, delayed in sorted(space.reducible(view, self.preserved)):
+        for before, delayed in sorted(space.reducible(config, self.preserved)):
             if self.meter.states_exhausted(len(self.seen)):
                 self.capped = True
                 return
@@ -187,8 +208,11 @@ def reduce_concurrency(sg: StateGraph,
 
     ``keep_conc`` lists event pairs whose concurrency must be preserved;
     elements may be labels, base events or bare signal names (see
-    :func:`repro.hse.constraints.normalise_keep_conc`).  ``weight`` is the
-    paper's ``W``: 0 biases towards CSC resolution, 1 towards logic size.
+    :func:`repro.hse.constraints.normalise_keep_conc`).  Expansions that are
+    not concurrent in ``sg`` are dropped, and a pair with no concurrent
+    expansion raises :class:`~repro.hse.constraints.KeepConcError`.
+    ``weight`` is the paper's ``W``: 0 biases towards CSC resolution, 1
+    towards logic size.
 
     ``strategy`` selects between the paper's level-by-level beam
     (``"beam"``, Fig. 9) and a best-first variant (``"best-first"``, the

@@ -22,6 +22,16 @@ reachable states.  For one root, equal arc masks mean equal
 on the mask and a :class:`~repro.sg.graph.StateGraph` is built only where
 a caller needs one (:meth:`ReductionSpace.materialize`).
 
+The space also stores each unordered label pair's root diamonds (Definition
+2.1), each as the mask of its four arcs.  Every masked arc has a reachable
+source -- a step drops the arcs of the states it loses -- so a diamond of a
+configuration is a root diamond inside its mask, and
+:meth:`ReductionSpace.concurrent` (the search's Keep_Conc check) and
+:meth:`ReductionSpace.reducible` test diamond masks without scanning a
+state.  The FwdRed step itself walks a :class:`_View`, the configuration
+decoded into per-state adjacency, since a dict lookup costs less than a
+bit test on masks of hundreds of arcs.
+
 The Section 7 cost terms are measured on the masks too
 (:meth:`ReductionSpace.measure`).  On its first measurement the space
 indexes the root's codes: the packed code of every root state, the rise,
@@ -174,6 +184,22 @@ class ReductionSpace:
                 self.label_arcs[label_id] |= 1 << arc
                 arc += 1
             self.out.append(row)
+        #: ``diamonds[a, b]`` (label ids, ``a < b``) lists the root's
+        #: ``a``/``b`` diamonds, each the mask of its four arcs.
+        self.diamonds: Dict[Tuple[int, int], List[int]] = {}
+        for row in self.out:
+            enabled = sorted(row)
+            for i, label_a in enumerate(enabled):
+                arc_a, via_a = row[label_a]
+                for label_b in enabled[i + 1:]:
+                    arc_b, via_b = row[label_b]
+                    end_b = self.out[via_a].get(label_b)
+                    end_a = self.out[via_b].get(label_a)
+                    if (end_a is not None and end_b is not None
+                            and end_a[1] == end_b[1]):
+                        self.diamonds.setdefault((label_a, label_b), []).append(
+                            1 << arc_a | 1 << arc_b | 1 << end_a[0]
+                            | 1 << end_b[0])
         self.initial = index.get(root.initial)
         self.root = Config((1 << arc) - 1, (1 << len(self.states)) - 1)
         self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
@@ -184,33 +210,20 @@ class ReductionSpace:
     def view(self, config: Config) -> _View:
         return _View(self, config)
 
-    def reducible(self, view: _View,
+    def reducible(self, config: Config,
                   keep_conc: FrozenSet[FrozenSet[str]] = frozenset()
                   ) -> Set[Tuple[str, str]]:
-        """:func:`reducible_pairs` of the configuration ``view`` decodes."""
-        labels, adj = self.labels, view.adj
-        concurrent: Set[Tuple[int, int]] = set()
-        for state in view.reachable:
-            row = adj[state]
-            if len(row) < 2:
-                continue
-            enabled = list(row)
-            for i, label_a in enumerate(enabled):
-                via_a = adj[row[label_a]]
-                for label_b in enabled[i + 1:]:
-                    key = (label_a, label_b) if label_a < label_b else (label_b, label_a)
-                    if key in concurrent:
-                        continue
-                    end = via_a.get(label_b)
-                    if end is not None and adj[row[label_b]].get(label_a) == end:
-                        concurrent.add(key)
+        """:func:`reducible_pairs` of ``config``: pairs with a diamond in it."""
+        labels, is_input, mask = self.labels, self.is_input, config.mask
         pairs: Set[Tuple[str, str]] = set()
-        for label_a, label_b in concurrent:
+        for (label_a, label_b), diamonds in self.diamonds.items():
+            if not any(mask & diamond == diamond for diamond in diamonds):
+                continue
             names = (labels[label_a], labels[label_b])
             if frozenset(names) in keep_conc:
                 continue
             for before, delayed in ((label_a, label_b), (label_b, label_a)):
-                if not self.is_input[delayed]:
+                if not is_input[delayed]:
                     pairs.add((labels[before], labels[delayed]))
         return pairs
 
@@ -309,23 +322,13 @@ class ReductionSpace:
     def concurrent(self, config: Config, label_a: str, label_b: str) -> bool:
         """:func:`~repro.sg.regions.are_concurrent` on ``config``.
 
-        Only reachable states are scanned: a lost state's arcs are out of
-        the mask already.
+        A diamond whose four arcs are all in the mask is a diamond of the
+        configuration: a masked arc has a reachable source.
         """
-        a, b = self.label_index[label_a], self.label_index[label_b]
-        out, mask = self.out, config.mask
-        for state in _ids(config.reach):
-            row = out[state]
-            via_a, via_b = row.get(a), row.get(b)
-            if (via_a is None or via_b is None
-                    or not mask >> via_a[0] & 1 or not mask >> via_b[0] & 1):
-                continue
-            end_a, end_b = out[via_a[1]].get(b), out[via_b[1]].get(a)
-            if (end_a is not None and end_b is not None
-                    and end_a[1] == end_b[1]
-                    and mask >> end_a[0] & 1 and mask >> end_b[0] & 1):
-                return True
-        return False
+        a, b = sorted((self.label_index[label_a], self.label_index[label_b]))
+        mask = config.mask
+        return any(mask & diamond == diamond
+                   for diamond in self.diamonds.get((a, b), ()))
 
     def measure(self, root: StateGraph, config: Config) -> Tuple[int, int, int]:
         """The weight-independent cost terms of ``config``, on the masks.
@@ -503,4 +506,4 @@ def reducible_pairs(sg: StateGraph,
     are the designer's performance-critical concurrency, Fig. 9).
     """
     space = ReductionSpace(sg)
-    return space.reducible(space.view(space.root), keep_conc)
+    return space.reducible(space.root, keep_conc)

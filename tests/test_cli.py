@@ -114,6 +114,18 @@ class TestSynth:
         with pytest.raises(SystemExit):
             main(["synth", lr_file, "--keep", "li-"])
 
+    @pytest.mark.parametrize("command", ["synth", "reduce"])
+    @pytest.mark.parametrize("keep, message", [
+        ("li+,li-", "Keep_Conc pair (li+, li-) is not concurrent in"),
+        ("zz,li-", "Keep_Conc item 'zz' matches no event of")])
+    def test_keep_the_spec_cannot_honour_exits_one(self, command, keep,
+                                                   message, lr_file, capsys):
+        assert main([command, lr_file, "--keep", keep]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {message} 'lr_4ph'"]
+
     def test_internal_delay_defaults_to_output_delay(self, lr_file, capsys):
         # --no-reduce leaves CSC conflicts, so internal state signals are
         # inserted and their delay shows up on the critical cycle.

@@ -164,6 +164,29 @@ class TestFullReduction:
         for before, delayed in reducible_pairs(reduced):
             assert not forward_reduction(reduced, delayed, before).valid
 
+    def test_keep_conc_drops_pairs_never_concurrent(self, lr_max):
+        # ("li", "ri") expands to four label pairs; only (li+, ri-) and
+        # (li-, ri-) are concurrent in the input.  The other two can never
+        # be, so they are dropped instead of rejecting every child.
+        reduced = full_reduction(lr_max, keep_conc=[("li", "ri")])
+        explicit = full_reduction(lr_max,
+                                  keep_conc=[("li+", "ri-"), ("li-", "ri-")])
+        assert list(reduced.arcs()) == list(explicit.arcs())
+        assert len(reduced) < len(lr_max)
+        assert are_concurrent(reduced, "li+", "ri-")
+        assert are_concurrent(reduced, "li-", "ri-")
+
+    @pytest.mark.parametrize("strategy", ["best-first", "beam", "full"])
+    def test_keep_conc_pair_never_concurrent_rejected(self, lr_max, strategy):
+        from repro.hse.constraints import KeepConcError
+        with pytest.raises(KeepConcError, match=r"\(li\+, li-\)"):
+            if strategy == "full":
+                full_reduction(lr_max, keep_conc=[("li-", "ri-"),
+                                                  ("li+", "li-")])
+            else:
+                reduce_concurrency(lr_max, keep_conc=[("li+", "li-")],
+                                   strategy=strategy)
+
     def test_already_sequential_is_fixed_point(self):
         from repro.specs.lr import q_module_stg
         sg = generate_sg(q_module_stg())

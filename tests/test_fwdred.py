@@ -9,9 +9,9 @@ import pytest
 
 from cost_oracle import breakdown
 from repro.reduction.cost import CostFunction
-from repro.reduction.fwdred import (ReductionError, ReductionResult,
-                                    ReductionSpace, forward_reduction,
-                                    reducible_pairs)
+from repro.reduction.fwdred import (Config, ReductionError,
+                                    ReductionResult, ReductionSpace,
+                                    forward_reduction, reducible_pairs)
 from repro.reduction.validity import check_validity
 from repro.sg.generator import generate_sg
 from repro.petri.stg import SignalKind
@@ -214,11 +214,15 @@ class TestCheckValidity:
 def _oracle_walk(root, expansions, cost=None):
     """Best-first over FwdRed children, checking every step on the way.
 
-    For each expanded configuration and each reducible pair, the mask
-    step is compared against the graph-level definitions: the truncated
-    set from :func:`excitation_region` and
+    For each expanded configuration, the mask ``reducible`` and
+    ``concurrent`` are compared against :func:`concurrent_pairs` on the
+    materialized graph, which reads no diamond table.  For each reducible
+    pair, the mask step is compared against the graph-level definitions:
+    the truncated set from :func:`excitation_region` and
     :meth:`StateGraph.backward_reachable`, the unvalidated child from
-    ``copy_without_arcs``, and its verdict from :func:`check_validity`.
+    ``copy_without_arcs``, and its verdict from :func:`check_validity`;
+    a valid child's ``concurrent`` on the pair is compared against
+    :func:`are_concurrent` on its graph.
     ``cost`` orders the search (default: the heuristic
     :class:`CostFunction`, measured on the graph).  Returns the verdicts seen: ``valid`` or the
     first word of each reason.
@@ -237,8 +241,14 @@ def _oracle_walk(root, expansions, cost=None):
         parent = (root if config.mask == space.root.mask
                   else space.materialize(root, config))
         view = space.view(config)
-        pairs = space.reducible(view)
-        assert pairs == reducible_pairs(parent)
+        pairs = space.reducible(config)
+        concurrent = concurrent_pairs(parent)
+        assert pairs == {(before, delayed)
+                         for pair in concurrent
+                         for before, delayed in (pair, pair[::-1])
+                         if not parent.is_input_label(delayed)}
+        assert {pair for pair in itertools.combinations(sorted(root.events), 2)
+                if space.concurrent(config, *pair)} == concurrent
         for before, delayed in sorted(pairs):
             region = excitation_region(parent, delayed)
             both = region & excitation_region(parent, before)
@@ -259,6 +269,8 @@ def _oracle_walk(root, expansions, cost=None):
             expected = parent.copy_without_arcs(
                 removed, reachable=set(unvalidated.states))
             child = space.materialize(root, step.child)
+            assert (space.concurrent(step.child, before, delayed)
+                    == are_concurrent(child, before, delayed))
             assert child.signature() == expected.signature()
             assert child.states == expected.states
             assert list(child.arcs()) == list(expected.arcs())
@@ -365,6 +377,22 @@ class TestMaskOracle:
         # FwdRed(b+, a+) is the other pair, and valid.
         assert _oracle_walk(sg, expansions=1, cost=len) == {"new": 1,
                                                             "valid": 1}
+
+    def test_diamond_needs_all_four_arcs(self):
+        # FwdRed's backward closure removes a diamond's opening arc along
+        # with its closing one, so searches never drop a closing arc
+        # alone; a hand-made mask does, and the pair is not concurrent.
+        space = ReductionSpace(_deadlock_sg())
+        root = space.root
+        ((diamond,),) = space.diamonds.values()
+        assert diamond.bit_count() == 4
+        assert space.concurrent(root, "a+", "b+")
+        assert space.reducible(root) == {("a+", "b+"), ("b+", "a+")}
+        for arc in range(root.mask.bit_length()):
+            if diamond >> arc & 1:
+                config = Config(root.mask & ~(1 << arc), root.reach)
+                assert not space.concurrent(config, "b+", "a+"), arc
+                assert space.reducible(config) == set(), arc
 
     def test_fig8_persistency_witness_is_truncated(self):
         # The dropped persistency scan: a predecessor s --b--> t of a

@@ -1,17 +1,20 @@
 """Unit and property tests for logic minimization (repro.logic.minimize)."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fast_cover_oracle import scan_expand_and_cover
 from qm_oracle import qm_minimize, qm_primes
 from repro.logic.cube import Cube, Cover
 from repro.logic.minimize import (MinimizationError, _pack, _primes_through,
                                   complement_minterms, logic_work, minimize,
-                                  minimize_fast, minimize_ints,
-                                  prime_implicants, verify_cover)
+                                  minimize_fast, minimize_fast_ints,
+                                  minimize_ints, prime_implicants,
+                                  verify_cover)
 
 
 def all_minterms(n):
@@ -218,6 +221,58 @@ class TestQuineMcCluskeyOracle:
             ours = minimize(num_vars, on, dc, exact=exact)
             oracle = qm_minimize(num_vars, on, dc, exact=exact)
             assert [str(c) for c in ours.cubes] == [str(c) for c in oracle.cubes]
+
+
+def _fast_cover_instances():
+    """Seeded ``(num_vars, ON, OFF)`` instances for the differential test.
+
+    Random splits for every width from 1 to 22, a single ON minterm
+    against a random OFF set, fully specified functions (ON is the
+    complement of OFF), OFF sets of about a thousand minterms and an
+    empty OFF set.
+    """
+    rng = random.Random(26)
+
+    def codes(num_vars, count):
+        if num_vars < 16:
+            return rng.sample(range(1 << num_vars), min(count, 1 << num_vars))
+        return list({rng.getrandbits(num_vars) for _ in range(count)})
+
+    for num_vars in range(1, 23):
+        for _ in range(6):
+            pool = codes(num_vars, rng.randint(2, 120))
+            split = rng.randint(1, len(pool) - 1)
+            yield num_vars, pool[:split], pool[split:]
+        pool = codes(num_vars, rng.randint(2, 100))
+        yield num_vars, pool[:1], pool[1:]
+    for num_vars in range(1, 9):
+        for _ in range(3):
+            universe = list(range(1 << num_vars))
+            rng.shuffle(universe)
+            split = rng.randint(1, len(universe) - 1)
+            yield num_vars, universe[:split], universe[split:]
+    for num_vars in (10, 11, 12):
+        pool = codes(num_vars, 1200)
+        yield num_vars, pool[:rng.randint(5, 40)], pool[40:]
+    yield 3, [1, 6], []
+
+
+class TestFastCoverOracle:
+    """The bitmap fast cover against the OFF-scanning reference."""
+
+    def test_covers_match_the_scan(self):
+        checked = 0
+        for num_vars, on, off in _fast_cover_instances():
+            on_ints, off_ints = frozenset(on), frozenset(off)
+            cover = minimize_fast_ints(num_vars, on_ints, off_ints)
+            assert cover == scan_expand_and_cover(num_vars, on_ints,
+                                                  off_ints), (num_vars, on, off)
+            assert all(any((m ^ value) & mask == 0 for mask, value in cover)
+                       for m in on_ints)
+            assert not any((m ^ value) & mask == 0
+                           for mask, value in cover for m in off_ints)
+            checked += 1
+        assert checked == 22 * 7 + 8 * 3 + 3 + 1
 
 
 class TestComplement:
