@@ -71,6 +71,7 @@ from .pipeline.config import STRATEGIES, FlowConfig
 from .pipeline.jobs import table_row
 from .pipeline.stages import run_pipeline, run_reduction
 from .pipeline.store import ArtifactStore
+from .reduction.explore import preserved_pairs
 from .sg.generator import generate_sg
 from .sg.properties import check_implementability
 from .sg.resynthesis import ResynthesisError, resynthesise_stg
@@ -367,11 +368,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown strategy(ies) {unknown}; "
                          f"expected a subset of {STRATEGIES}")
     keep = _parse_keep(args.keep)
+    loaded = [_load_spec_sg(spec) for spec in args.specs]
+    if keep and set(strategies) != {"none"}:
+        # Refused before any report: the `none` strategy ignores --keep.
+        for _, initial_sg in loaded:
+            preserved_pairs(initial_sg, keep)
     store = ArtifactStore(args.store) if args.store else None
     reports = []
     verified = cached_count = failures = skips = 0
-    for spec in args.specs:
-        name, initial_sg = _load_spec_sg(spec)
+    for name, initial_sg in loaded:
         for strategy in strategies:
             label = f"{name}/{strategy}"
             # The pipeline's verify stage, so --store reuses the reduction,

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import List
 
 from ..sg.graph import StateGraph
-from ..sg.properties import CSCConflict, _shared_codes, coding_counts
+from ..sg.properties import (CSCConflict, _excitation_sets, _shared_codes,
+                              coding_counts)
 
 
 def conflict_count(sg: StateGraph) -> int:
@@ -33,26 +34,28 @@ def irresolvable_conflicts(sg: StateGraph) -> List[CSCConflict]:
 
     One input-only search per state of a shared code finds the states of
     its bucket it reaches; only those pairs are tested and listed, in
-    :func:`~repro.sg.properties.csc_conflicts` order.
+    :func:`~repro.sg.properties.csc_conflicts` order (a bucket's state ids
+    ascend, so id pairs sort as its pairs do).
     """
-    succ = sg.freeze()._succ
-    inputs = {label for label in sg.events if sg.is_input_label(label)}
+    index = sg.index()
+    states, succ, is_input = index.states, index.succ, index.is_input
     hopeless = []
-    for _, states, excited in _shared_codes(sg):
-        position = {state: i for i, state in enumerate(states)}
+    for code, ids, masks in _shared_codes(index):
         linked = set()
-        for i, source in enumerate(states):
+        for source in ids:
             frontier, seen = [source], {source}
             while frontier:
                 for label, nxt in succ[frontier.pop()].items():
-                    if label in inputs and nxt not in seen:
+                    if is_input[label] and nxt not in seen:
                         seen.add(nxt)
                         frontier.append(nxt)
-            linked.update((min(i, j), max(i, j))
-                          for j in map(position.get, seen)
-                          if j is not None and j != i)
-        code = sg.code_of(states[0])
-        hopeless += [CSCConflict(states[i], states[j], code, excited[i],
-                                 excited[j])
-                     for i, j in sorted(linked) if excited[i] != excited[j]]
+            linked.update((min(source, other), max(source, other))
+                          for other in seen
+                          if index.codes[other] == code and other != source)
+        excited = dict(zip(ids, masks))
+        code_tuple = sg.code_of(states[ids[0]])
+        hopeless += [CSCConflict(states[a], states[b], code_tuple,
+                                 *_excitation_sets(index, (excited[a],
+                                                           excited[b])))
+                     for a, b in sorted(linked) if excited[a] != excited[b]]
     return hopeless

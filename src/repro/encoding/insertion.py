@@ -37,10 +37,10 @@ leaves); sequencing does whenever a trigger fires while a non-input event
 is enabled.  Among the candidates that survive, the search keeps the one
 with the fewest remaining conflicts, then the fewest states.
 
-The walk runs on dense ints, indexed once per input graph: a product state
-is ``4 * state + phase``, each state lists its ``(label, target)`` arcs and
-its packed code, and each style's gates are four per-phase lists that a
-candidate copies and patches at its two triggers.  Scoring a candidate
+The walk runs on the input graph's :class:`~repro.sg.graph.GraphIndex`
+(dense state and label ids, packed codes, excitation bits): a product
+state is ``4 * state + phase``, and each style's gates are four per-phase
+lists that a candidate copies and patches at its two triggers.  Scoring a candidate
 builds no graph: a finished walk counts its CSC conflicts by bucketing the
 product states on ``code | value << len(signals)`` and comparing non-input
 excitation masks, and a rejected one names its reason (:data:`REJECTIONS`).
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, product
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
@@ -100,37 +100,23 @@ class InsertionChoice:
     style: str = "threading"
 
 
-def _disabling_pairs(sg: StateGraph) -> FrozenSet[Tuple[str, str]]:
-    """The ``(disabled, by)`` pairs of the input's persistency violations."""
-    return frozenset((v.disabled, v.by) for v in persistency_violations(sg))
-
-
 class _Index:
-    """One input graph in dense ints, shared by every walk over it.
+    """The walk's phase and gate tables on one input graph's index.
 
-    Labels are numbered in ``sg.events`` order; ``csc+`` and ``csc-`` are
-    the two ids after them.  ``arcs[phase][state]`` lists the state's
-    ``(label, target)`` arcs in ``succ`` order, led in a pending phase by
-    the csc transition that settles it (target: the same state), and
-    ``enabled[phase][state]`` is the mask of those labels.
+    Labels keep their :class:`~repro.sg.graph.GraphIndex` ids; ``csc+``
+    and ``csc-`` are the two ids after them.  ``arcs[phase][state]`` lists
+    the state's ``(label, target)`` arcs in ``succ`` order, led in a
+    pending phase by the csc transition that settles it (target: the same
+    state), and ``enabled[phase][state]`` is the mask of those labels.
     """
 
     def __init__(self, sg: StateGraph) -> None:
         self.sg = sg
-        succ = sg.freeze()._succ
-        self.states = list(succ)
-        ids = {state: i for i, state in enumerate(self.states)}
-        self.labels = list(sg.events)
-        self.label_id = {label: i for i, label in enumerate(self.labels)}
-        n = len(self.labels)  # the id of csc+; n + 1 is csc-
-        self.is_input = [sg.is_input_label(label) for label in self.labels]
-        self.initial = ids[sg.initial]
+        graph = self.graph = sg.index()
+        n = len(graph.labels)  # the id of csc+; n + 1 is csc-
         self.width = len(sg.signals)
-        self.codes = [sg.code_int(state) for state in self.states]
 
-        idle = [[(self.label_id[label], ids[target])
-                 for label, target in succ[state].items()]
-                for state in self.states]
+        idle = [list(out.items()) for out in graph.succ]
         masks = [sum(1 << label for label, _ in out) for out in idle]
         self.arcs = [idle, idle,
                      [((n, i),) + tuple(out) for i, out in enumerate(idle)],
@@ -144,18 +130,16 @@ class _Index:
 
         # A non-input label excites its (signal, direction), as in
         # csc_conflicts; csc+ and csc- excite their own two.
-        classes: Dict[Tuple[str, str], int] = {}
-        self.excites = [0 if self.is_input[i] else 1 << classes.setdefault(
-            (event.signal, event.direction.value), len(classes))
-            for i, event in enumerate(sg.events.values())]
-        self.excites += [1 << len(classes), 2 << len(classes)]
+        classes = len(graph.classes)
+        self.excites = graph.excites + [1 << classes, 2 << classes]
         self.excitation: Dict[int, int] = {}  # excitation_of, memoized
 
         # Per label: the labels whose disabling by it the input already
         # has, and the label itself.
         self.tolerated = [1 << label for label in range(n + 2)]
-        for disabled, by in _disabling_pairs(sg):
-            self.tolerated[self.label_id[by]] |= 1 << self.label_id[disabled]
+        for violation in persistency_violations(sg):
+            self.tolerated[graph.label_id[violation.by]] |= (
+                1 << graph.label_id[violation.disabled])
 
         self.gates = {style: self._base_gates(style) for style in STYLES}
 
@@ -163,12 +147,13 @@ class _Index:
                                                List[int]]:
         """The style's per-phase gates before the triggers are patched in,
         with the masks of the labels that fire and that wait per phase."""
-        n = len(self.labels)
+        n = len(self.graph.labels)
         gates = [[phase] * n + [_WAIT, _WAIT] for phase in range(4)]
         if style == "sequencing":
             for phase in (_RISING, _FALLING):
-                gates[phase] = [phase if is_input else _WAIT
-                                for is_input in self.is_input] + [_WAIT, _WAIT]
+                gates[phase] = ([phase if is_input else _WAIT
+                                 for is_input in self.graph.is_input]
+                                + [_WAIT, _WAIT])
         gates[_RISING][n] = _IDLE1
         gates[_FALLING][n + 1] = _IDLE0
         fires = [sum(1 << label for label, phase in enumerate(gate)
@@ -230,16 +215,17 @@ def _walk(index: _Index, style: str, rise_trigger: str, fall_trigger: str,
     feasible one scores as ``(conflicts, states)``; with ``build`` it is
     replayed into a graph with the new internal ``signal`` instead.
     """
-    rise = index.label_id.get(rise_trigger)
-    fall = index.label_id.get(fall_trigger)
+    graph = index.graph
+    rise = graph.label_id.get(rise_trigger)
+    fall = graph.label_id.get(fall_trigger)
     if (rise is None or fall is None or rise == fall
-            or style == "threading" and (index.is_input[rise]
-                                         or index.is_input[fall])):
+            or style == "threading" and (graph.is_input[rise]
+                                         or graph.is_input[fall])):
         return "trigger"
     gates, fires, waits = index.gates_for(style, rise, fall)
     arcs, enabled, tolerated = index.arcs, index.enabled, index.tolerated
-    start = 4 * index.initial + value
-    seen = bytearray(4 * len(index.states))
+    start = 4 * graph.initial + value
+    seen = bytearray(4 * len(graph.states))
     seen[start] = 1
     order = [start]
     reached = 0
@@ -270,7 +256,7 @@ def _walk(index: _Index, style: str, rise_trigger: str, fall_trigger: str,
     if build:
         return _replay(index, gates, order, signal)
 
-    codes, width, known = index.codes, index.width, index.excitation
+    codes, width, known = index.graph.codes, index.width, index.excitation
     keys = [codes[state >> 2] | (state & 1) << width for state in order]
     fired_at = [enabled[state & 3][state >> 2] & fires[state & 3]
                 for state in order]
@@ -293,8 +279,8 @@ def _replay(index: _Index, gates: List[List[int]], order: List[int],
         new.declare_event(label, event)
     new.declare_event(f"{signal}+", SignalEvent(signal, Direction.RISE))
     new.declare_event(f"{signal}-", SignalEvent(signal, Direction.FALL))
-    labels = index.labels + [f"{signal}+", f"{signal}-"]
-    states, codes = index.states, sg._codes
+    labels = index.graph.labels + [f"{signal}+", f"{signal}-"]
+    states, codes = index.graph.states, sg._codes
     names = {}
     for state in order:
         orig, phase = state >> 2, state & 3
@@ -384,8 +370,8 @@ def _score_insertions(index: _Index, signal: str, baseline: int
                       ) -> Tuple[List[InsertionChoice], int, int]:
     """The improving choices on ``index``, best first, with the number of
     candidates walked and of those that were feasible."""
-    live = [label for label in sorted(index.labels)
-            if index.live >> index.label_id[label] & 1]
+    live = [label for label in sorted(index.graph.labels)
+            if index.live >> index.graph.label_id[label] & 1]
     rejected = dict.fromkeys(REJECTIONS, 0)
     found: List[InsertionChoice] = []
     walks = 0

@@ -141,21 +141,6 @@ def _reject_toggles(sg: StateGraph, signal: str) -> None:
                 f"toggle event {label!r}: derive logic from a 4-phase refinement")
 
 
-def _label_masks(sg: StateGraph) -> Dict[str, Tuple[int, int]]:
-    """Per label: its (rising-signal bit, falling-signal bit), one of them 0.
-
-    Toggle labels contribute to neither; extraction rejects the toggled
-    signal itself up front (:func:`_targets`), and a toggle on an *input*
-    signal never blocks extracting the others.
-    """
-    masks = {}
-    for label, event in sg.events.items():
-        bit = 1 << sg.signal_index(event.signal)
-        masks[label] = (bit if event.direction == Direction.RISE else 0,
-                        bit if event.direction == Direction.FALL else 0)
-    return masks
-
-
 def _targets(sg: StateGraph) -> List[str]:
     """The output and internal signals in code order; toggles rejected."""
     targets = [signal for signal in sg.signals
@@ -165,22 +150,24 @@ def _targets(sg: StateGraph) -> List[str]:
     return targets
 
 
-def _excitation_masks(sg: StateGraph) -> List[Tuple[int, int, int]]:
+def _rows(sg: StateGraph) -> List[Tuple[int, int, int]]:
     """Per state: (code, rising-signal bitmask, falling-signal bitmask).
 
-    One pass over the graph's adjacency serves the extraction of every
-    signal at once.
+    One pass over the graph's index serves the extraction of every signal
+    at once.  A toggle label contributes to neither mask: extraction
+    rejects the toggled signal itself up front (:func:`_targets`), and a
+    toggle on an *input* signal never blocks extracting the others.
     """
-    masks = _label_masks(sg)
-    code_int = sg.code_int  # raises StateGraphError on a state without a code
+    index = sg.index()
+    rise_bits, fall_bits = index.rise, index.fall
     rows = []
-    for state, out in sg.freeze()._succ.items():
+    # index.codes raises StateGraphError on a state without a code.
+    for code, out in zip(index.codes, index.succ):
         rise = fall = 0
         for label in out:
-            label_rise, label_fall = masks[label]
-            rise |= label_rise
-            fall |= label_fall
-        rows.append((code_int(state), rise, fall))
+            rise |= rise_bits[label]
+            fall |= fall_bits[label]
+        rows.append((code, rise, fall))
     return rows
 
 
@@ -207,7 +194,7 @@ def extract_function(sg: StateGraph, signal: str) -> NextStateFunction:
         raise ValueError(f"signal {signal!r} is an input; nothing to implement")
     _reject_toggles(sg, signal)
     return _extract_from_masks(signal, 1 << sg.signal_index(signal),
-                               list(sg.signals), _excitation_masks(sg))
+                               list(sg.signals), _rows(sg))
 
 
 def extract_all_functions(sg: StateGraph) -> Dict[str, NextStateFunction]:
@@ -215,7 +202,7 @@ def extract_all_functions(sg: StateGraph) -> Dict[str, NextStateFunction]:
     targets = _targets(sg)
     if not targets:
         return {}
-    rows = _excitation_masks(sg)
+    rows = _rows(sg)
     return {signal: _extract_from_masks(signal, 1 << sg.signal_index(signal),
                                         list(sg.signals), rows)
             for signal in targets}
@@ -245,7 +232,7 @@ def extract_set_reset(sg: StateGraph, signal: str,
     reset_on: Set[int] = set()
     stable_high: Set[int] = set()
     stable_low: Set[int] = set()
-    for code, rise, fall in _excitation_masks(sg):
+    for code, rise, fall in _rows(sg):
         if rise & bit:
             set_on.add(code)
         elif fall & bit:

@@ -39,7 +39,7 @@ from ..explore import ExplorationBudget
 from ..hse.constraints import KeepConcError, normalise_keep_conc
 from ..sg.graph import StateGraph
 from .cost import CostFunction
-from .fwdred import Config, ReductionSpace, record_work, reduction_space
+from .fwdred import Config, record_work, reduction_space
 
 
 @dataclass
@@ -91,10 +91,9 @@ class ExplorationResult:
         return self.best_cost < self.initial_cost
 
 
-def _preserved(space: ReductionSpace, sg: StateGraph,
-               keep_conc: Iterable[Tuple[str, str]]
-               ) -> FrozenSet[FrozenSet[str]]:
-    """The Keep_Conc label pairs a search must keep concurrent.
+def preserved_pairs(sg: StateGraph, keep_conc: Iterable[Tuple[str, str]]
+                    ) -> FrozenSet[FrozenSet[str]]:
+    """The Keep_Conc label pairs a search on ``sg`` must keep concurrent.
 
     FwdRed only removes arcs, so a label pair that is not concurrent in
     ``sg`` stays so in every configuration: it is preserved trivially and
@@ -102,6 +101,7 @@ def _preserved(space: ReductionSpace, sg: StateGraph,
     raises :class:`~repro.hse.constraints.KeepConcError`; kept, it would
     reject every child.
     """
+    space = reduction_space(sg)
     preserved: Set[FrozenSet[str]] = set()
     for first, second in keep_conc:
         live = {labels for labels in normalise_keep_conc(sg, [(first, second)])
@@ -128,7 +128,7 @@ class _Search:
                  cost: CostFunction, max_explored: Optional[int]) -> None:
         self.sg = sg
         self.space = reduction_space(sg)
-        self.preserved = _preserved(self.space, sg, keep_conc)
+        self.preserved = preserved_pairs(sg, keep_conc)
         self.cost = cost
         self.meter = ExplorationBudget(max_states=max_explored).meter()
         self.root = self.space.root
@@ -176,8 +176,7 @@ class _Search:
         """The heuristic cost of ``config``, measured once per space."""
         terms = self.space.terms.get(config.mask)
         if terms is None:
-            terms = self.space.terms[config.mask] = self.space.measure(
-                self.sg, config)
+            terms = self.space.terms[config.mask] = self.space.measure(config)
             self._work["scored"] += 1
         return self.cost.from_terms(terms).value
 

@@ -13,11 +13,11 @@ Definition 5.1.  At the STG level this corresponds to adding a causal place
 from ``b`` to ``a``.
 
 FwdRed only ever removes arcs, so every configuration a reduction search
-reaches is a subgraph of the root SG.  A :class:`ReductionSpace` indexes
-the root once (dense state and arc ids in root order, per-state out- and
-in-arcs, one arc mask per label), and a configuration is a
-:class:`Config`: the int mask of its arcs plus the int mask of its
-reachable states.  For one root, equal arc masks mean equal
+reaches is a subgraph of the root SG.  A :class:`ReductionSpace` reads
+the root's :class:`~repro.sg.graph.GraphIndex` (dense state, label and arc
+ids in root order) and adds per-state in-arcs and one arc mask per label;
+a configuration is a :class:`Config`: the int mask of its arcs plus the
+int mask of its reachable states.  For one root, equal arc masks mean equal
 :meth:`~repro.sg.graph.StateGraph.signature`\\ s, so searches deduplicate
 on the mask and a :class:`~repro.sg.graph.StateGraph` is built only where
 a caller needs one (:meth:`ReductionSpace.materialize`).
@@ -33,17 +33,16 @@ decoded into per-state adjacency, since a dict lookup costs less than a
 bit test on masks of hundreds of arcs.
 
 The Section 7 cost terms are measured on the masks too
-(:meth:`ReductionSpace.measure`).  On its first measurement the space
-indexes the root's codes: the packed code of every root state, the rise,
-fall and non-input excitation bits of every label, and the code bit of
-every output and internal signal.  One pass over a configuration's
-reachable states and live arcs then yields the ``(code, rise, fall)`` rows
-that the next-state extraction splits into ON/OFF sets, and its codes
-with their excitation masks count the CSC conflict pairs through
-:func:`~repro.sg.properties.conflict_pairs`, the counter the property
-checks and the insertion walk share.  So a search scores every
+(:meth:`ReductionSpace.measure`), from the index's packed codes and the
+rise, fall and non-input excitation bits of every label.  One pass over a
+configuration's reachable states and live arcs yields the ``(code, rise,
+fall)`` rows that the next-state extraction splits into ON/OFF sets, and
+its codes with their excitation masks count the CSC conflict pairs
+through :func:`~repro.sg.properties.conflict_pairs`, the counter the
+property checks and the insertion walk share.  So a search scores every
 configuration without building a graph, and spaces built for
-:func:`forward_reduction` or :func:`reducible_pairs` never read a code.
+:func:`forward_reduction` or :func:`reducible_pairs` never read a code:
+the index packs them on first read.
 
 Definition 5.1 is checked on the masks.  Surviving states keep every arc
 except the removed ones, so no input event can be delayed (``delayed`` is
@@ -55,18 +54,18 @@ reaches ``t`` inside it, so ``s`` is truncated too and loses ``delayed``.
 
 The process-global ``reduction-space`` cache keeps one space per root
 signature together with its transition table ``(mask, delayed, before)
--> child | None``, its code tables and the weight-independent cost terms
-per mask, so a sweep re-running the search on the same root re-measures
-nothing.
+-> child | None`` and the weight-independent cost terms per mask, so a
+sweep re-running the search on the same root re-measures nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import engine
-from ..logic.functions import _extract_from_masks, _label_masks, _targets
+from ..logic.functions import _extract_from_masks, _targets
 from ..logic.minimize import fast_literal_count
 from ..obs.metrics import registry as obs_registry
 from ..sg.graph import StateGraph
@@ -153,35 +152,32 @@ class _Step:
 
 
 class ReductionSpace:
-    """The arc-mask index of one root SG that FwdRed steps work on.
+    """The arc masks of one root SG that FwdRed steps work on.
 
-    Masks index the root, so building a space freezes it.  The code tables
-    that :meth:`measure` reads are built on its first call.
+    Masks index the root through :meth:`~repro.sg.graph.StateGraph.index`,
+    so building a space freezes it.
     """
 
     #: Transition-table entries kept per space before it starts over.
     MAX_TRANSITIONS = 200_000
 
     def __init__(self, root: StateGraph) -> None:
-        succ = root.freeze()._succ
-        self.states = list(succ)
-        index = {state: i for i, state in enumerate(self.states)}
-        self.labels = list(root.events)
-        self.label_index = {label: i for i, label in enumerate(self.labels)}
-        self.is_input = [root.is_input_label(label) for label in self.labels]
+        self.sg = root
+        index = self.index = root.index()
+        self.states, self.labels = index.states, index.labels
+        self.label_index, self.is_input = index.label_id, index.is_input
         #: ``out[s]`` is ``{label id: (arc id, target id)}`` in root order.
         self.out: List[Dict[int, Tuple[int, int]]] = []
         #: ``inn[t]`` lists the ``(label id, source id)`` arcs entering ``t``.
         self.inn: List[List[Tuple[int, int]]] = [[] for _ in self.states]
         self.label_arcs = [0] * len(self.labels)
         arc = 0
-        for source, state in enumerate(self.states):
+        for source, succ in enumerate(index.succ):
             row: Dict[int, Tuple[int, int]] = {}
-            for label, target in succ[state].items():
-                label_id, target_id = self.label_index[label], index[target]
-                row[label_id] = (arc, target_id)
-                self.inn[target_id].append((label_id, source))
-                self.label_arcs[label_id] |= 1 << arc
+            for label, target in succ.items():
+                row[label] = (arc, target)
+                self.inn[target].append((label, source))
+                self.label_arcs[label] |= 1 << arc
                 arc += 1
             self.out.append(row)
         #: ``diamonds[a, b]`` (label ids, ``a < b``) lists the root's
@@ -200,12 +196,10 @@ class ReductionSpace:
                         self.diamonds.setdefault((label_a, label_b), []).append(
                             1 << arc_a | 1 << arc_b | 1 << end_a[0]
                             | 1 << end_b[0])
-        self.initial = index.get(root.initial)
         self.root = Config((1 << arc) - 1, (1 << len(self.states)) - 1)
         self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
         #: ``mask -> (literals, CSC pairs, states)``.
         self.terms: Dict[int, Tuple[int, int, int]] = {}
-        self._scoring: Optional[tuple] = None
 
     def view(self, config: Config) -> _View:
         return _View(self, config)
@@ -252,7 +246,7 @@ class ReductionSpace:
             return _Step(None, f"reduction would remove every occurrence of "
                                f"{names[delayed]}")
 
-        initial = self.initial
+        initial = self.index.initial
         reached: Set[int] = set()
         deadlock: Optional[int] = None
         if initial is not None:
@@ -330,18 +324,25 @@ class ReductionSpace:
         return any(mask & diamond == diamond
                    for diamond in self.diamonds.get((a, b), ()))
 
-    def measure(self, root: StateGraph, config: Config) -> Tuple[int, int, int]:
+    @cached_property
+    def targets(self) -> List[Tuple[str, int]]:
+        """The output and internal signals with their code bits; raises
+        ``ValueError`` on a toggled one, as extraction does."""
+        return [(signal, 1 << self.sg.signal_index(signal))
+                for signal in _targets(self.sg)]
+
+    def measure(self, config: Config) -> Tuple[int, int, int]:
         """The weight-independent cost terms of ``config``, on the masks.
 
         ``(literal estimate, CSC conflict pairs, state count)``, equal to
         what the literal estimate and :func:`~repro.sg.properties.csc_conflicts`
-        give on :meth:`materialize`'s graph.  ``root`` is this space's root
-        or a graph with the same signature; the first call indexes its
-        codes (:meth:`_code_tables`).
+        give on :meth:`materialize`'s graph.  Raises
+        :class:`~repro.sg.graph.StateGraphError` when a root state has no
+        code.
         """
-        if self._scoring is None:
-            self._scoring = self._code_tables(root)
-        codes, label_bits, targets, variables = self._scoring
+        targets, index = self.targets, self.index
+        codes, rise_bits, fall_bits = index.codes, index.rise, index.fall
+        excites = index.excites
         bits = f"{config.mask:b}"[::-1]
         top = len(bits)
         rows: List[Tuple[int, int, int]] = []
@@ -350,13 +351,13 @@ class ReductionSpace:
             rise = fall = excited = 0
             for label, (arc, _) in self.out[state].items():
                 if arc < top and bits[arc] == "1":
-                    label_rise, label_fall, label_excited = label_bits[label]
-                    rise |= label_rise
-                    fall |= label_fall
-                    excited |= label_excited
+                    rise |= rise_bits[label]
+                    fall |= fall_bits[label]
+                    excited |= excites[label]
             rows.append((codes[state], rise, fall))
             excitations.append(excited)
         literals = 0
+        variables = self.sg.signals
         for signal, bit in targets:
             function = _extract_from_masks(signal, bit, variables, rows)
             literals += fast_literal_count(len(variables),
@@ -364,31 +365,6 @@ class ReductionSpace:
                                            function.off_ints)
         _, pairs = conflict_pairs([row[0] for row in rows], excitations)
         return literals, pairs, config.states
-
-    def _code_tables(self, root: StateGraph) -> tuple:
-        """What :meth:`measure` reads of ``root``, indexed like the space.
-
-        The packed code of every state; the rise, fall and excitation bits
-        of every label, where the excitation bit names the label's
-        ``(signal, direction)`` unless the signal is an input; the code bit
-        of every output and internal signal; the code's variables.  Raises
-        ``ValueError`` on a toggled output and
-        :class:`~repro.sg.graph.StateGraphError` on a state without a code.
-        """
-        targets = [(signal, 1 << root.signal_index(signal))
-                   for signal in _targets(root)]
-        masks = _label_masks(root)
-        excitation: Dict[Tuple[str, str], int] = {}
-        label_bits = []
-        for label, is_input in zip(self.labels, self.is_input):
-            event = root.events[label]
-            key = (event.signal, event.direction.value)
-            excited = (0 if is_input else
-                       excitation.setdefault(key, 1 << len(excitation)))
-            label_bits.append(masks[label] + (excited,))
-        code_int = root.code_int
-        return ([code_int(state) for state in self.states], label_bits,
-                targets, list(root.signals))
 
     def materialize(self, root: StateGraph, config: Config) -> StateGraph:
         """The configuration as a frozen graph derived from ``root``.

@@ -17,19 +17,21 @@ Freeze rule: a graph grows through :meth:`~StateGraph.declare_signal`,
 :meth:`~StateGraph.declare_event`, :meth:`~StateGraph.add_state`,
 :meth:`~StateGraph.add_arc` and ``initial`` until the first derived view
 is read -- :meth:`~StateGraph.signature`, :meth:`~StateGraph.code_int`,
-:meth:`~StateGraph.live_labels` or the predecessor map -- or
-:meth:`~StateGraph.freeze` is called.  From then on every builder call
-raises :class:`StateGraphError`, so each derived view is computed at most
-once and never goes stale.  Graphs from
-:meth:`~StateGraph.copy_without_arcs` are frozen from the start.
+:meth:`~StateGraph.live_labels`, :meth:`~StateGraph.index` or the
+predecessor map -- or :meth:`~StateGraph.freeze` is called.  From then on
+every builder call raises :class:`StateGraphError`, so each derived view
+is computed at most once and never goes stale.  Graphs from
+:meth:`~StateGraph.copy_without_arcs` are frozen from the start and build
+their own views.
 
 Binary codes are tuples (:meth:`code_of`, the read-only ``codes`` mapping)
 and packed integers where bit ``i`` is the value of signal ``i``
 (:meth:`code_int`), the same convention the logic minimizer uses for
-minterms.  The analysis passes (:mod:`repro.sg.properties`, function
-extraction, the conformance product) read the graph's own
-``{state: {label: target}}`` map through ``sg.freeze()._succ``, so a graph
-is closed to builder calls once anything has analysed it.
+minterms.  The analyses (the property checks, function extraction, the
+reduction space, the insertion walk, the conformance product) read the
+graph through its one :class:`GraphIndex` (:meth:`StateGraph.index`), so
+a graph is closed to builder calls once anything has analysed it, and is
+numbered once however many analyses read it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from types import MappingProxyType
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
                     Optional, Set, Tuple)
 
-from ..petri.stg import SignalEvent, SignalKind
+from ..petri.stg import Direction, SignalEvent, SignalKind
 
 State = Hashable
 Code = Tuple[int, ...]
@@ -47,6 +49,15 @@ Code = Tuple[int, ...]
 
 class StateGraphError(Exception):
     """Raised for invalid state-graph operations."""
+
+
+def _pack(code: Code) -> int:
+    """A code tuple as one integer, bit ``i`` = signal ``i``."""
+    packed = 0
+    for i, value in enumerate(code):
+        if value:
+            packed |= 1 << i
+    return packed
 
 
 class StateGraph:
@@ -65,10 +76,10 @@ class StateGraph:
         self._succ: Dict[State, Dict[str, State]] = {}
         self._pred_store: Optional[Dict[State, Set[Tuple[str, State]]]] = None
         self._codes: Dict[State, Code] = {}
-        self._code_int_cache: Dict[State, int] = {}
         self._signal_pos: Dict[str, int] = {}
         self._signature: Optional[Tuple] = None
         self._live_labels: Optional[FrozenSet[str]] = None
+        self._index: Optional[GraphIndex] = None
         self._frozen = False
 
     # ------------------------------------------------------------------
@@ -267,18 +278,22 @@ class StateGraph:
     def code_int(self, state: State) -> int:
         """The state's binary code packed into one integer (bit i = signal i).
 
-        Cached per state; :meth:`copy_without_arcs` hands the cache down.
+        :meth:`index` packs every state's code at once for the analyses.
         """
-        cached = self._code_int_cache.get(state)
-        if cached is None:
+        self._frozen = True
+        return _pack(self.code_of(state))
+
+    def index(self) -> "GraphIndex":
+        """The graph in dense ints (:class:`GraphIndex`), built once.
+
+        Not handed to :meth:`copy_without_arcs` children, and not part of
+        :meth:`signature` or the graph's payload.
+        """
+        index = self._index
+        if index is None:
             self._frozen = True
-            code = self.code_of(state)
-            cached = 0
-            for i, value in enumerate(code):
-                if value:
-                    cached |= 1 << i
-            self._code_int_cache[state] = cached
-        return cached
+            index = self._index = GraphIndex(self)
+        return index
 
     def signature(self) -> Tuple:
         """Hashable identity of the graph.
@@ -393,15 +408,10 @@ class StateGraph:
                         queue.append(target)
         clone._initial = initial
         code_map = clone._codes
-        cache = clone._code_int_cache
-        own_cache = self._code_int_cache
         for state in new_succ:
             code = codes.get(state)
             if code is not None:
                 code_map[state] = code
-                packed = own_cache.get(state)
-                if packed is not None:
-                    cache[state] = packed
         return clone
 
     # ------------------------------------------------------------------
@@ -419,16 +429,70 @@ class StateGraph:
     def to_dot(self) -> str:
         """GraphViz rendering for debugging and documentation."""
         lines = [f'digraph "{self.name}" {{', '  node [shape=box];']
-        ids = {state: f"s{i}" for i, state in enumerate(self._succ)}
+        ids = self.index().state_id
         for state, sid in ids.items():
             label = self.code_string(state) if state in self.codes else str(state)
             shape = ' peripheries=2' if state == self.initial else ''
-            lines.append(f'  {sid} [label="{label}"{shape}];')
+            lines.append(f'  s{sid} [label="{label}"{shape}];')
         for source, label, target in self.arcs():
-            lines.append(f'  {ids[source]} -> {ids[target]} [label="{label}"];')
+            lines.append(f'  s{ids[source]} -> s{ids[target]} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (f"StateGraph({self.name!r}, |S|={len(self._succ)}, "
                 f"|A|={self.arc_count()})")
+
+
+class GraphIndex:
+    """One frozen graph in dense ints, read by every analysis of it.
+
+    States are numbered in ``succ`` order, labels in ``events`` order;
+    ``initial`` is the initial state's id.  ``succ[s]`` maps each label id
+    enabled at ``s`` to its target id; read in state order, these arcs are
+    numbered ``0, 1, ...``.  Per label: ``is_input``, ``signal`` (its code
+    bit position), ``rise``/``fall`` (that bit when it rises/falls, else 0)
+    and ``excites`` (0 for an input, else the bit of its ``(signal,
+    direction)`` class in ``classes``).  ``codes`` -- packed, by state id --
+    is built on first read and raises :class:`StateGraphError` for a state
+    without a code, since FwdRed runs on graphs without codes.
+    """
+
+    def __init__(self, sg: StateGraph) -> None:
+        succ = sg._succ
+        self.states = list(succ)
+        ids = self.state_id = {state: i for i, state in enumerate(self.states)}
+        self.initial = ids.get(sg.initial)
+        self.labels = list(sg.events)
+        label_id = self.label_id = {label: i
+                                    for i, label in enumerate(self.labels)}
+        self.succ = [{label_id[label]: ids[target]
+                      for label, target in out.items()}
+                     for out in succ.values()]
+        events = list(sg.events.values())
+        self.is_input = [sg.is_input_label(label) for label in self.labels]
+        self.signal = [sg.signal_index(event.signal) for event in events]
+        self.rise = [1 << bit if event.direction == Direction.RISE else 0
+                     for bit, event in zip(self.signal, events)]
+        self.fall = [1 << bit if event.direction == Direction.FALL else 0
+                     for bit, event in zip(self.signal, events)]
+        classes: Dict[Tuple[str, str], int] = {}
+        self.excites = [0 if is_input else 1 << classes.setdefault(
+            (event.signal, event.direction.value), len(classes))
+            for is_input, event in zip(self.is_input, events)]
+        self.classes = list(classes)
+        # The graph's code map, not the graph: no reference cycle.
+        self._tuples = sg._codes
+        self._codes: Optional[List[int]] = None
+
+    @property
+    def codes(self) -> List[int]:
+        """The packed code of every state, by state id."""
+        if self._codes is None:
+            try:
+                self._codes = [_pack(self._tuples[state])
+                               for state in self.states]
+            except KeyError as missing:
+                raise StateGraphError(f"state {missing.args[0]!r} has no "
+                                      f"binary code") from None
+        return self._codes

@@ -8,20 +8,23 @@ Section 2 of the paper requires, beyond consistency:
 
 Each predicate has a companion ``*_violations`` function that returns
 witnesses, which the validity checker and the test suite both use.  The
-coding verdicts are counted, not listed: :func:`coding_counts` takes one
-pass over the code buckets, and the witness lists (:func:`csc_conflicts`,
-:func:`usc_conflicts`), quadratic in bucket size, are built only on demand.
+checks walk the graph's :class:`~repro.sg.graph.GraphIndex` and decode
+only the witnesses they return.  The coding verdicts are counted, not
+listed: :func:`coding_counts` takes one pass over the code buckets, and
+the witness lists (:func:`csc_conflicts`, :func:`usc_conflicts`),
+quadratic in bucket size, are built only on demand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
-from ..petri.stg import Direction
-from .graph import State, StateGraph, StateGraphError
+from .graph import GraphIndex, State, StateGraph, StateGraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..explore.budget import ExplorationBudget
@@ -47,41 +50,35 @@ def consistency_violations(sg: StateGraph) -> List[ConsistencyViolation]:
     state codes instead of a per-signal sweep.
     """
     violations = []
-    succ = sg.freeze()._succ
-    # One read per state; raises StateGraphError on a state without a code.
-    codes = {state: sg.code_int(state) for state in succ}
-    effect = {label: (sg.signal_index(event.signal), event.direction)
-              for label, event in sg.events.items()}
-    for source, out in succ.items():
-        if not out:
-            continue
+    index = sg.index()
+    codes = index.codes  # raises StateGraphError on a state without a code
+    states, labels, signals = index.states, index.labels, sg.signals
+    for source, out in enumerate(index.succ):
         src = codes[source]
         for label, target in out.items():
             dst = codes[target]
-            index, direction = effect[label]
-            bit = 1 << index
-            if direction == Direction.RISE:
+            k = index.signal[label]
+            bit = 1 << k
+            if index.rise[label]:
                 ok = not src & bit and dst & bit
-            elif direction == Direction.FALL:
+            elif index.fall[label]:
                 ok = src & bit and not dst & bit
             else:
                 ok = (src ^ dst) & bit
             if not ok:
-                signal = sg.signals[index]
                 violations.append(ConsistencyViolation(
-                    source, label, target,
-                    f"{signal} goes {(src >> index) & 1}->{(dst >> index) & 1} "
-                    f"on {label}"))
+                    states[source], labels[label], states[target],
+                    f"{signals[k]} goes {(src >> k) & 1}->{(dst >> k) & 1} "
+                    f"on {labels[label]}"))
                 continue
             changed = (src ^ dst) & ~bit
             i = 0
             while changed:
                 if changed & 1:
-                    signal = sg.signals[i]
                     violations.append(ConsistencyViolation(
-                        source, label, target,
-                        f"{signal} changes {(src >> i) & 1}->{(dst >> i) & 1} "
-                        f"on {label}"))
+                        states[source], labels[label], states[target],
+                        f"{signals[i]} changes {(src >> i) & 1}->"
+                        f"{(dst >> i) & 1} on {labels[label]}"))
                 changed >>= 1
                 i += 1
     return violations
@@ -105,8 +102,9 @@ class CommutativityViolation:
 def commutativity_violations(sg: StateGraph) -> List[CommutativityViolation]:
     """States where two events fire in both orders to different states."""
     violations = []
-    succ = sg.freeze()._succ
-    for state, out in succ.items():
+    index = sg.index()
+    states, labels, succ = index.states, index.labels, index.succ
+    for state, out in enumerate(succ):
         if len(out) < 2:
             continue
         enabled = list(out)
@@ -120,7 +118,8 @@ def commutativity_violations(sg: StateGraph) -> List[CommutativityViolation]:
                 end_ba = after[j].get(label_a)
                 if end_ba is not None and end_ab != end_ba:
                     violations.append(CommutativityViolation(
-                        state, label_a, label_b, out[label_a], out[label_b]))
+                        states[state], labels[label_a], labels[label_b],
+                        states[out[label_a]], states[out[label_b]]))
     return violations
 
 
@@ -145,9 +144,10 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     mind), never by an output or internal event.
     """
     violations = []
-    succ = sg.freeze()._succ
-    is_input = {label: sg.is_input_label(label) for label in sg.events}
-    for state, out in succ.items():
+    index = sg.index()
+    states, labels = index.states, index.labels
+    succ, is_input = index.succ, index.is_input
+    for state, out in enumerate(succ):
         if len(out) < 2:
             continue
         after = {other: succ[target] for other, target in out.items()}
@@ -157,17 +157,12 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
                     continue
                 if not (is_input[label] and is_input[other]):
                     violations.append(PersistencyViolation(
-                        state, label, other))
+                        states[state], labels[label], labels[other]))
     return violations
 
 
 def is_output_persistent(sg: StateGraph) -> bool:
     return not persistency_violations(sg)
-
-
-def is_speed_independent(sg: StateGraph) -> bool:
-    """Determinism + commutativity + output persistency."""
-    return is_commutative(sg) and is_output_persistent(sg)
 
 
 @dataclass(frozen=True)
@@ -181,29 +176,32 @@ class CSCConflict:
     excited_b: frozenset = frozenset()
 
 
-def _shared_codes(sg: StateGraph) -> Iterator[Tuple[int, List[State],
-                                                    List[frozenset]]]:
-    """Each packed code shared by two or more states: the code, its states
-    and their non-input excitation sets of ``(signal, direction)``.
+def _shared_codes(index: GraphIndex) -> Iterator[Tuple[int, List[int],
+                                                     List[int]]]:
+    """Each packed code shared by two or more states: the code, its state
+    ids (ascending) and their non-input excitation masks, OR-ed
+    ``index.excites`` bits.
 
     Excitation is computed only for these states, so a graph with unique
     codes costs one pass over its states.  Raises on a state without a
     code.
     """
-    succ = sg.freeze()._succ
-    code_int = sg.code_int
-    by_code: Dict[int, List[State]] = {}
-    for state in succ:
-        by_code.setdefault(code_int(state), []).append(state)
-    excitation = {label: (event.signal, event.direction.value)
-                  for label, event in sg.events.items()
-                  if not sg.is_input_label(label)}
-    for code, states in by_code.items():
-        if len(states) > 1:
-            yield code, states, [
-                frozenset(excitation[label] for label in succ[state]
-                          if label in excitation)
-                for state in states]
+    by_code: Dict[int, List[int]] = {}
+    for state, code in enumerate(index.codes):
+        by_code.setdefault(code, []).append(state)
+    succ, excited = index.succ, index.excites.__getitem__
+    for code, ids in by_code.items():
+        if len(ids) > 1:
+            yield code, ids, [reduce(or_, map(excited, succ[state]), 0)
+                              for state in ids]
+
+
+def _excitation_sets(index: GraphIndex, masks: Iterable[int]
+                    ) -> List[frozenset]:
+    """Excitation masks decoded to sets of ``(signal, direction)``."""
+    classes = index.classes
+    return [frozenset(member for i, member in enumerate(classes)
+                      if mask >> i & 1) for mask in masks]
 
 
 def conflict_pairs(keys: Sequence, excited: Iterable) -> Tuple[int, int]:
@@ -230,10 +228,10 @@ def coding_counts(sg: StateGraph) -> Tuple[int, int]:
     ``(len(usc_conflicts(sg)), len(csc_conflicts(sg)))``.
     """
     keys: List[int] = []
-    excited: List[frozenset] = []
-    for code, states, sets in _shared_codes(sg):
-        keys += [code] * len(states)
-        excited += sets
+    excited: List[int] = []
+    for code, ids, masks in _shared_codes(sg.index()):
+        keys += [code] * len(ids)
+        excited += masks
     return conflict_pairs(keys, excited)
 
 
@@ -245,11 +243,14 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     verdict or a count needs only :func:`coding_counts`.
     """
     conflicts = []
-    for _, states, excited in _shared_codes(sg):
+    index = sg.index()
+    for _, ids, masks in _shared_codes(index):
+        states = [index.states[state] for state in ids]
+        excited = _excitation_sets(index, masks)
         code_tuple = sg.code_of(states[0])
         for i, state_a in enumerate(states):
             for j in range(i + 1, len(states)):
-                if excited[i] != excited[j]:
+                if masks[i] != masks[j]:
                     conflicts.append(CSCConflict(
                         state_a, states[j], code_tuple,
                         excited[i], excited[j]))
@@ -261,8 +262,10 @@ def usc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
 
     Like :func:`csc_conflicts`, a witness list quadratic in bucket size.
     """
-    return [(state_a, state_b) for _, states, _ in _shared_codes(sg)
-            for i, state_a in enumerate(states) for state_b in states[i + 1:]]
+    index = sg.index()
+    return [(index.states[a], index.states[b])
+            for _, ids, _ in _shared_codes(index)
+            for i, a in enumerate(ids) for b in ids[i + 1:]]
 
 
 def has_csc(sg: StateGraph) -> bool:
@@ -277,12 +280,11 @@ def csc_conflicting_signals(sg: StateGraph) -> Set[str]:
     """Signals whose excitation differs in at least one CSC conflict pair:
     per shared code, those excited in some of its states but not in all,
     so no pair is listed."""
-    signals: Set[str] = set()
-    for _, _, excited in _shared_codes(sg):
-        common = frozenset.intersection(*excited)
-        for signal, _ in frozenset.union(*excited) - common:
-            signals.add(signal)
-    return signals
+    index = sg.index()
+    differ = 0
+    for _, _, masks in _shared_codes(index):
+        differ |= reduce(or_, masks) & ~reduce(and_, masks)
+    return {signal for signal, _ in _excitation_sets(index, [differ])[0]}
 
 
 def deadlock_states(sg: StateGraph) -> List[State]:

@@ -17,14 +17,14 @@ grid order; see :mod:`repro.sweep.runner` for how.
 from .grid import (SweepGrid, SweepPoint, keep_variants, make_point,
                    spec_registry, tables_grid)
 from .report import COLUMNS, FORMATS, render, to_csv, to_json, to_markdown
-from .runner import (SweepOutcome, evaluate_point, evaluate_with_status,
-                     make_chunks, point_key, run_sweep)
+from .runner import (SweepOutcome, evaluate_with_status, make_chunks,
+                     point_key, run_sweep)
 from ..pipeline.store import ArtifactStore
 
 __all__ = [
     "SweepGrid", "SweepPoint", "keep_variants", "make_point",
     "spec_registry", "tables_grid",
     "COLUMNS", "FORMATS", "render", "to_csv", "to_json", "to_markdown",
-    "SweepOutcome", "evaluate_point", "evaluate_with_status", "make_chunks",
-    "point_key", "run_sweep", "ArtifactStore",
+    "SweepOutcome", "evaluate_with_status", "make_chunks", "point_key",
+    "run_sweep", "ArtifactStore",
 ]

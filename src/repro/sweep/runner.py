@@ -39,8 +39,8 @@ from ..sg.generator import generate_sg
 from ..sg.graph import StateGraph
 from .grid import SweepGrid, SweepPoint, spec_registry
 
-__all__ = ["SweepOutcome", "evaluate_point", "evaluate_with_status",
-           "make_chunks", "point_key", "run_sweep"]
+__all__ = ["SweepOutcome", "evaluate_with_status", "make_chunks",
+           "point_key", "run_sweep"]
 
 #: Bump when the row layout or key derivation changes; old entries are
 #: simply never looked up again.  Version 4: the key binds the spec and the
@@ -143,12 +143,6 @@ def evaluate_with_status(point: SweepPoint,
     row["verify_max_states"] = (config.verify_max_states if config.verify
                                 else None)
     return row, result.stage_status()
-
-
-def evaluate_point(point: SweepPoint) -> Dict[str, object]:
-    """Run one design point through the flow; returns a deterministic row."""
-    row, _ = evaluate_with_status(point, _worker_store())
-    return row
 
 
 def _run_chunk(chunk: List[Tuple[int, SweepPoint]]

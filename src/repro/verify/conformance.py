@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 from ..circuit.netlist import Netlist
 from ..explore import (BudgetExceeded, ExplorationBudget,
                        FrontierExploration, ample_internal_moves)
-from ..petri.stg import Direction, SignalKind
+from ..petri.stg import SignalKind
 from ..sg.graph import StateGraph
 from .certificate import VerificationReport
 from .simulator import SimulationError, compile_circuit
@@ -91,9 +91,10 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     """
     started = time.perf_counter()
     report_name = name or netlist.name
-    spec_succ = spec.freeze()._succ
-    spec_states = len(spec_succ)
-    spec_arcs = sum(len(out) for out in spec_succ.values())
+    index = spec.index()
+    succ = index.succ
+    spec_states = len(succ)
+    spec_arcs = sum(len(out) for out in succ)
 
     def failed(verdict: str, reason: str,
                trace: List[Dict[str, object]],
@@ -125,7 +126,8 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     if spec.initial is None:
         return failed("non-conforming", "specification has no initial state",
                       [], {}, sim=sim)
-    initial_code = spec.code_int(spec.initial)
+    codes = index.codes
+    initial_code = codes[index.initial]
     pinned = {signal: (initial_code >> i) & 1
               for i, signal in enumerate(signals)}
     try:
@@ -134,24 +136,14 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
         return failed("non-conforming", str(exc), [], {}, sim=sim)
 
     net_of_signal = [sim.net_index[s] for s in signals]
-    signal_index = {s: i for i, s in enumerate(signals)}
-    # Product states carry dense spec state ids; enabled labels are visited
-    # in event-declaration order, which fixes the first failure found.
-    states = list(spec_succ)
-    sid_of = {state: i for i, state in enumerate(states)}
-    initial_sid = sid_of[spec.initial]
-    succ = [{label: sid_of[target] for label, target in out.items()}
-            for out in spec_succ.values()]
-    rank = {label: i for i, label in enumerate(spec.events)}
-    ordered = [sorted(out, key=rank.__getitem__) for out in succ]
-    is_input = {label: spec.is_input_label(label) for label in rank}
-    event_signal = {label: signal_index[event.signal]
-                    for label, event in spec.events.items()}
-    code_int = spec.code_int
+    # Product states carry spec state ids; enabled labels are visited by
+    # id, which is event-declaration order and fixes the first failure.
+    labels, is_input, event_signal = index.labels, index.is_input, index.signal
+    ordered = [sorted(out) for out in succ]
 
     if budget is None:
         budget = ExplorationBudget(max_states=max_states)
-    start: _ProductState = (initial_values, initial_sid)
+    start: _ProductState = (initial_values, index.initial)
     semi_modular = True
     semi_reason: Optional[str] = None
     try:
@@ -179,10 +171,10 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                     continue
                 tid = spec_out[label]
                 sigidx = event_signal[label]
-                new_bit = (code_int(states[tid]) >> sigidx) & 1
+                new_bit = (codes[tid] >> sigidx) & 1
                 new_values = sim.set_net(values, net_of_signal[sigidx],
                                          new_bit)
-                step = {"kind": "input", "label": label,
+                step = {"kind": "input", "label": labels[label],
                         "net": signals[sigidx], "value": new_bit}
                 moves.append((step, new_values, tid, None, label))
             for nid in excited:
@@ -196,7 +188,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                             "net": net_name, "value": new_bit}
                     moves.append((step, new_values, sid, nid, None))
                     continue
-                sigidx = signal_index[node.signal]
+                sigidx = spec.signal_index(node.signal)
                 new_bit = (new_values >> node.out) & 1
                 kind = ("output"
                         if spec.kinds[node.signal] == SignalKind.OUTPUT
@@ -205,10 +197,9 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                 for label in ordered[sid]:
                     if is_input[label] or event_signal[label] != sigidx:
                         continue
-                    direction = spec.events[label].direction
-                    if direction == Direction.RISE and new_bit != 1:
+                    if index.rise[label] and new_bit != 1:
                         continue
-                    if direction == Direction.FALL and new_bit != 0:
+                    if index.fall[label] and new_bit != 0:
                         continue
                     matching.append(label)
                 event_text = f"{node.signal}{'+' if new_bit else '-'}"
@@ -220,7 +211,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                         f"circuit fires {event_text}, which the "
                         "specification does not enable here", state, step)
                 for label in matching:
-                    step = {"kind": kind, "label": label,
+                    step = {"kind": kind, "label": labels[label],
                             "net": node.signal, "value": new_bit}
                     moves.append((step, new_values, spec_out[label], nid,
                                   label))
@@ -265,7 +256,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                     if lost:
                         semi_modular = False
                         semi_reason = (
-                            f"input {lost[0]} is withdrawn by "
+                            f"input {labels[lost[0]]} is withdrawn by "
                             f"{step['label']} (environment choice)")
                 successor = (new_values, tid)
                 try:

@@ -126,6 +126,15 @@ class TestSynth:
         assert captured.err.splitlines() == [
             f"error: {message} 'lr_4ph'"]
 
+    def test_verify_refuses_a_bad_keep_before_any_report(self, capsys):
+        # The `none` strategy ignores --keep, so the pairs are checked
+        # before the first strategy runs, not at the first searched one.
+        assert main(["verify", "lr", "--keep", "li+,li-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: Keep_Conc pair (li+, li-) is not concurrent in 'lr_4ph'"]
+
     def test_internal_delay_defaults_to_output_delay(self, lr_file, capsys):
         # --no-reduce leaves CSC conflicts, so internal state signals are
         # inserted and their delay shows up on the critical cycle.

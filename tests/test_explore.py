@@ -9,7 +9,7 @@ from repro.reduction.explore import (ExplorationResult, ExplorationStats,
                                      full_reduction_with_stats,
                                      reduce_concurrency)
 from repro.sg.generator import generate_sg
-from repro.sg.properties import csc_conflicts, is_speed_independent
+from repro.sg.properties import check_implementability, csc_conflicts
 from repro.sg.regions import are_concurrent, concurrent_pairs
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded
@@ -57,7 +57,7 @@ class TestReduceConcurrency:
 
     def test_best_is_valid_sg(self, lr_max):
         result = reduce_concurrency(lr_max)
-        assert is_speed_independent(result.best)
+        assert check_implementability(result.best).speed_independent
         assert result.best.initial == lr_max.initial
 
     def test_keep_conc_pairs_survive(self, lr_max):
@@ -338,7 +338,7 @@ class TestMaskScoring:
         for mask, config in configs.items():
             graph = space.materialize(sg, config)
             expected = cost_oracle.measure_terms(graph)
-            assert space.measure(sg, config) == expected, (name, len(graph))
+            assert space.measure(config) == expected, (name, len(graph))
             assert space.terms.get(mask, expected) == expected
 
     def test_codeless_root_fails_when_first_scored(self):
@@ -362,7 +362,7 @@ class TestMaskScoring:
         with pytest.raises(StateGraphError) as oracle:
             cost_oracle.measure_terms(sg)
         with pytest.raises(StateGraphError) as scored:
-            space.measure(sg, space.root)
+            space.measure(space.root)
         assert str(scored.value) == str(oracle.value)
         with pytest.raises(StateGraphError, match="has no binary code"):
             reduce_concurrency(sg)

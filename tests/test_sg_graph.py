@@ -184,6 +184,7 @@ DERIVED_READS = {
     "signature": lambda sg: sg.signature(),
     "code_int": lambda sg: sg.code_int("s0"),
     "live_labels": lambda sg: sg.live_labels(),
+    "index": lambda sg: sg.index(),
     "predecessors": lambda sg: sg.predecessors("s3"),
     "backward_reachable": lambda sg: sg.backward_reachable(["s3"]),
     "freeze": lambda sg: sg.freeze(),
@@ -272,6 +273,30 @@ class TestFreeze:
         assert diamond.signature() is diamond.signature()
         assert diamond.live_labels() is diamond.live_labels()
         assert diamond.live_labels() == {"a+", "b+"}
+
+    def test_index_is_built_once_per_graph(self, diamond):
+        index = diamond.index()
+        assert diamond.index() is index
+        assert index.states == ["s0", "s1", "s2", "s3"]
+        assert index.labels == ["a+", "b+"]
+        assert index.succ[0] == {0: 1, 1: 2}
+        assert index.codes == [0b00, 0b01, 0b10, 0b11]
+        assert index.excites == [1, 0]  # b is an input
+        # A derived copy builds its own index over its own states.
+        child = diamond.copy_without_arcs([("s0", "b+")])
+        assert child.index() is not index
+        assert child.index().states == ["s0", "s1", "s3"]
+        assert child.signature() == child.copy_without_arcs(()).signature()
+
+    def test_index_reads_codes_only_when_asked(self):
+        sg = StateGraph("codeless")
+        sg.declare_signal("a", SignalKind.OUTPUT)
+        sg.declare_event("a+")
+        sg.add_arc("s0", "a+", "s1")
+        index = sg.index()
+        assert index.succ == [{0: 1}, {}]
+        with pytest.raises(StateGraphError, match="'s0' has no binary code"):
+            index.codes
 
 
 class TestDot:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sg.generator import generate_sg
 from repro.sg.properties import (check_implementability, csc_conflicts,
-                                 is_consistent, is_speed_independent)
+                                 is_consistent)
 from repro.sg.regions import are_concurrent
 from repro.specs.fig1 import fig1_stg
 from repro.specs.fragments import fig6_spec, fig8_sg
@@ -31,13 +31,13 @@ class TestLR:
     def test_expansion_is_fig_2f(self):
         sg = generate_sg(lr_expanded())
         assert len(sg) == 16
-        assert is_speed_independent(sg)
+        assert check_implementability(sg).speed_independent
         assert len(csc_conflicts(sg)) == 3
 
     def test_q_module_is_valid_reshuffling(self):
         sg = generate_sg(q_module_stg())
         assert len(sg) == 8
-        assert is_speed_independent(sg)
+        assert check_implementability(sg).speed_independent
         # respects both channel protocols
         assert is_consistent(sg)
 
@@ -58,13 +58,13 @@ class TestPAR:
     def test_expansion(self):
         sg = generate_sg(par_expanded())
         assert len(sg) == 76
-        assert is_speed_independent(sg)
+        assert check_implementability(sg).speed_independent
         # The parallel acknowledgments stay concurrent in the expansion.
         assert are_concurrent(sg, "bi+", "ci+")
 
     def test_manual_design_is_clean(self):
         sg = generate_sg(par_manual_stg())
-        assert is_speed_independent(sg)
+        assert check_implementability(sg).speed_independent
         assert not csc_conflicts(sg)
         assert are_concurrent(sg, "bi+", "ci+")
 
@@ -81,7 +81,7 @@ class TestMMU:
     def test_expansion_scale(self):
         sg = generate_sg(mmu_expanded())
         assert len(sg) == 264
-        assert is_speed_independent(sg)
+        assert check_implementability(sg).speed_independent
         assert len(csc_conflicts(sg)) > 0
 
     def test_keep_conc_tables(self):

@@ -175,6 +175,31 @@ class TestConformance:
         assert not report.deadlock_free
         assert report.conforming  # nothing wrong was *produced*
 
+    @pytest.mark.parametrize("declared", [("a+", "b+"), ("b+", "a+")])
+    def test_first_failure_follows_event_declaration_order(self, declared):
+        # Either input leads to a deadlock.  The product visits enabled
+        # labels in declaration order, not arc order, so the minimal
+        # counterexample fires the first declared one.
+        sg = StateGraph("race")
+        for signal, kind in (("a", SignalKind.INPUT), ("b", SignalKind.INPUT),
+                             ("x", SignalKind.OUTPUT)):
+            sg.declare_signal(signal, kind)
+        for label in declared:
+            sg.declare_event(label)
+        sg.add_state("000", (0, 0, 0))
+        sg.add_state("100", (1, 0, 0))
+        sg.add_state("010", (0, 1, 0))
+        sg.add_arc("000", "a+", "100")
+        sg.add_arc("000", "b+", "010")
+        netlist = Netlist("race")
+        netlist.add_input("a")
+        netlist.add_input("b")
+        netlist.add_output("x")
+        netlist.add_alias("GND", "x")
+        report = check_conformance(netlist, sg)
+        assert report.verdict == "deadlock"
+        assert [step["label"] for step in report.trace] == [declared[0]]
+
     def test_hazard_detected_on_withdrawn_excitation(self):
         # A non-persistent spec: x is excited after a+, then a- withdraws
         # it.  The circuit (x = a) keeps tracking, so its x node is excited
