@@ -29,7 +29,7 @@ Or drive the stages individually: :func:`repro.hse.expansion.expand`,
 
 from .petri.net import PetriNet, PetriNetError
 from .petri.stg import STG, Direction, SignalEvent, SignalKind
-from .petri.parser import parse_stg, read_stg, save_stg, write_stg
+from .petri.parser import parse_stg, read_stg, write_stg
 from .sg.graph import StateGraph, StateGraphError
 from .sg.generator import ConsistencyError, generate_sg
 from .sg.properties import check_implementability, csc_conflicts
@@ -52,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PetriNet", "PetriNetError",
     "STG", "Direction", "SignalEvent", "SignalKind",
-    "parse_stg", "read_stg", "save_stg", "write_stg",
+    "parse_stg", "read_stg", "write_stg",
     "StateGraph", "StateGraphError", "ConsistencyError", "generate_sg",
     "check_implementability", "csc_conflicts",
     "ChannelRole", "PartialSpec", "InterfaceConstraint",

@@ -18,14 +18,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..registry import BenchCase, Check, CheckFailed, CheckSkipped, Metric, register
+from ..registry import (BenchCase, Check, CheckSkipped, Metric, register,
+                        require)
+from .tables import ablation_sweep
 
 SPEEDUP_FLOOR = 3.0
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def _seed_baseline() -> dict:
@@ -38,22 +35,6 @@ def _seed_baseline() -> dict:
         if candidate.exists():
             return json.loads(candidate.read_text())
     return {}
-
-
-def _ablation_sweep():
-    """The exact workload of the ablation-search case's sweep."""
-    from repro import generate_sg, reduce_concurrency
-    from repro.specs.lr import lr_expanded
-
-    sg = generate_sg(lr_expanded())
-    results = {}
-    for width in (1, 2, 4, 8):
-        results[f"beam w={width}"] = reduce_concurrency(
-            sg, strategy="beam", size_frontier=width)
-    results["best-first"] = reduce_concurrency(sg)
-    for weight in (0.0, 0.5, 1.0):
-        results[f"W={weight}"] = reduce_concurrency(sg, weight=weight)
-    return results
 
 
 def _report_fingerprint(name, sg) -> str:
@@ -143,9 +124,9 @@ def run_engine_scaling(context) -> dict:
             "best_cost": result.best_cost,
         })
 
-    sweep_seconds, _ = context.best_of(_ablation_sweep)
+    sweep_seconds, _ = context.best_of(ablation_sweep)
     engine.set_packed_memo(False)
-    sweep_seconds_off, _ = context.best_of(_ablation_sweep)
+    sweep_seconds_off, _ = context.best_of(ablation_sweep)
     fingerprint_off = _synthesis_fingerprint()
     engine.set_packed_memo(True)
     fingerprint_on = _synthesis_fingerprint()
@@ -210,9 +191,9 @@ def _check_seed_speedup(result: dict) -> None:
     if not result["seed_baseline_found"]:
         raise CheckSkipped("benchmarks/baseline_seed.json not found "
                            "(installed tree without the repo checkout)")
-    _require(result["speedup_vs_seed_ablation"] >= SPEEDUP_FLOOR,
-             f"ablation sweep must stay >= {SPEEDUP_FLOOR}x over the "
-             f"seed, got {result['speedup_vs_seed_ablation']:.2f}x")
+    require(result["speedup_vs_seed_ablation"] >= SPEEDUP_FLOOR,
+            f"ablation sweep must stay >= {SPEEDUP_FLOOR}x over the "
+            f"seed, got {result['speedup_vs_seed_ablation']:.2f}x")
 
 
 register(BenchCase(
@@ -260,10 +241,10 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("caches_are_pure", lambda r: _require(
+        Check("caches_are_pure", lambda r: require(
             r["outputs_identical_caches_on_off"],
             "synthesis outputs must be byte-identical caches on/off")),
-        Check("deterministic_repeat", lambda r: _require(
+        Check("deterministic_repeat", lambda r: require(
             r["deterministic_repeat"],
             "two fingerprint passes must be byte-identical")),
         Check("seed_speedup_floor", _check_seed_speedup),

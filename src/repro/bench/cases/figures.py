@@ -9,12 +9,7 @@ tracked trajectory data.
 
 from __future__ import annotations
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
+from ..registry import BenchCase, Check, Metric, register, require
 
 
 # --------------------------------------------------------------------------
@@ -56,22 +51,22 @@ register(BenchCase(
         Metric("analyse_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("five_state_sg", lambda r: _require(
+        Check("five_state_sg", lambda r: require(
             r["states"] == 5, f"expected 5 states, got {r['states']}")),
-        Check("consistent_and_si", lambda r: _require(
+        Check("consistent_and_si", lambda r: require(
             r["consistent"] and r["speed_independent"],
             "Fig. 1.d must be consistent and speed independent")),
-        Check("excitation_codes", lambda r: _require(
+        Check("excitation_codes", lambda r: require(
             "1*1" in r["codes"] and "11*" in r["codes"],
             f"missing excitation codes in {r['codes']}")),
-        Check("req_ack_concurrent", lambda r: _require(
+        Check("req_ack_concurrent", lambda r: require(
             r["er_intersects"] and r["req_ack_concurrent"],
             "ER(Req+) and ER(Ack-) must intersect => concurrent")),
-        Check("csc_conflict_at_11", lambda r: _require(
+        Check("csc_conflict_at_11", lambda r: require(
             r["csc_conflicts"] == 1 and r["conflict_code"] == [1, 1],
             f"expected one CSC conflict at code 11, got "
             f"{r['csc_conflicts']} at {r['conflict_code']}")),
-        Check("conflict_beyond_insertion", lambda r: _require(
+        Check("conflict_beyond_insertion", lambda r: require(
             r["irresolvable_conflicts"] == 1,
             "the Fig. 1 conflict is separated by input events only")),
     ),
@@ -133,21 +128,21 @@ register(BenchCase(
         Metric("expand_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("constrained_16_states", lambda r: _require(
+        Check("constrained_16_states", lambda r: require(
             r["states_constrained"] == 16,
             f"Fig. 2.f has 16 states, got {r['states_constrained']}")),
-        Check("consistent_and_si", lambda r: _require(
+        Check("consistent_and_si", lambda r: require(
             r["consistent"] and r["speed_independent"],
             "the constrained expansion must be consistent and SI")),
-        Check("skeleton_sequential", lambda r: _require(
+        Check("skeleton_sequential", lambda r: require(
             r["skeleton_sequential"], "li+ -> ro+ -> ri+ must be ordered")),
-        Check("interface_respected", lambda r: _require(
+        Check("interface_respected", lambda r: require(
             r["interface_respected"],
             "passive-port constraint [li+, lo+, li-, lo-] violated")),
-        Check("resets_concurrent", lambda r: _require(
+        Check("resets_concurrent", lambda r: require(
             r["resets_concurrent"],
             "cross-channel reset concurrency must survive")),
-        Check("free_expansion_larger", lambda r: _require(
+        Check("free_expansion_larger", lambda r: require(
             r["states_free"] > r["states_constrained"]
             and r["free_violates_protocol"],
             "Fig. 2.e must admit strictly more behaviour")),
@@ -218,14 +213,14 @@ register(BenchCase(
         Metric("synthesis_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("full_is_two_wires", lambda r: _require(
+        Check("full_is_two_wires", lambda r: require(
             r["full_equations"] == {"lo": "lo = ri", "ro": "ro = li"}
             and r["full_area"] == 0,
             f"Fig. 3.b must be two plain wires, got {r['full_equations']}")),
-        Check("max_carries_state_signals", lambda r: _require(
+        Check("max_carries_state_signals", lambda r: require(
             r["max_csc_signals"] == 2 and r["state_signal_in_support"],
             "Fig. 3.c/d needs 2 CSC signals feeding the output logic")),
-        Check("q_module_sequential", lambda r: _require(
+        Check("q_module_sequential", lambda r: require(
             r["q_csc_signals"] == 1 and r["q_sequential"],
             "Fig. 3.a needs one state signal and a sequential cell")),
     ),
@@ -281,16 +276,16 @@ register(BenchCase(
         Metric("refine_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("two_phase_toggles", lambda r: _require(
+        Check("two_phase_toggles", lambda r: require(
             r["two_phase_events_ok"] and r["two_phase_sound"],
             "the 2-phase refinement must toggle and stay sound")),
-        Check("four_phase_rtz", lambda r: _require(
+        Check("four_phase_rtz", lambda r: require(
             r["four_phase_events_ok"] and r["four_phase_sound"],
             "the 4-phase refinement must add return-to-zero and stay SI")),
-        Check("reset_concurrency_grows_sg", lambda r: _require(
+        Check("reset_concurrency_grows_sg", lambda r: require(
             r["states_four_phase"] > 6,
             "the 4-phase SG must exceed the sequential skeleton")),
-        Check("b_fires_twice_per_cycle", lambda r: _require(
+        Check("b_fires_twice_per_cycle", lambda r: require(
             r["b_plus_arcs"] >= 2 and r["b_minus_arcs"] >= 2,
             "b must fire twice per cycle through one shared b-")),
     ),
@@ -347,19 +342,19 @@ register(BenchCase(
         Metric("fwdred_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("reduction_valid", lambda r: _require(
+        Check("reduction_valid", lambda r: require(
             r["valid"], "Definition 5.1 must hold for FwdRed(a, b)")),
-        Check("er_truncated", lambda r: _require(
+        Check("er_truncated", lambda r: require(
             r["er_before_exact"] and r["er_after_exact"]
             and r["removed_arcs"] == 3,
             "the backward sweep must truncate ER(a) to {s7}")),
-        Check("dead_states_gone", lambda r: _require(
+        Check("dead_states_gone", lambda r: require(
             r["removed_states"] == 3 and r["dead_states_gone"],
             "s2, s4, s6 must die with their only incoming arcs")),
-        Check("concurrency_side_effects", lambda r: _require(
+        Check("concurrency_side_effects", lambda r: require(
             r["concurrency_removed"],
             "reducing (a, b) must also serialize a against d and e")),
-        Check("choice_branch_intact", lambda r: _require(
+        Check("choice_branch_intact", lambda r: require(
             r["choice_branch_intact"], "the g branch must survive")),
     ),
     table=lambda r: (("metric", "value"),
@@ -444,19 +439,19 @@ register(BenchCase(
         Metric("build_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("expansion_76_states", lambda r: _require(
+        Check("expansion_76_states", lambda r: require(
             r["expansion_states"] == 76,
             f"Fig. 10.b has 76 states, got {r['expansion_states']}")),
-        Check("both_resolved_no_csc", lambda r: _require(
+        Check("both_resolved_no_csc", lambda r: require(
             r["resolved"] and r["auto_csc_signals"] == 0,
             "the automatic design needs no state signal (Fig. 10.d)")),
-        Check("semantic_constraint_kept", lambda r: _require(
+        Check("semantic_constraint_kept", lambda r: require(
             r["constraint_kept"], "b? || c? must survive the reduction")),
-        Check("auto_smaller_than_manual", lambda r: _require(
+        Check("auto_smaller_than_manual", lambda r: require(
             r["auto_area"] < r["manual_area"],
             f"automatic ({r['auto_area']}) must beat manual "
             f"({r['manual_area']}) on area")),
-        Check("auto_pays_in_cycle_time", lambda r: _require(
+        Check("auto_pays_in_cycle_time", lambda r: require(
             r["cycle_ratio"] >= 1.0,
             "balanced gate-level delays must favour the manual design")),
     ),

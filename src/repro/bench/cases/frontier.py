@@ -23,7 +23,7 @@ two legs the exploration core now owns, on the parametric families of
 
 from __future__ import annotations
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
+from ..registry import BenchCase, Check, Metric, register, require
 
 #: Reachability family: ``fifo_chain(FAMILY_STAGES)`` has
 #: ``3**(FAMILY_STAGES + 1) + (-1)**FAMILY_STAGES`` states -- past the
@@ -61,11 +61,6 @@ r1- a1-
 .initial_state !r0 !a0 !r1 !a1
 .end
 """
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def _stage_signals(i):
@@ -123,8 +118,8 @@ def _synthesize_cell():
     result = run_pipeline(FlowConfig(strategy="none", resynthesise=True),
                           initial_sg=sg, name="dec_fifo")
     circuit, stg = result.circuit(), result.resynthesised_stg()
-    if circuit is None or stg is None:
-        raise CheckFailed("the decoupled FIFO cell must synthesize")
+    require(circuit is not None and stg is not None,
+            "the decoupled FIFO cell must synthesize")
     return write_stg(stg), circuit.netlist
 
 
@@ -181,8 +176,7 @@ def run_frontier_scaling(context) -> dict:
     budget = ExplorationBudget(max_states=BUDGET_STATES)
     net = fifo_chain(FAMILY_STAGES).net
     packed = net.compile_packed()
-    if packed is None:
-        raise CheckFailed("fifo_chain must stay in the packed regime")
+    require(packed is not None, "fifo_chain must stay in the packed regime")
     packed_seconds, packed_run = context.best_of(
         lambda: explore_packed(packed, budget))
     tuple_seconds, tuple_run = context.best_of(
@@ -257,27 +251,27 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("family_within_budget", lambda r: _require(
+        Check("family_within_budget", lambda r: require(
             r["family_states"] == FAMILY_STATES
             and r["family_states"] <= r["budget_states"],
             f"the packed engine must clear all {FAMILY_STATES} states "
             f"within the {BUDGET_STATES}-state budget, "
             f"got {r['family_states']}")),
-        Check("engines_agree", lambda r: _require(
+        Check("engines_agree", lambda r: require(
             r["family_states"] == r["per_state_states"]
             and r["family_arcs"] == r["per_state_arcs"]
             and r["family_levels"] == r["per_state_levels"],
             "packed and per-state engines must explore the same "
             "state space")),
-        Check("speedup_floor", lambda r: _require(
+        Check("speedup_floor", lambda r: require(
             r["frontier_speedup"] >= SPEEDUP_FLOOR,
             f"packed frontier must be >= {SPEEDUP_FLOOR}x the per-state "
             f"loop, got {r['frontier_speedup']:.2f}x")),
-        Check("chain_conforms", lambda r: _require(
+        Check("chain_conforms", lambda r: require(
             r["verdict"] == "conforming" and r["semi_modular"],
             f"the replicated stage netlist must conform to the composed "
             f"spec, got {r['verdict']!r}")),
-        Check("product_covers_spec", lambda r: _require(
+        Check("product_covers_spec", lambda r: require(
             r["product_states"] >= r["spec_states"] > 0,
             "the conformance product must cover every spec state")),
     ),

@@ -10,17 +10,12 @@ same seed must reproduce the same corpus digest within the run.
 
 from __future__ import annotations
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
+from ..registry import BenchCase, Check, Metric, register, require
 
 #: The corpus: small knobs keep the quick tier sub-3-seconds per pass.
 SEED = 0
 COUNT = 20
 KNOBS = {"max_fragments": 2, "max_mutations": 3, "max_signals": 8}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def run_fuzz_throughput(context) -> dict:
@@ -63,11 +58,11 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("no_divergences", lambda r: _require(
+        Check("no_divergences", lambda r: require(
             r["divergences"] == 0,
             f"the engines disagreed on {r['divergences']} generated "
             f"spec(s) of seed {r['seed']}")),
-        Check("deterministic", lambda r: _require(
+        Check("deterministic", lambda r: require(
             r["corpus_digest"] == r["repeat_digest"],
             f"two identical fuzz runs produced different corpus "
             f"digests: {r['corpus_digest']} vs {r['repeat_digest']}")),

@@ -15,7 +15,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
+from ..registry import BenchCase, Check, Metric, register, require
 
 STRATEGIES = ("none", "beam", "best-first", "full")
 EXCLUDED_SPECS = ("mmu",)
@@ -26,11 +26,6 @@ ALTERNATE_DELAYS = (2, 1, 3)
 
 #: Stages a sweep point evaluates when everything misses.
 STAGE_SLOTS_PER_POINT = 5  # generate/reduce/resolve/synthesize/timing
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def run_pipeline_resume(context) -> dict:
@@ -113,24 +108,24 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("determinism", lambda r: _require(
+        Check("determinism", lambda r: require(
             r["reports_identical_cold_warm_jobs"],
             "cold, warm and jobs=2 reports must be byte-identical")),
-        Check("warm_store_sound", lambda r: _require(
+        Check("warm_store_sound", lambda r: require(
             r["warm_computed_points"] == 0
             and r["warm_cached_points"] == r["points"],
             "a warm rerun must compute zero points")),
-        Check("stage_granular_resume", lambda r: _require(
+        Check("stage_granular_resume", lambda r: require(
             set(r["delays_stage_computed"]) == {"timing"}
             and all(r["delays_stage_reused"][stage] == r["points"]
                     for stage in ("generate", "reduce", "resolve",
                                   "synthesize")),
             "a delay-model change must recompute only the timing stage")),
-        Check("cross_point_sharing", lambda r: _require(
+        Check("cross_point_sharing", lambda r: require(
             r["cold_stages_computed_total"] < r["cold_stage_slots"],
             "content-addressed keys must dedup stages across points "
             "already in the cold run")),
-        Check("delays_cheaper_than_cold", lambda r: _require(
+        Check("delays_cheaper_than_cold", lambda r: require(
             r["delays_seconds"] < r["cold_seconds"],
             "the delays-only rerun must beat the cold run")),
     ),

@@ -17,7 +17,7 @@ import time
 import urllib.request
 from pathlib import Path
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
+from ..registry import BenchCase, Check, Metric, register, require
 
 #: Suite specs small enough to keep the benchmark minutes-free; mmu's
 #: unreduced CSC search alone would dwarf every serving effect measured
@@ -25,11 +25,6 @@ from ..registry import BenchCase, Check, CheckFailed, Metric, register
 SPECS = ("half", "vme_read", "fifo_cell", "lr")
 
 CONCURRENT_CLIENTS = 8
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def _call(base, path, payload=None, timeout=300):
@@ -139,8 +134,8 @@ def run_serve_throughput(context) -> dict:
                                      {"spec": spec, "wait": True})
                          for spec in SPECS}
                 sweep = _call(base, "/sweep", sweep_request)
-                _require(sweep["status"] == "done",
-                         f"sweep job failed: {sweep.get('error')}")
+                require(sweep["status"] == "done",
+                        f"sweep job failed: {sweep.get('error')}")
                 bodies[workers] = (
                     {spec: json_bytes(view["result"])
                      for spec, view in synth.items()},
@@ -176,24 +171,24 @@ register(BenchCase(
         Metric("warm_speedup", "x", direction="higher", measured=True),
     ),
     checks=(
-        Check("warm_computes_nothing", lambda r: _require(
+        Check("warm_computes_nothing", lambda r: require(
             r["warm_stages_computed"] == 0
             and r["warm_stages_reused"] > 0
             and r["warm_same_results"] and r["history_same_results"],
             "a warm repeated request must compute zero pipeline stages "
             "and return identical bytes")),
-        Check("in_flight_dedup", lambda r: _require(
+        Check("in_flight_dedup", lambda r: require(
             r["dedup_executions"] == 1
             and r["dedup_hits"] == r["concurrent_clients"] - 1
             and r["dedup_distinct_bodies"] == 1,
             f"{CONCURRENT_CLIENTS} identical concurrent requests must "
             f"trigger exactly one computation")),
-        Check("worker_count_determinism", lambda r: _require(
+        Check("worker_count_determinism", lambda r: require(
             r["workers_1_vs_4_synth_identical"]
             and r["workers_1_vs_4_sweep_identical"],
             "workers=1 and workers=4 must produce byte-identical "
             "results")),
-        Check("serving_beats_cold", lambda r: _require(
+        Check("serving_beats_cold", lambda r: require(
             r["history_seconds"] < r["cold_seconds"]
             and r["warm_seconds"] < r["cold_seconds"],
             "history and warm phases must beat cold computation")),

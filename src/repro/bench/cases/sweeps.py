@@ -19,7 +19,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from ..registry import BenchCase, Check, CheckFailed, CheckSkipped, Metric, register
+from ..registry import (BenchCase, Check, CheckSkipped, Metric, register,
+                        require)
 
 PARALLEL_JOBS = 4
 SPEEDUP_FLOOR = 2.5
@@ -28,11 +29,6 @@ SPEEDUP_FLOOR = 2.5
 #: enough that one heavy spec (MMU) cannot serialize a worker for long,
 #: while same-spec chunks still share the worker-side SG and memo caches.
 CHUNK_SIZE = 2
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def run_sweep_throughput(context) -> dict:
@@ -91,10 +87,10 @@ def _check_parallel_speedup(result: dict) -> None:
         raise CheckSkipped(
             f"cpu_count={result['cpu_count']} < {PARALLEL_JOBS}: the "
             f"parallel-speedup floor needs {PARALLEL_JOBS} CPUs")
-    _require(result["speedup_parallel_vs_serial"] >= SPEEDUP_FLOOR,
-             f"jobs={PARALLEL_JOBS} must deliver >= {SPEEDUP_FLOOR}x "
-             f"serial points/sec, got "
-             f"{result['speedup_parallel_vs_serial']:.2f}x")
+    require(result["speedup_parallel_vs_serial"] >= SPEEDUP_FLOOR,
+            f"jobs={PARALLEL_JOBS} must deliver >= {SPEEDUP_FLOOR}x "
+            f"serial points/sec, got "
+            f"{result['speedup_parallel_vs_serial']:.2f}x")
 
 
 register(BenchCase(
@@ -123,10 +119,10 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("sharding_deterministic", lambda r: _require(
+        Check("sharding_deterministic", lambda r: require(
             r["reports_identical_serial_parallel_warm"],
             "serial, parallel and warm reports must be byte-identical")),
-        Check("warm_store_sound", lambda r: _require(
+        Check("warm_store_sound", lambda r: require(
             r["warm_computed"] == 0 and r["warm_cached"] == r["points"],
             "a warm rerun must serve every point from the store")),
         Check("parallel_speedup_floor", _check_parallel_speedup),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
+from ..registry import BenchCase, Check, CheckFailed, Metric, register, require
 
 #: The crossover instance and its closed-form state count.
 CROSSOVER = "micropipeline_chain_6"
@@ -42,11 +42,6 @@ CURVE = (
 
 #: Instances small enough to byte-compare explicit vs symbolic payloads.
 PARITY = ("fifo_chain_2", "counter_2", "arbiter_tree_2")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def run_symbolic_scaling(context) -> dict:
@@ -150,7 +145,7 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("crossover_holds", lambda r: _require(
+        Check("crossover_holds", lambda r: require(
             r["exceedance"]["resource"] == "states"
             and r["exceedance"]["limit"] == BUDGET_STATES
             and r["crossover_states"] == CROSSOVER_STATES
@@ -160,18 +155,18 @@ register(BenchCase(
             f"inside {BUDGET_NODES} nodes; got "
             f"{r['exceedance']}, {r['crossover_states']} states, "
             f"{r['crossover_nodes']} nodes")),
-        Check("exceedance_is_structured", lambda r: _require(
+        Check("exceedance_is_structured", lambda r: require(
             {"resource", "limit", "states", "arcs", "seconds", "level"}
             <= set(r["exceedance"]),
             f"budget exceedance must carry the structured payload, "
             f"got {sorted(r['exceedance'])}")),
-        Check("closed_forms", lambda r: _require(
+        Check("closed_forms", lambda r: require(
             all(row["explicit_states"] == row["states"]
                 and row["symbolic_states"] == row["states"]
                 for row in r["curve"]),
             "every curve instance must match its closed-form state "
             "count on both engines")),
-        Check("verdict_parity", lambda r: _require(
+        Check("verdict_parity", lambda r: require(
             r["parity_ok"],
             f"explicit and symbolic coding payloads must byte-match on "
             f"{r['parity_members']}")),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ...pipeline.jobs import table_row
 from ..harness import report_row
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
+from ..registry import BenchCase, Check, Metric, register, require
 
 TABLE1_PAPER = {  # area, #CSC, cr.cycle, inp.events from Table 1
     "Q-module (hand)": (104, 1, 14, 4),
@@ -32,11 +32,6 @@ TABLE2_PAPER = {  # area, #CSC, cr.cycle, inp.events from Table 2
     "|| (b, l, m)": (352, 1, 104, 5),
     "|| (l, m, r)": (368, 1, 105, 5),
 }
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
 
 
 def _paper_table(result: dict, paper: dict):
@@ -125,25 +120,25 @@ register(BenchCase(
         Metric("table_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("all_resolved", lambda r: _require(
+        Check("all_resolved", lambda r: require(
             r["all_resolved"], "every Table 1 row must resolve CSC")),
-        Check("full_reduction_two_wires", lambda r: _require(
+        Check("full_reduction_two_wires", lambda r: require(
             r["full_area"] == 0 and r["csc"]["Full reduction"] == 0,
             "full reduction must be two wires (area 0, no CSC)")),
-        Check("max_concurrency_most_expensive", lambda r: _require(
+        Check("max_concurrency_most_expensive", lambda r: require(
             r["max_csc_signals"] == 2
             and r["max_area"] == max(r["area"].values()),
             "max concurrency needs 2 CSC signals and tops the areas")),
-        Check("pairs_strictly_between", lambda r: _require(
+        Check("pairs_strictly_between", lambda r: require(
             r["pairs_kept"] and all(
                 0 < r["area"][n] < r["max_area"] for n in r["pair_names"]),
             "pair-preserving rows must lie strictly between")),
-        Check("lo_ro_costliest_pair", lambda r: _require(
+        Check("lo_ro_costliest_pair", lambda r: require(
             r["lo_ro_area"] == max(r["area"][n] for n in r["pair_names"])
             and r["csc"]["lo || ro"] >= max(
                 r["csc"][n] for n in r["pair_names"] if n != "lo || ro"),
             "lo || ro must be the costliest preserved pair")),
-        Check("handshake_round_timing", lambda r: _require(
+        Check("handshake_round_timing", lambda r: require(
             r["input_events"] == [4]
             and r["max_cycle"] <= r["q_cycle"],
             "cycles must span 4 input events; max-conc no slower than "
@@ -245,20 +240,20 @@ register(BenchCase(
         Metric("table_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("mmu_264_states", lambda r: _require(
+        Check("mmu_264_states", lambda r: require(
             r["sg_states"] == 264,
             f"the four-channel MMU SG has 264 states, got "
             f"{r['sg_states']}")),
-        Check("all_reduced_resolved", lambda r: _require(
+        Check("all_reduced_resolved", lambda r: require(
             r["all_reduced_resolved"],
             "every reduced Table 2 row must synthesize")),
-        Check("area_halved", lambda r: _require(
+        Check("area_halved", lambda r: require(
             r["area_ratio_best_vs_original"] < 0.5,
             "reshuffling must reach less than half the original area")),
-        Check("performance_kept", lambda r: _require(
+        Check("performance_kept", lambda r: require(
             r["some_row_no_slower"],
             "some reduced row must be no slower than the original")),
-        Check("csc_reduction_floor", lambda r: _require(
+        Check("csc_reduction_floor", lambda r: require(
             r["csc_reduced_signals"] <= 1
             and r["csc_reduced_area"] == r["best_reduced_area"],
             "the CSC-driven reduction must reach one state signal and "
@@ -271,29 +266,33 @@ register(BenchCase(
 # --------------------------------------------------------------------------
 # Fig. 9 ablation: the exploration knobs (frontier width, weight W).
 
-def run_ablation(context) -> dict:
-    from repro import engine, generate_sg, reduce_concurrency
-    from repro.encoding.csc import conflict_count
-    from repro.reduction.fwdred import reduction_work
+def ablation_sweep() -> dict:
+    """The ablation workload: LR searches over beam widths and weights."""
+    from repro import generate_sg, reduce_concurrency
     from repro.specs.lr import lr_expanded
 
-    def sweep():
-        sg = generate_sg(lr_expanded())
-        results = {}
-        for width in (1, 2, 4, 8):
-            results[f"beam w={width}"] = reduce_concurrency(
-                sg, strategy="beam", size_frontier=width)
-        results["best-first"] = reduce_concurrency(sg)
-        for weight in (0.0, 0.5, 1.0):
-            results[f"W={weight}"] = reduce_concurrency(sg, weight=weight)
-        return results
+    sg = generate_sg(lr_expanded())
+    results = {}
+    for width in (1, 2, 4, 8):
+        results[f"beam w={width}"] = reduce_concurrency(
+            sg, strategy="beam", size_frontier=width)
+    results["best-first"] = reduce_concurrency(sg)
+    for weight in (0.0, 0.5, 1.0):
+        results[f"W={weight}"] = reduce_concurrency(sg, weight=weight)
+    return results
 
-    seconds, results = context.best_of(sweep)
+
+def run_ablation(context) -> dict:
+    from repro import engine
+    from repro.encoding.csc import conflict_count
+    from repro.reduction.fwdred import reduction_work
+
+    seconds, results = context.best_of(ablation_sweep)
     # The work counters come from one more cold sweep, so they never
     # depend on how many timing rounds ran.
     engine.clear_caches()
     before = reduction_work()
-    sweep()
+    ablation_sweep()
     work = {key: value - before[key]
             for key, value in reduction_work().items()}
     beams = [results[f"beam w={w}"].best_cost for w in (1, 2, 4, 8)]
@@ -333,16 +332,16 @@ register(BenchCase(
         Metric("sweep_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
-        Check("beam_width_monotonic", lambda r: _require(
+        Check("beam_width_monotonic", lambda r: require(
             r["beam_monotonic"],
             f"wider beams must never cost more, got {r['beam_costs']}")),
-        Check("best_first_dominates_beam", lambda r: _require(
+        Check("best_first_dominates_beam", lambda r: require(
             r["best_first_dominates"],
             "best-first must at least match the widest beam")),
-        Check("w0_conflict_free", lambda r: _require(
+        Check("w0_conflict_free", lambda r: require(
             r["conflicts_w0"] == 0,
             "pure CSC pressure (W=0) must find a conflict-free design")),
-        Check("every_strategy_improves", lambda r: _require(
+        Check("every_strategy_improves", lambda r: require(
             r["all_improve"],
             "every strategy must improve on the unreduced expansion")),
     ),

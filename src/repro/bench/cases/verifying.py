@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import time
 
-from ..registry import BenchCase, Check, CheckFailed, Metric, register
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailed(message)
+from ..registry import BenchCase, Check, Metric, register, require
 
 
 def _spec_sources():
@@ -204,27 +199,27 @@ register(BenchCase(
                measured=True),
     ),
     checks=(
-        Check("all_conforming", lambda r: _require(
+        Check("all_conforming", lambda r: require(
             r["all_conforming"],
             "every synthesized implementation must conform under the "
             "atomic model")),
-        Check("only_micropipeline_skipped", lambda r: _require(
+        Check("only_micropipeline_skipped", lambda r: require(
             r["skipped"] == ["micropipeline/none"],
             f"the only hole must be micropipeline/none, got "
             f"{r['skipped']}")),
-        Check("certificates_deterministic", lambda r: _require(
+        Check("certificates_deterministic", lambda r: require(
             r["certificates_identical_between_passes"]
             and r["product_states"] > 0,
             "two passes must produce byte-identical certificates")),
-        Check("structural_probes_as_expected", lambda r: _require(
+        Check("structural_probes_as_expected", lambda r: require(
             r["structural_as_expected"],
             "the structural model must pass vme_read and refute half "
             "with a trace")),
-        Check("reduced_walk_exact_without_internal_nets", lambda r: _require(
+        Check("reduced_walk_exact_without_internal_nets", lambda r: require(
             r["reduced_walk_exact"],
             "with no internal nets the pruned walk must agree with the "
             "exhaustive one state for state")),
-        Check("reduced_walk_optimism_documented", lambda r: _require(
+        Check("reduced_walk_optimism_documented", lambda r: require(
             r["reduced_walk_optimism"],
             "the exhaustive walk must refute half/full while the pruned "
             "walk still explores -- the documented optimism of "

@@ -87,10 +87,6 @@ class Comparison:
         return self.with_status("missing")
 
     @property
-    def improvements(self) -> List[MetricDelta]:
-        return self.with_status("improvement")
-
-    @property
     def ok(self) -> bool:
         return not self.regressions and not self.missing
 

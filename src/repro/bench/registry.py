@@ -37,7 +37,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 __all__ = [
     "TIERS", "Metric", "Check", "BenchCase",
     "CheckFailed", "CheckSkipped", "MissingMetric",
-    "register", "get_case", "case_names", "select_cases", "all_cases",
+    "register", "require", "get_case", "case_names", "select_cases",
+    "all_cases",
 ]
 
 #: Tier vocabulary, cheapest first.  ``quick`` cases are sub-second
@@ -48,6 +49,12 @@ TIERS = ("quick", "full")
 
 class CheckFailed(AssertionError):
     """A benchmark correctness check did not hold."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise :class:`CheckFailed` with ``message`` unless ``condition``."""
+    if not condition:
+        raise CheckFailed(message)
 
 
 class CheckSkipped(Exception):

@@ -7,8 +7,7 @@ structure (e.g. the fully reduced LR-process really is two wires).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .library import Cell, Library, DEFAULT_LIBRARY
@@ -121,11 +120,6 @@ class Netlist:
         """Total cell area; aliases are free."""
         return sum(gate.cell.area for gate in self.gates)
 
-    @property
-    def gate_count(self) -> int:
-        """Number of gate instances."""
-        return len(self.gates)
-
     def driver_of(self, net: str) -> Optional[str]:
         """The gate driving ``net``, or ``None`` for inputs/floating nets."""
         return self._drivers.get(net)
@@ -149,60 +143,6 @@ class Netlist:
     def sequential_gates(self) -> List[Gate]:
         """Gates whose cell is sequential (state-holding)."""
         return [gate for gate in self.gates if gate.cell.sequential]
-
-    def depth_of(self, net: str) -> float:
-        """Worst-case delay from any primary input to ``net``.
-
-        Paths are broken at sequential cells (a C element's output starts a
-        new path at the cell's own delay).  A *combinational* feedback loop
-        -- the SOP feedback of a complex-gate implementation, which makes
-        SI netlists cyclic -- has no finite worst case: every net on or
-        downstream of one reports ``math.inf``, the documented sentinel,
-        instead of recursing forever or silently under-reporting.
-        """
-        gates_by_name = {gate.name: gate for gate in self.gates}
-        done: Dict[str, float] = {}
-        on_path: Set[str] = set()
-        stack: List[str] = [net]
-        while stack:
-            current = stack[-1]
-            if current in done:
-                stack.pop()
-                continue
-            driver = self._drivers.get(current)
-            if current in self.primary_inputs or driver is None:
-                done[current] = 0.0
-                stack.pop()
-                continue
-            if driver.startswith("alias:"):
-                dependencies = [driver[len("alias:"):]]
-                delay = 0.0
-            else:
-                gate = gates_by_name[driver]
-                if gate.cell.sequential:
-                    done[current] = gate.cell.delay
-                    stack.pop()
-                    continue
-                dependencies = list(gate.inputs)
-                delay = gate.cell.delay
-            if current not in on_path:
-                # First visit: a dependency on the DFS path (the node
-                # itself included) is a back edge, i.e. a combinational
-                # cycle.
-                on_path.add(current)
-                if any(d in on_path for d in dependencies):
-                    done[current] = math.inf
-                    on_path.discard(current)
-                    stack.pop()
-                    continue
-                stack.extend(d for d in dependencies if d not in done)
-            else:
-                on_path.discard(current)
-                stack.pop()
-                done[current] = delay + max(
-                    (done[d] for d in dependencies if d in done),
-                    default=0.0)
-        return done[net]
 
     def to_verilog_like(self) -> str:
         """A human-readable structural dump (not strict Verilog).

@@ -321,12 +321,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         delays = tuple(default if flag is None else flag
                        for flag, default in zip(flags, table1))
     try:
-        weights = [float(w) for w in (_parse_csv(args.weights)
-                                      or ["0.0", "0.5", "1.0"])]
+        weights = _parse_csv(args.weights)
         grid = tables_grid(specs=_parse_csv(args.specs),
-                           strategies=_parse_csv(args.strategies)
-                           or ("none", "beam", "best-first", "full"),
-                           weights=weights,
+                           strategies=_parse_csv(args.strategies) or None,
+                           weights=([float(w) for w in weights]
+                                    if weights else None),
                            frontier=args.frontier,
                            include_keep_variants=not args.no_keep_variants,
                            max_explored=args.max_explored,

@@ -424,10 +424,6 @@ class ResolutionResult:
     insertions: List[InsertionChoice]
     resolved: bool
 
-    @property
-    def signal_count(self) -> int:
-        return len(self.insertions)
-
 
 def resolve_csc(sg: StateGraph, max_signals: int = 4) -> ResolutionResult:
     """Insert state signals until CSC holds, by bounded best-first search.

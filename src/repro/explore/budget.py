@@ -123,12 +123,6 @@ class ExplorationBudget:
             raise ValueError(f"max_seconds must be >= 0, "
                              f"got {self.max_seconds}")
 
-    @property
-    def unbounded(self) -> bool:
-        """True when nothing at all is capped."""
-        return (self.max_states is None and self.max_arcs is None
-                and self.max_seconds is None and self.max_nodes is None)
-
     def meter(self) -> "BudgetMeter":
         """A fresh mutable meter (starts the wall clock, if any)."""
         return BudgetMeter(self)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 DC = 2  # "don't care" position value
 
@@ -31,10 +31,6 @@ class Cube:
     def full(num_vars: int) -> "Cube":
         """The universal cube (tautology) over ``num_vars`` variables."""
         return Cube((DC,) * num_vars)
-
-    @staticmethod
-    def from_minterm(minterm: Sequence[int]) -> "Cube":
-        return Cube(tuple(minterm))
 
     @staticmethod
     def parse(text: str) -> "Cube":
@@ -62,23 +58,6 @@ class Cube:
         """True when ``other`` is contained in this cube."""
         return all(v == DC or v == o for v, o in zip(self.values, other.values))
 
-    def intersect(self, other: "Cube") -> Optional["Cube"]:
-        """Cube intersection, or None when the cubes are disjoint."""
-        result = []
-        for a, b in zip(self.values, other.values):
-            if a == DC:
-                result.append(b)
-            elif b == DC or a == b:
-                result.append(a)
-            else:
-                return None
-        return Cube(tuple(result))
-
-    def distance(self, other: "Cube") -> int:
-        """Number of positions where the cubes take opposite literal values."""
-        return sum(1 for a, b in zip(self.values, other.values)
-                   if a != DC and b != DC and a != b)
-
     def merge(self, other: "Cube") -> Optional["Cube"]:
         """Consensus merge for QM: combine two cubes differing in one literal."""
         if self.values == other.values:
@@ -93,15 +72,6 @@ class Cube:
         merged = list(self.values)
         merged[diff] = DC
         return Cube(tuple(merged))
-
-    def cofactor(self, var: int, value: int) -> Optional["Cube"]:
-        """Shannon cofactor with respect to ``var = value``."""
-        current = self.values[var]
-        if current != DC and current != value:
-            return None
-        values = list(self.values)
-        values[var] = DC
-        return Cube(tuple(values))
 
     def minterms(self) -> Iterator[Tuple[int, ...]]:
         """Enumerate all minterms inside the cube."""
@@ -139,10 +109,6 @@ class Cover:
             self.add(cube)
 
     @staticmethod
-    def from_minterms(num_vars: int, minterms: Iterable[Sequence[int]]) -> "Cover":
-        return Cover(num_vars, (Cube.from_minterm(m) for m in minterms))
-
-    @staticmethod
     def zero(num_vars: int) -> "Cover":
         """The empty (constant-0) cover."""
         return Cover(num_vars)
@@ -160,10 +126,6 @@ class Cover:
     def contains(self, minterm: Sequence[int]) -> bool:
         return any(cube.contains(minterm) for cube in self.cubes)
 
-    def covers_cube(self, cube: Cube) -> bool:
-        """Exact containment test by minterm enumeration (small covers only)."""
-        return all(self.contains(m) for m in cube.minterms())
-
     @property
     def is_constant_zero(self) -> bool:
         return not self.cubes
@@ -176,10 +138,6 @@ class Cover:
     def literal_count(self) -> int:
         """Total SOP literals, the classic area estimate."""
         return sum(cube.literal_count for cube in self.cubes)
-
-    @property
-    def cube_count(self) -> int:
-        return len(self.cubes)
 
     def single_literal(self) -> Optional[Tuple[int, int]]:
         """If the cover is exactly one literal, return ``(var, polarity)``."""

@@ -181,18 +181,6 @@ def logic_work() -> Dict[str, int]:
     return {"primes": int(obs_registry().value("repro_logic_primes_total") or 0)}
 
 
-def prime_implicants(num_vars: int, on: Iterable[Sequence[int]],
-                     dc: Iterable[Sequence[int]] = ()) -> List[Cube]:
-    """The primes of ON + DC that cover an ON minterm, in prime order.
-
-    Primes of ON + DC lying wholly inside DC are left out; no cover of ON
-    uses them.
-    """
-    on_ints, off_ints = _packed_sets(num_vars, on, dc)
-    return [_unpack_cube(p, num_vars)
-            for p in _primes_through(num_vars, on_ints, off_ints)]
-
-
 def _essential_and_greedy(primes: List[PackedCube], on_ints: Set[int],
                           num_vars: int) -> List[PackedCube]:
     """Essential primes first, then greedy largest-coverage selection.
@@ -449,20 +437,3 @@ def minimize_fast(num_vars: int, on: Iterable[Sequence[int]],
     chosen = minimize_fast_ints(num_vars, on_ints, off_ints)
     cubes = [_unpack_cube(p, num_vars) for p in chosen]
     return Cover(num_vars, cubes)
-
-
-def _all_minterms(num_vars: int) -> List[Minterm]:
-    from itertools import product as _product
-    return list(_product((0, 1), repeat=num_vars))
-
-
-def verify_cover(cover: Cover, on: Iterable[Sequence[int]],
-                 off: Iterable[Sequence[int]]) -> bool:
-    """Check a cover: contains every ON minterm, avoids every OFF minterm."""
-    return (all(cover.contains(m) for m in on)
-            and not any(cover.contains(m) for m in off))
-
-
-def complement_minterms(num_vars: int, on: Set[Minterm], dc: Set[Minterm]) -> Set[Minterm]:
-    """All minterms outside ON and DC (the OFF set) -- exponential, small n only."""
-    return {m for m in _all_minterms(num_vars) if m not in on and m not in dc}

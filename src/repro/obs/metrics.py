@@ -65,9 +65,6 @@ class Gauge:
     def inc(self, amount: float = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).

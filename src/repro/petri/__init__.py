@@ -1,1 +1,1 @@
-"""Petri net kernel, STGs, the .g format, composition and structural analysis."""
+"""Petri net kernel, STGs, the .g format and composition."""

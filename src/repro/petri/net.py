@@ -7,8 +7,8 @@ transitions with signal events.
 
 The nets manipulated by the synthesis flow are small control specifications,
 so the implementation favours clarity and checkability over raw speed:
-markings are immutable tuples of token counts, reachability is explicit, and
-every mutation validates its arguments.
+markings are immutable tuples of token counts and every mutation validates
+its arguments.  Reachability lives in :mod:`repro.explore`.
 
 The token game compiles per-transition pre/post arcs into place-index
 arrays on first use (rebuilt lazily after structural edits), and
@@ -20,9 +20,8 @@ every transition per reachable marking.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 
 class PetriNetError(Exception):
@@ -225,34 +224,6 @@ class PetriNet:
         else:
             raise PetriNetError(f"no such arc {source!r} -> {target!r}")
 
-    def remove_place(self, name: str) -> None:
-        """Remove a place and all arcs incident to it."""
-        if name not in self._places:
-            raise PetriNetError(f"unknown place {name!r}")
-        self._invalidate()
-        for transition in list(self._place_post[name]):
-            self._pre[transition].pop(name, None)
-        for transition in list(self._place_pre[name]):
-            self._post[transition].pop(name, None)
-        del self._places[name]
-        del self._place_post[name]
-        del self._place_pre[name]
-        self._initial.pop(name, None)
-        self._place_index = {p: i for i, p in enumerate(self._places)}
-
-    def remove_transition(self, name: str) -> None:
-        """Remove a transition and all arcs incident to it."""
-        if name not in self._transitions:
-            raise PetriNetError(f"unknown transition {name!r}")
-        self._invalidate()
-        for place in list(self._pre[name]):
-            self._place_post[place].discard(name)
-        for place in list(self._post[name]):
-            self._place_pre[place].discard(name)
-        del self._transitions[name]
-        del self._pre[name]
-        del self._post[name]
-
     def set_initial(self, marking: Dict[str, int]) -> None:
         """Set the initial marking from a place-name -> tokens mapping."""
         for place in marking:
@@ -309,28 +280,6 @@ class PetriNet:
         """The label attached to ``transition``."""
         return self.transition(transition).label
 
-    def rename_transition(self, old: str, new: str, label: object = None) -> None:
-        """Rename a transition, preserving connectivity.
-
-        ``label`` replaces the transition label when given; otherwise the old
-        label is kept.
-        """
-        if old not in self._transitions:
-            raise PetriNetError(f"unknown transition {old!r}")
-        if new in self._transitions or new in self._places:
-            raise PetriNetError(f"name {new!r} already in use")
-        self._invalidate()
-        old_t = self._transitions.pop(old)
-        self._transitions[new] = Transition(new, label if label is not None else old_t.label)
-        self._pre[new] = self._pre.pop(old)
-        self._post[new] = self._post.pop(old)
-        for place in self._pre[new]:
-            self._place_post[place].discard(old)
-            self._place_post[place].add(new)
-        for place in self._post[new]:
-            self._place_pre[place].discard(old)
-            self._place_pre[place].add(new)
-
     def preset_of_transition(self, name: str) -> Dict[str, int]:
         """Input places of a transition with arc weights."""
         if name not in self._transitions:
@@ -365,13 +314,6 @@ class PetriNet:
     def marking_dict(self, marking: Marking) -> Dict[str, int]:
         """Expand a tuple marking into a place-name -> tokens mapping."""
         return {p: n for p, n in zip(self._places, marking) if n > 0}
-
-    def marking_from_dict(self, tokens: Dict[str, int]) -> Marking:
-        """Build a tuple marking from a place-name -> tokens mapping."""
-        for place in tokens:
-            if place not in self._places:
-                raise PetriNetError(f"unknown place {place!r} in marking")
-        return tuple(tokens.get(p, 0) for p in self._places)
 
     def is_enabled(self, transition: str, marking: Marking) -> bool:
         """True when every input place holds enough tokens."""
@@ -425,26 +367,6 @@ class PetriNet:
             else:
                 updated.discard(other)
         return successor, frozenset(updated)
-
-    def reachable_markings(self, limit: int = 1_000_000) -> Set[Marking]:
-        """All markings reachable from the initial marking.
-
-        ``limit`` guards against unbounded nets; exceeding it raises
-        :class:`PetriNetError`.
-        """
-        seen: Set[Marking] = set()
-        queue: deque = deque([self.initial_marking()])
-        seen.add(self.initial_marking())
-        while queue:
-            marking = queue.popleft()
-            for transition in self.enabled_transitions(marking):
-                nxt = self.fire(transition, marking)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > limit:
-                        raise PetriNetError(f"reachability exceeded {limit} markings")
-                    queue.append(nxt)
-        return seen
 
     def compile_packed(self) -> Optional["PackedNet"]:
         """Compile the net into the packed-marking form, if representable.
@@ -529,15 +451,6 @@ class PetriNet:
             i += 1
         return f"{stem}{i}"
 
-    def fresh_transition_name(self, stem: str) -> str:
-        """A transition name not yet used in the net."""
-        if stem not in self._transitions and stem not in self._places:
-            return stem
-        i = 1
-        while f"{stem}/{i}" in self._transitions:
-            i += 1
-        return f"{stem}/{i}"
-
     def __contains__(self, name: str) -> bool:
         return name in self._places or name in self._transitions
 
@@ -584,16 +497,6 @@ class PackedNet:
     producers: Tuple[int, ...]
 
     # -- single markings ------------------------------------------------
-    def pack(self, marking: Marking) -> int:
-        """Pack a tuple marking; raises on token counts above one."""
-        packed = 0
-        for i, tokens in enumerate(marking):
-            if tokens > 1:
-                raise PackedOverflowError(
-                    f"place {self.place_names[i]!r} holds {tokens} tokens")
-            if tokens:
-                packed |= 1 << i
-        return packed
 
     def unpack(self, packed: int) -> Marking:
         """Expand a packed marking back into the tuple form."""

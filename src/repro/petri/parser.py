@@ -25,10 +25,10 @@ signals prefixed with ``!`` for initially-low.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .net import PetriNetError
-from .stg import STG, Direction, SignalEvent, SignalKind
+from .stg import STG, SignalEvent, SignalKind
 
 
 class ParseError(Exception):
@@ -222,9 +222,3 @@ def write_stg(stg: STG) -> str:
         lines.append(".initial_state " + " ".join(tokens))
     lines.append(".end")
     return "\n".join(lines) + "\n"
-
-
-def save_stg(stg: STG, path: str) -> None:
-    """Write an STG to a ``.g`` file."""
-    with open(path, "w") as handle:
-        handle.write(write_stg(stg))

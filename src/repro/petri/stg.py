@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from .net import PetriNet, PetriNetError
 
@@ -123,13 +123,6 @@ class STG:
             raise PetriNetError(f"signal {name!r} already declared as {existing.value}")
         self.signals[name] = kind
 
-    def kind_of(self, signal: str) -> SignalKind:
-        """The declared kind of ``signal``; raises ``STGError`` if unknown."""
-        try:
-            return self.signals[signal]
-        except KeyError:
-            raise PetriNetError(f"undeclared signal {signal!r}") from None
-
     def signals_of_kind(self, *kinds: SignalKind) -> List[str]:
         """Signals of the given kinds, in declaration order."""
         return [s for s, k in self.signals.items() if k in kinds]
@@ -143,20 +136,6 @@ class STG:
     def outputs(self) -> List[str]:
         """Output signals, in declaration order."""
         return self.signals_of_kind(SignalKind.OUTPUT)
-
-    @property
-    def internals(self) -> List[str]:
-        """Internal signals, in declaration order."""
-        return self.signals_of_kind(SignalKind.INTERNAL)
-
-    @property
-    def non_inputs(self) -> List[str]:
-        """Signals the circuit must implement (outputs and internals)."""
-        return self.signals_of_kind(SignalKind.OUTPUT, SignalKind.INTERNAL)
-
-    def is_input_event(self, event: SignalEvent) -> bool:
-        """Whether ``event`` belongs to an input signal."""
-        return self.kind_of(event.signal) == SignalKind.INPUT
 
     # ------------------------------------------------------------------
     # transitions
@@ -198,14 +177,6 @@ class STG:
         if not isinstance(label, SignalEvent):
             raise PetriNetError(f"transition {transition!r} has a non-signal label")
         return label
-
-    def transitions_of_signal(self, signal: str) -> List[str]:
-        """All transition names labelled with events of ``signal``."""
-        result = []
-        for transition in self.net.transitions:
-            if isinstance(transition.label, SignalEvent) and transition.label.signal == signal:
-                result.append(transition.name)
-        return result
 
     def transitions_of_event(self, base: "SignalEvent | str") -> List[str]:
         """All transition instances of a base event (any instance index)."""
@@ -261,13 +232,6 @@ class STG:
         clone.signals = dict(self.signals)
         clone.initial_values = dict(self.initial_values)
         return clone
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    def event_names(self) -> List[str]:
-        """Names of all non-dummy transitions."""
-        return [t.name for t in self.net.transitions if t.label is not None]
 
     def __repr__(self) -> str:
         return (f"STG({self.name!r}, signals={len(self.signals)}, "

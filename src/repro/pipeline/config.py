@@ -91,6 +91,20 @@ def _count(name: str, value, minimum: int) -> int:
     return value
 
 
+def _weight(value) -> float:
+    """``value`` as a float if it is an int or float (not a bool or text)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"weight must be a number, got {value!r}")
+    return float(value)
+
+
+def _flag(name: str, value) -> bool:
+    """``value`` if it is a bool: ``"false"`` or ``0`` is not a flag."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _budget(name: str, value, minimum: int,
             default: Optional[int]) -> Optional[int]:
     """An optional search budget; the strategy's own default reads ``None``."""
@@ -139,9 +153,11 @@ class FlowConfig:
     (:data:`STRATEGY_DEFAULTS`) becomes ``None``, ``verify_max_states=None``
     means the default cap, ``keep_conc`` pair order is canonicalized and
     ``weight`` becomes a float.  Counts must be ints (``size_frontier`` at
-    least 1, the others at least 0), ``phases`` is 2 or 4 and each
-    ``keep_conc`` entry is a pair of event names; anything else raises
-    ``ValueError``.  ``dataclasses.replace`` normalizes the same way.
+    least 1, the others at least 0), ``weight`` an int or float,
+    ``verify`` and ``resynthesise`` bools (never truthy strings or
+    numbers), ``phases`` 2 or 4 and each ``keep_conc`` entry a pair of
+    event names; anything else raises ``ValueError``.
+    ``dataclasses.replace`` normalizes the same way.
     """
 
     strategy: str = "best-first"
@@ -172,7 +188,7 @@ class FlowConfig:
             raise ValueError(f"phases must be 2 or 4, got {self.phases!r}")
         frontier, explored = STRATEGY_DEFAULTS[self.strategy]
         normal = {
-            "weight": float(self.weight),
+            "weight": _weight(self.weight),
             "size_frontier": _budget("size_frontier", self.size_frontier,
                                      1, frontier),
             "keep_conc": canonical_keep(self.keep_conc),
@@ -180,8 +196,8 @@ class FlowConfig:
                                     0, explored),
             "max_csc_signals": _count("max_csc_signals",
                                       self.max_csc_signals, 0),
-            "resynthesise": bool(self.resynthesise),
-            "verify": bool(self.verify),
+            "resynthesise": _flag("resynthesise", self.resynthesise),
+            "verify": _flag("verify", self.verify),
             "verify_max_states": (DEFAULT_VERIFY_MAX_STATES
                                   if self.verify_max_states is None
                                   else _count("verify_max_states",

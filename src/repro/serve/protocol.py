@@ -110,6 +110,14 @@ def _spec_text(payload: Dict[str, object]) -> Tuple[str, str]:
     return (match.group(1) if match else "stg"), stg
 
 
+def _axis(payload: Dict[str, object], key: str) -> Optional[list]:
+    """A sweep axis: a JSON list, or ``None`` for the grid's default."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ProtocolError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
 def _config_from_overrides(overrides,
                            max_verify_states: Optional[int]) -> FlowConfig:
     """A full :class:`FlowConfig` from partial payload overrides.
@@ -176,8 +184,10 @@ def parse_sweep_request(payload,
     """Build the sweep grid a ``POST /sweep`` body describes.
 
     Accepts the same axes as ``repro sweep``: ``specs``, ``strategies``,
-    ``weights``, ``frontier``, ``max_explored``, ``keep_variants``,
-    ``delays`` (a 3-list), ``verify`` and ``verify_max_states``.
+    ``weights`` (each a list), ``frontier``, ``max_explored``,
+    ``keep_variants`` and ``verify`` (JSON booleans), ``delays`` (a 3-list)
+    and ``verify_max_states``.  An axis left out takes the default of
+    :func:`~repro.sweep.grid.tables_grid`.
     """
     payload = _require_dict(payload, "request body")
     known = {"specs", "strategies", "weights", "frontier", "max_explored",
@@ -187,7 +197,12 @@ def parse_sweep_request(payload,
     if unknown:
         raise ProtocolError(f"unknown sweep field(s) {unknown}; "
                             f"expected a subset of {sorted(known)}")
-    verify = bool(payload.get("verify", False))
+    keep_variants = payload.get("keep_variants", True)
+    if type(keep_variants) is not bool:
+        raise ProtocolError(f"'keep_variants' must be true or false, "
+                            f"got {keep_variants!r}")
+    # FlowConfig refuses a non-bool ``verify`` for every point below.
+    verify = payload.get("verify", False)
     verify_max_states = payload.get("verify_max_states")
     if verify and max_verify_states is not None:
         try:
@@ -200,13 +215,11 @@ def parse_sweep_request(payload,
                 "'verify_max_states' must be an integer") from None
     try:
         grid = tables_grid(
-            specs=payload.get("specs"),
-            strategies=payload.get("strategies",
-                                   ("none", "beam", "best-first", "full")),
-            weights=[float(w) for w in payload.get("weights",
-                                                   (0.0, 0.5, 1.0))],
+            specs=_axis(payload, "specs"),
+            strategies=_axis(payload, "strategies"),
+            weights=_axis(payload, "weights"),
             frontier=payload.get("frontier"),
-            include_keep_variants=bool(payload.get("keep_variants", True)),
+            include_keep_variants=keep_variants,
             max_explored=payload.get("max_explored"),
             delays=payload.get("delays"),
             verify=verify,

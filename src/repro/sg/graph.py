@@ -318,47 +318,6 @@ class StateGraph:
     # ------------------------------------------------------------------
     # reachability
     # ------------------------------------------------------------------
-    def reachable_from(self, start: Optional[State] = None) -> Set[State]:
-        """Forward-reachable states from ``start`` (default: initial)."""
-        start = self.initial if start is None else start
-        if start is None or start not in self._succ:
-            return set()
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            for target in self._succ[state].values():
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        return seen
-
-    def backward_reachable(self, targets: Iterable[State],
-                           within: Optional[Set[State]] = None) -> Set[State]:
-        """States from which some target is reachable.
-
-        When ``within`` is given, the search only traverses states inside
-        that set (used by FwdRed to stay inside an excitation region).
-        Targets themselves are included when they belong to ``within`` (or
-        unconditionally if ``within`` is None).
-        """
-        result: Set[State] = set()
-        queue: deque = deque()
-        for target in targets:
-            if target in self._succ and (within is None or target in within):
-                result.add(target)
-                queue.append(target)
-        while queue:
-            state = queue.popleft()
-            for _, source in self._pred[state]:
-                if source in result:
-                    continue
-                if within is not None and source not in within:
-                    continue
-                result.add(source)
-                queue.append(source)
-        return result
-
     def copy_without_arcs(self, removed_arcs: Iterable[Tuple[State, str]],
                           name: Optional[str] = None,
                           reachable: Optional[Set[State]] = None) -> "StateGraph":

@@ -268,14 +268,6 @@ def usc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
             for i, a in enumerate(ids) for b in ids[i + 1:]]
 
 
-def has_csc(sg: StateGraph) -> bool:
-    return not coding_counts(sg)[1]
-
-
-def has_usc(sg: StateGraph) -> bool:
-    return not coding_counts(sg)[0]
-
-
 def csc_conflicting_signals(sg: StateGraph) -> Set[str]:
     """Signals whose excitation differs in at least one CSC conflict pair:
     per shared code, those excited in some of its states but not in all,

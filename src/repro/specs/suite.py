@@ -135,11 +135,6 @@ def load(name: str) -> STG:
     return parse_stg(source_text(name))
 
 
-def load_all() -> Dict[str, STG]:
-    """All suite benchmarks, parsed."""
-    return {name: load(name) for name in suite_names()}
-
-
 def sweep_sources() -> Dict[str, Callable[[], STG]]:
     """STG factories for the sweep registry (:mod:`repro.sweep.grid`).
 

@@ -139,8 +139,8 @@ class SweepGrid:
 
 
 def tables_grid(specs: Optional[Sequence[str]] = None,
-                strategies: Sequence[str] = STRATEGIES,
-                weights: Sequence[float] = (0.0, 0.5, 1.0),
+                strategies: Optional[Sequence[str]] = None,
+                weights: Optional[Sequence[float]] = None,
                 frontier: Optional[int] = None,
                 include_keep_variants: bool = True,
                 max_explored: Optional[int] = None,
@@ -155,8 +155,14 @@ def tables_grid(specs: Optional[Sequence[str]] = None,
     the rows the paper reports.  ``delays`` overrides the Table 1 delay
     model for every point; ``verify=True`` additionally runs the gate-level
     verification subsystem (capped at ``verify_max_states`` product states)
-    on every point.
+    on every point.  An axis left ``None`` takes its default: every spec of
+    :func:`spec_registry`, every strategy of :data:`STRATEGIES`, and the
+    weights 0, 0.5 and 1.
     """
+    if strategies is None:
+        strategies = STRATEGIES
+    if weights is None:
+        weights = (0.0, 0.5, 1.0)
     registry = spec_registry()
     if specs is None:
         specs = list(registry)

@@ -10,8 +10,6 @@ CSC/USC checks need, nothing speculative:
   :meth:`negate` / :meth:`ite`  -- boolean connectives;
 * :meth:`BDD.restrict` -- cofactor on one variable;
 * :meth:`BDD.exists` -- existential quantification over a variable set;
-* :meth:`BDD.and_exists` -- the relational product
-  (``exists V . f AND g`` without building the conjunction first);
 * :meth:`BDD.rename` -- order-preserving variable substitution (the
   unprimed -> primed shift of the CSC self-product);
 * :meth:`BDD.count` -- model counting over a declared variable universe;
@@ -127,16 +125,6 @@ class BDD:
     def literal(self, index: int, value: int) -> int:
         """``var(index)`` when ``value`` is truthy, else ``nvar(index)``."""
         return self.var(index) if value else self.nvar(index)
-
-    def var_of(self, f: int) -> int:
-        """The root variable of ``f`` (terminals sort below all)."""
-        return self._var[f]
-
-    def low_of(self, f: int) -> int:
-        return self._low[f]
-
-    def high_of(self, f: int) -> int:
-        return self._high[f]
 
     def size(self, f: int) -> int:
         """Nodes reachable from ``f``, terminals excluded."""
@@ -367,60 +355,6 @@ class BDD:
         else:
             result = self.node(var, low,
                                self._exists(self._high[f], rest, memo))
-        memo[key] = result
-        return result
-
-    def and_exists(self, f: int, g: int, indices: Sequence[int]) -> int:
-        """The relational product ``exists indices . f AND g``.
-
-        One recursion instead of an AND followed by a quantification, so
-        the (often much larger) conjunction is never materialized.
-        """
-        if not indices:
-            return self.apply_and(f, g)
-        cube = tuple(sorted(set(indices)))
-        memo = self._memo("and_exists")
-        return self._and_exists(f, g, cube, memo)
-
-    def _and_exists(self, f: int, g: int, cube: Tuple[int, ...],
-                    memo: dict) -> int:
-        if f == FALSE or g == FALSE:
-            return FALSE
-        if f == TRUE and g == TRUE:
-            return TRUE
-        var_f, var_g = self._var[f], self._var[g]
-        top = var_f if var_f < var_g else var_g
-        start = 0
-        while start < len(cube) and cube[start] < top:
-            start += 1
-        rest = cube[start:]
-        if not rest:
-            return self.apply_and(f, g)
-        if f == TRUE:
-            return self._exists(g, rest, self._memo("exists"))
-        if g == TRUE:
-            return self._exists(f, rest, self._memo("exists"))
-        if f > g:  # AND commutes; canonicalize the memo key
-            f, g = g, f
-            var_f, var_g = var_g, var_f
-        key = (f, g, rest)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        f0, f1 = ((self._low[f], self._high[f])
-                  if var_f == top else (f, f))
-        g0, g1 = ((self._low[g], self._high[g])
-                  if var_g == top else (g, g))
-        low = self._and_exists(f0, g0, rest, memo)
-        if top == rest[0]:
-            if low == TRUE:
-                result = TRUE
-            else:
-                result = self.apply_or(low,
-                                       self._and_exists(f1, g1, rest, memo))
-        else:
-            result = self.node(top, low,
-                               self._and_exists(f1, g1, rest, memo))
         memo[key] = result
         return result
 

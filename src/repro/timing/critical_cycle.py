@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
-from ..petri.stg import SignalKind
 from ..sg.graph import State, StateGraph
 from .delays import DelayModel
 
@@ -40,14 +39,6 @@ class CycleReport:
     @property
     def cycle_time(self) -> float:
         return float(self.period)
-
-    @property
-    def input_event_count(self) -> int:
-        return len(self.input_events)
-
-    @property
-    def event_count(self) -> int:
-        return len(self.events)
 
 
 def critical_cycle(sg: StateGraph, delays: DelayModel,
@@ -101,15 +92,3 @@ def critical_cycle(sg: StateGraph, delays: DelayModel,
 def cycle_time(sg: StateGraph, delays: DelayModel) -> float:
     """Shorthand: just the critical-cycle period as a float."""
     return critical_cycle(sg, delays).cycle_time
-
-
-def throughput(sg: StateGraph, delays: DelayModel,
-               per_label: Optional[str] = None) -> float:
-    """Firings of ``per_label`` (or all events) per time unit in steady state."""
-    report = critical_cycle(sg, delays)
-    if report.period == 0:
-        raise TimingError("zero-period cycle")
-    if per_label is None:
-        return report.event_count / float(report.period)
-    count = sum(1 for label in report.events if label == per_label)
-    return count / float(report.period)

@@ -4,14 +4,17 @@ The exact core generates primes from the OFF set (see
 :mod:`repro.logic.minimize`).  This module keeps the classic merge over
 ON + DC, which enumerates every prime including those lying wholly inside
 DC, so the tests can check the new generator and the covers built from it
-against an independent derivation.
+against an independent derivation.  It also holds the tuple-level
+front ends the tests state their properties on: the OFF-generated primes
+of ON + DC, and a cover check by minterm.
 """
 
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.logic.cube import Cover
+from repro.logic.cube import Cover, Cube
 from repro.logic.minimize import (_essential_and_greedy, _exact_cover,
-                                  _pack, _prime_order, _unpack_cube)
+                                  _pack, _packed_sets, _prime_order,
+                                  _primes_through, _unpack_cube)
 
 PackedCube = Tuple[int, int]
 
@@ -57,3 +60,21 @@ def qm_minimize(num_vars: int, on: Iterable[Sequence[int]],
         chosen = _essential_and_greedy(primes, on_ints, num_vars)
     return Cover(num_vars, [_unpack_cube(p, num_vars)
                             for p in chosen]).remove_redundant()
+
+
+def prime_implicants(num_vars: int, on: Iterable[Sequence[int]],
+                     dc: Iterable[Sequence[int]] = ()) -> List[Cube]:
+    """The exact core's primes of ON + DC, in prime order.
+
+    Primes lying wholly inside DC are left out; no cover of ON uses them.
+    """
+    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    return [_unpack_cube(p, num_vars)
+            for p in _primes_through(num_vars, on_ints, off_ints)]
+
+
+def verify_cover(cover: Cover, on: Iterable[Sequence[int]],
+                 off: Iterable[Sequence[int]]) -> bool:
+    """The cover contains every ON minterm and no OFF minterm."""
+    return (all(cover.contains(m) for m in on)
+            and not any(cover.contains(m) for m in off))

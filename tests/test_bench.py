@@ -265,7 +265,7 @@ def test_compare_exact_improvement_passes():
     result = compare(_report({"area": _metric(30, direction="lower")}),
                      _report({"area": _metric(34, direction="lower")}))
     assert result.verdict == "pass"
-    assert [d.metric for d in result.improvements] == ["area"]
+    assert [d.metric for d in result.with_status("improvement")] == ["area"]
 
 
 def test_compare_missing_metric_fails():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.petri.parser import read_stg, save_stg
+from repro.petri.parser import read_stg, write_stg
 from repro.sg.generator import generate_sg
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
@@ -12,14 +12,14 @@ from repro.specs.lr import lr_expanded, q_module_stg
 @pytest.fixture
 def lr_file(tmp_path):
     path = tmp_path / "lr.g"
-    save_stg(lr_expanded(), str(path))
+    path.write_text(write_stg(lr_expanded()))
     return str(path)
 
 
 @pytest.fixture
 def fig1_file(tmp_path):
     path = tmp_path / "fig1.g"
-    save_stg(fig1_stg(), str(path))
+    path.write_text(write_stg(fig1_stg()))
     return str(path)
 
 
@@ -72,7 +72,7 @@ class TestUnsupportedSpec:
 class TestCheck:
     def test_clean_spec_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "q.g"
-        save_stg(q_module_stg(), str(path))
+        path.write_text(write_stg(q_module_stg()))
         # q-module has a CSC conflict -> non-zero
         assert main(["check", str(path)]) == 1
         out = capsys.readouterr().out

@@ -36,7 +36,8 @@ class TestCompose:
         product = compose(left, right)
         sg = generate_sg(product)
         # b transitions are fused: both components step through them together.
-        assert len(product.transitions_of_signal("b")) == 2
+        assert len(product.transitions_of_event("b+")
+                   + product.transitions_of_event("b-")) == 2
         assert len(sg) > 0
 
     def test_signal_kind_resolution_input_loses(self):

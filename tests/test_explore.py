@@ -10,9 +10,10 @@ from repro.reduction.explore import (ExplorationResult, ExplorationStats,
                                      reduce_concurrency)
 from repro.sg.generator import generate_sg
 from repro.sg.properties import check_implementability, csc_conflicts
-from repro.sg.regions import are_concurrent, concurrent_pairs
+from repro.sg.regions import are_concurrent
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded
+from sg_oracle import concurrent_pairs
 
 
 @pytest.fixture(scope="module")

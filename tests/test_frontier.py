@@ -81,10 +81,6 @@ class TestExplorationBudget:
         with pytest.raises(ValueError):
             ExplorationBudget(max_seconds=-0.5)
 
-    def test_unbounded(self):
-        assert ExplorationBudget().unbounded
-        assert not ExplorationBudget(max_states=1).unbounded
-
     def test_meter_admits_exactly_the_budget(self):
         meter = ExplorationBudget(max_states=3).meter()
         for _ in range(3):

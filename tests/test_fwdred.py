@@ -18,12 +18,13 @@ from repro.petri.stg import SignalKind
 from repro.sg.graph import StateGraph
 from repro.sg.properties import (is_commutative, is_consistent,
                                  is_output_persistent)
-from repro.sg.regions import are_concurrent, concurrent_pairs, excitation_region
+from repro.sg.regions import are_concurrent, excitation_region
 from repro.specs import mmu, par, suite
 from repro.specs.fig1 import fig1_stg
 from repro.specs.fragments import fig8_sg
 from repro.specs.generate import generate_spec, spec_seed
 from repro.specs.lr import lr_expanded
+from sg_oracle import backward_reachable, concurrent_pairs
 
 
 class TestFig8:
@@ -219,7 +220,7 @@ def _oracle_walk(root, expansions, cost=None):
     materialized graph, which reads no diamond table.  For each reducible
     pair, the mask step is compared against the graph-level definitions:
     the truncated set from :func:`excitation_region` and
-    :meth:`StateGraph.backward_reachable`, the unvalidated child from
+    :func:`backward_reachable`, the unvalidated child from
     ``copy_without_arcs``, and its verdict from :func:`check_validity`;
     a valid child's ``concurrent`` on the pair is compared against
     :func:`are_concurrent` on its graph.
@@ -252,7 +253,7 @@ def _oracle_walk(root, expansions, cost=None):
         for before, delayed in sorted(pairs):
             region = excitation_region(parent, delayed)
             both = region & excitation_region(parent, before)
-            truncated = parent.backward_reachable(both, within=region) | both
+            truncated = backward_reachable(parent, both, within=region) | both
             removed = [(state, delayed) for state in truncated]
             unvalidated = parent.copy_without_arcs(removed)
             report = check_validity(parent, unvalidated)

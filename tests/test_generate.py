@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.petri.analysis import dead_transitions, is_deadlock_free, is_safe
+from net_oracle import dead_transitions, is_deadlock_free, is_safe
 from repro.sg.generator import generate_sg
 from repro.sg.properties import is_consistent
 from repro.specs.generate import (GenKnobs, GenSpec, TraceError,

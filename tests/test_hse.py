@@ -12,7 +12,7 @@ from repro.petri.net import PetriNetError
 from repro.petri.stg import SignalEvent, SignalKind
 from repro.sg.generator import generate_sg
 from repro.sg.properties import check_implementability, is_consistent
-from repro.sg.regions import are_concurrent, concurrent_pairs
+from repro.sg.regions import are_concurrent
 from repro.specs.fragments import fig6_spec
 from repro.specs.lr import lr_spec
 

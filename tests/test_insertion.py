@@ -83,7 +83,7 @@ class TestInsertion:
         # failure rather than produce a bogus insertion.
         result = resolve_csc(fig1)
         assert not result.resolved
-        assert result.signal_count == 0
+        assert len(result.insertions) == 0
         assert result.sg is fig1
 
     def test_resolved_sg_is_well_formed(self, q_module):
@@ -97,19 +97,19 @@ class TestInsertion:
     def test_resolve_q_module(self, q_module):
         result = resolve_csc(q_module)
         assert result.resolved
-        assert result.signal_count == 1
+        assert len(result.insertions) == 1
 
     def test_resolve_lr_max_needs_two_signals(self):
         sg = generate_sg(lr_expanded())
         result = resolve_csc(sg)
         assert result.resolved
-        assert result.signal_count == 2  # Table 1, "Max. concurrency" row
+        assert len(result.insertions) == 2  # Table 1, "Max. concurrency" row
 
     def test_already_clean_sg_untouched(self, q_module):
         clean = resolve_csc(q_module).sg
         again = resolve_csc(clean)
         assert again.resolved
-        assert again.signal_count == 0
+        assert len(again.insertions) == 0
         assert again.sg is clean
 
     def test_threading_rejects_input_triggers(self, fig1):

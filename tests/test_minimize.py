@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fast_cover_oracle import scan_expand_and_cover
-from qm_oracle import qm_minimize, qm_primes
+from qm_oracle import prime_implicants, qm_minimize, qm_primes, verify_cover
 from repro.logic.cube import Cube, Cover
 from repro.logic.minimize import (MinimizationError, _pack, _primes_through,
-                                  complement_minterms, logic_work, minimize,
-                                  minimize_fast, minimize_fast_ints,
-                                  minimize_ints, prime_implicants,
-                                  verify_cover)
+                                  logic_work, minimize, minimize_fast,
+                                  minimize_fast_ints, minimize_ints)
 
 
 def all_minterms(n):
@@ -89,13 +87,13 @@ class TestMinimize:
     def test_xor_needs_four_literals(self):
         cover = minimize(2, [(0, 1), (1, 0)], exact=True)
         assert cover.literal_count == 4
-        assert cover.cube_count == 2
+        assert len(cover.cubes) == 2
 
     def test_majority(self):
         on = [m for m in all_minterms(3) if sum(m) >= 2]
         cover = minimize(3, on, exact=True)
         assert cover.literal_count == 6
-        assert cover.cube_count == 3
+        assert len(cover.cubes) == 3
 
     def test_exact_not_worse_than_greedy(self):
         on = [m for m in all_minterms(4) if sum(m) in (1, 3)]
@@ -273,13 +271,3 @@ class TestFastCoverOracle:
                            for mask, value in cover for m in off_ints)
             checked += 1
         assert checked == 22 * 7 + 8 * 3 + 3 + 1
-
-
-class TestComplement:
-    def test_complement(self):
-        on = {(0, 0)}
-        dc = {(1, 1)}
-        assert complement_minterms(2, on, dc) == {(0, 1), (1, 0)}
-
-    def test_complement_empty(self):
-        assert complement_minterms(1, {(0,), (1,)}, set()) == set()

@@ -177,7 +177,7 @@ class TestMetrics:
         reg.counter("jobs_total").inc()
         reg.counter("jobs_total").inc(2)
         reg.gauge("depth").set(7)
-        reg.gauge("depth").dec(3)
+        reg.gauge("depth").inc(-3)
         assert reg.value("jobs_total") == 3
         assert reg.value("depth") == 4
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.petri.parser import ParseError, parse_stg, read_stg, save_stg, write_stg
+from repro.petri.parser import ParseError, parse_stg, read_stg, write_stg
 from repro.petri.stg import SignalKind
 from repro.sg.generator import generate_sg
 from repro.specs import suite
@@ -143,7 +143,7 @@ class TestRoundTrip:
 
     def test_file_io(self, tmp_path):
         path = tmp_path / "demo.g"
-        save_stg(fig1_stg(), str(path))
+        path.write_text(write_stg(fig1_stg()))
         loaded = read_stg(str(path))
         assert loaded.name == "fig1_controller"
         assert len(generate_sg(loaded)) == 5

@@ -74,7 +74,9 @@ class TestFlowConfig:
                 {"phases": 3}, {"phases": 4.0},
                 {"keep_conc": [("a+",)]}, {"keep_conc": "ab"},
                 {"keep_conc": ["ab"]}, {"keep_conc": [("a+", 1)]},
-                {"verify_max_states": "5"}, {"sg_max_states": -1}):
+                {"verify_max_states": "5"}, {"sg_max_states": -1},
+                {"verify": "false"}, {"verify": 1}, {"resynthesise": "no"},
+                {"weight": True}, {"weight": "0.5"}):
             with pytest.raises(ValueError):
                 FlowConfig.create(**knobs)
 
@@ -341,7 +343,7 @@ class TestImplement:
         assert row.csc_signals == len(result.insertions()) == 1
         assert row.area == result.circuit().area > 0
         assert row.cycle_time == result.cycle().cycle_time > 0
-        assert row.input_events == result.cycle().input_event_count == 4
+        assert row.input_events == len(result.cycle().input_events) == 4
 
     def test_unresolved_falls_back_to_estimate(self):
         result = run_pipeline(AS_IS, initial_sg=generate_sg(fig1_stg()))
@@ -534,10 +536,10 @@ class TestSweepStageAccounting:
 
     def test_synth_store_round_trip(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.petri.parser import save_stg
+        from repro.petri.parser import write_stg
         from repro.specs.lr import lr_expanded
         spec = tmp_path / "lr.g"
-        save_stg(lr_expanded(), str(spec))
+        spec.write_text(write_stg(lr_expanded()))
         argv = ["synth", str(spec), "--full",
                 "--store", str(tmp_path / "store")]
         assert main(argv) == 0

@@ -13,7 +13,7 @@ from repro.sg.properties import (_marking_tuple, check_implementability,
                                  coding_counts, coding_report,
                                  commutativity_violations,
                                  consistency_violations, csc_conflicting_signals,
-                                 csc_conflicts, deadlock_states, has_csc, has_usc,
+                                 csc_conflicts, deadlock_states,
                                  is_commutative, is_consistent,
                                  is_output_persistent,
                                  persistency_violations, usc_conflicts)
@@ -115,8 +115,7 @@ class TestEncoding:
         conflicts = csc_conflicts(sg)
         assert len(conflicts) == 1
         assert conflicts[0].code == (1, 1)
-        assert not has_csc(sg)
-        assert not has_usc(sg)
+        assert all(coding_counts(sg))  # USC pairs and CSC conflicts
 
     def test_fig1_conflicting_signal_is_ack(self):
         sg = generate_sg(fig1_stg())
@@ -136,8 +135,8 @@ class TestEncoding:
                              "s3": (0, 1)})
         # craft: give s3 the same code as s0 (add_state rewrites it)
         sg.add_state("s3", (0, 0))
-        assert not has_usc(sg)
-        assert has_csc(sg)  # only inputs are enabled anywhere
+        usc_pairs, conflicts = coding_counts(sg)
+        assert usc_pairs and not conflicts  # only inputs are enabled anywhere
 
     def test_max_concurrency_lr_conflicts(self):
         sg = generate_sg(lr_expanded())
@@ -241,7 +240,7 @@ class TestNoListing:
         assert (report.usc, report.csc, report.csc_conflict_count) == (
             False, False, 30600)
         assert conflict_count(sg) == 30600
-        assert not has_csc(sg) and not has_usc(sg)
+        assert all(coding_counts(sg))
 
     def test_truncated_report_lists_nothing(self, no_lists):
         sg = generate_sg(families.counter(3), engine="packed")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.petri.analysis import is_safe
+from net_oracle import is_safe
 from repro.sg.generator import generate_sg
 from repro.sg.regions import excitation_region
 from repro.sg.resynthesis import (excitation_closure_holds, is_region,

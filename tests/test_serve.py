@@ -23,7 +23,7 @@ from repro.serve.http import BackgroundServer
 from repro.serve.jobs import JobManager
 from repro.serve.protocol import (ProtocolError, job_id, parse_sweep_request,
                                   parse_synth_request, point_from_task,
-                                  point_task, task_group)
+                                  point_task, sweep_task, task_group)
 from repro.specs.suite import source_text
 from repro.sweep import render, run_sweep, tables_grid
 
@@ -100,6 +100,61 @@ class TestProtocol:
         grid = parse_sweep_request({"specs": ["lr"],
                                     "strategies": ["none", "full"]})
         assert len(grid.points) == 6  # none, full, 4 keep variants
+
+    @pytest.mark.parametrize("config, field", [
+        ({"verify": "false"}, "verify"),
+        ({"resynthesise": "no"}, "resynthesise"),
+        ({"weight": True}, "weight"),
+        ({"weight": "0.5"}, "weight")])
+    def test_synth_flags_and_weight_are_typed(self, config, field):
+        # A truthy string is not a flag and a bool is not a weight.
+        with pytest.raises(ProtocolError, match=field) as err:
+            parse_synth_request({"spec": "lr", "config": config})
+        assert err.value.status == 400
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("body, field", [
+        ({"verify": "false"}, "verify"),
+        ({"keep_variants": "false"}, "keep_variants"),
+        ({"specs": "lr"}, "specs"),
+        ({"strategies": "beam"}, "strategies"),
+        ({"weights": 0.5}, "weights"),
+        ({"weights": [True]}, "weight")])
+    def test_sweep_flags_and_axes_are_typed(self, body, field):
+        with pytest.raises(ProtocolError, match=field) as err:
+            parse_sweep_request({"specs": ["lr"], **body})
+        assert err.value.status == 400
+
+    #: Valid bodies and the job ids they had before the fields were typed:
+    #: refusing bad spellings must not rename any job a client can reach.
+    PINNED_IDS = [
+        ({"spec": "lr"},
+         "5916730a98f093b7cdbff17fa1d5773219dc4cc6fd3f173a4ccf7945bfefd582"),
+        ({"spec": "half", "config": {"verify": True, "resynthesise": True}},
+         "84e2ec70063a433eec48f586986e5ecea49b14b3320de3d9cd3c5b35b52b4b40"),
+        ({"spec": "lr", "config": {"strategy": "beam", "weight": 1,
+                                   "verify": False}},
+         "262522d4451913ae5043806ee95457500ce7953fa3b4c25cd6e0ec2afb253a79"),
+        ({"spec": "lr", "config": {"strategy": "none", "weight": 0.25}},
+         "9f08b40b50c415ce7986e1aee3157a4dbdefd46ebe54ade25a7e880bf89cdf85"),
+        ({"specs": ["lr"]},
+         "d507a09e0beda349c82c61576620c835b44d55d46e30afd14db4435c67f05d45"),
+        ({"specs": ["lr", "half"], "strategies": ["beam", "full"],
+          "weights": [0, 1], "verify": True, "keep_variants": False},
+         "de3928f8de06e0dc6a440153dfee2ea819dd3bf28a99ec8ca9f19c601c490013"),
+        ({"specs": ["half"], "strategies": ["none"], "verify": False,
+          "keep_variants": True},
+         "5b00f2b9e31b86e18f57fa509d7ecac6c63b8f6e342f0c3f789946b011b22108"),
+    ]
+
+    @pytest.mark.parametrize("body, expected", PINNED_IDS)
+    def test_valid_bodies_keep_their_job_ids(self, body, expected):
+        if "specs" in body:
+            children = [job_id(point_task(point))
+                        for point in parse_sweep_request(body).points]
+            assert job_id(sweep_task(children)) == expected
+        else:
+            assert job_id(parse_synth_request(body)) == expected
 
 
 # ----------------------------------------------------------------------

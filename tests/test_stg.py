@@ -58,8 +58,8 @@ class TestSTG:
     def test_signal_partition(self, stg):
         assert stg.inputs == ["a"]
         assert stg.outputs == ["b"]
-        assert stg.internals == ["x"]
-        assert stg.non_inputs == ["b", "x"]
+        assert stg.signals_of_kind(SignalKind.OUTPUT,
+                                   SignalKind.INTERNAL) == ["b", "x"]
 
     def test_redeclare_same_kind_ok(self, stg):
         stg.declare_signal("a", SignalKind.INPUT)
@@ -67,10 +67,6 @@ class TestSTG:
     def test_redeclare_other_kind_rejected(self, stg):
         with pytest.raises(PetriNetError):
             stg.declare_signal("a", SignalKind.OUTPUT)
-
-    def test_kind_of_undeclared(self, stg):
-        with pytest.raises(PetriNetError):
-            stg.kind_of("zz")
 
     def test_add_event_requires_declaration(self, stg):
         with pytest.raises(PetriNetError):
@@ -87,15 +83,10 @@ class TestSTG:
         assert second == "a+/1"
         assert stg.event_of(second).instance == 1
 
-    def test_is_input_event(self, stg):
-        assert stg.is_input_event(SignalEvent.parse("a+"))
-        assert not stg.is_input_event(SignalEvent.parse("b-"))
-
     def test_transitions_of_signal_and_event(self, stg):
         stg.add_event("a+")
         stg.add_event("a-")
         stg.add_fresh_event("a+")
-        assert set(stg.transitions_of_signal("a")) == {"a+", "a-", "a+/1"}
         assert set(stg.transitions_of_event("a+")) == {"a+", "a+/1"}
 
     def test_chain_and_cycle(self, stg):
@@ -127,7 +118,6 @@ class TestSTG:
     def test_dummy_transitions(self, stg):
         stg.add_dummy("eps")
         assert stg.event_of("eps") is None
-        assert "eps" not in stg.event_names()
 
     def test_copy_independent(self, stg):
         stg.add_event("a+")

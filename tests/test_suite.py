@@ -9,14 +9,14 @@ always finds a steady cycle on a live controller.
 
 import pytest
 
-from repro.petri.analysis import is_deadlock_free, is_safe
+from net_oracle import is_deadlock_free, is_safe
 from repro.pipeline import FlowConfig, run_pipeline, table_row
 from repro.reduction.explore import full_reduction, reduce_concurrency
 from repro.sg.generator import generate_sg
 from repro.sg.properties import check_implementability, csc_conflicts
-from repro.specs.suite import load, load_all, suite_names
+from repro.specs.suite import load, suite_names
 
-ALL = sorted(load_all())
+ALL = suite_names()
 
 
 class TestSuiteSpecs:
