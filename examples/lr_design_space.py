@@ -7,12 +7,9 @@ only in how the tool schedules the non-functional (reset) events.
 Run:  python examples/lr_design_space.py
 """
 
-from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
+from repro import FlowConfig, generate_sg, run_pipeline
 from repro.pipeline import table_row
-from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded, q_module_stg
-
-#: Implement a state graph as given: no further reduction.
-AS_IS = FlowConfig(strategy="none")
+from repro.specs.lr import TABLE1_ROWS, lr_expanded, q_module_stg
 
 
 def show(result) -> None:
@@ -26,24 +23,20 @@ def main() -> None:
     print("=== Table 1: LR-process area/performance trade-off ===\n")
 
     # The hand design: right handshake nested inside the left one.
-    show(run_pipeline(AS_IS, stg=q_module_stg(), name="Q-module (hand)"))
+    show(run_pipeline(FlowConfig(strategy="none"), stg=q_module_stg(),
+                      name="Q-module (hand)"))
 
+    # The other rows are flow configurations on one expansion: everything
+    # sequential (two wires, lo = ri and ro = li), no reduction at all (2
+    # state signals pay for the concurrency), and full reductions that
+    # keep one pair of reset events concurrent.
     sg = generate_sg(lr_expanded())
-
-    # Everything sequential: collapses to two wires (lo = ri, ro = li).
-    full = run_pipeline(AS_IS, initial_sg=full_reduction(sg),
-                        name="Full reduction")
-    show(full)
-    for equation in full.circuit().equations.values():
-        print(f"{'':18s}   {equation}")
-
-    # No reduction at all: pay for the concurrency with 2 state signals.
-    show(run_pipeline(AS_IS, initial_sg=sg, name="Max. concurrency"))
-
-    # Keep exactly one pair of reset events concurrent.
-    for name, keep in TABLE1_KEEP_CONC.items():
-        reduced = full_reduction(sg, keep_conc=keep)
-        show(run_pipeline(AS_IS, initial_sg=reduced, name=name))
+    for name, config in TABLE1_ROWS.items():
+        result = run_pipeline(config, initial_sg=sg, name=name)
+        show(result)
+        if name == "Full reduction":
+            for equation in result.circuit().equations.values():
+                print(f"{'':18s}   {equation}")
 
     print("\nEvery row is a *valid reduction* of the same 16-state expansion;"
           "\nthe spread is the optimization space the paper's Fig. 9 explores.")

@@ -3,19 +3,16 @@
 A four-channel memory-management controller (request, lookup, translate,
 read) whose 4-phase expansion has 264 states and heavy CSC trouble.
 Reshuffling the reset phases brings the area below half of the original
-without losing cycle time -- the paper's headline Table 2 result.
+without losing much cycle time -- the shape of the paper's Table 2.  Each
+row is one flow configuration from ``TABLE2_ROWS`` run on the generated
+state graph, the same rows the ``table2_mmu`` benchmark reports.
 
-Run:  python examples/mmu_controller.py        (takes a couple of minutes)
+Run:  python examples/mmu_controller.py        (a few seconds)
 """
 
-from repro import (FlowConfig, full_reduction, generate_sg,
-                   reduce_concurrency, run_pipeline)
+from repro import generate_sg, run_pipeline
 from repro.pipeline import table_row
-from repro.specs.mmu import TABLE2_KEEP_CONC, keep_conc_for, mmu_expanded
-
-#: Implement a state graph as given: the searches below use knobs
-#: (``patience``) that FlowConfig does not carry, so they run first.
-AS_IS = FlowConfig(strategy="none")
+from repro.specs.mmu import TABLE2_ROWS, mmu_expanded
 
 
 def show(result) -> None:
@@ -30,20 +27,8 @@ def main() -> None:
     sg = generate_sg(mmu_expanded())
     print(f"original (max concurrency): {len(sg)} states\n")
 
-    show(run_pipeline(FlowConfig(strategy="none", max_csc_signals=3),
-                      initial_sg=sg, name="original"))
-
-    search = reduce_concurrency(sg, max_explored=400, patience=200)
-    show(run_pipeline(AS_IS, initial_sg=search.best, name="original reduced"))
-
-    csc_biased = reduce_concurrency(sg, weight=0.1, max_explored=400,
-                                    patience=200)
-    show(run_pipeline(AS_IS, initial_sg=csc_biased.best, name="csc reduced"))
-
-    for name, channels in TABLE2_KEEP_CONC.items():
-        reduced = full_reduction(sg, keep_conc=keep_conc_for(channels),
-                                 size_frontier=3)
-        show(run_pipeline(AS_IS, initial_sg=reduced, name=name))
+    for name, config in TABLE2_ROWS.items():
+        show(run_pipeline(config, initial_sg=sg, name=name))
 
     print("\nReduced implementations run at less than half of the original's"
           "\narea with comparable critical cycles, matching Table 2's shape.")

@@ -10,15 +10,10 @@ manual design, exactly as the paper reports.
 Run:  python examples/par_component.py
 """
 
-from repro import FlowConfig, generate_sg, reduce_concurrency, run_pipeline
-from repro.specs.par import PAR_KEEP_CONC, par_expanded, par_manual_stg
+from repro import FlowConfig, generate_sg, run_pipeline
+from repro.specs.par import FIG10_ROWS, par_expanded, par_manual_stg
 from repro.timing.critical_cycle import critical_cycle
 from repro.timing.delays import gate_level_delays
-
-
-#: Implement a state graph as given: the search below needs ``patience``,
-#: which FlowConfig does not carry, so it runs first.
-AS_IS = FlowConfig(strategy="none")
 
 
 def gate_cycle(result) -> float:
@@ -32,7 +27,8 @@ def gate_cycle(result) -> float:
 def main() -> None:
     print("=== PAR component (Fig. 10) ===\n")
 
-    manual = run_pipeline(AS_IS, stg=par_manual_stg(), name="manual (Tangram)")
+    manual = run_pipeline(FlowConfig(strategy="none"), stg=par_manual_stg(),
+                          name="manual (Tangram)")
     print(f"manual design   : area={manual.circuit().area}, equations:")
     for equation in sorted(manual.circuit().equations.values()):
         print(f"    {equation}")
@@ -41,9 +37,9 @@ def main() -> None:
     print(f"\nauto 4-phase expansion: {len(sg)} states, "
           f"maximally concurrent resets")
 
-    search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
-                                max_explored=4000, patience=10**9)
-    auto = run_pipeline(AS_IS, initial_sg=search.best, name="automatic")
+    auto = run_pipeline(FIG10_ROWS["automatic"], initial_sg=sg,
+                        name="automatic")
+    search = auto.exploration()
     print(f"exploration     : {search.explored_count} SGs seen, "
           f"best cost {search.best_cost:.1f}")
     print(f"automatic design: area={auto.circuit().area}, equations:")

@@ -157,20 +157,20 @@ register(BenchCase(
 # Fig. 3: the LR-process implementations as circuits.
 
 def run_fig3(context) -> dict:
-    from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
+    from repro import FlowConfig, generate_sg, run_pipeline
     from repro.logic.minimize import logic_work
-    from repro.specs.lr import lr_expanded, q_module_stg
-
-    as_is = FlowConfig(strategy="none")
+    from repro.specs.lr import TABLE1_ROWS, lr_expanded, q_module_stg
 
     def build():
         before = logic_work()["primes"]
         sg = generate_sg(lr_expanded())
         results = {
-            "full": run_pipeline(as_is, initial_sg=full_reduction(sg),
-                                 name="full"),
-            "max": run_pipeline(as_is, initial_sg=sg, name="max"),
-            "q": run_pipeline(as_is, stg=q_module_stg(), name="q"),
+            "full": run_pipeline(TABLE1_ROWS["Full reduction"],
+                                 initial_sg=sg, name="full"),
+            "max": run_pipeline(TABLE1_ROWS["Max. concurrency"],
+                                initial_sg=sg, name="max"),
+            "q": run_pipeline(FlowConfig(strategy="none"),
+                              stg=q_module_stg(), name="q"),
         }
         return results, logic_work()["primes"] - before
 
@@ -369,17 +369,12 @@ register(BenchCase(
 # Fig. 10: the PAR component case study.
 
 def run_fig10(context) -> dict:
-    from repro import (FlowConfig, generate_sg, reduce_concurrency,
-                       run_pipeline)
+    from repro import FlowConfig, generate_sg, run_pipeline
     from repro.reduction.fwdred import reduction_work
     from repro.sg.regions import are_concurrent
-    from repro.specs.par import PAR_KEEP_CONC, par_expanded, par_manual_stg
+    from repro.specs.par import FIG10_ROWS, par_expanded, par_manual_stg
     from repro.timing.critical_cycle import critical_cycle
     from repro.timing.delays import gate_level_delays
-
-    # The search needs ``patience``, which FlowConfig lacks: reduce here
-    # and hand the chosen SG to the pipeline as-is.
-    as_is = FlowConfig(strategy="none")
 
     def gate_cycle(result):
         sequential = {signal
@@ -389,24 +384,23 @@ def run_fig10(context) -> dict:
         return critical_cycle(result.resolved_sg(), model).cycle_time
 
     def build():
-        manual = run_pipeline(as_is, stg=par_manual_stg(),
-                              name="manual (Tangram)")
+        manual = run_pipeline(FlowConfig(strategy="none"),
+                              stg=par_manual_stg(), name="manual (Tangram)")
         sg = generate_sg(par_expanded())
         before = reduction_work()
-        search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
-                                    max_explored=4000, patience=10**9)
+        auto = run_pipeline(FIG10_ROWS["automatic"], initial_sg=sg,
+                            name="automatic")
         work = {key: value - before[key]
                 for key, value in reduction_work().items()}
-        auto = run_pipeline(as_is, initial_sg=search.best, name="automatic")
-        return sg, search, work, manual, auto
+        return sg, work, manual, auto
 
     # Every round starts cold, so the work counts are the same in each.
-    seconds, (sg, search, work, manual, auto) = context.best_of(build)
+    seconds, (sg, work, manual, auto) = context.best_of(build)
     manual_cycle, auto_cycle = gate_cycle(manual), gate_cycle(auto)
     auto_area, manual_area = auto.circuit().area, manual.circuit().area
     return {
         "expansion_states": len(sg),
-        "explored": search.explored_count,
+        "explored": auto.reduction_stats().explored,
         "materialized": work["materialized"],
         "scored": work["scored"],
         "auto_area": auto_area,

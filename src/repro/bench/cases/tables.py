@@ -45,46 +45,34 @@ def _paper_table(result: dict, paper: dict):
 # Table 1: the LR-process area/performance trade-off.
 
 def run_table1(context) -> dict:
-    from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
+    from repro import FlowConfig, generate_sg, run_pipeline
     from repro.logic.minimize import logic_work
     from repro.sg.regions import are_concurrent
-    from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded, q_module_stg
-
-    as_is = FlowConfig(strategy="none")
+    from repro.specs.lr import (TABLE1_KEEP_CONC, TABLE1_ROWS, lr_expanded,
+                                q_module_stg)
 
     def build():
         before = logic_work()["primes"]
         sg = generate_sg(lr_expanded())
-        results = {
-            "Q-module (hand)": run_pipeline(as_is, stg=q_module_stg(),
-                                            name="Q-module (hand)"),
-            "Full reduction": run_pipeline(as_is,
-                                           initial_sg=full_reduction(sg),
-                                           name="Full reduction"),
-            "Max. concurrency": run_pipeline(as_is, initial_sg=sg,
-                                             name="Max. concurrency"),
-        }
-        pairs_kept = True
-        for name, keep in TABLE1_KEEP_CONC.items():
-            reduced = full_reduction(sg, keep_conc=keep)
-            results[name] = run_pipeline(as_is, initial_sg=reduced,
-                                         name=name)
-            label_a, label_b = keep[0]
-            pairs_kept &= are_concurrent(reduced, label_a, label_b)
-        return results, pairs_kept, logic_work()["primes"] - before
+        results = {"Q-module (hand)": run_pipeline(
+            FlowConfig(strategy="none"), stg=q_module_stg(),
+            name="Q-module (hand)")}
+        for name, config in TABLE1_ROWS.items():
+            results[name] = run_pipeline(config, initial_sg=sg, name=name)
+        return results, logic_work()["primes"] - before
 
     # Every round starts cold, so ``primes`` is the same in each.
-    seconds, (results, pairs_kept, primes) = context.best_of(build)
+    seconds, (results, primes) = context.best_of(build)
     rows = {name: table_row(result) for name, result in results.items()}
     area = {name: row.area for name, row in rows.items()}
     csc = {name: row.csc_signals for name, row in rows.items()}
-    pair_names = [n for n in results if n not in
-                  ("Q-module (hand)", "Full reduction", "Max. concurrency")]
+    pairs_kept = all(are_concurrent(results[name].reduced_sg(), *keep[0])
+                     for name, keep in TABLE1_KEEP_CONC.items())
     return {
         "rows": [report_row(result) for result in results.values()],
         "area": area,
         "csc": csc,
-        "pair_names": pair_names,
+        "pair_names": list(TABLE1_KEEP_CONC),
         "pairs_kept": pairs_kept,
         "primes": primes,
         "table_seconds": seconds,
@@ -153,38 +141,17 @@ register(BenchCase(
 # Table 2: the MMU controller case study.
 
 def run_table2(context) -> dict:
-    from repro import (FlowConfig, full_reduction, generate_sg,
-                       reduce_concurrency, run_pipeline)
+    from repro import generate_sg, run_pipeline
     from repro.encoding.insertion import insertion_work
     from repro.logic.minimize import logic_work
-    from repro.reduction.cost import CostFunction
-    from repro.specs.mmu import (TABLE2_KEEP_CONC, keep_conc_for,
-                                 mmu_expanded)
-
-    # The searched rows use knobs FlowConfig lacks (patience, csc_scale):
-    # they reduce here and hand the chosen SG to the pipeline as-is.
-    as_is = FlowConfig(strategy="none")
+    from repro.specs.mmu import TABLE2_ROWS, mmu_expanded
 
     def build():
         before = logic_work()["primes"]
         inserted = insertion_work()
         sg = generate_sg(mmu_expanded())
-        results = {"original": run_pipeline(
-            FlowConfig(strategy="none", max_csc_signals=3), initial_sg=sg,
-            name="original")}
-        balanced = reduce_concurrency(sg, max_explored=400, patience=200)
-        results["original reduced"] = run_pipeline(
-            as_is, initial_sg=balanced.best, name="original reduced")
-        csc_first = reduce_concurrency(
-            sg, cost_function=CostFunction(weight=0.05, csc_scale=100.0),
-            max_explored=1200, patience=10**9)
-        results["csc reduced"] = run_pipeline(
-            as_is, initial_sg=csc_first.best, name="csc reduced")
-        for name, channels in TABLE2_KEEP_CONC.items():
-            reduced = full_reduction(sg, keep_conc=keep_conc_for(channels),
-                                     size_frontier=3)
-            results[name] = run_pipeline(as_is, initial_sg=reduced,
-                                         name=name)
+        results = {name: run_pipeline(config, initial_sg=sg, name=name)
+                   for name, config in TABLE2_ROWS.items()}
         insertion = {key: value - inserted[key]
                      for key, value in insertion_work().items()}
         return sg, results, logic_work()["primes"] - before, insertion

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.trace import TraceRecorder, recording, summarize
 from ..pipeline.jobs import table_row
-from .registry import BenchCase, CheckFailed, CheckSkipped
+from .registry import BenchCase, CheckSkipped
 
 __all__ = [
     "BENCH_SCHEMA", "RunContext",

@@ -16,9 +16,9 @@ gate counts are the same, which is what the benchmarks compare.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..logic.cube import DC, Cube, Cover
+from ..logic.cube import DC, Cover
 from .library import Library, DEFAULT_LIBRARY
 from .netlist import Netlist, NetlistError
 

@@ -17,8 +17,8 @@ The SG must satisfy CSC; callers resolve conflicts first (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..logic.cube import Cover
 from ..logic.functions import extract_all_functions, extract_function, extract_set_reset

@@ -10,7 +10,7 @@ pairs of events whose concurrency the reduction must not destroy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from ..petri.stg import STG, SignalEvent
 from ..sg.graph import StateGraph

@@ -17,12 +17,11 @@ under the chosen phase refinement:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..petri.net import PetriNetError
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
 from .constraints import InterfaceConstraint, apply_interface_constraint
-from .spec import AbstractEvent, ChannelAction, ChannelRole, PartialPulse, PartialSpec
+from .spec import ChannelAction, ChannelRole, PartialPulse, PartialSpec
 
 
 class ExpansionError(Exception):

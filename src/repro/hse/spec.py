@@ -19,10 +19,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..petri.net import PetriNet, PetriNetError
-from ..petri.stg import Direction, SignalEvent, SignalKind
+from ..petri.stg import SignalEvent, SignalKind
 
 
 class ChannelRole(Enum):

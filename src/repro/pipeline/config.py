@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
+from ..reduction.explore import DEFAULT_PATIENCE
 from ..timing.delays import TABLE1_DELAYS, DelayModel
 from .hashing import digest_payload, fraction_text
 
@@ -67,8 +68,11 @@ STAGE_ORDER = ("expand", "generate", "reduce", "resolve", "synthesize",
 
 #: The search knobs each strategy never reads (see :class:`FlowConfig`).
 _IGNORED_BY: Dict[str, Tuple[str, ...]] = {
-    "none": ("weight", "size_frontier", "keep_conc", "max_explored"),
+    "none": ("weight", "size_frontier", "keep_conc", "max_explored",
+             "patience"),
+    "beam": ("patience",),
     "best-first": ("size_frontier",),
+    "full": ("patience",),
 }
 
 
@@ -142,18 +146,19 @@ class FlowConfig:
     field default:
 
     * ``none`` reads no search knob: ``weight``, ``size_frontier``,
-      ``keep_conc`` and ``max_explored`` are reset;
-    * ``best-first`` reads ``weight``, ``keep_conc`` and ``max_explored``
-      but has no beam, so ``size_frontier`` is reset;
-    * ``beam`` and ``full`` read all four;
+      ``keep_conc``, ``max_explored`` and ``patience`` are reset;
+    * ``best-first`` reads ``weight``, ``keep_conc``, ``max_explored`` and
+      ``patience`` but has no beam, so ``size_frontier`` is reset;
+    * ``beam`` and ``full`` read all but ``patience``;
     * with ``verify`` off, ``verify_model`` and ``verify_max_states`` are
       reset.
 
-    A search budget equal to the strategy's default
-    (:data:`STRATEGY_DEFAULTS`) becomes ``None``, ``verify_max_states=None``
+    A search budget or ``patience`` at its default (:data:`STRATEGY_DEFAULTS`,
+    :data:`DEFAULT_PATIENCE`) becomes ``None``, ``verify_max_states=None``
     means the default cap, ``keep_conc`` pair order is canonicalized and
-    ``weight`` becomes a float.  Counts must be ints (``size_frontier`` at
-    least 1, the others at least 0), ``weight`` an int or float,
+    ``weight`` becomes a float.  Counts must be ints (``size_frontier`` and
+    ``patience`` at least 1, the others at least 0), ``weight`` an int or
+    float in [0, 1] (checked after the reset: ``none`` takes any),
     ``verify`` and ``resynthesise`` bools (never truthy strings or
     numbers), ``phases`` 2 or 4 and each ``keep_conc`` entry a pair of
     event names; anything else raises ``ValueError``.
@@ -165,6 +170,7 @@ class FlowConfig:
     size_frontier: Optional[int] = None
     keep_conc: KeepPairs = ()
     max_explored: Optional[int] = None
+    patience: Optional[int] = None
     max_csc_signals: int = 4
     delays: DelayModel = TABLE1_DELAYS
     resynthesise: bool = False
@@ -194,6 +200,8 @@ class FlowConfig:
             "keep_conc": canonical_keep(self.keep_conc),
             "max_explored": _budget("max_explored", self.max_explored,
                                     0, explored),
+            "patience": _budget("patience", self.patience, 1,
+                                DEFAULT_PATIENCE),
             "max_csc_signals": _count("max_csc_signals",
                                       self.max_csc_signals, 0),
             "resynthesise": _flag("resynthesise", self.resynthesise),
@@ -214,6 +222,8 @@ class FlowConfig:
         for field in fields(self):
             if field.name in ignored:
                 normal[field.name] = field.default
+        if not 0.0 <= normal["weight"] <= 1.0:
+            raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
         for name, value in normal.items():
             object.__setattr__(self, name, value)
 
@@ -239,7 +249,8 @@ class FlowConfig:
     # serialization
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, object]:
-        """Deterministic JSON-ready rendering of the whole config."""
+        """Deterministic JSON rendering of the whole config; ``patience``
+        only when set, so a default config keeps its earlier digest."""
         return {
             "strategy": self.strategy,
             "weight": self.weight,
@@ -255,6 +266,7 @@ class FlowConfig:
             "verify_max_states": self.verify_max_states,
             "sg_max_states": self.sg_max_states,
             "sg_max_arcs": self.sg_max_arcs,
+            **({} if self.patience is None else {"patience": self.patience}),
         }
 
     @staticmethod
@@ -271,6 +283,7 @@ class FlowConfig:
             size_frontier=payload["size_frontier"],
             keep_conc=payload["keep_conc"],
             max_explored=payload["max_explored"],
+            patience=payload.get("patience"),
             max_csc_signals=payload["max_csc_signals"],
             delays=delays_from_payload(payload["delays"]),
             resynthesise=payload["resynthesise"],
@@ -331,6 +344,8 @@ class FlowConfig:
             }
             if self.strategy != "best-first":  # best-first has no beam
                 slice_["size_frontier"] = self.effective_frontier()
+            if self.patience is not None:
+                slice_["patience"] = self.patience
             return slice_
         if stage == "resolve":
             return {"max_csc_signals": self.max_csc_signals}

@@ -138,7 +138,8 @@ def run_reduction(config: FlowConfig, sg: StateGraph
         size_frontier=config.effective_frontier(),
         weight=config.weight,
         max_explored=config.effective_max_explored(),
-        strategy=config.strategy)
+        strategy=config.strategy,
+        patience=config.patience)
     return exploration.best, exploration, exploration.stats
 
 
@@ -334,9 +335,8 @@ def run_pipeline(config: FlowConfig,
 
     Exactly one entry point must be given: a :class:`PartialSpec`
     (runs handshake expansion first), an :class:`STG`/``.g`` text (starts
-    at SG generation) or a pre-generated ``initial_sg`` (the sweep's entry;
-    also how an already-reduced graph is implemented as-is under
-    ``strategy="none"``).
+    at SG generation) or a pre-generated ``initial_sg`` (the entry of the
+    sweep and of the paper's rows).
     """
     with obs_span("pipeline", strategy=config.strategy) as record:
         result = _run_stages(config, spec=spec, stg=stg, stg_text=stg_text,

@@ -41,6 +41,9 @@ from ..sg.graph import StateGraph
 from .cost import CostFunction
 from .fwdred import Config, record_work, reduction_space
 
+#: Best-first's default ``patience`` (see :func:`reduce_concurrency`).
+DEFAULT_PATIENCE = 150
+
 
 @dataclass
 class ExplorationStep:
@@ -202,7 +205,7 @@ def reduce_concurrency(sg: StateGraph,
                        cost_function: Optional[CostFunction] = None,
                        max_explored: int = 10_000,
                        strategy: str = "best-first",
-                       patience: int = 150) -> ExplorationResult:
+                       patience: Optional[int] = None) -> ExplorationResult:
     """Search over valid forward reductions.
 
     ``keep_conc`` lists event pairs whose concurrency must be preserved;
@@ -220,7 +223,7 @@ def reduce_concurrency(sg: StateGraph,
     interleaving is often reached through intermediate configurations that
     look expensive -- and best-first recovers from that where a narrow beam
     cannot.  ``patience`` bounds the number of consecutive non-improving
-    expansions in best-first mode.
+    expansions in best-first mode (``None``: :data:`DEFAULT_PATIENCE`).
     """
     if strategy not in ("best-first", "beam"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -229,7 +232,8 @@ def reduce_concurrency(sg: StateGraph,
     search = _Search(sg, keep_conc, cost_function or CostFunction(weight=weight),
                      max_explored)
     if strategy == "best-first":
-        best, best_cost, history, levels = _best_first(search, patience)
+        best, best_cost, history, levels = _best_first(
+            search, DEFAULT_PATIENCE if patience is None else patience)
     else:
         best, best_cost, history, levels = _beam(search, size_frontier)
     best_sg = search.graph(best)

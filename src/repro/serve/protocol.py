@@ -26,7 +26,7 @@ validation failures into 4xx responses without string matching.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..pipeline.config import FlowConfig, delays_payload
@@ -129,12 +129,12 @@ def _config_from_overrides(overrides,
     """
     overrides = _require_dict(overrides if overrides is not None else {},
                               "'config'")
-    payload = FlowConfig().to_payload()
-    unknown = sorted(set(overrides) - set(payload))
+    known = {field.name for field in fields(FlowConfig)}
+    unknown = sorted(set(overrides) - known)
     if unknown:
         raise ProtocolError(f"unknown config field(s) {unknown}; "
-                            f"expected a subset of {sorted(payload)}")
-    payload.update(overrides)
+                            f"expected a subset of {sorted(known)}")
+    payload = {**FlowConfig().to_payload(), **overrides}
     try:
         delays = payload["delays"]
         if isinstance(delays, (list, tuple)) and len(delays) == 3:

@@ -17,10 +17,9 @@ is entirely practical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..petri.stg import STG, SignalEvent, SignalKind
+from ..petri.stg import STG
 from .graph import State, StateGraph
 from .regions import excitation_region
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...explore.budget import BudgetExceeded, ExplorationBudget
 from ...obs import metrics, progress

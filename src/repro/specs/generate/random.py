@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ...petri.compose import compose_all

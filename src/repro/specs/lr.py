@@ -5,8 +5,8 @@ A control-transfer component with a passive port ``l`` and an active port
 to ``r``.  The CSP-like behaviour is ``*[ l? ; r! ; r? ; l! ]``, whose
 4-phase expansion under the channel interface constraints is Fig. 2.f.
 
-Table 1 compares seven implementations; the helpers here build each design
-point so the bench can regenerate the table:
+Table 1 compares seven implementations, :func:`q_module_stg` and the flow
+configurations of ``TABLE1_ROWS``:
 
 * ``Q-module (hand)`` -- the classical S-element reshuffling (the right
   handshake completes entirely before the left one is acknowledged);
@@ -22,6 +22,7 @@ from typing import Dict, List, Tuple
 from ..hse.spec import ChannelRole, PartialSpec
 from ..hse.expansion import expand_four_phase
 from ..petri.stg import STG, SignalKind
+from ..pipeline.config import FlowConfig
 
 
 def lr_spec() -> PartialSpec:
@@ -72,4 +73,12 @@ TABLE1_KEEP_CONC: Dict[str, List[Tuple[str, str]]] = {
     "li || ro": [("li-", "ro-")],
     "lo || ri": [("lo-", "ri-")],
     "lo || ro": [("lo-", "ro-")],
+}
+
+#: Table 1's rows on ``generate_sg(lr_expanded())``, as flow configurations.
+TABLE1_ROWS: Dict[str, FlowConfig] = {
+    "Full reduction": FlowConfig(strategy="full"),
+    "Max. concurrency": FlowConfig(strategy="none"),
+    **{name: FlowConfig(strategy="full", keep_conc=keep)
+       for name, keep in TABLE1_KEEP_CONC.items()},
 }

@@ -15,7 +15,7 @@ expansion then leaves the reset transitions of all four handshakes
 maximally concurrent, which is exactly the freedom Table 2 explores:
 
 * ``original``          -- the maximally concurrent expansion, unreduced;
-* ``original reduced``  -- beam-search reduction, default weight;
+* ``original reduced``  -- best-first reduction, default weight;
 * ``csc reduced``       -- reduction biased towards CSC resolution (W -> 0);
 * ``|| (x, y, z)``      -- full reduction preserving the mutual concurrency
   of the reset events of channels x, y and z.
@@ -29,6 +29,7 @@ from typing import Dict, List, Tuple
 from ..hse.spec import ChannelRole, PartialSpec
 from ..hse.expansion import expand_four_phase
 from ..petri.stg import STG
+from ..pipeline.config import FlowConfig
 
 
 def mmu_spec() -> PartialSpec:
@@ -53,22 +54,15 @@ def mmu_expanded() -> STG:
     return expand_four_phase(mmu_spec(), name="mmu_4ph")
 
 
-def _reset_events(channel: str) -> List[str]:
-    return [f"{channel}i-", f"{channel}o-"]
-
-
 def keep_conc_for(channels: Tuple[str, ...]) -> List[Tuple[str, str]]:
     """Keep_Conc preserving reset concurrency among the named channels.
 
     Every falling wire event of one listed channel stays concurrent with
     every falling wire event of the other listed channels.
     """
-    pairs: List[Tuple[str, str]] = []
-    for first, second in combinations(channels, 2):
-        for event_a in _reset_events(first):
-            for event_b in _reset_events(second):
-                pairs.append((event_a, event_b))
-    return pairs
+    return [(f"{first}{wire_a}-", f"{second}{wire_b}-")
+            for first, second in combinations(channels, 2)
+            for wire_a in "io" for wire_b in "io"]
 
 
 #: The four partially concurrent rows of Table 2.
@@ -77,4 +71,17 @@ TABLE2_KEEP_CONC: Dict[str, Tuple[str, ...]] = {
     "|| (b, m, r)": ("b", "m", "r"),
     "|| (b, l, m)": ("b", "l", "m"),
     "|| (l, m, r)": ("l", "m", "r"),
+}
+
+#: Table 2's rows on ``generate_sg(mmu_expanded())``, as flow configurations.
+#: W = 1/96 at the default CSC scale weighs one conflict pair as 1,900
+#: literals, as W = 0.05 at scale 100 does; patience 10**9 never stops early.
+TABLE2_ROWS: Dict[str, FlowConfig] = {
+    "original": FlowConfig(strategy="none", max_csc_signals=3),
+    "original reduced": FlowConfig(max_explored=400, patience=200),
+    "csc reduced": FlowConfig(weight=1 / 96, max_explored=1200,
+                              patience=10**9),
+    **{name: FlowConfig(strategy="full", size_frontier=3,
+                        keep_conc=keep_conc_for(channels))
+       for name, channels in TABLE2_KEEP_CONC.items()},
 }

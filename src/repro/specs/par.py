@@ -16,11 +16,12 @@ have balanced delays.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..hse.spec import ChannelRole, PartialSpec
 from ..hse.expansion import expand_four_phase
 from ..petri.stg import STG, SignalKind
+from ..pipeline.config import FlowConfig
 
 
 def par_spec() -> PartialSpec:
@@ -46,6 +47,13 @@ def par_expanded() -> STG:
 #: The concurrency the reduction must preserve: the acknowledgments of the
 #: two sub-processes (events b? and c?, i.e. wires bi and ci) stay parallel.
 PAR_KEEP_CONC: List[Tuple[str, str]] = [("bi+", "ci+")]
+
+#: Fig. 10's automatic row on ``generate_sg(par_expanded())`` (patience 10**9
+#: never stops early); the manual row is :func:`par_manual_stg` as-is.
+FIG10_ROWS: Dict[str, FlowConfig] = {
+    "automatic": FlowConfig(keep_conc=PAR_KEEP_CONC, max_explored=4000,
+                            patience=10**9),
+}
 
 
 def par_manual_stg() -> STG:

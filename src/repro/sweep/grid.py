@@ -21,8 +21,8 @@ from ..petri.stg import STG
 from ..pipeline.config import STRATEGIES, FlowConfig
 from ..specs import suite
 from ..specs.fig1 import fig1_stg
-from ..specs.lr import TABLE1_KEEP_CONC, lr_expanded
-from ..specs.mmu import TABLE2_KEEP_CONC, keep_conc_for, mmu_expanded
+from ..specs.lr import TABLE1_ROWS, lr_expanded
+from ..specs.mmu import TABLE2_ROWS, mmu_expanded
 from ..specs.par import par_expanded
 from ..timing.delays import TABLE1_DELAYS, DelayModel
 
@@ -46,12 +46,9 @@ def spec_registry() -> Dict[str, Callable[[], STG]]:
 
 def keep_variants(spec: str) -> Dict[str, List[Tuple[str, str]]]:
     """The named Keep_Conc rows of Tables 1-2 for ``spec`` (else empty)."""
-    if spec == "lr":
-        return dict(TABLE1_KEEP_CONC)
-    if spec == "mmu":
-        return {name: keep_conc_for(channels)
-                for name, channels in TABLE2_KEEP_CONC.items()}
-    return {}
+    rows = {"lr": TABLE1_ROWS, "mmu": TABLE2_ROWS}.get(spec, {})
+    return {name: list(config.keep_conc) for name, config in rows.items()
+            if config.keep_conc}
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..explore.budget import BudgetMeter, ExplorationBudget
 from ..obs import progress as obs_progress

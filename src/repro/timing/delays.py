@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..petri.stg import SignalKind
 from ..sg.graph import StateGraph

@@ -169,6 +169,10 @@ class TestBadConfigValue:
          "size_frontier"),
         ("sweep --specs half --strategies beam --max-explored -1",
          "max_explored"),
+        ("synth lr -W 1.5", "weight"),
+        ("reduce half -W -0.5", "weight"),
+        ("verify half -W 2", "weight"),
+        ("sweep --specs half --strategies beam --weights 1.5", "weight"),
     ])
     def test_exits_one_with_field_name(self, argv, field):
         with pytest.raises(SystemExit) as excinfo:

@@ -76,7 +76,10 @@ class TestFlowConfig:
                 {"keep_conc": ["ab"]}, {"keep_conc": [("a+", 1)]},
                 {"verify_max_states": "5"}, {"sg_max_states": -1},
                 {"verify": "false"}, {"verify": 1}, {"resynthesise": "no"},
-                {"weight": True}, {"weight": "0.5"}):
+                {"weight": True}, {"weight": "0.5"},
+                {"strategy": "beam", "weight": 1.5}, {"weight": -0.1},
+                {"strategy": "full", "weight": 2}, {"patience": 0},
+                {"patience": 2.5}, {"patience": True}):
             with pytest.raises(ValueError):
                 FlowConfig.create(**knobs)
 
@@ -105,6 +108,11 @@ class TestFlowConfig:
             ({"strategy": "full", "max_explored": 20_000},
              {"strategy": "full"}),
             ({"verify_max_states": 7, "verify_model": "structural"}, {}),
+            ({"strategy": "none", "weight": 1.5}, {"strategy": "none"}),
+            ({"patience": 150}, {}),
+            ({"strategy": "beam", "patience": 9}, {"strategy": "beam"}),
+            ({"strategy": "full", "patience": 9}, {"strategy": "full"}),
+            ({"strategy": "none", "patience": 9}, {"strategy": "none"}),
         ]
         for one, other in spellings:
             assert FlowConfig(**one) == FlowConfig(**other), one
@@ -173,7 +181,7 @@ class TestFlowConfig:
             "sg_max_states": 100, "sg_max_arcs": 100,
         }
         names = {field.name for field in fields(FlowConfig)}
-        assert names == set(moved) | {"verify"}
+        assert names == set(moved) | {"verify", "patience"}
         stages = ("expand", "generate", "reduce", "resolve", "synthesize",
                   "timing", "verify")
         for name, value in moved.items():
@@ -181,6 +189,26 @@ class TestFlowConfig:
             assert changed != base, name
             assert any(changed.slice_for(stage) != base.slice_for(stage)
                        for stage in stages), name
+        # Only best-first reads ``patience``; beam resets it.
+        assert replace(base, patience=200) == base
+        best_first = FlowConfig(strategy="best-first", verify=True)
+        patient = replace(best_first, patience=200)
+        assert patient != best_first
+        assert [stage for stage in stages
+                if patient.slice_for(stage) != best_first.slice_for(stage)
+                ] == ["reduce"]
+
+    def test_patience_written_only_when_set(self):
+        # A default patience leaves payload, digest and reduce slice as
+        # they were before the field existed; a set one round-trips.
+        default = FlowConfig()
+        assert "patience" not in default.to_payload()
+        assert "patience" not in default.slice_for("reduce")
+        patient = FlowConfig(patience=10**9, max_explored=4000)
+        assert patient.to_payload()["patience"] == 10**9
+        assert patient.slice_for("reduce")["patience"] == 10**9
+        assert FlowConfig.from_json(patient.to_json()) == patient
+        assert patient.digest() != replace(patient, patience=None).digest()
 
     def test_sg_budget_slice_keys_generate_only(self):
         # Default budgets key exactly like the pre-budget era (empty

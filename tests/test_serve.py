@@ -105,9 +105,14 @@ class TestProtocol:
         ({"verify": "false"}, "verify"),
         ({"resynthesise": "no"}, "resynthesise"),
         ({"weight": True}, "weight"),
-        ({"weight": "0.5"}, "weight")])
+        ({"weight": "0.5"}, "weight"),
+        ({"strategy": "beam", "weight": 1.5}, "weight"),
+        ({"weight": -0.5}, "weight"),
+        ({"patience": 0}, "patience"),
+        ({"patience": "200"}, "patience")])
     def test_synth_flags_and_weight_are_typed(self, config, field):
-        # A truthy string is not a flag and a bool is not a weight.
+        # A truthy string is not a flag, a bool is not a weight, and a
+        # weight outside [0, 1] never reaches the worker.
         with pytest.raises(ProtocolError, match=field) as err:
             parse_synth_request({"spec": "lr", "config": config})
         assert err.value.status == 400
