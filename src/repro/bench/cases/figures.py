@@ -401,6 +401,8 @@ def run_fig10(context) -> dict:
     return {
         "expansion_states": len(sg),
         "explored": auto.reduction_stats().explored,
+        "fwdred_steps": work["steps"],
+        "fwdred_walks": work["walks"],
         "materialized": work["materialized"],
         "scored": work["scored"],
         "auto_area": auto_area,
@@ -423,6 +425,8 @@ register(BenchCase(
     metrics=(
         Metric("expansion_states", "states"),
         Metric("explored", "configs"),
+        Metric("fwdred_steps", "steps", direction="lower"),
+        Metric("fwdred_walks", "walks", direction="lower"),
         Metric("materialized", "graphs", direction="lower"),
         Metric("scored", "configs"),
         Metric("auto_area", "literals", direction="lower"),

@@ -33,6 +33,18 @@ TABLE2_PAPER = {  # area, #CSC, cr.cycle, inp.events from Table 2
     "|| (l, m, r)": (368, 1, 105, 5),
 }
 
+#: The metric name prefix of every Table 2 row: its area and cycle time
+#: are pinned as ``<prefix>_area`` and ``<prefix>_cycle``.
+TABLE2_METRIC_PREFIX = {
+    "original": "original",
+    "original reduced": "original_reduced",
+    "csc reduced": "csc_reduced",
+    "|| (b, l, r)": "keep_b_l_r",
+    "|| (b, m, r)": "keep_b_m_r",
+    "|| (b, l, m)": "keep_b_l_m",
+    "|| (l, m, r)": "keep_l_m_r",
+}
+
 
 def _paper_table(result: dict, paper: dict):
     rows = [tuple(row) + (f"paper:{paper[row[0]]}",)
@@ -144,33 +156,38 @@ def run_table2(context) -> dict:
     from repro import generate_sg, run_pipeline
     from repro.encoding.insertion import insertion_work
     from repro.logic.minimize import logic_work
+    from repro.reduction.fwdred import reduction_work
     from repro.specs.mmu import TABLE2_ROWS, mmu_expanded
 
     def build():
         before = logic_work()["primes"]
-        inserted = insertion_work()
+        inserted, searched = insertion_work(), reduction_work()
         sg = generate_sg(mmu_expanded())
         results = {name: run_pipeline(config, initial_sg=sg, name=name)
                    for name, config in TABLE2_ROWS.items()}
         insertion = {key: value - inserted[key]
                      for key, value in insertion_work().items()}
-        return sg, results, logic_work()["primes"] - before, insertion
+        work = {key: value - searched[key]
+                for key, value in reduction_work().items()}
+        return sg, results, logic_work()["primes"] - before, insertion, work
 
     # One round only: seven pipelines, the unreduced-MMU CSC search over
     # three beam levels among them; min-of-N would triple a number that
     # the trajectory tracks but never gates on.
-    seconds, (sg, results, primes, insertion) = context.best_of(build,
-                                                                rounds=1)
-    original = table_row(results["original"])
-    reduced = {name: table_row(result) for name, result in results.items()
-               if name != "original"}
+    seconds, (sg, results, primes, insertion, work) = context.best_of(
+        build, rounds=1)
+    rows = {name: table_row(result) for name, result in results.items()}
+    original = rows["original"]
+    reduced = {name: row for name, row in rows.items() if name != "original"}
     best_area = min(row.area for row in reduced.values())
     return {
         "rows": [report_row(result) for result in results.values()],
         "sg_states": len(sg),
-        "original_area": original.area,
+        **{f"{TABLE2_METRIC_PREFIX[name]}_area": row.area
+           for name, row in rows.items()},
+        **{f"{TABLE2_METRIC_PREFIX[name]}_cycle": row.cycle_time
+           for name, row in rows.items()},
         "best_reduced_area": best_area,
-        "csc_reduced_area": reduced["csc reduced"].area,
         "csc_reduced_signals": reduced["csc reduced"].csc_signals,
         "area_ratio_best_vs_original": best_area / original.area,
         "primes": primes,
@@ -178,6 +195,8 @@ def run_table2(context) -> dict:
         "insertion_feasible": insertion["feasible"],
         "insertion_built": insertion["built"],
         "insertion_levels": insertion["levels"],
+        "fwdred_steps": work["steps"],
+        "fwdred_walks": work["walks"],
         "table_seconds": seconds,
         "all_reduced_resolved": all(results[name].csc_resolved()
                                     for name in reduced),
@@ -204,6 +223,14 @@ register(BenchCase(
         Metric("insertion_feasible", "candidates"),
         Metric("insertion_built", "graphs", direction="lower"),
         Metric("insertion_levels", "levels"),
+        # Every row's cycle time, and the areas not declared above.
+        *(Metric(f"{prefix}_cycle", "delay units", direction="lower")
+          for prefix in TABLE2_METRIC_PREFIX.values()),
+        *(Metric(f"{prefix}_area", "literals", direction="lower")
+          for prefix in TABLE2_METRIC_PREFIX.values()
+          if prefix not in ("original", "csc_reduced")),
+        Metric("fwdred_steps", "steps", direction="lower"),
+        Metric("fwdred_walks", "walks", direction="lower"),
         Metric("table_seconds", "s", direction="lower", measured=True),
     ),
     checks=(
@@ -265,6 +292,7 @@ def run_ablation(context) -> dict:
     beams = [results[f"beam w={w}"].best_cost for w in (1, 2, 4, 8)]
     return {
         "fwdred_steps": work["steps"],
+        "fwdred_walks": work["walks"],
         "materialized": work["materialized"],
         "scored": work["scored"],
         "rows": [(name, f"{r.best_cost:.2f}", r.explored_count,
@@ -294,6 +322,7 @@ register(BenchCase(
         Metric("explored_best_first", "configs"),
         Metric("conflicts_w0", "conflicts", direction="lower"),
         Metric("fwdred_steps", "steps", direction="lower"),
+        Metric("fwdred_walks", "walks", direction="lower"),
         Metric("materialized", "graphs", direction="lower"),
         Metric("scored", "configs"),
         Metric("sweep_seconds", "s", direction="lower", measured=True),

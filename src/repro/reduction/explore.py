@@ -24,9 +24,19 @@ pairs, the FwdRed step, the Keep_Conc diamond check).  ``seen``,
 keyed by their arc masks, so duplicates are recognised on the masks, and
 every configuration is scored on them too
 (:meth:`~repro.reduction.fwdred.ReductionSpace.measure`): a search builds
-one :class:`StateGraph`, for the configuration it returns.  Each search
-folds its step outcomes, the configurations it scored and the graphs it
-built into the ``repro_reduction_*`` counters.
+one :class:`StateGraph`, for the configuration it returns.
+
+Expanding a configuration reuses the work of the parent that first
+generated it: only the parent's live diamond pairs are tested, and each
+FwdRed step gets a hint from the space's transition table -- the
+parent's child by the same pair, reduced by the pair that made the
+configuration when that step is known -- which the step accepts without
+its reachability walk when the hint provably is the child.  Most steps
+reach a configuration already generated, and the hint answers most of
+them.  The Keep_Conc verdict is kept per child mask.  None of this
+changes a result: the hinted child is the walked one, mask and states.
+Each search folds its step outcomes, its walks, the configurations it
+scored and the graphs it built into the ``repro_reduction_*`` counters.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from ..explore import ExplorationBudget
 from ..hse.constraints import KeepConcError, normalise_keep_conc
 from ..sg.graph import StateGraph
 from .cost import CostFunction
-from .fwdred import Config, record_work, reduction_space
+from .fwdred import Config, LivePairs, record_work, reduction_space
 
 #: Best-first's default ``patience`` (see :func:`reduce_concurrency`).
 DEFAULT_PATIENCE = 150
@@ -125,6 +135,13 @@ class _Search:
     :mod:`repro.reduction.fwdred`).  Costs are measured on the masks, once
     per space and configuration; a :class:`StateGraph` is built only for
     the returned configuration (:meth:`graph`).
+
+    ``origin`` maps each generated configuration but the input to where it
+    was first generated: its parent, the parent's live diamond pairs and
+    the pair reduced.  Expanding a configuration reuses that parent's
+    work: it tests only the parent's live pairs, and offers each FwdRed
+    step a hint (:meth:`_hint`) read from the parent's and its siblings'
+    steps in the space's transition table.
     """
 
     def __init__(self, sg: StateGraph, keep_conc: Iterable[Tuple[str, str]],
@@ -137,9 +154,14 @@ class _Search:
         self.root = self.space.root
         self.seen: Set[int] = {self.root.mask}
         self.expanded: Set[int] = set()
+        self.origin: Dict[int, Tuple[Config, LivePairs, str, str]] = {}
+        #: The Keep_Conc verdict of every child mask stepped to.
+        self.keeps: Dict[int, bool] = {}
+        #: Scored configurations' reachable state ids, kept for their view.
+        self.reachable: Dict[int, List[int]] = {}
         self.capped = False
         self._work = {"valid": 0, "invalid": 0, "duplicate": 0,
-                      "materialized": 0, "scored": 0}
+                      "materialized": 0, "scored": 0, "walks": 0}
 
     def expand(self, config: Config) -> bool:
         """Mark ``config`` expanded; False when it already was."""
@@ -157,29 +179,69 @@ class _Search:
         pairs directly, but the designer asked for them to stay
         concurrent).  Every yielded child is in ``seen``.
         """
-        space, work = self.space, self._work
-        view = space.view(config)
-        for before, delayed in sorted(space.reducible(config, self.preserved)):
-            if self.meter.states_exhausted(len(self.seen)):
+        space, work, seen = self.space, self._work, self.seen
+        origin = self.origin.get(config.mask)
+        live = space.live_pairs(config, None if origin is None else origin[1])
+        view = space.view(config, self.reachable.pop(config.mask, None))
+        for before, delayed in sorted(space.reducible(config, self.preserved,
+                                                      live)):
+            if self.meter.states_exhausted(len(seen)):
                 self.capped = True
                 return
-            child = space.child(view, delayed, before)
-            if child is None or not all(space.concurrent(child, *pair)
-                                        for pair in self.preserved):
+            child, walked = space.child(view, delayed, before,
+                                        self._hint(origin, delayed, before))
+            work["walks"] += walked
+            if child is None or not self._keeps(child):
                 work["invalid"] += 1
                 continue
-            if child.mask in self.seen:
+            if child.mask in seen:
                 work["duplicate"] += 1
             else:
                 work["valid"] += 1
-                self.seen.add(child.mask)
+                seen.add(child.mask)
+                self.origin[child.mask] = (config, live, delayed, before)
             yield before, delayed, child
+
+    def _hint(self, origin: Optional[Tuple[Config, LivePairs, str, str]],
+              delayed: str, before: str) -> Optional[Config]:
+        """What ``FwdRed(delayed, before)`` of a child of ``origin``'s
+        parent probably reaches, read from the space's transition table.
+
+        The two steps usually commute, so the first guess is the parent's
+        own child by the pair (the sibling) reduced by the pair that made
+        the child.  When the table has no such step, the guess is the
+        sibling itself.  When it has one, the sibling cannot be the
+        answer: that step found a state of the sibling enabling both
+        events of the pair that made the child, and a state of the
+        parent doing so lost its delayed event in the child.
+        """
+        if origin is None:
+            return None
+        parent, _, made_delayed, made_before = origin
+        transitions = self.space.transitions
+        sibling = transitions.get((parent.mask, delayed, before))
+        if sibling is None:
+            return None
+        cousin = transitions.get((sibling.mask, made_delayed, made_before))
+        return sibling if cousin is None else cousin
+
+    def _keeps(self, child: Config) -> bool:
+        """Whether every Keep_Conc pair stays concurrent in ``child``."""
+        if not self.preserved:
+            return True
+        verdict = self.keeps.get(child.mask)
+        if verdict is None:
+            verdict = self.keeps[child.mask] = all(
+                self.space.concurrent(child, *pair) for pair in self.preserved)
+        return verdict
 
     def value(self, config: Config) -> float:
         """The heuristic cost of ``config``, measured once per space."""
-        terms = self.space.terms.get(config.mask)
+        space, mask = self.space, config.mask
+        terms = space.terms.get(mask)
         if terms is None:
-            terms = self.space.terms[config.mask] = self.space.measure(config)
+            reachable = self.reachable[mask] = config.ids()
+            terms = space.terms[mask] = space.measure(config, reachable)
             self._work["scored"] += 1
         return self.cost.from_terms(terms).value
 

@@ -16,11 +16,15 @@ FwdRed only ever removes arcs, so every configuration a reduction search
 reaches is a subgraph of the root SG.  A :class:`ReductionSpace` reads
 the root's :class:`~repro.sg.graph.GraphIndex` (dense state, label and arc
 ids in root order) and adds per-state in-arcs and one arc mask per label;
-a configuration is a :class:`Config`: the int mask of its arcs plus the
-int mask of its reachable states.  For one root, equal arc masks mean equal
+a configuration is a :class:`Config`: the int mask of its arcs, the int
+mask of its reachable states and the mask of every root arc out of those.
+For one root, equal arc masks mean equal
 :meth:`~repro.sg.graph.StateGraph.signature`\\ s, so searches deduplicate
 on the mask and a :class:`~repro.sg.graph.StateGraph` is built only where
-a caller needs one (:meth:`ReductionSpace.materialize`).
+a caller needs one (:meth:`ReductionSpace.materialize`).  A state's root
+arcs have consecutive ids, so its live arcs are one slice of the mask:
+masks are decoded a state at a time from the reachable-state mask (read
+a byte at a time), never as binary strings.
 
 The space also stores each unordered label pair's root diamonds (Definition
 2.1), each as the mask of its four arcs.  Every masked arc has a reachable
@@ -28,18 +32,26 @@ source -- a step drops the arcs of the states it loses -- so a diamond of a
 configuration is a root diamond inside its mask, and
 :meth:`ReductionSpace.concurrent` (the search's Keep_Conc check) and
 :meth:`ReductionSpace.reducible` test diamond masks without scanning a
-state.  The FwdRed step itself walks a :class:`_View`, the configuration
-decoded into per-state adjacency, since a dict lookup costs less than a
-bit test on masks of hundreds of arcs.
+state.  A child's diamonds are among its parent's, so
+:meth:`ReductionSpace.live_pairs` can test only the parent's live pairs,
+each on the parent's witness diamond first.  The FwdRed step walks a
+:class:`_View`, the configuration decoded into per-state adjacency, since
+a dict lookup costs less than a bit test on masks of hundreds of arcs.
+It first finds the truncated states, a walk local to ER(delayed); a
+caller that expects a certain child passes it as a hint, and the step
+accepts it without the reachability walk when the kept arcs, restricted
+to the hint's states, are exactly the hint's arcs (see
+:meth:`ReductionSpace.step`).
 
 The Section 7 cost terms are measured on the masks too
 (:meth:`ReductionSpace.measure`), from the index's packed codes and the
 rise, fall and non-input excitation bits of every label.  One pass over a
-configuration's reachable states and live arcs yields the ``(code, rise,
-fall)`` rows that the next-state extraction splits into ON/OFF sets, and
-its codes with their excitation masks count the CSC conflict pairs
-through :func:`~repro.sg.properties.conflict_pairs`, the counter the
-property checks and the insertion walk share.  So a search scores every
+configuration's reachable states ORs, per code, the signals whose next
+value is 1 (a state keeping all its root arcs reads a precomputed row);
+each target's ON and OFF sets come from that, and the codes with their
+excitation masks count the CSC conflict pairs through
+:func:`~repro.sg.properties.conflict_pairs`, the counter the property
+checks and the insertion walk share.  So a search scores every
 configuration without building a graph, and spaces built for
 :func:`forward_reduction` or :func:`reducible_pairs` never read a code:
 the index packs them on first read.
@@ -65,7 +77,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import engine
-from ..logic.functions import _extract_from_masks, _targets
+from ..logic.functions import _targets
 from ..logic.minimize import fast_literal_count
 from ..obs.metrics import registry as obs_registry
 from ..sg.graph import StateGraph
@@ -96,45 +108,74 @@ class Config:
     Bit ``i`` of ``mask`` is arc ``i`` of the root (arcs whose source is
     reachable, minus the removed ones); bit ``i`` of ``reach`` is root
     state ``i``.  The arc mask alone identifies the configuration.
+    ``arcs`` is the mask of every root arc out of a reachable state; when
+    it is not given, :meth:`ReductionSpace.out_arcs` derives it on first
+    use.
     """
 
-    __slots__ = ("mask", "reach")
+    __slots__ = ("mask", "reach", "arcs")
 
-    def __init__(self, mask: int, reach: int) -> None:
+    def __init__(self, mask: int, reach: int,
+                 arcs: Optional[int] = None) -> None:
         self.mask = mask
         self.reach = reach
+        self.arcs = arcs
 
     @property
     def states(self) -> int:
         """The number of reachable states."""
         return self.reach.bit_count()
 
+    def ids(self) -> List[int]:
+        """The reachable state ids, lowest first, read a byte at a time."""
+        ids: List[int] = []
+        reach = self.reach
+        for base, byte in enumerate(reach.to_bytes(
+                (reach.bit_length() + 7) >> 3, "little")):
+            if byte:
+                base <<= 3
+                ids += [base + bit for bit in _BYTE_BITS[byte]]
+        return ids
 
-def _ids(mask: int) -> List[int]:
-    """The set bits of ``mask``, lowest first."""
-    return [i for i, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"]
+
+#: Label pairs with a diamond in a configuration, one witness diamond each
+#: (see :meth:`ReductionSpace.live_pairs`).
+LivePairs = Tuple[Tuple[Tuple[int, int], int], ...]
+
+#: The set bit positions of every byte value, lowest first.
+_BYTE_BITS = [tuple(bit for bit in range(8) if byte >> bit & 1)
+              for byte in range(256)]
 
 
 class _View:
-    """A configuration decoded for expansion: adjacency and ERs by label."""
+    """A configuration decoded for expansion: adjacency and ERs by label.
+
+    Each reachable state's arcs are read from the arc mask as one slice
+    of bits (a state's root arcs have consecutive ids); a state that keeps
+    all of them shares the space's full row.
+    """
 
     __slots__ = ("config", "reachable", "adj", "er")
 
-    def __init__(self, space: "ReductionSpace", config: Config) -> None:
+    def __init__(self, space: "ReductionSpace", config: Config,
+                 reachable: Optional[List[int]] = None) -> None:
         self.config = config
-        self.reachable = _ids(config.reach)
-        bits = f"{config.mask:b}"[::-1]
-        top = len(bits)
+        self.reachable = config.ids() if reachable is None else reachable
+        mask = config.mask
         adj: List[Optional[Dict[int, int]]] = [None] * len(space.states)
         er: Dict[int, List[int]] = {}
-        out = space.out
+        first, span, local = space.first, space.span, space.local
+        full = space.full
         for state in self.reachable:
-            row: Dict[int, int] = {}
-            for label, (arc, target) in out[state].items():
-                if arc < top and bits[arc] == "1":
-                    row[label] = target
-                    er.setdefault(label, []).append(state)
+            live = mask >> first[state] & span[state]
+            if live == span[state]:
+                row = full[state]
+            else:
+                row = {label: target for bit, label, target in local[state]
+                       if live & bit}
             adj[state] = row
+            for label in row:
+                er.setdefault(label, []).append(state)
         #: ``adj[s]`` is ``{label id: target id}`` for reachable ``s``.
         self.adj = adj
         #: Excitation regions of the live labels, states in root order.
@@ -143,12 +184,17 @@ class _View:
 
 @dataclass(frozen=True)
 class _Step:
-    """One FwdRed step on masks; ``child`` is None when it is invalid."""
+    """One FwdRed step on masks; ``child`` is None when it is invalid.
+
+    ``walked`` tells whether the step ran the reachability walk, rather
+    than stopping early or accepting a hint.
+    """
 
     child: Optional[Config]
     reason: str = ""
     truncated: int = 0
     lost_states: int = 0
+    walked: bool = False
 
 
 class ReductionSpace:
@@ -171,9 +217,21 @@ class ReductionSpace:
         #: ``inn[t]`` lists the ``(label id, source id)`` arcs entering ``t``.
         self.inn: List[List[Tuple[int, int]]] = [[] for _ in self.states]
         self.label_arcs = [0] * len(self.labels)
+        #: A state's root arcs have consecutive ids from ``first[s]``:
+        #: ``span[s]`` is their bits shifted down to bit 0, ``local[s]``
+        #: lists ``(bit, label id, target id)`` per arc and ``full[s]`` is
+        #: the index's ``{label id: target id}`` row, all of them live.
+        self.first: List[int] = []
+        self.span: List[int] = []
+        self.local: List[List[Tuple[int, int, int]]] = []
+        self.full: List[Dict[int, int]] = index.succ
         arc = 0
         for source, succ in enumerate(index.succ):
             row: Dict[int, Tuple[int, int]] = {}
+            self.first.append(arc)
+            self.local.append([(1 << offset, label, target) for offset,
+                               (label, target) in enumerate(succ.items())])
+            self.span.append((1 << len(succ)) - 1)
             for label, target in succ.items():
                 row[label] = (arc, target)
                 self.inn[target].append((label, source))
@@ -196,23 +254,64 @@ class ReductionSpace:
                         self.diamonds.setdefault((label_a, label_b), []).append(
                             1 << arc_a | 1 << arc_b | 1 << end_a[0]
                             | 1 << end_b[0])
-        self.root = Config((1 << arc) - 1, (1 << len(self.states)) - 1)
+        self.root = Config((1 << arc) - 1, (1 << len(self.states)) - 1,
+                           (1 << arc) - 1)
         self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
         #: ``mask -> (literals, CSC pairs, states)``.
         self.terms: Dict[int, Tuple[int, int, int]] = {}
 
-    def view(self, config: Config) -> _View:
-        return _View(self, config)
+    def view(self, config: Config,
+             reachable: Optional[List[int]] = None) -> _View:
+        """``config`` decoded; ``reachable`` is its :meth:`Config.ids`
+        when the caller has them."""
+        return _View(self, config, reachable)
+
+    def out_arcs(self, config: Config) -> int:
+        """``config.arcs``: every root arc out of a reachable state."""
+        if config.arcs is None:
+            first, span = self.first, self.span
+            arcs = 0
+            for state in config.ids():
+                arcs |= span[state] << first[state]
+            config.arcs = arcs
+        return config.arcs
+
+    def live_pairs(self, config: Config,
+                   inherited: Optional[LivePairs] = None) -> LivePairs:
+        """The label pairs with a diamond in ``config``, each with one
+        diamond as its witness: ``((a, b), diamond)`` in the order of
+        :attr:`diamonds`.
+
+        ``inherited`` is the result for a configuration whose mask holds
+        ``config``'s -- the one it was reduced from -- and only its pairs
+        are tested, each on its witness first; an entry whose witness
+        stays is shared, not copied.  Without it every pair is scanned.
+        """
+        mask, diamonds = config.mask, self.diamonds
+        live = []
+        for entry in (inherited if inherited is not None
+                      else [(pair, 0) for pair in diamonds]):
+            pair, witness = entry
+            if witness and mask & witness == witness:
+                live.append(entry)
+                continue
+            for diamond in diamonds[pair]:
+                if mask & diamond == diamond:
+                    live.append((pair, diamond))
+                    break
+        return tuple(live)
 
     def reducible(self, config: Config,
-                  keep_conc: FrozenSet[FrozenSet[str]] = frozenset()
-                  ) -> Set[Tuple[str, str]]:
-        """:func:`reducible_pairs` of ``config``: pairs with a diamond in it."""
-        labels, is_input, mask = self.labels, self.is_input, config.mask
+                  keep_conc: FrozenSet[FrozenSet[str]] = frozenset(),
+                  live: Optional[LivePairs] = None) -> Set[Tuple[str, str]]:
+        """:func:`reducible_pairs` of ``config``: pairs with a diamond in it.
+
+        ``live`` is ``config``'s :meth:`live_pairs` when the caller has it.
+        """
+        labels, is_input = self.labels, self.is_input
         pairs: Set[Tuple[str, str]] = set()
-        for (label_a, label_b), diamonds in self.diamonds.items():
-            if not any(mask & diamond == diamond for diamond in diamonds):
-                continue
+        for (label_a, label_b), _ in (self.live_pairs(config)
+                                      if live is None else live):
             names = (labels[label_a], labels[label_b])
             if frozenset(names) in keep_conc:
                 continue
@@ -221,8 +320,19 @@ class ReductionSpace:
                     pairs.add((labels[before], labels[delayed]))
         return pairs
 
-    def step(self, view: _View, delayed: int, before: int) -> _Step:
-        """``FwdRed(delayed, before)`` on ``view``'s configuration."""
+    def step(self, view: _View, delayed: int, before: int,
+             hint: Optional[Config] = None) -> _Step:
+        """``FwdRed(delayed, before)`` on ``view``'s configuration.
+
+        ``hint`` is a configuration the caller expects the child to be,
+        one a step produced (so its arcs reach exactly its states from the
+        initial state).  It is accepted without the reachability walk when
+        the arcs the step keeps, restricted to the hint's states, are
+        exactly the hint's mask: then the hint's states are closed under
+        the kept arcs and reached through them, so the walk would find
+        them.  It must also lose no live event and leave no truncated
+        state without arcs; a hint that fails any test is ignored.
+        """
         names = self.labels
         adj = view.adj
         region = view.er.get(delayed, ())
@@ -245,6 +355,15 @@ class ReductionSpace:
         if len(truncated) == len(members):
             return _Step(None, f"reduction would remove every occurrence of "
                                f"{names[delayed]}")
+
+        out = self.out
+        drop = 0
+        for state in truncated:
+            drop |= 1 << out[state][delayed][0]
+        config = view.config
+        if hint is not None and self._fits(view, config.mask & ~drop,
+                                           truncated, hint):
+            return _Step(hint, "", len(truncated), config.states - hint.states)
 
         initial = self.index.initial
         reached: Set[int] = set()
@@ -272,20 +391,15 @@ class ReductionSpace:
                             reached.add(target)
                             stack.append(target)
 
-        out = self.out
-        drop = 0
-        for state in truncated:
-            drop |= 1 << out[state][delayed][0]
-        reach = view.config.reach
-        lost_states = 0
+        first, span = self.first, self.span
+        reach = config.reach
+        lost_states = gone = 0
         for state in view.reachable:
             if state not in reached:
                 lost_states += 1
                 reach ^= 1 << state
-                row = out[state]
-                for label in adj[state]:
-                    drop |= 1 << row[label][0]
-        mask = view.config.mask & ~drop
+                gone |= span[state] << first[state]
+        mask = config.mask & ~drop & ~gone
 
         reasons = []
         lost = sorted(names[label] for label in view.er
@@ -297,21 +411,40 @@ class ReductionSpace:
         if initial is None or initial not in reached:
             reasons.append("initial state changed")
         if reasons:
-            return _Step(None, "; ".join(reasons), len(truncated), lost_states)
-        return _Step(Config(mask, reach), "", len(truncated), lost_states)
+            return _Step(None, "; ".join(reasons), len(truncated),
+                         lost_states, walked=True)
+        return _Step(Config(mask, reach, self.out_arcs(config) & ~gone), "",
+                     len(truncated), lost_states, walked=True)
 
-    def child(self, view: _View, delayed: str, before: str) -> Optional[Config]:
-        """The valid ``FwdRed(delayed, before)`` child of ``view``, memoized."""
+    def _fits(self, view: _View, kept: int, truncated: Set[int],
+              hint: Config) -> bool:
+        """Whether ``hint`` is the valid child whose kept arcs are ``kept``."""
+        mask = hint.mask
+        if kept & self.out_arcs(hint) != mask:
+            return False
+        label_arcs = self.label_arcs
+        for label in view.er:
+            if not mask & label_arcs[label]:
+                return False
+        first, span, reach = self.first, self.span, hint.reach
+        return all(mask >> first[state] & span[state]
+                   for state in truncated if reach >> state & 1)
+
+    def child(self, view: _View, delayed: str, before: str,
+              hint: Optional[Config] = None) -> Tuple[Optional[Config], bool]:
+        """The valid ``FwdRed(delayed, before)`` child of ``view``, memoized,
+        and whether finding it ran the reachability walk (see :meth:`step`
+        for ``hint``)."""
         key = (view.config.mask, delayed, before)
         transitions = self.transitions
         if key in transitions:
-            return transitions[key]
-        child = self.step(view, self.label_index[delayed],
-                          self.label_index[before]).child
+            return transitions[key], False
+        step = self.step(view, self.label_index[delayed],
+                         self.label_index[before], hint)
         if len(transitions) >= self.MAX_TRANSITIONS:
             transitions.clear()
-        transitions[key] = child
-        return child
+        transitions[key] = step.child
+        return step.child, step.walked
 
     def concurrent(self, config: Config, label_a: str, label_b: str) -> bool:
         """:func:`~repro.sg.regions.are_concurrent` on ``config``.
@@ -331,39 +464,69 @@ class ReductionSpace:
         return [(signal, 1 << self.sg.signal_index(signal))
                 for signal in _targets(self.sg)]
 
-    def measure(self, config: Config) -> Tuple[int, int, int]:
+    def _scoring_row(self, state: int, labels) -> Tuple[int, int, int]:
+        """``(code, high, excitation)`` of ``state`` with arcs ``labels``.
+
+        ``high`` has the bit of every signal whose next value is 1:
+        rising, or high and not falling.
+        """
+        index = self.index
+        code = index.codes[state]
+        rise = fall = excited = 0
+        for label in labels:
+            rise |= index.rise[label]
+            fall |= index.fall[label]
+            excited |= index.excites[label]
+        return code, rise | code & ~fall, excited
+
+    @cached_property
+    def full_rows(self) -> List[Tuple[int, int, int]]:
+        """Every state's scoring row with all its root arcs live.  Reads
+        the packed codes, so it raises
+        :class:`~repro.sg.graph.StateGraphError` when a state has none."""
+        return [self._scoring_row(state, row)
+                for state, row in enumerate(self.full)]
+
+    def measure(self, config: Config,
+                reachable: Optional[List[int]] = None) -> Tuple[int, int, int]:
         """The weight-independent cost terms of ``config``, on the masks.
 
         ``(literal estimate, CSC conflict pairs, state count)``, equal to
         what the literal estimate and :func:`~repro.sg.properties.csc_conflicts`
-        give on :meth:`materialize`'s graph.  Raises
-        :class:`~repro.sg.graph.StateGraphError` when a root state has no
-        code.
+        give on :meth:`materialize`'s graph.  One pass over the reachable
+        states ORs each code's next values; a state that keeps all its
+        root arcs takes its precomputed row.  A target's ON set is then
+        every code with its bit high in that OR (a conflicting code counts
+        as ON, as in the estimate), and its OFF set the other codes.
+        ``reachable`` is ``config``'s :meth:`Config.ids` when the caller
+        has them.  Raises :class:`~repro.sg.graph.StateGraphError` when a root state
+        has no code.
         """
-        targets, index = self.targets, self.index
-        codes, rise_bits, fall_bits = index.codes, index.rise, index.fall
-        excites = index.excites
-        bits = f"{config.mask:b}"[::-1]
-        top = len(bits)
-        rows: List[Tuple[int, int, int]] = []
+        targets, full = self.targets, self.full_rows
+        first, span, local = self.first, self.span, self.local
+        mask = config.mask
+        high_by_code: Dict[int, int] = {}
+        codes: List[int] = []
         excitations: List[int] = []
-        for state in _ids(config.reach):
-            rise = fall = excited = 0
-            for label, (arc, _) in self.out[state].items():
-                if arc < top and bits[arc] == "1":
-                    rise |= rise_bits[label]
-                    fall |= fall_bits[label]
-                    excited |= excites[label]
-            rows.append((codes[state], rise, fall))
+        for state in config.ids() if reachable is None else reachable:
+            live = mask >> first[state] & span[state]
+            if live == span[state]:
+                code, high, excited = full[state]
+            else:
+                code, high, excited = self._scoring_row(
+                    state, [label for bit, label, _ in local[state]
+                            if live & bit])
+            high_by_code[code] = high_by_code.get(code, 0) | high
+            codes.append(code)
             excitations.append(excited)
         literals = 0
-        variables = self.sg.signals
-        for signal, bit in targets:
-            function = _extract_from_masks(signal, bit, variables, rows)
-            literals += fast_literal_count(len(variables),
-                                           function.resolved_on("on"),
-                                           function.off_ints)
-        _, pairs = conflict_pairs([row[0] for row in rows], excitations)
+        variables = len(self.sg.signals)
+        items = high_by_code.items()
+        for _, bit in targets:
+            on = frozenset([code for code, high in items if high & bit])
+            off = frozenset([code for code, high in items if not high & bit])
+            literals += fast_literal_count(variables, on, off)
+        _, pairs = conflict_pairs(codes, excitations)
         return literals, pairs, config.states
 
     def materialize(self, root: StateGraph, config: Config) -> StateGraph:
@@ -373,16 +536,19 @@ class ReductionSpace:
         states and arcs keep its order, exactly as a chain of FwdRed
         copies would.
         """
-        states, labels, out = self.states, self.labels, self.out
+        states, labels = self.states, self.labels
+        first, span, local = self.first, self.span, self.local
         mask = config.mask
         removed = []
         reachable = set()
-        for state in _ids(config.reach):
+        for state in config.ids():
             node = states[state]
             reachable.add(node)
-            for label, (arc, _) in out[state].items():
-                if not mask >> arc & 1:
-                    removed.append((node, labels[label]))
+            live = mask >> first[state] & span[state]
+            if live != span[state]:
+                removed += [(node, labels[label])
+                            for bit, label, _ in local[state]
+                            if not live & bit]
         return root.copy_without_arcs(removed, reachable=reachable)
 
 
@@ -409,18 +575,23 @@ _OUTCOMES = ("valid", "invalid", "duplicate")
 
 
 def record_work(valid: int = 0, invalid: int = 0, duplicate: int = 0,
-                materialized: int = 0, scored: int = 0) -> None:
+                materialized: int = 0, scored: int = 0, walks: int = 0) -> None:
     """Fold FwdRed step outcomes, graphs built and scorings into the registry.
 
     ``valid`` steps reached a new configuration, ``duplicate`` ones a
-    configuration the search had already generated; ``scored`` counts the
-    configurations measured on masks (:meth:`ReductionSpace.measure`).
+    configuration the search had already generated; ``walks`` counts the
+    steps that ran the reachability walk (the others stopped early, were
+    answered by a hint or came from the transition table); ``scored``
+    counts the configurations measured on masks
+    (:meth:`ReductionSpace.measure`).
     """
     reg = obs_registry()
     for outcome, count in zip(_OUTCOMES, (valid, invalid, duplicate)):
         reg.counter("repro_reduction_steps_total",
                     "FwdRed steps taken by reductions, by outcome.",
                     outcome=outcome).inc(count)
+    reg.counter("repro_reduction_walks_total",
+                "FwdRed steps that ran the reachability walk.").inc(walks)
     reg.counter("repro_reduction_materialized_total",
                 "Reduction configurations built as state graphs.").inc(
                     materialized)
@@ -431,16 +602,17 @@ def record_work(valid: int = 0, invalid: int = 0, duplicate: int = 0,
 def reduction_work() -> Dict[str, int]:
     """The reduction counters of the default registry.
 
-    ``steps`` taken, graphs built (``materialized``) and configurations
-    ``scored``.
+    ``steps`` taken, the ``walks`` among them, graphs built
+    (``materialized``) and configurations ``scored``.
     """
     reg = obs_registry()
     steps = sum(reg.value("repro_reduction_steps_total", outcome=outcome) or 0
                 for outcome in _OUTCOMES)
+    walks = reg.value("repro_reduction_walks_total") or 0
     built = reg.value("repro_reduction_materialized_total") or 0
     scored = reg.value("repro_reduction_scored_total") or 0
-    return {"steps": int(steps), "materialized": int(built),
-            "scored": int(scored)}
+    return {"steps": int(steps), "walks": int(walks),
+            "materialized": int(built), "scored": int(scored)}
 
 
 def forward_reduction(sg: StateGraph, delayed: str,
@@ -463,11 +635,11 @@ def forward_reduction(sg: StateGraph, delayed: str,
     step = space.step(space.view(space.root), space.label_index[delayed],
                       space.label_index[before])
     if step.child is None:
-        record_work(invalid=1)
+        record_work(invalid=1, walks=int(step.walked))
         return ReductionResult(None, False, step.reason,
                                removed_arcs=step.truncated,
                                removed_states=step.lost_states)
-    record_work(valid=1, materialized=1)
+    record_work(valid=1, materialized=1, walks=1)
     return ReductionResult(space.materialize(sg, step.child), True, "",
                            removed_arcs=step.truncated,
                            removed_states=step.lost_states)

@@ -3,7 +3,9 @@
 import collections
 import heapq
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +265,14 @@ def _oracle_walk(root, expansions, cost=None):
                               space.label_index[before])
             assert (step.child is not None) == report.valid, (
                 root.name, before, delayed, report, step.reason)
+            # The unvalidated child as a hint: taken, without the walk,
+            # exactly when the step is valid.
+            hinted = space.step(view, space.label_index[delayed],
+                                space.label_index[before],
+                                _as_config(space, unvalidated))
+            assert hinted.walked == (step.walked and step.child is None)
+            assert _masks(hinted.child) == _masks(step.child)
+            assert hinted.reason == step.reason
             if step.child is None:
                 verdicts.update(reason.split()[0] for reason in report.reasons)
                 continue
@@ -279,6 +289,22 @@ def _oracle_walk(root, expansions, cost=None):
                 counter += 1
                 heapq.heappush(heap, (cost(child), counter, step.child))
     return verdicts
+
+
+def _as_config(space, graph):
+    """``graph``, a subgraph of ``space``'s root, as a :class:`Config`."""
+    ids, out = space.index.state_id, space.out
+    mask = reach = 0
+    for state in graph.states:
+        reach |= 1 << ids[state]
+    for source, label, _ in graph.arcs():
+        mask |= 1 << out[ids[source]][space.label_index[label]][0]
+    return Config(mask, reach)
+
+
+def _masks(config):
+    """A step result's ``(mask, reach, out-arc mask)``, or None."""
+    return config and (config.mask, config.reach, config.arcs)
 
 
 def _random_graph(seed, states=10):
@@ -402,3 +428,114 @@ class TestMaskOracle:
         sg = fig8_sg()
         reduced = forward_reduction(sg, "a", "b").sg
         assert check_validity(sg, reduced).valid
+
+
+class _Recorder:
+    """Checks every hinted step and every inherited pair set of a search.
+
+    Wraps :meth:`ReductionSpace.step` and :meth:`ReductionSpace.live_pairs`
+    on the class: a step given a hint is run again without it, and the two
+    children must agree in mask, states and out-arcs; pairs inherited
+    from a parent must give the same reducible set as a full diamond scan,
+    each witness a diamond of the configuration.
+    """
+
+    def __init__(self, monkeypatch):
+        self.hinted = self.taken = self.inherited = 0
+        step, live_pairs = ReductionSpace.step, ReductionSpace.live_pairs
+
+        def checked_step(space, view, delayed, before, hint=None):
+            result = step(space, view, delayed, before, hint)
+            if hint is not None:
+                self.hinted += 1
+                self.taken += not result.walked and result.child is hint
+                plain = step(space, view, delayed, before)
+                assert _masks(result.child) == _masks(plain.child)
+                assert result.reason == plain.reason
+                assert (result.truncated, result.lost_states) == (
+                    plain.truncated, plain.lost_states)
+            return result
+
+        def checked_live_pairs(space, config, inherited=None):
+            live = live_pairs(space, config, inherited)
+            if inherited is not None:
+                self.inherited += 1
+                scanned = live_pairs(space, config)
+                assert [pair for pair, _ in live] == [pair for pair, _
+                                                      in scanned]
+                assert all(config.mask & witness == witness
+                           for _, witness in live)
+                assert (space.reducible(config, live=live)
+                        == space.reducible(config))
+            return live
+
+        monkeypatch.setattr(ReductionSpace, "step", checked_step)
+        monkeypatch.setattr(ReductionSpace, "live_pairs", checked_live_pairs)
+
+
+def _corpus_roots():
+    """The quick fuzz corpus's specs under 300 states, as generated SGs."""
+    anchor = json.loads((Path(__file__).parent / "data"
+                         / "fuzz_corpus.json").read_text())["quick"]
+    roots = (generate_sg(generate_spec(spec_seed(anchor["seed"],
+                                                 index)).build())
+             for index in range(anchor["count"]))
+    return [root for root in roots if len(root) < 300]
+
+
+class TestHints:
+    """Hinted FwdRed steps and inherited pairs against the plain ones."""
+
+    @pytest.mark.parametrize("name", ["fig10/automatic",
+                                      "table2/csc reduced",
+                                      "table2/original reduced"])
+    def test_pinned_searches(self, name, monkeypatch):
+        from repro import engine
+        from test_reduction_golden import reduction_runs
+        recorder = _Recorder(monkeypatch)
+        engine.clear_caches()
+        reduction_runs()[name]()
+        assert recorder.inherited > 0
+        # Most steps take their hint.
+        assert recorder.taken > recorder.hinted // 2 > 0
+
+    def test_fuzz_corpus_specs(self, monkeypatch):
+        from repro import engine
+        from repro.reduction.explore import (full_reduction_with_stats,
+                                             reduce_concurrency)
+        recorder = _Recorder(monkeypatch)
+        roots = _corpus_roots()
+        assert len(roots) >= 5
+        for root in roots:
+            engine.clear_caches()
+            reduce_concurrency(root, max_explored=300)
+            reduce_concurrency(root, strategy="beam", max_explored=300)
+            full_reduction_with_stats(root, max_explored=300)
+        assert recorder.taken > 0 and recorder.inherited > 0
+
+    def test_wrong_hints_refused(self):
+        root = generate_sg(par.par_expanded())
+        space = ReductionSpace(root)
+        view = space.view(space.root)
+        refused = 0
+        for before, delayed in sorted(space.reducible(space.root)):
+            ids = space.label_index[delayed], space.label_index[before]
+            plain = space.step(view, *ids)
+            if plain.child is None:
+                continue
+            child = plain.child
+            # The parent itself keeps the arcs the step drops.
+            wrong = [space.root]
+            # A configuration one arc short of the child.
+            wrong += [Config(child.mask & ~(1 << arc), child.reach)
+                      for arc in range(child.mask.bit_length())
+                      if child.mask >> arc & 1][:5]
+            for hint in wrong:
+                hinted = space.step(view, *ids, hint)
+                assert hinted.walked and hinted.child is not hint
+                assert _masks(hinted.child) == _masks(child)
+                refused += 1
+            taken = space.step(view, *ids, Config(child.mask, child.reach))
+            assert not taken.walked
+            assert _masks(taken.child)[:2] == _masks(child)[:2]
+        assert refused > 0
