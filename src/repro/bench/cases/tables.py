@@ -197,6 +197,7 @@ def run_table2(context) -> dict:
         "insertion_levels": insertion["levels"],
         "fwdred_steps": work["steps"],
         "fwdred_walks": work["walks"],
+        "covers_computed": work["covers"],
         "table_seconds": seconds,
         "all_reduced_resolved": all(results[name].csc_resolved()
                                     for name in reduced),
@@ -231,6 +232,7 @@ register(BenchCase(
           if prefix not in ("original", "csc_reduced")),
         Metric("fwdred_steps", "steps", direction="lower"),
         Metric("fwdred_walks", "walks", direction="lower"),
+        Metric("covers_computed", "covers", direction="lower"),
         Metric("table_seconds", "s", direction="lower", measured=True),
     ),
     checks=(

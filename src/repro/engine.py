@@ -1,8 +1,7 @@
 """Global switches for the packed-bitvector engine.
 
 The hot exploration loop leans on memo tables keyed by packed integer
-minterm sets (see :mod:`repro.logic.minimize` and
-:mod:`repro.reduction.fwdred`).  Pure caches must never change results, so
+masks (see :mod:`repro.reduction.fwdred`).  Pure caches must never change results, so
 the scaling benchmark runs the same workload with the caches enabled and
 disabled and asserts byte-identical synthesis outputs; this module is the
 single point of control for that ablation.

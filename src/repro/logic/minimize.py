@@ -1,6 +1,6 @@
 """Two-level logic minimization.
 
-Two engines behind one API:
+Two engines:
 
 * :func:`minimize_ints` (tuple wrapper :func:`minimize`) -- the exact core.
   It generates the primes that cover an ON minterm straight from the OFF
@@ -14,15 +14,21 @@ Two engines behind one API:
   Algorithms for VLSI Synthesis*, 1984).  The work is per ON minterm,
   against the OFF set, and never touches the don't-care space, which for a
   state graph is every unreachable code.
-* :func:`minimize_fast` -- an espresso-flavoured expand-and-cover heuristic
-  (greedily raise literals of each ON minterm against the OFF set, then
-  greedy set cover).  Used by the cost function inside the exploration
-  loop, where it runs thousands of times.  It works on position bitmaps:
-  one column per variable holds the OFF positions with that bit high, so a
-  literal trial is one OR test over precomputed columns rather than a scan
-  of OFF, and coverage and the greedy cover count ON-position bitmaps with
-  ``bit_count``.  ``tests/fast_cover_oracle.py`` keeps the scanning
-  derivation that the bitmap version reproduces cube for cube.
+* :func:`expand_and_cover` -- an espresso-flavoured heuristic (greedily
+  raise literals of each ON code against the OFF set, then greedy set
+  cover), the one fast-cover core.  The reduction search's cost runs it
+  thousands of times (:meth:`repro.reduction.fwdred.ReductionSpace.measure`).
+  It works on position bitsets over a numbered list of codes, ascending:
+  ON and OFF are bitsets of positions, and the ``on & column`` and ``off
+  & column`` of each variable's :func:`code_columns` give its agreeing ON
+  and differing OFF positions, so a literal trial is one OR test rather
+  than a scan of OFF, a cube's coverage is an AND of columns, and the
+  greedy cover counts gains with ``bit_count``.  A reduction space
+  numbers its root's codes once and memoizes literal counts itself;
+  :func:`minimize_fast_ints` and :func:`minimize_fast` number
+  ``sorted(ON | OFF)`` per call and keep no memo.
+  ``tests/fast_cover_oracle.py`` keeps the OFF-scanning derivation that
+  the core reproduces cube for cube.
 
 Cubes are packed as ``(mask, value)`` integer pairs internally -- bit i of
 ``mask`` set means variable i is a literal, whose polarity is bit i of
@@ -32,16 +38,13 @@ same convention the state-graph layer uses for state codes).  Both engines
 take packed ON and OFF sets (:func:`minimize_ints`,
 :func:`minimize_fast_ints`); the tuple APIs :func:`minimize` and
 :func:`minimize_fast` take ON and DC and derive OFF by enumerating the code
-space, which only they do.  The fast engine memoizes covers keyed on the
-packed ON/OFF sets so beam-search siblings sharing subproblems do not
-recompute them.
+space, which only they do.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .. import engine
 from ..obs.metrics import registry as obs_registry
 from .cube import DC, Cube, Cover
 
@@ -289,115 +292,87 @@ def minimize(num_vars: int, on: Iterable[Sequence[int]],
     return minimize_ints(num_vars, on_ints, off_ints, exact=exact)
 
 
-#: Memo for the fast engine: (num_vars, frozenset(ON), frozenset(OFF)) ->
-#: cover as a tuple of packed cubes.  Shared across the whole process
-#: because the exploration loop evaluates thousands of sibling SGs whose
-#: signals mostly keep their (ON, OFF) sets.
-_FAST_MEMO: Dict[Tuple[int, FrozenSet[int], FrozenSet[int]],
-                 Tuple[PackedCube, ...]] = engine.register_cache({}, name="logic-minimize")
+def code_columns(num_vars: int, codes: Sequence[int]) -> List[int]:
+    """``columns[i]``: the positions in ``codes`` whose variable ``i`` is high."""
+    columns = [0] * num_vars
+    for position, code in enumerate(codes):
+        bit = 1 << position
+        while code:
+            low = code & -code
+            code ^= low
+            columns[low.bit_length() - 1] |= bit
+    return columns
 
-_FAST_MEMO_LIMIT = 200_000
 
+def expand_and_cover(codes: Sequence[int], columns: Sequence[int], on: int,
+                     off: int) -> Tuple[PackedCube, ...]:
+    """Greedy expand of each ON code against OFF, then greedy set cover.
 
-def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
-                       off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
-    """Fast cover over integer-packed minterms; memoized on the input sets.
-
-    This is the engine behind :func:`minimize_fast`, exposed so callers that
-    already hold packed state codes (the SG layer) skip tuple conversion
-    entirely.  Returns the chosen cover as packed ``(mask, value)`` cubes.
+    ``codes`` are numbered by position in ascending order, ``columns`` is
+    their :func:`code_columns`, and ``on`` and ``off`` are disjoint
+    position bitsets: every other position is a don't care.  For a start
+    code, a variable's differing OFF positions are ``off & column`` or
+    ``off & ~column``; a cube through the start keeps literal set ``L``
+    clear of OFF exactly when the OR of those over ``L`` is ``off``.
+    Literals are raised in a fixed order, so raising one leaves the
+    literals kept so far plus every later one: one test per trial.  A
+    cube's coverage is the AND of its kept literals' agreeing ON columns,
+    and the greedy cover counts gains with ``bit_count``.
     """
-    key = (num_vars, on_ints, off_ints)
-    if engine.packed_memo_enabled():
-        cached = _FAST_MEMO.get(key)
-        if cached is not None:
-            return cached
-    result = _expand_and_cover(num_vars, on_ints, off_ints)
-    if engine.packed_memo_enabled():
-        if len(_FAST_MEMO) > _FAST_MEMO_LIMIT:
-            _FAST_MEMO.clear()
-        _FAST_MEMO[key] = result
-    return result
-
-
-def _columns(num_vars: int, minterms: Sequence[int]) -> List[int]:
-    """``columns[i]``: the positions in ``minterms`` with variable ``i`` high.
-
-    A transpose of the minterms' binary strings, laid end to end as
-    ``0b1`` plus ``num_vars`` digits each: variable ``i`` is every
-    ``width``-th character from ``width - 1 - i``, and the last minterm
-    comes first, so position ``p`` is bit ``p``.
-    """
-    if not minterms:
-        return [0] * num_vars
-    width = num_vars + 3
-    rows = "".join(map(bin, map((1 << num_vars).__or__, reversed(minterms))))
-    return [int(rows[width - 1 - i::width], 2) for i in range(num_vars)]
-
-
-def _expand_and_cover(num_vars: int, on_ints: FrozenSet[int],
-                      off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
-    """Greedy expand of each ON minterm against OFF, then greedy set cover.
-
-    Both run on position bitmaps.  For a start minterm, ``differ[i]`` holds
-    the OFF positions that differ from it in variable ``i``; a cube through
-    the start keeps literal set ``L`` clear of OFF exactly when the OR of
-    ``differ`` over ``L`` is every OFF position.  Literals are raised in a
-    fixed ``order``, so raising ``order[k]`` leaves the literals kept so
-    far (``rejected``) plus ``order[k+1:]`` (``suffix[k + 1]``): one test
-    per trial.  A cube's coverage is an ON-position bitmap, and the greedy
-    cover counts gains with ``bit_count``.
-    """
-    on_sorted = sorted(on_ints)
-    all_on = (1 << len(on_sorted)) - 1
-    all_off = (1 << len(off_ints)) - 1
-    on_columns = _columns(num_vars, on_sorted)
-    off_columns = _columns(num_vars, list(off_ints))
-    # Literal-sharing ranks: ones[i] = ON minterms with variable i high, so a
-    # minterm with bit i set shares that literal with ones[i] - 1 others.
-    ones = [column.bit_count() for column in on_columns]
-    total = len(on_sorted)
-    # Raise most-shared literals first: variables whose literal appears in
-    # many other ON minterms are cheap to give up (few minterms lie on the
-    # other side), so trying them first keeps the expansion free to absorb
-    # the rarely-shared directions later.  Ties go to the lower variable:
-    # a literal's rank is ``(total - shared) * num_vars + i``.
-    rank_high = [(total - ones[i]) * num_vars + i for i in range(num_vars)]
-    rank_low = [ones[i] * num_vars + i for i in range(num_vars)]
+    num_vars = len(columns)
+    total = on.bit_count()
+    # Per variable and start polarity: (rank, variable, agreeing ON
+    # positions, differing OFF positions).  Raise most-shared literals
+    # first: a literal shared by many ON codes is cheap to give up (few
+    # codes lie on the other side), so trying it first keeps the
+    # expansion free to absorb the rarely-shared directions later.  Ties
+    # go to the lower variable: a rank is ``(total - shared) * n + i``.
+    high, low = [], []
+    for i, column in enumerate(columns):
+        on_high, off_high = on & column, off & column
+        shared = on_high.bit_count()
+        high.append(((total - shared) * num_vars + i, i, on_high,
+                     off ^ off_high))
+        low.append((shared * num_vars + i, i, on ^ on_high, off_high))
     expanded: List[PackedCube] = []
+    literals: List[int] = []
     covers: List[int] = []
     covered = 0
-    for position, start in enumerate(on_sorted):
-        # Minterms swallowed by an earlier expansion would mostly re-derive
+    rest = on
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        # Codes swallowed by an earlier expansion would mostly re-derive
         # the same cube; skipping them is the standard espresso shortcut.
         # A start outside every earlier cube expands to a new cube, since
         # the cube contains the start.
-        if covered >> position & 1:
+        if covered & bit:
             continue
-        order = [rank % num_vars for rank in sorted(
-            [rank_high[i] if start >> i & 1 else rank_low[i]
-             for i in range(num_vars)])]
-        differ = [all_off ^ off_columns[i] if start >> i & 1
-                  else off_columns[i] for i in order]
+        start = codes[bit.bit_length() - 1]
+        trials = sorted([high[i] if start >> i & 1 else low[i]
+                         for i in range(num_vars)])
         suffix = [0] * (num_vars + 1)
         for k in range(num_vars - 1, -1, -1):
-            suffix[k] = suffix[k + 1] | differ[k]
-        mask = rejected = outside = 0
-        for k, i in enumerate(order):
-            if rejected | suffix[k + 1] != all_off:
+            suffix[k] = suffix[k + 1] | trials[k][3]
+        mask = rejected = 0
+        cover = on
+        for k, (_, i, agree, differ) in enumerate(trials):
+            if rejected == off:
+                break
+            if rejected | suffix[k + 1] != off:
                 mask |= 1 << i
-                rejected |= differ[k]
-                outside |= (all_on ^ on_columns[i] if start >> i & 1
-                            else on_columns[i])
+                rejected |= differ
+                cover &= agree
         expanded.append((mask, start & mask))
-        covers.append(all_on ^ outside)
-        covered |= all_on ^ outside
-    uncovered = all_on
+        literals.append(-mask.bit_count())
+        covers.append(cover)
+        covered |= cover
+    uncovered = on
     chosen: List[PackedCube] = []
     while uncovered:
         best = max(range(len(expanded)),
                    key=lambda c: ((covers[c] & uncovered).bit_count(),
-                                  -expanded[c][0].bit_count()))
+                                  literals[c]))
         gained = covers[best] & uncovered
         if not gained:
             raise MinimizationError("fast covering stalled")
@@ -406,16 +381,24 @@ def _expand_and_cover(num_vars: int, on_ints: FrozenSet[int],
     return tuple(chosen)
 
 
-def fast_literal_count(num_vars: int, on_ints: FrozenSet[int],
-                       off_ints: FrozenSet[int]) -> int:
-    """Literal count of the fast cover, without building Cube objects.
+def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
+                       off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
+    """Fast cover over integer-packed minterms, as packed ``(mask, value)``
+    cubes.
 
-    The constant-0 and constant-1 short cuts mirror :func:`minimize_fast`.
+    Numbers ``sorted(on | off)`` and runs :func:`expand_and_cover` on it;
+    the engine behind :func:`minimize_fast`, for callers that already
+    hold packed state codes.
     """
-    if not on_ints or not off_ints:
-        return 0
-    cover = minimize_fast_ints(num_vars, on_ints, off_ints)
-    return sum(bin(mask).count("1") for mask, _ in cover)
+    codes = sorted(on_ints | off_ints)
+    if len(codes) != len(on_ints) + len(off_ints):
+        raise MinimizationError("ON and OFF sets overlap")
+    on = 0
+    for position, code in enumerate(codes):
+        if code in on_ints:
+            on |= 1 << position
+    return expand_and_cover(codes, code_columns(num_vars, codes), on,
+                            ((1 << len(codes)) - 1) ^ on)
 
 
 def minimize_fast(num_vars: int, on: Iterable[Sequence[int]],
@@ -425,7 +408,7 @@ def minimize_fast(num_vars: int, on: Iterable[Sequence[int]],
     Each ON minterm is expanded by raising literals (most-shared variables
     first) while staying disjoint from the OFF set; the expanded cubes then
     greedily cover the ON set.  Roughly |ON| x n operations on |OFF|-bit
-    columns (:func:`_expand_and_cover`); the result is
+    columns (:func:`expand_and_cover`); the result is
     a valid (irredundant-ish) cover, typically within a literal or two of
     the exact core's on controller-sized functions.
     """

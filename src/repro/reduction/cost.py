@@ -11,7 +11,7 @@ smaller covers, and ordering one signal after another may grow the support
 of its function.
 
 The logic term is the total SOP literal count of the fast covers
-(:func:`repro.logic.minimize.fast_literal_count`) of every output and
+(:func:`repro.logic.minimize.expand_and_cover`) of every output and
 internal signal, with conflicting codes treated optimistically (as ON-set
 minterms); the CSC term counts conflicting state pairs.  The search
 measures both, with the state count, on the arc masks of a configuration

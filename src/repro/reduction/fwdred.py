@@ -45,16 +45,22 @@ to the hint's states, are exactly the hint's arcs (see
 
 The Section 7 cost terms are measured on the masks too
 (:meth:`ReductionSpace.measure`), from the index's packed codes and the
-rise, fall and non-input excitation bits of every label.  One pass over a
-configuration's reachable states ORs, per code, the signals whose next
-value is 1 (a state keeping all its root arcs reads a precomputed row);
-each target's ON and OFF sets come from that, and the codes with their
-excitation masks count the CSC conflict pairs through
-:func:`~repro.sg.properties.conflict_pairs`, the counter the property
-checks and the insertion walk share.  So a search scores every
-configuration without building a graph, and spaces built for
-:func:`forward_reduction` or :func:`reducible_pairs` never read a code:
-the index packs them on first read.
+rise, fall and non-input excitation bits of every label.  The space
+numbers the root's distinct codes once, in ascending order, and keeps one
+column bitset per signal over those ids (:attr:`ReductionSpace.coding`).
+One pass over a configuration's reachable states ORs, per code, the
+signals whose next value is 1 (a state keeping all its root arcs reads a
+precomputed row); each target's ON set and the set of codes present come
+from that as plain int bitsets, and the target's literal count from the
+space's memo keyed by ``(on, present)`` (:attr:`ReductionSpace.covers`),
+whose misses run :func:`~repro.logic.minimize.expand_and_cover` on the
+space's columns.  The codes with their excitation masks count the CSC
+conflict pairs through :func:`~repro.sg.properties.conflict_pairs`, the
+counter the property checks and the insertion walk share.  So a search
+scores every configuration without building a graph or a set of codes,
+and spaces built for :func:`forward_reduction` or
+:func:`reducible_pairs` never read a code: the index packs them on first
+read.
 
 Definition 5.1 is checked on the masks.  Surviving states keep every arc
 except the removed ones, so no input event can be delayed (``delayed`` is
@@ -66,8 +72,9 @@ reaches ``t`` inside it, so ``s`` is truncated too and loses ``delayed``.
 
 The process-global ``reduction-space`` cache keeps one space per root
 signature together with its transition table ``(mask, delayed, before)
--> child | None`` and the weight-independent cost terms per mask, so a
-sweep re-running the search on the same root re-measures nothing.
+-> child | None``, the weight-independent cost terms per mask and the
+cover memo, so a sweep re-running the search on the same root
+re-measures nothing, and ``engine.clear_caches()`` drops all of them.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .. import engine
 from ..logic.functions import _targets
-from ..logic.minimize import fast_literal_count
+from ..logic.minimize import code_columns, expand_and_cover
 from ..obs.metrics import registry as obs_registry
 from ..sg.graph import StateGraph
 from ..sg.properties import conflict_pairs
@@ -204,7 +211,8 @@ class ReductionSpace:
     so building a space freezes it.
     """
 
-    #: Transition-table entries kept per space before it starts over.
+    #: Transition-table and cover-memo entries kept per space before each
+    #: starts over.
     MAX_TRANSITIONS = 200_000
 
     def __init__(self, root: StateGraph) -> None:
@@ -259,6 +267,9 @@ class ReductionSpace:
         self.transitions: Dict[Tuple[int, str, str], Optional[Config]] = {}
         #: ``mask -> (literals, CSC pairs, states)``.
         self.terms: Dict[int, Tuple[int, int, int]] = {}
+        #: ``(on, present) -> literals`` of a target's fast cover, both
+        #: bitsets of :attr:`coding` ids (see :meth:`measure`).
+        self.covers: Dict[Tuple[int, int], int] = {}
 
     def view(self, config: Config,
              reachable: Optional[List[int]] = None) -> _View:
@@ -464,8 +475,20 @@ class ReductionSpace:
         return [(signal, 1 << self.sg.signal_index(signal))
                 for signal in _targets(self.sg)]
 
+    @cached_property
+    def coding(self) -> Tuple[List[int], List[int], Dict[int, int]]:
+        """The root's distinct codes in ascending order, their
+        :func:`~repro.logic.minimize.code_columns` and ``{code: bit}``.
+
+        A code's id is its position: bit ``1 << id`` stands for it in
+        every scoring bitset.
+        """
+        codes = sorted(set(self.index.codes))
+        return (codes, code_columns(len(self.sg.signals), codes),
+                {code: 1 << i for i, code in enumerate(codes)})
+
     def _scoring_row(self, state: int, labels) -> Tuple[int, int, int]:
-        """``(code, high, excitation)`` of ``state`` with arcs ``labels``.
+        """``(code bit, high, excitation)`` of ``state`` with arcs ``labels``.
 
         ``high`` has the bit of every signal whose next value is 1:
         rising, or high and not falling.
@@ -477,7 +500,7 @@ class ReductionSpace:
             rise |= index.rise[label]
             fall |= index.fall[label]
             excited |= index.excites[label]
-        return code, rise | code & ~fall, excited
+        return self.coding[2][code], rise | code & ~fall, excited
 
     @cached_property
     def full_rows(self) -> List[Tuple[int, int, int]]:
@@ -496,11 +519,14 @@ class ReductionSpace:
         give on :meth:`materialize`'s graph.  One pass over the reachable
         states ORs each code's next values; a state that keeps all its
         root arcs takes its precomputed row.  A target's ON set is then
-        every code with its bit high in that OR (a conflicting code counts
-        as ON, as in the estimate), and its OFF set the other codes.
-        ``reachable`` is ``config``'s :meth:`Config.ids` when the caller
-        has them.  Raises :class:`~repro.sg.graph.StateGraphError` when a root state
-        has no code.
+        the bitset of the codes with its bit high in that OR (a
+        conflicting code counts as ON, as in the estimate), and its OFF
+        set the other codes present.  Literal counts come from
+        :attr:`covers`, keyed by ``(on, present)``; a miss runs the fast
+        cover on the space's :attr:`coding`.  ``reachable`` is
+        ``config``'s :meth:`Config.ids` when the caller has them.  Raises
+        :class:`~repro.sg.graph.StateGraphError` when a root state has no
+        code.
         """
         targets, full = self.targets, self.full_rows
         first, span, local = self.first, self.span, self.local
@@ -519,13 +545,30 @@ class ReductionSpace:
             high_by_code[code] = high_by_code.get(code, 0) | high
             codes.append(code)
             excitations.append(excited)
-        literals = 0
-        variables = len(self.sg.signals)
+        # Code bits are distinct powers of two: their sum is their union.
+        present = sum(high_by_code)
         items = high_by_code.items()
-        for _, bit in targets:
-            on = frozenset([code for code, high in items if high & bit])
-            off = frozenset([code for code, high in items if not high & bit])
-            literals += fast_literal_count(variables, on, off)
+        covers = self.covers
+        literals = misses = 0
+        for _, signal in targets:
+            on = sum([code for code, high in items if high & signal])
+            if not on or on == present:
+                continue
+            count = covers.get((on, present))
+            if count is None:
+                ordered, columns, _ = self.coding
+                count = sum(cube_mask.bit_count() for cube_mask, _ in
+                            expand_and_cover(ordered, columns, on,
+                                             present ^ on))
+                if len(covers) >= self.MAX_TRANSITIONS:
+                    covers.clear()
+                covers[on, present] = count
+                misses += 1
+            literals += count
+        if misses:
+            obs_registry().counter(
+                "repro_reduction_covers_total",
+                "Fast covers computed by reduction scoring.").inc(misses)
         _, pairs = conflict_pairs(codes, excitations)
         return literals, pairs, config.states
 
@@ -603,7 +646,8 @@ def reduction_work() -> Dict[str, int]:
     """The reduction counters of the default registry.
 
     ``steps`` taken, the ``walks`` among them, graphs built
-    (``materialized``) and configurations ``scored``.
+    (``materialized``), configurations ``scored`` and the fast ``covers``
+    their scoring computed (misses of :attr:`ReductionSpace.covers`).
     """
     reg = obs_registry()
     steps = sum(reg.value("repro_reduction_steps_total", outcome=outcome) or 0
@@ -611,8 +655,10 @@ def reduction_work() -> Dict[str, int]:
     walks = reg.value("repro_reduction_walks_total") or 0
     built = reg.value("repro_reduction_materialized_total") or 0
     scored = reg.value("repro_reduction_scored_total") or 0
+    covers = reg.value("repro_reduction_covers_total") or 0
     return {"steps": int(steps), "walks": int(walks),
-            "materialized": int(built), "scored": int(scored)}
+            "materialized": int(built), "scored": int(scored),
+            "covers": int(covers)}
 
 
 def forward_reduction(sg: StateGraph, delayed: str,

@@ -9,13 +9,22 @@ numbers.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.logic.functions import extract_all_functions
-from repro.logic.minimize import fast_literal_count
+from repro.logic.minimize import minimize_fast_ints
 from repro.reduction.cost import CostBreakdown, CostFunction
 from repro.sg.graph import StateGraph
 from repro.sg.properties import csc_conflicts
+
+
+def fast_literal_count(num_vars: int, on_ints: FrozenSet[int],
+                       off_ints: FrozenSet[int]) -> int:
+    """Literal count of the fast cover; 0 for a constant function."""
+    if not on_ints or not off_ints:
+        return 0
+    return sum(mask.bit_count()
+               for mask, _ in minimize_fast_ints(num_vars, on_ints, off_ints))
 
 
 @dataclass(frozen=True)

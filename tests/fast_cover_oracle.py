@@ -1,8 +1,8 @@
 """OFF-scanning reference for the fast cover's tests.
 
-The fast cover (:func:`repro.logic.minimize.minimize_fast_ints`) expands
-each ON minterm against per-variable bitmaps of OFF positions and covers
-on bitmaps of ON positions.  This module keeps the direct derivation:
+The fast cover (:func:`repro.logic.minimize.expand_and_cover`) expands
+each ON code against per-variable bitsets of OFF positions and covers
+on bitsets of ON positions.  This module keeps the direct derivation:
 each literal trial scans the whole OFF set, coverage is tested minterm by
 minterm.  The greedy order and tie-breaks are the ones the bitmap version
 must keep, so the tests can compare the two cube for cube.

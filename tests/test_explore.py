@@ -342,6 +342,66 @@ class TestMaskScoring:
             assert space.measure(config) == expected, (name, len(graph))
             assert space.terms.get(mask, expected) == expected
 
+    def test_par_memo_hits_and_partial_rows(self):
+        """PAR scores through cover-memo hits and partial rows, and every
+        configuration it scored still equals the graph-based terms."""
+        from repro import engine
+        from repro.reduction.fwdred import reduction_space, reduction_work
+        from repro.specs.par import PAR_KEEP_CONC, par_expanded
+
+        class Counted(dict):
+            hits = 0
+
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                self.hits += found is not None
+                return found
+
+        sg = generate_sg(par_expanded())
+        engine.clear_caches()
+        space = reduction_space(sg)
+        space.covers = Counted()
+        before = reduction_work()["covers"]
+        result = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
+                                    max_explored=300)
+        assert reduction_space(sg) is space
+        assert space.covers.hits > 0
+        assert reduction_work()["covers"] - before == len(space.covers) > 0
+        configs = {space.root.mask: space.root}
+        configs.update((child.mask, child)
+                       for child in space.transitions.values() if child)
+        partial = 0
+        for mask, terms in space.terms.items():
+            config = configs[mask]
+            partial += any(mask >> space.first[state] & space.span[state]
+                           != space.span[state] for state in config.ids())
+            graph = space.materialize(sg, config)
+            assert terms == cost_oracle.measure_terms(graph), len(graph)
+        assert len(space.terms) == result.explored_count
+        assert partial > 0
+
+    def test_spaces_never_share_a_cover_memo_entry(self):
+        """The key ``(on, present)`` numbers codes per space: ``coded4``
+        and ``coded6`` meet equal keys that name different functions, and
+        each space keeps its own answer."""
+        from repro.logic.minimize import expand_and_cover
+        from repro.reduction.fwdred import reduction_space
+        spaces = []
+        for seed in (4, 6):
+            sg = _coded_random_graph(seed)
+            reduce_concurrency(sg, max_explored=50)
+            spaces.append(reduction_space(sg))
+        first, second = spaces
+        assert first.covers is not second.covers
+        shared = set(first.covers) & set(second.covers)
+        assert any(first.covers[key] != second.covers[key] for key in shared)
+        for space in spaces:
+            codes, columns, _ = space.coding
+            for (on, present), literals in space.covers.items():
+                assert literals == sum(
+                    mask.bit_count() for mask, _ in expand_and_cover(
+                        codes, columns, on, present ^ on))
+
     def test_codeless_root_fails_when_first_scored(self):
         from repro.reduction.fwdred import (ReductionSpace, forward_reduction,
                                             reducible_pairs)

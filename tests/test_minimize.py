@@ -11,8 +11,9 @@ from fast_cover_oracle import scan_expand_and_cover
 from qm_oracle import prime_implicants, qm_minimize, qm_primes, verify_cover
 from repro.logic.cube import Cube, Cover
 from repro.logic.minimize import (MinimizationError, _pack, _primes_through,
-                                  logic_work, minimize, minimize_fast,
-                                  minimize_fast_ints, minimize_ints)
+                                  code_columns, expand_and_cover, logic_work,
+                                  minimize, minimize_fast, minimize_fast_ints,
+                                  minimize_ints)
 
 
 def all_minterms(n):
@@ -271,3 +272,30 @@ class TestFastCoverOracle:
                            for mask, value in cover for m in off_ints)
             checked += 1
         assert checked == 22 * 7 + 8 * 3 + 3 + 1
+
+    def test_core_on_sparse_code_universes(self):
+        """The core on a universe with unused codes, as a reduction space
+        numbers its root's codes: positions in neither ON nor OFF are
+        don't cares, and ``on == present`` and an empty ON are the edges."""
+        rng = random.Random(31)
+        checked = 0
+        for num_vars in range(3, 9):
+            for _ in range(12):
+                codes = sorted(rng.sample(range(1 << num_vars),
+                                          rng.randint(2, 1 << num_vars)))
+                columns = code_columns(num_vars, codes)
+                positions = list(range(len(codes)))
+                rng.shuffle(positions)
+                present = positions[:rng.randint(1, len(codes))]
+                split = rng.randint(0, len(present))
+                for on_at, off_at in ((present[:split], present[split:]),
+                                      (present, []), ([], present)):
+                    on = sum(1 << p for p in on_at)
+                    off = sum(1 << p for p in off_at)
+                    on_ints = frozenset(codes[p] for p in on_at)
+                    off_ints = frozenset(codes[p] for p in off_at)
+                    assert expand_and_cover(codes, columns, on, off) == \
+                        scan_expand_and_cover(num_vars, on_ints, off_ints), \
+                        (num_vars, codes, on_at, off_at)
+                    checked += 1
+        assert checked == 6 * 12 * 3
