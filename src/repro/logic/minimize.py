@@ -294,14 +294,8 @@ def minimize(num_vars: int, on: Iterable[Sequence[int]],
 
 def code_columns(num_vars: int, codes: Sequence[int]) -> List[int]:
     """``columns[i]``: the positions in ``codes`` whose variable ``i`` is high."""
-    columns = [0] * num_vars
-    for position, code in enumerate(codes):
-        bit = 1 << position
-        while code:
-            low = code & -code
-            code ^= low
-            columns[low.bit_length() - 1] |= bit
-    return columns
+    return [sum(1 << position for position, code in enumerate(codes)
+                if code >> i & 1) for i in range(num_vars)]
 
 
 def expand_and_cover(codes: Sequence[int], columns: Sequence[int], on: int,
@@ -393,10 +387,8 @@ def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
     codes = sorted(on_ints | off_ints)
     if len(codes) != len(on_ints) + len(off_ints):
         raise MinimizationError("ON and OFF sets overlap")
-    on = 0
-    for position, code in enumerate(codes):
-        if code in on_ints:
-            on |= 1 << position
+    on = sum(1 << position for position, code in enumerate(codes)
+             if code in on_ints)
     return expand_and_cover(codes, code_columns(num_vars, codes), on,
                             ((1 << len(codes)) - 1) ^ on)
 
