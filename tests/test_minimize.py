@@ -116,6 +116,10 @@ class TestMinimize:
         with pytest.raises(MinimizationError):
             minimize_ints(2, frozenset({1}), frozenset({1, 2}))
 
+    def test_packed_fast_cover_rejects_overlap(self):
+        with pytest.raises(MinimizationError):
+            minimize_fast_ints(2, frozenset({1}), frozenset({1, 2}))
+
 
 class TestMinimizeFast:
     def test_matches_simple_cases(self):
