@@ -30,8 +30,8 @@ STAGE_SLOTS_PER_POINT = 5  # generate/reduce/resolve/synthesize/timing
 
 def run_pipeline_resume(context) -> dict:
     from repro import engine
-    from repro.sweep import (ArtifactStore, render, run_sweep, spec_registry,
-                             tables_grid)
+    from repro.specs.registry import spec_names
+    from repro.sweep import ArtifactStore, render, run_sweep, tables_grid
 
     def timed(grid, jobs, store):
         engine.clear_caches()
@@ -39,8 +39,7 @@ def run_pipeline_resume(context) -> dict:
         outcome = run_sweep(grid, jobs=jobs, store=store)
         return time.perf_counter() - started, outcome
 
-    specs = [name for name in spec_registry()
-             if name not in EXCLUDED_SPECS]
+    specs = [name for name in spec_names() if name not in EXCLUDED_SPECS]
     grid = tables_grid(specs=specs, strategies=STRATEGIES)
     delays_grid = tables_grid(specs=specs, strategies=STRATEGIES,
                               delays=ALTERNATE_DELAYS)

@@ -30,7 +30,7 @@ streams structured progress heartbeats to stderr.
 ``check``/``sg``/``synth``/``reduce``/``verify`` read astg-style ``.g``
 files (see ``repro.petri.parser``), registry spec names (``repro verify
 half vme_read``) and parametric family members
-(``repro sg fifo_chain_8``, see :mod:`repro.specs.families`); ``verify``
+(``repro sg fifo_chain_8``), see :mod:`repro.specs.registry`; ``verify``
 checks the synthesized circuit of every requested reduction strategy
 against its specification; ``sg`` and ``synth`` take exploration-budget
 knobs (``--max-states``/``--max-arcs``, ``--sg-max-states``/
@@ -79,26 +79,15 @@ from .timing.delays import DelayModel
 
 
 def _read_spec(spec: str):
-    """An STG from a ``.g`` path, a registry name or a family member."""
-    from .specs.families import family_names, load_family, parse_family_name
-    from .sweep.grid import spec_registry
+    """An STG from a ``.g`` path, else :func:`repro.specs.registry.load_spec`."""
+    from .specs.registry import load_spec
 
     if os.path.exists(spec):
         return read_stg(spec)
     try:
-        parse_family_name(spec)
-    except KeyError:
-        pass
-    else:
-        return load_family(spec)
-    registry = spec_registry()
-    factory = registry.get(spec)
-    if factory is None:
-        raise SystemExit(
-            f"{spec!r} is neither a .g file, a registry spec "
-            f"({sorted(registry)}) nor a family member "
-            f"(<kind>_<stages>[_s<seed>] with kind in {family_names()})")
-    return factory()
+        return load_spec(spec)
+    except KeyError as exc:
+        raise SystemExit(f"{exc.args[0]}, and no .g file has that path")
 
 
 def _generation_budget(args: argparse.Namespace):
@@ -352,14 +341,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_spec_sg(spec: str):
-    """(name, SG) from a ``.g`` path, registry name or family member."""
-    stg = _read_spec(spec)
-    if os.path.exists(spec):
-        return stg.name, generate_sg(stg)
-    return spec, generate_sg(stg)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     strategies = _parse_csv(args.strategies) or list(STRATEGIES)
     unknown = sorted(set(strategies) - set(STRATEGIES))
@@ -367,7 +348,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown strategy(ies) {unknown}; "
                          f"expected a subset of {STRATEGIES}")
     keep = _parse_keep(args.keep)
-    loaded = [_load_spec_sg(spec) for spec in args.specs]
+    loaded = []
+    for spec in args.specs:
+        stg = _read_spec(spec)
+        label = stg.name if os.path.exists(spec) else spec
+        loaded.append((label, generate_sg(stg)))
     if keep and set(strategies) != {"none"}:
         # Refused before any report: the `none` strategy ignores --keep.
         for _, initial_sg in loaded:
@@ -750,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "built-in benchmark grid (Tables 1-2)")
     sweep.add_argument("--specs", metavar="NAME[,NAME...]",
                        help="benchmark subset (default: every registered "
-                            "spec; see repro.sweep.spec_registry)")
+                            "spec; see repro.specs.registry)")
     sweep.add_argument("--strategies", metavar="S[,S...]",
                        help="subset of none,beam,best-first,full "
                             "(default: all)")

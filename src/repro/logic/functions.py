@@ -30,7 +30,7 @@ from .cube import Cover
 # The exact core keeps this module's historic ``minimize`` name: perfbench's
 # ``logic.minimize`` layer times the calls made through it.
 from .minimize import minimize_ints as minimize
-from .minimize import minimize_fast_ints, _unpack_cube, unpack_minterm
+from .minimize import unpack_minterm
 
 Minterm = Tuple[int, ...]
 
@@ -112,26 +112,16 @@ class NextStateFunction:
             return self.on_ints
         raise ValueError(f"unknown conflict policy {conflict_policy!r}")
 
-    def minimized(self, exact: bool = False, conflict_policy: str = "on",
-                  fast: bool = False) -> Cover:
+    def minimized(self, exact: bool = False,
+                  conflict_policy: str = "on") -> Cover:
         """Minimal cover of the function.
 
         With conflicts present an exact cover does not exist; the policy
         decides how conflicting codes are treated for *estimation*:
         ``"on"`` treats them as ON (optimistic), ``"dc"`` as don't care.
-        ``fast=True`` uses the expand-and-cover heuristic minimizer (for the
-        exploration cost function).
         """
-        on_ints = self.resolved_on(conflict_policy)
-        n = self.num_vars
-        if fast:
-            if not on_ints:
-                return Cover.zero(n)
-            if not self.off_ints:
-                return Cover.one(n)
-            chosen = minimize_fast_ints(n, on_ints, self.off_ints)
-            return Cover(n, [_unpack_cube(p, n) for p in chosen])
-        return minimize(n, on_ints, self.off_ints, exact=exact)
+        return minimize(self.num_vars, self.resolved_on(conflict_policy),
+                        self.off_ints, exact=exact)
 
 
 def _reject_toggles(sg: StateGraph, signal: str) -> None:

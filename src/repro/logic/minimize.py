@@ -25,8 +25,8 @@ Two engines:
   than a scan of OFF, a cube's coverage is an AND of columns, and the
   greedy cover counts gains with ``bit_count``.  A reduction space
   numbers its root's codes once and memoizes literal counts itself;
-  :func:`minimize_fast_ints` and :func:`minimize_fast` number
-  ``sorted(ON | OFF)`` per call and keep no memo.
+  :func:`minimize_fast_ints` numbers ``sorted(ON | OFF)`` per call and
+  keeps no memo.
   ``tests/fast_cover_oracle.py`` keeps the OFF-scanning derivation that
   the core reproduces cube for cube.
 
@@ -36,9 +36,8 @@ Cubes are packed as ``(mask, value)`` integer pairs internally -- bit i of
 boundary.  Minterms are packed as single integers (bit i = variable i, the
 same convention the state-graph layer uses for state codes).  Both engines
 take packed ON and OFF sets (:func:`minimize_ints`,
-:func:`minimize_fast_ints`); the tuple APIs :func:`minimize` and
-:func:`minimize_fast` take ON and DC and derive OFF by enumerating the code
-space, which only they do.
+:func:`minimize_fast_ints`); the tuple API :func:`minimize` takes ON and DC
+and derives OFF by enumerating the code space, which only it does.
 """
 
 from __future__ import annotations
@@ -380,9 +379,8 @@ def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
     """Fast cover over integer-packed minterms, as packed ``(mask, value)``
     cubes.
 
-    Numbers ``sorted(on | off)`` and runs :func:`expand_and_cover` on it;
-    the engine behind :func:`minimize_fast`, for callers that already
-    hold packed state codes.
+    Numbers ``sorted(on | off)`` and runs :func:`expand_and_cover` on it,
+    for callers that already hold packed state codes.
     """
     codes = sorted(on_ints | off_ints)
     if len(codes) != len(on_ints) + len(off_ints):
@@ -391,24 +389,3 @@ def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
              if code in on_ints)
     return expand_and_cover(codes, code_columns(num_vars, codes), on,
                             ((1 << len(codes)) - 1) ^ on)
-
-
-def minimize_fast(num_vars: int, on: Iterable[Sequence[int]],
-                  dc: Iterable[Sequence[int]] = ()) -> Cover:
-    """Espresso-flavoured heuristic cover: greedy expand + greedy cover.
-
-    Each ON minterm is expanded by raising literals (most-shared variables
-    first) while staying disjoint from the OFF set; the expanded cubes then
-    greedily cover the ON set.  Roughly |ON| x n operations on |OFF|-bit
-    columns (:func:`expand_and_cover`); the result is
-    a valid (irredundant-ish) cover, typically within a literal or two of
-    the exact core's on controller-sized functions.
-    """
-    on_ints, off_ints = _packed_sets(num_vars, on, dc)
-    if not on_ints:
-        return Cover.zero(num_vars)
-    if not off_ints:
-        return Cover.one(num_vars)
-    chosen = minimize_fast_ints(num_vars, on_ints, off_ints)
-    cubes = [_unpack_cube(p, num_vars) for p in chosen]
-    return Cover(num_vars, cubes)

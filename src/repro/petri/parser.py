@@ -19,12 +19,14 @@ Nodes that parse as signal events become transitions; anything else becomes
 an explicit place.  Transition-to-transition arcs create implicit places,
 which the ``.marking`` section can reference as ``<t1,t2>``.
 ``.initial_state`` (an extension also accepted by several async tools) lists
-signals prefixed with ``!`` for initially-low.
+signals prefixed with ``!`` for initially-low.  Signal directives may
+repeat; signals are declared in the order they first appear.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from .net import PetriNetError
@@ -161,20 +163,22 @@ def read_stg(path: str) -> STG:
         return parse_stg(handle.read())
 
 
+_DIRECTIVES = {SignalKind.INPUT: ".inputs", SignalKind.OUTPUT: ".outputs",
+               SignalKind.INTERNAL: ".internal", SignalKind.DUMMY: ".dummy"}
+
+
 def write_stg(stg: STG) -> str:
     """Render an STG back to ``.g`` text.
 
-    Implicit places (created for transition-to-transition arcs) are folded
-    back into direct arcs; explicit places are emitted as nodes.
+    Signals are declared in ``stg.signals`` order, one directive line per
+    run of same-kind signals, so parsing the text back gives the same
+    signal order (and so the same state codes).  Implicit places (created
+    for transition-to-transition arcs) are folded back into direct arcs;
+    explicit places are emitted as nodes.
     """
     lines = [f".model {stg.name}"]
-    for directive, kind in ((".inputs", SignalKind.INPUT),
-                            (".outputs", SignalKind.OUTPUT),
-                            (".internal", SignalKind.INTERNAL),
-                            (".dummy", SignalKind.DUMMY)):
-        names = stg.signals_of_kind(kind)
-        if names:
-            lines.append(f"{directive} {' '.join(names)}")
+    for kind, run in groupby(stg.signals, key=stg.signals.get):
+        lines.append(f"{_DIRECTIVES[kind]} {' '.join(run)}")
     lines.append(".graph")
 
     net = stg.net

@@ -328,7 +328,6 @@ def run_pipeline(config: FlowConfig,
                  stg=None,
                  stg_text: Optional[str] = None,
                  initial_sg: Optional[StateGraph] = None,
-                 extra_constraints=(),
                  name: Optional[str] = None,
                  store: Optional[ArtifactStore] = None) -> PipelineResult:
     """Evaluate one design point through the staged Fig. 4 flow.
@@ -340,9 +339,7 @@ def run_pipeline(config: FlowConfig,
     """
     with obs_span("pipeline", strategy=config.strategy) as record:
         result = _run_stages(config, spec=spec, stg=stg, stg_text=stg_text,
-                             initial_sg=initial_sg,
-                             extra_constraints=extra_constraints,
-                             name=name, store=store)
+                             initial_sg=initial_sg, name=name, store=store)
         if record is not None:
             record.set(name=result.name, stages=result.stage_status())
         return result
@@ -353,7 +350,6 @@ def _run_stages(config: FlowConfig,
                 stg=None,
                 stg_text: Optional[str] = None,
                 initial_sg: Optional[StateGraph] = None,
-                extra_constraints=(),
                 name: Optional[str] = None,
                 store: Optional[ArtifactStore] = None) -> PipelineResult:
     """The stage chain behind :func:`run_pipeline` (span-wrapped there)."""
@@ -361,19 +357,13 @@ def _run_stages(config: FlowConfig,
 
     # ------------------------------------------------------------ expand
     if spec is not None:
-        expand_slice = dict(config.slice_for("expand"))
-        if extra_constraints:
-            expand_slice["constraints"] = [repr(constraint)
-                                           for constraint in extra_constraints]
-
         def compute_expand():
             from ..hse.expansion import expand
-            expanded = expand(spec, phases=config.phases,
-                              extra_constraints=extra_constraints)
+            expanded = expand(spec, phases=config.phases)
             return {"stg": write_stg(expanded)}, expanded
 
         results["expand"] = _execute(
-            store, "expand", expand_slice,
+            store, "expand", config.slice_for("expand"),
             lambda: [digest_payload(spec_payload(spec))], compute_expand)
         stg_text = results["expand"].payload["stg"]
     elif stg is not None and stg_text is None:

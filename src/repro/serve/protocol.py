@@ -9,6 +9,14 @@ strategy ignores) produce the same job id, which is what lets the job
 manager deduplicate concurrent identical requests into one computation and
 serve repeats from history.
 
+A ``spec`` name is one lookup in the spec registry
+(:func:`repro.specs.registry.spec_text`): the task carries the name's
+canonical ``.g`` text, so ``{"spec": "half"}`` and ``{"stg": <that
+text>}`` are one job.  Family members and file paths are not registry
+names and get 404.  That text parses back to the graph the sweep and the
+bench start from, so a synth job has every stage digest of the same point
+run there; only its ``generate`` entry is keyed apart, on the text digest.
+
 Task kinds:
 
 * ``synth`` -- one design point over raw ``.g`` text and a full
@@ -31,8 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..pipeline.config import FlowConfig, delays_payload
 from ..pipeline.hashing import digest_payload
-from ..specs import suite
-from ..sweep.grid import SweepGrid, SweepPoint, spec_registry, tables_grid
+from ..specs.registry import spec_text
+from ..sweep.grid import SweepGrid, SweepPoint, tables_grid
 from ..timing.delays import DelayModel
 
 __all__ = [
@@ -95,15 +103,10 @@ def _spec_text(payload: Dict[str, object]) -> Tuple[str, str]:
     if spec is not None:
         if not isinstance(spec, str):
             raise ProtocolError("'spec' must be a string")
-        if spec in suite.suite_names():
-            return spec, suite.source_text(spec)
-        registry = spec_registry()
-        factory = registry.get(spec)
-        if factory is None:
-            raise ProtocolError(f"unknown spec {spec!r}; "
-                                f"available: {sorted(registry)}", status=404)
-        from ..petri.parser import write_stg
-        return spec, write_stg(factory())
+        try:
+            return spec, spec_text(spec)
+        except KeyError as exc:
+            raise ProtocolError(exc.args[0], status=404) from None
     if not isinstance(stg, str) or not stg.strip():
         raise ProtocolError("'stg' must be non-empty .g text")
     match = _MODEL_LINE.search(stg)

@@ -9,8 +9,7 @@ choice-free, consistent and speed-independent by construction.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from ..petri.parser import parse_stg
 from ..petri.stg import STG
@@ -133,33 +132,3 @@ def source_text(name: str) -> str:
 def load(name: str) -> STG:
     """Parse one suite benchmark by name."""
     return parse_stg(source_text(name))
-
-
-def sweep_sources() -> Dict[str, Callable[[], STG]]:
-    """STG factories for the sweep registry (:mod:`repro.sweep.grid`).
-
-    Factories rather than parsed STGs: sweep workers build specs lazily in
-    their own process, so the suite rides through the parallel design-space
-    sweep like the paper's own benchmarks do.
-    """
-    return {name: partial(load, name) for name in suite_names()}
-
-
-def family_names() -> List[str]:
-    """The registered parametric family kinds (:mod:`repro.specs.families`).
-
-    Families are the suite's scaling axis: a member is named
-    ``<kind>_<stages>[_s<seed>]`` (e.g. ``fifo_chain_8``,
-    ``micropipeline_chain_4_s2``) and built on demand by
-    :func:`load_family`.  They are deliberately *not* part of
-    :func:`sweep_sources` -- members can dwarf the classic suite by
-    orders of magnitude, so sweeps over them are opt-in.
-    """
-    from .families import family_names as _family_names
-    return _family_names()
-
-
-def load_family(name: str) -> STG:
-    """Build one parametric family member from its name."""
-    from .families import load_family as _load_family
-    return _load_family(name)

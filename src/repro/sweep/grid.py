@@ -15,33 +15,17 @@ named ``x || y`` Keep_Conc variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..petri.stg import STG
 from ..pipeline.config import STRATEGIES, FlowConfig
-from ..specs import suite
-from ..specs.fig1 import fig1_stg
-from ..specs.lr import TABLE1_ROWS, lr_expanded
-from ..specs.mmu import TABLE2_ROWS, mmu_expanded
-from ..specs.par import par_expanded
+from ..specs.lr import TABLE1_ROWS
+from ..specs.mmu import TABLE2_ROWS
+from ..specs.registry import spec_names
 from ..timing.delays import TABLE1_DELAYS, DelayModel
 
 __all__ = [
-    "SweepGrid", "SweepPoint", "keep_variants", "make_point",
-    "spec_registry", "tables_grid",
+    "SweepGrid", "SweepPoint", "keep_variants", "make_point", "tables_grid",
 ]
-
-
-def spec_registry() -> Dict[str, Callable[[], STG]]:
-    """Every spec the sweep can run, by name: paper specs + the STG suite."""
-    registry: Dict[str, Callable[[], STG]] = {
-        "fig1": fig1_stg,
-        "lr": lr_expanded,
-        "mmu": mmu_expanded,
-        "par": par_expanded,
-    }
-    registry.update(suite.sweep_sources())
-    return dict(sorted(registry.items()))
 
 
 def keep_variants(spec: str) -> Dict[str, List[Tuple[str, str]]]:
@@ -153,21 +137,21 @@ def tables_grid(specs: Optional[Sequence[str]] = None,
     model for every point; ``verify=True`` additionally runs the gate-level
     verification subsystem (capped at ``verify_max_states`` product states)
     on every point.  An axis left ``None`` takes its default: every spec of
-    :func:`spec_registry`, every strategy of :data:`STRATEGIES`, and the
-    weights 0, 0.5 and 1.
+    :func:`~repro.specs.registry.spec_names`, every strategy of
+    :data:`STRATEGIES`, and the weights 0, 0.5 and 1.
     """
     if strategies is None:
         strategies = STRATEGIES
     if weights is None:
         weights = (0.0, 0.5, 1.0)
-    registry = spec_registry()
+    registry = spec_names()
     if specs is None:
-        specs = list(registry)
+        specs = registry
     else:
         unknown = sorted(set(specs) - set(registry))
         if unknown:
             raise KeyError(f"unknown spec(s) {unknown}; "
-                           f"available: {sorted(registry)}")
+                           f"available: {registry}")
     grid = SweepGrid()
     for spec in specs:
         for strategy in strategies:

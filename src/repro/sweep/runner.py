@@ -2,10 +2,11 @@
 
 The parent process resolves store hits, partitions the remaining points
 into deterministic spec-coherent chunks, and hands chunks to a worker pool
-(``jobs=1`` runs the very same chunk function in-process).  Workers cache
-the generated state graph per spec -- and, through the process-global
-engine memos, everything downstream of it -- so a chunk of same-spec points
-shares work the way a serial run does.  Each point is evaluated through
+(``jobs=1`` runs the very same chunk function in-process).  Workers read
+each spec's generated state graph from the spec registry's per-process
+memo (:data:`repro.specs.registry.SPEC_GRAPHS`) -- and, through the
+process-global engine memos, everything downstream of it -- so a chunk of
+same-spec points shares work the way a serial run does.  Each point is evaluated through
 the staged pipeline (:func:`repro.pipeline.run_pipeline`); with a store,
 workers share the same artifact directory, so stages whose content-derived
 keys coincide (across points, strategies and even concurrent runs) are
@@ -29,15 +30,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import engine
 from ..pipeline.config import STAGE_ORDER
 from ..pipeline.hashing import digest_payload
 from ..pipeline.jobs import summary_row
 from ..pipeline.stages import graph_digest, run_pipeline
 from ..pipeline.store import ArtifactStore
-from ..sg.generator import generate_sg
-from ..sg.graph import StateGraph
-from .grid import SweepGrid, SweepPoint, spec_registry
+from ..specs.registry import SPEC_GRAPHS, spec_sg
+from .grid import SweepGrid, SweepPoint
 
 __all__ = ["SweepOutcome", "evaluate_with_status", "make_chunks",
            "point_key", "run_sweep"]
@@ -49,14 +48,6 @@ STORE_VERSION = 4
 
 #: Store stage name of a completed sweep row.
 _ROW_STAGE = "sweep-point"
-
-#: Worker-side cache: spec name -> generated state graph.  Module-global so
-#: it survives across chunks dispatched to the same worker process (and is
-#: inherited for free under the ``fork`` start method).  Registered with the
-#: engine so ``engine.clear_caches()`` resets it like every other pure memo
-#: (the benchmarks rely on that for honest cold-phase timings).
-_SG_CACHE: Dict[str, StateGraph] = engine.register_cache(
-    {}, name="sweep-spec-sg")
 
 #: Artifact-store root the worker pool shares: set in-process by
 #: :func:`run_sweep` and in each pool worker by :func:`_init_worker` (a
@@ -70,15 +61,6 @@ _WORKER_STORE: Optional[ArtifactStore] = None
 def _init_worker(artifact_root: Optional[str]) -> None:
     global _ARTIFACT_ROOT
     _ARTIFACT_ROOT = artifact_root
-
-
-def _spec_sg(spec: str) -> StateGraph:
-    sg = _SG_CACHE.get(spec)
-    if sg is None:
-        factory = spec_registry()[spec]
-        sg = generate_sg(factory())
-        _SG_CACHE[spec] = sg
-    return sg
 
 
 def point_key(point: SweepPoint, graph: str) -> str:
@@ -127,7 +109,7 @@ def evaluate_with_status(point: SweepPoint,
     this same function, so service rows can never drift from CLI rows.
     """
     config = point.config
-    result = run_pipeline(config, initial_sg=_spec_sg(point.spec),
+    result = run_pipeline(config, initial_sg=spec_sg(point.spec),
                           name=point.label(), store=store)
     # The reduce slice holds exactly the search knobs the strategy reads.
     searched = config.slice_for("reduce")
@@ -182,7 +164,7 @@ def make_chunks(items: Sequence[Tuple[int, object]],
 
     def weight(group: List[Tuple[int, object]]) -> tuple:
         spec = group_key(group[0][1])
-        cached = _SG_CACHE.get(spec)
+        cached = SPEC_GRAPHS.get(spec)
         return (-(len(cached) if cached is not None else 0),
                 -len(group), spec)
 
@@ -267,7 +249,7 @@ def run_sweep(grid: SweepGrid,
         for index, point in enumerate(points):
             digest = digests.get(point.spec)
             if digest is None:
-                digest = graph_digest(_spec_sg(point.spec))
+                digest = graph_digest(spec_sg(point.spec))
                 digests[point.spec] = digest
             keys[index] = point_key(point, digest)
             stored = _stored_row(store, keys[index])

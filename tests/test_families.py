@@ -5,10 +5,10 @@ import pytest
 from repro.pipeline.artifacts import sg_to_payload
 from repro.pipeline.hashing import digest_payload
 from repro.sg.generator import generate_sg
-from repro.specs import suite
 from repro.specs.families import (arbiter_tree, counter, family_names,
                                   fifo_chain, load_family,
                                   micropipeline_chain, parse_family_name)
+from repro.specs.registry import load_spec, spec_names, spec_sg, spec_text
 
 
 def _sg_digest(stg):
@@ -107,13 +107,16 @@ class TestNaming:
 
 
 class TestSuiteAccessors:
-    """The suite facade delegates to the families registry but keeps
-    families out of sweep_sources (they are opt-in by size)."""
+    """The spec registry loads family members by name but keeps them out
+    of its names (they are opt-in by size) and has no text for them."""
 
     def test_delegation(self):
-        assert suite.family_names() == family_names()
-        assert (_sg_digest(suite.load_family("fifo_chain_2"))
+        assert (_sg_digest(load_spec("fifo_chain_2"))
+                == _sg_digest(fifo_chain(2)))
+        assert (digest_payload(sg_to_payload(spec_sg("fifo_chain_2")))
                 == _sg_digest(fifo_chain(2)))
 
     def test_not_in_sweep_sources(self):
-        assert not set(suite.sweep_sources()) & set(family_names())
+        assert not set(spec_names()) & set(family_names())
+        with pytest.raises(KeyError):
+            spec_text("fifo_chain_2")

@@ -20,7 +20,7 @@ from repro.specs import suite
 from repro.specs.families import (fifo_chain, load_family,
                                   micropipeline_chain)
 from repro.specs.lr import lr_expanded, lr_spec
-from repro.sweep.grid import spec_registry
+from repro.specs.registry import load_spec, spec_names
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_frontier.json"
 
@@ -275,8 +275,7 @@ def toggle_ring():
 
 def golden_inputs():
     """``{name: STG}``: registry specs, seeded family members, 2-phase."""
-    stgs = {f"registry/{name}": factory()
-            for name, factory in spec_registry().items()}
+    stgs = {f"registry/{name}": load_spec(name) for name in spec_names()}
     for member in ("fifo_chain_3_s1", "fifo_chain_4_s2",
                    "micropipeline_chain_2_s1", "micropipeline_chain_3_s2",
                    "counter_3_s1", "counter_4_s2"):

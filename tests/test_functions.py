@@ -6,8 +6,10 @@ import pytest
 
 from qm_oracle import qm_minimize
 from repro import FlowConfig, run_pipeline
+from repro.logic.cube import Cover
 from repro.logic.functions import (extract_all_functions, extract_function,
                                    extract_set_reset)
+from repro.logic.minimize import _unpack_cube, minimize_fast_ints
 from repro.petri.stg import SignalKind
 from repro.reduction.explore import full_reduction
 from repro.sg.generator import generate_sg
@@ -84,7 +86,10 @@ class TestExtraction:
 
     def test_fast_and_exact_agree_on_validity(self, lr_wires):
         for signal, function in extract_all_functions(lr_wires).items():
-            fast = function.minimized(fast=True)
+            n = function.num_vars
+            fast = Cover(n, [_unpack_cube(cube, n) for cube in
+                             minimize_fast_ints(n, function.resolved_on(),
+                                                function.off_ints)])
             exact = function.minimized(exact=True)
             for minterm in function.on:
                 assert fast.contains(minterm)

@@ -10,14 +10,22 @@ from hypothesis import strategies as st
 from fast_cover_oracle import scan_expand_and_cover
 from qm_oracle import prime_implicants, qm_minimize, qm_primes, verify_cover
 from repro.logic.cube import Cube, Cover
-from repro.logic.minimize import (MinimizationError, _pack, _primes_through,
-                                  code_columns, expand_and_cover, logic_work,
-                                  minimize, minimize_fast, minimize_fast_ints,
-                                  minimize_ints)
+from repro.logic.minimize import (MinimizationError, _pack, _packed_sets,
+                                  _primes_through, _unpack_cube, code_columns,
+                                  expand_and_cover, logic_work, minimize,
+                                  minimize_fast_ints, minimize_ints)
 
 
 def all_minterms(n):
     return list(product((0, 1), repeat=n))
+
+
+def minimize_fast(num_vars, on, dc=()):
+    """:func:`minimize_fast_ints` over minterm tuples, as a :class:`Cover`;
+    OFF is every code outside ON and DC."""
+    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    return Cover(num_vars, [_unpack_cube(cube, num_vars) for cube in
+                            minimize_fast_ints(num_vars, on_ints, off_ints)])
 
 
 class TestPrimeImplicants:

@@ -113,7 +113,12 @@ class TestMinimizeDeterminism:
     DC = [(1, 0, 1, 0), (0, 1, 0, 1)]
 
     def test_two_runs_identical_covers(self):
-        from repro.logic.minimize import minimize, minimize_fast
+        from repro.logic.minimize import (_packed_sets, minimize,
+                                          minimize_fast_ints)
+
+        def minimize_fast(num_vars, on, dc):
+            return minimize_fast_ints(num_vars,
+                                      *_packed_sets(num_vars, on, dc))
 
         for engine_fn in (minimize, minimize_fast):
             first = engine_fn(4, self.ON, self.DC)
@@ -127,11 +132,12 @@ class TestMinimizeDeterminism:
         # str hashing is the classic cross-process nondeterminism source;
         # the cover must not depend on it.
         script = (
-            "from repro.logic.minimize import minimize, minimize_fast\n"
+            "from repro.logic.minimize import (_packed_sets, minimize,\n"
+            "                                  minimize_fast_ints)\n"
             f"on = {self.ON!r}\n"
             f"dc = {self.DC!r}\n"
             "print([str(c) for c in minimize(4, on, dc)])\n"
-            "print([str(c) for c in minimize_fast(4, on, dc)])\n"
+            "print(minimize_fast_ints(4, *_packed_sets(4, on, dc)))\n"
         )
         outputs = set()
         for seed in ("0", "1", "12345"):

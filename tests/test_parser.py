@@ -4,10 +4,14 @@ import pytest
 
 from repro.petri.parser import ParseError, parse_stg, read_stg, write_stg
 from repro.petri.stg import SignalKind
+from repro.pipeline.hashing import graph_digest
 from repro.sg.generator import generate_sg
 from repro.specs import suite
+from repro.specs.families import family_names, load_family
 from repro.specs.fig1 import fig1_stg
+from repro.specs.generate import generate_spec, spec_seed
 from repro.specs.lr import lr_expanded, q_module_stg
+from repro.specs.registry import load_spec, spec_names
 
 SIMPLE = """
 .model demo
@@ -195,3 +199,82 @@ class TestSuiteRoundTrip:
         once = write_stg(parse_stg(write_stg(spec)))
         twice = write_stg(parse_stg(once))
         assert once == twice
+
+
+#: Inputs and outputs declared alternately, then an internal signal.
+INTERLEAVED = """
+.model interleaved
+.inputs li
+.outputs lo
+.inputs ri
+.outputs ro
+.internal x
+.graph
+li+ x+
+x+ lo+
+lo+ li-
+li- x-
+x- lo-
+lo- ro+
+ro+ ri+
+ri+ ro-
+ro- ri-
+ri- li+
+.marking { <ri-,li+> }
+.initial_state !li !lo !ri !ro !x
+.end
+"""
+
+#: The smallest member of every family kind.
+SMALLEST_FAMILY = {"arbiter_tree": "arbiter_tree_2", "counter": "counter_1",
+                   "fifo_chain": "fifo_chain_1",
+                   "micropipeline_chain": "micropipeline_chain_1"}
+
+#: The quick fuzz corpus of ``tests/data/fuzz_corpus.json`` (seed 0, 10).
+QUICK_CORPUS = [f"fuzz/{index}" for index in range(10)]
+
+
+def _round_trip_stg(case):
+    kind, _, name = case.partition("/")
+    if kind == "registry":
+        return load_spec(name)
+    if kind == "family":
+        return load_family(SMALLEST_FAMILY[name])
+    if kind == "fuzz":
+        return generate_spec(spec_seed(0, int(name))).build()
+    return parse_stg(INTERLEAVED)
+
+
+class TestDeclarationOrder:
+    """``write_stg`` keeps ``stg.signals`` order, so a round trip through
+    ``.g`` text gives the same signal order and the same state graph."""
+
+    def test_every_family_kind_is_covered(self):
+        assert sorted(SMALLEST_FAMILY) == family_names()
+
+    @pytest.mark.parametrize("case", [
+        *(f"registry/{name}" for name in spec_names()),
+        *(f"family/{kind}" for kind in sorted(SMALLEST_FAMILY)),
+        *QUICK_CORPUS, "interleaved"])
+    def test_round_trip_keeps_order_and_graph(self, case):
+        stg = _round_trip_stg(case)
+        rebuilt = parse_stg(write_stg(stg))
+        assert list(rebuilt.signals.items()) == list(stg.signals.items())
+        assert (graph_digest(generate_sg(rebuilt))
+                == graph_digest(generate_sg(stg)))
+
+    def test_one_directive_per_run_of_one_kind(self):
+        stg = parse_stg(INTERLEAVED)
+        assert list(stg.signals) == ["li", "lo", "ri", "ro", "x"]
+        directives = [line for line in write_stg(stg).splitlines()
+                      if line.startswith((".inputs", ".outputs",
+                                          ".internal", ".dummy"))]
+        assert directives == [".inputs li", ".outputs lo", ".inputs ri",
+                              ".outputs ro", ".internal x"]
+
+    def test_inputs_first_spec_writes_its_source(self):
+        # A spec declared inputs-first keeps its grouped directives: the
+        # suite's ``half`` writes back its own declaration lines.
+        text = write_stg(suite.load("half"))
+        assert ".inputs ri ai\n.outputs ro ao\n" in text
+

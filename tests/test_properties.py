@@ -20,7 +20,7 @@ from repro.sg.properties import (_marking_tuple, check_implementability,
 from repro.specs import families
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
-from repro.sweep.grid import spec_registry
+from repro.specs.registry import load_spec, spec_names
 from repro.symbolic.csc import (CodingReport, canonical_conflict,
                                 canonical_pair, sort_conflicts, sort_pairs)
 
@@ -206,9 +206,9 @@ class TestCodingCounts:
     """Counting per code bucket equals listing every pair (the registry's
     ``mmu`` is the unreduced MMU, 264 states)."""
 
-    @pytest.mark.parametrize("name", sorted(spec_registry()))
+    @pytest.mark.parametrize("name", spec_names())
     def test_registry_specs(self, name):
-        _assert_counts_match_lists(generate_sg(spec_registry()[name]()))
+        _assert_counts_match_lists(generate_sg(load_spec(name)))
 
     @pytest.mark.parametrize("name,build,stages,seed", _seeded_members(),
                              ids=[member[0] for member in _seeded_members()])
@@ -254,7 +254,7 @@ class TestNoListing:
     def test_truncation_boundary(self, name):
         # micropipeline has 16 USC pairs but 7 CSC conflicts, so the two
         # counts cross their limits at different points.
-        sg = generate_sg(spec_registry()[name]())
+        sg = generate_sg(load_spec(name))
         for count in coding_counts(sg):
             for limit in (count - 1, count, count + 1):
                 assert (_payload_bytes(coding_report(sg, witness_limit=limit))

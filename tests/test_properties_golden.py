@@ -32,7 +32,7 @@ from repro.sg.properties import (coding_counts, coding_report,
                                  csc_conflicting_signals,
                                  persistency_violations)
 from repro.specs.families import load_family
-from repro.sweep.grid import spec_registry
+from repro.specs.registry import load_spec, spec_names
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_properties.json"
 
@@ -65,8 +65,7 @@ def hand_built():
 
 def golden_graphs():
     """``{name: state graph}`` of every pinned graph."""
-    graphs = {name: generate_sg(factory())
-              for name, factory in spec_registry().items()}
+    graphs = {name: generate_sg(load_spec(name)) for name in spec_names()}
     for name in FAMILY_MEMBERS:
         graphs[name] = generate_sg(load_family(name))
     graphs["hand"] = hand_built()

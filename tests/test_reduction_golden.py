@@ -27,14 +27,14 @@ from repro.sg.generator import generate_sg
 from repro.specs.lr import TABLE1_KEEP_CONC
 from repro.specs.mmu import TABLE2_KEEP_CONC, keep_conc_for
 from repro.specs.par import PAR_KEEP_CONC
-from repro.sweep.grid import spec_registry
+from repro.specs.registry import load_spec, spec_names
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_reduction.json"
 
 
 @functools.lru_cache(maxsize=None)
 def _root(spec):
-    return generate_sg(spec_registry()[spec]())
+    return generate_sg(load_spec(spec))
 
 
 def _search(spec, **kwargs):
@@ -59,7 +59,7 @@ def _full(spec, **kwargs):
 def reduction_runs():
     """``{name: thunk}`` for every pinned search, in name order."""
     runs = {}
-    for spec in spec_registry():
+    for spec in spec_names():
         runs[f"{spec}/best-first"] = functools.partial(_search, spec)
         runs[f"{spec}/beam"] = functools.partial(_search, spec,
                                                  strategy="beam")

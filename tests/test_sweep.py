@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from repro.specs.registry import spec_names
 from repro.sweep import (ArtifactStore, SweepGrid, keep_variants,
                          make_point, point_key, render, run_sweep,
-                         spec_registry, tables_grid)
+                         tables_grid)
 from repro.sweep.report import COLUMNS
 
 
@@ -30,7 +31,7 @@ def lr_sg():
 
 class TestGrid:
     def test_registry_covers_paper_and_suite(self):
-        registry = spec_registry()
+        registry = spec_names()
         for name in ("lr", "mmu", "par", "fig1",
                      "half", "fifo_cell", "vme_read", "micropipeline"):
             assert name in registry
