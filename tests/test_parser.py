@@ -1,5 +1,9 @@
 """Unit tests for the .g format reader/writer (repro.petri.parser)."""
 
+import json
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from repro.petri.parser import ParseError, parse_stg, read_stg, write_stg
@@ -230,19 +234,20 @@ SMALLEST_FAMILY = {"arbiter_tree": "arbiter_tree_2", "counter": "counter_1",
                    "fifo_chain": "fifo_chain_1",
                    "micropipeline_chain": "micropipeline_chain_1"}
 
-#: The quick fuzz corpus of ``tests/data/fuzz_corpus.json`` (seed 0, 10).
-QUICK_CORPUS = [f"fuzz/{index}" for index in range(10)]
+#: The quick corpus that ``tests/data/fuzz_corpus.json`` anchors.
+QUICK = json.loads((Path(__file__).parent / "data" / "fuzz_corpus.json")
+                   .read_text())["quick"]
 
-
-def _round_trip_stg(case):
-    kind, _, name = case.partition("/")
-    if kind == "registry":
-        return load_spec(name)
-    if kind == "family":
-        return load_family(SMALLEST_FAMILY[name])
-    if kind == "fuzz":
-        return generate_spec(spec_seed(0, int(name))).build()
-    return parse_stg(INTERLEAVED)
+#: case id -> STG factory of every round trip checked below.
+ROUND_TRIPS = {
+    **{f"registry/{name}": partial(load_spec, name) for name in spec_names()},
+    **{f"family/{member}": partial(load_family, member)
+       for member in SMALLEST_FAMILY.values()},
+    **{f"fuzz/{index}": (lambda index=index: generate_spec(
+        spec_seed(QUICK["seed"], index)).build())
+       for index in range(QUICK["count"])},
+    "interleaved": partial(parse_stg, INTERLEAVED),
+}
 
 
 class TestDeclarationOrder:
@@ -252,12 +257,9 @@ class TestDeclarationOrder:
     def test_every_family_kind_is_covered(self):
         assert sorted(SMALLEST_FAMILY) == family_names()
 
-    @pytest.mark.parametrize("case", [
-        *(f"registry/{name}" for name in spec_names()),
-        *(f"family/{kind}" for kind in sorted(SMALLEST_FAMILY)),
-        *QUICK_CORPUS, "interleaved"])
+    @pytest.mark.parametrize("case", list(ROUND_TRIPS))
     def test_round_trip_keeps_order_and_graph(self, case):
-        stg = _round_trip_stg(case)
+        stg = ROUND_TRIPS[case]()
         rebuilt = parse_stg(write_stg(stg))
         assert list(rebuilt.signals.items()) == list(stg.signals.items())
         assert (graph_digest(generate_sg(rebuilt))
