@@ -247,6 +247,7 @@ def _checked_config(**knobs) -> FlowConfig:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .sg.generator import GenerationBudgetError
     from .sg.properties import check_coding
+    from .specs.registry import spec_names, spec_text
 
     # Inserted CSC signals are *internal*: they get their own delay, which
     # defaults to the output delay (the Table 1 convention) but can differ.
@@ -259,12 +260,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
         sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs)
     stg = _read_spec(args.spec)
+    # A registry name runs on the registry's text, which the service keys
+    # ``generate`` on too, so one store serves both.
+    text = (write_stg(stg) if os.path.exists(args.spec)
+            or args.spec not in spec_names() else spec_text(args.spec))
     # --engine symbolic = symbolic coding pre-flight, explicit synthesis
     # (the netlist needs the materialized state graph).
     coding = (check_coding(stg, engine="symbolic")
               if args.engine == "symbolic" else None)
     try:
-        result = run_pipeline(config, stg=stg, name=stg.name, store=store)
+        result = run_pipeline(config, stg_text=text, name=stg.name,
+                              store=store)
     except GenerationBudgetError as exc:
         raise SystemExit(f"{exc.exceedance.diagnose('state graph')} "
                          "(raise --sg-max-states/--sg-max-arcs)")

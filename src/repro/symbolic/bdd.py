@@ -7,9 +7,10 @@ deliberately small -- the operations the symbolic reachability and
 CSC/USC checks need, nothing speculative:
 
 * :meth:`BDD.apply_and` / :meth:`apply_or` / :meth:`apply_xor` /
-  :meth:`negate` / :meth:`ite`  -- boolean connectives;
-* :meth:`BDD.restrict` -- cofactor on one variable;
+  :meth:`negate` -- boolean connectives;
 * :meth:`BDD.exists` -- existential quantification over a variable set;
+* :meth:`BDD.fire` -- the image of a set under a rewrite plan (one
+  transition firing, in one memoized pass);
 * :meth:`BDD.rename` -- order-preserving variable substitution (the
   unprimed -> primed shift of the CSC self-product);
 * :meth:`BDD.count` -- model counting over a declared variable universe;
@@ -34,13 +35,24 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["BDD", "FALSE", "TRUE"]
+__all__ = ["BDD", "FALSE", "TRUE", "GuardError",
+           "TAKE", "PUT", "READ", "SET", "CLEAR", "FLIP"]
 
 #: Terminal node ids (fixed forever; every table starts with them).
 FALSE = 0
 TRUE = 1
 
+#: :meth:`BDD.fire` plan actions, one per rewritten variable: ``TAKE``
+#: needs 1 and writes 0; ``PUT`` writes 1 and raises :class:`GuardError`
+#: on a 1; ``READ`` needs 1 and keeps it; ``SET``/``CLEAR`` write 1/0
+#: whatever the old value; ``FLIP`` writes the complement.
+TAKE, PUT, READ, SET, CLEAR, FLIP = range(6)
+
 _TERMINAL_VAR = 1 << 30  # deeper than any real variable
+
+
+class GuardError(Exception):
+    """A ``PUT`` variable of a :meth:`BDD.fire` plan was already 1."""
 
 
 class BDD:
@@ -68,8 +80,9 @@ class BDD:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._vars: Dict[int, int] = {}   # var index -> positive literal id
         self._nvars: Dict[int, int] = {}  # var index -> negative literal id
-        #: One memo table per operation name; cleared together.
-        self._cache: Dict[str, dict] = {}
+        #: One memo table per operation name (per plan for :meth:`fire`);
+        #: cleared together.
+        self._cache: Dict[object, dict] = {}
         self.on_grow = on_grow
         self.grow_step = grow_step
         self._next_check = grow_step
@@ -122,10 +135,6 @@ class BDD:
             self._nvars[index] = found
         return found
 
-    def literal(self, index: int, value: int) -> int:
-        """``var(index)`` when ``value`` is truthy, else ``nvar(index)``."""
-        return self.var(index) if value else self.nvar(index)
-
     def size(self, f: int) -> int:
         """Nodes reachable from ``f``, terminals excluded."""
         seen = set()
@@ -143,7 +152,7 @@ class BDD:
         """Drop every operation memo (the unique table stays)."""
         self._cache.clear()
 
-    def _memo(self, op: str) -> dict:
+    def _memo(self, op: object) -> dict:
         table = self._cache.get(op)
         if table is None:
             table = self._cache[op] = {}
@@ -243,43 +252,8 @@ class BDD:
         """``f AND NOT g`` (the frontier-minus-reached step)."""
         return self.apply_and(f, self.negate(g))
 
-    def ite(self, f: int, g: int, h: int) -> int:
-        """``if f then g else h`` -- the classic three-way connective."""
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        if g == FALSE and h == TRUE:
-            return self.negate(f)
-        memo = self._memo("ite")
-        key = (f, g, h)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        top = min(self._var[f], self._var[g], self._var[h])
-        f0, f1 = ((self._low[f], self._high[f])
-                  if self._var[f] == top else (f, f))
-        g0, g1 = ((self._low[g], self._high[g])
-                  if self._var[g] == top else (g, g))
-        h0, h1 = ((self._low[h], self._high[h])
-                  if self._var[h] == top else (h, h))
-        result = self.node(top, self.ite(f0, g0, h0), self.ite(f1, g1, h1))
-        memo[key] = result
-        return result
-
-    def disjoin(self, terms: Sequence[int]) -> int:
-        """OR over a term sequence (left fold; FALSE for empty)."""
-        result = FALSE
-        for term in terms:
-            result = self.apply_or(result, term)
-        return result
-
     def cube(self, assignment: Sequence[Tuple[int, int]]) -> int:
-        """The minterm cube ``AND_i literal(var_i, value_i)``.
+        """The minterm cube ``AND_i (var_i == value_i)``.
 
         Built deepest-variable first so each :meth:`node` call adds at
         most one node -- a cube is a chain, never a DAG blowup.
@@ -293,34 +267,8 @@ class BDD:
         return result
 
     # ------------------------------------------------------------------
-    # cofactors and quantification
+    # quantification
     # ------------------------------------------------------------------
-    def restrict(self, f: int, index: int, value: int) -> int:
-        """The cofactor of ``f`` with variable ``index`` fixed."""
-        memo = self._memo("restrict")
-        key = (f, index, 1 if value else 0)
-        return self._restrict(f, index, 1 if value else 0, memo, key)
-
-    def _restrict(self, f: int, index: int, value: int, memo: dict,
-                  key: Tuple[int, int, int]) -> int:
-        var = self._var[f]
-        if var > index:  # terminals included: variable absent
-            return f
-        found = memo.get(key)
-        if found is not None:
-            return found
-        if var == index:
-            result = self._high[f] if value else self._low[f]
-        else:
-            result = self.node(
-                var,
-                self._restrict(self._low[f], index, value, memo,
-                               (self._low[f], index, value)),
-                self._restrict(self._high[f], index, value, memo,
-                               (self._high[f], index, value)))
-        memo[key] = result
-        return result
-
     def exists(self, f: int, indices: Sequence[int]) -> int:
         """``exists indices . f`` (smoothing over a variable set)."""
         if not indices:
@@ -355,6 +303,66 @@ class BDD:
         else:
             result = self.node(var, low,
                                self._exists(self._high[f], rest, memo))
+        memo[key] = result
+        return result
+
+    # ------------------------------------------------------------------
+    # images
+    # ------------------------------------------------------------------
+    def fire(self, f: int, plan: Tuple[Tuple[int, int], ...]) -> int:
+        """The image of ``f`` under ``plan``, in one memoized pass.
+
+        ``plan`` lists ``(variable, action)`` steps in variable order (see
+        :data:`TAKE` and its siblings); variables outside it keep their
+        values.  The walk copies levels outside the plan, follows the
+        required branch of a ``TAKE``/``READ`` step, ORs both branches of
+        a ``PUT``/``SET``/``CLEAR`` step, swaps the branches of a ``FLIP``
+        step and rebuilds each rewritten level with its new value.
+        Raises :class:`GuardError` when some state of ``f`` that meets
+        every requirement has a ``PUT`` variable at 1.  The memo belongs
+        to the plan and lives as long as the manager.
+        """
+        return self._fire(f, plan, 0, len(plan) + 1, self._memo(plan))
+
+    def _fire(self, f: int, plan: Tuple[Tuple[int, int], ...], pos: int,
+              width: int, memo: dict) -> int:
+        if f == FALSE or pos == width - 1:
+            return f
+        key = f * width + pos
+        found = memo.get(key)
+        if found is not None:
+            return found
+        var, action = plan[pos]
+        top = self._var[f]
+        if top < var:
+            result = self.node(top,
+                               self._fire(self._low[f], plan, pos, width,
+                                          memo),
+                               self._fire(self._high[f], plan, pos, width,
+                                          memo))
+        else:
+            low, high = (self._low[f], self._high[f]) if top == var \
+                else (f, f)
+            pos += 1
+            if action == TAKE:
+                result = self.node(
+                    var, self._fire(high, plan, pos, width, memo), FALSE)
+            elif action == READ:
+                result = self.node(
+                    var, FALSE, self._fire(high, plan, pos, width, memo))
+            else:
+                low = self._fire(low, plan, pos, width, memo)
+                high = self._fire(high, plan, pos, width, memo)
+                if action == FLIP:
+                    result = self.node(var, high, low)
+                elif action == PUT:
+                    if high != FALSE:
+                        raise GuardError(var)
+                    result = self.node(var, FALSE, low)
+                else:
+                    either = self.apply_or(low, high)
+                    result = self.node(var, either, FALSE) \
+                        if action == CLEAR else self.node(var, FALSE, either)
         memo[key] = result
         return result
 

@@ -38,14 +38,22 @@ genuinely part of the state, exactly like the explicit engine's
 unfolded ``(marking, values)`` states.
 
 Transitions are *not* folded into one monolithic relation.  Each
-transition keeps its structural pieces -- an enabling cube over the
-unprimed place variables (built from the packed pre/post masks of
-:meth:`repro.petri.net.PetriNet.compile_packed`), the variables it
-rewrites, the effect cube that fixes their new values, and a 1-safety
-guard -- and the image step applies them per transition
-(:mod:`repro.symbolic.reach`).  That keeps every intermediate BDD small
-and makes the op sequence (hence node ids, hence every rendering)
-deterministic.
+transition keeps an enabling cube over the unprimed place variables
+(built from the packed pre/post masks of
+:meth:`repro.petri.net.PetriNet.compile_packed`) and a *plan*: its
+support variables in BDD order, each with one action of
+:meth:`repro.symbolic.bdd.BDD.fire` --
+
+* a preset-only place must be 1 and becomes 0 (``TAKE``);
+* a postset-only place becomes 1, and a 1 there is an overflow (``PUT``);
+* a place in both preset and postset (a read arc) must be 1 and stays 1
+  (``READ``);
+* the signal variable is set for a rise (``SET``), cleared for a fall
+  (``CLEAR``) and flipped for a toggle (``FLIP``).
+
+The image step fires a plan in one memoized pass over the frontier
+(:mod:`repro.symbolic.reach`), so no intermediate BDD is built and the
+op sequence (hence node ids, hence every rendering) is deterministic.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
-from .bdd import BDD
+from .bdd import BDD, CLEAR, FLIP, PUT, READ, SET, TAKE
 
 __all__ = ["SymbolicEncodingError", "SymbolicOverflowError",
            "SymbolicTransition", "SymbolicEncoding", "encode_stg"]
@@ -77,14 +85,13 @@ class SymbolicOverflowError(SymbolicEncodingError):
 
 @dataclass(frozen=True)
 class SymbolicTransition:
-    """The structural image pieces of one transition.
+    """The image pieces of one transition.
 
     ``enabled`` is the cube of unprimed place variables the transition
-    consumes from; ``overflow`` the disjunction of its pure-post place
-    variables (marked = the firing would stack a token); ``quant`` the
-    variables the firing rewrites; ``effect`` the cube fixing their new
-    values.  Toggle transitions leave their signal variable out of
-    ``quant``/``effect`` -- the image step splits on it instead.
+    consumes from (the excitation and consistency checks read it);
+    ``plan`` the ``(variable, action)`` steps :meth:`BDD.fire
+    <repro.symbolic.bdd.BDD.fire>` applies to fire it (see the module
+    docstring).
     """
 
     index: int
@@ -96,10 +103,7 @@ class SymbolicTransition:
     #: per-marking excitation from these without touching the BDD.
     pre_places: Tuple[int, ...]
     enabled: int
-    overflow: int
-    quant: Tuple[int, ...]
-    effect: int
-    signal_var: int
+    plan: Tuple[Tuple[int, int], ...]
     #: For rise/fall: the literal of the *pre*-state signal value that
     #: would witness an inconsistency (rise while already high, fall
     #: while already low); ``None`` for toggles, which cannot clash.
@@ -243,27 +247,25 @@ def encode_stg(stg: STG, name: Optional[str] = None) -> SymbolicEncoding:
         post = packed.post_masks[t]
         enabled = bdd.cube([(place_vars[p], 1)
                             for p in _mask_places(pre)])
-        overflow = bdd.disjoin([bdd.var(place_vars[p])
-                                for p in _mask_places(post & ~pre)])
-        assignment = [(place_vars[p], 0) for p in _mask_places(pre & ~post)] \
-            + [(place_vars[p], 1) for p in _mask_places(post & ~pre)]
+        steps = [(place_vars[p], TAKE) for p in _mask_places(pre & ~post)] \
+            + [(place_vars[p], PUT) for p in _mask_places(post & ~pre)] \
+            + [(place_vars[p], READ) for p in _mask_places(pre & post)]
         sig_var = signal_vars[signal_index[event.signal]]
         wrong: Optional[int] = None
         if event.direction == Direction.RISE:
-            assignment.append((sig_var, 1))
+            steps.append((sig_var, SET))
             wrong = bdd.var(sig_var)
         elif event.direction == Direction.FALL:
-            assignment.append((sig_var, 0))
+            steps.append((sig_var, CLEAR))
             wrong = bdd.nvar(sig_var)
+        else:
+            steps.append((sig_var, FLIP))
         transitions.append(SymbolicTransition(
             index=t, name=transition_name,
             signal=event.signal, direction=event.direction,
             is_input=stg.signals[event.signal] == SignalKind.INPUT,
             pre_places=tuple(_mask_places(pre)),
-            enabled=enabled, overflow=overflow,
-            quant=tuple(sorted(var for var, _ in assignment)),
-            effect=bdd.cube(assignment),
-            signal_var=sig_var, wrong=wrong))
+            enabled=enabled, plan=tuple(sorted(steps)), wrong=wrong))
         if stg.signals[event.signal] != SignalKind.INPUT:
             key = (event.signal, event.direction.value)
             excitation[key] = bdd.apply_or(excitation.get(key, 0), enabled)

@@ -12,16 +12,16 @@ manager's grow hook so even one runaway image step trips it) and wall
 clock (``max_seconds``); ``max_states`` is an explicit-enumeration
 notion and is deliberately not metered here.
 
-The image of a frontier is computed per transition from the structural
-pieces of :class:`~repro.symbolic.encode.SymbolicTransition`::
-
-    S  = frontier AND enabled_t          -- states that fire t
-    --  S AND overflow_t must be empty   -- else not 1-safe
-    T  = exists (rewritten vars) . S     -- forget the old values
-    R' = T AND effect_t                  -- fix the new ones
-
-Toggle transitions split ``S`` on their signal variable first and apply
-the two flips separately.  Two expansion modes share this step:
+The image of a frontier is one memoized pass per transition,
+:meth:`~repro.symbolic.bdd.BDD.fire` of its plan
+(:class:`~repro.symbolic.encode.SymbolicTransition`): the walk keeps the
+states that hold the preset, clears the places the transition only
+consumes from, marks the ones it only produces into and sets, clears or
+flips the signal bit, all in one traversal of the frontier.  A postset place already marked in a state that enables the
+transition leaves the 1-safe regime and raises
+:class:`~repro.symbolic.encode.SymbolicOverflowError` (the rise of a
+high signal is no overflow: the coding check reports it as an
+inconsistency).  Two expansion modes share this step:
 
 * ``chaining=False`` -- strict breadth-first: every level unions the
   one-step images of the previous frontier, so ``levels`` is the BFS
@@ -49,7 +49,7 @@ from ..explore.budget import BudgetMeter, ExplorationBudget
 from ..obs import progress as obs_progress
 from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
-from .bdd import FALSE, BDD
+from .bdd import FALSE, BDD, GuardError
 from .encode import SymbolicEncoding, SymbolicOverflowError
 
 __all__ = ["SymbolicReachability", "symbolic_reach"]
@@ -84,28 +84,11 @@ class SymbolicReachability:
 
 def _image(bdd: BDD, frontier: int, transition) -> int:
     """One transition's successor set (see the module docstring)."""
-    fires = bdd.apply_and(frontier, transition.enabled)
-    if fires == FALSE:
-        return FALSE
-    if transition.overflow != FALSE \
-            and bdd.apply_and(fires, transition.overflow) != FALSE:
+    try:
+        return bdd.fire(frontier, transition.plan)
+    except GuardError:
         raise SymbolicOverflowError(
-            f"firing {transition.name!r} leaves the 1-safe regime")
-    if transition.wrong is None:  # toggle: split on the signal bit
-        sig = transition.signal_var
-        image = FALSE
-        for value in (0, 1):
-            half = bdd.restrict(fires, sig, value)
-            if half == FALSE:
-                continue
-            moved = bdd.exists(half, transition.quant)
-            moved = bdd.apply_and(moved, transition.effect)
-            image = bdd.apply_or(
-                image, bdd.apply_and(moved, bdd.literal(sig, 1 - value)))
-        return image
-    # Rise/fall: the rewritten variables always include the signal bit.
-    moved = bdd.exists(fires, transition.quant)
-    return bdd.apply_and(moved, transition.effect)
+            f"firing {transition.name!r} leaves the 1-safe regime") from None
 
 
 def _heartbeat(meter: BudgetMeter, level: int, frontier_nodes: int,
@@ -156,6 +139,9 @@ def symbolic_reach(encoding: SymbolicEncoding,
     sweep = forward + tuple(reversed(forward)) if chaining else forward
     reached = encoding.initial
     frontier = encoding.initial  # strict mode only
+    # A chained pass starts from the set the previous one reached, so its
+    # frontier size is that pass's reached size: each set is sized once.
+    reached_nodes = bdd.size(reached)
     levels = 0
     done = False
     try:
@@ -163,7 +149,8 @@ def symbolic_reach(encoding: SymbolicEncoding,
             depth = levels
             levels += 1
             meter.level = depth
-            frontier_nodes = bdd.size(frontier if not chaining else reached)
+            frontier_nodes = reached_nodes if chaining \
+                else bdd.size(frontier)
             started = time.perf_counter()
             with obs_span("symbolic:level", engine="symbolic", level=depth,
                           frontier_nodes=frontier_nodes) as level_span:
@@ -187,13 +174,14 @@ def symbolic_reach(encoding: SymbolicEncoding,
                     done = frontier == FALSE
                 meter.charge_nodes(bdd.node_count)
                 meter.check_clock()
+                reached_nodes = bdd.size(reached)
                 if level_span is not None:
-                    level_span.set(reached_nodes=bdd.size(reached),
+                    level_span.set(reached_nodes=reached_nodes,
                                    bdd_nodes=bdd.node_count)
             level_stats.append({
                 "level": depth,
                 "frontier_nodes": frontier_nodes,
-                "reached_nodes": bdd.size(reached),
+                "reached_nodes": reached_nodes,
                 "bdd_nodes": bdd.node_count,
                 "seconds": round(time.perf_counter() - started, 6),
             })

@@ -9,6 +9,7 @@ every stage, so a store warmed by one surface serves the others.
 
 import pytest
 
+from repro import cli
 from repro.pipeline import run_pipeline
 from repro.pipeline.store import ArtifactStore
 from repro.serve.protocol import ProtocolError, parse_synth_request
@@ -66,6 +67,25 @@ def test_every_surface_reaches_the_same_stage_digests(store, generated,
 
     direct = run_pipeline(config, spec=partial(), name=row, store=store)
     assert _digests(direct) == expected
+
+
+def test_cli_synth_of_a_registry_name_reuses_the_service_store(
+        tmp_path, monkeypatch, capsys):
+    store = ArtifactStore(tmp_path / "store")
+    _, status = run_task(parse_synth_request({"spec": "half"}), store)
+    assert set(status.values()) == {"computed"}
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(run_pipeline(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.chdir(tmp_path)  # no file named ``half`` shadows the name
+    monkeypatch.setattr(cli, "run_pipeline", recorded)
+    cli.main(["synth", "half", "--store", str(tmp_path / "store")])
+    capsys.readouterr()
+    (result,) = results
+    assert set(result.stage_status().values()) == {"cached"}
 
 
 @pytest.mark.parametrize("name", ["fifo_chain_2", "/etc/hostname"])

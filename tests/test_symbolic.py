@@ -7,6 +7,12 @@ here, alongside the encoder/reachability corpus counts and the budget
 semantics.
 """
 
+import json
+import random
+import re
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from repro.explore.budget import BudgetExceeded, ExplorationBudget
@@ -14,10 +20,16 @@ from repro.petri.parser import parse_stg
 from repro.sg.generator import generate_sg
 from repro.specs import suite
 from repro.specs.families import (arbiter_tree, counter, fifo_chain,
-                                  micropipeline_chain)
+                                  load_family, micropipeline_chain)
+from repro.specs.generate import generate_spec, spec_seed
+from repro.specs.registry import load_spec, spec_names
 from repro.symbolic import (FALSE, TRUE, BDD, SymbolicEncodingError,
                             SymbolicOverflowError, check_coding_symbolic,
                             encode_stg, symbolic_reach)
+from repro.symbolic import reach as reach_module
+from repro.symbolic.bdd import (CLEAR, FLIP, PUT, READ, SET, TAKE,
+                                GuardError)
+from symbolic_oracle import composed_image, ite, restrict
 
 
 def _eval(bdd, f, assignment):
@@ -48,7 +60,7 @@ class TestBDDCore:
         def build(bdd):
             x, y, z = bdd.var(0), bdd.var(1), bdd.var(2)
             f = bdd.apply_or(bdd.apply_and(x, y), bdd.apply_xor(y, z))
-            return bdd.ite(f, bdd.negate(z), x)
+            return ite(bdd, f, bdd.negate(z), x)
 
         one, two = BDD(3), BDD(3)
         assert build(one) == build(two)
@@ -86,8 +98,8 @@ class TestBDDCore:
     def test_restrict_and_exists(self):
         bdd = BDD(2)
         f = bdd.apply_and(bdd.var(0), bdd.var(1))
-        assert bdd.restrict(f, 0, 1) == bdd.var(1)
-        assert bdd.restrict(f, 0, 0) == FALSE
+        assert restrict(bdd, f, 0, 1) == bdd.var(1)
+        assert restrict(bdd, f, 0, 0) == FALSE
         assert bdd.exists(f, [0]) == bdd.var(1)
         assert bdd.exists(f, [0, 1]) == TRUE
 
@@ -103,6 +115,77 @@ class TestBDDCore:
         bdd = BDD(1)
         with pytest.raises(IndexError):
             bdd.var(1)
+
+
+#: The new value of each plan action, from the old one.
+_WRITES = {TAKE: lambda old: 0, PUT: lambda old: 1, READ: lambda old: 1,
+           SET: lambda old: 1, CLEAR: lambda old: 0,
+           FLIP: lambda old: 1 - old}
+
+
+def _from_states(bdd, states, n):
+    f = FALSE
+    for bits in sorted(states):
+        f = bdd.apply_or(f, bdd.cube([(v, bits >> v & 1) for v in range(n)]))
+    return f
+
+
+class TestFire:
+    def test_matches_the_rewrite_of_every_state(self):
+        rng = random.Random(7)
+        n = 4
+        for _ in range(300):
+            bdd = BDD(n)
+            states = {bits for bits in range(1 << n) if rng.random() < 0.5}
+            support = sorted(rng.sample(range(n), rng.randint(1, n)))
+            plan = tuple((v, rng.choice(sorted(_WRITES))) for v in support)
+            image, guard = set(), False
+            for bits in states:
+                if any(action in (TAKE, READ) and not bits >> v & 1
+                       for v, action in plan):
+                    continue
+                guard |= any(action == PUT and bits >> v & 1
+                             for v, action in plan)
+                for v, action in plan:
+                    new = _WRITES[action](bits >> v & 1)
+                    bits = bits & ~(1 << v) | new << v
+                image.add(bits)
+            f = _from_states(bdd, states, n)
+            if guard:
+                with pytest.raises(GuardError):
+                    bdd.fire(f, plan)
+            else:
+                assert bdd.fire(f, plan) == _from_states(bdd, image, n)
+
+    def test_memo_keys_do_not_alias_on_long_plans(self):
+        # Node 2 is met at every step of a 70-step plan and node 3 at the
+        # first six: a key packing the step into fewer than 70 slots per
+        # node hands node 3 a result of node 2.
+        bdd = BDD(70)
+        last, sixth = bdd.var(69), bdd.var(5)
+        assert (last, sixth) == (2, 3)
+        plan = tuple((v, FLIP) for v in range(70))
+        assert bdd.fire(last, plan) == bdd.nvar(69)
+        assert bdd.fire(sixth, plan) == bdd.nvar(5)
+
+    def test_long_plans_share_one_memo(self):
+        rng = random.Random(11)
+        n = 70
+        bdd = BDD(n)
+        plan = tuple((v, rng.choice((TAKE, READ, SET, CLEAR)))
+                     for v in range(n))
+        need = bdd.cube([(v, 1) for v, action in plan
+                         if action in (TAKE, READ)])
+        effect = bdd.cube([(v, _WRITES[action](0)) for v, action in plan])
+        for _ in range(20):
+            f = FALSE
+            for _ in range(5):
+                f = bdd.apply_or(f, bdd.cube(
+                    [(v, rng.randint(0, 1)) for v in range(n)
+                     if rng.random() < 0.3]))
+            expected = bdd.apply_and(
+                bdd.exists(bdd.apply_and(f, need), range(n)), effect)
+            assert bdd.fire(f, plan) == expected
 
 
 def _corpus():
@@ -142,12 +225,12 @@ class TestEncodeReach:
         with pytest.raises(SymbolicEncodingError):
             encode_stg(stg)
 
-    def test_overflow_detected(self):
-        stg = parse_stg(".model ovf\n.inputs a\n.outputs b\n.graph\n"
-                        "p a+\na+ q\nq b+\nb+ p\n"
-                        ".marking { p q }\n.end\n")
-        with pytest.raises(SymbolicOverflowError):
-            symbolic_reach(encode_stg(stg))
+    def test_overflow_detected(self, monkeypatch):
+        # The run stops at the transition the composed image names.
+        stg = parse_stg(TWO_TOKEN)
+        expected = _overflow_message(monkeypatch, stg, oracle=True)
+        assert "'a+'" in expected
+        assert _overflow_message(monkeypatch, stg) == expected
 
     def test_node_budget_exceedance_is_structured(self):
         stg = fifo_chain(6)
@@ -211,3 +294,94 @@ class TestInconsistencyParity:
         assert explicit.consistent and explicit.states == 4
         assert check_coding(stg, engine="symbolic").to_payload() \
             == explicit.to_payload()
+
+
+READ_ARC = (".model read_arc\n.inputs a\n.outputs b\n.graph\n"
+            "r a+ b-\na+ r p1\np1 b+\nb+ p2\np2 a-\na- p3\np3 b-\n"
+            "b- r p0\np0 a+\n.marking { r p0 }\n.end\n")
+TWO_TOKEN = (".model ovf\n.inputs a\n.outputs b\n.graph\n"
+             "p a+\na+ q\nq b+\nb+ p\n.marking { p q }\n.end\n")
+
+#: The quick corpus that ``tests/data/fuzz_corpus.json`` anchors.
+QUICK_FUZZ = json.loads((Path(__file__).parent / "data" / "fuzz_corpus.json")
+                        .read_text())["quick"]
+
+#: case id -> STG factory of every net the fired images are checked on.
+ORACLE_CASES = {
+    **{f"registry/{name}": partial(load_spec, name) for name in spec_names()},
+    **{f"family/{member}": partial(load_family, member)
+       for member in ("fifo_chain_2", "fifo_chain_3", "fifo_chain_4",
+                      "micropipeline_chain_2", "counter_2", "counter_3",
+                      "counter_4", "arbiter_tree_2")},
+    **{f"fuzz/{index}": (lambda index=index: generate_spec(
+        spec_seed(QUICK_FUZZ["seed"], index)).build())
+       for index in range(QUICK_FUZZ["count"])},
+    "read_arc": partial(parse_stg, READ_ARC),
+    "double_rise": partial(parse_stg, DOUBLE_RISE),
+    "two_token": partial(parse_stg, TWO_TOKEN),
+}
+
+
+def _working_sets(monkeypatch, encoding, chaining):
+    """Every set the run fires a transition on, in first-met order."""
+    met = {}
+    image = reach_module._image
+
+    def record(bdd, frontier, transition):
+        met[frontier] = None
+        return image(bdd, frontier, transition)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reach_module, "_image", record)
+        try:
+            symbolic_reach(encoding, chaining=chaining)
+        except SymbolicOverflowError:
+            pass
+    return list(met)
+
+
+def _overflow_message(monkeypatch, stg, oracle=False):
+    """The overflow message of a chained run, fired by the oracle or not."""
+    encoding = encode_stg(stg)
+    with monkeypatch.context() as patch:
+        if oracle:
+            patch.setattr(reach_module, "_image",
+                          composed_image(stg, encoding))
+        with pytest.raises(SymbolicOverflowError) as err:
+            symbolic_reach(encoding)
+    return str(err.value)
+
+
+class TestFireOracle:
+    """The one-pass image equals the composed chain of generic ops."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_every_working_set_of_both_modes(self, monkeypatch, case):
+        stg = ORACLE_CASES[case]()
+        encoding = encode_stg(stg)
+        bdd = encoding.bdd
+        sets = dict.fromkeys(_working_sets(monkeypatch, encoding, True)
+                             + _working_sets(monkeypatch, encoding, False))
+        oracle = composed_image(stg, encoding)
+        for frontier in sets:
+            for transition in encoding.transitions:
+                try:
+                    expected = oracle(bdd, frontier, transition)
+                except SymbolicOverflowError as err:
+                    with pytest.raises(SymbolicOverflowError,
+                                       match=re.escape(str(err))):
+                        reach_module._image(bdd, frontier, transition)
+                    continue
+                assert reach_module._image(bdd, frontier, transition) \
+                    == expected, (case, transition.name)
+
+    def test_read_arc_place_stays_marked(self):
+        from repro.sg.properties import check_coding
+
+        stg = parse_stg(READ_ARC)
+        encoding = encode_stg(stg)
+        r = encoding.place_vars[encoding.place_names.index("r")]
+        plans = {t.name: dict(t.plan) for t in encoding.transitions}
+        assert plans["a+"][r] == READ and plans["b-"][r] == READ
+        assert check_coding(stg, engine="symbolic").to_payload() \
+            == check_coding(stg).to_payload()
