@@ -1,8 +1,9 @@
 """The shared exploration core.
 
 One budgeted level loop, `explore_levels`, under every state-graph
-generation (`repro.sg.generator`), fed by three expansions: packed
-(`explore_packed`), tuples (`explore_tuples`) and the 2-phase unfolding.
+generation (`repro.sg.generator`), fed by two engines: packed
+(`explore_packed`) and tuples (`explore_tuples`), each of which also
+unfolds 2-phase specs.
 `FrontierExploration` drives the conformance product
 (`repro.verify.conformance`).  See `docs/architecture.md` ("The
 exploration core") for the design.

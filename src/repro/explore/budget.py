@@ -71,10 +71,12 @@ class BudgetExceedance:
         :meth:`describe` the text varies with timing, so it must never
         feed a certificate or any other canonical payload.
         """
-        text = (f"{self.describe(subject)} after {self.states} states, "
-                f"{self.arcs} arcs")
+        # A symbolic run keeps no state or arc counts, only nodes.
         if self.nodes is not None:
-            text += f", {self.nodes} BDD nodes"
+            text = f"{self.describe(subject)} after {self.nodes} BDD nodes"
+        else:
+            text = (f"{self.describe(subject)} after {self.states} states, "
+                    f"{self.arcs} arcs")
         if self.seconds is not None:
             text += f", {self.seconds:.2f}s elapsed"
         if self.level is not None:

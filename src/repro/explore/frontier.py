@@ -7,20 +7,28 @@ heartbeat per level.  What differs between generation paths is only how
 a level is expanded -- an expansion function yields the level's
 ``(source, transition, successor)`` arcs and the loop does the rest:
 
-* :func:`explore_packed` expands a whole level per transition with
-  int-wide bitwise ops (:meth:`repro.petri.net.PackedNet.enabled_columns`),
-  or state by state through a reducer such as the stubborn-set selector;
+* :func:`explore_packed` computes a whole level's enabled sets per
+  transition with int-wide bitwise ops
+  (:meth:`repro.petri.net.PackedNet.enabled_columns`) and expands them
+  transition by transition -- or, turned state-major, state by state
+  through a reducer such as the stubborn-set selector, or as a 2-phase
+  unfolding whose rows carry the signal values above the places;
 * :func:`explore_tuples` is the per-state fallback for nets outside the
-  1-safe packed regime, and the baseline the bench compares against;
-* the 2-phase unfolding of :mod:`repro.sg.generator` expands ``(marking,
-  signal values)`` states.
+  1-safe packed regime, 2-phase ones included, and the baseline the
+  bench compares against.
+
+A 2-phase run takes one effect per transition (:data:`Effect`): the
+signal it flips and a guard on that signal's value before, checked for
+a whole packed level at once; a failed guard raises
+:class:`GuardFailure` with the run so far.
 
 All emit the same :class:`ExplorationRun` -- states in admission order
 plus ``(source, transition, target)`` index arcs.  The two net
 expansions explore the same state *set*; only the admission order
 differs (the packed engine discovers per level transition-major, the
 tuple engine state-major).  Everything downstream consumes canonicalized
-payloads, so the two orders are interchangeable.
+payloads, so the two orders are interchangeable.  A 2-phase run is
+state-major on both engines, so their runs are equal.
 
 :class:`FrontierExploration` is the caller-driven variant for the
 conformance product, whose successor relation lives in the caller
@@ -35,18 +43,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Optional, Tuple)
+                    Optional, Sequence, Tuple)
 
 from ..obs import progress as obs_progress
 from ..obs.logs import structured as obs_log
 from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
-from ..petri.net import PackedNet, PackedOverflowError, PetriNet
+from ..petri.net import PackedNet, PackedOverflowError, PetriNet, bit_tuple
 from .budget import BudgetMeter, ExplorationBudget
 from .trace import minimal_trace
 
-__all__ = ["ExplorationRun", "FrontierExploration", "explore_levels",
-           "explore_packed", "explore_tuples"]
+__all__ = ["ExplorationRun", "FrontierExploration", "GuardFailure",
+           "explore_levels", "explore_packed", "explore_tuples"]
 
 _UNBOUNDED = ExplorationBudget()
 
@@ -110,11 +118,6 @@ class FrontierExploration:
         self._queue.append(initial)
 
     @property
-    def level(self) -> int:
-        """The BFS depth of the state most recently drained."""
-        return self._level
-
-    @property
     def state_count(self) -> int:
         return len(self.parents)
 
@@ -174,6 +177,20 @@ class ExplorationRun:
 Expansion = Callable[[List[int], List[Hashable]],
                      Iterable[Tuple[int, int, Hashable]]]
 Reducer = Callable[[int, int], int]
+#: Per transition of a 2-phase run ``(signal, guard)``: the index of the
+#: signal a firing flips, and the value it must hold before -- 0 for a
+#: rise, 1 for a fall, ``None`` for a toggle, which fires at either.
+Effect = Tuple[int, Optional[int]]
+
+
+class GuardFailure(Exception):
+    """A 2-phase firing found its signal already at the value it sets.
+
+    ``args`` are the index of the state the firing leaves and the
+    transition's index; :func:`explore_levels` attaches the run up to
+    there as ``run``.  Raised where the loop reaches that arc, so a
+    budget that trips before it still trips first.
+    """
 
 
 def explore_levels(engine: str, initial: Hashable, expand: Expansion,
@@ -186,7 +203,8 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
     new, checks the clock once per level, opens one ``frontier:level``
     span per level, sends the per-level heartbeat and records the
     ``repro_explore_*`` counters under ``engine``.  Running out of
-    budget raises :class:`~repro.explore.budget.BudgetExceeded`.
+    budget raises :class:`~repro.explore.budget.BudgetExceeded`; a
+    :class:`GuardFailure` leaves with the run so far.
     """
     meter = (budget or _UNBOUNDED).meter()
     index: Dict[Hashable, int] = {initial: 0}
@@ -195,45 +213,63 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
     arcs: List[Tuple[int, int, int]] = []
     level: List[int] = [0]
     levels = 0
-    while level:
-        meter.level = levels
-        with obs_span("frontier:level", engine=engine, level=levels,
-                      frontier=len(level)) as level_span:
-            next_level: List[int] = []
-            for source, transition, successor in expand(level, states):
-                meter.charge_arc()
-                target = index.get(successor)
-                if target is None:
-                    meter.admit_state()
-                    target = len(states)
-                    index[successor] = target
-                    states.append(successor)
-                    next_level.append(target)
-                arcs.append((source, transition, target))
-            meter.check_clock()
-            if level_span is not None:
-                level_span.set(admitted=len(next_level),
-                               states=len(states), arcs=len(arcs))
-        _frontier_heartbeat(engine, meter, levels, len(level),
-                            len(states), len(arcs), force=not next_level)
-        levels += 1
-        level = next_level
+    try:
+        while level:
+            meter.level = levels
+            with obs_span("frontier:level", engine=engine, level=levels,
+                          frontier=len(level)) as level_span:
+                next_level: List[int] = []
+                for source, transition, successor in expand(level, states):
+                    meter.charge_arc()
+                    target = index.get(successor)
+                    if target is None:
+                        meter.admit_state()
+                        target = len(states)
+                        index[successor] = target
+                        states.append(successor)
+                        next_level.append(target)
+                    arcs.append((source, transition, target))
+                meter.check_clock()
+                if level_span is not None:
+                    level_span.set(admitted=len(next_level),
+                                   states=len(states), arcs=len(arcs))
+            _frontier_heartbeat(engine, meter, levels, len(level),
+                                len(states), len(arcs), force=not next_level)
+            levels += 1
+            level = next_level
+    except GuardFailure as failure:
+        failure.run = ExplorationRun(states=states, arcs=arcs, levels=levels)
+        raise
     _record_run(engine, len(states), len(arcs), levels)
     return ExplorationRun(states=states, arcs=arcs, levels=levels)
 
 
 def explore_packed(packed: PackedNet,
                    budget: Optional[ExplorationBudget] = None,
-                   reducer: Optional[Reducer] = None) -> ExplorationRun:
+                   reducer: Optional[Reducer] = None,
+                   effects: Optional[Sequence[Effect]] = None,
+                   values: Tuple[int, ...] = ()) -> ExplorationRun:
     """Vectorized reachability over packed markings.
 
     Each frontier level is transposed into per-place columns once, and
     each transition's enabled set across the whole level is a single
     int-wide AND -- per-state Python work happens only for states that
-    actually fire.  With a ``reducer`` (``reducer(row, enabled_bits) ->
-    expanded_bits``, e.g. a stubborn-set selector) expansion falls back
-    to per-state enabled bitmasks, trading vectorization for a smaller
-    state space.
+    actually fire.  Arcs are yielded transition by transition.
+
+    With a ``reducer`` (``reducer(row, enabled_bits) -> expanded_bits``,
+    e.g. a stubborn-set selector) or 2-phase ``effects`` (one
+    :data:`Effect` per transition; not both) the level's enabled sets
+    are turned state-major instead, and arcs are yielded state by state,
+    transitions in declaration order.  A reducer then picks each state's
+    expanded transitions.  Effects make the run a 2-phase unfolding from
+    signal ``values``, labelled ``unfolded``: a state is one int, the
+    marking's place bits with the signal values above them, and a firing
+    is ``((row & ~pre) | post) ^ flip``.  The guards of a level are
+    checked at once, one AND of a transition's enabled slots with its
+    signal's value column, and a failed guard raises
+    :class:`GuardFailure` where its arc would be.  The finished run's
+    states are ``(marking, values)`` tuple pairs, as
+    :func:`explore_tuples` gives them.
 
     Raises :class:`~repro.petri.net.PackedOverflowError` when the net
     leaves the 1-safe regime mid-run; callers fall back to
@@ -259,34 +295,91 @@ def explore_packed(packed: PackedNet,
                         f"the 1-safe regime")
                 yield level[slot], t, cleared | post
 
-    def reduced(level: List[int], states: List[int]
-                ) -> Iterator[Tuple[int, int, int]]:
-        for source in level:
-            row = states[source]
-            chosen = reducer(row, packed.enabled_bits(row))
-            while chosen:
-                low = chosen & -chosen
-                chosen ^= low
-                t = low.bit_length() - 1
-                yield source, t, packed.fire_bits(t, row)
-
+    if effects is not None:
+        places = len(packed.place_names)
+        run = explore_levels(
+            "unfolded", packed.initial | sum(
+                value << places + i for i, value in enumerate(values)),
+            _state_major(packed, places + len(values), effects), budget)
+        return ExplorationRun([(packed.unpack(row), bit_tuple(
+            row >> places, len(values))) for row in run.states],
+            run.arcs, run.levels)
     if reducer is None:
         return explore_levels("packed", packed.initial, vectorized, budget)
-    # The per-state path gives up the level-vectorized expansion; that
-    # degradation used to be silent, which made "why is stubborn-set
-    # exploration slower per state?" a recurring surprise.
+    # A reducer is asked state by state; the counter and log line make
+    # that per-state cost visible ("why is stubborn-set exploration
+    # slower per state?" kept coming up while it was silent).
     obs_registry().counter(
         "repro_frontier_fallback_per_state_total",
         "Packed explorations that dropped to the per-state path "
         "because a reducer was installed.").inc()
     obs_log("frontier.fallback_per_state", engine="packed",
             reason="reducer", transitions=len(packed.transition_names))
-    return explore_levels("packed", packed.initial, reduced, budget)
+    return explore_levels("packed", packed.initial,
+                          _state_major(packed, len(packed.place_names),
+                                       reducer=reducer), budget)
+
+
+def _state_major(packed: PackedNet, width: int,
+                 effects: Sequence[Effect] = (),
+                 reducer: Optional[Reducer] = None) -> Expansion:
+    """The state-by-state level expansion of :func:`explore_packed`, on
+    rows of ``width`` bits."""
+    places = len(packed.place_names)
+    clears = [~pre for pre in packed.pre_masks]
+    posts = packed.post_masks
+    flips = ([1 << places + signal for signal, _ in effects]
+             or [0] * len(posts))
+    # (transition, its signal's value column, -guard): XORed onto the
+    # column, -guard marks the failing slots -- a rise's set ones, a
+    # fall's clear ones.
+    guarded = [(t, places + signal, -guard)
+               for t, (signal, guard) in enumerate(effects)
+               if guard is not None]
+
+    def expand(level: List[int], states: List[int]
+               ) -> Iterator[Tuple[int, int, int]]:
+        rows = [states[i] for i in level]
+        columns = packed.level_columns(rows, width)
+        enabled = packed.enabled_columns(rows, columns)
+        # The first failed guard in yield order, as (slot, transition).
+        stop = min([((bad & -bad).bit_length() - 1, t)
+                    for t, column, fails in guarded
+                    if (bad := enabled[t] & (columns[column] ^ fails))],
+                   default=None)
+        by_slot = [0] * len(rows)
+        for t, mask in enumerate(enabled):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                by_slot[low.bit_length() - 1] |= 1 << t
+        if reducer is not None:
+            by_slot = list(map(reducer, rows, by_slot))
+        if stop is not None:
+            del by_slot[stop[0] + 1:]
+            by_slot[stop[0]] &= (1 << stop[1]) - 1
+        for slot, fired in enumerate(by_slot):
+            row = rows[slot]
+            while fired:
+                low = fired & -fired
+                fired ^= low
+                t = low.bit_length() - 1
+                cleared = row & clears[t]
+                if cleared & posts[t]:
+                    raise PackedOverflowError(
+                        f"firing {packed.transition_names[t]!r} leaves "
+                        f"the 1-safe regime")
+                yield level[slot], t, (cleared | posts[t]) ^ flips[t]
+        if stop is not None:
+            raise GuardFailure(level[stop[0]], stop[1])
+
+    return expand
 
 
 def explore_tuples(net: PetriNet,
-                   budget: Optional[ExplorationBudget] = None
-                   ) -> ExplorationRun:
+                   budget: Optional[ExplorationBudget] = None,
+                   effects: Optional[Sequence[Effect]] = None,
+                   values: Tuple[int, ...] = ()) -> ExplorationRun:
     """Per-state reachability over tuple markings.
 
     The general-semantics fallback (and bench baseline): weighted arcs
@@ -294,6 +387,10 @@ def explore_tuples(net: PetriNet,
     :meth:`~repro.petri.net.PetriNet.fire_incremental` so each firing
     only rechecks the transitions whose enabling it can change.
     Successors of one state are expanded in net declaration order.
+
+    With ``effects`` the run is the 2-phase unfolding of
+    :func:`explore_packed` on ``(marking, signal values)`` states, with
+    the same order, label and :class:`GuardFailure`.
     """
     order = {t: i for i, t in enumerate(net.transition_names)}
     initial = net.initial_marking()
@@ -310,4 +407,18 @@ def explore_tuples(net: PetriNet,
                 enabled_of[successor] = successor_enabled
                 yield source, order[name], successor
 
-    return explore_levels("tuples", initial, expand, budget)
+    def unfolded(level: List[int], states: List[tuple]
+                 ) -> Iterator[Tuple[int, int, tuple]]:
+        for source in level:
+            marking, here = states[source]
+            # The marking's own expansion, as a level of one.
+            for _, t, successor in expand([0], [marking]):
+                signal, guard = effects[t]
+                if guard is not None and here[signal] != guard:
+                    raise GuardFailure(source, t)
+                yield source, t, (successor, here[:signal] + (
+                    1 - here[signal],) + here[signal + 1:])
+
+    if effects is None:
+        return explore_levels("tuples", initial, expand, budget)
+    return explore_levels("unfolded", (initial, values), unfolded, budget)

@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..petri.net import bit_tuple
 from ..petri.stg import Direction, SignalKind
 from ..sg.graph import StateGraph
 from .cube import Cover
 # The exact core keeps this module's historic ``minimize`` name: perfbench's
 # ``logic.minimize`` layer times the calls made through it.
 from .minimize import minimize_ints as minimize
-from .minimize import unpack_minterm
 
 Minterm = Tuple[int, ...]
 
@@ -70,7 +70,7 @@ class NextStateFunction:
         view = self._tuple_views.get(name)
         if view is None:
             n = len(self.variables)
-            view = {unpack_minterm(m, n) for m in ints}
+            view = {bit_tuple(m, n) for m in ints}
             self._tuple_views[name] = view
         return view
 

@@ -24,9 +24,7 @@ Two engines:
   and differing OFF positions, so a literal trial is one OR test rather
   than a scan of OFF, a cube's coverage is an AND of columns, and the
   greedy cover counts gains with ``bit_count``.  A reduction space
-  numbers its root's codes once and memoizes literal counts itself;
-  :func:`minimize_fast_ints` numbers ``sorted(ON | OFF)`` per call and
-  keeps no memo.
+  numbers its root's codes once and memoizes literal counts itself.
   ``tests/fast_cover_oracle.py`` keeps the OFF-scanning derivation that
   the core reproduces cube for cube.
 
@@ -35,9 +33,10 @@ Cubes are packed as ``(mask, value)`` integer pairs internally -- bit i of
 ``value`` -- and converted to :class:`~repro.logic.cube.Cube` at the API
 boundary.  Minterms are packed as single integers (bit i = variable i, the
 same convention the state-graph layer uses for state codes).  Both engines
-take packed ON and OFF sets (:func:`minimize_ints`,
-:func:`minimize_fast_ints`); the tuple API :func:`minimize` takes ON and DC
-and derives OFF by enumerating the code space, which only it does.
+take packed ON and OFF sets (:func:`minimize_ints`; the fast cover on
+positions of a numbered code list); the tuple API :func:`minimize` takes
+ON and DC and derives OFF by enumerating the code space, which only it
+does.
 """
 
 from __future__ import annotations
@@ -71,11 +70,6 @@ def _pack(minterm: Minterm) -> int:
         if bit:
             value |= 1 << i
     return value
-
-
-def unpack_minterm(packed: int, num_vars: int) -> Minterm:
-    """Inverse of packing: integer minterm back to a 0/1 tuple (bit i = var i)."""
-    return tuple((packed >> i) & 1 for i in range(num_vars))
 
 
 def _unpack_cube(packed: PackedCube, num_vars: int) -> Cube:
@@ -372,20 +366,3 @@ def expand_and_cover(codes: Sequence[int], columns: Sequence[int], on: int,
         chosen.append(expanded[best])
         uncovered ^= gained
     return tuple(chosen)
-
-
-def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
-                       off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
-    """Fast cover over integer-packed minterms, as packed ``(mask, value)``
-    cubes.
-
-    Numbers ``sorted(on | off)`` and runs :func:`expand_and_cover` on it,
-    for callers that already hold packed state codes.
-    """
-    codes = sorted(on_ints | off_ints)
-    if len(codes) != len(on_ints) + len(off_ints):
-        raise MinimizationError("ON and OFF sets overlap")
-    on = sum(1 << position for position, code in enumerate(codes)
-             if code in on_ints)
-    return expand_and_cover(codes, code_columns(num_vars, codes), on,
-                            ((1 << len(codes)) - 1) ^ on)

@@ -14,7 +14,7 @@ The token game compiles per-transition pre/post arcs into place-index
 arrays on first use (rebuilt lazily after structural edits), and
 :meth:`PetriNet.fire_incremental` maintains the enabled set across a firing
 by rechecking only the transitions that touch a place whose token count
-changed -- the state-graph generator leans on this to avoid rescanning
+changed -- the tuple exploration engine leans on this to avoid rescanning
 every transition per reachable marking.
 """
 
@@ -70,14 +70,12 @@ class _CompiledNet:
 
     ``pre``/``post`` map each transition to ``((place_index, weight), ...)``;
     ``affected`` maps each transition to the transitions whose enabledness
-    must be rechecked after it fires; ``order`` is the net declaration order
-    used to keep results deterministic.
+    must be rechecked after it fires, in net declaration order.
     """
 
     pre: Dict[str, Tuple[Tuple[int, int], ...]]
     post: Dict[str, Tuple[Tuple[int, int], ...]]
     affected: Dict[str, Tuple[str, ...]]
-    order: Dict[str, int]
 
 
 class PetriNet:
@@ -125,7 +123,7 @@ class PetriNet:
             for place in self._post[t]:
                 touched.update(self._place_post[place])
             affected[t] = tuple(sorted(touched, key=order.__getitem__))
-        compiled = _CompiledNet(pre=pre, post=post, affected=affected, order=order)
+        compiled = _CompiledNet(pre=pre, post=post, affected=affected)
         self._compiled = compiled
         return compiled
 
@@ -315,30 +313,11 @@ class PetriNet:
         """Expand a tuple marking into a place-name -> tokens mapping."""
         return {p: n for p, n in zip(self._places, marking) if n > 0}
 
-    def is_enabled(self, transition: str, marking: Marking) -> bool:
-        """True when every input place holds enough tokens."""
-        if transition not in self._transitions:
-            raise PetriNetError(f"unknown transition {transition!r}")
-        pre = self._compile().pre[transition]
-        return all(marking[i] >= w for i, w in pre)
-
     def enabled_transitions(self, marking: Marking) -> List[str]:
         """Names of all transitions enabled at ``marking`` (net order)."""
         pre = self._compile().pre
         return [t for t in self._transitions
                 if all(marking[i] >= w for i, w in pre[t])]
-
-    def fire(self, transition: str, marking: Marking) -> Marking:
-        """Fire an enabled transition; returns the successor marking."""
-        if not self.is_enabled(transition, marking):
-            raise PetriNetError(f"transition {transition!r} not enabled")
-        compiled = self._compile()
-        counts = list(marking)
-        for i, weight in compiled.pre[transition]:
-            counts[i] -= weight
-        for i, weight in compiled.post[transition]:
-            counts[i] += weight
-        return tuple(counts)
 
     def fire_incremental(self, transition: str, marking: Marking,
                          enabled: FrozenSet[str]) -> Tuple[Marking, FrozenSet[str]]:
@@ -459,6 +438,18 @@ class PetriNet:
                 f"|T|={len(self._transitions)})")
 
 
+#: ``_BYTE_BITS[b]`` is byte ``b`` as a tuple of 8 bits, bit 0 first.
+_BYTE_BITS = tuple(tuple(b >> i & 1 for i in range(8)) for b in range(256))
+
+
+def bit_tuple(value: int, width: int) -> Tuple[int, ...]:
+    """The low ``width`` bits of ``value`` as a tuple, bit 0 first."""
+    size = (width + 7) >> 3
+    low = value & ((1 << 8 * size) - 1)
+    return sum(map(_BYTE_BITS.__getitem__, low.to_bytes(size, "little")),
+               ())[:width]
+
+
 class PackedOverflowError(PetriNetError):
     """A packed firing would put a second token into a place.
 
@@ -499,35 +490,22 @@ class PackedNet:
     # -- single markings ------------------------------------------------
 
     def unpack(self, packed: int) -> Marking:
-        """Expand a packed marking back into the tuple form."""
-        return tuple((packed >> i) & 1 for i in range(len(self.place_names)))
+        """Expand a packed marking back into the tuple form.
 
-    def enabled_bits(self, packed: int) -> int:
-        """Transition bitmask of everything enabled at one marking."""
-        mask = 0
-        for t, pre in enumerate(self.pre_masks):
-            if packed & pre == pre:
-                mask |= 1 << t
-        return mask
-
-    def fire_bits(self, transition: int, packed: int) -> int:
-        """Fire transition index ``transition`` from a packed marking.
-
-        The caller guarantees enabledness; a firing that would stack two
-        tokens raises :class:`PackedOverflowError`.
+        Reads the place bits only, a byte at a time, so a row that also
+        carries signal values above them unpacks to its marking.
         """
-        cleared = packed & ~self.pre_masks[transition]
-        post = self.post_masks[transition]
-        if cleared & post:
-            raise PackedOverflowError(
-                f"firing {self.transition_names[transition]!r} leaves "
-                f"the 1-safe regime")
-        return cleared | post
+        return bit_tuple(packed, len(self.place_names))
 
     # -- frontier levels ------------------------------------------------
-    def level_columns(self, rows: Sequence[int]) -> List[int]:
-        """Transpose a level of packed markings into per-place columns."""
-        columns = [0] * len(self.place_names)
+    def level_columns(self, rows: Sequence[int],
+                      width: Optional[int] = None) -> List[int]:
+        """Transpose a level of packed rows into per-bit columns.
+
+        ``width`` is the row's bit count: one per place by default, more
+        when the rows carry signal values above their place bits.
+        """
+        columns = [0] * (width or len(self.place_names))
         for slot, row in enumerate(rows):
             bit = 1 << slot
             remaining = row
@@ -537,14 +515,16 @@ class PackedNet:
                 remaining ^= low
         return columns
 
-    def enabled_columns(self, rows: Sequence[int]) -> List[int]:
+    def enabled_columns(self, rows: Sequence[int],
+                        columns: Optional[List[int]] = None) -> List[int]:
         """Batch enabled sets: per-transition slot masks over a level.
 
         Bit *j* of entry *t* is set iff ``rows[j]`` enables transition
         *t* -- each entry is computed with one AND per input place,
-        covering the whole level at once.
+        covering the whole level at once.  ``columns`` passes the rows'
+        :meth:`level_columns` when the caller has them already.
         """
-        columns = self.level_columns(rows)
+        columns = columns or self.level_columns(rows)
         full = (1 << len(rows)) - 1
         masks: List[int] = []
         for places in self.pre_places:

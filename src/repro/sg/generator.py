@@ -9,27 +9,32 @@ that reach a marking with different flips, or a rise/fall arc that
 disagrees with the inferred value, make the specification inconsistent;
 the :class:`ConsistencyError` carries the shortest firing sequence that
 ends with the offending firing.  Toggle (2-phase) specifications unfold
-instead: their states pair a marking with explicit signal values.
+instead: their states pair a marking with explicit signal values, each
+transition flips its signal's value, and a rise (fall) needs it low
+(high).
 
 Reachability runs on the shared level loop
-(:func:`repro.explore.explore_levels`) with one of three expansions:
-the packed level-vectorized engine when the net fits single-bit
-markings, the incremental tuple engine otherwise, and the unfolding
-for toggle specifications -- all metered by one
-:class:`~repro.explore.ExplorationBudget`.
+(:func:`repro.explore.explore_levels`) with one of two engines, both
+metered by one :class:`~repro.explore.ExplorationBudget`: the packed
+level-vectorized engine when the net fits single-bit markings, the
+incremental tuple engine otherwise.  A 2-phase run carries its signal
+values in the same state, as bits above the places of a packed row or
+as a tuple beside a tuple marking.  The run stays on ints until the
+graph is filled: codes come from a BFS over the run's index arcs, and
+each state's successor row is written once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..explore import (BudgetExceeded, ExplorationBudget, ExplorationRun,
-                       explore_levels, explore_packed, explore_tuples,
-                       minimal_trace, stubborn_reducer)
-from ..explore.frontier import Expansion
-from ..petri.net import PackedOverflowError
+                       explore_packed, explore_tuples, minimal_trace,
+                       stubborn_reducer)
+from ..explore.frontier import Effect, GuardFailure
+from ..petri.net import PackedOverflowError, bit_tuple
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
-from .graph import StateGraph, StateGraphError
+from .graph import State, StateGraph, StateGraphError
 
 DEFAULT_MAX_STATES = 200_000
 
@@ -121,28 +126,47 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
     names = stg.net.transition_names
     for transition in names:
         sg.declare_event(transition, stg.event_of(transition))
-    try:
-        if not has_toggle:
-            run = _explore_markings(stg, budget, stubborn, engine)
-        elif stubborn:
+    effects: Optional[List[Effect]] = None
+    values: Tuple[int, ...] = ()
+    if has_toggle:
+        if stubborn:
             raise StateGraphError(_NOT_PACKED.format(
                 stg.name, "has toggle events and unfolds"))
-        else:
-            run = explore_levels("unfolded", *_unfolding(stg, sg.signals),
-                                 budget=budget)
+        # Each transition flips its signal; a rise needs it low, a fall high.
+        effects = [(sg.signal_index(event.signal),
+                    None if event.direction == Direction.TOGGLE
+                    else int(event.direction == Direction.FALL))
+                   for event in map(stg.event_of, names)]
+        values = tuple(stg.initial_values.get(s, 0) for s in sg.signals)
+        engine = "auto"
+    try:
+        states, run = _explore(stg, budget, stubborn, engine, effects, values)
     except BudgetExceeded as exceeded:
         raise GenerationBudgetError(exceeded.exceedance) from None
+    except GuardFailure as failure:
+        source, transition = failure.args
+        # The arc that admitted each state is its first-seen parent.
+        parents = [None] * len(failure.run.states)
+        for parent, step, target in reversed(failure.run.arcs):
+            parents[target] = (parent, step)
+        parents[0] = None
+        event = stg.event_of(names[transition])
+        raise _inconsistent(
+            f"{names[transition]} fires with {event.signal} already "
+            f"{'low' if effects[transition][1] else 'high'}",
+            names, parents, source, transition) from None
 
-    states = run.states
-    sg.add_state(states[0])
-    sg.initial = states[0]
+    # Each state's arcs, in transition order: the graph's successor order.
+    out: List[List[Tuple[int, int]]] = [[] for _ in states]
     for source, transition, target in run.arcs:
-        sg.add_arc(states[source], names[transition], states[target])
+        out[source].append((transition, target))
     if has_toggle:
-        for state in states:
-            sg.add_state(state, state[1])
+        codes = [state[1] for state in states]
     else:
-        _assign_codes(stg, sg)
+        codes = [bit_tuple(code, len(sg.signals))
+                 for code in _assign_codes(stg, sg.signals, out)]
+    sg.fill(states, [{names[t]: states[d] for t, d in row} for row in out],
+            codes)
     return sg
 
 
@@ -150,16 +174,19 @@ _NOT_PACKED = ("--stubborn (stubborn=True) needs the packed engine, but STG "
                "{!r} {}")
 
 
-def _explore_markings(stg: STG, budget: ExplorationBudget, stubborn: bool,
-                      engine: str) -> ExplorationRun:
-    """The marking run of a rise/fall STG, its states tuple markings."""
+def _explore(stg: STG, budget: ExplorationBudget, stubborn: bool,
+             engine: str, effects: Optional[List[Effect]],
+             values: Tuple[int, ...]) -> Tuple[List[State], ExplorationRun]:
+    """The run of ``stg`` and its states: tuple markings, or ``(marking,
+    values)`` pairs when 2-phase ``effects`` unfold it."""
     packed = stg.net.compile_packed() if engine != "tuples" else None
     if packed is not None:
         reducer = stubborn_reducer(packed) if stubborn else None
         try:
-            run = explore_packed(packed, budget=budget, reducer=reducer)
-            return ExplorationRun([packed.unpack(row) for row in run.states],
-                                  run.arcs, run.levels)
+            run = explore_packed(packed, budget=budget, reducer=reducer,
+                                 effects=effects, values=values)
+            return (run.states if effects is not None else
+                    [packed.unpack(row) for row in run.states]), run
         except PackedOverflowError as overflow:
             why = f"is not 1-safe ({overflow})"
     elif engine == "tuples":
@@ -172,116 +199,82 @@ def _explore_markings(stg: STG, budget: ExplorationBudget, stubborn: bool,
     if engine == "packed":
         raise StateGraphError(f"STG {stg.name!r} {why}; use engine='auto' "
                               "or 'tuples'")
-    return explore_tuples(stg.net, budget=budget)
+    run = explore_tuples(stg.net, budget=budget, effects=effects,
+                         values=values)
+    return run.states, run
 
 
-def _unfolding(stg: STG, signals: List[str]) -> Tuple[Hashable, Expansion]:
-    """The 2-phase unfolding's initial state and level expansion.
+def _inconsistent(message: str, names: Sequence[str], parents: Sequence,
+                  state: int, transition: int) -> "ConsistencyError":
+    """A :class:`ConsistencyError` whose witness follows ``parents``
+    (``(parent, transition)`` per run state) to ``state``, then fires
+    ``transition``."""
+    return ConsistencyError(message, witness=[
+        names[t] for t in minimal_trace(parents, state, transition)])
 
-    A state is a ``(marking, signal values)`` pair; the initial values
-    come from ``stg.initial_values`` (default 0).  Firing a rising
-    transition from a high state (or falling from low) raises
-    :class:`ConsistencyError` with the minimal firing sequence reaching
-    it, read off a first-seen parent map.
+
+def _assign_codes(stg: STG, signals: List[str],
+                  out: List[List[Tuple[int, int]]]) -> List[int]:
+    """Every run state's packed code, by one BFS over the run's arcs.
+
+    ``out[s]`` lists the ``(transition, target)`` arcs of state ``s`` in
+    the graph's successor order, so this BFS meets arcs as one over the
+    graph would.  Every state is reachable from state 0, so a state's
+    code is the initial code XOR the flips along any path to it; the BFS
+    carries those flips as an int per state.  A signal's initial value is
+    inferred from its first rise/fall arc (``a+`` fires from ``a=0``) and
+    must agree with a declared one; a signal that never rises or falls
+    takes its declared value, or 0.  Each arc is checked as the BFS
+    passes it, and a failing arc raises :class:`ConsistencyError` with
+    the shortest firing sequence that ends with it.
     """
-    net = stg.net
-    order = {t: i for i, t in enumerate(net.transition_names)}
-    position = {signal: i for i, signal in enumerate(signals)}
-    marking = net.initial_marking()
-    initial = (marking, tuple(stg.initial_values.get(s, 0) for s in signals))
-    enabled_of = {marking: frozenset(net.enabled_transitions(marking))}
-    parents: Dict[Hashable, Optional[Tuple[Hashable, str]]] = {initial: None}
-
-    def expand(level: List[int], states: List[Hashable]
-               ) -> Iterator[Tuple[int, int, Hashable]]:
-        for source in level:
-            state = states[source]
-            marking, values = state
-            enabled = enabled_of[marking]
-            for transition in sorted(enabled, key=order.__getitem__):
-                event = stg.event_of(transition)
-                i = position[event.signal]
-                current = values[i]
-                # A rise needs the signal low, a fall needs it high.
-                if (event.direction != Direction.TOGGLE
-                        and current != (event.direction == Direction.FALL)):
-                    raise ConsistencyError(
-                        f"{transition} fires with {event.signal} already "
-                        f"{'high' if current else 'low'}",
-                        witness=minimal_trace(parents, state, transition))
-                successor, successor_enabled = net.fire_incremental(
-                    transition, marking, enabled)
-                enabled_of[successor] = successor_enabled
-                target = (successor,
-                          values[:i] + (1 - current,) + values[i + 1:])
-                parents.setdefault(target, (state, transition))
-                yield source, order[transition], target
-
-    return initial, expand
-
-
-def _assign_codes(stg: STG, sg: StateGraph) -> None:
-    """Write every state's code into ``sg`` by one BFS from ``sg.initial``.
-
-    Every state must be reachable from ``sg.initial`` (generation
-    guarantees it), so a state's code is the initial code XOR the flips
-    along any path to it.  The BFS carries those flips as an int per
-    state.  A signal's initial value is inferred from its first rise/fall
-    arc (``a+`` fires from ``a=0``) and must agree with a declared one;
-    a signal that never rises or falls takes its declared value, or 0.
-    Each arc is checked as the BFS passes it, and a failing arc raises
-    :class:`ConsistencyError` with the shortest firing sequence that ends
-    with it.
-    """
-    position = {signal: i for i, signal in enumerate(sg.signals)}
-    declared = {position[signal]: value
+    names = stg.net.transition_names
+    declared = {signals.index(signal): value
                 for signal, value in stg.initial_values.items()
-                if signal in position}
-    inferred: Dict[int, int] = {}
-    flips = {sg.initial: 0}
-    parents: Dict[Hashable, Optional[Tuple[Hashable, str]]] = {
-        sg.initial: None}
-    order = [sg.initial]
+                if signal in signals}
+    bits = [1 << signals.index(event.signal)
+            for event in map(stg.event_of, names)]
+    # The bit a fall needs set before it fires; a rise needs it clear.
+    highs = [bit if stg.event_of(name).direction == Direction.FALL else 0
+             for bit, name in zip(bits, names)]
+    known = start = 0  # signals with an inferred initial value, and it
+    flips = [-1] * len(out)
+    flips[0] = 0
+    parents: List[Optional[Tuple[int, int]]] = [None] * len(out)
+    order = [0]
     for state in order:
         here = flips[state]
-        for label, target in sg.successors(state).items():
-            event = sg.events[label]
-            signal = event.signal
-            i = position[signal]
-            if event.direction != Direction.TOGGLE:
-                before = 0 if event.direction == Direction.RISE else 1
-                initial = before ^ (here >> i & 1)
-                if i not in inferred:
-                    inferred[i] = initial
-                    if declared.get(i, initial) != initial:
-                        raise ConsistencyError(
-                            f"declared initial value {signal}={declared[i]} "
-                            f"contradicts {label}, which forces "
-                            f"{signal}={initial} at the initial state",
-                            witness=minimal_trace(parents, state, label))
-                elif inferred[i] != initial:
-                    raise ConsistencyError(
-                        f"{label} fires with {signal} already "
-                        f"{'high' if before == 0 else 'low'}",
-                        witness=minimal_trace(parents, state, label))
-            reached = here ^ (1 << i)
-            seen = flips.get(target)
-            if seen is None:
+        for transition, target in out[state]:
+            bit = bits[transition]
+            if not known & bit:
+                known |= bit
+                start |= (highs[transition] ^ here) & bit
+                i = bit.bit_length() - 1
+                if declared.get(i, start >> i & 1) != start >> i & 1:
+                    raise _inconsistent(
+                        f"declared initial value {signals[i]}={declared[i]}"
+                        f" contradicts {names[transition]}, which forces "
+                        f"{signals[i]}={start >> i & 1} at the initial state",
+                        names, parents, state, transition)
+            elif (start ^ here) & bit != highs[transition]:
+                raise _inconsistent(
+                    f"{names[transition]} fires with "
+                    f"{stg.event_of(names[transition]).signal} already "
+                    f"{'low' if highs[transition] else 'high'}",
+                    names, parents, state, transition)
+            reached = here ^ bit
+            if flips[target] < 0:
                 flips[target] = reached
-                parents[target] = (state, label)
+                parents[target] = (state, transition)
                 order.append(target)
-            elif seen != reached:
-                differ = ", ".join(
-                    name for j, name in enumerate(sg.signals)
-                    if (seen ^ reached) >> j & 1)
-                raise ConsistencyError(
-                    f"{label} reaches a state that another firing sequence "
-                    f"reaches with different flips of {differ}",
-                    witness=minimal_trace(parents, state, label))
-
-    start = [inferred.get(i, declared.get(i, 0))
-             for i in range(len(sg.signals))]
-    for state in sg.states:
-        flipped = flips[state]
-        sg.add_state(state, [value ^ (flipped >> i & 1)
-                             for i, value in enumerate(start)])
+            elif flips[target] != reached:
+                raise _inconsistent(
+                    f"{names[transition]} reaches a state that another "
+                    f"firing sequence reaches with different flips of "
+                    + ", ".join(name for j, name in enumerate(signals)
+                                if (flips[target] ^ reached) >> j & 1),
+                    names, parents, state, transition)
+    for i, value in declared.items():
+        if not known >> i & 1:
+            start |= value << i
+    return [start ^ flipped for flipped in flips]

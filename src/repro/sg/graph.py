@@ -15,12 +15,13 @@ STG, strings when built by hand in tests).  Arc labels are transition names;
 
 Freeze rule: a graph grows through :meth:`~StateGraph.declare_signal`,
 :meth:`~StateGraph.declare_event`, :meth:`~StateGraph.add_state`,
-:meth:`~StateGraph.add_arc` and ``initial`` until the first derived view
-is read -- :meth:`~StateGraph.signature`, :meth:`~StateGraph.code_int`,
-:meth:`~StateGraph.live_labels`, :meth:`~StateGraph.index` or the
-predecessor map -- or :meth:`~StateGraph.freeze` is called.  From then on
-every builder call raises :class:`StateGraphError`, so each derived view
-is computed at most once and never goes stale.  Graphs from
+:meth:`~StateGraph.add_arc`, :meth:`~StateGraph.fill` and ``initial``
+until the first derived view is read -- :meth:`~StateGraph.signature`,
+:meth:`~StateGraph.code_int`, :meth:`~StateGraph.live_labels`,
+:meth:`~StateGraph.index` or the predecessor map -- or
+:meth:`~StateGraph.freeze` is called.  From then on every builder call
+raises :class:`StateGraphError`, so each derived view is computed at
+most once and never goes stale.  Graphs from
 :meth:`~StateGraph.copy_without_arcs` are frozen from the start and build
 their own views.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from types import MappingProxyType
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from ..petri.stg import Direction, SignalEvent, SignalKind
 
@@ -168,6 +169,21 @@ class StateGraph:
             raise StateGraphError(
                 f"nondeterminism: {source!r} --{label}--> both {existing!r} and {target!r}")
         self._succ[source][label] = target
+
+    def fill(self, states: Sequence[State],
+             rows: Iterable[Dict[str, State]], codes: Iterable[Code]) -> None:
+        """Add ``states`` with their whole successor rows and codes.
+
+        For a generator whose rows hold by construction what
+        :meth:`add_arc` checks -- declared labels, one target per label,
+        targets among ``states`` -- so nothing of it is checked here.
+        The first state becomes ``initial`` unless one is set.
+        """
+        self._check_open()
+        self._succ.update(zip(states, rows))
+        self._codes.update(zip(states, codes))
+        if self._initial is None and states:
+            self._initial = states[0]
 
     # ------------------------------------------------------------------
     # queries

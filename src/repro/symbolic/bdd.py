@@ -61,10 +61,12 @@ class BDD:
     ``on_grow`` (optional) is called with the total allocated node count
     every time the unique table grows by ``grow_step`` nodes -- the hook
     the budgeted reachability uses to charge BDD nodes without polling.
+    ``next_check`` is the node id whose allocation calls it next; a hook
+    may move that earlier.
     """
 
     __slots__ = ("num_vars", "_var", "_low", "_high", "_unique", "_vars",
-                 "_nvars", "_cache", "on_grow", "grow_step", "_next_check")
+                 "_nvars", "_cache", "on_grow", "grow_step", "next_check")
 
     def __init__(self, num_vars: int,
                  on_grow: Optional[Callable[[int], None]] = None,
@@ -85,7 +87,7 @@ class BDD:
         self._cache: Dict[object, dict] = {}
         self.on_grow = on_grow
         self.grow_step = grow_step
-        self._next_check = grow_step
+        self.next_check = grow_step
 
     # ------------------------------------------------------------------
     # nodes
@@ -108,8 +110,8 @@ class BDD:
         self._low.append(low)
         self._high.append(high)
         self._unique[key] = node_id
-        if self.on_grow is not None and node_id >= self._next_check:
-            self._next_check = node_id + self.grow_step
+        if self.on_grow is not None and node_id >= self.next_check:
+            self.next_check = node_id + self.grow_step
             self.on_grow(node_id + 1)
         return node_id
 

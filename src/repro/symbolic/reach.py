@@ -132,8 +132,16 @@ def symbolic_reach(encoding: SymbolicEncoding,
     """
     bdd = encoding.bdd
     meter = (budget or _UNBOUNDED).meter()
-    meter.charge_nodes(bdd.node_count)
-    bdd.on_grow = meter.charge_nodes
+    limit = meter.budget.max_nodes
+
+    def charge(total: int) -> None:
+        meter.charge_nodes(total)
+        # Check again at the budget's headroom when that comes first.
+        if limit is not None:
+            bdd.next_check = min(bdd.next_check, limit)
+
+    charge(bdd.node_count)
+    bdd.on_grow = charge
     level_stats: List[Dict[str, object]] = []
     forward = encoding.transitions
     sweep = forward + tuple(reversed(forward)) if chaining else forward

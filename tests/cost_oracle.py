@@ -5,17 +5,36 @@ masks (:meth:`repro.reduction.fwdred.ReductionSpace.measure`).  This
 module keeps the derivation on a built :class:`StateGraph` -- next-state
 extraction, one fast cover per signal, :func:`csc_conflicts` -- so the
 tests can check the masks against an independent route to the same
-numbers.
+numbers.  Its fast cover, :func:`minimize_fast_ints`, numbers
+``sorted(ON | OFF)`` per call and keeps no memo.
 """
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
 from repro.logic.functions import extract_all_functions
-from repro.logic.minimize import minimize_fast_ints
+from repro.logic.minimize import (MinimizationError, PackedCube, code_columns,
+                                  expand_and_cover)
 from repro.reduction.cost import CostBreakdown, CostFunction
 from repro.sg.graph import StateGraph
 from repro.sg.properties import csc_conflicts
+
+
+def minimize_fast_ints(num_vars: int, on_ints: FrozenSet[int],
+                       off_ints: FrozenSet[int]) -> Tuple[PackedCube, ...]:
+    """Fast cover over integer-packed minterms, as packed ``(mask, value)``
+    cubes.
+
+    Numbers ``sorted(on | off)`` and runs :func:`expand_and_cover` on it,
+    for callers that already hold packed state codes.
+    """
+    codes = sorted(on_ints | off_ints)
+    if len(codes) != len(on_ints) + len(off_ints):
+        raise MinimizationError("ON and OFF sets overlap")
+    on = sum(1 << position for position, code in enumerate(codes)
+             if code in on_ints)
+    return expand_and_cover(codes, code_columns(num_vars, codes), on,
+                            ((1 << len(codes)) - 1) ^ on)
 
 
 def fast_literal_count(num_vars: int, on_ints: FrozenSet[int],

@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 
+from cost_oracle import minimize_fast_ints
 from qm_oracle import qm_minimize
 from repro import FlowConfig, run_pipeline
 from repro.logic.cube import Cover
 from repro.logic.functions import (extract_all_functions, extract_function,
                                    extract_set_reset)
-from repro.logic.minimize import _unpack_cube, minimize_fast_ints
+from repro.logic.minimize import _unpack_cube
 from repro.petri.stg import SignalKind
 from repro.reduction.explore import full_reduction
 from repro.sg.generator import generate_sg

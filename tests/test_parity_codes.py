@@ -1,19 +1,22 @@
 """Unit tests for code assignment from the initial state.
 
-:func:`repro.sg.generator._assign_codes` gives each state the initial
+``tests/sg_oracle.py::assign_codes``, the graph-walking reference that
+generation's codes are compared against, gives each state the initial
 code XOR the flips along a path to it; these tests drive it on hand-built
 toggle (2-phase) state graphs, including the inconsistency witnesses and
 the declared initial value of a signal that never rises or falls.
 """
 
+import os
 import subprocess
 import sys
 
 import pytest
 
 from repro.petri.stg import Direction, SignalEvent, SignalKind, STG
-from repro.sg.generator import ConsistencyError, _assign_codes
+from repro.sg.generator import ConsistencyError
 from repro.sg.graph import StateGraph
+from sg_oracle import assign_codes
 
 
 def _toggle_stg(*signals):
@@ -42,7 +45,7 @@ class TestAssignCodesToggle:
         stg = _toggle_stg(("a", SignalKind.OUTPUT), ("b", SignalKind.INPUT))
         sg = _toggle_sg(stg, [("s0", "a~", "s1"), ("s1", "a~", "s0")],
                         ["s0", "s1"])
-        _assign_codes(stg, sg)
+        assign_codes(stg, sg)
         a_index, b_index = sg.signal_index("a"), sg.signal_index("b")
         assert sg.codes["s0"][a_index] != sg.codes["s1"][a_index]  # flip
         assert sg.codes["s0"][b_index] == sg.codes["s1"][b_index]  # preserve
@@ -52,7 +55,7 @@ class TestAssignCodesToggle:
         stg = _toggle_stg(("a", SignalKind.OUTPUT))
         sg = _toggle_sg(stg, [("s0", "a~", "s0")], ["s0"])
         with pytest.raises(ConsistencyError, match="flip"):
-            _assign_codes(stg, sg)
+            assign_codes(stg, sg)
 
     def test_preserve_conflicting_with_flip_is_witnessed(self):
         # b must both hold (across a~) and flip (across b~) on parallel arcs
@@ -61,7 +64,7 @@ class TestAssignCodesToggle:
         sg = _toggle_sg(stg, [("s0", "a~", "s1"), ("s0", "b~", "s1")],
                         ["s0", "s1"])
         with pytest.raises(ConsistencyError):
-            _assign_codes(stg, sg)
+            assign_codes(stg, sg)
 
     def test_rise_fall_fixed_values_still_apply(self):
         # A 4-phase signal `a` interleaved with a toggle signal `t` that
@@ -70,7 +73,7 @@ class TestAssignCodesToggle:
         sg = _toggle_sg(stg, [("s0", "a+", "s1"), ("s1", "t~", "s2"),
                               ("s2", "a-", "s3"), ("s3", "t~", "s0")],
                         ["s0", "s1", "s2", "s3"])
-        _assign_codes(stg, sg)
+        assign_codes(stg, sg)
         a_index = sg.signal_index("a")
         t_index = sg.signal_index("t")
         assert [sg.codes[s][a_index] for s in ("s0", "s1", "s2", "s3")] == [0, 1, 1, 0]
@@ -84,7 +87,7 @@ class TestAssignCodesToggle:
         stg.set_initial_value("a", 1)
         sg = _toggle_sg(stg, [("s0", "a~", "s1"), ("s1", "a~", "s0")],
                         ["s0", "s1"])
-        _assign_codes(stg, sg)
+        assign_codes(stg, sg)
         a_index = sg.signal_index("a")
         assert sg.codes["s0"][a_index] == 1
         assert sg.codes["s1"][a_index] == 0
@@ -96,14 +99,14 @@ class TestAssignCodesToggle:
                         ["s0", "s1"])
         # a+ from the initial state forces a=0 there; declaring 1 must fail.
         with pytest.raises(ConsistencyError, match="initial"):
-            _assign_codes(stg, sg)
+            assign_codes(stg, sg)
 
     def test_unconstrained_signal_gets_declared_value_everywhere(self):
         stg = _toggle_stg(("a", SignalKind.OUTPUT), ("idle", SignalKind.INPUT))
         stg.set_initial_value("idle", 1)
         sg = _toggle_sg(stg, [("s0", "a~", "s1"), ("s1", "a~", "s0")],
                         ["s0", "s1"])
-        _assign_codes(stg, sg)
+        assign_codes(stg, sg)
         idle_index = sg.signal_index("idle")
         assert all(sg.codes[s][idle_index] == 1 for s in ("s0", "s1"))
 
@@ -113,8 +116,8 @@ class TestMinimizeDeterminism:
     DC = [(1, 0, 1, 0), (0, 1, 0, 1)]
 
     def test_two_runs_identical_covers(self):
-        from repro.logic.minimize import (_packed_sets, minimize,
-                                          minimize_fast_ints)
+        from cost_oracle import minimize_fast_ints
+        from repro.logic.minimize import _packed_sets, minimize
 
         def minimize_fast(num_vars, on, dc):
             return minimize_fast_ints(num_vars,
@@ -132,8 +135,8 @@ class TestMinimizeDeterminism:
         # str hashing is the classic cross-process nondeterminism source;
         # the cover must not depend on it.
         script = (
-            "from repro.logic.minimize import (_packed_sets, minimize,\n"
-            "                                  minimize_fast_ints)\n"
+            "from cost_oracle import minimize_fast_ints\n"
+            "from repro.logic.minimize import _packed_sets, minimize\n"
             f"on = {self.ON!r}\n"
             f"dc = {self.DC!r}\n"
             "print([str(c) for c in minimize(4, on, dc)])\n"
@@ -144,6 +147,7 @@ class TestMinimizeDeterminism:
             result = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True,
                 text=True, check=True,
-                env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed})
+                env={"PYTHONPATH": os.pathsep.join(("src", "tests")),
+                     "PYTHONHASHSEED": seed})
             outputs.add(result.stdout)
         assert len(outputs) == 1

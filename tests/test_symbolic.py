@@ -243,6 +243,19 @@ class TestEncodeReach:
         assert exceedance.nodes is not None and exceedance.nodes >= 2000
         assert "nodes" in exceedance.diagnose("symbolic reachability")
 
+    @pytest.mark.parametrize("limit", [500, 2000, 5000, 9000])
+    def test_node_budget_trips_on_time(self, limit):
+        # The grow hook fires every 4,096 allocations; a budget between
+        # two of its checks must still trip at the first node past it.
+        with pytest.raises(BudgetExceeded) as err:
+            symbolic_reach(encode_stg(fifo_chain(6)),
+                           budget=ExplorationBudget(max_nodes=limit))
+        exceedance = err.value.exceedance
+        assert limit < exceedance.nodes <= limit + 1
+        text = exceedance.diagnose("symbolic reachability")
+        assert f"after {exceedance.nodes} BDD nodes" in text
+        assert "states" not in text and "arcs" not in text
+
 
 class TestCodingReports:
     def test_payload_shape(self):
