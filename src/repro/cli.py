@@ -482,6 +482,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for case in bench.all_cases():
             print(f"{case.name:20s} {case.tier:5s} {case.title}")
         return 0
+    if args.rounds < 1:
+        raise SystemExit("--rounds must be at least 1")
     try:
         cases = bench.select_cases(names=_parse_csv(args.cases),
                                    tier=args.tier)

@@ -1,18 +1,17 @@
 """The shared exploration core.
 
-One budgeted level loop, `explore_levels`, under every state-graph
-generation (`repro.sg.generator`), fed by two engines: packed
-(`explore_packed`) and tuples (`explore_tuples`), each of which also
-unfolds 2-phase specs.
-`FrontierExploration` drives the conformance product
-(`repro.verify.conformance`).  See `docs/architecture.md` ("The
-exploration core") for the design.
+One budgeted level loop, `explore_levels`, under every explicit walk:
+state-graph generation (`repro.sg.generator`), fed by two engines,
+packed (`explore_packed`) and tuples (`explore_tuples`), each of which
+also unfolds 2-phase specs; and the conformance product
+(`repro.verify.conformance`), which expands its own moves.  See
+`docs/architecture.md` ("The exploration core") for the design.
 """
 
 from .budget import (BudgetExceedance, BudgetExceeded, BudgetMeter,
                      ExplorationBudget)
-from .frontier import (ExplorationRun, FrontierExploration, explore_levels,
-                       explore_packed, explore_tuples)
+from .frontier import (ExplorationRun, explore_levels, explore_packed,
+                       explore_tuples)
 from .reduce import ample_internal_moves, stubborn_reducer
 from .trace import minimal_trace
 
@@ -22,7 +21,6 @@ __all__ = [
     "BudgetMeter",
     "ExplorationBudget",
     "ExplorationRun",
-    "FrontierExploration",
     "ample_internal_moves",
     "explore_levels",
     "explore_packed",

@@ -142,11 +142,12 @@ class ExplorationBudget:
 class BudgetMeter:
     """Mutable charge counter for one exploration run.
 
-    The two state-space loops (generation, conformance product) call
-    :meth:`admit_state` / :meth:`charge_arc` and let :class:`BudgetExceeded`
-    propagate; the reduction search, whose ``capped`` flag must flip
-    *before* a candidate past the budget is even generated, uses the
-    non-raising :meth:`states_exhausted` pre-check with the same counters.
+    The level loop under generation and the conformance product calls
+    :meth:`admit_state` / :meth:`charge_arc` and lets
+    :class:`BudgetExceeded` propagate; the reduction search, whose
+    ``capped`` flag must flip *before* a candidate past the budget is even
+    generated, uses the non-raising :meth:`states_exhausted` pre-check
+    with the same counters.
     """
 
     __slots__ = ("budget", "states", "arcs", "nodes", "level", "_started")

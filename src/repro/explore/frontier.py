@@ -1,11 +1,12 @@
 """Level-synchronized frontier engines.
 
-One level loop, :func:`explore_levels`, generates every state graph:
-breadth-first over levels, one :class:`~repro.explore.budget.BudgetMeter`
-charging every arc and admitted state, one clock check, span and
-heartbeat per level.  What differs between generation paths is only how
-a level is expanded -- an expansion function yields the level's
-``(source, transition, successor)`` arcs and the loop does the rest:
+One level loop, :func:`explore_levels`, runs every explicit state-space
+walk: breadth-first over levels, one
+:class:`~repro.explore.budget.BudgetMeter` charging every arc and
+admitted state, one clock check, span and heartbeat per level.  What
+differs between walks is only how a level is expanded -- an expansion
+function yields the level's ``(source, transition, successor)`` arcs and
+the loop does the rest:
 
 * :func:`explore_packed` computes a whole level's enabled sets per
   transition with int-wide bitwise ops
@@ -15,12 +16,19 @@ a level is expanded -- an expansion function yields the level's
   unfolding whose rows carry the signal values above the places;
 * :func:`explore_tuples` is the per-state fallback for nets outside the
   1-safe packed regime, 2-phase ones included, and the baseline the
-  bench compares against.
+  bench compares against;
+* the conformance product (:mod:`repro.verify.conformance`) yields
+  circuit and environment moves as int codes over ``(net values, spec
+  state)`` pairs, and refutes a property by raising in the middle of a
+  level.
 
 A 2-phase run takes one effect per transition (:data:`Effect`): the
 signal it flips and a guard on that signal's value before, checked for
 a whole packed level at once; a failed guard raises
-:class:`GuardFailure` with the run so far.
+:class:`GuardFailure`.  Whatever leaves the loop -- a guard failure, a
+product refutation, :class:`~repro.explore.budget.BudgetExceeded` --
+carries the run so far as ``run``, and :meth:`ExplorationRun.path`
+reads a shortest path to any of its states off the arcs.
 
 All emit the same :class:`ExplorationRun` -- states in admission order
 plus ``(source, transition, target)`` index arcs.  The two net
@@ -29,18 +37,10 @@ differs (the packed engine discovers per level transition-major, the
 tuple engine state-major).  Everything downstream consumes canonicalized
 payloads, so the two orders are interchangeable.  A 2-phase run is
 state-major on both engines, so their runs are equal.
-
-:class:`FrontierExploration` is the caller-driven variant for the
-conformance product, whose successor relation lives in the caller
-(circuit moves and spec arcs, not a net) and which fails in the middle
-of an arc.  Draining order is exactly FIFO, so rebasing a hand-rolled
-``deque`` loop onto it preserves which counterexample is found first,
-byte for byte.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
@@ -53,8 +53,8 @@ from ..petri.net import PackedNet, PackedOverflowError, PetriNet, bit_tuple
 from .budget import BudgetMeter, ExplorationBudget
 from .trace import minimal_trace
 
-__all__ = ["ExplorationRun", "FrontierExploration", "GuardFailure",
-           "explore_levels", "explore_packed", "explore_tuples"]
+__all__ = ["ExplorationRun", "GuardFailure", "explore_levels",
+           "explore_packed", "explore_tuples"]
 
 _UNBOUNDED = ExplorationBudget()
 
@@ -93,67 +93,6 @@ def _record_run(engine: str, states: int, arcs: int, levels: int) -> None:
                 engine=engine).inc(levels)
 
 
-class FrontierExploration:
-    """Budgeted BFS driver over opaque hashable states (the conformance
-    product's; state-graph generation runs on :func:`explore_levels`).
-
-    The caller pulls states from :meth:`drain` and feeds successors back
-    through :meth:`admit`; the driver owns the visited set, the FIFO
-    level order, the parent map and the budget charging.  ``admit``
-    raises :class:`~repro.explore.budget.BudgetExceeded` (never silently
-    drops), so exceedance always reaches the caller as a structured
-    event.
-    """
-
-    def __init__(self, initial: Hashable,
-                 budget: Optional[ExplorationBudget] = None) -> None:
-        self.meter: BudgetMeter = (budget or _UNBOUNDED).meter()
-        self.parents: Dict[Hashable, Optional[Tuple[Hashable, object]]] = {}
-        self._queue: deque = deque()
-        self._level = 0
-        self._level_remaining = 1
-        self._next_level_count = 0
-        self.meter.admit_state()
-        self.parents[initial] = None
-        self._queue.append(initial)
-
-    @property
-    def state_count(self) -> int:
-        return len(self.parents)
-
-    def drain(self) -> Iterator[Hashable]:
-        """Yield states in admission (FIFO / level) order until empty."""
-        queue = self._queue
-        while queue:
-            if self._level_remaining == 0:
-                self._level += 1
-                self._level_remaining = self._next_level_count
-                self._next_level_count = 0
-                self.meter.level = self._level
-                self.meter.check_clock()
-                _frontier_heartbeat("driver", self.meter, self._level,
-                                    self._level_remaining,
-                                    len(self.parents), self.meter.arcs)
-            self._level_remaining -= 1
-            yield queue.popleft()
-
-    def admit(self, state: Hashable, parent: Hashable,
-              step: object) -> bool:
-        """Record a successor; True when the state is new (and enqueued)."""
-        if state in self.parents:
-            return False
-        self.meter.admit_state()
-        self.parents[state] = (parent, step)
-        self._queue.append(state)
-        self._next_level_count += 1
-        return True
-
-    def trace_to(self, state: Hashable,
-                 final_step: Optional[object] = None) -> List[object]:
-        """Minimal step sequence from the initial state to ``state``."""
-        return minimal_trace(self.parents, state, final_step)
-
-
 @dataclass(frozen=True)
 class ExplorationRun:
     """Result of one level-loop run (:func:`explore_levels`).
@@ -169,6 +108,20 @@ class ExplorationRun:
     states: List[object]
     arcs: List[Tuple[int, int, int]]
     levels: int
+
+    def path(self, state: int) -> List[Tuple[int, int, int]]:
+        """The arcs of a shortest path from state 0 to state ``state``.
+
+        The arc that admitted a state is the first arc reaching it, and
+        the loop admits breadth-first, so following first-seen parents
+        back (:func:`~repro.explore.trace.minimal_trace`) is shortest.
+        """
+        parents: List[Optional[Tuple[int, Tuple[int, int, int]]]] = [
+            None] * len(self.states)
+        for arc in reversed(self.arcs):
+            parents[arc[2]] = (arc[0], arc)
+        parents[0] = None
+        return minimal_trace(parents, state)
 
 
 #: ``expand(level, states)`` yields one level's ``(source_index,
@@ -198,22 +151,24 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
                    ) -> ExplorationRun:
     """Breadth-first reachability from ``initial``, one level at a time.
 
-    The only loop that admits states for state-graph generation: it
-    charges every arc ``expand`` yields and then admits its successor if
-    new, checks the clock once per level, opens one ``frontier:level``
-    span per level, sends the per-level heartbeat and records the
+    The only loop that admits states in an explicit walk: it charges
+    every arc ``expand`` yields and then admits its successor if new,
+    checks the clock once per level, opens one ``frontier:level`` span
+    per level, sends the per-level heartbeat and records the
     ``repro_explore_*`` counters under ``engine``.  Running out of
-    budget raises :class:`~repro.explore.budget.BudgetExceeded`; a
-    :class:`GuardFailure` leaves with the run so far.
+    budget raises :class:`~repro.explore.budget.BudgetExceeded`; that
+    and any exception ``expand`` raises leave with the run so far as
+    ``run``.
     """
     meter = (budget or _UNBOUNDED).meter()
     index: Dict[Hashable, int] = {initial: 0}
-    states: List[Hashable] = [initial]
-    meter.admit_state()
+    states: List[Hashable] = []
     arcs: List[Tuple[int, int, int]] = []
     level: List[int] = [0]
     levels = 0
     try:
+        meter.admit_state()
+        states.append(initial)
         while level:
             meter.level = levels
             with obs_span("frontier:level", engine=engine, level=levels,
@@ -237,8 +192,8 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
                                 len(states), len(arcs), force=not next_level)
             levels += 1
             level = next_level
-    except GuardFailure as failure:
-        failure.run = ExplorationRun(states=states, arcs=arcs, levels=levels)
+    except Exception as stop:
+        stop.run = ExplorationRun(states=states, arcs=arcs, levels=levels)
         raise
     _record_run(engine, len(states), len(arcs), levels)
     return ExplorationRun(states=states, arcs=arcs, levels=levels)

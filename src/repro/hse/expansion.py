@@ -17,7 +17,7 @@ under the chosen phase refinement:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
 from .constraints import InterfaceConstraint, apply_interface_constraint
@@ -107,14 +107,12 @@ def _attach_return_to_zero(stg: STG, signal: str) -> str:
 
 
 def expand_four_phase(spec: PartialSpec,
-                      extra_constraints: Sequence[InterfaceConstraint] = (),
                       name: Optional[str] = None) -> STG:
     """4-phase refinement with maximally concurrent return-to-zero events.
 
     Channel roles drive the interface constraints: PASSIVE and ACTIVE ports
     get their protocol interleaving threaded through the STG; FREE channels
     (and partial signals) are constrained only by signal alternation.
-    ``extra_constraints`` lets callers impose additional orderings.
     """
     stg = STG(name or f"{spec.name}_4ph")
     _declare_wires(spec, stg)
@@ -150,8 +148,6 @@ def expand_four_phase(spec: PartialSpec,
             apply_interface_constraint(stg, InterfaceConstraint.passive(channel))
         elif role == ChannelRole.ACTIVE:
             apply_interface_constraint(stg, InterfaceConstraint.active(channel))
-    for constraint in extra_constraints:
-        apply_interface_constraint(stg, constraint)
 
     for signal in stg.signals:
         stg.set_initial_value(signal, spec.initial_values.get(signal, 0))
@@ -159,13 +155,10 @@ def expand_four_phase(spec: PartialSpec,
 
 
 def expand(spec: PartialSpec, phases: int = 4,
-           extra_constraints: Sequence[InterfaceConstraint] = (),
            name: Optional[str] = None) -> STG:
     """Dispatch to the chosen refinement (``phases`` in {2, 4})."""
     if phases == 2:
-        if extra_constraints:
-            raise ExpansionError("interface constraints apply to 4-phase only")
         return expand_two_phase(spec, name)
     if phases == 4:
-        return expand_four_phase(spec, extra_constraints, name)
+        return expand_four_phase(spec, name)
     raise ExpansionError(f"unsupported refinement: {phases}-phase")

@@ -145,16 +145,12 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
         raise GenerationBudgetError(exceeded.exceedance) from None
     except GuardFailure as failure:
         source, transition = failure.args
-        # The arc that admitted each state is its first-seen parent.
-        parents = [None] * len(failure.run.states)
-        for parent, step, target in reversed(failure.run.arcs):
-            parents[target] = (parent, step)
-        parents[0] = None
         event = stg.event_of(names[transition])
-        raise _inconsistent(
+        raise ConsistencyError(
             f"{names[transition]} fires with {event.signal} already "
             f"{'low' if effects[transition][1] else 'high'}",
-            names, parents, source, transition) from None
+            witness=[names[t] for _, t, _ in failure.run.path(source)]
+            + [names[transition]]) from None
 
     # Each state's arcs, in transition order: the graph's successor order.
     out: List[List[Tuple[int, int]]] = [[] for _ in states]

@@ -22,8 +22,14 @@ Along every product arc the checker asserts:
   at the interface, so semi-modularity is reported separately and only
   escalates the verdict under ``require_semi_modular=True``.
 
-Exploration runs on the shared frontier engine of :mod:`repro.explore`
-(breadth-first, fixed deterministic order), so the first failure found is
+The product runs on the shared level loop of :mod:`repro.explore`
+(:func:`~repro.explore.explore_levels`, engine label ``product``), so it
+is spanned, counted and metered like every other explicit walk.  A
+level's moves are int codes -- a spec label id, or past the labels an
+internal net's node -- and step dicts are built only for the
+counterexample trace, which is read off the run's first-seen arcs.  The
+walk is breadth-first in a fixed order (states in admission order, each
+state's moves in event-declaration order), so the first failure found is
 at minimal depth and the counterexample trace is minimal; the same order
 makes reports byte-identical across hash seeds and serial-vs-parallel
 sweep runs.  The state cap -- and optionally arc and wall-clock caps --
@@ -38,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Netlist
 from ..explore import (BudgetExceeded, ExplorationBudget,
-                       FrontierExploration, ample_internal_moves)
+                       ample_internal_moves, explore_levels)
 from ..petri.stg import SignalKind
 from ..sg.graph import StateGraph
 from .certificate import VerificationReport
@@ -47,18 +53,17 @@ from .simulator import SimulationError, compile_circuit
 #: Default cap on explored product states ("state-limit" verdict beyond).
 DEFAULT_MAX_STATES = 1_000_000
 
-_ProductState = Tuple[int, int]  # (packed net values, spec state id)
-
 
 class _Failure(Exception):
-    """Internal control flow: a property was refuted at ``state``."""
+    """Internal control flow: a property was refuted on a move out of run
+    state ``source``; ``step`` is that move, ``None`` for a deadlock."""
 
-    def __init__(self, verdict: str, reason: str, state: _ProductState,
+    def __init__(self, verdict: str, reason: str, source: int,
                  step: Optional[Dict[str, object]]) -> None:
         super().__init__(reason)
         self.verdict = verdict
         self.reason = reason
-        self.state = state
+        self.source = source
         self.step = step
 
 
@@ -96,7 +101,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     spec_states = len(succ)
     spec_arcs = sum(len(out) for out in succ)
 
-    def failed(verdict: str, reason: str,
+    def report(verdict: str, reason: Optional[str],
                trace: List[Dict[str, object]],
                flags: Dict[str, bool],
                sim=None, product_states: int = 0,
@@ -120,11 +125,11 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     try:
         sim = compile_circuit(netlist, signals, input_signals, model)
     except SimulationError as exc:
-        return failed("non-conforming", f"cannot simulate netlist: {exc}",
+        return report("non-conforming", f"cannot simulate netlist: {exc}",
                       [], {})
 
     if spec.initial is None:
-        return failed("non-conforming", "specification has no initial state",
+        return report("non-conforming", "specification has no initial state",
                       [], {}, sim=sim)
     codes = index.codes
     initial_code = codes[index.initial]
@@ -133,68 +138,76 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     try:
         initial_values = sim.settle(pinned)
     except SimulationError as exc:
-        return failed("non-conforming", str(exc), [], {}, sim=sim)
+        return report("non-conforming", str(exc), [], {}, sim=sim)
 
     net_of_signal = [sim.net_index[s] for s in signals]
-    # Product states carry spec state ids; enabled labels are visited by
-    # id, which is event-declaration order and fixes the first failure.
     labels, is_input, event_signal = index.labels, index.is_input, index.signal
-    ordered = [sorted(out) for out in succ]
+    # A move's code is its spec label id, or past the labels an internal
+    # net's node id: the label fixes the signal and so the firing node.
+    net_move = len(labels)
 
-    if budget is None:
-        budget = ExplorationBudget(max_states=max_states)
-    start: _ProductState = (initial_values, index.initial)
-    semi_modular = True
-    semi_reason: Optional[str] = None
-    try:
-        engine = FrontierExploration(start, budget)
-    except BudgetExceeded as exceeded:
-        return failed("state-limit", exceeded.exceedance.describe("product"),
-                      [], {"conforming": True, "hazard_free": True,
-                           "deadlock_free": True, "semi_modular": True},
-                      sim=sim)
-    meter = engine.meter
+    def step_of(code: int, new_values: int) -> Dict[str, object]:
+        """The trace step of move ``code``, which leads to ``new_values``."""
+        if code >= net_move:
+            net = sim.nodes[code - net_move].out
+            bit = (new_values >> net) & 1
+            return {"kind": "net", "label": f"{sim.nets[net]}"
+                    f"{'+' if bit else '-'}", "net": sim.nets[net],
+                    "value": bit}
+        signal = signals[event_signal[code]]
+        kind = ("input" if is_input[code] else "output"
+                if spec.kinds[signal] == SignalKind.OUTPUT else "internal")
+        return {"kind": kind, "label": labels[code], "net": signal,
+                "value": (new_values >> net_of_signal[event_signal[code]])
+                & 1}
 
-    try:
-        for state in engine.drain():
-            values, sid = state
+    def trace(run, source: int,
+              step: Optional[Dict[str, object]]) -> List[Dict[str, object]]:
+        """The steps of a shortest path to run state ``source``, then
+        ``step`` when there is one."""
+        steps = [step_of(code, run.states[target][0])
+                 for _, code, target in run.path(source)]
+        return steps if step is None else steps + [step]
+
+    semi_reason: Optional[str] = None  # the first semi-modularity loss
+    # The arc the loop is charging and admitting: (source, code, new
+    # values, the semi-modularity loss its checks found).  The loss
+    # counts once the arc is charged, as the checks run after the charge.
+    in_flight: Optional[Tuple[int, int, int, Optional[str]]] = None
+
+    def expand(level: List[int], states: List[Tuple[int, int]]):
+        """One level's ``(source, move code, product successor)`` arcs."""
+        nonlocal semi_reason, in_flight
+        for source in level:
+            values, sid = states[source]
             excited = sim.excited(values)
             spec_out = succ[sid]
             enabled_inputs = tuple(label for label in spec_out
                                    if is_input[label])
+            # Enabled labels are visited by id, which is event-declaration
+            # order and fixes the first failure.
+            ordered = sorted(spec_out)
 
-            # (step, new values, new spec state, fired node, fired label)
-            moves: List[Tuple[Dict[str, object], int, int,
-                              Optional[int], Optional[str]]] = []
-            for label in ordered[sid]:
+            # (code, new values, new spec state, fired node)
+            moves: List[Tuple[int, int, int, Optional[int]]] = []
+            for label in ordered:
                 if not is_input[label]:
                     continue
                 tid = spec_out[label]
                 sigidx = event_signal[label]
-                new_bit = (codes[tid] >> sigidx) & 1
-                new_values = sim.set_net(values, net_of_signal[sigidx],
-                                         new_bit)
-                step = {"kind": "input", "label": labels[label],
-                        "net": signals[sigidx], "value": new_bit}
-                moves.append((step, new_values, tid, None, label))
+                moves.append((label, sim.set_net(
+                    values, net_of_signal[sigidx], (codes[tid] >> sigidx) & 1),
+                    tid, None))
             for nid in excited:
                 node = sim.nodes[nid]
                 new_values = sim.fire(values, nid)
                 if node.signal is None:
-                    new_bit = (new_values >> node.out) & 1
-                    net_name = sim.nets[node.out]
-                    step = {"kind": "net",
-                            "label": f"{net_name}{'+' if new_bit else '-'}",
-                            "net": net_name, "value": new_bit}
-                    moves.append((step, new_values, sid, nid, None))
+                    moves.append((net_move + nid, new_values, sid, nid))
                     continue
                 sigidx = spec.signal_index(node.signal)
                 new_bit = (new_values >> node.out) & 1
-                kind = ("output"
-                        if spec.kinds[node.signal] == SignalKind.OUTPUT
-                        else "internal")
                 matching = []
-                for label in ordered[sid]:
+                for label in ordered:
                     if is_input[label] or event_signal[label] != sigidx:
                         continue
                     if index.rise[label] and new_bit != 1:
@@ -202,104 +215,96 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                     if index.fall[label] and new_bit != 0:
                         continue
                     matching.append(label)
-                event_text = f"{node.signal}{'+' if new_bit else '-'}"
                 if not matching:
-                    step = {"kind": kind, "label": event_text,
-                            "net": node.signal, "value": new_bit}
+                    event_text = f"{node.signal}{'+' if new_bit else '-'}"
+                    kind = ("output"
+                            if spec.kinds[node.signal] == SignalKind.OUTPUT
+                            else "internal")
                     raise _Failure(
                         "non-conforming",
                         f"circuit fires {event_text}, which the "
-                        "specification does not enable here", state, step)
+                        "specification does not enable here", source,
+                        {"kind": kind, "label": event_text,
+                         "net": node.signal, "value": new_bit})
                 for label in matching:
-                    step = {"kind": kind, "label": labels[label],
-                            "net": node.signal, "value": new_bit}
-                    moves.append((step, new_values, spec_out[label], nid,
-                                  label))
+                    moves.append((label, new_values, spec_out[label], nid))
 
             if not moves:
                 raise _Failure(
                     "deadlock",
                     "no node is excited and no input event is enabled",
-                    state, None)
+                    source, None)
             if reduced:
                 moves = ample_internal_moves(
-                    moves, lambda move: move[0]["kind"] == "net")
+                    moves, lambda move: move[0] >= net_move)
 
-            for step, new_values, tid, nid, fired in moves:
-                try:
-                    meter.charge_arc()
-                except BudgetExceeded as exceeded:
-                    raise _Failure(
-                        "state-limit",
-                        exceeded.exceedance.describe("product"), state,
-                        step) from None
-                after = sim.excited_after(values, excited, new_values)
-                after_set = set(after)
+            for code, new_values, tid, nid in moves:
+                after = set(sim.excited_after(values, excited, new_values))
+                hazard = loss = None
                 for other in excited:
-                    if other == nid or other in after_set:
+                    if other == nid or other in after:
                         continue
                     other_node = sim.nodes[other]
                     if other_node.signal is not None:
-                        raise _Failure(
-                            "hazard",
-                            f"{other_node.signal} is excited, then disabled "
-                            f"by {step['label']} without firing",
-                            state, step)
-                    if semi_modular:
-                        semi_modular = False
-                        semi_reason = (
-                            f"internal net {sim.nets[other_node.out]} is "
-                            f"excited, then disabled by {step['label']}")
-                if tid != sid and semi_modular:
+                        hazard = other_node.signal
+                        break
+                    if semi_reason is None and loss is None:
+                        loss = (f"internal net {sim.nets[other_node.out]} "
+                                f"is excited, then disabled by "
+                                f"{step_of(code, new_values)['label']}")
+                if tid != sid and semi_reason is None and loss is None:
                     lost = [label for label in enabled_inputs
-                            if label != fired and label not in succ[tid]]
+                            if label != code and label not in succ[tid]]
                     if lost:
-                        semi_modular = False
-                        semi_reason = (
-                            f"input {labels[lost[0]]} is withdrawn by "
-                            f"{step['label']} (environment choice)")
-                successor = (new_values, tid)
-                try:
-                    engine.admit(successor, state, step)
-                except BudgetExceeded as exceeded:
+                        loss = (f"input {labels[lost[0]]} is withdrawn by "
+                                f"{step_of(code, new_values)['label']} "
+                                "(environment choice)")
+                in_flight = (source, code, new_values, loss)
+                # A refuted arc is still charged first: as a self-loop,
+                # which admits nothing.
+                yield source, code, ((new_values, tid) if hazard is None
+                                     else states[source])
+                in_flight = None
+                if hazard is not None:
+                    step = step_of(code, new_values)
                     raise _Failure(
-                        "state-limit",
-                        exceeded.exceedance.describe("product"), state,
-                        step) from None
-    except _Failure as failure:
-        # Properties not refuted before the failing arc are reported as
-        # they stood: refuted ones are False, the rest held so far.
-        flags = {
-            "conforming": failure.verdict != "non-conforming",
-            "hazard_free": failure.verdict != "hazard",
-            "deadlock_free": failure.verdict != "deadlock",
-            "semi_modular": semi_modular and failure.verdict != "hazard",
-        }
-        return failed(failure.verdict, failure.reason,
-                      engine.trace_to(failure.state, failure.step),
-                      flags, sim=sim, product_states=engine.state_count,
-                      product_arcs=meter.arcs)
-    except BudgetExceeded as exceeded:
-        # Out of wall-clock between states: no single offending arc.
-        return failed("state-limit", exceeded.exceedance.describe("product"),
-                      [], {"conforming": True, "hazard_free": True,
-                           "deadlock_free": True,
-                           "semi_modular": semi_modular},
-                      sim=sim, product_states=engine.state_count,
-                      product_arcs=meter.arcs)
+                        "hazard", f"{hazard} is excited, then disabled by "
+                        f"{step['label']} without firing", source, step)
+                semi_reason = semi_reason or loss
 
-    verdict = "conforming"
-    reason = None
-    if not semi_modular:
-        reason = semi_reason
-        if require_semi_modular:
-            verdict = "not-semi-modular"
-    return VerificationReport(
-        name=report_name, model=model, verdict=verdict,
-        conforming=True, hazard_free=True, deadlock_free=True,
-        semi_modular=semi_modular,
-        spec_states=spec_states, spec_arcs=spec_arcs,
-        net_count=len(sim.nets), node_count=len(sim.nodes),
-        product_states=engine.state_count, product_arcs=meter.arcs,
-        trace=[], reason=reason,
-        seconds=time.perf_counter() - started)
+    def walked(verdict: str, reason: Optional[str],
+               steps: List[Dict[str, object]], product_states: int,
+               product_arcs: int) -> VerificationReport:
+        # Properties not refuted before the walk stopped are reported as
+        # they stood: refuted ones are False, the rest held so far.
+        return report(verdict, reason, steps, {
+            "conforming": verdict != "non-conforming",
+            "hazard_free": verdict != "hazard",
+            "deadlock_free": verdict != "deadlock",
+            "semi_modular": semi_reason is None and verdict != "hazard",
+        }, sim=sim, product_states=product_states, product_arcs=product_arcs)
+
+    if budget is None:
+        budget = ExplorationBudget(max_states=max_states)
+    try:
+        run = explore_levels("product", (initial_values, index.initial),
+                             expand, budget)
+    except _Failure as failure:
+        return walked(failure.verdict, failure.reason,
+                      trace(failure.run, failure.source, failure.step),
+                      len(failure.run.states), len(failure.run.arcs))
+    except BudgetExceeded as exceeded:
+        # Out of budget on an arc, or of wall clock between levels (no
+        # single offending arc, no trace).
+        exceedance = exceeded.exceedance
+        steps: List[Dict[str, object]] = []
+        if in_flight is not None:
+            source, code, new_values, loss = in_flight
+            if exceedance.resource != "arcs":
+                semi_reason = semi_reason or loss
+            steps = trace(exceeded.run, source, step_of(code, new_values))
+        return walked("state-limit", exceedance.describe("product"), steps,
+                      exceedance.states, exceedance.arcs)
+    return walked("not-semi-modular" if semi_reason and require_semi_modular
+                  else "conforming", semi_reason, [], len(run.states),
+                  len(run.arcs))

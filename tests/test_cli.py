@@ -182,6 +182,17 @@ class TestBadConfigValue:
         assert "\n" not in message
 
 
+class TestBenchArgs:
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_bench_refuses_rounds_below_one(self, rounds, tmp_path):
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--cases", "fig1_controller", "--rounds", rounds,
+                  "--out", str(out)])
+        assert str(excinfo.value) == "--rounds must be at least 1"
+        assert not out.exists()
+
+
 class TestKeepRoundtrip:
     def test_keep_preserved_through_reduce_output(self, lr_file, tmp_path,
                                                   capsys):

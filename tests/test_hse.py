@@ -89,11 +89,6 @@ class TestTwoPhase:
         assert len(sg) == 8
         assert is_consistent(sg)
 
-    def test_two_phase_rejects_constraints(self):
-        with pytest.raises(ExpansionError):
-            expand(lr_spec(), phases=2,
-                   extra_constraints=[InterfaceConstraint.passive("l")])
-
     def test_unsupported_phase_count(self):
         with pytest.raises(ExpansionError):
             expand(lr_spec(), phases=3)
