@@ -89,7 +89,7 @@ def run_symbolic_scaling(context) -> dict:
             "explicit_states": len(sg),
             "symbolic_states": run.state_count,
             "symbolic_nodes": run.node_count,
-            "symbolic_levels": run.levels,
+            "symbolic_images": run.images,
         })
         curve_seconds.append((explicit_seconds, reach_seconds))
 

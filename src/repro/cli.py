@@ -170,14 +170,16 @@ def _symbolic_sg(args: argparse.Namespace) -> int:
         budget = ExplorationBudget(max_nodes=args.max_nodes)
     try:
         encoding = encode_stg(stg)
+        stage = "symbolic reachability"
         run = symbolic_reach(encoding, budget=budget)
+        stage = "symbolic coding check"
         report = check_coding_symbolic(stg, run=run)
     except BudgetExceeded as exc:
-        raise SystemExit(f"{exc.exceedance.diagnose('symbolic reachability')} "
+        raise SystemExit(f"{exc.exceedance.diagnose(stage)} "
                          "(raise --max-nodes)")
-    mode = "chained passes" if run.chaining else "BFS levels"
     print(f"symbolic reachability of {stg.name}: {run.state_count} states "
-          f"in {run.levels} {mode}")
+          f"by saturation ({run.images} images, {run.closures} closures, "
+          f"{run.rounds} rounds)")
     print(f"  BDD nodes         : {run.bdd.size(run.reached)} reached set, "
           f"{run.node_count} allocated")
     print(f"  variables         : {len(encoding.place_vars)} places + "

@@ -9,8 +9,10 @@ CSC/USC checks need, nothing speculative:
 * :meth:`BDD.apply_and` / :meth:`apply_or` / :meth:`apply_xor` /
   :meth:`negate` -- boolean connectives;
 * :meth:`BDD.exists` -- existential quantification over a variable set;
-* :meth:`BDD.fire` -- the image of a set under a rewrite plan (one
-  transition firing, in one memoized pass);
+* :meth:`BDD.saturate` -- the least fixpoint of a set under the images
+  of rewrite plans (transition firings), by saturation: one image walk,
+  :meth:`BDD._image`, fires a plan in one memoized pass and closes
+  every node it rebuilds below the plan's top variable;
 * :meth:`BDD.rename` -- order-preserving variable substitution (the
   unprimed -> primed shift of the CSC self-product);
 * :meth:`BDD.count` -- model counting over a declared variable universe;
@@ -42,17 +44,24 @@ __all__ = ["BDD", "FALSE", "TRUE", "GuardError",
 FALSE = 0
 TRUE = 1
 
-#: :meth:`BDD.fire` plan actions, one per rewritten variable: ``TAKE``
-#: needs 1 and writes 0; ``PUT`` writes 1 and raises :class:`GuardError`
-#: on a 1; ``READ`` needs 1 and keeps it; ``SET``/``CLEAR`` write 1/0
-#: whatever the old value; ``FLIP`` writes the complement.
+#: Plan actions, one per rewritten variable: ``TAKE`` needs 1 and writes
+#: 0; ``PUT`` writes 1 and raises :class:`GuardError` on a 1; ``READ``
+#: needs 1 and keeps it; ``SET``/``CLEAR`` write 1/0 whatever the old
+#: value; ``FLIP`` writes the complement.
 TAKE, PUT, READ, SET, CLEAR, FLIP = range(6)
 
 _TERMINAL_VAR = 1 << 30  # deeper than any real variable
 
 
 class GuardError(Exception):
-    """A ``PUT`` variable of a :meth:`BDD.fire` plan was already 1."""
+    """A ``PUT`` variable of a plan was already 1 in a state it fires on.
+
+    ``event`` is the index of that plan among :meth:`BDD.saturate`'s.
+    """
+
+    def __init__(self, var: int) -> None:
+        super().__init__(var)
+        self.event: Optional[int] = None
 
 
 class BDD:
@@ -82,8 +91,8 @@ class BDD:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._vars: Dict[int, int] = {}   # var index -> positive literal id
         self._nvars: Dict[int, int] = {}  # var index -> negative literal id
-        #: One memo table per operation name (per plan for :meth:`fire`);
-        #: cleared together.
+        #: One memo table per operation name (per plan for the plain
+        #: image walk).
         self._cache: Dict[object, dict] = {}
         self.on_grow = on_grow
         self.grow_step = grow_step
@@ -149,10 +158,6 @@ class BDD:
             stack.append(self._low[node])
             stack.append(self._high[node])
         return len(seen)
-
-    def clear_caches(self) -> None:
-        """Drop every operation memo (the unique table stays)."""
-        self._cache.clear()
 
     def _memo(self, op: object) -> dict:
         table = self._cache.get(op)
@@ -250,10 +255,6 @@ class BDD:
         memo[result] = f
         return result
 
-    def diff(self, f: int, g: int) -> int:
-        """``f AND NOT g`` (the frontier-minus-reached step)."""
-        return self.apply_and(f, self.negate(g))
-
     def cube(self, assignment: Sequence[Tuple[int, int]]) -> int:
         """The minterm cube ``AND_i (var_i == value_i)``.
 
@@ -309,62 +310,98 @@ class BDD:
         return result
 
     # ------------------------------------------------------------------
-    # images
+    # images and saturation
     # ------------------------------------------------------------------
-    def fire(self, f: int, plan: Tuple[Tuple[int, int], ...]) -> int:
-        """The image of ``f`` under ``plan``, in one memoized pass.
+    def saturate(self, f: int, plans: Sequence[Tuple[Tuple[int, int], ...]],
+                 on_round: Optional[Callable[[], None]] = None
+                 ) -> Tuple[int, Dict[str, int]]:
+        """The least superset of ``f`` closed under every plan's image.
+
+        Saturation (Ciardo, Lüttgen and Siminiceanu, TACAS 2001): an
+        event belongs to the level of its plan's top variable, and a set
+        is closed at a level when the events of that level and of every
+        level below it add nothing.  The walk closes each node bottom-up
+        as it rebuilds it, so an event fires on small subsets whose lower
+        levels are already complete.  ``on_round`` is called before each
+        round over a level's events (the clock check of a budget).
+        Returns the fixpoint and its exact work counts: ``images`` fired,
+        ``closures`` computed and fixpoint ``rounds``.  A :class:`GuardError`
+        raised here names the index of the firing plan in ``event``.
+        """
+        run = _Saturation(self, plans, on_round)
+        fixpoint = self._image(f, (), 0, 0, {}, run)
+        return fixpoint, {"images": run.images, "closures": run.closures,
+                          "rounds": run.rounds}
+
+    def _image(self, f: int, plan: Tuple[Tuple[int, int], ...], pos: int,
+               level: int, memo: dict, run: "_Saturation") -> int:
+        """The image of ``f`` under ``plan[pos:]``, in one memoized pass.
 
         ``plan`` lists ``(variable, action)`` steps in variable order (see
         :data:`TAKE` and its siblings); variables outside it keep their
         values.  The walk copies levels outside the plan, follows the
         required branch of a ``TAKE``/``READ`` step, ORs both branches of
-        a ``PUT``/``SET``/``CLEAR`` step, swaps the branches of a ``FLIP``
-        step and rebuilds each rewritten level with its new value.
-        Raises :class:`GuardError` when some state of ``f`` that meets
-        every requirement has a ``PUT`` variable at 1.  The memo belongs
-        to the plan and lives as long as the manager.
-        """
-        return self._fire(f, plan, 0, len(plan) + 1, self._memo(plan))
+        a ``SET``/``CLEAR`` step, swaps the branches of a ``FLIP`` step
+        and rebuilds each rewritten level with its new value.  Raises
+        :class:`GuardError` when some state of ``f`` that meets every
+        requirement has a ``PUT`` variable at 1.
 
-    def _fire(self, f: int, plan: Tuple[Tuple[int, int], ...], pos: int,
-              width: int, memo: dict) -> int:
-        if f == FALSE or pos == width - 1:
+        The result is closed at ``level`` and below under ``run``'s
+        events: every node rebuilt at an event level, or skipped over
+        one, is closed there (:meth:`_Saturation.close`).  ``f`` must be
+        closed below the plan's last step, and an empty plan saturates
+        ``f``.  A run without events gives the plain image.
+        """
+        if f == FALSE:
+            return FALSE
+        last = len(plan)
+        none = self.num_vars
+        above = run.next_level[level]
+        if pos == last and (last or above == none):
             return f
-        key = f * width + pos
+        key = (f * (last + 1) + pos) * (none + 1) + above
         found = memo.get(key)
         if found is not None:
             return found
-        var, action = plan[pos]
+        var, action = plan[pos] if pos < last else (_TERMINAL_VAR, None)
         top = self._var[f]
-        if top < var:
-            result = self.node(top,
-                               self._fire(self._low[f], plan, pos, width,
-                                          memo),
-                               self._fire(self._high[f], plan, pos, width,
-                                          memo))
+        if above < top and above < var:
+            # An event level ``f`` does not test: close the set there too.
+            result = run.close(above, self._image(f, plan, pos, above + 1,
+                                                  memo, run))
+        elif top < var:
+            result = self.node(
+                top, self._image(self._low[f], plan, pos, top + 1, memo, run),
+                self._image(self._high[f], plan, pos, top + 1, memo, run))
+            if top == above:
+                result = run.close(top, result)
         else:
             low, high = (self._low[f], self._high[f]) if top == var \
                 else (f, f)
             pos += 1
+            level = var + 1
             if action == TAKE:
                 result = self.node(
-                    var, self._fire(high, plan, pos, width, memo), FALSE)
+                    var, self._image(high, plan, pos, level, memo, run), FALSE)
             elif action == READ:
                 result = self.node(
-                    var, FALSE, self._fire(high, plan, pos, width, memo))
+                    var, FALSE, self._image(high, plan, pos, level, memo, run))
+            elif action == PUT:
+                if self._image(high, plan, pos, level, memo, run) != FALSE:
+                    raise GuardError(var)
+                result = self.node(
+                    var, FALSE, self._image(low, plan, pos, level, memo, run))
             else:
-                low = self._fire(low, plan, pos, width, memo)
-                high = self._fire(high, plan, pos, width, memo)
+                low = self._image(low, plan, pos, level, memo, run)
+                high = self._image(high, plan, pos, level, memo, run)
                 if action == FLIP:
                     result = self.node(var, high, low)
-                elif action == PUT:
-                    if high != FALSE:
-                        raise GuardError(var)
-                    result = self.node(var, FALSE, low)
                 else:
                     either = self.apply_or(low, high)
                     result = self.node(var, either, FALSE) \
                         if action == CLEAR else self.node(var, FALSE, either)
+            if var == above:
+                result = run.close(var, result)
         memo[key] = result
         return result
 
@@ -494,3 +531,64 @@ class BDD:
             emitted += 1
             if limit is not None and emitted >= limit:
                 return
+
+
+class _Saturation:
+    """The events of one :meth:`BDD.saturate` run, grouped by level.
+
+    ``next_level[v]`` is the first event level at or below variable
+    ``v`` (``num_vars`` when there is none).  Each plan keeps its own
+    walk memo; ``closed`` maps ``(node, level)`` to its closure, and a
+    closure is its own closure at its level.
+    """
+
+    __slots__ = ("bdd", "events", "next_level", "closed", "on_round",
+                 "images", "closures", "rounds")
+
+    def __init__(self, bdd: BDD, plans, on_round) -> None:
+        self.bdd = bdd
+        self.events: Dict[int, list] = {}
+        for index, plan in enumerate(plans):
+            if plan:
+                self.events.setdefault(plan[0][0], []).append(
+                    (index, plan, {}))
+        none = bdd.num_vars
+        self.next_level = [none] * (none + 1)
+        for var in range(none - 1, -1, -1):
+            self.next_level[var] = var if var in self.events \
+                else self.next_level[var + 1]
+        self.closed: Dict[int, int] = {}
+        self.on_round = on_round
+        self.images = self.closures = self.rounds = 0
+
+    def close(self, level: int, f: int) -> int:
+        """``f``, closed below ``level``, closed at ``level`` too."""
+        if f == FALSE:
+            return FALSE
+        stride = self.bdd.num_vars + 1
+        key = f * stride + level
+        found = self.closed.get(key)
+        if found is not None:
+            return found
+        image_of = self.bdd._image
+        events = self.events[level]
+        changed = True
+        while changed:
+            self.rounds += 1
+            if self.on_round is not None:
+                self.on_round()
+            before = f
+            for index, plan, memo in events:
+                self.images += 1
+                try:
+                    image = image_of(f, plan, 0, level + 1, memo, self)
+                except GuardError as err:
+                    if err.event is None:
+                        err.event = index
+                    raise
+                if image != FALSE:
+                    f = self.bdd.apply_or(f, image)
+            changed = f != before
+        self.closures += 1
+        self.closed[key] = self.closed[f * stride + level] = f
+        return f

@@ -40,7 +40,7 @@ from ..obs.trace import span as obs_span
 from ..petri.stg import STG
 from .bdd import FALSE
 from .encode import SymbolicEncoding, encode_stg
-from .reach import SymbolicReachability, symbolic_reach
+from .reach import SymbolicReachability, metered, symbolic_reach
 
 __all__ = ["DEFAULT_WITNESS_LIMIT", "CodingReport",
            "canonical_conflict", "canonical_pair",
@@ -56,9 +56,9 @@ class CodingReport:
     """One engine-comparable verdict record for coding properties.
 
     ``conflicts`` / ``usc_pairs`` hold canonical witness payloads (see
-    :func:`canonical_conflict` / :func:`canonical_pair`); ``engine``,
-    ``levels``, ``bdd_nodes`` and ``seconds`` are diagnostics excluded
-    from :meth:`to_payload`, which is the byte-compared projection.
+    :func:`canonical_conflict` / :func:`canonical_pair`); ``engine``
+    and ``bdd_nodes`` are diagnostics excluded from :meth:`to_payload`,
+    which is the byte-compared projection.
     """
 
     name: str
@@ -72,7 +72,6 @@ class CodingReport:
     conflicts: List[dict] = field(default_factory=list)
     usc_pairs: List[dict] = field(default_factory=list)
     truncated: bool = False
-    levels: Optional[int] = None
     bdd_nodes: Optional[int] = None
 
     def to_payload(self) -> dict:
@@ -221,25 +220,26 @@ def check_coding_symbolic(stg: STG,
                           budget: Optional[ExplorationBudget] = None,
                           witness_limit: int = DEFAULT_WITNESS_LIMIT,
                           name: Optional[str] = None,
-                          chaining: bool = True,
                           run: Optional[SymbolicReachability] = None
                           ) -> CodingReport:
     """Check consistency/USC/CSC of ``stg`` without enumerating states.
 
     ``run`` reuses an existing reachability result (its encoding must be
     for the same STG); otherwise the STG is encoded and explored under
-    ``budget``.  Raises
+    ``budget``.  Either way the run's budget meter keeps charging BDD
+    nodes and seconds through the pair product.  Raises
     :class:`~repro.explore.budget.BudgetExceeded` /
     :class:`~repro.symbolic.encode.SymbolicEncodingError` like
     :func:`~repro.symbolic.reach.symbolic_reach`.
     """
     if run is None:
         encoding = encode_stg(stg, name=name)
-        run = symbolic_reach(encoding, budget=budget, chaining=chaining)
+        run = symbolic_reach(encoding, budget=budget)
     else:
         encoding = run.encoding
     bdd = encoding.bdd
-    with obs_span("symbolic:coding", spec=encoding.name) as check_span:
+    with obs_span("symbolic:coding", spec=encoding.name) as check_span, \
+            metered(bdd, run.meter):
         consistent = _consistency(encoding, run.reached, run.state_count)
         usc_relation, csc_relation = _pair_products(encoding, run.reached)
         pair_count_vars = tuple(sorted(
@@ -273,5 +273,4 @@ def check_coding_symbolic(stg: STG,
         conflicts=conflicts,
         usc_pairs=usc_pairs,
         truncated=truncated,
-        levels=run.levels,
         bdd_nodes=bdd.node_count)

@@ -1,19 +1,90 @@
-"""The composed symbolic image and the BDD ops only it and the tests use.
+"""References for the symbolic engine, and the BDD ops only they use.
 
-The symbolic engine fires a transition in one memoized pass,
-:meth:`repro.symbolic.bdd.BDD.fire` of the transition's plan.  This
-module keeps the chain of generic BDD ops the same image is made of --
-conjoin the enabling cube, check the 1-safety guard, quantify the
-rewritten variables, conjoin the effect cube, splitting toggles on their
-signal bit -- built from the net's packed pre/post masks, not from the
-plan, so the tests can check every fired image against it.
+The engine computes the reachable set by saturation
+(:meth:`repro.symbolic.bdd.BDD.saturate`).  This module keeps what it
+replaced, for the tests to compare against:
+
+* :func:`fire`, the plain image of one plan (the same walk with no
+  closing);
+* :func:`reference_reach`, the frontier fixpoint in both of its former
+  modes -- the chained sweep (forward then backward over the whole
+  reached set, folding each image straight back in) and strict
+  breadth-first levels;
+* :func:`composed_image`, the chain of generic BDD ops one image is made
+  of -- conjoin the enabling cube, check the 1-safety guard, quantify
+  the rewritten variables, conjoin the effect cube, splitting toggles on
+  their signal bit -- built from the net's packed pre/post masks, not
+  from the plan, so the tests can check every fired image against it.
 """
 
-from typing import Callable, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.petri.stg import STG, Direction
 from repro.symbolic import FALSE, TRUE, BDD, SymbolicOverflowError
+from repro.symbolic.bdd import GuardError, _Saturation
 from repro.symbolic.encode import SymbolicEncoding, SymbolicTransition
+
+Image = Callable[[BDD, int, SymbolicTransition], int]
+
+
+def diff(bdd: BDD, f: int, g: int) -> int:
+    """``f AND NOT g`` (the frontier-minus-reached step)."""
+    return bdd.apply_and(f, bdd.negate(g))
+
+
+def fire(bdd: BDD, f: int, plan: Tuple[Tuple[int, int], ...]) -> int:
+    """The plain image of ``f`` under ``plan`` (raises ``GuardError``):
+    the engine's walk with no events to close."""
+    return bdd._image(f, plan, 0, 0, bdd._memo(plan),
+                      _Saturation(bdd, (), None))
+
+
+def plan_image(bdd: BDD, frontier: int, transition: SymbolicTransition
+               ) -> int:
+    """One transition's successor set, overflow named as the engine does."""
+    try:
+        return fire(bdd, frontier, transition.plan)
+    except GuardError:
+        raise SymbolicOverflowError(
+            f"firing {transition.name!r} leaves the 1-safe regime") from None
+
+
+def reference_reach(encoding: SymbolicEncoding, chaining: bool = True,
+                    met: Optional[Dict[int, None]] = None) -> Tuple[int, int]:
+    """The reached set and pass count of the former frontier fixpoint.
+
+    ``chaining=True`` sweeps the transitions forward then backward over
+    the whole reached set per pass; ``chaining=False`` unions the
+    one-step images of the last BFS level, so its pass count is the BFS
+    depth plus the empty closing level.  ``met`` collects every set a
+    transition is fired on, in first-met order.
+    """
+    bdd = encoding.bdd
+    forward = encoding.transitions
+    sweep = forward + tuple(reversed(forward)) if chaining else forward
+    reached = frontier = encoding.initial
+    passes = 0
+    while True:
+        passes += 1
+        working = reached if chaining else FALSE
+        source = reached if chaining else frontier
+        for transition in sweep:
+            if met is not None:
+                met[source] = None
+            step = plan_image(bdd, source, transition)
+            if step != FALSE:
+                working = bdd.apply_or(working, step)
+            if chaining:
+                source = working
+        if chaining:
+            if working == reached:
+                return reached, passes
+            reached = working
+        else:
+            frontier = diff(bdd, working, reached)
+            if frontier == FALSE:
+                return reached, passes
+            reached = bdd.apply_or(reached, frontier)
 
 
 def literal(bdd: BDD, index: int, value: int) -> int:
@@ -81,9 +152,8 @@ def _places(mask: int):
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-def composed_image(stg: STG, encoding: SymbolicEncoding
-                   ) -> Callable[[BDD, int, SymbolicTransition], int]:
-    """A drop-in for ``repro.symbolic.reach._image`` on ``encoding``.
+def composed_image(stg: STG, encoding: SymbolicEncoding) -> Image:
+    """A drop-in for :func:`plan_image` on ``encoding``.
 
     The returned ``image(bdd, frontier, transition)`` computes::
 

@@ -160,7 +160,8 @@ for name in ("micropipeline", "vme_read"):
     out["coding"][name] = digest_payload(
         check_coding(stg, engine="symbolic").to_payload())
     run = symbolic_reach(encode_stg(stg))
-    out["nodes"][name] = [run.state_count, run.node_count, run.levels]
+    out["nodes"][name] = [run.state_count, run.node_count, run.images,
+                          run.closures, run.rounds]
 stg = counter(2)
 out["coding"]["counter_2"] = digest_payload(
     check_coding(stg, engine="symbolic").to_payload())

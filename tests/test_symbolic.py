@@ -12,10 +12,14 @@ import random
 import re
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.explore import budget as budget_module
+from repro.explore import explore_tuples
 from repro.explore.budget import BudgetExceeded, ExplorationBudget
+from repro.obs.trace import TraceRecorder, recording
 from repro.petri.parser import parse_stg
 from repro.sg.generator import generate_sg
 from repro.specs import suite
@@ -26,10 +30,10 @@ from repro.specs.registry import load_spec, spec_names
 from repro.symbolic import (FALSE, TRUE, BDD, SymbolicEncodingError,
                             SymbolicOverflowError, check_coding_symbolic,
                             encode_stg, symbolic_reach)
-from repro.symbolic import reach as reach_module
 from repro.symbolic.bdd import (CLEAR, FLIP, PUT, READ, SET, TAKE,
                                 GuardError)
-from symbolic_oracle import composed_image, ite, restrict
+from symbolic_oracle import (composed_image, diff, fire, ite, plan_image,
+                             reference_reach, restrict)
 
 
 def _eval(bdd, f, assignment):
@@ -76,7 +80,7 @@ class TestBDDCore:
                 assert _eval(bdd, bdd.apply_or(x, y), env) == (a | b)
                 assert _eval(bdd, bdd.apply_xor(x, y), env) == (a ^ b)
                 assert _eval(bdd, bdd.negate(x), env) == 1 - a
-                assert _eval(bdd, bdd.diff(x, y), env) == (a & ~b & 1)
+                assert _eval(bdd, diff(bdd, x, y), env) == (a & ~b & 1)
 
     def test_count_and_models(self):
         bdd = BDD(3)
@@ -153,9 +157,9 @@ class TestFire:
             f = _from_states(bdd, states, n)
             if guard:
                 with pytest.raises(GuardError):
-                    bdd.fire(f, plan)
+                    fire(bdd, f, plan)
             else:
-                assert bdd.fire(f, plan) == _from_states(bdd, image, n)
+                assert fire(bdd, f, plan) == _from_states(bdd, image, n)
 
     def test_memo_keys_do_not_alias_on_long_plans(self):
         # Node 2 is met at every step of a 70-step plan and node 3 at the
@@ -165,8 +169,8 @@ class TestFire:
         last, sixth = bdd.var(69), bdd.var(5)
         assert (last, sixth) == (2, 3)
         plan = tuple((v, FLIP) for v in range(70))
-        assert bdd.fire(last, plan) == bdd.nvar(69)
-        assert bdd.fire(sixth, plan) == bdd.nvar(5)
+        assert fire(bdd, last, plan) == bdd.nvar(69)
+        assert fire(bdd, sixth, plan) == bdd.nvar(5)
 
     def test_long_plans_share_one_memo(self):
         rng = random.Random(11)
@@ -185,7 +189,60 @@ class TestFire:
                      if rng.random() < 0.3]))
             expected = bdd.apply_and(
                 bdd.exists(bdd.apply_and(f, need), range(n)), effect)
-            assert bdd.fire(f, plan) == expected
+            assert fire(bdd, f, plan) == expected
+
+
+def _explicit_fixpoint(states, plans):
+    """The least closed superset of a set of bit-vector states, or None
+    when some reached state fires a ``PUT`` onto a 1."""
+    reached, frontier = set(states), list(states)
+    while frontier:
+        bits = frontier.pop()
+        for plan in plans:
+            if any(action in (TAKE, READ) and not bits >> v & 1
+                   for v, action in plan):
+                continue
+            if any(action == PUT and bits >> v & 1 for v, action in plan):
+                return None
+            after = bits
+            for v, action in plan:
+                after = after & ~(1 << v) | _WRITES[action](bits >> v & 1) << v
+            if after not in reached:
+                reached.add(after)
+                frontier.append(after)
+    return reached
+
+
+class TestSaturate:
+    def test_matches_the_explicit_fixpoint(self):
+        # Random sets leave variables free, so the walk meets nodes that
+        # skip an event level as well as nodes rebuilt on one.
+        rng = random.Random(5)
+        n = 6
+        outcomes = set()
+        for _ in range(300):
+            bdd = BDD(n)
+            states = {bits for bits in range(1 << n) if rng.random() < 0.1}
+            plans = []
+            for _ in range(rng.randint(1, 5)):
+                support = sorted(rng.sample(range(n), rng.randint(1, 3)))
+                plans.append(tuple((v, rng.choice(sorted(_WRITES)))
+                                   for v in support))
+            expected = _explicit_fixpoint(states, plans)
+            f = _from_states(bdd, states, n)
+            if expected is None:
+                with pytest.raises(GuardError) as err:
+                    bdd.saturate(f, plans)
+                assert any(action == PUT for _, action in
+                           plans[err.value.event])
+                outcomes.add("overflow")
+                continue
+            fixpoint, counts = bdd.saturate(f, plans)
+            assert fixpoint == _from_states(bdd, expected, n)
+            assert counts["closures"] <= counts["rounds"] \
+                <= counts["images"]
+            outcomes.add("closed" if fixpoint == f else "grown")
+        assert outcomes == {"overflow", "closed", "grown"}
 
 
 def _corpus():
@@ -204,20 +261,32 @@ class TestEncodeReach:
             assert run.state_count == len(generate_sg(stg)), name
 
     def test_strict_bfs_matches_chained(self):
-        stg = fifo_chain(2)
-        chained = symbolic_reach(encode_stg(stg), chaining=True)
-        strict = symbolic_reach(encode_stg(stg), chaining=False)
-        assert strict.state_count == chained.state_count
+        # The two former modes of the frontier fixpoint, now references.
+        encoding = encode_stg(fifo_chain(2))
+        chained, chained_passes = reference_reach(encoding, chaining=True)
+        strict, strict_passes = reference_reach(encoding, chaining=False)
+        assert strict == chained
         # Strict levels are the BFS diameter + the empty closing level;
         # chained passes converge much faster.
-        assert chained.levels < strict.levels
+        assert chained_passes < strict_passes
 
-    def test_level_stats_recorded(self):
-        run = symbolic_reach(encode_stg(suite.load("half")))
-        assert len(run.level_stats) == run.levels
-        for stat in run.level_stats:
-            assert {"level", "frontier_nodes", "reached_nodes",
-                    "bdd_nodes", "seconds"} <= set(stat)
+    def test_saturation_counts_recorded(self):
+        recorder = TraceRecorder()
+        with recording(recorder):
+            run = symbolic_reach(encode_stg(suite.load("half")))
+        (node,) = recorder.to_tree()["spans"]
+        assert node["name"] == "symbolic:saturate"
+        counts = {"images": run.images, "closures": run.closures,
+                  "rounds": run.rounds}
+        assert {key: node["attrs"][key] for key in counts} == counts
+        assert node["attrs"]["bdd_nodes"] == run.node_count
+        # Every closure takes a round or more, every round an image or
+        # more; a fresh manager repeats the run exactly.
+        assert 0 < run.closures <= run.rounds <= run.images
+        again = symbolic_reach(encode_stg(suite.load("half")))
+        assert (again.images, again.closures, again.rounds,
+                again.node_count) == (run.images, run.closures, run.rounds,
+                                      run.node_count)
 
     def test_dummy_rejected(self):
         stg = suite.load("half")
@@ -225,15 +294,19 @@ class TestEncodeReach:
         with pytest.raises(SymbolicEncodingError):
             encode_stg(stg)
 
-    def test_overflow_detected(self, monkeypatch):
-        # The run stops at the transition the composed image names.
+    def test_overflow_detected(self):
+        # Saturation may meet another overflowing transition before the
+        # one a whole-set sweep names, so the named one is checked on the
+        # explicit tuple engine's markings: it must be enabled in one of
+        # them with a postset-only place already marked.
         stg = parse_stg(TWO_TOKEN)
-        expected = _overflow_message(monkeypatch, stg, oracle=True)
-        assert "'a+'" in expected
-        assert _overflow_message(monkeypatch, stg) == expected
+        with pytest.raises(SymbolicOverflowError) as err:
+            symbolic_reach(encode_stg(stg))
+        named = re.search(r"firing '(.+)' leaves", str(err.value)).group(1)
+        assert _overflows_somewhere(stg, named)
 
     def test_node_budget_exceedance_is_structured(self):
-        stg = fifo_chain(6)
+        stg = counter(8)
         with pytest.raises(BudgetExceeded) as err:
             symbolic_reach(encode_stg(stg),
                            budget=ExplorationBudget(max_nodes=2000))
@@ -248,13 +321,56 @@ class TestEncodeReach:
         # The grow hook fires every 4,096 allocations; a budget between
         # two of its checks must still trip at the first node past it.
         with pytest.raises(BudgetExceeded) as err:
-            symbolic_reach(encode_stg(fifo_chain(6)),
+            symbolic_reach(encode_stg(counter(8)),
                            budget=ExplorationBudget(max_nodes=limit))
         exceedance = err.value.exceedance
         assert limit < exceedance.nodes <= limit + 1
         text = exceedance.diagnose("symbolic reachability")
         assert f"after {exceedance.nodes} BDD nodes" in text
         assert "states" not in text and "arcs" not in text
+
+    def test_seconds_budget_trips_inside_the_closure_loop(self, monkeypatch):
+        # A clock that advances one second per read: the run must read it
+        # round by round, so a 50 s budget stops counter_8 part way, long
+        # before the last of its thousands of rounds.
+        full = symbolic_reach(encode_stg(counter(8)))
+        ticks = iter(range(1_000_000))
+        monkeypatch.setattr(budget_module, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        with pytest.raises(BudgetExceeded) as err:
+            symbolic_reach(encode_stg(counter(8)),
+                           budget=ExplorationBudget(max_seconds=50))
+        exceedance = err.value.exceedance
+        assert exceedance.resource == "seconds" and exceedance.limit == 50
+        assert next(ticks) < 60 < full.rounds
+
+    def test_node_budget_covers_the_pair_product(self):
+        # fifo_chain_6 reaches in ~1,400 nodes; its coding pair product
+        # allocates ~578k, so only a metered product trips this budget.
+        stg = fifo_chain(6)
+        run = symbolic_reach(encode_stg(stg))
+        assert run.node_count < 100_000
+        with pytest.raises(BudgetExceeded) as err:
+            check_coding_symbolic(stg,
+                                  budget=ExplorationBudget(max_nodes=100_000))
+        exceedance = err.value.exceedance
+        assert exceedance.resource == "nodes"
+        assert 100_000 < exceedance.nodes <= 100_001
+
+
+def _overflows_somewhere(stg, name):
+    """Whether ``name`` fires onto a marked postset-only place in some
+    marking the explicit tuple engine reaches."""
+    net = stg.net
+    pre = net.preset_of_transition(name)
+    post_only = [p for p in net.postset_of_transition(name) if p not in pre]
+    places = net.place_names
+    for marking in explore_tuples(net).states:
+        tokens = dict(zip(places, marking))
+        if name in net.enabled_transitions(marking) \
+                and any(tokens[p] for p in post_only):
+            return True
+    return False
 
 
 class TestCodingReports:
@@ -335,46 +451,69 @@ ORACLE_CASES = {
 }
 
 
-def _working_sets(monkeypatch, encoding, chaining):
-    """Every set the run fires a transition on, in first-met order."""
+#: The counters the saturated set is compared on beside ORACLE_CASES.
+COUNTERS = {f"family/counter_{n}": partial(load_family, f"counter_{n}")
+            for n in range(2, 7)}
+
+
+def _working_sets(encoding, chaining):
+    """Every set a reference run fires a transition on, in first-met
+    order (up to an overflow)."""
     met = {}
-    image = reach_module._image
-
-    def record(bdd, frontier, transition):
-        met[frontier] = None
-        return image(bdd, frontier, transition)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(reach_module, "_image", record)
-        try:
-            symbolic_reach(encoding, chaining=chaining)
-        except SymbolicOverflowError:
-            pass
+    try:
+        reference_reach(encoding, chaining=chaining, met=met)
+    except SymbolicOverflowError:
+        pass
     return list(met)
 
 
-def _overflow_message(monkeypatch, stg, oracle=False):
-    """The overflow message of a chained run, fired by the oracle or not."""
-    encoding = encode_stg(stg)
-    with monkeypatch.context() as patch:
-        if oracle:
-            patch.setattr(reach_module, "_image",
-                          composed_image(stg, encoding))
-        with pytest.raises(SymbolicOverflowError) as err:
-            symbolic_reach(encoding)
-    return str(err.value)
+def _outcome(reach):
+    """The reached set, or that the run left the 1-safe regime."""
+    try:
+        return reach()
+    except SymbolicOverflowError:
+        return "overflow"
+
+
+class TestSaturationReference:
+    """Saturation reaches what the whole-set sweeps reach."""
+
+    @pytest.mark.parametrize("case", list({**ORACLE_CASES, **COUNTERS}))
+    def test_saturated_set_equals_both_references(self, case):
+        stg = {**ORACLE_CASES, **COUNTERS}[case]()
+        encoding = encode_stg(stg)
+        saturated = _outcome(lambda: symbolic_reach(encoding).reached)
+        # One manager: equal sets are equal node ids.
+        for chaining in (True, False):
+            reference = _outcome(lambda: reference_reach(
+                encoding, chaining=chaining)[0])
+            assert saturated == reference, (case, chaining)
+
+    @pytest.mark.parametrize("text", [TWO_TOKEN, READ_ARC],
+                             ids=["two_token", "read_arc"])
+    def test_overflow_verdict_matches_the_references(self, text):
+        verdicts = {_outcome(lambda: symbolic_reach(
+            encode_stg(parse_stg(text))).state_count)}
+        for chaining in (True, False):
+            encoding = encode_stg(parse_stg(text))
+            verdicts.add(_outcome(lambda: encoding.bdd.count(
+                reference_reach(encoding, chaining=chaining)[0],
+                encoding.state_vars)))
+        assert len(verdicts) == 1
+        assert verdicts == {"overflow"} if text is TWO_TOKEN \
+            else verdicts != {"overflow"}
 
 
 class TestFireOracle:
     """The one-pass image equals the composed chain of generic ops."""
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
-    def test_every_working_set_of_both_modes(self, monkeypatch, case):
+    def test_every_working_set_of_both_modes(self, case):
         stg = ORACLE_CASES[case]()
         encoding = encode_stg(stg)
         bdd = encoding.bdd
-        sets = dict.fromkeys(_working_sets(monkeypatch, encoding, True)
-                             + _working_sets(monkeypatch, encoding, False))
+        sets = dict.fromkeys(_working_sets(encoding, True)
+                             + _working_sets(encoding, False))
         oracle = composed_image(stg, encoding)
         for frontier in sets:
             for transition in encoding.transitions:
@@ -383,10 +522,10 @@ class TestFireOracle:
                 except SymbolicOverflowError as err:
                     with pytest.raises(SymbolicOverflowError,
                                        match=re.escape(str(err))):
-                        reach_module._image(bdd, frontier, transition)
+                        plan_image(bdd, frontier, transition)
                     continue
-                assert reach_module._image(bdd, frontier, transition) \
-                    == expected, (case, transition.name)
+                assert plan_image(bdd, frontier, transition) == expected, \
+                    (case, transition.name)
 
     def test_read_arc_place_stays_marked(self):
         from repro.sg.properties import check_coding
