@@ -37,10 +37,11 @@ def irresolvable_conflicts(sg: StateGraph) -> List[CSCConflict]:
     :func:`~repro.sg.properties.csc_conflicts` order (a bucket's state ids
     ascend, so id pairs sort as its pairs do).
     """
-    index = sg.index()
-    states, succ, is_input = index.states, index.succ, index.is_input
+    sg.freeze()
+    states, succ, is_input = sg.states, sg.succ, sg.is_input
+    codes = sg.code_ints
     hopeless = []
-    for code, ids, masks in _shared_codes(index):
+    for code, ids, masks in _shared_codes(sg):
         linked = set()
         for source in ids:
             frontier, seen = [source], {source}
@@ -51,11 +52,11 @@ def irresolvable_conflicts(sg: StateGraph) -> List[CSCConflict]:
                         frontier.append(nxt)
             linked.update((min(source, other), max(source, other))
                           for other in seen
-                          if index.codes[other] == code and other != source)
+                          if codes[other] == code and other != source)
         excited = dict(zip(ids, masks))
         code_tuple = sg.code_of(states[ids[0]])
         hopeless += [CSCConflict(states[a], states[b], code_tuple,
-                                 *_excitation_sets(index, (excited[a],
-                                                           excited[b])))
+                                 *_excitation_sets(sg, (excited[a],
+                                                        excited[b])))
                      for a, b in sorted(linked) if excited[a] != excited[b]]
     return hopeless

@@ -37,10 +37,10 @@ leaves); sequencing does whenever a trigger fires while a non-input event
 is enabled.  Among the candidates that survive, the search keeps the one
 with the fewest remaining conflicts, then the fewest states.
 
-The walk runs on the input graph's :class:`~repro.sg.graph.GraphIndex`
-(dense state and label ids, packed codes, excitation bits): a product
-state is ``4 * state + phase``, and each style's gates are four per-phase
-lists that a candidate copies and patches at its two triggers.  Scoring a candidate
+The walk runs on the input graph's own ints (dense state and label ids,
+packed codes, excitation bits): a product state is ``4 * state +
+phase``, and each style's gates are four per-phase lists that a
+candidate copies and patches at its two triggers.  Scoring a candidate
 builds no graph: a finished walk counts its CSC conflicts by bucketing the
 product states on ``code | value << len(signals)`` and comparing non-input
 excitation masks, and a rejected one names its reason (:data:`REJECTIONS`).
@@ -101,22 +101,22 @@ class InsertionChoice:
 
 
 class _Index:
-    """The walk's phase and gate tables on one input graph's index.
+    """The walk's phase and gate tables on one input graph.
 
-    Labels keep their :class:`~repro.sg.graph.GraphIndex` ids; ``csc+``
-    and ``csc-`` are the two ids after them.  ``arcs[phase][state]`` lists
-    the state's ``(label, target)`` arcs in ``succ`` order, led in a
+    Labels keep the graph's label ids; ``csc+`` and ``csc-`` are the two
+    ids after them.  ``arcs[phase][state]`` lists the state's ``(label,
+    target)`` arcs in ``succ`` order, led in a
     pending phase by the csc transition that settles it (target: the same
     state), and ``enabled[phase][state]`` is the mask of those labels.
     """
 
     def __init__(self, sg: StateGraph) -> None:
-        self.sg = sg
-        graph = self.graph = sg.index()
-        n = len(graph.labels)  # the id of csc+; n + 1 is csc-
+        self.sg = sg.freeze()
+        n = len(sg.events)  # the id of csc+; n + 1 is csc-
         self.width = len(sg.signals)
+        self.codes = sg.code_ints
 
-        idle = [list(out.items()) for out in graph.succ]
+        idle = [list(out.items()) for out in sg.succ]
         masks = [sum(1 << label for label, _ in out) for out in idle]
         self.arcs = [idle, idle,
                      [((n, i),) + tuple(out) for i, out in enumerate(idle)],
@@ -130,16 +130,16 @@ class _Index:
 
         # A non-input label excites its (signal, direction), as in
         # csc_conflicts; csc+ and csc- excite their own two.
-        classes = len(graph.classes)
-        self.excites = graph.excites + [1 << classes, 2 << classes]
+        classes = len(sg.classes)
+        self.excites = sg.excites + [1 << classes, 2 << classes]
         self.excitation: Dict[int, int] = {}  # excitation_of, memoized
 
         # Per label: the labels whose disabling by it the input already
         # has, and the label itself.
         self.tolerated = [1 << label for label in range(n + 2)]
         for violation in persistency_violations(sg):
-            self.tolerated[graph.label_id[violation.by]] |= (
-                1 << graph.label_id[violation.disabled])
+            self.tolerated[sg.label_id[violation.by]] |= (
+                1 << sg.label_id[violation.disabled])
 
         self.gates = {style: self._base_gates(style) for style in STYLES}
 
@@ -147,12 +147,12 @@ class _Index:
                                                List[int]]:
         """The style's per-phase gates before the triggers are patched in,
         with the masks of the labels that fire and that wait per phase."""
-        n = len(self.graph.labels)
+        n = len(self.sg.events)
         gates = [[phase] * n + [_WAIT, _WAIT] for phase in range(4)]
         if style == "sequencing":
             for phase in (_RISING, _FALLING):
                 gates[phase] = ([phase if is_input else _WAIT
-                                 for is_input in self.graph.is_input]
+                                 for is_input in self.sg.is_input]
                                 + [_WAIT, _WAIT])
         gates[_RISING][n] = _IDLE1
         gates[_FALLING][n + 1] = _IDLE0
@@ -215,17 +215,17 @@ def _walk(index: _Index, style: str, rise_trigger: str, fall_trigger: str,
     feasible one scores as ``(conflicts, states)``; with ``build`` it is
     replayed into a graph with the new internal ``signal`` instead.
     """
-    graph = index.graph
-    rise = graph.label_id.get(rise_trigger)
-    fall = graph.label_id.get(fall_trigger)
+    sg = index.sg
+    rise = sg.label_id.get(rise_trigger)
+    fall = sg.label_id.get(fall_trigger)
     if (rise is None or fall is None or rise == fall
-            or style == "threading" and (graph.is_input[rise]
-                                         or graph.is_input[fall])):
+            or style == "threading" and (sg.is_input[rise]
+                                         or sg.is_input[fall])):
         return "trigger"
     gates, fires, waits = index.gates_for(style, rise, fall)
     arcs, enabled, tolerated = index.arcs, index.enabled, index.tolerated
-    start = 4 * graph.initial + value
-    seen = bytearray(4 * len(graph.states))
+    start = 4 * sg.initial_id + value
+    seen = bytearray(4 * len(sg.states))
     seen[start] = 1
     order = [start]
     reached = 0
@@ -256,7 +256,7 @@ def _walk(index: _Index, style: str, rise_trigger: str, fall_trigger: str,
     if build:
         return _replay(index, gates, order, signal)
 
-    codes, width, known = index.graph.codes, index.width, index.excitation
+    codes, width, known = index.codes, index.width, index.excitation
     keys = [codes[state >> 2] | (state & 1) << width for state in order]
     fired_at = [enabled[state & 3][state >> 2] & fires[state & 3]
                 for state in order]
@@ -279,23 +279,18 @@ def _replay(index: _Index, gates: List[List[int]], order: List[int],
         new.declare_event(label, event)
     new.declare_event(f"{signal}+", SignalEvent(signal, Direction.RISE))
     new.declare_event(f"{signal}-", SignalEvent(signal, Direction.FALL))
-    labels = index.graph.labels + [f"{signal}+", f"{signal}-"]
-    states, codes = index.graph.states, sg._codes
-    names = {}
+    position = {state: i for i, state in enumerate(order)}
+    states, codes, width = sg.states, index.codes, index.width
+    names, rows, packed = [], [], []
     for state in order:
         orig, phase = state >> 2, state & 3
-        names[state] = name = (states[orig],) + _PHASE_NAMES[phase]
-        new.add_state(name, codes[states[orig]] + (phase & 1,))
-    new.initial = names[order[0]]
-    for state in order:
-        orig, phase = state >> 2, state & 3
+        names.append((states[orig],) + _PHASE_NAMES[phase])
+        packed.append(codes[orig] | (phase & 1) << width)
         gate = gates[phase]
-        for label, target in index.arcs[phase][orig]:
-            after = gate[label]
-            if after >= 0:
-                new.add_arc(names[state], labels[label],
-                            names[4 * target + after])
-    return new
+        rows.append({label: position[4 * target + gate[label]]
+                     for label, target in index.arcs[phase][orig]
+                     if gate[label] >= 0})
+    return new.adopt(names, rows, packed)
 
 
 def _record_work(walks: int = 0, feasible: int = 0, built: int = 0,
@@ -370,8 +365,8 @@ def _score_insertions(index: _Index, signal: str, baseline: int
                       ) -> Tuple[List[InsertionChoice], int, int]:
     """The improving choices on ``index``, best first, with the number of
     candidates walked and of those that were feasible."""
-    live = [label for label in sorted(index.graph.labels)
-            if index.live >> index.graph.label_id[label] & 1]
+    live = [label for label in sorted(index.sg.events)
+            if index.live >> index.sg.label_id[label] & 1]
     rejected = dict.fromkeys(REJECTIONS, 0)
     found: List[InsertionChoice] = []
     walks = 0

@@ -143,16 +143,15 @@ def _targets(sg: StateGraph) -> List[str]:
 def _rows(sg: StateGraph) -> List[Tuple[int, int, int]]:
     """Per state: (code, rising-signal bitmask, falling-signal bitmask).
 
-    One pass over the graph's index serves the extraction of every signal
+    One pass over the graph's rows serves the extraction of every signal
     at once.  A toggle label contributes to neither mask: extraction
     rejects the toggled signal itself up front (:func:`_targets`), and a
     toggle on an *input* signal never blocks extracting the others.
     """
-    index = sg.index()
-    rise_bits, fall_bits = index.rise, index.fall
+    rise_bits, fall_bits = sg.freeze().rise, sg.fall
     rows = []
-    # index.codes raises StateGraphError on a state without a code.
-    for code, out in zip(index.codes, index.succ):
+    # code_ints raises StateGraphError on a state without a code.
+    for code, out in zip(sg.code_ints, sg.succ):
         rise = fall = 0
         for label in out:
             rise |= rise_bits[label]

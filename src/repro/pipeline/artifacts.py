@@ -25,15 +25,15 @@ downstream can tell the difference.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from ..circuit.netlist import Netlist
 from ..circuit.synthesize import CircuitImplementation, SignalImplementation
 from ..encoding.insertion import InsertionChoice
+from ..petri.net import bit_tuple
 from ..petri.stg import Direction, SignalEvent, SignalKind
-from ..sg.graph import StateGraph
+from ..sg.graph import StateGraph, pack_code
 from ..timing.critical_cycle import CycleReport
 
 
@@ -44,45 +44,35 @@ class ArtifactError(Exception):
 # ----------------------------------------------------------------------
 # state graphs
 # ----------------------------------------------------------------------
-def _canonical_state_order(sg: StateGraph) -> List:
-    """BFS order from the initial state, successors in sorted label order.
-
-    Unreachable states (none exist in flow-produced graphs) are appended in
-    ``repr`` order, which is deterministic for the marking-tuple and string
-    states the system uses.
-    """
-    if sg.initial is None or sg.initial not in sg:
-        raise ArtifactError(f"state graph {sg.name!r} has no initial state")
-    order: List = [sg.initial]
-    index = {sg.initial: 0}
-    queue = deque((sg.initial,))
-    while queue:
-        state = queue.popleft()
-        successors = sg.successors(state)
-        for label in sorted(successors):
-            target = successors[label]
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-    if len(order) < len(sg):
-        for state in sorted((s for s in sg.states if s not in index),
-                            key=repr):
-            index[state] = len(order)
-            order.append(state)
-    return order
-
-
 def sg_to_payload(sg: StateGraph) -> Dict[str, object]:
-    """Canonical JSON-ready rendering of a state graph."""
-    order = _canonical_state_order(sg)
-    index = {state: i for i, state in enumerate(order)}
-    codes = sg.codes
+    """Canonical JSON-ready rendering of a state graph.
+
+    States are numbered in BFS order from the initial state, successors in
+    sorted label order; unreachable states (none exist in flow-produced
+    graphs) follow in ``repr`` order, which is deterministic for the
+    marking-tuple and string states the system uses.
+    """
+    if sg.initial_id is None:
+        raise ArtifactError(f"state graph {sg.name!r} has no initial state")
+    labels = sg.labels()
+    order = [sg.initial_id]
+    seen = set(order)
+    for state in order:  # grows as the BFS discovers states
+        for _, target in sorted((labels[label], target)
+                                for label, target in sg.succ[state].items()):
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    order += sorted(set(range(len(sg))) - seen,
+                    key=lambda state: repr(sg.states[state]))
+    position = [0] * len(order)
+    for i, state in enumerate(order):
+        position[state] = i
+    width = len(sg.signals)
     arcs: List[List[object]] = []
     for state in order:
-        successors = sg.successors(state)
-        for label in sorted(successors):
-            arcs.append([index[state], label, index[successors[label]]])
+        arcs += sorted([position[state], labels[label], position[target]]
+                       for label, target in sg.succ[state].items())
     return {
         "name": sg.name,
         "signals": [[signal, sg.kinds[signal].value] for signal in sg.signals],
@@ -91,28 +81,34 @@ def sg_to_payload(sg: StateGraph) -> Dict[str, object]:
              for label, event in sg.events.items()]),
         "states": len(order),
         "initial": 0,
-        "codes": [list(codes[state]) if state in codes else None
+        "codes": [None if sg.packed[state] is None
+                  else list(bit_tuple(sg.packed[state], width))
                   for state in order],
         "arcs": arcs,
     }
 
 
 def sg_from_payload(payload: Dict[str, object]) -> StateGraph:
-    """Rebuild a state graph from its payload (states are ints ``0..n-1``)."""
+    """Rebuild a state graph from its payload (states are ints ``0..n-1``);
+    the result is frozen.  Raises :class:`ArtifactError` for an arc with
+    an undeclared label, a state out of range or a second target."""
     sg = StateGraph(payload["name"])
     for signal, kind in payload["signals"]:
         sg.declare_signal(signal, SignalKind(kind))
     for label, signal, direction, instance in payload["events"]:
         sg.declare_event(label, SignalEvent(signal, Direction(direction),
                                             instance))
-    codes = payload["codes"]
-    for state in range(payload["states"]):
-        code = codes[state]
-        sg.add_state(state, None if code is None else tuple(code))
-    sg.initial = payload["initial"]
+    states = payload["states"]
+    succ: List[Dict[int, int]] = [{} for _ in range(states)]
     for source, label, target in payload["arcs"]:
-        sg.add_arc(source, label, target)
-    return sg
+        lid = sg.label_id.get(label)
+        if (lid is None or not 0 <= source < states or not 0 <= target < states
+                or succ[source].setdefault(lid, target) != target):
+            raise ArtifactError(f"state graph {sg.name!r} has a bad arc "
+                                f"{[source, label, target]!r}")
+    return sg.adopt(list(range(states)), succ,
+                    [None if code is None else pack_code(code)
+                     for code in payload["codes"]], payload["initial"])
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,8 @@ from ``b`` to ``a``.
 
 FwdRed only ever removes arcs, so every configuration a reduction search
 reaches is a subgraph of the root SG.  A :class:`ReductionSpace` reads
-the root's :class:`~repro.sg.graph.GraphIndex` (dense state, label and arc
-ids in root order) and adds per-state in-arcs and one arc mask per label;
+the root's own ints (dense state, label and arc ids in root order) and
+in-arcs, and adds one arc mask per label;
 a configuration is a :class:`Config`: the int mask of its arcs, the int
 mask of its reachable states and the mask of every root arc out of those.
 For one root, equal arc masks mean equal
@@ -44,7 +44,7 @@ to the hint's states, are exactly the hint's arcs (see
 :meth:`ReductionSpace.step`).
 
 The Section 7 cost terms are measured on the masks too
-(:meth:`ReductionSpace.measure`), from the index's packed codes and the
+(:meth:`ReductionSpace.measure`), from the root's packed codes and the
 rise, fall and non-input excitation bits of every label.  The space
 numbers the root's distinct codes once, in ascending order, and keeps one
 column bitset per signal over those ids (:attr:`ReductionSpace.coding`).
@@ -59,8 +59,8 @@ conflict pairs through :func:`~repro.sg.properties.conflict_pairs`, the
 counter the property checks and the insertion walk share.  So a search
 scores every configuration without building a graph or a set of codes,
 and spaces built for :func:`forward_reduction` or
-:func:`reducible_pairs` never read a code: the index packs them on first
-read.
+:func:`reducible_pairs` never read a code, so FwdRed runs on graphs
+without codes.
 
 Definition 5.1 is checked on the masks.  Surviving states keep every arc
 except the removed ones, so no input event can be delayed (``delayed`` is
@@ -207,8 +207,8 @@ class _Step:
 class ReductionSpace:
     """The arc masks of one root SG that FwdRed steps work on.
 
-    Masks index the root through :meth:`~repro.sg.graph.StateGraph.index`,
-    so building a space freezes it.
+    Masks index the root's state and label ids, so building a space
+    freezes it.
     """
 
     #: Transition-table and cover-memo entries kept per space before each
@@ -216,25 +216,22 @@ class ReductionSpace:
     MAX_TRANSITIONS = 200_000
 
     def __init__(self, root: StateGraph) -> None:
-        self.sg = root
-        index = self.index = root.index()
-        self.states, self.labels = index.states, index.labels
-        self.label_index, self.is_input = index.label_id, index.is_input
+        self.sg = root.freeze()
+        self.states, self.labels = root.states, root.labels()
+        self.label_index = root.label_id
         #: ``out[s]`` is ``{label id: (arc id, target id)}`` in root order.
         self.out: List[Dict[int, Tuple[int, int]]] = []
-        #: ``inn[t]`` lists the ``(label id, source id)`` arcs entering ``t``.
-        self.inn: List[List[Tuple[int, int]]] = [[] for _ in self.states]
         self.label_arcs = [0] * len(self.labels)
         #: A state's root arcs have consecutive ids from ``first[s]``:
         #: ``span[s]`` is their bits shifted down to bit 0, ``local[s]``
         #: lists ``(bit, label id, target id)`` per arc and ``full[s]`` is
-        #: the index's ``{label id: target id}`` row, all of them live.
+        #: the root's ``{label id: target id}`` row, all of them live.
         self.first: List[int] = []
         self.span: List[int] = []
         self.local: List[List[Tuple[int, int, int]]] = []
-        self.full: List[Dict[int, int]] = index.succ
+        self.full: List[Dict[int, int]] = root.succ
         arc = 0
-        for source, succ in enumerate(index.succ):
+        for succ in root.succ:
             row: Dict[int, Tuple[int, int]] = {}
             self.first.append(arc)
             self.local.append([(1 << offset, label, target) for offset,
@@ -242,7 +239,6 @@ class ReductionSpace:
             self.span.append((1 << len(succ)) - 1)
             for label, target in succ.items():
                 row[label] = (arc, target)
-                self.inn[target].append((label, source))
                 self.label_arcs[label] |= 1 << arc
                 arc += 1
             self.out.append(row)
@@ -319,7 +315,7 @@ class ReductionSpace:
 
         ``live`` is ``config``'s :meth:`live_pairs` when the caller has it.
         """
-        labels, is_input = self.labels, self.is_input
+        labels, is_input = self.labels, self.sg.is_input
         pairs: Set[Tuple[str, str]] = set()
         for (label_a, label_b), _ in (self.live_pairs(config)
                                       if live is None else live):
@@ -355,7 +351,7 @@ class ReductionSpace:
         members = set(region)
         truncated = set(intersection)
         stack = list(intersection)
-        inn = self.inn
+        inn = self.sg.in_arcs()
         while stack:
             state = stack.pop()
             for label, source in inn[state]:
@@ -376,7 +372,7 @@ class ReductionSpace:
                                            truncated, hint):
             return _Step(hint, "", len(truncated), config.states - hint.states)
 
-        initial = self.index.initial
+        initial = self.sg.initial_id
         reached: Set[int] = set()
         deadlock: Optional[int] = None
         if initial is not None:
@@ -483,7 +479,7 @@ class ReductionSpace:
         A code's id is its position: bit ``1 << id`` stands for it in
         every scoring bitset.
         """
-        codes = sorted(set(self.index.codes))
+        codes = sorted(set(self.sg.code_ints))
         return (codes, code_columns(len(self.sg.signals), codes),
                 {code: 1 << i for i, code in enumerate(codes)})
 
@@ -493,13 +489,13 @@ class ReductionSpace:
         ``high`` has the bit of every signal whose next value is 1:
         rising, or high and not falling.
         """
-        index = self.index
-        code = index.codes[state]
+        sg = self.sg
+        code = sg.packed[state]  # self.coding checks every code
         rise = fall = excited = 0
         for label in labels:
-            rise |= index.rise[label]
-            fall |= index.fall[label]
-            excited |= index.excites[label]
+            rise |= sg.rise[label]
+            fall |= sg.fall[label]
+            excited |= sg.excites[label]
         return self.coding[2][code], rise | code & ~fall, excited
 
     @cached_property
@@ -579,20 +575,15 @@ class ReductionSpace:
         states and arcs keep its order, exactly as a chain of FwdRed
         copies would.
         """
+        view = self.view(config)
+        if root is self.sg:
+            return root.subgraph(view.reachable, view.adj)
+        # A same-signature graph may order its states otherwise: by name.
         states, labels = self.states, self.labels
-        first, span, local = self.first, self.span, self.local
-        mask = config.mask
-        removed = []
-        reachable = set()
-        for state in config.ids():
-            node = states[state]
-            reachable.add(node)
-            live = mask >> first[state] & span[state]
-            if live != span[state]:
-                removed += [(node, labels[label])
-                            for bit, label, _ in local[state]
-                            if not live & bit]
-        return root.copy_without_arcs(removed, reachable=reachable)
+        return root.copy_without_arcs(
+            [(states[state], labels[label]) for state in view.reachable
+             for label in self.out[state] if label not in view.adj[state]],
+            reachable={states[state] for state in view.reachable})
 
 
 #: One :class:`ReductionSpace` per root signature; each carries its

@@ -11,9 +11,9 @@ A reduced SG is valid when:
 
 :func:`check_validity` is the independent checker: it compares two
 materialized graphs and makes no assumption about how one was derived
-from the other.  The reduction search does not call it; FwdRed checks the
-conditions that can fail for an arc-removal on masks
-(:mod:`repro.reduction.fwdred`).
+from the other or how either spells its states.  The reduction
+search does not call it; FwdRed checks the conditions that can fail for
+an arc-removal on masks (:mod:`repro.reduction.fwdred`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..sg.graph import StateGraph
-from ..sg.properties import persistency_violations
+from ..sg.properties import PersistencyViolation, persistency_violations
 
 
 @dataclass(frozen=True)
@@ -37,50 +37,61 @@ class ValidityReport:
 
 
 def check_validity(original: StateGraph, reduced: StateGraph) -> ValidityReport:
-    """Run all Definition 5.1 checks of ``reduced`` against ``original``."""
+    """Run all Definition 5.1 checks of ``reduced`` against ``original``.
+
+    States are paired by one walk from both initial states
+    (:meth:`~repro.sg.graph.StateGraph.pair_states`), so the graphs may
+    name and number them differently, as decoded artifacts do.  A
+    reduced language outside the original one, or a state that does not
+    pair, refuses the reduction; the checks then run over the pairs.
+    """
+    known = set(persistency_violations(original))  # freezes the original
+    if original.initial_id is None or reduced.initial_id is None:
+        return ValidityReport(False, ("initial state changed",))
+    # (2b) the initial states' codes are equal
+    initial = ([] if original.packed[original.initial_id]
+               == reduced.packed[reduced.initial_id]
+               else ["initial state changed"])
+    order, paired, broken = original.pair_states(reduced)
+    if broken is not None:
+        return ValidityReport(False, tuple(initial + [broken]))
     reasons: List[str] = []
+    labels = reduced.labels()
 
     # (3) no events disappear
-    lost = original.live_labels() - reduced.live_labels()
+    lost = original.live_labels() - {labels[label] for state in order
+                                     for label in reduced.succ[state]}
     if lost:
         reasons.append(f"events disappeared: {sorted(lost)}")
 
-    original_succ = original._succ
-    reduced_succ = reduced._succ
-
     # (4) no new deadlocks
-    for state, out in reduced_succ.items():
-        if out:
-            continue
-        if original_succ.get(state):
-            reasons.append(f"new deadlock at state {state!r}")
+    for state in order:
+        if not reduced.succ[state] and original.succ[paired[state]]:
+            reasons.append(f"new deadlock at state {reduced.states[state]!r}")
             break
+    reasons += initial
 
-    # (2b) initial state preserved (arc removal keeps states, so the original
-    # initial state must still exist and be the initial state).
-    if reduced.initial != original.initial or reduced.initial not in reduced:
-        reasons.append("initial state changed")
-
-    # (2a) no input transition delayed: every state surviving reduction must
-    # enable the same input events it enabled originally.
-    is_input = original.is_input_label
-    for state, out in reduced_succ.items():
-        original_out = original_succ.get(state)
-        if original_out is None or original_out.keys() == out.keys():
-            continue
-        missing = [label for label in original_out
-                   if label not in out and is_input(label)]
+    # (2a) no input transition delayed: every reduced state enables the
+    # input events its original state enables.
+    names, is_input = original.labels(), original.is_input
+    for state in order:
+        enabled = {labels[label] for label in reduced.succ[state]}
+        missing = [names[label] for label in original.succ[paired[state]]
+                   if is_input[label] and names[label] not in enabled]
         if missing:
-            reasons.append(f"input events {sorted(missing)} delayed at {state!r}")
+            reasons.append(f"input events {sorted(missing)} delayed at "
+                           f"{reduced.states[state]!r}")
             break
 
     # (1) output persistency preserved: no *new* violations.
-    known = set(persistency_violations(original))
-    new_violations = [v for v in persistency_violations(reduced)
-                      if v not in known]
-    if new_violations:
-        v = new_violations[0]
-        reasons.append(f"persistency violated: {v.disabled} disabled by "
-                       f"{v.by} at {v.state!r}")
+    for violation in persistency_violations(reduced):
+        mate = paired[reduced.state_id[violation.state]]
+        if mate is not None and PersistencyViolation(
+                original.states[mate], violation.disabled,
+                violation.by) not in known:
+            reasons.append(f"persistency violated: {violation.disabled} "
+                           f"disabled by {violation.by} at "
+                           f"{violation.state!r}")
+            break
 
     return ValidityReport(valid=not reasons, reasons=tuple(reasons))

@@ -19,22 +19,22 @@ metered by one :class:`~repro.explore.ExplorationBudget`: the packed
 level-vectorized engine when the net fits single-bit markings, the
 incremental tuple engine otherwise.  A 2-phase run carries its signal
 values in the same state, as bits above the places of a packed row or
-as a tuple beside a tuple marking.  The run stays on ints until the
-graph is filled: codes come from a BFS over the run's index arcs, and
-each state's successor row is written once.
+as a tuple beside a tuple marking.  The graph adopts the run's
+numbering: each state's successor row is written once, on ints, and
+codes come packed from a BFS over the run's index arcs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..explore import (BudgetExceeded, ExplorationBudget, ExplorationRun,
                        explore_packed, explore_tuples, minimal_trace,
                        stubborn_reducer)
 from ..explore.frontier import Effect, GuardFailure
-from ..petri.net import PackedOverflowError, bit_tuple
+from ..petri.net import PackedOverflowError
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
-from .graph import State, StateGraph, StateGraphError
+from .graph import State, StateGraph, StateGraphError, pack_code
 
 DEFAULT_MAX_STATES = 200_000
 
@@ -153,17 +153,16 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
             + [names[transition]]) from None
 
     # Each state's arcs, in transition order: the graph's successor order.
-    out: List[List[Tuple[int, int]]] = [[] for _ in states]
+    # Labels were declared in transition order, so a transition is its
+    # label id.
+    out: List[Dict[int, int]] = [{} for _ in states]
     for source, transition, target in run.arcs:
-        out[source].append((transition, target))
+        out[source][transition] = target
     if has_toggle:
-        codes = [state[1] for state in states]
+        codes = [pack_code(values) for _, values in states]
     else:
-        codes = [bit_tuple(code, len(sg.signals))
-                 for code in _assign_codes(stg, sg.signals, out)]
-    sg.fill(states, [{names[t]: states[d] for t, d in row} for row in out],
-            codes)
-    return sg
+        codes = _assign_codes(stg, sg.signals, out)
+    return sg.adopt(states, out, codes)
 
 
 _NOT_PACKED = ("--stubborn (stubborn=True) needs the packed engine, but STG "
@@ -210,11 +209,11 @@ def _inconsistent(message: str, names: Sequence[str], parents: Sequence,
 
 
 def _assign_codes(stg: STG, signals: List[str],
-                  out: List[List[Tuple[int, int]]]) -> List[int]:
+                  out: List[Dict[int, int]]) -> List[int]:
     """Every run state's packed code, by one BFS over the run's arcs.
 
-    ``out[s]`` lists the ``(transition, target)`` arcs of state ``s`` in
-    the graph's successor order, so this BFS meets arcs as one over the
+    ``out[s]`` maps each transition enabled at state ``s`` to its target,
+    in the graph's successor order, so this BFS meets arcs as one over the
     graph would.  Every state is reachable from state 0, so a state's
     code is the initial code XOR the flips along any path to it; the BFS
     carries those flips as an int per state.  A signal's initial value is
@@ -240,7 +239,7 @@ def _assign_codes(stg: STG, signals: List[str],
     order = [0]
     for state in order:
         here = flips[state]
-        for transition, target in out[state]:
+        for transition, target in out[state].items():
             bit = bits[transition]
             if not known & bit:
                 known |= bit

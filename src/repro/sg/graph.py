@@ -5,43 +5,37 @@ labelled with a vector of binary signal values, arcs are labelled with the
 fired transition.  The SG is the model on which the paper performs
 concurrency reduction (Sections 5-6).  Like the paper's FwdRed and
 state-signal insertion, every transformation derives a *new* graph from
-its parent (:meth:`StateGraph.copy_without_arcs`,
-:mod:`repro.encoding.insertion`); no graph is edited after construction.
+its parent; no graph is edited after construction.
 
-States are opaque hashable objects (marking tuples when generated from an
-STG, strings when built by hand in tests).  Arc labels are transition names;
-``events`` maps each label to its :class:`~repro.petri.stg.SignalEvent`
-(dummy labels are not allowed in an SG used for synthesis).
+A graph is its dense integer numbering.  ``states`` holds the state names
+by id (marking tuples when generated, ints when decoded from a payload,
+strings when built by hand), ``succ[s]`` maps each label id enabled at
+state ``s`` to its target id (labels are numbered in ``events`` order,
+``label_id``), and ``packed[s]`` is the state's code as one integer, bit
+``i`` = signal ``i`` as in the logic minimizer, or None.  The analyses
+read these fields and the per-label tables (``is_input``, ``signal``,
+``rise``, ``fall``, ``excites``, ``classes``) and decode only the
+witnesses they report; the name views (:meth:`~StateGraph.successors`,
+:meth:`~StateGraph.predecessors`, :meth:`~StateGraph.arcs`, ``codes``
+and the like) are derived from the ids for printouts and tests.
 
 Freeze rule: a graph grows through :meth:`~StateGraph.declare_signal`,
 :meth:`~StateGraph.declare_event`, :meth:`~StateGraph.add_state`,
-:meth:`~StateGraph.add_arc`, :meth:`~StateGraph.fill` and ``initial``
-until the first derived view is read -- :meth:`~StateGraph.signature`,
-:meth:`~StateGraph.code_int`, :meth:`~StateGraph.live_labels`,
-:meth:`~StateGraph.index` or the predecessor map -- or
-:meth:`~StateGraph.freeze` is called.  From then on every builder call
-raises :class:`StateGraphError`, so each derived view is computed at
-most once and never goes stale.  Graphs from
-:meth:`~StateGraph.copy_without_arcs` are frozen from the start and build
-their own views.
-
-Binary codes are tuples (:meth:`code_of`, the read-only ``codes`` mapping)
-and packed integers where bit ``i`` is the value of signal ``i``
-(:meth:`code_int`), the same convention the logic minimizer uses for
-minterms.  The analyses (the property checks, function extraction, the
-reduction space, the insertion walk, the conformance product) read the
-graph through its one :class:`GraphIndex` (:meth:`StateGraph.index`), so
-a graph is closed to builder calls once anything has analysed it, and is
-numbered once however many analyses read it.
+:meth:`~StateGraph.add_arc` and ``initial`` until the first derived view
+is read (:meth:`~StateGraph.signature`, :meth:`~StateGraph.code_int`,
+:meth:`~StateGraph.live_labels`, the predecessors), an analysis reads it,
+or :meth:`~StateGraph.freeze` builds the per-label tables; from then on
+every builder call raises :class:`StateGraphError`, so no derived view
+goes stale.  A producer that numbers its own states hands the graph over
+whole (:meth:`~StateGraph.adopt`), frozen from the start.
 """
-
 from __future__ import annotations
 
-from collections import deque
 from types import MappingProxyType
-from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Set, Tuple)
 
+from ..petri.net import bit_tuple
 from ..petri.stg import Direction, SignalEvent, SignalKind
 
 State = Hashable
@@ -52,20 +46,16 @@ class StateGraphError(Exception):
     """Raised for invalid state-graph operations."""
 
 
-def _pack(code: Code) -> int:
+def pack_code(code: Sequence[int]) -> int:
     """A code tuple as one integer, bit ``i`` = signal ``i``."""
-    packed = 0
-    for i, value in enumerate(code):
-        if value:
-            packed |= 1 << i
-    return packed
+    return sum(1 << i for i, value in enumerate(code) if value)
 
 
 class StateGraph:
     """A finite, deterministic-by-construction labelled transition system.
 
-    Built incrementally, then frozen by the first derived read (see the
-    module docstring).
+    Built incrementally or adopted whole, then frozen (see the module
+    docstring).
     """
 
     def __init__(self, name: str = "sg") -> None:
@@ -73,27 +63,57 @@ class StateGraph:
         self.signals: List[str] = []
         self.kinds: Dict[str, SignalKind] = {}
         self.events: Dict[str, SignalEvent] = {}
-        self._initial: Optional[State] = None
-        self._succ: Dict[State, Dict[str, State]] = {}
-        self._pred_store: Optional[Dict[State, Set[Tuple[str, State]]]] = None
-        self._codes: Dict[State, Code] = {}
+        #: Each label's id: its position in ``events``.
+        self.label_id: Dict[str, int] = {}
+        #: State names by id.
+        self.states: List[State] = []
+        #: ``succ[s]`` is ``{label id: target id}`` for state ``s``.
+        self.succ: List[Dict[int, int]] = []
+        #: The packed code of every state by id, None where it has none.
+        self.packed: List[Optional[int]] = []
+        #: The initial state's id.
+        self.initial_id: Optional[int] = None
+        # Per label, built by freeze(): input or not, its code bit, that bit
+        # when it rises/falls, and its (signal, direction) class bit or 0.
+        self.is_input: List[bool] = []
+        self.signal: List[int] = []
+        self.rise: List[int] = []
+        self.fall: List[int] = []
+        self.excites: List[int] = []
+        self.classes: List[Tuple[str, str]] = []
         self._signal_pos: Dict[str, int] = {}
+        self._ids: Optional[Dict[State, int]] = {}
+        self._pred: Optional[List[List[Tuple[int, int]]]] = None
         self._signature: Optional[Tuple] = None
         self._live_labels: Optional[FrozenSet[str]] = None
-        self._index: Optional[GraphIndex] = None
         self._frozen = False
 
     # ------------------------------------------------------------------
     # construction (until frozen)
     # ------------------------------------------------------------------
     def freeze(self) -> "StateGraph":
-        """Close the graph to builder calls; returns ``self``.
+        """Close the graph to builder calls and build its per-label
+        tables; returns ``self``.
 
-        The first derived read freezes implicitly; memo tables keyed on the
-        graph object call this so a caller cannot change a graph after its
-        payload or digest was cached.
+        Every analysis and derived read calls this first; memo tables
+        keyed on the graph object call it so a caller cannot change a
+        graph after its payload or digest was cached.
         """
-        self._frozen = True
+        if not self._frozen:
+            self._frozen = True
+            events = list(self.events.values())
+            self.is_input = [self.kinds[event.signal] == SignalKind.INPUT
+                             for event in events]
+            self.signal = [self._signal_pos[event.signal] for event in events]
+            self.rise = [1 << bit if event.direction == Direction.RISE else 0
+                         for bit, event in zip(self.signal, events)]
+            self.fall = [1 << bit if event.direction == Direction.FALL else 0
+                         for bit, event in zip(self.signal, events)]
+            classes: Dict[Tuple[str, str], int] = {}
+            self.excites = [0 if is_input else 1 << classes.setdefault(
+                (event.signal, event.direction.value), len(classes))
+                for is_input, event in zip(self.is_input, events)]
+            self.classes = list(classes)
         return self
 
     def _check_open(self) -> None:
@@ -105,17 +125,28 @@ class StateGraph:
     @property
     def initial(self) -> Optional[State]:
         """The initial state (defaults to the first state added)."""
-        return self._initial
+        return None if self.initial_id is None else self.states[self.initial_id]
 
     @initial.setter
     def initial(self, state: Optional[State]) -> None:
         self._check_open()
-        self._initial = state
+        self.initial_id = None if state is None else self._id(state)
+
+    @property
+    def state_id(self) -> Dict[State, int]:
+        """Each state's id, by name (built on first read once adopted)."""
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = {state: i for i, state in enumerate(self.states)}
+        return ids
 
     @property
     def codes(self) -> Mapping[State, Code]:
         """Read-only ``{state: code}``; codes are written by :meth:`add_state`."""
-        return MappingProxyType(self._codes)
+        width, states = len(self.signals), self.states
+        return MappingProxyType({states[i]: bit_tuple(code, width)
+                                 for i, code in enumerate(self.packed)
+                                 if code is not None})
 
     def declare_signal(self, name: str, kind: SignalKind) -> None:
         """Register a signal; order defines the code bit positions."""
@@ -141,97 +172,121 @@ class StateGraph:
         existing = self.events.get(label)
         if existing is not None and existing != event:
             raise StateGraphError(f"label {label!r} redeclared with different event")
+        self.label_id.setdefault(label, len(self.label_id))
         self.events[label] = event
 
-    def add_state(self, state: State, code: Optional[Code] = None) -> None:
-        """Add a state (idempotent), optionally with (or rewriting) its code."""
-        if self._frozen:  # inlined guard: generation calls this per state
-            self._check_open()
-        if state not in self._succ:
-            self._succ[state] = {}
+    def add_state(self, state: State, code: Optional[Code] = None) -> int:
+        """Add a state (idempotent), optionally with (or rewriting) its
+        code; returns its id."""
+        self._check_open()
+        ids = self.state_id
+        sid = ids.get(state)
+        if sid is None:
+            sid = ids[state] = len(self.states)
+            self.states.append(state)
+            self.succ.append({})
+            self.packed.append(None)
+        if self.initial_id is None:
+            self.initial_id = sid
         if code is not None:
             if len(code) != len(self.signals):
                 raise StateGraphError("code length does not match signal count")
-            self._codes[state] = tuple(code)
-        if self._initial is None:
-            self._initial = state
+            self.packed[sid] = pack_code(code)
+        return sid
 
     def add_arc(self, source: State, label: str, target: State) -> None:
         """Add ``source --label--> target``; labels must be declared events."""
-        if self._frozen:
-            self._check_open()
-        if label not in self.events:
-            raise StateGraphError(f"undeclared event label {label!r}")
-        self.add_state(source)
-        self.add_state(target)
-        existing = self._succ[source].get(label)
-        if existing is not None and existing != target:
-            raise StateGraphError(
-                f"nondeterminism: {source!r} --{label}--> both {existing!r} and {target!r}")
-        self._succ[source][label] = target
-
-    def fill(self, states: Sequence[State],
-             rows: Iterable[Dict[str, State]], codes: Iterable[Code]) -> None:
-        """Add ``states`` with their whole successor rows and codes.
-
-        For a generator whose rows hold by construction what
-        :meth:`add_arc` checks -- declared labels, one target per label,
-        targets among ``states`` -- so nothing of it is checked here.
-        The first state becomes ``initial`` unless one is set.
-        """
         self._check_open()
-        self._succ.update(zip(states, rows))
-        self._codes.update(zip(states, codes))
-        if self._initial is None and states:
-            self._initial = states[0]
+        lid = self.label_id.get(label)
+        if lid is None:
+            raise StateGraphError(f"undeclared event label {label!r}")
+        row = self.succ[self.add_state(source)]
+        tid = self.add_state(target)
+        existing = row.get(lid)
+        if existing is not None and existing != tid:
+            raise StateGraphError(
+                f"nondeterminism: {source!r} --{label}--> both "
+                f"{self.states[existing]!r} and {target!r}")
+        row[lid] = tid
+
+    def adopt(self, states: List[State], succ: List[Dict[int, int]],
+              packed: List[Optional[int]],
+              initial: Optional[int] = 0) -> "StateGraph":
+        """Take the whole graph in ids, as its producer numbered it, and
+        freeze it; returns ``self``.  The lists are kept, not copied, and
+        must hold by construction what :meth:`add_arc` checks."""
+        self._check_open()
+        self.states, self.succ, self.packed = states, succ, packed
+        self.initial_id = initial if states else None
+        self._ids = None
+        return self.freeze()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def states(self) -> List[State]:
-        """Every state, in insertion order."""
-        return list(self._succ)
-
     def __len__(self) -> int:
-        return len(self._succ)
+        return len(self.states)
 
     def __contains__(self, state: State) -> bool:
-        return state in self._succ
+        return state in self.state_id
+
+    def _id(self, state: State) -> int:
+        try:
+            return self.state_id[state]
+        except KeyError:
+            raise StateGraphError(f"unknown state {state!r}") from None
 
     def successors(self, state: State) -> Dict[str, State]:
         """Outgoing arcs of a state as ``{label: target}``."""
-        if state not in self._succ:
-            raise StateGraphError(f"unknown state {state!r}")
-        return dict(self._succ[state])
+        labels, states = self.labels(), self.states
+        return {labels[label]: states[target]
+                for label, target in self.succ[self._id(state)].items()}
 
     def predecessors(self, state: State) -> Set[Tuple[str, State]]:
         """Incoming arcs of a state as ``{(label, source)}`` (freezes)."""
+        labels, states = self.labels(), self.states
+        return {(labels[label], states[source])
+                for label, source in self.in_arcs()[self._id(state)]}
+
+    def in_arcs(self) -> List[List[Tuple[int, int]]]:
+        """Every state's incoming ``(label id, source id)`` arcs, by id, in
+        arc order; built on the first read (which freezes the graph), as
+        most derived graphs are discarded before anything walks back."""
         pred = self._pred
-        if state not in pred:
-            raise StateGraphError(f"unknown state {state!r}")
-        return set(pred[state])
+        if pred is None:
+            self.freeze()
+            pred = [[] for _ in self.states]
+            for source, out in enumerate(self.succ):
+                for label, target in out.items():
+                    pred[target].append((label, source))
+            self._pred = pred
+        return pred
 
     def arcs(self) -> Iterator[Tuple[State, str, State]]:
         """Iterate over all arcs as (source, label, target)."""
-        for source, outgoing in self._succ.items():
-            for label, target in outgoing.items():
-                yield source, label, target
+        labels, states = self.labels(), self.states
+        for source, out in enumerate(self.succ):
+            for label, target in out.items():
+                yield states[source], labels[label], states[target]
 
     def arc_count(self) -> int:
         """Total number of labelled arcs."""
-        return sum(len(out) for out in self._succ.values())
+        return sum(map(len, self.succ))
 
     def enabled(self, state: State) -> List[str]:
         """Labels enabled at a state."""
-        return list(self._succ[state])
+        labels = self.labels()
+        return [labels[label] for label in self.succ[self._id(state)]]
 
     def target(self, state: State, label: str) -> Optional[State]:
         """The state reached by firing ``label``, or None if not enabled."""
-        return self._succ.get(state, {}).get(label)
+        sid = self.state_id.get(state)
+        target = None if sid is None else self.succ[sid].get(
+            self.label_id.get(label))
+        return None if target is None else self.states[target]
 
     def labels(self) -> List[str]:
-        """All declared arc labels."""
+        """All declared arc labels, by id."""
         return list(self.events)
 
     def labels_of_signal(self, signal: str) -> List[str]:
@@ -244,10 +299,10 @@ class StateGraph:
 
     def code_of(self, state: State) -> Code:
         """The binary code tuple of ``state``."""
-        try:
-            return self._codes[state]
-        except KeyError:
-            raise StateGraphError(f"state {state!r} has no binary code") from None
+        code = self.packed[self._id(state)]
+        if code is None:
+            raise StateGraphError(f"state {state!r} has no binary code")
+        return bit_tuple(code, len(self.signals))
 
     def value_of(self, state: State, signal: str) -> int:
         """The value of ``signal`` in ``state``."""
@@ -260,56 +315,33 @@ class StateGraph:
         except KeyError:
             raise StateGraphError(f"undeclared signal {signal!r}") from None
 
+    @property
+    def code_ints(self) -> List[int]:
+        """Every state's packed code, by id; raises :class:`StateGraphError`
+        when a state has none (FwdRed runs on graphs without codes)."""
+        packed = self.packed
+        if None in packed:
+            raise StateGraphError(f"state {self.states[packed.index(None)]!r} "
+                                  "has no binary code")
+        return packed
+
     # ------------------------------------------------------------------
     # derived views: each freezes the graph and is computed at most once
     # ------------------------------------------------------------------
-    @property
-    def _pred(self) -> Dict[State, Set[Tuple[str, State]]]:
-        """Predecessor map, built on the first backward query.
-
-        Reduction candidates are built by the thousands and most are
-        discarded before anything ever walks backwards, so no graph pays
-        for this up front.
-        """
-        pred = self._pred_store
-        if pred is None:
-            self._frozen = True
-            pred = {state: set() for state in self._succ}
-            for state, out in self._succ.items():
-                for label, target in out.items():
-                    pred[target].add((label, state))
-            self._pred_store = pred
-        return pred
-
     def live_labels(self) -> FrozenSet[str]:
         """Labels appearing on at least one arc (events with a non-empty ER)."""
         live = self._live_labels
         if live is None:
-            self._frozen = True
-            live = frozenset(label for out in self._succ.values()
-                             for label in out)
+            self.freeze()
+            live = frozenset(map(self.labels().__getitem__,
+                                 set().union(*self.succ)))
             self._live_labels = live
         return live
 
     def code_int(self, state: State) -> int:
-        """The state's binary code packed into one integer (bit i = signal i).
-
-        :meth:`index` packs every state's code at once for the analyses.
-        """
-        self._frozen = True
-        return _pack(self.code_of(state))
-
-    def index(self) -> "GraphIndex":
-        """The graph in dense ints (:class:`GraphIndex`), built once.
-
-        Not handed to :meth:`copy_without_arcs` children, and not part of
-        :meth:`signature` or the graph's payload.
-        """
-        index = self._index
-        if index is None:
-            self._frozen = True
-            index = self._index = GraphIndex(self)
-        return index
+        """The state's binary code packed into one integer (bit i = signal i)."""
+        self.freeze()
+        return pack_code(self.code_of(state))
 
     def signature(self) -> Tuple:
         """Hashable identity of the graph.
@@ -317,157 +349,127 @@ class StateGraph:
         Covers everything the analyses depend on -- the arc set, the
         initial state, signal declarations and the binary codes -- so two
         graphs with equal signatures are interchangeable for cost
-        evaluation and reduction.  It keys the in-process reduction-space
-        memo exactly, state spelling included; the content name that
-        crosses processes is :func:`repro.pipeline.hashing.graph_digest`.
+        evaluation and reduction, whatever their state order.  It keys
+        the in-process reduction-space memo exactly, state spelling
+        included; the content name that crosses processes is
+        :func:`repro.pipeline.hashing.graph_digest`.
         """
         if self._signature is None:
-            self._frozen = True
+            self.freeze()
+            states = self.states
             self._signature = (
                 frozenset(self.arcs()),
-                self._initial,
+                self.initial,
                 tuple((signal, self.kinds[signal]) for signal in self.signals),
-                frozenset(self._codes.items()),
+                frozenset((states[i], code)
+                          for i, code in enumerate(self.packed)
+                          if code is not None),
             )
         return self._signature
 
+    def pair_states(self, other: "StateGraph"
+                    ) -> Tuple[List[int], List[Optional[int]], Optional[str]]:
+        """``other``'s states paired with this graph's by one walk from
+        both initial states (an SG fires each label at most once per
+        state): the ids of ``other`` reached, in BFS order, the paired id
+        of each (None where unreached), and why the pairing failed -- an
+        arc the paired state lacks, or a state reached as two -- or None.
+        """
+        labels, label_id = other.labels(), self.label_id
+        paired: List[Optional[int]] = [None] * len(other)
+        paired[other.initial_id] = self.initial_id
+        order = [other.initial_id]
+        for state in order:  # grows as the walk reaches states
+            here = self.succ[paired[state]]
+            for label, target in other.succ[state].items():
+                mate = here.get(label_id.get(labels[label]))
+                if mate is None:
+                    return order, paired, (
+                        f"language not contained: {labels[label]} fires at "
+                        f"{other.states[state]!r}, not at "
+                        f"{self.states[paired[state]]!r}")
+                if paired[target] is None:
+                    paired[target] = mate
+                    order.append(target)
+                elif paired[target] != mate:
+                    return order, paired, (
+                        f"states do not pair: {other.states[target]!r} is "
+                        f"{self.states[paired[target]]!r} and "
+                        f"{self.states[mate]!r}")
+        return order, paired, None
+
     # ------------------------------------------------------------------
-    # reachability
+    # derivation
     # ------------------------------------------------------------------
+    def subgraph(self, keep: Sequence[int], rows: Sequence[Dict[int, int]],
+                 name: Optional[str] = None) -> "StateGraph":
+        """Frozen graph of the states ``keep`` (ids, numbered in that
+        order) with the same declarations; ``rows[s]`` is kept state
+        ``s``'s ``{label id: target id}`` row, its targets in ``keep``."""
+        clone = StateGraph(name or self.name)
+        for signal in self.signals:
+            clone.declare_signal(signal, self.kinds[signal])
+        for label, event in self.events.items():
+            clone.declare_event(label, event)
+        renumber = {state: i for i, state in enumerate(keep)}
+        states, packed = self.states, self.packed
+        return clone.adopt(
+            [states[state] for state in keep],
+            [{label: renumber[target] for label, target in rows[state].items()}
+             for state in keep],
+            [packed[state] for state in keep], renumber.get(self.initial_id))
+
     def copy_without_arcs(self, removed_arcs: Iterable[Tuple[State, str]],
                           name: Optional[str] = None,
                           reachable: Optional[Set[State]] = None) -> "StateGraph":
-        """Frozen copy of the reachable part of the graph minus the given arcs.
-
-        Built in one forward pass, which is what the reduction engine does
-        for every candidate it generates.  ``reachable`` may supply the
-        post-removal reachable set when the caller has already computed it
-        (states keep their declaration order); otherwise it is discovered by
-        BFS from the initial state.
+        """Frozen copy of the reachable part of the graph minus the given
+        arcs, states in declaration order.  ``reachable`` may supply the
+        post-removal reachable set when the caller has already computed
+        it; otherwise it is discovered from the initial state.
         """
-        dropped: Dict[State, Set[str]] = {}
-        for state, label in removed_arcs:
-            dropped.setdefault(state, set()).add(label)
-        clone = StateGraph(name or self.name)
-        clone.signals = list(self.signals)
-        clone.kinds = dict(self.kinds)
-        clone.events = dict(self.events)
-        clone._signal_pos = dict(self._signal_pos)
-        clone._frozen = True
-        initial = self._initial
-        if initial is None:
-            return clone
-        succ = self._succ
-        codes = self._codes
-        new_succ = clone._succ
+        ids, label_id = self.state_id, self.label_id
+        dropped = {(ids.get(state), label_id.get(label))
+                   for state, label in removed_arcs}
+        rows = [{label: target for label, target in out.items()
+                 if (state, label) not in dropped}
+                for state, out in enumerate(self.succ)]
         if reachable is not None:
-            for state in succ:
-                if state not in reachable:
-                    continue
-                bad = dropped.get(state)
-                new_succ[state] = {
-                    label: target for label, target in succ[state].items()
-                    if bad is None or label not in bad}
+            reached = {ids[state] for state in reachable}
         else:
-            queue = deque([initial])
-            new_succ[initial] = {}
-            while queue:
-                state = queue.popleft()
-                bad = dropped.get(state)
-                out = {label: target for label, target in succ[state].items()
-                       if bad is None or label not in bad}
-                new_succ[state] = out
-                for target in out.values():
-                    if target not in new_succ:
-                        new_succ[target] = {}
-                        queue.append(target)
-        clone._initial = initial
-        code_map = clone._codes
-        for state in new_succ:
-            code = codes.get(state)
-            if code is not None:
-                code_map[state] = code
-        return clone
+            reached = set() if self.initial_id is None else {self.initial_id}
+            stack = list(reached)
+            while stack:
+                for target in rows[stack.pop()].values():
+                    if target not in reached:
+                        reached.add(target)
+                        stack.append(target)
+        return self.subgraph(sorted(reached), rows, name)
 
     # ------------------------------------------------------------------
     # utilities
     # ------------------------------------------------------------------
     def code_string(self, state: State) -> str:
         """Human-readable code with ``*`` marking excited signals (as in Fig. 1d)."""
-        code = self.code_of(state)
-        enabled_signals = {self.events[label].signal for label in self._succ[state]}
-        parts = []
-        for signal, value in zip(self.signals, code):
-            parts.append(f"{value}*" if signal in enabled_signals else str(value))
-        return "".join(parts)
+        excited = {self.events[label].signal for label in self.enabled(state)}
+        return "".join(f"{value}*" if signal in excited else str(value)
+                       for signal, value in zip(self.signals, self.code_of(state)))
 
     def to_dot(self) -> str:
         """GraphViz rendering for debugging and documentation."""
         lines = [f'digraph "{self.name}" {{', '  node [shape=box];']
-        ids = self.index().state_id
-        for state, sid in ids.items():
-            label = self.code_string(state) if state in self.codes else str(state)
-            shape = ' peripheries=2' if state == self.initial else ''
+        for sid, state in enumerate(self.states):
+            label = (str(state) if self.packed[sid] is None
+                     else self.code_string(state))
+            shape = ' peripheries=2' if sid == self.initial_id else ''
             lines.append(f'  s{sid} [label="{label}"{shape}];')
-        for source, label, target in self.arcs():
-            lines.append(f'  s{ids[source]} -> s{ids[target]} [label="{label}"];')
+        labels = self.labels()
+        for source, out in enumerate(self.succ):
+            for label, target in out.items():
+                lines.append(f'  s{source} -> s{target} '
+                             f'[label="{labels[label]}"];')
         lines.append("}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"StateGraph({self.name!r}, |S|={len(self._succ)}, "
+        return (f"StateGraph({self.name!r}, |S|={len(self.states)}, "
                 f"|A|={self.arc_count()})")
-
-
-class GraphIndex:
-    """One frozen graph in dense ints, read by every analysis of it.
-
-    States are numbered in ``succ`` order, labels in ``events`` order;
-    ``initial`` is the initial state's id.  ``succ[s]`` maps each label id
-    enabled at ``s`` to its target id; read in state order, these arcs are
-    numbered ``0, 1, ...``.  Per label: ``is_input``, ``signal`` (its code
-    bit position), ``rise``/``fall`` (that bit when it rises/falls, else 0)
-    and ``excites`` (0 for an input, else the bit of its ``(signal,
-    direction)`` class in ``classes``).  ``codes`` -- packed, by state id --
-    is built on first read and raises :class:`StateGraphError` for a state
-    without a code, since FwdRed runs on graphs without codes.
-    """
-
-    def __init__(self, sg: StateGraph) -> None:
-        succ = sg._succ
-        self.states = list(succ)
-        ids = self.state_id = {state: i for i, state in enumerate(self.states)}
-        self.initial = ids.get(sg.initial)
-        self.labels = list(sg.events)
-        label_id = self.label_id = {label: i
-                                    for i, label in enumerate(self.labels)}
-        self.succ = [{label_id[label]: ids[target]
-                      for label, target in out.items()}
-                     for out in succ.values()]
-        events = list(sg.events.values())
-        self.is_input = [sg.is_input_label(label) for label in self.labels]
-        self.signal = [sg.signal_index(event.signal) for event in events]
-        self.rise = [1 << bit if event.direction == Direction.RISE else 0
-                     for bit, event in zip(self.signal, events)]
-        self.fall = [1 << bit if event.direction == Direction.FALL else 0
-                     for bit, event in zip(self.signal, events)]
-        classes: Dict[Tuple[str, str], int] = {}
-        self.excites = [0 if is_input else 1 << classes.setdefault(
-            (event.signal, event.direction.value), len(classes))
-            for is_input, event in zip(self.is_input, events)]
-        self.classes = list(classes)
-        # The graph's code map, not the graph: no reference cycle.
-        self._tuples = sg._codes
-        self._codes: Optional[List[int]] = None
-
-    @property
-    def codes(self) -> List[int]:
-        """The packed code of every state, by state id."""
-        if self._codes is None:
-            try:
-                self._codes = [_pack(self._tuples[state])
-                               for state in self.states]
-            except KeyError as missing:
-                raise StateGraphError(f"state {missing.args[0]!r} has no "
-                                      f"binary code") from None
-        return self._codes

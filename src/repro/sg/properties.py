@@ -8,8 +8,8 @@ Section 2 of the paper requires, beyond consistency:
 
 Each predicate has a companion ``*_violations`` function that returns
 witnesses, which the validity checker and the test suite both use.  The
-checks walk the graph's :class:`~repro.sg.graph.GraphIndex` and decode
-only the witnesses they return.  The coding verdicts are counted, not
+checks walk the graph's integer rows and packed codes and decode only the
+witnesses they return.  The coding verdicts are counted, not
 listed: :func:`coding_counts` takes one pass over the code buckets, and
 the witness lists (:func:`csc_conflicts`, :func:`usc_conflicts`),
 quadratic in bucket size, are built only on demand.
@@ -24,7 +24,7 @@ from operator import and_, or_
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
-from .graph import GraphIndex, State, StateGraph, StateGraphError
+from .graph import State, StateGraph, StateGraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..explore.budget import ExplorationBudget
@@ -50,18 +50,17 @@ def consistency_violations(sg: StateGraph) -> List[ConsistencyViolation]:
     state codes instead of a per-signal sweep.
     """
     violations = []
-    index = sg.index()
-    codes = index.codes  # raises StateGraphError on a state without a code
-    states, labels, signals = index.states, index.labels, sg.signals
-    for source, out in enumerate(index.succ):
+    codes = sg.freeze().code_ints  # raises on a state without a code
+    states, labels, signals = sg.states, sg.labels(), sg.signals
+    for source, out in enumerate(sg.succ):
         src = codes[source]
         for label, target in out.items():
             dst = codes[target]
-            k = index.signal[label]
+            k = sg.signal[label]
             bit = 1 << k
-            if index.rise[label]:
+            if sg.rise[label]:
                 ok = not src & bit and dst & bit
-            elif index.fall[label]:
+            elif sg.fall[label]:
                 ok = src & bit and not dst & bit
             else:
                 ok = (src ^ dst) & bit
@@ -102,8 +101,8 @@ class CommutativityViolation:
 def commutativity_violations(sg: StateGraph) -> List[CommutativityViolation]:
     """States where two events fire in both orders to different states."""
     violations = []
-    index = sg.index()
-    states, labels, succ = index.states, index.labels, index.succ
+    sg.freeze()
+    states, labels, succ = sg.states, sg.labels(), sg.succ
     for state, out in enumerate(succ):
         if len(out) < 2:
             continue
@@ -144,9 +143,9 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     mind), never by an output or internal event.
     """
     violations = []
-    index = sg.index()
-    states, labels = index.states, index.labels
-    succ, is_input = index.succ, index.is_input
+    sg.freeze()
+    states, labels = sg.states, sg.labels()
+    succ, is_input = sg.succ, sg.is_input
     for state, out in enumerate(succ):
         if len(out) < 2:
             continue
@@ -176,30 +175,30 @@ class CSCConflict:
     excited_b: frozenset = frozenset()
 
 
-def _shared_codes(index: GraphIndex) -> Iterator[Tuple[int, List[int],
-                                                     List[int]]]:
+def _shared_codes(sg: StateGraph) -> Iterator[Tuple[int, List[int],
+                                                   List[int]]]:
     """Each packed code shared by two or more states: the code, its state
     ids (ascending) and their non-input excitation masks, OR-ed
-    ``index.excites`` bits.
+    ``sg.excites`` bits.
 
     Excitation is computed only for these states, so a graph with unique
     codes costs one pass over its states.  Raises on a state without a
     code.
     """
     by_code: Dict[int, List[int]] = {}
-    for state, code in enumerate(index.codes):
+    for state, code in enumerate(sg.freeze().code_ints):
         by_code.setdefault(code, []).append(state)
-    succ, excited = index.succ, index.excites.__getitem__
+    succ, excited = sg.succ, sg.excites.__getitem__
     for code, ids in by_code.items():
         if len(ids) > 1:
             yield code, ids, [reduce(or_, map(excited, succ[state]), 0)
                               for state in ids]
 
 
-def _excitation_sets(index: GraphIndex, masks: Iterable[int]
+def _excitation_sets(sg: StateGraph, masks: Iterable[int]
                     ) -> List[frozenset]:
     """Excitation masks decoded to sets of ``(signal, direction)``."""
-    classes = index.classes
+    classes = sg.classes
     return [frozenset(member for i, member in enumerate(classes)
                       if mask >> i & 1) for mask in masks]
 
@@ -229,7 +228,7 @@ def coding_counts(sg: StateGraph) -> Tuple[int, int]:
     """
     keys: List[int] = []
     excited: List[int] = []
-    for code, ids, masks in _shared_codes(sg.index()):
+    for code, ids, masks in _shared_codes(sg):
         keys += [code] * len(ids)
         excited += masks
     return conflict_pairs(keys, excited)
@@ -243,10 +242,9 @@ def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     verdict or a count needs only :func:`coding_counts`.
     """
     conflicts = []
-    index = sg.index()
-    for _, ids, masks in _shared_codes(index):
-        states = [index.states[state] for state in ids]
-        excited = _excitation_sets(index, masks)
+    for _, ids, masks in _shared_codes(sg):
+        states = [sg.states[state] for state in ids]
+        excited = _excitation_sets(sg, masks)
         code_tuple = sg.code_of(states[0])
         for i, state_a in enumerate(states):
             for j in range(i + 1, len(states)):
@@ -262,9 +260,8 @@ def usc_conflicts(sg: StateGraph) -> List[Tuple[State, State]]:
 
     Like :func:`csc_conflicts`, a witness list quadratic in bucket size.
     """
-    index = sg.index()
-    return [(index.states[a], index.states[b])
-            for _, ids, _ in _shared_codes(index)
+    return [(sg.states[a], sg.states[b])
+            for _, ids, _ in _shared_codes(sg)
             for i, a in enumerate(ids) for b in ids[i + 1:]]
 
 
@@ -272,16 +269,15 @@ def csc_conflicting_signals(sg: StateGraph) -> Set[str]:
     """Signals whose excitation differs in at least one CSC conflict pair:
     per shared code, those excited in some of its states but not in all,
     so no pair is listed."""
-    index = sg.index()
     differ = 0
-    for _, _, masks in _shared_codes(index):
+    for _, _, masks in _shared_codes(sg):
         differ |= reduce(or_, masks) & ~reduce(and_, masks)
-    return {signal for signal, _ in _excitation_sets(index, [differ])[0]}
+    return {signal for signal, _ in _excitation_sets(sg, [differ])[0]}
 
 
 def deadlock_states(sg: StateGraph) -> List[State]:
     """States with no outgoing arcs."""
-    return [state for state in sg.states if not sg.enabled(state)]
+    return [sg.states[state] for state, out in enumerate(sg.succ) if not out]
 
 
 @dataclass

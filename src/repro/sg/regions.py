@@ -20,22 +20,18 @@ def excitation_region(sg: StateGraph, label: str) -> Set[State]:
     return the full set (the reduction operates on the full set of the
     given transition instance, which is connected in practice).
     """
-    return {state for state, out in sg._succ.items() if label in out}
+    label_id = sg.label_id.get(label)
+    return {sg.states[state] for state, out in enumerate(sg.succ)
+            if label_id in out}
 
 
 def quiescent_region(sg: StateGraph, signal: str, value: int) -> Set[State]:
     """States where ``signal`` is stable at ``value`` (no transition enabled)."""
-    index = sg.signal_index(signal)
-    labels = sg.labels_of_signal(signal)
-    bit = 1 << index
-    region = set()
-    for state, out in sg._succ.items():
-        if bool(sg.code_int(state) & bit) != bool(value):
-            continue
-        if any(label in out for label in labels):
-            continue
-        region.add(state)
-    return region
+    bit = 1 << sg.signal_index(signal)
+    labels = {sg.label_id[label] for label in sg.labels_of_signal(signal)}
+    return {state for state, out in zip(sg.states, sg.succ)
+            if bool(sg.code_int(state) & bit) == bool(value)
+            and labels.isdisjoint(out)}
 
 
 def minimal_states(sg: StateGraph, region: Set[State]) -> Set[State]:
@@ -46,17 +42,18 @@ def minimal_states(sg: StateGraph, region: Set[State]) -> Set[State]:
 
 def are_concurrent(sg: StateGraph, label_a: str, label_b: str) -> bool:
     """Definition 2.1: a diamond on ``label_a``/``label_b`` exists in the SG."""
-    if label_a == label_b:
+    a, b = sg.label_id.get(label_a), sg.label_id.get(label_b)
+    if a is None or b is None or a == b:
         return False
-    succ = sg._succ
-    for out in succ.values():
-        via_a = out.get(label_a)
+    succ = sg.succ
+    for out in succ:
+        via_a = out.get(a)
         if via_a is None:
             continue
-        via_b = out.get(label_b)
+        via_b = out.get(b)
         if via_b is None:
             continue
-        end = succ[via_a].get(label_b)
-        if end is not None and succ[via_b].get(label_a) == end:
+        end = succ[via_a].get(b)
+        if end is not None and succ[via_b].get(a) == end:
             return True
     return False

@@ -232,29 +232,17 @@ def _prune(sg: StateGraph, pre_of: Dict[str, List[Region]],
 def verify_resynthesis(sg: StateGraph, stg: STG) -> bool:
     """Check the derived STG's reachability graph is isomorphic to the SG.
 
-    Isomorphism is checked up to state identity via simultaneous BFS on the
-    (deterministic) labelled graphs.
+    Isomorphism is checked up to state identity by pairing the states of
+    the (deterministic) labelled graphs in one simultaneous walk
+    (:meth:`~repro.sg.graph.StateGraph.pair_states`); paired states must
+    enable the same events.
     """
     from .generator import generate_sg
 
     derived = generate_sg(stg)
-    if len(derived) != len(sg):
+    if len(derived) != len(sg) or sg.initial_id is None:
         return False
-    pairing: Dict[State, State] = {derived.initial: sg.initial}
-    queue = [derived.initial]
-    while queue:
-        d_state = queue.pop()
-        s_state = pairing[d_state]
-        d_succ = derived.successors(d_state)
-        s_succ = sg.successors(s_state)
-        if set(d_succ) != set(s_succ):
-            return False
-        for label, d_next in d_succ.items():
-            s_next = s_succ[label]
-            if d_next in pairing:
-                if pairing[d_next] != s_next:
-                    return False
-            else:
-                pairing[d_next] = s_next
-                queue.append(d_next)
-    return True
+    order, paired, broken = sg.pair_states(derived)
+    return broken is None and all(
+        len(derived.succ[state]) == len(sg.succ[paired[state]])
+        for state in order)

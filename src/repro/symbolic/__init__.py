@@ -14,13 +14,15 @@ from .bdd import FALSE, TRUE, BDD
 from .csc import (DEFAULT_WITNESS_LIMIT, CodingReport, canonical_conflict,
                   canonical_pair, check_coding_symbolic, sort_conflicts,
                   sort_pairs)
-from .encode import (SymbolicEncoding, SymbolicEncodingError,
-                     SymbolicOverflowError, SymbolicTransition, encode_stg)
+from .encode import (SymbolicDepthError, SymbolicEncoding,
+                     SymbolicEncodingError, SymbolicOverflowError,
+                     SymbolicTransition, encode_stg)
 from .reach import SymbolicReachability, symbolic_reach
 
 __all__ = [
     "BDD", "FALSE", "TRUE",
-    "SymbolicEncoding", "SymbolicEncodingError", "SymbolicOverflowError",
+    "SymbolicDepthError", "SymbolicEncoding", "SymbolicEncodingError",
+    "SymbolicOverflowError",
     "SymbolicTransition", "encode_stg",
     "SymbolicReachability", "symbolic_reach",
     "DEFAULT_WITNESS_LIMIT", "CodingReport", "canonical_conflict",

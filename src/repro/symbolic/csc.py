@@ -229,8 +229,9 @@ def check_coding_symbolic(stg: STG,
     ``budget``.  Either way the run's budget meter keeps charging BDD
     nodes and seconds through the pair product.  Raises
     :class:`~repro.explore.budget.BudgetExceeded` /
-    :class:`~repro.symbolic.encode.SymbolicEncodingError` like
-    :func:`~repro.symbolic.reach.symbolic_reach`.
+    :class:`~repro.symbolic.encode.SymbolicEncodingError` (its
+    ``SymbolicDepthError`` naming this stage when the pair product
+    recurses too deep) like :func:`~repro.symbolic.reach.symbolic_reach`.
     """
     if run is None:
         encoding = encode_stg(stg, name=name)
@@ -239,7 +240,7 @@ def check_coding_symbolic(stg: STG,
         encoding = run.encoding
     bdd = encoding.bdd
     with obs_span("symbolic:coding", spec=encoding.name) as check_span, \
-            metered(bdd, run.meter):
+            metered(bdd, run.meter, "symbolic coding check", encoding.name):
         consistent = _consistency(encoding, run.reached, run.state_count)
         usc_relation, csc_relation = _pair_products(encoding, run.reached)
         pair_count_vars = tuple(sorted(

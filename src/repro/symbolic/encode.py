@@ -65,6 +65,7 @@ from ..petri.stg import STG, Direction, SignalEvent, SignalKind
 from .bdd import BDD, CLEAR, FLIP, PUT, READ, SET, TAKE
 
 __all__ = ["SymbolicEncodingError", "SymbolicOverflowError",
+           "SymbolicDepthError",
            "SymbolicTransition", "SymbolicEncoding", "encode_stg"]
 
 
@@ -81,6 +82,16 @@ class SymbolicOverflowError(SymbolicEncodingError):
     detects the violation the moment some reachable state enables a
     transition whose firing would stack a second token.
     """
+
+
+class SymbolicDepthError(SymbolicEncodingError):
+    """A BDD operation, recursing once per variable level, ran out of
+    Python stack in ``stage`` on ``variables`` BDD variables."""
+
+    def __init__(self, stage: str, name: str, variables: int) -> None:
+        super().__init__(f"{stage} of {name!r} recursed deeper than the "
+                         f"interpreter allows ({variables} BDD variables)")
+        self.stage, self.variables = stage, variables
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ from ..obs import progress as obs_progress
 from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
 from .bdd import BDD, GuardError
-from .encode import SymbolicEncoding, SymbolicOverflowError
+from .encode import (SymbolicDepthError, SymbolicEncoding,
+                     SymbolicOverflowError)
 
 __all__ = ["SymbolicReachability", "symbolic_reach"]
 
@@ -87,11 +88,13 @@ class SymbolicReachability:
 
 
 @contextmanager
-def metered(bdd: BDD, meter: BudgetMeter) -> Iterator[None]:
+def metered(bdd: BDD, meter: BudgetMeter, stage: str,
+            name: str) -> Iterator[None]:
     """Charge every node ``bdd`` allocates in the block to ``meter``.
 
     The grow hook also reads the clock, so a node-hungry step that never
-    reaches a round boundary still trips ``max_seconds``.
+    reaches a round boundary still trips ``max_seconds``.  Too deep a
+    recursion raises :class:`~repro.symbolic.encode.SymbolicDepthError`.
     """
     limit = meter.budget.max_nodes
 
@@ -106,6 +109,8 @@ def metered(bdd: BDD, meter: BudgetMeter) -> Iterator[None]:
     bdd.on_grow = charge
     try:
         yield
+    except RecursionError:
+        raise SymbolicDepthError(stage, name, bdd.num_vars) from None
     finally:
         bdd.on_grow = None
 
@@ -140,9 +145,10 @@ def symbolic_reach(encoding: SymbolicEncoding,
     """Compute the reachable states of an encoded STG.
 
     Raises :class:`~repro.explore.budget.BudgetExceeded` (resource
-    ``"nodes"`` or ``"seconds"``) when the budget runs out and
+    ``"nodes"`` or ``"seconds"``) when the budget runs out,
     :class:`~repro.symbolic.encode.SymbolicOverflowError` when the net
-    leaves the 1-safe regime.
+    leaves the 1-safe regime and ``SymbolicDepthError`` when its BDD
+    variables are too many for the recursion.
     """
     bdd = encoding.bdd
     meter = (budget or _UNBOUNDED).meter()
@@ -155,7 +161,8 @@ def symbolic_reach(encoding: SymbolicEncoding,
 
     transitions = encoding.transitions
     with obs_span("symbolic:saturate", engine="symbolic",
-                  spec=encoding.name) as saturate_span, metered(bdd, meter):
+                  spec=encoding.name) as saturate_span, \
+            metered(bdd, meter, "symbolic reachability", encoding.name):
         try:
             reached, counts = bdd.saturate(
                 encoding.initial, [t.plan for t in transitions], on_round)
@@ -165,7 +172,7 @@ def symbolic_reach(encoding: SymbolicEncoding,
                 "regime") from None
         if saturate_span is not None:
             saturate_span.set(bdd_nodes=bdd.node_count, **counts)
-    state_count = bdd.count(reached, encoding.state_vars)
+        state_count = bdd.count(reached, encoding.state_vars)
     _record_run(counts["rounds"], bdd.node_count, state_count)
     return SymbolicReachability(
         encoding=encoding, reached=reached, state_count=state_count,

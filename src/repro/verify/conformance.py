@@ -96,8 +96,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     """
     started = time.perf_counter()
     report_name = name or netlist.name
-    index = spec.index()
-    succ = index.succ
+    succ = spec.freeze().succ
     spec_states = len(succ)
     spec_arcs = sum(len(out) for out in succ)
 
@@ -131,8 +130,8 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     if spec.initial is None:
         return report("non-conforming", "specification has no initial state",
                       [], {}, sim=sim)
-    codes = index.codes
-    initial_code = codes[index.initial]
+    codes = spec.code_ints
+    initial_code = codes[spec.initial_id]
     pinned = {signal: (initial_code >> i) & 1
               for i, signal in enumerate(signals)}
     try:
@@ -141,7 +140,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
         return report("non-conforming", str(exc), [], {}, sim=sim)
 
     net_of_signal = [sim.net_index[s] for s in signals]
-    labels, is_input, event_signal = index.labels, index.is_input, index.signal
+    labels, is_input, event_signal = spec.labels(), spec.is_input, spec.signal
     # A move's code is its spec label id, or past the labels an internal
     # net's node id: the label fixes the signal and so the firing node.
     net_move = len(labels)
@@ -210,9 +209,9 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                 for label in ordered:
                     if is_input[label] or event_signal[label] != sigidx:
                         continue
-                    if index.rise[label] and new_bit != 1:
+                    if spec.rise[label] and new_bit != 1:
                         continue
-                    if index.fall[label] and new_bit != 0:
+                    if spec.fall[label] and new_bit != 0:
                         continue
                     matching.append(label)
                 if not matching:
@@ -287,7 +286,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     if budget is None:
         budget = ExplorationBudget(max_states=max_states)
     try:
-        run = explore_levels("product", (initial_values, index.initial),
+        run = explore_levels("product", (initial_values, spec.initial_id),
                              expand, budget)
     except _Failure as failure:
         return walked(failure.verdict, failure.reason,

@@ -293,7 +293,7 @@ def _oracle_walk(root, expansions, cost=None):
 
 def _as_config(space, graph):
     """``graph``, a subgraph of ``space``'s root, as a :class:`Config`."""
-    ids, out = space.index.state_id, space.out
+    ids, out = space.sg.state_id, space.out
     mask = reach = 0
     for state in graph.states:
         reach |= 1 << ids[state]

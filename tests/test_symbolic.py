@@ -27,9 +27,11 @@ from repro.specs.families import (arbiter_tree, counter, fifo_chain,
                                   load_family, micropipeline_chain)
 from repro.specs.generate import generate_spec, spec_seed
 from repro.specs.registry import load_spec, spec_names
-from repro.symbolic import (FALSE, TRUE, BDD, SymbolicEncodingError,
-                            SymbolicOverflowError, check_coding_symbolic,
-                            encode_stg, symbolic_reach)
+from repro.cli import main
+from repro.sg.properties import check_coding
+from repro.symbolic import (FALSE, TRUE, BDD, SymbolicDepthError,
+                            SymbolicEncodingError, SymbolicOverflowError,
+                            check_coding_symbolic, encode_stg, symbolic_reach)
 from repro.symbolic.bdd import (CLEAR, FLIP, PUT, READ, SET, TAKE,
                                 GuardError)
 from symbolic_oracle import (composed_image, diff, fire, ite, plan_image,
@@ -390,6 +392,33 @@ class TestCodingReports:
         assert report.truncated
         assert report.usc_pairs == [] and report.conflicts == []
         assert report.usc_pair_count > 3
+
+
+class TestDepthRefusal:
+    """A net too deep for the BDD recursion is refused with a structured
+    error naming the stage and the variable count, never a traceback.
+    Reachability of ``fifo_chain_80`` already recurses too deep; that of
+    ``fifo_chain_55`` completes and its pair product does not."""
+
+    @pytest.mark.parametrize("spec, stage, variables", [
+        ("fifo_chain_80", "symbolic reachability", 1442),
+        ("fifo_chain_55", "symbolic coding check", 992)])
+    def test_check_coding_refuses(self, spec, stage, variables):
+        with pytest.raises(SymbolicDepthError) as refused:
+            check_coding(load_spec(spec), engine="symbolic")
+        assert (refused.value.stage, refused.value.variables) == (
+            stage, variables)
+
+    @pytest.mark.parametrize("command, spec, stage", [
+        ("sg", "fifo_chain_80", "symbolic reachability"),
+        ("check", "fifo_chain_55", "symbolic coding check")])
+    def test_cli_prints_one_line(self, command, spec, stage, capsys):
+        assert main([command, spec, "--engine", "symbolic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {stage} of {spec!r} ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 DOUBLE_RISE = (".outputs a\n.graph\na+ a+/1\na+/1 a+\n"

@@ -130,8 +130,7 @@ def reference_conformance(netlist: Netlist, spec: StateGraph,
     """
     started = time.perf_counter()
     report_name = name or netlist.name
-    index = spec.index()
-    succ = index.succ
+    succ = spec.freeze().succ
     spec_states = len(succ)
     spec_arcs = sum(len(out) for out in succ)
 
@@ -165,8 +164,8 @@ def reference_conformance(netlist: Netlist, spec: StateGraph,
     if spec.initial is None:
         return failed("non-conforming", "specification has no initial state",
                       [], {}, sim=sim)
-    codes = index.codes
-    initial_code = codes[index.initial]
+    codes = spec.code_ints
+    initial_code = codes[spec.initial_id]
     pinned = {signal: (initial_code >> i) & 1
               for i, signal in enumerate(signals)}
     try:
@@ -177,12 +176,12 @@ def reference_conformance(netlist: Netlist, spec: StateGraph,
     net_of_signal = [sim.net_index[s] for s in signals]
     # Product states carry spec state ids; enabled labels are visited by
     # id, which is event-declaration order and fixes the first failure.
-    labels, is_input, event_signal = index.labels, index.is_input, index.signal
+    labels, is_input, event_signal = spec.labels(), spec.is_input, spec.signal
     ordered = [sorted(out) for out in succ]
 
     if budget is None:
         budget = ExplorationBudget(max_states=max_states)
-    start: _ProductState = (initial_values, index.initial)
+    start: _ProductState = (initial_values, spec.initial_id)
     semi_modular = True
     semi_reason: Optional[str] = None
     try:
@@ -236,9 +235,9 @@ def reference_conformance(netlist: Netlist, spec: StateGraph,
                 for label in ordered[sid]:
                     if is_input[label] or event_signal[label] != sigidx:
                         continue
-                    if index.rise[label] and new_bit != 1:
+                    if spec.rise[label] and new_bit != 1:
                         continue
-                    if index.fall[label] and new_bit != 0:
+                    if spec.fall[label] and new_bit != 0:
                         continue
                     matching.append(label)
                 event_text = f"{node.signal}{'+' if new_bit else '-'}"
