@@ -44,6 +44,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import registry as obs_registry
+from ..petri.net import pack_bits
 from .cube import DC, Cube, Cover
 
 Minterm = Tuple[int, ...]
@@ -62,14 +63,6 @@ def _normalise(num_vars: int, minterms: Iterable[Sequence[int]]) -> Set[Minterm]
             raise MinimizationError(f"bad minterm {term!r} for {num_vars} variables")
         result.add(term)
     return result
-
-
-def _pack(minterm: Minterm) -> int:
-    value = 0
-    for i, bit in enumerate(minterm):
-        if bit:
-            value |= 1 << i
-    return value
 
 
 def _unpack_cube(packed: PackedCube, num_vars: int) -> Cube:
@@ -92,8 +85,8 @@ def _contains(packed: PackedCube, minterm_int: int) -> bool:
 def _packed_sets(num_vars: int, on: Iterable[Sequence[int]],
                  dc: Iterable[Sequence[int]]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
     """Packed (ON, OFF) of a tuple-minterm function; OFF is everything else."""
-    on_ints = frozenset(_pack(m) for m in _normalise(num_vars, on))
-    care = on_ints | {_pack(m) for m in _normalise(num_vars, dc)}
+    on_ints = frozenset(pack_bits(m) for m in _normalise(num_vars, on))
+    care = on_ints | {pack_bits(m) for m in _normalise(num_vars, dc)}
     return on_ints, frozenset(m for m in range(1 << num_vars) if m not in care)
 
 

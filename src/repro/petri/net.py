@@ -450,6 +450,16 @@ def bit_tuple(value: int, width: int) -> Tuple[int, ...]:
                ())[:width]
 
 
+def pack_bits(bits: Sequence[int]) -> int:
+    """``bits`` as one integer, bit ``i`` = ``bits[i]``; the inverse of
+    :func:`bit_tuple`."""
+    value = 0
+    for i, bit in enumerate(bits):
+        if bit:
+            value |= 1 << i
+    return value
+
+
 class PackedOverflowError(PetriNetError):
     """A packed firing would put a second token into a place.
 

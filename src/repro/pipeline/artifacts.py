@@ -31,9 +31,9 @@ from typing import Dict, List, Optional
 from ..circuit.netlist import Netlist
 from ..circuit.synthesize import CircuitImplementation, SignalImplementation
 from ..encoding.insertion import InsertionChoice
-from ..petri.net import bit_tuple
+from ..petri.net import bit_tuple, pack_bits
 from ..petri.stg import Direction, SignalEvent, SignalKind
-from ..sg.graph import StateGraph, pack_code
+from ..sg.graph import StateGraph
 from ..timing.critical_cycle import CycleReport
 
 
@@ -91,14 +91,22 @@ def sg_to_payload(sg: StateGraph) -> Dict[str, object]:
 def sg_from_payload(payload: Dict[str, object]) -> StateGraph:
     """Rebuild a state graph from its payload (states are ints ``0..n-1``);
     the result is frozen.  Raises :class:`ArtifactError` for an arc with
-    an undeclared label, a state out of range or a second target."""
+    an undeclared label, a state out of range or a second target, and for
+    codes or an initial state that do not fit the states and signals."""
     sg = StateGraph(payload["name"])
     for signal, kind in payload["signals"]:
         sg.declare_signal(signal, SignalKind(kind))
     for label, signal, direction, instance in payload["events"]:
         sg.declare_event(label, SignalEvent(signal, Direction(direction),
                                             instance))
-    states = payload["states"]
+    states, codes, initial = (payload["states"], payload["codes"],
+                              payload["initial"])
+    if (len(codes) != states or not 0 <= initial < states
+            or any(code is not None and len(code) != len(sg.signals)
+                   for code in codes)):
+        raise ArtifactError(f"state graph {sg.name!r} has codes or an "
+                            f"initial state that do not fit its "
+                            f"{states} states and {len(sg.signals)} signals")
     succ: List[Dict[int, int]] = [{} for _ in range(states)]
     for source, label, target in payload["arcs"]:
         lid = sg.label_id.get(label)
@@ -107,8 +115,8 @@ def sg_from_payload(payload: Dict[str, object]) -> StateGraph:
             raise ArtifactError(f"state graph {sg.name!r} has a bad arc "
                                 f"{[source, label, target]!r}")
     return sg.adopt(list(range(states)), succ,
-                    [None if code is None else pack_code(code)
-                     for code in payload["codes"]], payload["initial"])
+                    [None if code is None else pack_bits(code)
+                     for code in codes], initial)
 
 
 # ----------------------------------------------------------------------

@@ -576,9 +576,6 @@ class ReductionSpace:
         copies would.
         """
         view = self.view(config)
-        if root is self.sg:
-            return root.subgraph(view.reachable, view.adj)
-        # A same-signature graph may order its states otherwise: by name.
         states, labels = self.states, self.labels
         return root.copy_without_arcs(
             [(states[state], labels[label]) for state in view.reachable

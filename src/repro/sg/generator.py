@@ -32,9 +32,9 @@ from ..explore import (BudgetExceeded, ExplorationBudget, ExplorationRun,
                        explore_packed, explore_tuples, minimal_trace,
                        stubborn_reducer)
 from ..explore.frontier import Effect, GuardFailure
-from ..petri.net import PackedOverflowError
+from ..petri.net import PackedOverflowError, pack_bits
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
-from .graph import State, StateGraph, StateGraphError, pack_code
+from .graph import State, StateGraph, StateGraphError
 
 DEFAULT_MAX_STATES = 200_000
 
@@ -159,7 +159,7 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
     for source, transition, target in run.arcs:
         out[source][transition] = target
     if has_toggle:
-        codes = [pack_code(values) for _, values in states]
+        codes = [pack_bits(values) for _, values in states]
     else:
         codes = _assign_codes(stg, sg.signals, out)
     return sg.adopt(states, out, codes)

@@ -31,11 +31,11 @@ whole (:meth:`~StateGraph.adopt`), frozen from the start.
 """
 from __future__ import annotations
 
-from types import MappingProxyType
+from collections.abc import Mapping
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Set, Tuple)
+                    Optional, Set, Tuple)
 
-from ..petri.net import bit_tuple
+from ..petri.net import bit_tuple, pack_bits
 from ..petri.stg import Direction, SignalEvent, SignalKind
 
 State = Hashable
@@ -44,11 +44,6 @@ Code = Tuple[int, ...]
 
 class StateGraphError(Exception):
     """Raised for invalid state-graph operations."""
-
-
-def pack_code(code: Sequence[int]) -> int:
-    """A code tuple as one integer, bit ``i`` = signal ``i``."""
-    return sum(1 << i for i, value in enumerate(code) if value)
 
 
 class StateGraph:
@@ -143,10 +138,7 @@ class StateGraph:
     @property
     def codes(self) -> Mapping[State, Code]:
         """Read-only ``{state: code}``; codes are written by :meth:`add_state`."""
-        width, states = len(self.signals), self.states
-        return MappingProxyType({states[i]: bit_tuple(code, width)
-                                 for i, code in enumerate(self.packed)
-                                 if code is not None})
+        return _Codes(self)
 
     def declare_signal(self, name: str, kind: SignalKind) -> None:
         """Register a signal; order defines the code bit positions."""
@@ -191,7 +183,7 @@ class StateGraph:
         if code is not None:
             if len(code) != len(self.signals):
                 raise StateGraphError("code length does not match signal count")
-            self.packed[sid] = pack_code(code)
+            self.packed[sid] = pack_bits(code)
         return sid
 
     def add_arc(self, source: State, label: str, target: State) -> None:
@@ -341,7 +333,10 @@ class StateGraph:
     def code_int(self, state: State) -> int:
         """The state's binary code packed into one integer (bit i = signal i)."""
         self.freeze()
-        return pack_code(self.code_of(state))
+        code = self.packed[self._id(state)]
+        if code is None:
+            raise StateGraphError(f"state {state!r} has no binary code")
+        return code
 
     def signature(self) -> Tuple:
         """Hashable identity of the graph.
@@ -401,24 +396,6 @@ class StateGraph:
     # ------------------------------------------------------------------
     # derivation
     # ------------------------------------------------------------------
-    def subgraph(self, keep: Sequence[int], rows: Sequence[Dict[int, int]],
-                 name: Optional[str] = None) -> "StateGraph":
-        """Frozen graph of the states ``keep`` (ids, numbered in that
-        order) with the same declarations; ``rows[s]`` is kept state
-        ``s``'s ``{label id: target id}`` row, its targets in ``keep``."""
-        clone = StateGraph(name or self.name)
-        for signal in self.signals:
-            clone.declare_signal(signal, self.kinds[signal])
-        for label, event in self.events.items():
-            clone.declare_event(label, event)
-        renumber = {state: i for i, state in enumerate(keep)}
-        states, packed = self.states, self.packed
-        return clone.adopt(
-            [states[state] for state in keep],
-            [{label: renumber[target] for label, target in rows[state].items()}
-             for state in keep],
-            [packed[state] for state in keep], renumber.get(self.initial_id))
-
     def copy_without_arcs(self, removed_arcs: Iterable[Tuple[State, str]],
                           name: Optional[str] = None,
                           reachable: Optional[Set[State]] = None) -> "StateGraph":
@@ -443,16 +420,30 @@ class StateGraph:
                     if target not in reached:
                         reached.add(target)
                         stack.append(target)
-        return self.subgraph(sorted(reached), rows, name)
+        clone = StateGraph(name or self.name)
+        for signal in self.signals:
+            clone.declare_signal(signal, self.kinds[signal])
+        for label, event in self.events.items():
+            clone.declare_event(label, event)
+        keep = sorted(reached)
+        renumber = {state: i for i, state in enumerate(keep)}
+        return clone.adopt(
+            [self.states[state] for state in keep],
+            [{label: renumber[target] for label, target in rows[state].items()}
+             for state in keep],
+            [self.packed[state] for state in keep], renumber.get(self.initial_id))
 
     # ------------------------------------------------------------------
     # utilities
     # ------------------------------------------------------------------
     def code_string(self, state: State) -> str:
         """Human-readable code with ``*`` marking excited signals (as in Fig. 1d)."""
-        excited = {self.events[label].signal for label in self.enabled(state)}
-        return "".join(f"{value}*" if signal in excited else str(value)
-                       for signal, value in zip(self.signals, self.code_of(state)))
+        code = self.code_of(state)
+        enabled_signals = {self.events[label].signal for label in self.enabled(state)}
+        parts = []
+        for signal, value in zip(self.signals, code):
+            parts.append(f"{value}*" if signal in enabled_signals else str(value))
+        return "".join(parts)
 
     def to_dot(self) -> str:
         """GraphViz rendering for debugging and documentation."""
@@ -473,3 +464,23 @@ class StateGraph:
     def __repr__(self) -> str:
         return (f"StateGraph({self.name!r}, |S|={len(self.states)}, "
                 f"|A|={self.arc_count()})")
+
+
+class _Codes(Mapping):
+    """A graph's read-only ``{state: code}``, decoded per lookup."""
+
+    def __init__(self, sg: StateGraph) -> None:
+        self._sg = sg
+
+    def __getitem__(self, state: State) -> Code:
+        try:
+            return self._sg.code_of(state)
+        except StateGraphError:
+            raise KeyError(state) from None
+
+    def __iter__(self) -> Iterator[State]:
+        return (state for state, code in zip(self._sg.states, self._sg.packed)
+                if code is not None)
+
+    def __len__(self) -> int:
+        return len(self._sg.packed) - self._sg.packed.count(None)

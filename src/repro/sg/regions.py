@@ -29,9 +29,14 @@ def quiescent_region(sg: StateGraph, signal: str, value: int) -> Set[State]:
     """States where ``signal`` is stable at ``value`` (no transition enabled)."""
     bit = 1 << sg.signal_index(signal)
     labels = {sg.label_id[label] for label in sg.labels_of_signal(signal)}
-    return {state for state, out in zip(sg.states, sg.succ)
-            if bool(sg.code_int(state) & bit) == bool(value)
-            and labels.isdisjoint(out)}
+    region = set()
+    for state, out in zip(sg.states, sg.succ):
+        if bool(sg.code_int(state) & bit) != bool(value):
+            continue
+        if not labels.isdisjoint(out):
+            continue
+        region.add(state)
+    return region
 
 
 def minimal_states(sg: StateGraph, region: Set[State]) -> Set[State]:

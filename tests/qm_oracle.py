@@ -13,8 +13,9 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.logic.cube import Cover, Cube
 from repro.logic.minimize import (_essential_and_greedy, _exact_cover,
-                                  _pack, _packed_sets, _prime_order,
+                                  _packed_sets, _prime_order,
                                   _primes_through, _unpack_cube)
+from repro.petri.net import pack_bits as _pack
 
 PackedCube = Tuple[int, int]
 

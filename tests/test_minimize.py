@@ -11,10 +11,11 @@ from cost_oracle import minimize_fast_ints
 from fast_cover_oracle import scan_expand_and_cover
 from qm_oracle import prime_implicants, qm_minimize, qm_primes, verify_cover
 from repro.logic.cube import Cube, Cover
-from repro.logic.minimize import (MinimizationError, _pack, _packed_sets,
+from repro.logic.minimize import (MinimizationError, _packed_sets,
                                   _primes_through, _unpack_cube, code_columns,
                                   expand_and_cover, logic_work, minimize,
                                   minimize_ints)
+from repro.petri.net import pack_bits as _pack
 
 
 def all_minterms(n):

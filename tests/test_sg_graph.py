@@ -313,6 +313,19 @@ class TestPayload:
         with pytest.raises(ArtifactError, match="bad arc"):
             sg_from_payload(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("codes", [[0, 0], [1, 0], [0, 1]]),
+        ("codes", [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]),
+        ("codes", [[0, 0], [1, 0, 0], [0, 1], [1, 1]]),
+        ("codes", [[0, 0], [1], [0, 1], [1, 1]]),
+        ("initial", 4), ("initial", -1)])
+    def test_bad_codes_or_initial_refused(self, diamond, field, value):
+        payload = sg_to_payload(diamond)
+        payload[field] = value
+        with pytest.raises(ArtifactError, match="do not fit its 4 states "
+                                                "and 2 signals"):
+            sg_from_payload(payload)
+
     def test_round_trip(self, diamond):
         decoded = sg_from_payload(sg_to_payload(diamond))
         assert decoded.states == [0, 1, 2, 3]
@@ -329,10 +342,10 @@ class TestDot:
 
 class TestMemory:
     #: Bytes a generated graph may retain once analysed.  Measured with
-    #: tracemalloc on CPython 3.11: 16.1 MiB for fifo_chain_8 (19,684
-    #: states, 68,900 arcs), 10.4 MiB of it the marking-tuple state
-    #: names.  A second, name-keyed copy of the graph beside its integer
-    #: numbering retained 24.7 MiB.
+    #: tracemalloc for fifo_chain_8 (19,684 states, 68,900 arcs): 16.25
+    #: MiB on CPython 3.10.13, 16.14 MiB on 3.11.7 and on 3.12.1, 10.4 MiB
+    #: of it the marking-tuple state names.  A second, name-keyed copy of
+    #: the graph beside its integer numbering retained 24.7 MiB.
     BOUND = 19 * 2**20
 
     def test_one_representation(self):
