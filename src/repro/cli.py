@@ -1,27 +1,12 @@
 """Command-line interface: a petrify-style front end to the flow.
 
-Usage (also via ``python -m repro``)::
+Every command and flag is listed in ``docs/cli.md``, which
+``python -m repro.cli --dump-docs`` renders from the live parsers (a test
+keeps it in sync).  The flags that set :class:`FlowConfig` knobs are
+declared once, in :data:`FLOW_FLAGS`, and read back by
+:func:`flow_config`.
 
-    python -m repro check  spec.g [--engine auto|packed|tuples|symbolic]
-    python -m repro sg     spec.g [--dot] [--max-states N] [--max-arcs N]
-                                   [--stubborn] [--engine ...] [--max-nodes N]
-    python -m repro synth  spec.g [--full] [--no-reduce] [--keep li-,ri-]
-                                   [-W 0.5] [--max-csc 4] [--store DIR]
-                                   [--sg-max-states N] [--sg-max-arcs N]
-                                   [--engine auto|symbolic]
-    python -m repro reduce spec.g [-o out.g]   # reduce + re-derive an STG
-    python -m repro verify spec.g [--strategies none,full] [--store DIR]
-                                   [--model atomic|structural]
-    python -m repro sweep  [--specs lr,mmu] [--jobs 4] [--store DIR]
-                           [--format md|csv|json] [-o report.md] [--verify]
-    python -m repro serve  [--port 8080] [--workers 2] [--store DIR]
-    python -m repro cache  stats|gc|clear DIR [--max-bytes N]
-    python -m repro bench  [--cases C[,C...]] [--tier quick|full|all]
-                           [--quick] [--out BENCH.json]
-                           [--against BENCH_baseline.json] [--tolerance 0.5]
-    python -m repro trace  summarize out.json  # aggregate a --trace file
-
-``sg``/``synth``/``sweep``/``verify`` accept ``--trace PATH``
+``sg``/``synth``/``sweep``/``verify``/``fuzz`` accept ``--trace PATH``
 (``--trace-format json|chrome``) to record a span trace of the run --
 pipeline stages, frontier levels -- without changing any output byte
 (:mod:`repro.obs`); the global ``--log-level info`` (or ``REPRO_LOG``)
@@ -51,10 +36,6 @@ warm runs skip every pipeline stage whose inputs didn't change, and
 runs the unified benchmark registry (:mod:`repro.bench`) into one
 versioned ``BENCH_<rev>.json`` and can gate it against a committed
 baseline.
-
-``python -m repro.cli --dump-docs`` renders the whole command tree as
-markdown; ``docs/cli.md`` is that output, committed (a test keeps it in
-sync).
 """
 
 from __future__ import annotations
@@ -67,15 +48,15 @@ from typing import List, Optional
 
 from .encoding.csc import irresolvable_conflicts
 from .petri.parser import read_stg, write_stg
-from .pipeline.config import STRATEGIES, FlowConfig
+from .pipeline.config import STRATEGIES, VERIFY_MODELS, FlowConfig
 from .pipeline.jobs import table_row
 from .pipeline.stages import run_pipeline, run_reduction
 from .pipeline.store import ArtifactStore
-from .reduction.explore import preserved_pairs
+from .reduction.explore import DEFAULT_PATIENCE, preserved_pairs
 from .sg.generator import generate_sg
 from .sg.properties import check_implementability
 from .sg.resynthesis import ResynthesisError, resynthesise_stg
-from .timing.delays import DelayModel
+from .timing.delays import TABLE1_DELAYS, DelayModel
 
 
 def _read_spec(spec: str):
@@ -104,20 +85,108 @@ def _generation_budget(args: argparse.Namespace):
         max_arcs=max_arcs)
 
 
-_KEEP_HELP = ("event pairs whose concurrency to preserve; a pair may name "
-              "labels, base events or signals, its label pairs that are not "
-              "concurrent in the spec are dropped, and a pair with none "
-              "concurrent is an error (exit 1)")
-
-
-def _parse_keep(text: Optional[str]) -> List[tuple]:
-    if not text:
-        return []
+def _parse_keep(text: str) -> List[tuple]:
     items = [item.strip() for item in text.split(",") if item.strip()]
     if len(items) % 2:
         raise SystemExit("--keep expects a comma list of event pairs, e.g. "
                          "'li-,ri-' or 'li-,ri-,lo-,ro-'")
     return [(items[i], items[i + 1]) for i in range(0, len(items), 2)]
+
+
+#: The command-line spelling of every :class:`FlowConfig` knob: field (or
+#: delay kind, which :func:`flow_config` assembles into ``delays``) ->
+#: (flags, ``add_argument`` options).  Each command takes the subset it
+#: declares with :func:`_add_flow_flags`.
+FLOW_FLAGS = {
+    "keep_conc": (("--keep",), dict(
+        type=_parse_keep, metavar="EV1,EV2[,...]",
+        help="event pairs whose concurrency to preserve; a pair may name "
+             "labels, base events or signals, its label pairs that are not "
+             "concurrent in the spec are dropped, and a pair with none "
+             "concurrent is an error (exit 1)")),
+    "weight": (("-W", "--weight"), dict(
+        type=float, default=FlowConfig.weight,
+        help="cost weight of the searched strategies: 0 biases CSC, 1 "
+             "logic size")),
+    "size_frontier": (("--frontier",), dict(
+        type=int, help="beam width override (default: 4, full: 6)")),
+    "max_explored": (("--max-explored",), dict(
+        type=int, help="reduction-search exploration budget override "
+                       "(default: 10000, full: 20000)")),
+    "patience": (("--patience",), dict(
+        type=int, help="best-first stops after this many consecutive "
+                       "non-improving expansions (default: "
+                       f"{DEFAULT_PATIENCE})")),
+    "max_csc_signals": (("--max-csc",), dict(
+        type=int, default=FlowConfig.max_csc_signals,
+        help="state-signal insertion budget")),
+    "input_delay": (("--input-delay",), dict(
+        type=float, default=TABLE1_DELAYS.input_delay,
+        help="input event delay")),
+    "output_delay": (("--output-delay",), dict(
+        type=float, default=TABLE1_DELAYS.output_delay,
+        help="output event delay")),
+    "internal_delay": (("--internal-delay",), dict(
+        type=float, help="delay of inserted CSC signals (default: the "
+                         "output delay, the Table 1 convention)")),
+    "verify": (("--verify",), dict(
+        action="store_true", help="gate-level verify every design point "
+                                  "and add verdict columns to the report")),
+    "verify_model": (("--model",), dict(
+        choices=VERIFY_MODELS, default=FlowConfig.verify_model,
+        help="delay model: atomic complex-gate cones (default) or every "
+             "2-input gate separately")),
+    "verify_max_states": (("--verify-max-states",), dict(
+        type=int, help="product state-space cap per verification "
+                       "(default: repro.verify.DEFAULT_MAX_STATES)")),
+    "sg_max_states": (("--sg-max-states",), dict(
+        type=int, help="state budget for SG generation (default: the "
+                       "generator's 200000-state budget)")),
+    "sg_max_arcs": (("--sg-max-arcs",), dict(
+        type=int, help="arc budget for SG generation (default: unbounded)")),
+}
+
+
+def _add_flow_flags(command: argparse.ArgumentParser, *names: str,
+                    **spellings: tuple) -> None:
+    """Declare the :data:`FLOW_FLAGS` ``names`` on ``command``;
+    ``spellings`` gives a flag another spelling in this command."""
+    for name in names:
+        flags, options = FLOW_FLAGS[name]
+        flags = spellings.get(name, flags)
+        if "type" in options:  # the flag's own name, not the field's
+            options = {"metavar": _flag_name(flags[-1]), **options}
+        command.add_argument(*flags, dest=name, **options)
+
+
+def _flag_name(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_").upper()
+
+
+def _flow_knobs(args: argparse.Namespace) -> dict:
+    """The :class:`FlowConfig` keywords of the flow flags set in ``args``.
+
+    The internal (CSC signal) delay follows the output delay unless
+    ``--internal-delay`` is given, the Table 1 convention.
+    """
+    knobs = {name: value for name, value in vars(args).items()
+             if (name in FLOW_FLAGS or name == "strategy")
+             and value is not None}
+    if "output_delay" in knobs:
+        output = knobs.pop("output_delay")
+        knobs["delays"] = DelayModel.by_kind(
+            knobs.pop("input_delay"), output,
+            knobs.pop("internal_delay", output))
+    return knobs
+
+
+def flow_config(args: argparse.Namespace, **fixed) -> FlowConfig:
+    """The :class:`FlowConfig` of a command's flow flags, with ``fixed``
+    knobs on top; a value ``FlowConfig`` refuses exits 1 with one line."""
+    try:
+        return FlowConfig(**{**_flow_knobs(args), **fixed})
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _print_coding(report) -> None:
@@ -229,38 +298,13 @@ def cmd_sg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _strategy(args: argparse.Namespace) -> str:
-    """The reduction strategy ``--no-reduce``/``--full`` select."""
-    if args.no_reduce:
-        return "none"
-    if args.full:
-        return "full"
-    return "best-first"
-
-
-def _checked_config(**knobs) -> FlowConfig:
-    """The :class:`FlowConfig` of the given flags; a bad value exits 1."""
-    try:
-        return FlowConfig(**knobs)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     from .sg.generator import GenerationBudgetError
     from .sg.properties import check_coding
     from .specs.registry import spec_names, spec_text
 
-    # Inserted CSC signals are *internal*: they get their own delay, which
-    # defaults to the output delay (the Table 1 convention) but can differ.
-    internal = (args.output_delay if args.internal_delay is None
-                else args.internal_delay)
-    delays = DelayModel.by_kind(args.input_delay, args.output_delay, internal)
+    config = flow_config(args)
     store = ArtifactStore(args.store) if args.store else None
-    config = _checked_config(
-        strategy=_strategy(args), keep_conc=_parse_keep(args.keep),
-        weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
-        sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs)
     stg = _read_spec(args.spec)
     # A registry name runs on the registry's text, which the service keys
     # ``generate`` on too, so one store serves both.
@@ -307,28 +351,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be at least 1")
-    from .timing.delays import TABLE1_DELAYS
-
-    delays = None
-    flags = (args.input_delay, args.output_delay, args.internal_delay)
-    if any(flag is not None for flag in flags):
-        # Unset components fall back to the Table 1 model.
-        table1 = (TABLE1_DELAYS.input_delay, TABLE1_DELAYS.output_delay,
-                  TABLE1_DELAYS.internal_delay)
-        delays = tuple(default if flag is None else flag
-                       for flag, default in zip(flags, table1))
+    knobs = _flow_knobs(args)
     try:
         weights = _parse_csv(args.weights)
         grid = tables_grid(specs=_parse_csv(args.specs),
                            strategies=_parse_csv(args.strategies) or None,
                            weights=([float(w) for w in weights]
                                     if weights else None),
-                           frontier=args.frontier,
                            include_keep_variants=not args.no_keep_variants,
-                           max_explored=args.max_explored,
-                           delays=delays,
-                           verify=args.verify,
-                           verify_max_states=args.verify_max_states)
+                           frontier=knobs.pop("size_frontier", None),
+                           **knobs)
     except (KeyError, ValueError) as exc:
         raise SystemExit(str(exc))
     store = ArtifactStore(args.store) if args.store else None
@@ -350,34 +382,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    strategies = _parse_csv(args.strategies) or list(STRATEGIES)
-    unknown = sorted(set(strategies) - set(STRATEGIES))
-    if unknown:
-        raise SystemExit(f"unknown strategy(ies) {unknown}; "
-                         f"expected a subset of {STRATEGIES}")
-    keep = _parse_keep(args.keep)
+    # Every strategy's config is built, so checked, before any report.
+    configs = [flow_config(args, strategy=strategy, verify=True)
+               for strategy in _parse_csv(args.strategies) or STRATEGIES]
     loaded = []
     for spec in args.specs:
         stg = _read_spec(spec)
         label = stg.name if os.path.exists(spec) else spec
         loaded.append((label, generate_sg(stg)))
-    if keep and set(strategies) != {"none"}:
+    if any(config.keep_conc for config in configs):
         # Refused before any report: the `none` strategy ignores --keep.
         for _, initial_sg in loaded:
-            preserved_pairs(initial_sg, keep)
+            preserved_pairs(initial_sg, args.keep_conc)
     store = ArtifactStore(args.store) if args.store else None
     reports = []
     verified = cached_count = failures = skips = 0
     for name, initial_sg in loaded:
-        for strategy in strategies:
-            label = f"{name}/{strategy}"
+        for config in configs:
+            label = f"{name}/{config.strategy}"
             # The pipeline's verify stage, so --store reuses the reduction,
             # CSC and synthesis artifacts across runs, not just the final
             # certificate.
-            config = _checked_config(
-                strategy=strategy, keep_conc=keep, weight=args.weight,
-                max_csc_signals=args.max_csc, verify=True,
-                verify_model=args.model, verify_max_states=args.max_states)
             result = run_pipeline(config, initial_sg=initial_sg, name=label,
                                   store=store)
             report = result.verification()
@@ -541,10 +566,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    config = flow_config(args)
     initial = generate_sg(_read_spec(args.spec))
-    config = _checked_config(strategy=_strategy(args),
-                             keep_conc=_parse_keep(args.keep),
-                             weight=args.weight)
     reduced, _, _ = run_reduction(config, initial)
     print(f"states: {len(initial)} -> {len(reduced)}", file=sys.stderr)
     try:
@@ -670,30 +693,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_reduction_options(command: argparse.ArgumentParser) -> None:
         command.add_argument("spec", help=".g specification file")
-        command.add_argument("--full", action="store_true",
-                             help="reduce until no valid reduction remains")
-        command.add_argument("--no-reduce", action="store_true",
-                             help="keep maximal concurrency")
-        command.add_argument("--keep", metavar="EV1,EV2[,...]",
-                             help=_KEEP_HELP)
-        command.add_argument("-W", "--weight", type=float, default=0.5,
-                             help="cost weight: 0 biases CSC, 1 logic size")
+        strategy = command.add_mutually_exclusive_group()
+        strategy.add_argument("--full", action="store_const", const="full",
+                              dest="strategy",
+                              help="reduce until no valid reduction remains")
+        strategy.add_argument("--no-reduce", action="store_const",
+                              const="none", dest="strategy",
+                              help="keep maximal concurrency")
+        _add_flow_flags(command, "keep_conc", "weight", "size_frontier",
+                        "max_explored", "patience")
 
     synth = sub.add_parser("synth", help="synthesize a circuit")
     add_reduction_options(synth)
-    synth.add_argument("--max-csc", type=int, default=4,
-                       help="state-signal insertion budget")
-    synth.add_argument("--input-delay", type=float, default=2.0)
-    synth.add_argument("--output-delay", type=float, default=1.0)
-    synth.add_argument("--internal-delay", type=float, default=None,
-                       help="delay of inserted CSC signals "
-                            "(default: the output delay)")
-    synth.add_argument("--sg-max-states", type=int, default=None,
-                       help="state budget for SG generation (default: the "
-                       "generator's 200000-state budget)")
-    synth.add_argument("--sg-max-arcs", type=int, default=None,
-                       help="arc budget for SG generation "
-                       "(default: unbounded)")
+    _add_flow_flags(synth, "max_csc_signals", "input_delay", "output_delay",
+                    "internal_delay", "sg_max_states", "sg_max_arcs")
     synth.add_argument("--engine", choices=("auto", "symbolic"),
                        default="auto",
                        help="symbolic runs a BDD coding pre-flight (prints "
@@ -718,18 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--strategies", metavar="S[,S...]",
                         help="subset of none,beam,best-first,full "
                              "(default: all)")
-    verify.add_argument("--keep", metavar="EV1,EV2[,...]", help=_KEEP_HELP)
-    verify.add_argument("-W", "--weight", type=float, default=0.5,
-                        help="cost weight for the searched strategies")
-    verify.add_argument("--max-csc", type=int, default=4,
-                        help="state-signal insertion budget")
-    verify.add_argument("--model", choices=("atomic", "structural"),
-                        default="atomic",
-                        help="delay model: atomic complex-gate cones "
-                             "(default) or every 2-input gate separately")
-    verify.add_argument("--max-states", type=int, default=None,
-                        help="product state-space cap (default: "
-                             "repro.verify.DEFAULT_MAX_STATES)")
+    _add_flow_flags(verify, "keep_conc", "weight", "max_csc_signals",
+                    "verify_model", "verify_max_states",
+                    verify_max_states=("--max-states",))
     verify.add_argument("--store", metavar="DIR",
                         help="certificate store; warm runs skip verified "
                              "(netlist, spec) pairs")
@@ -752,26 +756,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--weights", metavar="W[,W...]",
                        help="cost weights for the searched strategies "
                             "(default: 0.0,0.5,1.0)")
-    sweep.add_argument("--frontier", type=int, default=None,
-                       help="beam width override (default: 4, full: 6)")
-    sweep.add_argument("--max-explored", type=int, default=None,
-                       help="per-point exploration budget override")
     sweep.add_argument("--no-keep-variants", action="store_true",
                        help="skip the named Keep_Conc rows (li || ri, ...)")
-    sweep.add_argument("--verify", action="store_true",
-                       help="gate-level verify every design point and add "
-                            "verdict columns to the report")
-    sweep.add_argument("--verify-max-states", type=int, default=None,
-                       help="product state-space cap per verification "
-                            "(default: repro.verify.DEFAULT_MAX_STATES)")
-    sweep.add_argument("--input-delay", type=float, default=None,
-                       help="input event delay for every point "
-                            "(default: 2, the Table 1 model)")
-    sweep.add_argument("--output-delay", type=float, default=None,
-                       help="output event delay for every point (default: 1)")
-    sweep.add_argument("--internal-delay", type=float, default=None,
-                       help="internal/CSC event delay for every point "
-                            "(default: 1)")
+    _add_flow_flags(sweep, "size_frontier", "max_explored", "verify",
+                    "verify_max_states", "input_delay", "output_delay",
+                    "internal_delay")
     sweep.add_argument("-j", "--jobs", type=int, default=1,
                        help="worker processes (default: 1, serial)")
     sweep.add_argument("--store", metavar="DIR",
@@ -914,8 +903,9 @@ def _action_rows(parser: argparse.ArgumentParser) -> List[tuple]:
                 spelling += f" {action.metavar}"
             elif action.nargs is None and not isinstance(
                     action, (argparse._StoreTrueAction,
-                             argparse._StoreFalseAction)):
-                spelling += f" {action.dest.upper()}"
+                             argparse._StoreFalseAction,
+                             argparse._StoreConstAction)):
+                spelling += f" {_flag_name(action.option_strings[-1])}"
         else:
             spelling = action.metavar or action.dest
         # Identity checks: `0 in (None, False, ...)` would be True and

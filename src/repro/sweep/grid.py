@@ -64,16 +64,15 @@ def make_point(spec: str,
                weight: float = 0.5,
                frontier: Optional[int] = None,
                keep: Iterable[Tuple[str, str]] = (),
-               max_explored: Optional[int] = None,
                delays=None,
-               verify: bool = False,
-               verify_max_states: Optional[int] = None,
-               variant: str = "") -> SweepPoint:
+               variant: str = "",
+               **knobs) -> SweepPoint:
     """Build a :class:`SweepPoint`; ``FlowConfig`` validates and normalizes.
 
     ``delays`` is ``None`` (the Table 1 model), a :class:`DelayModel` or an
-    ``(input, output, internal)`` triple.  A ``none`` point reduces nothing,
-    so it drops the Keep_Conc display name.
+    ``(input, output, internal)`` triple; ``knobs`` are further
+    :class:`FlowConfig` fields (``max_explored``, ``verify``, ...).  A
+    ``none`` point reduces nothing, so it drops the Keep_Conc display name.
     """
     if delays is None:
         delays = TABLE1_DELAYS
@@ -82,8 +81,7 @@ def make_point(spec: str,
         delays = DelayModel.by_kind(input_delay, output_delay, internal_delay)
     config = FlowConfig(strategy=strategy, weight=weight,
                         size_frontier=frontier, keep_conc=keep,
-                        max_explored=max_explored, delays=delays,
-                        verify=verify, verify_max_states=verify_max_states)
+                        delays=delays, **knobs)
     return SweepPoint(spec, config, "" if strategy == "none" else variant)
 
 
@@ -122,21 +120,19 @@ class SweepGrid:
 def tables_grid(specs: Optional[Sequence[str]] = None,
                 strategies: Optional[Sequence[str]] = None,
                 weights: Optional[Sequence[float]] = None,
-                frontier: Optional[int] = None,
                 include_keep_variants: bool = True,
-                max_explored: Optional[int] = None,
-                delays=None,
-                verify: bool = False,
-                verify_max_states: Optional[int] = None) -> SweepGrid:
+                **knobs) -> SweepGrid:
     """The full Tables 1-2 style grid over the given specs.
 
     Per spec: one ``none`` point, one ``beam`` and one ``best-first`` point
     per weight ``W``, one ``full`` point, and (when enabled and the spec has
     them) every named Keep_Conc variant as a ``full`` reduction -- exactly
-    the rows the paper reports.  ``delays`` overrides the Table 1 delay
-    model for every point; ``verify=True`` additionally runs the gate-level
-    verification subsystem (capped at ``verify_max_states`` product states)
-    on every point.  An axis left ``None`` takes its default: every spec of
+    the rows the paper reports.  ``knobs`` are the :func:`make_point`
+    keywords every point shares: ``frontier``, ``max_explored``,
+    ``delays`` (overriding the Table 1 delay model), ``verify=True`` (run
+    the gate-level verification subsystem on every point, capped at
+    ``verify_max_states`` product states), ...  An axis left ``None``
+    takes its default: every spec of
     :func:`~repro.specs.registry.spec_names`, every strategy of
     :data:`STRATEGIES`, and the weights 0, 0.5 and 1.
     """
@@ -158,21 +154,11 @@ def tables_grid(specs: Optional[Sequence[str]] = None,
             if strategy in ("beam", "best-first"):
                 for weight in weights:
                     grid.add(make_point(spec, strategy, weight=weight,
-                                        frontier=frontier,
-                                        max_explored=max_explored,
-                                        delays=delays, verify=verify,
-                                        verify_max_states=verify_max_states))
+                                        **knobs))
             else:
-                grid.add(make_point(spec, strategy, frontier=frontier,
-                                    max_explored=max_explored,
-                                    delays=delays, verify=verify,
-                                    verify_max_states=verify_max_states))
+                grid.add(make_point(spec, strategy, **knobs))
         if include_keep_variants and "full" in strategies:
             for variant, pairs in keep_variants(spec).items():
                 grid.add(make_point(spec, "full", keep=pairs,
-                                    frontier=frontier,
-                                    max_explored=max_explored,
-                                    delays=delays, verify=verify,
-                                    verify_max_states=verify_max_states,
-                                    variant=variant))
+                                    variant=variant, **knobs))
     return grid

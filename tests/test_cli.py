@@ -406,3 +406,36 @@ class TestExplorationFlags:
     def test_check_family_member(self, capsys):
         assert main(["check", "fifo_chain_1"]) in (0, 1)
         assert "fifo_chain_1" in capsys.readouterr().out
+
+
+class TestFlowFlags:
+    """Flow flags are read the same way by every command."""
+
+    def test_verify_refuses_a_strategy_before_any_report(self, capsys):
+        # `none` is valid and would report first if configs were built
+        # lazily, strategy by strategy.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "half", "--strategies", "none,bogus"])
+        message = str(excinfo.value)
+        assert "bogus" in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_synth_and_sweep_agree_on_the_internal_delay(self, capsys):
+        # The internal (CSC signal) delay follows --output-delay in both.
+        assert main(["synth", "lr", "--no-reduce",
+                     "--output-delay", "3"]) == 0
+        synth = capsys.readouterr().out
+        cycle = next(line.split()[2] for line in synth.splitlines()
+                     if line.startswith("critical cycle"))
+        assert main(["sweep", "--specs", "lr", "--strategies", "none",
+                     "--output-delay", "3", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))[
+            "cycle_time"] == cycle
+
+    def test_strategy_flags_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "lr", "--full", "--no-reduce"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err

@@ -11,17 +11,20 @@ pipeline and pin what it reports:
 * the reduced graph and the search accounting of every row that
   ``tests/data/golden_reduction.json`` pins (the same searches, run
   directly);
-* the ``POST /synth`` body ``docs/benchmarks.md`` gives for each row,
-  which must parse to that row's configuration.
+* the ``POST /synth`` body and the ``repro synth`` line
+  ``docs/benchmarks.md`` gives for each row: each must parse to that
+  row's configuration, and the line must print the row's numbers.
 """
 
 import functools
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser, flow_config, main
 from repro.pipeline import FlowConfig, run_pipeline, table_row
 from repro.pipeline.hashing import graph_digest
 from repro.serve.protocol import parse_synth_request
@@ -169,3 +172,50 @@ def test_documented_bodies_parse_to_the_rows():
             task = parse_synth_request(body)
             assert FlowConfig.from_payload(task["config"]) == configs[name]
 
+
+
+def _documented_lines():
+    """``{(case, row): argv}`` of the ``repro synth`` lines in
+    docs/benchmarks.md (each line ends in ``# <row>``)."""
+    text = (REPO / "docs" / "benchmarks.md").read_text(encoding="utf-8")
+    section = text.split("## The paper's rows", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    case_of = {table[0]: case for case, table in TABLES.items()}
+    lines = {}
+    for line in block.splitlines():
+        command, _, name = line.partition("  # ")
+        argv = shlex.split(command)[1:]  # drop "repro"
+        lines[case_of[argv[1]], name] = argv
+    return lines
+
+
+def _printed_row(out):
+    """(area, #CSC, cycle, input events) from ``repro synth`` output."""
+    area = re.search(r"^area[^:]*: (\S+)$", out, re.MULTILINE).group(1)
+    csc = re.search(r"^CSC signals inserted: (\d+)", out, re.MULTILINE)
+    cycle = re.search(r"^critical cycle: (\S+) \((\d+) input events\)$",
+                      out, re.MULTILINE)
+    return (float(area), int(csc.group(1)), float(cycle.group(1)),
+            int(cycle.group(2)))
+
+
+class TestCliLines:
+    """Every row is one ``repro synth`` line of docs/benchmarks.md."""
+
+    def test_every_row_has_a_line(self):
+        assert list(_documented_lines()) == list(EXPECTED)
+
+    @pytest.mark.parametrize("case, name", list(EXPECTED), ids=ROW_IDS)
+    def test_line_parses_to_the_row(self, case, name):
+        args = build_parser().parse_args(_documented_lines()[case, name])
+        assert flow_config(args) == TABLES[case][2][name]
+
+    @pytest.mark.parametrize("case, name", list(EXPECTED), ids=ROW_IDS)
+    def test_line_prints_the_row(self, case, name, capsys):
+        # Only the unreduced MMU stops short of CSC: exit 1, and its area
+        # is the lower-bound estimate.
+        status = main(_documented_lines()[case, name])
+        out = capsys.readouterr().out
+        assert status == (1 if name == "original" else 0)
+        assert ("lower-bound estimate" in out) == (name == "original")
+        assert _printed_row(out) == EXPECTED[case, name]
