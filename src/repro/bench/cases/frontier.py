@@ -136,7 +136,7 @@ def _chain_spec(cell_text, stages):
 
 def _chain_netlist(cell_netlist, stages):
     """The stage netlist replicated ``stages`` times, ports fused."""
-    from repro.circuit.netlist import Alias, Gate, Netlist
+    from repro.circuit.netlist import Netlist
 
     chain = Netlist(f"dec_chain_{stages}_impl",
                     library=cell_netlist.library)
@@ -149,17 +149,11 @@ def _chain_netlist(cell_netlist, stages):
             return mapping.get(net, f"st{i}.{net}")
 
         for gate in cell_netlist.gates:
-            name = f"st{i}.{gate.name}"
-            chain.gates.append(Gate(
-                name=name, cell=gate.cell,
-                inputs=tuple(rename(net) for net in gate.inputs),
-                output=rename(gate.output)))
-            chain._drivers[rename(gate.output)] = name
+            chain.add_gate(gate.cell.name, map(rename, gate.inputs),
+                           output=rename(gate.output),
+                           name=f"st{i}.{gate.name}")
         for alias in cell_netlist.aliases:
-            chain.aliases.append(Alias(source=rename(alias.source),
-                                       target=rename(alias.target)))
-            chain._drivers[rename(alias.target)] = (
-                f"alias:{rename(alias.source)}")
+            chain.add_alias(rename(alias.source), rename(alias.target))
         chain.add_output(mapping["a0"])
         chain.add_output(mapping["r1"])
     return chain
@@ -195,12 +189,12 @@ def run_frontier_scaling(context) -> dict:
     return {
         "family": f"fifo_chain_{FAMILY_STAGES}",
         "family_states": len(packed_run.states),
-        "family_arcs": len(packed_run.arcs),
+        "family_arcs": packed_run.arc_count,
         "family_levels": packed_run.levels,
         "budget_states": BUDGET_STATES,
         "per_state_states": len(tuple_run.states),
         "per_state_levels": tuple_run.levels,
-        "per_state_arcs": len(tuple_run.arcs),
+        "per_state_arcs": tuple_run.arc_count,
         "frontier_seconds": packed_seconds,
         "per_state_seconds": tuple_seconds,
         "frontier_states_per_sec": (len(packed_run.states) / packed_seconds

@@ -71,20 +71,6 @@ def _read_spec(spec: str):
         raise SystemExit(f"{exc.args[0]}, and no .g file has that path")
 
 
-def _generation_budget(args: argparse.Namespace):
-    """The ``ExplorationBudget`` requested by ``--max-states/--max-arcs``."""
-    from .explore import ExplorationBudget
-    from .sg.generator import DEFAULT_MAX_STATES
-
-    max_states = getattr(args, "max_states", None)
-    max_arcs = getattr(args, "max_arcs", None)
-    if max_states is None and max_arcs is None:
-        return None
-    return ExplorationBudget(
-        max_states=DEFAULT_MAX_STATES if max_states is None else max_states,
-        max_arcs=max_arcs)
-
-
 def _parse_keep(text: str) -> List[tuple]:
     items = [item.strip() for item in text.split(",") if item.strip()]
     if len(items) % 2:
@@ -258,7 +244,7 @@ def _symbolic_sg(args: argparse.Namespace) -> int:
 
 
 def cmd_sg(args: argparse.Namespace) -> int:
-    from .sg.generator import GenerationBudgetError
+    from .sg.generator import GenerationBudgetError, generation_budget
 
     # A flag the chosen engine would ignore is refused, never dropped.
     if args.engine == "symbolic":
@@ -277,7 +263,8 @@ def cmd_sg(args: argparse.Namespace) -> int:
         return _symbolic_sg(args)
     try:
         sg = generate_sg(_read_spec(args.spec),
-                         budget=_generation_budget(args),
+                         budget=generation_budget(args.max_states,
+                                                  args.max_arcs),
                          stubborn=args.stubborn,
                          engine=args.engine)
     except GenerationBudgetError as exc:

@@ -28,11 +28,11 @@ a whole packed level at once; a failed guard raises
 :class:`GuardFailure`.  Whatever leaves the loop -- a guard failure, a
 product refutation, :class:`~repro.explore.budget.BudgetExceeded` --
 carries the run so far as ``run``, and :meth:`ExplorationRun.path`
-reads a shortest path to any of its states off the arcs.
+reads a shortest path to any of its states off its admitting arcs.
 
 All emit the same :class:`ExplorationRun` -- states in admission order
-plus ``(source, transition, target)`` index arcs.  The two net
-expansions explore the same state *set*; only the admission order
+plus each state's ``{transition: target}`` row and admitting arc.  The
+two net expansions explore the same state *set*; only the admission order
 differs (the packed engine discovers per level transition-major, the
 tuple engine state-major).  Everything downstream consumes canonicalized
 payloads, so the two orders are interchangeable.  A 2-phase run is
@@ -41,7 +41,7 @@ state-major on both engines, so their runs are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -51,7 +51,6 @@ from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
 from ..petri.net import PackedNet, PackedOverflowError, PetriNet, bit_tuple
 from .budget import BudgetMeter, ExplorationBudget
-from .trace import minimal_trace
 
 __all__ = ["ExplorationRun", "GuardFailure", "explore_levels",
            "explore_packed", "explore_tuples"]
@@ -98,30 +97,33 @@ class ExplorationRun:
     """Result of one level-loop run (:func:`explore_levels`).
 
     ``states`` lists states in admission order (index 0 = initial);
-    ``arcs`` are ``(source_index, transition_index, target_index)``
-    triples in traversal order; ``levels`` is the number of BFS levels
-    expanded.  The packed engine's states are packed ints, the tuple
-    engine's tuple markings, and the 2-phase unfolding's ``(marking,
-    signal values)`` pairs.
+    ``succ[s]`` maps each transition fired at state ``s`` to its target,
+    in traversal order; ``parents[s]`` is the ``(source, transition)``
+    arc that admitted state ``s`` (``None`` for state 0); ``arc_count``
+    and ``levels`` count the arcs and BFS levels.  The packed engine's
+    states are packed ints, the tuple engine's tuple markings, and the
+    2-phase unfolding's ``(marking, signal values)`` pairs.
     """
 
     states: List[object]
-    arcs: List[Tuple[int, int, int]]
+    succ: List[Dict[int, int]]
+    parents: List[Optional[Tuple[int, int]]]
+    arc_count: int
     levels: int
 
     def path(self, state: int) -> List[Tuple[int, int, int]]:
         """The arcs of a shortest path from state 0 to state ``state``.
 
         The arc that admitted a state is the first arc reaching it, and
-        the loop admits breadth-first, so following first-seen parents
-        back (:func:`~repro.explore.trace.minimal_trace`) is shortest.
+        the loop admits breadth-first, so following admitting arcs back
+        is shortest.
         """
-        parents: List[Optional[Tuple[int, Tuple[int, int, int]]]] = [
-            None] * len(self.states)
-        for arc in reversed(self.arcs):
-            parents[arc[2]] = (arc[0], arc)
-        parents[0] = None
-        return minimal_trace(parents, state)
+        arcs: List[Tuple[int, int, int]] = []
+        while self.parents[state] is not None:
+            source, transition = self.parents[state]
+            arcs.append((source, transition, state))
+            state = source
+        return arcs[::-1]
 
 
 #: ``expand(level, states)`` yields one level's ``(source_index,
@@ -152,8 +154,8 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
     """Breadth-first reachability from ``initial``, one level at a time.
 
     The only loop that admits states in an explicit walk: it charges
-    every arc ``expand`` yields and then admits its successor if new,
-    checks the clock once per level, opens one ``frontier:level`` span
+    every arc ``expand`` yields, admits its successor if new and writes
+    it into its source's row, checks the clock once per level, opens one ``frontier:level`` span
     per level, sends the per-level heartbeat and records the
     ``repro_explore_*`` counters under ``engine``.  Running out of
     budget raises :class:`~repro.explore.budget.BudgetExceeded`; that
@@ -163,12 +165,16 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
     meter = (budget or _UNBOUNDED).meter()
     index: Dict[Hashable, int] = {initial: 0}
     states: List[Hashable] = []
-    arcs: List[Tuple[int, int, int]] = []
+    succ: List[Dict[int, int]] = []
+    parents: List[Optional[Tuple[int, int]]] = []
+    arcs = 0
     level: List[int] = [0]
     levels = 0
     try:
         meter.admit_state()
         states.append(initial)
+        succ.append({})
+        parents.append(None)
         while level:
             meter.level = levels
             with obs_span("frontier:level", engine=engine, level=levels,
@@ -182,21 +188,24 @@ def explore_levels(engine: str, initial: Hashable, expand: Expansion,
                         target = len(states)
                         index[successor] = target
                         states.append(successor)
+                        succ.append({})
+                        parents.append((source, transition))
                         next_level.append(target)
-                    arcs.append((source, transition, target))
+                    succ[source][transition] = target
+                    arcs += 1
                 meter.check_clock()
                 if level_span is not None:
                     level_span.set(admitted=len(next_level),
-                                   states=len(states), arcs=len(arcs))
+                                   states=len(states), arcs=arcs)
             _frontier_heartbeat(engine, meter, levels, len(level),
-                                len(states), len(arcs), force=not next_level)
+                                len(states), arcs, force=not next_level)
             levels += 1
             level = next_level
     except Exception as stop:
-        stop.run = ExplorationRun(states=states, arcs=arcs, levels=levels)
+        stop.run = ExplorationRun(states, succ, parents, arcs, levels)
         raise
-    _record_run(engine, len(states), len(arcs), levels)
-    return ExplorationRun(states=states, arcs=arcs, levels=levels)
+    _record_run(engine, len(states), arcs, levels)
+    return ExplorationRun(states, succ, parents, arcs, levels)
 
 
 def explore_packed(packed: PackedNet,
@@ -256,9 +265,8 @@ def explore_packed(packed: PackedNet,
             "unfolded", packed.initial | sum(
                 value << places + i for i, value in enumerate(values)),
             _state_major(packed, places + len(values), effects), budget)
-        return ExplorationRun([(packed.unpack(row), bit_tuple(
-            row >> places, len(values))) for row in run.states],
-            run.arcs, run.levels)
+        return replace(run, states=[(packed.unpack(row), bit_tuple(
+            row >> places, len(values))) for row in run.states])
     if reducer is None:
         return explore_levels("packed", packed.initial, vectorized, budget)
     # A reducer is asked state by state; the counter and log line make

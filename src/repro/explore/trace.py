@@ -2,11 +2,12 @@
 
 Discoveries take one parent-map shape -- ``state -> None`` for the
 initial state, ``state -> (parent, step)`` for everything else --
-whether read off a level-loop run's arcs
-(:meth:`~repro.explore.frontier.ExplorationRun.path`) or kept by a BFS of
-its own, so witnesses and counterexamples are rebuilt by one
-deterministic walk.  Because the walks admit states breadth-first, the
-reconstructed trace is a *shortest* step sequence to the state.
+whether it is a level-loop run's admitting arcs
+(:attr:`~repro.explore.frontier.ExplorationRun.parents`, indexed by
+state) or kept by a BFS of its own, so witnesses and counterexamples are
+rebuilt by one deterministic walk.  Because the walks admit states
+breadth-first, the reconstructed trace is a *shortest* step sequence to
+the state.
 """
 
 from __future__ import annotations

@@ -39,9 +39,7 @@ from ..encoding.insertion import resolve_csc
 from ..petri.parser import parse_stg, write_stg
 from ..reduction.explore import (ExplorationResult, ExplorationStats,
                                  full_reduction_with_stats, reduce_concurrency)
-from ..explore import ExplorationBudget
-from ..sg.generator import DEFAULT_MAX_STATES as DEFAULT_SG_MAX_STATES
-from ..sg.generator import generate_sg
+from ..sg.generator import generate_sg, generation_budget
 from ..sg.graph import StateGraph
 from ..sg.resynthesis import ResynthesisError, resynthesise_stg
 from ..timing.critical_cycle import TimingError, critical_cycle
@@ -383,13 +381,9 @@ def _run_stages(config: FlowConfig,
         text = stg_text
 
         def compute_generate():
-            budget = ExplorationBudget(
-                max_states=(DEFAULT_SG_MAX_STATES
-                            if config.sg_max_states is None
-                            else config.sg_max_states),
-                max_arcs=config.sg_max_arcs)
-            return sg_to_payload(generate_sg(parse_stg(text),
-                                             budget=budget)), None
+            return sg_to_payload(generate_sg(
+                parse_stg(text), budget=generation_budget(
+                    config.sg_max_states, config.sg_max_arcs))), None
 
         results["generate"] = _execute(
             store, "generate", generate_slice,

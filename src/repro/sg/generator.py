@@ -20,12 +20,13 @@ level-vectorized engine when the net fits single-bit markings, the
 incremental tuple engine otherwise.  A 2-phase run carries its signal
 values in the same state, as bits above the places of a packed row or
 as a tuple beside a tuple marking.  The graph adopts the run's
-numbering: each state's successor row is written once, on ints, and
-codes come packed from a BFS over the run's index arcs.
+numbering and the successor rows the level loop wrote, and codes come
+packed from a BFS over those rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..explore import (BudgetExceeded, ExplorationBudget, ExplorationRun,
@@ -34,9 +35,18 @@ from ..explore import (BudgetExceeded, ExplorationBudget, ExplorationRun,
 from ..explore.frontier import Effect, GuardFailure
 from ..petri.net import PackedOverflowError, pack_bits
 from ..petri.stg import STG, Direction, SignalEvent, SignalKind
-from .graph import State, StateGraph, StateGraphError
+from .graph import StateGraph, StateGraphError
 
 DEFAULT_MAX_STATES = 200_000
+
+
+def generation_budget(max_states: Optional[int] = None,
+                      max_arcs: Optional[int] = None) -> ExplorationBudget:
+    """A generation's budget; ``max_states`` defaults to
+    :data:`DEFAULT_MAX_STATES`."""
+    return ExplorationBudget(
+        max_states=DEFAULT_MAX_STATES if max_states is None else max_states,
+        max_arcs=max_arcs)
 
 
 class ConsistencyError(StateGraphError):
@@ -82,8 +92,8 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
     :class:`~repro.explore.ExplorationRun` of the level loop.
 
     ``budget`` caps the exploration (states / arcs / wall-clock), the
-    unfolding included; when omitted, the cap is
-    :data:`DEFAULT_MAX_STATES` states.  Running out of budget raises
+    unfolding included; when omitted, it is :func:`generation_budget`'s
+    default.  Running out of budget raises
     :class:`GenerationBudgetError` -- never a silently truncated graph.
     With ``stubborn=True``, reachability uses the stubborn-set reduction
     hook, packed runs only: ``engine="tuples"``, a toggle STG or a net
@@ -107,8 +117,6 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
         raise StateGraphError(
             f"unknown SG engine {engine!r}; expected 'auto', 'packed' or "
             "'tuples'")
-    if budget is None:
-        budget = ExplorationBudget(max_states=DEFAULT_MAX_STATES)
     has_toggle = False
     for transition in stg.net.transitions:
         if transition.label is None:
@@ -140,29 +148,25 @@ def generate_sg(stg: STG, *, name: Optional[str] = None,
         values = tuple(stg.initial_values.get(s, 0) for s in sg.signals)
         engine = "auto"
     try:
-        states, run = _explore(stg, budget, stubborn, engine, effects, values)
+        run = _explore(stg, budget or generation_budget(), stubborn, engine,
+                       effects, values)
     except BudgetExceeded as exceeded:
         raise GenerationBudgetError(exceeded.exceedance) from None
     except GuardFailure as failure:
         source, transition = failure.args
-        event = stg.event_of(names[transition])
-        raise ConsistencyError(
-            f"{names[transition]} fires with {event.signal} already "
+        raise _inconsistent(
+            f"{names[transition]} fires with "
+            f"{stg.event_of(names[transition]).signal} already "
             f"{'low' if effects[transition][1] else 'high'}",
-            witness=[names[t] for _, t, _ in failure.run.path(source)]
-            + [names[transition]]) from None
+            names, failure.run.parents, source, transition) from None
 
-    # Each state's arcs, in transition order: the graph's successor order.
     # Labels were declared in transition order, so a transition is its
-    # label id.
-    out: List[Dict[int, int]] = [{} for _ in states]
-    for source, transition, target in run.arcs:
-        out[source][transition] = target
+    # label id and the run's rows are the graph's.
     if has_toggle:
-        codes = [pack_bits(values) for _, values in states]
+        codes = [pack_bits(values) for _, values in run.states]
     else:
-        codes = _assign_codes(stg, sg.signals, out)
-    return sg.adopt(states, out, codes)
+        codes = _assign_codes(stg, sg.signals, run.succ)
+    return sg.adopt(run.states, run.succ, codes)
 
 
 _NOT_PACKED = ("--stubborn (stubborn=True) needs the packed engine, but STG "
@@ -171,17 +175,17 @@ _NOT_PACKED = ("--stubborn (stubborn=True) needs the packed engine, but STG "
 
 def _explore(stg: STG, budget: ExplorationBudget, stubborn: bool,
              engine: str, effects: Optional[List[Effect]],
-             values: Tuple[int, ...]) -> Tuple[List[State], ExplorationRun]:
-    """The run of ``stg`` and its states: tuple markings, or ``(marking,
-    values)`` pairs when 2-phase ``effects`` unfold it."""
+             values: Tuple[int, ...]) -> ExplorationRun:
+    """The run of ``stg``, on tuple markings, or on ``(marking, values)``
+    pairs when 2-phase ``effects`` unfold it."""
     packed = stg.net.compile_packed() if engine != "tuples" else None
     if packed is not None:
         reducer = stubborn_reducer(packed) if stubborn else None
         try:
             run = explore_packed(packed, budget=budget, reducer=reducer,
                                  effects=effects, values=values)
-            return (run.states if effects is not None else
-                    [packed.unpack(row) for row in run.states]), run
+            return run if effects is not None else replace(
+                run, states=[packed.unpack(row) for row in run.states])
         except PackedOverflowError as overflow:
             why = f"is not 1-safe ({overflow})"
     elif engine == "tuples":
@@ -194,9 +198,8 @@ def _explore(stg: STG, budget: ExplorationBudget, stubborn: bool,
     if engine == "packed":
         raise StateGraphError(f"STG {stg.name!r} {why}; use engine='auto' "
                               "or 'tuples'")
-    run = explore_tuples(stg.net, budget=budget, effects=effects,
-                         values=values)
-    return run.states, run
+    return explore_tuples(stg.net, budget=budget, effects=effects,
+                          values=values)
 
 
 def _inconsistent(message: str, names: Sequence[str], parents: Sequence,

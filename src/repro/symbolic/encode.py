@@ -85,11 +85,11 @@ class SymbolicOverflowError(SymbolicEncodingError):
 
 
 class SymbolicDepthError(SymbolicEncodingError):
-    """A BDD operation, recursing once per variable level, ran out of
-    Python stack in ``stage`` on ``variables`` BDD variables."""
+    """``stage``'s BDD operations, recursing once per variable level, are
+    too deep for the Python stack on ``variables`` BDD variables."""
 
     def __init__(self, stage: str, name: str, variables: int) -> None:
-        super().__init__(f"{stage} of {name!r} recursed deeper than the "
+        super().__init__(f"{stage} of {name!r} recurses deeper than the "
                          f"interpreter allows ({variables} BDD variables)")
         self.stage, self.variables = stage, variables
 

@@ -27,7 +27,7 @@ The product runs on the shared level loop of :mod:`repro.explore`
 is spanned, counted and metered like every other explicit walk.  A
 level's moves are int codes -- a spec label id, or past the labels an
 internal net's node -- and step dicts are built only for the
-counterexample trace, which is read off the run's first-seen arcs.  The
+counterexample trace, which is read off the run's admitting arcs.  The
 walk is breadth-first in a fixed order (states in admission order, each
 state's moves in event-declaration order), so the first failure found is
 at minimal depth and the counterexample trace is minimal; the same order
@@ -291,7 +291,7 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
     except _Failure as failure:
         return walked(failure.verdict, failure.reason,
                       trace(failure.run, failure.source, failure.step),
-                      len(failure.run.states), len(failure.run.arcs))
+                      len(failure.run.states), failure.run.arc_count)
     except BudgetExceeded as exceeded:
         # Out of budget on an arc, or of wall clock between levels (no
         # single offending arc, no trace).
@@ -306,4 +306,4 @@ def check_conformance(netlist: Netlist, spec: StateGraph,
                       exceedance.states, exceedance.arcs)
     return walked("not-semi-modular" if semi_reason and require_semi_modular
                   else "conforming", semi_reason, [], len(run.states),
-                  len(run.arcs))
+                  run.arc_count)

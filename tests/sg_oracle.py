@@ -9,10 +9,13 @@ against Definition 2.1 and the FwdRed step directly.
 
 Generation keeps its runs on ints until the graph is filled;
 :func:`reference_sg` builds the same graph on tuples and dicts, and the
-tests compare the two byte for byte.
+tests compare the two byte for byte.  A run keeps rows, not arcs;
+:func:`run_arcs` rebuilds its arcs in the order the level loop
+traversed them.
 """
 
 from collections import deque
+from dataclasses import replace
 from typing import (Dict, Hashable, Iterable, Iterator, List, Optional, Set,
                     Tuple)
 
@@ -79,6 +82,7 @@ def reference_sg(stg: STG, budget: Optional[ExplorationBudget] = None
     names = stg.net.transition_names
     for transition in names:
         sg.declare_event(transition, stg.event_of(transition))
+    transition_major = False  # the packed engine's level order
     try:
         if has_toggle:
             run = explore_levels("unfolded", *unfolding(stg, sg.signals),
@@ -89,9 +93,9 @@ def reference_sg(stg: STG, budget: Optional[ExplorationBudget] = None
             if packed is not None:
                 try:
                     run = explore_packed(packed, budget=budget)
-                    run = ExplorationRun(
-                        [packed.unpack(row) for row in run.states],
-                        run.arcs, run.levels)
+                    run = replace(run, states=[
+                        packed.unpack(row) for row in run.states])
+                    transition_major = True
                 except PackedOverflowError:
                     run = None
             if run is None:
@@ -102,7 +106,7 @@ def reference_sg(stg: STG, budget: Optional[ExplorationBudget] = None
     states = run.states
     sg.add_state(states[0])
     sg.initial = states[0]
-    for source, transition, target in run.arcs:
+    for source, transition, target in run_arcs(run, transition_major):
         sg.add_arc(states[source], names[transition], states[target])
     if has_toggle:
         for state in states:
@@ -110,6 +114,29 @@ def reference_sg(stg: STG, budget: Optional[ExplorationBudget] = None
     else:
         assign_codes(stg, sg)
     return sg
+
+
+def run_arcs(run: ExplorationRun, transition_major: bool = False
+             ) -> List[Tuple[int, int, int]]:
+    """``run``'s ``(source, transition, target)`` arcs, rebuilt from its
+    rows in the order the level loop traversed them.
+
+    A state-major expansion (the tuple engine, a reducer, the 2-phase
+    unfolding) traverses state by state, so its arcs are its rows in
+    state order.  The packed engine's ``transition_major`` expansion
+    traverses each BFS level transition by transition, each
+    transition's sources in admission order; a state's level is one
+    past that of the state whose arc admitted it.
+    """
+    arcs = [(source, transition, target)
+            for source, row in enumerate(run.succ)
+            for transition, target in row.items()]
+    if not transition_major:
+        return arcs
+    depth = [0] * len(run.states)
+    for state, parent in enumerate(run.parents[1:], 1):
+        depth[state] = depth[parent[0]] + 1
+    return sorted(arcs, key=lambda arc: (depth[arc[0]], arc[1], arc[0]))
 
 
 def unfolding(stg: STG, signals: List[str]) -> Tuple[Hashable, Expansion]:

@@ -2,14 +2,15 @@
 
 import json
 from collections import deque
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from repro.explore import (BudgetExceedance, BudgetExceeded, BudgetMeter,
-                           ExplorationBudget, ExplorationRun,
-                           ample_internal_moves, explore_packed,
-                           explore_tuples, minimal_trace, stubborn_reducer)
+                           ExplorationBudget, ample_internal_moves,
+                           explore_packed, explore_tuples, minimal_trace,
+                           stubborn_reducer)
 from repro.hse.expansion import expand
 from repro.petri.net import PetriNet
 from repro.petri.stg import STG, Direction, SignalKind
@@ -21,6 +22,7 @@ from repro.specs.families import (fifo_chain, load_family,
                                   micropipeline_chain)
 from repro.specs.lr import lr_expanded, lr_spec
 from repro.specs.registry import load_spec, spec_names
+from sg_oracle import run_arcs
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_frontier.json"
 
@@ -43,7 +45,7 @@ class TestEngineEquivalence:
             vec = explore_packed(packed)
             seq = explore_tuples(net)
             assert len(vec.states) == len(seq.states), name
-            assert len(vec.arcs) == len(seq.arcs), name
+            assert vec.arc_count == seq.arc_count, name
             assert vec.levels == seq.levels, name
 
     def test_same_marking_and_arc_sets(self):
@@ -59,7 +61,7 @@ class TestEngineEquivalence:
 
             def arc_set(run, markings):
                 return {(markings[s], names[t], markings[d])
-                        for s, t, d in run.arcs}
+                        for s, t, d in run_arcs(run)}
 
             assert (arc_set(vec, vec_markings)
                     == arc_set(seq, seq.states)), name
@@ -219,7 +221,7 @@ class TestStubbornReduction:
         assert packed is not None
 
         def deadlocks(run):
-            sources = {source for source, _, _ in run.arcs}
+            sources = {source for source, _, _ in run_arcs(run)}
             return {run.states[i] for i in range(len(run.states))
                     if i not in sources}
 
@@ -297,7 +299,8 @@ def _net_runs(net):
 
 
 def _unfolded_run(stg, budget):
-    """The 2-phase unfolding's run, read off the generated graph.
+    """The 2-phase unfolding's ``(states, arcs, levels)``, read off the
+    generated graph.
 
     The graph keeps states in admission order and each state's arcs in
     traversal order, which for a state-major expansion is the global
@@ -318,18 +321,25 @@ def _unfolded_run(stg, budget):
                 depth[target] = depth[state] + 1
                 queue.append(target)
     states = [[state, sg.code_of(state)] for state in sg.states]
-    return ExplorationRun(states, arcs, max(depth.values()) + 1)
+    return states, arcs, max(depth.values()) + 1
 
 
-def _mode_entry(explore):
+def _walk(explore, transition_major, budget):
+    """``explore``'s run under ``budget`` as ``(states, arcs, levels)``,
+    its arcs rebuilt in traversal order."""
+    run = explore(budget)
+    return run.states, run_arcs(run, transition_major), run.levels
+
+
+def _mode_entry(walk):
     """Digest of one mode's full run plus its exceedance at half size."""
-    run = explore(None)
+    states, arcs, levels = walk(None)
     with pytest.raises(BudgetExceeded) as excinfo:
-        explore(ExplorationBudget(max_states=len(run.states) // 2))
+        walk(ExplorationBudget(max_states=len(states) // 2))
     exceeded = excinfo.value.exceedance
-    return {"digest": digest_payload([run.states, run.arcs, run.levels]),
-            "states": len(run.states), "arcs": len(run.arcs),
-            "levels": run.levels,
+    return {"digest": digest_payload([states, arcs, levels]),
+            "states": len(states), "arcs": len(arcs),
+            "levels": levels,
             "exceedance": [exceeded.resource, exceeded.limit,
                            exceeded.states, exceeded.arcs, exceeded.level]}
 
@@ -338,7 +348,7 @@ def frontier_digests():
     """The golden file's content, recomputed from the current code."""
     golden = {}
     for name, stg in sorted(golden_inputs().items()):
-        entry = {mode: _mode_entry(explore)
+        entry = {mode: _mode_entry(partial(_walk, explore, mode == "packed"))
                  for mode, explore in _net_runs(stg.net).items()}
         if any(event.direction == Direction.TOGGLE
                for event in map(stg.event_of, stg.net.transition_names)):
@@ -359,3 +369,65 @@ class TestGoldenFrontier:
     def test_matches_golden(self):
         golden = json.loads(GOLDEN_PATH.read_text())
         assert frontier_digests() == golden
+
+
+def _generation_runs(monkeypatch):
+    """The runs ``generate_sg`` explores on, appended as it makes them."""
+    import repro.sg.generator as generator
+
+    runs = []
+
+    def recording(explore):
+        def wrapper(*args, **kwargs):
+            runs.append(explore(*args, **kwargs))
+            return runs[-1]
+        return wrapper
+
+    monkeypatch.setattr(generator, "explore_packed",
+                        recording(generator.explore_packed))
+    monkeypatch.setattr(generator, "explore_tuples",
+                        recording(generator.explore_tuples))
+    return runs
+
+
+def _first_arc_path(arcs, count, state):
+    """A shortest path to ``state`` as read off an arc list: the first
+    arc reaching each state, followed back."""
+    parents = [None] * count
+    for arc in reversed(arcs):
+        parents[arc[2]] = (arc[0], arc)
+    parents[0] = None
+    return minimal_trace(parents, state)
+
+
+class TestRunRows:
+    """The level loop writes each state's successor row and the arc that
+    admitted it; the graph and every path are read off those."""
+
+    @pytest.mark.parametrize("spec, engine", [
+        ("lr", "packed"), ("lr", "tuples"), ("counter_3", "auto")])
+    def test_graph_adopts_the_run_rows(self, spec, engine, monkeypatch):
+        runs = _generation_runs(monkeypatch)
+        sg = generate_sg(load_spec(spec), engine=engine)
+        assert len(runs) == 1
+        assert sg.succ is runs[0].succ
+        assert len(sg) == len(runs[0].states)
+
+    def test_path_is_the_first_arc_in_traversal_order(self, monkeypatch):
+        runs = _generation_runs(monkeypatch)
+        checked = set()
+        for name, stg in sorted(golden_inputs().items()):
+            explored = {mode: (explore(None), mode == "packed")
+                        for mode, explore in _net_runs(stg.net).items()}
+            if any(event.direction == Direction.TOGGLE for event in
+                   map(stg.event_of, stg.net.transition_names)):
+                generate_sg(stg)
+                explored["unfolded"] = (runs[-1], False)
+            for mode, (run, transition_major) in explored.items():
+                arcs = run_arcs(run, transition_major)
+                assert run.arc_count == len(arcs), (name, mode)
+                for state in range(len(run.states)):
+                    assert run.path(state) == _first_arc_path(
+                        arcs, len(run.states), state), (name, mode, state)
+                checked.add(mode)
+        assert checked == {"packed", "stubborn", "tuples", "unfolded"}

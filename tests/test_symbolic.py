@@ -7,9 +7,13 @@ here, alongside the encoder/reachability corpus counts and the budget
 semantics.
 """
 
+import contextlib
+import io
 import json
 import random
 import re
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -427,6 +431,69 @@ class TestDepthRefusal:
         assert captured.err.startswith(f"error: {stage} of {spec!r} ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+#: A node budget the coding check of ``fifo_chain_40`` trips in its pair
+#: product once that has recursed through all its 722 variables (724
+#: frames deep, measured); the full check takes 40 s and 4 GB.  The
+#: reachability of ``fifo_chain_50`` and ``fifo_chain_55`` fits under it.
+DEPTH_PROBE_NODES = 300_000
+
+#: ``{spec: verdict}`` of the symbolic coding check under
+#: :data:`DEPTH_PROBE_NODES`, run at a script's module level.
+DEPTH_VERDICTS = f"""
+import json, sys
+from repro.explore.budget import BudgetExceeded, ExplorationBudget
+from repro.sg.properties import check_coding
+from repro.specs.registry import load_spec
+from repro.symbolic import SymbolicDepthError
+
+verdicts = {{}}
+for spec in sys.argv[1:]:
+    try:
+        check_coding(load_spec(spec), engine="symbolic",
+                     budget=ExplorationBudget(max_nodes={DEPTH_PROBE_NODES}))
+        verdicts[spec] = "checked"
+    except SymbolicDepthError as refused:
+        verdicts[spec] = "refused in " + refused.stage
+    except BudgetExceeded as exceeded:
+        verdicts[spec] = "out of " + exceeded.exceedance.resource
+print(json.dumps(verdicts))
+"""
+
+
+def _verdicts_under(frames, specs):
+    """:data:`DEPTH_VERDICTS` run ``frames`` calls deeper than here."""
+    if frames:
+        return _verdicts_under(frames - 1, specs)
+    namespace = {"__name__": "depth_probe"}
+    argv, sys.argv = sys.argv, ["-c", *specs]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            exec(DEPTH_VERDICTS, namespace)
+    finally:
+        sys.argv = argv
+    return json.loads(out.getvalue())
+
+
+class TestDepthVerdict:
+    """Whether a net is checked or refused for depth depends on its BDD
+    variable count and the stage only, not on the caller's stack."""
+
+    SPECS = ("fifo_chain_40", "fifo_chain_50", "fifo_chain_55",
+             "fifo_chain_80")
+
+    def test_same_verdict_at_module_level_and_100_frames_deeper(self):
+        module_level = subprocess.run(
+            [sys.executable, "-c", DEPTH_VERDICTS, *self.SPECS],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": "src"})
+        expected = {"fifo_chain_40": "out of nodes",
+                    "fifo_chain_50": "refused in symbolic coding check",
+                    "fifo_chain_55": "refused in symbolic coding check",
+                    "fifo_chain_80": "refused in symbolic reachability"}
+        assert json.loads(module_level.stdout) == expected
+        assert _verdicts_under(100, self.SPECS) == expected
 
 
 DOUBLE_RISE = (".outputs a\n.graph\na+ a+/1\na+/1 a+\n"
