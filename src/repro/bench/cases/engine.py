@@ -8,9 +8,10 @@ the seed revision's numbers in ``benchmarks/baseline_seed.json``
 (captured on the same machine class before the engine work).  The
 scaling behaviour past these few-hundred-state suites lives in the
 ``frontier_scaling`` case (:mod:`repro.bench.cases.frontier`).  The cache-soundness and determinism claims are
-checks: the engine's memo tables must be pure caches (byte-identical
-synthesis outputs with the engine on and off) and two consecutive runs
-must produce byte-identical fingerprints.
+checks: the engine's memo tables must be pure caches (a warm search, on a
+space other searches filled, equals a cold one under a Keep_Conc pair and
+without, and warm synthesis outputs are byte-identical to cold ones) and
+two cold runs must produce byte-identical fingerprints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from ..registry import (BenchCase, Check, CheckSkipped, Metric, register,
                         require)
-from .tables import ablation_sweep
+from .tables import ABLATION_SEARCHES, ablation_sweep
 
 SPEEDUP_FLOOR = 3.0
 
@@ -88,8 +89,25 @@ def _synthesis_fingerprint() -> str:
     return "\n".join(parts)
 
 
+def _ablation_sweep_caches_off() -> None:
+    """The ablation sweep with the memo tables cleared before each search,
+    so no search reuses a space another one filled."""
+    from repro import engine, generate_sg, reduce_concurrency
+    from repro.specs.lr import lr_expanded
+
+    sg = generate_sg(lr_expanded())
+    for _, options in ABLATION_SEARCHES:
+        engine.clear_caches()
+        reduce_concurrency(sg, **options)
+
+
+def _outcome(result) -> tuple:
+    return result.best_cost, result.best.signature()
+
+
 def run_engine_scaling(context) -> dict:
     from repro import engine, generate_sg, reduce_concurrency
+    from repro.reduction.fwdred import reducible_pairs
     from repro.specs.lr import lr_expanded
     from repro.specs.mmu import mmu_expanded
     from repro.specs.par import par_expanded
@@ -102,13 +120,18 @@ def run_engine_scaling(context) -> dict:
         generate_seconds, sg = context.best_of(lambda: generate_sg(stg))
         explore_seconds, result = context.best_of(
             lambda: reduce_concurrency(sg))
-        engine.set_packed_memo(False)
-        explore_seconds_off, result_off = context.best_of(
-            lambda: reduce_concurrency(sg))
-        engine.set_packed_memo(True)
-        caches_sound &= (result_off.best_cost == result.best_cost
-                         and result_off.best.signature()
-                         == result.best.signature())
+        # The warm searches run on the space that the cold ones and one
+        # under another Keep_Conc pair filled; with a Keep_Conc pair or
+        # without, each must equal a search on cleared tables.
+        pairs = sorted(reducible_pairs(sg))
+        keep = pairs[:1]
+        reduce_concurrency(sg, keep_conc=pairs[-1:])
+        warm_kept = reduce_concurrency(sg, keep_conc=keep)
+        warm = reduce_concurrency(sg)
+        engine.clear_caches()
+        cold_kept = reduce_concurrency(sg, keep_conc=keep)
+        caches_sound &= (_outcome(warm) == _outcome(result)
+                         and _outcome(warm_kept) == _outcome(cold_kept))
         suites.append({
             "suite": name,
             "states": len(sg),
@@ -117,7 +140,6 @@ def run_engine_scaling(context) -> dict:
             "states_per_second": len(sg) / generate_seconds
             if generate_seconds else 0.0,
             "explore_seconds": explore_seconds,
-            "explore_seconds_caches_off": explore_seconds_off,
             "explored": result.explored_count,
             "explored_per_second": result.explored_count / explore_seconds
             if explore_seconds else 0.0,
@@ -125,11 +147,11 @@ def run_engine_scaling(context) -> dict:
         })
 
     sweep_seconds, _ = context.best_of(ablation_sweep)
-    engine.set_packed_memo(False)
-    sweep_seconds_off, _ = context.best_of(ablation_sweep)
-    fingerprint_off = _synthesis_fingerprint()
-    engine.set_packed_memo(True)
-    fingerprint_on = _synthesis_fingerprint()
+    sweep_seconds_off, _ = context.best_of(_ablation_sweep_caches_off)
+    engine.clear_caches()
+    fingerprint_cold = _synthesis_fingerprint()
+    fingerprint_warm = _synthesis_fingerprint()
+    engine.clear_caches()
     fingerprint_repeat = _synthesis_fingerprint()
 
     by_suite = {s["suite"]: s for s in suites}
@@ -154,9 +176,9 @@ def run_engine_scaling(context) -> dict:
         "ablation_sweep_seconds": sweep_seconds,
         "ablation_sweep_seconds_caches_off": sweep_seconds_off,
         "total_explore_seconds": sum(s["explore_seconds"] for s in suites),
-        "outputs_identical_caches_on_off":
-            caches_sound and fingerprint_on == fingerprint_off,
-        "deterministic_repeat": fingerprint_on == fingerprint_repeat,
+        "outputs_identical_cold_warm":
+            caches_sound and fingerprint_warm == fingerprint_cold,
+        "deterministic_repeat": fingerprint_cold == fingerprint_repeat,
     }
 
     baseline = _seed_baseline()
@@ -242,11 +264,12 @@ register(BenchCase(
     ),
     checks=(
         Check("caches_are_pure", lambda r: require(
-            r["outputs_identical_caches_on_off"],
-            "synthesis outputs must be byte-identical caches on/off")),
+            r["outputs_identical_cold_warm"],
+            "searches and synthesis outputs must be identical cold and "
+            "warm")),
         Check("deterministic_repeat", lambda r: require(
             r["deterministic_repeat"],
-            "two fingerprint passes must be byte-identical")),
+            "two cold fingerprint passes must be byte-identical")),
         Check("seed_speedup_floor", _check_seed_speedup),
     ),
     info_keys=("suite_names",),

@@ -262,20 +262,23 @@ register(BenchCase(
 # --------------------------------------------------------------------------
 # Fig. 9 ablation: the exploration knobs (frontier width, weight W).
 
+#: The ablation workload's LR searches, ``(label, search keywords)``: beam
+#: widths, best-first, then weights.
+ABLATION_SEARCHES = (
+    [(f"beam w={width}", {"strategy": "beam", "size_frontier": width})
+     for width in (1, 2, 4, 8)]
+    + [("best-first", {})]
+    + [(f"W={weight}", {"weight": weight}) for weight in (0.0, 0.5, 1.0)])
+
+
 def ablation_sweep() -> dict:
     """The ablation workload: LR searches over beam widths and weights."""
     from repro import generate_sg, reduce_concurrency
     from repro.specs.lr import lr_expanded
 
     sg = generate_sg(lr_expanded())
-    results = {}
-    for width in (1, 2, 4, 8):
-        results[f"beam w={width}"] = reduce_concurrency(
-            sg, strategy="beam", size_frontier=width)
-    results["best-first"] = reduce_concurrency(sg)
-    for weight in (0.0, 0.5, 1.0):
-        results[f"W={weight}"] = reduce_concurrency(sg, weight=weight)
-    return results
+    return {label: reduce_concurrency(sg, **options)
+            for label, options in ABLATION_SEARCHES}
 
 
 def run_ablation(context) -> dict:

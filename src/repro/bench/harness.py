@@ -78,7 +78,6 @@ class RunContext:
 
     quick: bool = False
     rounds: int = 3
-    warmup: bool = True
 
     def timing_rounds(self, rounds: Optional[int] = None) -> int:
         if self.quick:
@@ -86,23 +85,15 @@ class RunContext:
         return self.rounds if rounds is None else rounds
 
     def best_of(self, fn: Callable[[], Any],
-                rounds: Optional[int] = None,
-                clear_caches: bool = True) -> Tuple[float, Any]:
-        """(best seconds, last result) over min-of-N rounds.
-
-        With ``clear_caches`` the rounds time the *cold* path (memo
-        tables reset before each).  Without it they time the warm path,
-        preceded by one untimed warmup round outside quick mode.
-        """
+                rounds: Optional[int] = None) -> Tuple[float, Any]:
+        """(best seconds, last result) over min-of-N rounds, each on the
+        *cold* path: the memo tables are reset before every round."""
         from repro import engine
 
-        if not clear_caches and self.warmup and not self.quick:
-            fn()
         best_time: Optional[float] = None
         result: Any = None
         for _ in range(self.timing_rounds(rounds)):
-            if clear_caches:
-                engine.clear_caches()
+            engine.clear_caches()
             started = time.perf_counter()
             result = fn()
             elapsed = time.perf_counter() - started

@@ -70,10 +70,10 @@ class CircuitImplementation:
         return self.signals[signal].style
 
 
-def synthesize_signal(sg: StateGraph, signal: str, exact: bool = True,
+def synthesize_signal(sg: StateGraph, signal: str,
                       library: Library = DEFAULT_LIBRARY,
                       style: str = "auto") -> SignalImplementation:
-    """Implement one non-input signal from the SG.
+    """Implement one non-input signal from the SG with exact covers.
 
     ``style`` is ``"auto"`` (pick the cheaper of complex gate and gC),
     ``"complex"`` or ``"gc"``.
@@ -81,10 +81,10 @@ def synthesize_signal(sg: StateGraph, signal: str, exact: bool = True,
     function = extract_function(sg, signal)
     if function.has_csc_conflict:
         raise SynthesisError(
-            f"signal {signal!r} has {len(function.conflicts)} CSC-conflicting "
-            "codes; insert state signals before synthesis")
+            f"signal {signal!r} has {len(function.conflict_ints)} "
+            "CSC-conflicting codes; insert state signals before synthesis")
     names = function.variables
-    cover = function.minimized(exact=exact)
+    cover = function.minimized(exact=True)
 
     complex_netlist = Netlist(f"{sg.name}_{signal}_cx", library)
     map_cover(cover, names, signal, complex_netlist)
@@ -103,7 +103,7 @@ def synthesize_signal(sg: StateGraph, signal: str, exact: bool = True,
                                     complex_netlist,
                                     f"{signal} = {cover.to_expression(names)}")
 
-    set_reset = extract_set_reset(sg, signal, exact=exact)
+    set_reset = extract_set_reset(sg, signal)
     gc_netlist = Netlist(f"{sg.name}_{signal}_gc", library)
     map_gc(set_reset.set_cover, set_reset.reset_cover, names, signal,
            library, gc_netlist)
@@ -127,13 +127,12 @@ def estimate_circuit_area(sg: StateGraph, library: Library = DEFAULT_LIBRARY) ->
     """
     total = 0.0
     for signal, function in extract_all_functions(sg).items():
-        cover = function.minimized(conflict_policy="on")
+        cover = function.minimized()
         total += cover_mapped_area(cover, function.variables, library)
     return total
 
 
-def synthesize_circuit(sg: StateGraph, exact: bool = True,
-                       library: Library = DEFAULT_LIBRARY,
+def synthesize_circuit(sg: StateGraph, library: Library = DEFAULT_LIBRARY,
                        style: str = "auto") -> CircuitImplementation:
     """Implement every output and internal signal of the SG."""
     top = Netlist(sg.name, library)
@@ -146,8 +145,7 @@ def synthesize_circuit(sg: StateGraph, exact: bool = True,
     for signal in sg.signals:
         if sg.kinds[signal] == SignalKind.INPUT:
             continue
-        impl = synthesize_signal(sg, signal, exact=exact, library=library,
-                                 style=style)
+        impl = synthesize_signal(sg, signal, library=library, style=style)
         implementations[signal] = impl
         top.merge(impl.netlist)
     return CircuitImplementation(sg.name, implementations, top)

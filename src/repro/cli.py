@@ -809,8 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one tier: quick (sub-second, the CI gate) "
                             "or full (multi-second throughput); default: all")
     bench.add_argument("--quick", action="store_true",
-                       help="single timing round, no warmup (smoke mode; "
-                            "measured metrics are noisy)")
+                       help="single timing round (smoke mode; measured "
+                            "metrics are noisy)")
     bench.add_argument("--rounds", type=int, default=3,
                        help="timing rounds per measurement (min-of-N)")
     bench.add_argument("--out", metavar="PATH",

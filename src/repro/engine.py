@@ -1,28 +1,26 @@
-"""Global switches for the packed-bitvector engine.
+"""The registry of the engine's process-global memo tables.
 
 The hot exploration loop leans on memo tables keyed by packed integer
-masks (see :mod:`repro.reduction.fwdred`).  Pure caches must never change results, so
-the scaling benchmark runs the same workload with the caches enabled and
-disabled and asserts byte-identical synthesis outputs; this module is the
-single point of control for that ablation.
+masks (see :mod:`repro.reduction.fwdred`).  Pure caches must never change
+results, so the scaling benchmark and the work-counter tests compare a
+cold search (every table cleared first) with a warm one and require
+byte-identical outputs.
 
 Caches register themselves here (optionally under a name) so that
-disabling the engine also clears them (a stale entry surviving a toggle
-would defeat the comparison) and so ``repro cache stats`` can report the
-in-process memo tables next to the on-disk artifact store.
+:func:`clear_caches` drops them all and ``repro cache stats`` can report
+the in-process memo tables next to the on-disk artifact store.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, MutableMapping, Optional, Tuple
 
-_packed_memo_enabled = True
 _registered_caches: List[Tuple[str, MutableMapping]] = []
 
 
 def register_cache(cache: MutableMapping,
                    name: Optional[str] = None) -> MutableMapping:
-    """Register a memo table so toggling the engine clears it; returns it.
+    """Register a memo table so :func:`clear_caches` clears it; returns it.
 
     ``name`` labels the table in :func:`cache_stats`; anonymous tables get
     a positional label.
@@ -30,17 +28,6 @@ def register_cache(cache: MutableMapping,
     label = name or f"cache-{len(_registered_caches)}"
     _registered_caches.append((label, cache))
     return cache
-
-
-def packed_memo_enabled() -> bool:
-    return _packed_memo_enabled
-
-
-def set_packed_memo(enabled: bool) -> None:
-    """Enable or disable every registered memo table (clearing them all)."""
-    global _packed_memo_enabled
-    _packed_memo_enabled = bool(enabled)
-    clear_caches()
 
 
 def clear_caches() -> None:

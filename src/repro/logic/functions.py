@@ -11,20 +11,17 @@ by minimization (this is exactly how concurrency reduction helps logic:
 fewer reachable states, larger DC set).  The DC set is never built on the
 way to a cover: both minimizers take the packed ON and OFF sets, whose
 sizes are bounded by the reachable states, and treat every other code as a
-don't care.  ``dc_ints`` enumerates the ``2^n`` code space only when read.
+don't care.
 
 Extraction runs on packed integer codes (bit i = signal i, shared with
-:meth:`repro.sg.graph.StateGraph.code_int` and the minimizers); the
-tuple-minterm views ``on``/``off``/``dc``/``conflicts`` are materialized
-lazily for the tests.
+:meth:`repro.sg.graph.StateGraph.code_int` and the minimizers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ..petri.net import bit_tuple
 from ..petri.stg import Direction, SignalKind
 from ..sg.graph import StateGraph
 from .cube import Cover
@@ -32,19 +29,15 @@ from .cube import Cover
 # ``logic.minimize`` layer times the calls made through it.
 from .minimize import minimize_ints as minimize
 
-Minterm = Tuple[int, ...]
-
 
 class NextStateFunction:
-    """ON/OFF/DC characterisation of one signal's next-state function.
+    """ON/OFF/conflict codes of one signal's next-state function, packed.
 
-    The authoritative representation is packed integers (``on_ints``,
-    ``off_ints`` and ``conflict_ints``); the DC set and the tuple-set views
-    are computed on first access.
+    Every code outside the three sets is a don't care.
     """
 
     __slots__ = ("signal", "variables", "on_ints", "off_ints",
-                 "conflict_ints", "_dc_ints", "_tuple_views")
+                 "conflict_ints")
 
     def __init__(self, signal: str, variables: List[str],
                  on_ints: FrozenSet[int], off_ints: FrozenSet[int],
@@ -54,41 +47,6 @@ class NextStateFunction:
         self.on_ints = on_ints
         self.off_ints = off_ints
         self.conflict_ints = conflict_ints
-        self._dc_ints: Optional[FrozenSet[int]] = None
-        self._tuple_views: Dict[str, Set[Minterm]] = {}
-
-    @property
-    def dc_ints(self) -> FrozenSet[int]:
-        """Every code outside ON, OFF and the conflicts (``2^n`` work)."""
-        if self._dc_ints is None:
-            care = self.on_ints | self.off_ints | self.conflict_ints
-            self._dc_ints = frozenset(m for m in range(1 << self.num_vars)
-                                      if m not in care)
-        return self._dc_ints
-
-    def _view(self, name: str, ints: FrozenSet[int]) -> Set[Minterm]:
-        view = self._tuple_views.get(name)
-        if view is None:
-            n = len(self.variables)
-            view = {bit_tuple(m, n) for m in ints}
-            self._tuple_views[name] = view
-        return view
-
-    @property
-    def on(self) -> Set[Minterm]:
-        return self._view("on", self.on_ints)
-
-    @property
-    def off(self) -> Set[Minterm]:
-        return self._view("off", self.off_ints)
-
-    @property
-    def dc(self) -> Set[Minterm]:
-        return self._view("dc", self.dc_ints)
-
-    @property
-    def conflicts(self) -> Set[Minterm]:
-        return self._view("conflicts", self.conflict_ints)
 
     @property
     def has_csc_conflict(self) -> bool:
@@ -98,30 +56,18 @@ class NextStateFunction:
     def num_vars(self) -> int:
         return len(self.variables)
 
-    def resolved_on(self, conflict_policy: str = "on") -> FrozenSet[int]:
-        """ON with conflicting codes folded in per the policy.
+    def resolved_on(self) -> FrozenSet[int]:
+        """ON with the conflicting codes folded in; OFF stays as it is."""
+        return self.on_ints | self.conflict_ints
 
-        ``"on"`` adds them to ON, ``"dc"`` leaves them don't care; OFF is
-        the same either way.
-        """
-        if not self.conflict_ints:
-            return self.on_ints
-        if conflict_policy == "on":
-            return self.on_ints | self.conflict_ints
-        if conflict_policy == "dc":
-            return self.on_ints
-        raise ValueError(f"unknown conflict policy {conflict_policy!r}")
-
-    def minimized(self, exact: bool = False,
-                  conflict_policy: str = "on") -> Cover:
+    def minimized(self, exact: bool = False) -> Cover:
         """Minimal cover of the function.
 
-        With conflicts present an exact cover does not exist; the policy
-        decides how conflicting codes are treated for *estimation*:
-        ``"on"`` treats them as ON (optimistic), ``"dc"`` as don't care.
+        With conflicts present an exact cover does not exist; conflicting
+        codes count as ON, which makes the cover an optimistic *estimate*.
         """
-        return minimize(self.num_vars, self.resolved_on(conflict_policy),
-                        self.off_ints, exact=exact)
+        return minimize(self.num_vars, self.resolved_on(), self.off_ints,
+                        exact=exact)
 
 
 def _reject_toggles(sg: StateGraph, signal: str) -> None:
@@ -207,9 +153,8 @@ class SetResetFunctions:
     reset_cover: Cover
 
 
-def extract_set_reset(sg: StateGraph, signal: str,
-                      exact: bool = False) -> SetResetFunctions:
-    """Covers of ER(a+) and ER(a-) with quiescent states as don't care.
+def extract_set_reset(sg: StateGraph, signal: str) -> SetResetFunctions:
+    """Exact covers of ER(a+) and ER(a-) with quiescent states as don't care.
 
     Valid only when the signal has no CSC conflict; raises otherwise.
     """
@@ -236,8 +181,8 @@ def extract_set_reset(sg: StateGraph, signal: str,
     # CSC conflict on the signal no code falls in two of the four classes.
     num_vars = len(sg.signals)
     set_cover = minimize(num_vars, frozenset(set_on),
-                         frozenset(reset_on | stable_low), exact=exact)
+                         frozenset(reset_on | stable_low), exact=True)
     reset_cover = minimize(num_vars, frozenset(reset_on),
-                           frozenset(set_on | stable_high), exact=exact)
+                           frozenset(set_on | stable_high), exact=True)
     return SetResetFunctions(signal=signal, variables=list(sg.signals),
                              set_cover=set_cover, reset_cover=reset_cover)

@@ -2,7 +2,7 @@
 
 Two engines:
 
-* :func:`minimize_ints` (tuple wrapper :func:`minimize`) -- the exact core.
+* :func:`minimize_ints` -- the exact core.
   It generates the primes that cover an ON minterm straight from the OFF
   set, then extracts essential primes and covers the rest greedily or by
   branch and bound.  Used for final synthesis where cover quality matters.
@@ -34,9 +34,8 @@ Cubes are packed as ``(mask, value)`` integer pairs internally -- bit i of
 boundary.  Minterms are packed as single integers (bit i = variable i, the
 same convention the state-graph layer uses for state codes).  Both engines
 take packed ON and OFF sets (:func:`minimize_ints`; the fast cover on
-positions of a numbered code list); the tuple API :func:`minimize` takes
-ON and DC and derives OFF by enumerating the code space, which only it
-does.
+positions of a numbered code list), and every other code is a don't care:
+neither enumerates the code space.
 """
 
 from __future__ import annotations
@@ -44,25 +43,13 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import registry as obs_registry
-from ..petri.net import pack_bits
 from .cube import DC, Cube, Cover
 
-Minterm = Tuple[int, ...]
 PackedCube = Tuple[int, int]  # (mask, value)
 
 
 class MinimizationError(Exception):
-    """Raised on contradictory ON/DC input."""
-
-
-def _normalise(num_vars: int, minterms: Iterable[Sequence[int]]) -> Set[Minterm]:
-    result: Set[Minterm] = set()
-    for minterm in minterms:
-        term = tuple(minterm)
-        if len(term) != num_vars or any(v not in (0, 1) for v in term):
-            raise MinimizationError(f"bad minterm {term!r} for {num_vars} variables")
-        result.add(term)
-    return result
+    """Raised on overlapping ON and OFF sets or a cover that stalls."""
 
 
 def _unpack_cube(packed: PackedCube, num_vars: int) -> Cube:
@@ -80,14 +67,6 @@ def _unpack_cube(packed: PackedCube, num_vars: int) -> Cube:
 def _contains(packed: PackedCube, minterm_int: int) -> bool:
     mask, value = packed
     return (minterm_int ^ value) & mask == 0
-
-
-def _packed_sets(num_vars: int, on: Iterable[Sequence[int]],
-                 dc: Iterable[Sequence[int]]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """Packed (ON, OFF) of a tuple-minterm function; OFF is everything else."""
-    on_ints = frozenset(pack_bits(m) for m in _normalise(num_vars, on))
-    care = on_ints | {pack_bits(m) for m in _normalise(num_vars, dc)}
-    return on_ints, frozenset(m for m in range(1 << num_vars) if m not in care)
 
 
 def _minimal_blocks(minterm: int, off_ints: Iterable[int]) -> List[int]:
@@ -265,17 +244,6 @@ def minimize_ints(num_vars: int, on_ints: FrozenSet[int],
         chosen = _essential_and_greedy(primes, on_ints, num_vars)
     cubes = [_unpack_cube(p, num_vars) for p in chosen]
     return Cover(num_vars, cubes).remove_redundant()
-
-
-def minimize(num_vars: int, on: Iterable[Sequence[int]],
-             dc: Iterable[Sequence[int]] = (), exact: bool = False) -> Cover:
-    """Minimal (or near-minimal) SOP cover of ON with DC flexibility.
-
-    Tuple-minterm front end of :func:`minimize_ints`; a minterm in both ON
-    and DC counts as ON.
-    """
-    on_ints, off_ints = _packed_sets(num_vars, on, dc)
-    return minimize_ints(num_vars, on_ints, off_ints, exact=exact)
 
 
 def code_columns(num_vars: int, codes: Sequence[int]) -> List[int]:

@@ -590,9 +590,7 @@ _SPACES: Dict[tuple, ReductionSpace] = (
 
 
 def reduction_space(sg: StateGraph) -> ReductionSpace:
-    """The space rooted at ``sg`` (shared while the engine memo is on)."""
-    if not engine.packed_memo_enabled():
-        return ReductionSpace(sg)
+    """The space rooted at ``sg``, shared by every search on its signature."""
     key = sg.signature()
     space = _SPACES.get(key)
     if space is None:

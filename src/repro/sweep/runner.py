@@ -24,11 +24,12 @@ all wall-clock numbers and cache accounting live on the
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..pipeline.config import STAGE_ORDER
 from ..pipeline.hashing import digest_payload
@@ -48,20 +49,6 @@ STORE_VERSION = 4
 
 #: Store stage name of a completed sweep row.
 _ROW_STAGE = "sweep-point"
-
-#: Artifact-store root the worker pool shares: set in-process by
-#: :func:`run_sweep` and in each pool worker by :func:`_init_worker` (a
-#: ``Pool`` initializer, so it reaches workers under every start method,
-#: ``spawn`` included).  Workers rebuild their own handle lazily (the
-#: store is directory-backed, so handles are cheap and process-safe).
-_ARTIFACT_ROOT: Optional[str] = None
-_WORKER_STORE: Optional[ArtifactStore] = None
-
-
-def _init_worker(artifact_root: Optional[str]) -> None:
-    global _ARTIFACT_ROOT
-    _ARTIFACT_ROOT = artifact_root
-
 
 def point_key(point: SweepPoint, graph: str) -> str:
     """Store key of ``point`` evaluated on graph ``graph``.
@@ -84,15 +71,6 @@ def _stored_row(store: ArtifactStore,
     if not isinstance(payload, dict) or "row" not in payload:
         return None
     return payload["row"]
-
-
-def _worker_store() -> Optional[ArtifactStore]:
-    global _WORKER_STORE
-    if _ARTIFACT_ROOT is None:
-        return None
-    if _WORKER_STORE is None or str(_WORKER_STORE.root) != _ARTIFACT_ROOT:
-        _WORKER_STORE = ArtifactStore(_ARTIFACT_ROOT)
-    return _WORKER_STORE
 
 
 def evaluate_with_status(point: SweepPoint,
@@ -127,10 +105,17 @@ def evaluate_with_status(point: SweepPoint,
     return row, result.stage_status()
 
 
-def _run_chunk(chunk: List[Tuple[int, SweepPoint]]
+def _run_chunk(store: Union[ArtifactStore, str, None],
+               chunk: List[Tuple[int, SweepPoint]]
                ) -> List[Tuple[int, Dict[str, object], Dict[str, str]]]:
-    """Evaluate one chunk of (grid index, point) work items."""
-    store = _worker_store()
+    """Evaluate one chunk of (grid index, point) work items.
+
+    ``store`` is the caller's store in-process and its root directory in a
+    pool worker, which opens its own handle: a handle holds a lock and does
+    not pickle, and directory-backed handles are cheap and process-safe.
+    """
+    if isinstance(store, str):
+        store = ArtifactStore(store)
     return [(index, *evaluate_with_status(point, store))
             for index, point in chunk]
 
@@ -232,7 +217,6 @@ def run_sweep(grid: SweepGrid,
     ``jobs > 1`` shards the pending points over a process pool; the merged
     rows are byte-identical to ``jobs=1``.
     """
-    global _ARTIFACT_ROOT
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     started = time.perf_counter()
@@ -284,24 +268,17 @@ def run_sweep(grid: SweepGrid,
                     "row": row,
                 })
 
-    previous_root = _ARTIFACT_ROOT
-    _ARTIFACT_ROOT = None if store is None else str(store.root)
-    try:
-        if pending:
-            chunks = make_chunks(pending, jobs, chunk_size)
-            if jobs == 1 or len(chunks) == 1:
-                for chunk in chunks:
-                    merge(_run_chunk(chunk))
-            else:
-                with multiprocessing.Pool(
-                        processes=min(jobs, len(chunks)),
-                        initializer=_init_worker,
-                        initargs=(_ARTIFACT_ROOT,)) as pool:
-                    for chunk_result in pool.imap_unordered(_run_chunk,
-                                                            chunks):
-                        merge(chunk_result)
-    finally:
-        _ARTIFACT_ROOT = previous_root
+    if pending:
+        chunks = make_chunks(pending, jobs, chunk_size)
+        if jobs == 1 or len(chunks) == 1:
+            for chunk in chunks:
+                merge(_run_chunk(store, chunk))
+        else:
+            root = None if store is None else str(store.root)
+            with multiprocessing.Pool(min(jobs, len(chunks))) as pool:
+                for chunk_result in pool.imap_unordered(
+                        functools.partial(_run_chunk, root), chunks):
+                    merge(chunk_result)
 
     assert all(row is not None for row in rows)
     return SweepOutcome(points=points, rows=rows, computed=len(pending),

@@ -67,10 +67,10 @@ def estimate_logic_complexity(sg: StateGraph, exact: bool = False,
     for signal, function in extract_all_functions(sg).items():
         if fast and not exact:
             per_signal[signal] = fast_literal_count(
-                function.num_vars, function.resolved_on("on"),
+                function.num_vars, function.resolved_on(),
                 function.off_ints)
         else:
-            cover = function.minimized(exact=exact, conflict_policy="on")
+            cover = function.minimized(exact=exact)
             per_signal[signal] = cover.literal_count
         conflict_codes += len(function.conflict_ints)
     return ComplexityEstimate(

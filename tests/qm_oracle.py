@@ -4,20 +4,30 @@ The exact core generates primes from the OFF set (see
 :mod:`repro.logic.minimize`).  This module keeps the classic merge over
 ON + DC, which enumerates every prime including those lying wholly inside
 DC, so the tests can check the new generator and the covers built from it
-against an independent derivation.  It also holds the tuple-level
-front ends the tests state their properties on: the OFF-generated primes
-of ON + DC, and a cover check by minterm.
+against an independent derivation.  It also holds the tuple-minterm
+front ends the tests state their properties on: packed ON and OFF sets of
+tuple ON and DC lists, the OFF-generated primes of ON + DC, and a cover
+check by minterm.
 """
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.logic.cube import Cover, Cube
 from repro.logic.minimize import (_essential_and_greedy, _exact_cover,
-                                  _packed_sets, _prime_order,
-                                  _primes_through, _unpack_cube)
+                                  _prime_order, _primes_through, _unpack_cube)
 from repro.petri.net import pack_bits as _pack
 
 PackedCube = Tuple[int, int]
+
+
+def packed_sets(num_vars: int, on: Iterable[Sequence[int]],
+                dc: Iterable[Sequence[int]] = ()
+                ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """Packed (ON, OFF) of a tuple-minterm function; OFF is every code
+    outside ON and DC, and a minterm in both counts as ON."""
+    on_ints = frozenset(_pack(m) for m in on)
+    care = on_ints | {_pack(m) for m in dc}
+    return on_ints, frozenset(m for m in range(1 << num_vars) if m not in care)
 
 
 def qm_primes(num_vars: int, care_ints: Iterable[int]) -> Set[PackedCube]:
@@ -45,11 +55,12 @@ def qm_primes(num_vars: int, care_ints: Iterable[int]) -> Set[PackedCube]:
     return primes
 
 
-def qm_minimize(num_vars: int, on: Iterable[Sequence[int]],
-                dc: Iterable[Sequence[int]] = (), exact: bool = False) -> Cover:
-    """The cover the minimizer built from the full QM prime list."""
-    on_ints = {_pack(tuple(m)) for m in on}
-    care = on_ints | {_pack(tuple(m)) for m in dc}
+def qm_minimize(num_vars: int, on_ints: Iterable[int],
+                dc_ints: Iterable[int] = (), exact: bool = False) -> Cover:
+    """The cover the minimizer built from the full QM prime list, for
+    packed ON and DC."""
+    on_ints = set(on_ints)
+    care = on_ints | set(dc_ints)
     if not on_ints:
         return Cover.zero(num_vars)
     if len(care) == 1 << num_vars:
@@ -69,7 +80,7 @@ def prime_implicants(num_vars: int, on: Iterable[Sequence[int]],
 
     Primes lying wholly inside DC are left out; no cover of ON uses them.
     """
-    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    on_ints, off_ints = packed_sets(num_vars, on, dc)
     return [_unpack_cube(p, num_vars)
             for p in _primes_through(num_vars, on_ints, off_ints)]
 

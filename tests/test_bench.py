@@ -221,13 +221,8 @@ def test_run_context_best_of_min_of_n():
         calls.append(1)
         return "result"
 
-    seconds, result = RunContext(quick=False, rounds=3).best_of(
-        fn, clear_caches=True)
+    seconds, result = RunContext(quick=False, rounds=3).best_of(fn)
     assert result == "result" and len(calls) == 3 and seconds >= 0
-    calls.clear()
-    # Warm timing: one untimed warmup round precedes the 3 timed ones.
-    RunContext(quick=False, rounds=3).best_of(fn, clear_caches=False)
-    assert len(calls) == 4
     calls.clear()
     RunContext(quick=True).best_of(fn)
     assert len(calls) == 1

@@ -251,16 +251,22 @@ class TestWorkCounters:
                 traced = reduce_concurrency(lr_max, strategy=strategy)
             assert _projection(traced) == _projection(plain)
 
-    def test_memo_off_changes_nothing(self, lr_max):
+    def test_warm_space_changes_nothing(self, lr_max):
+        """A search on a space other searches filled, some under another
+        Keep_Conc pair, equals one on a cleared space, under a Keep_Conc
+        pair and without."""
         from repro import engine
+        keep = [("li-", "ri-")]
         engine.clear_caches()
-        cached = reduce_concurrency(lr_max, keep_conc=[("li-", "ri-")])
-        engine.set_packed_memo(False)
-        try:
-            plain = reduce_concurrency(lr_max, keep_conc=[("li-", "ri-")])
-        finally:
-            engine.set_packed_memo(True)
-        assert _projection(plain) == _projection(cached)
+        cold_kept = reduce_concurrency(lr_max, keep_conc=keep)
+        engine.clear_caches()
+        cold = reduce_concurrency(lr_max)
+        reduce_concurrency(lr_max, keep_conc=[("lo-", "ro-")])
+        warm_kept = reduce_concurrency(lr_max, keep_conc=keep)
+        warm = reduce_concurrency(lr_max)
+        assert _projection(warm_kept) == _projection(cold_kept)
+        assert _projection(warm) == _projection(cold)
+        assert _projection(cold_kept) != _projection(cold)
 
 
 def _coded_random_graph(seed, states=10):

@@ -1,7 +1,5 @@
 """Unit tests for next-state function extraction (repro.logic.functions)."""
 
-from itertools import product
-
 import pytest
 
 from cost_oracle import minimize_fast_ints
@@ -11,6 +9,7 @@ from repro.logic.cube import Cover
 from repro.logic.functions import (extract_all_functions, extract_function,
                                    extract_set_reset)
 from repro.logic.minimize import _unpack_cube
+from repro.petri.net import bit_tuple
 from repro.petri.stg import SignalKind
 from repro.reduction.explore import full_reduction
 from repro.sg.generator import generate_sg
@@ -37,23 +36,22 @@ class TestExtraction:
     def test_fig1_ack_has_conflict(self, fig1):
         function = extract_function(fig1, "Ack")
         assert function.has_csc_conflict
-        assert function.conflicts == {(1, 1)}
+        assert function.conflict_ints == {0b11}
 
     def test_on_off_dc_partition(self, fig1):
         function = extract_function(fig1, "Ack")
-        universe = set()
-        universe |= function.on | function.off | function.dc | function.conflicts
-        assert len(universe) == 4  # 2 signals -> 4 codes
-        assert not function.on & function.off
-        assert not function.on & function.dc
-        assert not function.off & function.dc
+        on, off = function.on_ints, function.off_ints
+        conflicts = function.conflict_ints
+        assert not on & off and not on & conflicts and not off & conflicts
+        # 2 signals -> 4 codes; every code outside the three is a don't care.
+        assert on | off | conflicts <= set(range(4))
 
     def test_next_state_semantics(self, fig1):
         function = extract_function(fig1, "Ack")
         # Initial state (Req=1, Ack=0) has Ack+ enabled: next value 1.
-        assert (1, 0) in function.on
+        assert 0b01 in function.on_ints
         # State (0, 0): Ack stable low: next value 0.
-        assert (0, 0) in function.off
+        assert 0b00 in function.off_ints
 
     def test_extract_all_covers_non_inputs(self, fig1):
         functions = extract_all_functions(fig1)
@@ -74,16 +72,14 @@ class TestExtraction:
         assert lo.single_literal() == (names.index("ri"), 1)
         assert ro.single_literal() == (names.index("li"), 1)
 
-    def test_minimized_conflict_policies(self, fig1):
+    def test_minimized_folds_conflicts_into_on(self, fig1):
         function = extract_function(fig1, "Ack")
-        on_cover = function.minimized(conflict_policy="on")
-        dc_cover = function.minimized(conflict_policy="dc")
-        for minterm in function.on:
-            assert on_cover.contains(minterm)
-            assert dc_cover.contains(minterm)
-        assert on_cover.contains((1, 1))
-        with pytest.raises(ValueError):
-            function.minimized(conflict_policy="bogus")
+        cover = function.minimized()
+        assert function.resolved_on() == function.on_ints | {0b11}
+        for code in function.resolved_on():
+            assert cover.contains(bit_tuple(code, 2))
+        for code in function.off_ints:
+            assert not cover.contains(bit_tuple(code, 2))
 
     def test_fast_and_exact_agree_on_validity(self, lr_wires):
         for signal, function in extract_all_functions(lr_wires).items():
@@ -92,12 +88,12 @@ class TestExtraction:
                              minimize_fast_ints(n, function.resolved_on(),
                                                 function.off_ints)])
             exact = function.minimized(exact=True)
-            for minterm in function.on:
-                assert fast.contains(minterm)
-                assert exact.contains(minterm)
-            for minterm in function.off:
-                assert not fast.contains(minterm)
-                assert not exact.contains(minterm)
+            for code in function.on_ints:
+                assert fast.contains(bit_tuple(code, n))
+                assert exact.contains(bit_tuple(code, n))
+            for code in function.off_ints:
+                assert not fast.contains(bit_tuple(code, n))
+                assert not exact.contains(bit_tuple(code, n))
 
 
 class TestSetReset:
@@ -106,7 +102,7 @@ class TestSetReset:
             extract_set_reset(fig1, "Ack")
 
     def test_set_reset_covers_er(self, lr_wires):
-        result = extract_set_reset(lr_wires, "lo", exact=True)
+        result = extract_set_reset(lr_wires, "lo")
         index = lr_wires.signal_index("lo")
         for state in lr_wires.states:
             code = lr_wires.code_of(state)
@@ -120,7 +116,7 @@ class TestSetReset:
         # (else the output would rise spuriously); dually the reset network
         # must be low in the set region and at stable 1.  Holding the reset
         # asserted while the output is already low is fine (don't care).
-        result = extract_set_reset(lr_wires, "lo", exact=True)
+        result = extract_set_reset(lr_wires, "lo")
         for state in lr_wires.states:
             code = lr_wires.code_of(state)
             if lr_wires.target(state, "lo-") is not None:
@@ -149,29 +145,29 @@ class TestSetResetOracle:
     def test_covers_match_the_qm_path(self, mmu_bmr):
         sg = mmu_bmr
         num_vars = len(sg.signals)
-        reachable = {sg.code_of(state) for state in sg.states}
-        unreachable = set(product((0, 1), repeat=num_vars)) - reachable
+        unreachable = set(range(1 << num_vars)) - set(sg.code_ints)
         signals = [s for s in sg.signals if sg.kinds[s] != SignalKind.INPUT]
         assert len(sg) == 48 and len(signals) == 5
         for signal in signals:
-            index = sg.signal_index(signal)
+            bit = 1 << sg.signal_index(signal)
             regions = {"set": set(), "reset": set(), "high": set(), "low": set()}
             for state in sg.states:
-                code = sg.code_of(state)
+                code = sg.code_int(state)
                 if sg.target(state, f"{signal}+") is not None:
                     regions["set"].add(code)
                 elif sg.target(state, f"{signal}-") is not None:
                     regions["reset"].add(code)
                 else:
-                    regions["high" if code[index] else "low"].add(code)
-            for exact in (False, True):
-                result = extract_set_reset(sg, signal, exact=exact)
-                expected_set = qm_minimize(num_vars, regions["set"],
-                                           regions["high"] | unreachable, exact)
-                expected_reset = qm_minimize(num_vars, regions["reset"],
-                                             regions["low"] | unreachable, exact)
-                assert str_cubes(result.set_cover) == str_cubes(expected_set)
-                assert str_cubes(result.reset_cover) == str_cubes(expected_reset)
+                    regions["high" if code & bit else "low"].add(code)
+            result = extract_set_reset(sg, signal)
+            expected_set = qm_minimize(
+                num_vars, regions["set"], regions["high"] | unreachable,
+                exact=True)
+            expected_reset = qm_minimize(
+                num_vars, regions["reset"], regions["low"] | unreachable,
+                exact=True)
+            assert str_cubes(result.set_cover) == str_cubes(expected_set)
+            assert str_cubes(result.reset_cover) == str_cubes(expected_reset)
 
 
 def str_cubes(cover):

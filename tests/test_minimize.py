@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from cost_oracle import minimize_fast_ints
 from fast_cover_oracle import scan_expand_and_cover
-from qm_oracle import prime_implicants, qm_minimize, qm_primes, verify_cover
+from qm_oracle import (packed_sets, prime_implicants, qm_minimize, qm_primes,
+                       verify_cover)
 from repro.logic.cube import Cube, Cover
-from repro.logic.minimize import (MinimizationError, _packed_sets,
-                                  _primes_through, _unpack_cube, code_columns,
-                                  expand_and_cover, logic_work, minimize,
-                                  minimize_ints)
+from repro.logic.minimize import (MinimizationError, _primes_through,
+                                  _unpack_cube, code_columns,
+                                  expand_and_cover, logic_work, minimize_ints)
 from repro.petri.net import pack_bits as _pack
 
 
@@ -22,10 +22,16 @@ def all_minterms(n):
     return list(product((0, 1), repeat=n))
 
 
+def split(num_vars, on, dc=()):
+    """Packed ``(ON, OFF)`` of packed ON and DC; OFF is every other code."""
+    on, care = frozenset(on), frozenset(on) | frozenset(dc)
+    return on, frozenset(m for m in range(1 << num_vars) if m not in care)
+
+
 def minimize_fast(num_vars, on, dc=()):
     """:func:`minimize_fast_ints` over minterm tuples, as a :class:`Cover`;
     OFF is every code outside ON and DC."""
-    on_ints, off_ints = _packed_sets(num_vars, on, dc)
+    on_ints, off_ints = packed_sets(num_vars, on, dc)
     return Cover(num_vars, [_unpack_cube(cube, num_vars) for cube in
                             minimize_fast_ints(num_vars, on_ints, off_ints)])
 
@@ -60,10 +66,6 @@ class TestPrimeImplicants:
         primes = {str(p) for p in prime_implicants(4, on, dc)}
         assert "1-1-" in primes  # the textbook prime AC (bit order MSB first)
 
-    def test_bad_minterm_rejected(self):
-        with pytest.raises(MinimizationError):
-            prime_implicants(2, [(0, 2)])
-
     def test_dc_only_primes_left_out(self):
         # QM over ON + DC also finds "00", which covers no ON minterm.
         primes = prime_implicants(2, [(1, 1)], dc=[(0, 0)])
@@ -76,45 +78,43 @@ class TestPrimeImplicants:
 
 
 class TestMinimize:
+    """The exact core on packed minterms: bit i is variable i."""
+
     def test_constants(self):
-        assert minimize(2, []).is_constant_zero
-        assert minimize(2, all_minterms(2)).is_constant_one
+        assert minimize_ints(2, *split(2, [])).is_constant_zero
+        assert minimize_ints(2, *split(2, range(4))).is_constant_one
 
     def test_dc_fills_to_constant_one(self):
-        cover = minimize(2, [(0, 0)], dc=[(0, 1), (1, 0), (1, 1)])
+        cover = minimize_ints(2, *split(2, [0b00], dc=[0b10, 0b01, 0b11]))
         assert cover.is_constant_one
 
     def test_single_literal_found(self):
-        on = [m for m in all_minterms(3) if m[1] == 1]
-        cover = minimize(3, on)
+        on = [m for m in range(8) if m >> 1 & 1]
+        cover = minimize_ints(3, *split(3, on))
         assert cover.single_literal() == (1, 1)
         assert cover.literal_count == 1
 
     def test_wire_through_dc(self):
         # ON = {10}, OFF = {01}, rest DC: minimizes to a single literal.
-        cover = minimize(2, [(1, 0)], dc=[(0, 0), (1, 1)])
+        cover = minimize_ints(2, *split(2, [0b01], dc=[0b00, 0b11]))
         assert cover.literal_count == 1
 
     def test_xor_needs_four_literals(self):
-        cover = minimize(2, [(0, 1), (1, 0)], exact=True)
+        cover = minimize_ints(2, *split(2, [0b10, 0b01]), exact=True)
         assert cover.literal_count == 4
         assert len(cover.cubes) == 2
 
     def test_majority(self):
-        on = [m for m in all_minterms(3) if sum(m) >= 2]
-        cover = minimize(3, on, exact=True)
+        on = [m for m in range(8) if m.bit_count() >= 2]
+        cover = minimize_ints(3, *split(3, on), exact=True)
         assert cover.literal_count == 6
         assert len(cover.cubes) == 3
 
     def test_exact_not_worse_than_greedy(self):
-        on = [m for m in all_minterms(4) if sum(m) in (1, 3)]
-        greedy = minimize(4, on, exact=False)
-        exact = minimize(4, on, exact=True)
+        on_off = split(4, [m for m in range(16) if m.bit_count() in (1, 3)])
+        greedy = minimize_ints(4, *on_off, exact=False)
+        exact = minimize_ints(4, *on_off, exact=True)
         assert exact.literal_count <= greedy.literal_count
-
-    def test_on_overlapping_dc_wins(self):
-        cover = minimize(1, [(1,)], dc=[(1,)])
-        assert cover.contains((1,))
 
     def test_packed_core_matches_tuple_front_end(self):
         # Variable i is bit i of a packed minterm.
@@ -163,7 +163,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_minimize_produces_valid_cover(self, sets):
         on, dc, off = sets
-        cover = minimize(4, on, dc)
+        cover = minimize_ints(4, *packed_sets(4, on, dc))
         assert verify_cover(cover, on, off)
 
     @given(on_dc_sets())
@@ -177,8 +177,8 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     def test_exact_never_beaten_by_greedy(self, sets):
         on, dc, off = sets
-        exact = minimize(4, on, dc, exact=True)
-        greedy = minimize(4, on, dc, exact=False)
+        exact = minimize_ints(4, *packed_sets(4, on, dc), exact=True)
+        greedy = minimize_ints(4, *packed_sets(4, on, dc), exact=False)
         assert exact.literal_count <= greedy.literal_count
 
     @given(on_dc_sets())
@@ -216,23 +216,24 @@ class TestQuineMcCluskeyOracle:
     """The OFF-set prime generator against the classic QM merge."""
 
     @given(split_functions())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     def test_primes_are_qm_primes_through_on(self, function):
         num_vars, on, dc = function
-        on_ints = {_pack(m) for m in on}
-        care = on_ints | {_pack(m) for m in dc}
-        off_ints = frozenset(set(range(1 << num_vars)) - care)
+        on_ints, off_ints = packed_sets(num_vars, on, dc)
+        care = set(range(1 << num_vars)) - off_ints
         expected = {(mask, value) for mask, value in qm_primes(num_vars, care)
                     if any((m ^ value) & mask == 0 for m in on_ints)}
         assert set(_primes_through(num_vars, on_ints, off_ints)) == expected
 
     @given(split_functions())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     def test_covers_match_the_qm_path(self, function):
         num_vars, on, dc = function
+        on_ints, off_ints = packed_sets(num_vars, on, dc)
+        dc_ints = {_pack(m) for m in dc}
         for exact in (False, True):
-            ours = minimize(num_vars, on, dc, exact=exact)
-            oracle = qm_minimize(num_vars, on, dc, exact=exact)
+            ours = minimize_ints(num_vars, on_ints, off_ints, exact=exact)
+            oracle = qm_minimize(num_vars, on_ints, dc_ints, exact=exact)
             assert [str(c) for c in ours.cubes] == [str(c) for c in oracle.cubes]
 
 

@@ -117,18 +117,15 @@ class TestMinimizeDeterminism:
 
     def test_two_runs_identical_covers(self):
         from cost_oracle import minimize_fast_ints
-        from repro.logic.minimize import _packed_sets, minimize
+        from qm_oracle import packed_sets
+        from repro.logic.minimize import minimize_ints
 
-        def minimize_fast(num_vars, on, dc):
-            return minimize_fast_ints(num_vars,
-                                      *_packed_sets(num_vars, on, dc))
-
-        for engine_fn in (minimize, minimize_fast):
-            first = engine_fn(4, self.ON, self.DC)
+        for engine_fn in (minimize_ints, minimize_fast_ints):
+            first = engine_fn(4, *packed_sets(4, self.ON, self.DC))
             # Present the same sets in a different order: the result must
             # not depend on set iteration or insertion order.
-            second = engine_fn(4, list(reversed(self.ON)),
-                               list(reversed(self.DC)))
+            second = engine_fn(4, *packed_sets(4, list(reversed(self.ON)),
+                                               list(reversed(self.DC))))
             assert [str(c) for c in first] == [str(c) for c in second]
 
     def test_identical_across_hash_seeds(self):
@@ -136,11 +133,13 @@ class TestMinimizeDeterminism:
         # the cover must not depend on it.
         script = (
             "from cost_oracle import minimize_fast_ints\n"
-            "from repro.logic.minimize import _packed_sets, minimize\n"
+            "from qm_oracle import packed_sets\n"
+            "from repro.logic.minimize import minimize_ints\n"
             f"on = {self.ON!r}\n"
             f"dc = {self.DC!r}\n"
-            "print([str(c) for c in minimize(4, on, dc)])\n"
-            "print(minimize_fast_ints(4, *_packed_sets(4, on, dc)))\n"
+            "sets = packed_sets(4, on, dc)\n"
+            "print([str(c) for c in minimize_ints(4, *sets)])\n"
+            "print(minimize_fast_ints(4, *sets))\n"
         )
         outputs = set()
         for seed in ("0", "1", "12345"):

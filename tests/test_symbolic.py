@@ -399,18 +399,14 @@ class TestCodingReports:
 
 
 class TestDepthRefusal:
-    """A net too deep for the BDD recursion is refused with a structured
-    error naming the stage and the variable count, never a traceback.
-    Reachability of ``fifo_chain_80`` already recurses too deep; that of
-    ``fifo_chain_55`` completes and its pair product does not.
-
-    The stage depends on the frames already on the stack when the check
-    starts (pytest puts about 33 there).  Measured on CPython 3.10.13,
-    3.11.7 and 3.12.1 alike, calling ``check_coding`` under N extra frames
-    from a plain script: ``fifo_chain_55`` completes at N = 0 and is
-    refused in the coding check for every N tried from 10 to 150;
-    ``fifo_chain_80`` is refused in reachability at every N from 0 to
-    150."""
+    """A net with more BDD variables than a stage takes
+    (:data:`repro.symbolic.reach.MAX_VARIABLES`) is refused before that
+    stage runs, with a structured error naming the stage and the variable
+    count, never a traceback.  ``fifo_chain_80`` (1,442 variables) is
+    refused in reachability; the reachability of ``fifo_chain_55`` (992)
+    fits and its coding check does not.  The limits count variables, not
+    frames, so the verdict does not depend on the frames already on the
+    stack when the check starts."""
 
     @pytest.mark.parametrize("spec, stage, variables", [
         ("fifo_chain_80", "symbolic reachability", 1442),

@@ -302,7 +302,7 @@ class TestFig1CrossCheck:
         sg = generate_sg(fig1_stg())
         function = extract_function(sg, "Ack")
         assert function.has_csc_conflict
-        cover = function.minimized(conflict_policy="on")
+        cover = function.minimized()
         netlist = Netlist("fig1_optimistic")
         netlist.add_input("Req")
         netlist.add_output("Ack")
