@@ -6,7 +6,10 @@ the same exclusion as the sweep-throughput case) through four phases
 against one content-addressed store: cold, warm, a delays-only change
 (only the ``timing`` stage may recompute) and a cold ``jobs=2`` run.
 The checks pin the four resume claims: determinism, store soundness,
-stage-granular resume and cross-point stage sharing.
+stage-granular resume and cross-point stage sharing.  ``warm_digest_bytes``
+counts the canonical bytes the warm phase hashes (each point's row key and
+each spec graph's digest), so a digest the warm path repeats fails the
+gate.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ STAGE_SLOTS_PER_POINT = 5  # generate/reduce/resolve/synthesize/timing
 
 def run_pipeline_resume(context) -> dict:
     from repro import engine
+    from repro.obs.metrics import registry
     from repro.specs.registry import spec_names
     from repro.sweep import ArtifactStore, render, run_sweep, tables_grid
 
@@ -50,7 +54,10 @@ def run_pipeline_resume(context) -> dict:
         jobs_store = ArtifactStore(Path(tempdir) / "jobs")
 
         cold_seconds, cold = timed(grid, 1, serial_store)
+        hashed = registry().value("repro_digest_bytes_total")
         warm_seconds, warm = timed(grid, 1, serial_store)
+        warm_digest_bytes = (registry().value("repro_digest_bytes_total")
+                             - hashed)
         delays_seconds, delays = timed(delays_grid, 1, serial_store)
         jobs_seconds, jobs = timed(grid, 2, jobs_store)
 
@@ -70,6 +77,7 @@ def run_pipeline_resume(context) -> dict:
         "cold_computed_points": cold.computed,
         "warm_computed_points": warm.computed,
         "warm_cached_points": warm.cached,
+        "warm_digest_bytes": warm_digest_bytes,
         "delays_computed_points": delays.computed,
         "cold_stage_computed": dict(sorted(cold.stage_computed.items())),
         "cold_stage_reused": dict(sorted(cold.stage_reused.items())),
@@ -93,6 +101,7 @@ register(BenchCase(
         Metric("cold_computed_points", "points"),
         Metric("warm_computed_points", "points"),
         Metric("warm_cached_points", "points"),
+        Metric("warm_digest_bytes", "bytes", direction="lower"),
         Metric("delays_computed_points", "points"),
         Metric("cold_stages_computed_total", "stages", direction="lower"),
         Metric("delays_stages_computed_total", "stages", direction="lower"),

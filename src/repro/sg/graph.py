@@ -80,6 +80,9 @@ class StateGraph:
         self._ids: Optional[Dict[State, int]] = {}
         self._pred: Optional[List[List[Tuple[int, int]]]] = None
         self._signature: Optional[Tuple] = None
+        #: (name, content digest) once a frozen graph was digested
+        #: (:func:`repro.pipeline.hashing.graph_digest`).
+        self._digest: Optional[Tuple[str, str]] = None
         self._live_labels: Optional[FrozenSet[str]] = None
         self._frozen = False
 

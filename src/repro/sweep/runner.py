@@ -229,13 +229,9 @@ def run_sweep(grid: SweepGrid,
     stage_reused: Dict[str, int] = {}
 
     if store is not None:
-        digests: Dict[str, str] = {}
         for index, point in enumerate(points):
-            digest = digests.get(point.spec)
-            if digest is None:
-                digest = graph_digest(spec_sg(point.spec))
-                digests[point.spec] = digest
-            keys[index] = point_key(point, digest)
+            # A spec's graph is memoized and frozen, so it keeps its digest.
+            keys[index] = point_key(point, graph_digest(spec_sg(point.spec)))
             stored = _stored_row(store, keys[index])
             if stored is not None:
                 # The display name is not part of the key: re-label the

@@ -65,7 +65,7 @@ from ..petri.stg import STG, Direction, SignalEvent, SignalKind
 from .bdd import BDD, CLEAR, FLIP, PUT, READ, SET, TAKE
 
 __all__ = ["SymbolicEncodingError", "SymbolicOverflowError",
-           "SymbolicDepthError",
+           "SymbolicDepthError", "SymbolicMemoryError",
            "SymbolicTransition", "SymbolicEncoding", "encode_stg"]
 
 
@@ -92,6 +92,15 @@ class SymbolicDepthError(SymbolicEncodingError):
         super().__init__(f"{stage} of {name!r} recurses deeper than the "
                          f"interpreter allows ({variables} BDD variables)")
         self.stage, self.variables = stage, variables
+
+
+class SymbolicMemoryError(SymbolicEncodingError):
+    """``stage`` ran out of memory after allocating ``nodes`` BDD nodes."""
+
+    def __init__(self, stage: str, name: str, nodes: int) -> None:
+        super().__init__(f"{stage} of {name!r} ran out of memory after "
+                         f"allocating {nodes} BDD nodes")
+        self.stage, self.nodes = stage, nodes
 
 
 @dataclass(frozen=True)

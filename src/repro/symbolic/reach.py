@@ -53,7 +53,7 @@ from ..obs.metrics import registry as obs_registry
 from ..obs.trace import span as obs_span
 from .bdd import BDD, GuardError
 from .encode import (SymbolicDepthError, SymbolicEncoding,
-                     SymbolicOverflowError)
+                     SymbolicMemoryError, SymbolicOverflowError)
 
 __all__ = ["SymbolicReachability", "symbolic_reach"]
 
@@ -103,7 +103,8 @@ def metered(bdd: BDD, meter: BudgetMeter, stage: str,
     The grow hook also reads the clock, so a node-hungry step that never
     reaches a round boundary still trips ``max_seconds``.  More variables
     than :data:`MAX_VARIABLES` allows ``stage``, or too deep a recursion,
-    raise :class:`~repro.symbolic.encode.SymbolicDepthError`.
+    raise :class:`~repro.symbolic.encode.SymbolicDepthError`; running out
+    of memory raises :class:`~repro.symbolic.encode.SymbolicMemoryError`.
     """
     if bdd.num_vars > MAX_VARIABLES[stage]:
         raise SymbolicDepthError(stage, name, bdd.num_vars)
@@ -122,6 +123,8 @@ def metered(bdd: BDD, meter: BudgetMeter, stage: str,
         yield
     except RecursionError:
         raise SymbolicDepthError(stage, name, bdd.num_vars) from None
+    except MemoryError:
+        raise SymbolicMemoryError(stage, name, bdd.node_count) from None
     finally:
         bdd.on_grow = None
 

@@ -144,7 +144,8 @@ def verification_key(netlist: Netlist, spec: StateGraph, model: str,
 
     The spec is named by :func:`~repro.pipeline.hashing.graph_digest`, the
     digest of its canonical payload, so a graph and its decoded copy share
-    one certificate.
+    one certificate.  A frozen spec keeps that digest, so the decoded
+    graph the pipeline certifies on every request is encoded only once.
     """
     return digest_payload({
         "kind": "verification",

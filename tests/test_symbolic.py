@@ -34,7 +34,8 @@ from repro.specs.registry import load_spec, spec_names
 from repro.cli import main
 from repro.sg.properties import check_coding
 from repro.symbolic import (FALSE, TRUE, BDD, SymbolicDepthError,
-                            SymbolicEncodingError, SymbolicOverflowError,
+                            SymbolicEncodingError, SymbolicMemoryError,
+                            SymbolicOverflowError,
                             check_coding_symbolic, encode_stg, symbolic_reach)
 from repro.symbolic.bdd import (CLEAR, FLIP, PUT, READ, SET, TAKE,
                                 GuardError)
@@ -427,6 +428,49 @@ class TestDepthRefusal:
         assert captured.err.startswith(f"error: {stage} of {spec!r} ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+class TestMemoryRefusal:
+    """A ``MemoryError`` in either symbolic stage is refused as
+    :class:`~repro.symbolic.SymbolicMemoryError`, naming the stage, the
+    spec and the BDD nodes allocated, never a traceback.  The error is
+    injected at the first node charge past a count: the reachability of
+    ``counter_8`` allocates about 24k nodes, that of ``fifo_chain_6``
+    about 1,400 and its coding pair product about 578k."""
+
+    CASES = [("counter_8", 10_000, "symbolic reachability", 12_289),
+             ("fifo_chain_6", 5_000, "symbolic coding check", 8_193)]
+
+    @staticmethod
+    def _fail_past(monkeypatch, nodes):
+        charge = budget_module.BudgetMeter.charge_nodes
+
+        def charge_or_fail(meter, total):
+            if total > nodes:
+                raise MemoryError
+            charge(meter, total)
+
+        monkeypatch.setattr(budget_module.BudgetMeter, "charge_nodes",
+                            charge_or_fail)
+
+    @pytest.mark.parametrize("spec, nodes, stage, allocated", CASES)
+    def test_check_coding_refuses(self, spec, nodes, stage, allocated,
+                                  monkeypatch):
+        self._fail_past(monkeypatch, nodes)
+        with pytest.raises(SymbolicMemoryError) as refused:
+            check_coding(load_spec(spec), engine="symbolic")
+        assert (refused.value.stage, refused.value.nodes) == (stage, allocated)
+
+    @pytest.mark.parametrize("spec, nodes, stage, allocated", CASES)
+    def test_cli_prints_one_line(self, spec, nodes, stage, allocated,
+                                 monkeypatch, capsys):
+        self._fail_past(monkeypatch, nodes)
+        assert main(["check", spec, "--engine", "symbolic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {stage} of {spec!r} ran out of memory after "
+            f"allocating {allocated} BDD nodes\n")
 
 
 #: A node budget the coding check of ``fifo_chain_40`` trips in its pair
